@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-csv bench-json perf-smoke promote-golden fuzz fuzz-distill fuzz-predict daemon-smoke examples clean loc
+.PHONY: all build test bench bench-csv bench-json perf-smoke promote-golden fuzz fuzz-distill fuzz-predict examples clean loc
 
 all: build
 
@@ -25,24 +25,20 @@ bench-csv:
 # tracing-overhead guard + the host-pool guard (serial and pooled E1
 # wall clocks land in the pool_guard JSON object) + the superblock
 # guard (sblk_guard object) + the slave block-journal guard
-# (sjrnl_guard object) + the service guard (svc_guard object: a daemon
-# round trip vs the same job in-process)
+# (sjrnl_guard object)
 bench-json:
-	dune exec bench/main.exe -- E1 micro TRACEG FAULTG POOLG SBLKG ADPTG SJRNLG SVCG --json BENCH_mssp.json
+	dune exec bench/main.exe -- E1 micro TRACEG FAULTG POOLG SBLKG ADPTG SJRNLG --json BENCH_mssp.json
 
 # quick perf regression check: reduced-scale E1, the tracing-overhead
 # guard (event bus > 2% of a run's wall clock fails), the host-pool
 # guard (4 worker domains must cut the E1 grid below 0.6x serial wall
 # clock on hosts with >= 4 cores; single-core runners report only), the
 # superblock guard (blocks on must be cycle-identical to off and no
-# slower on the straight-line micro), the slave block-journal guard
+# slower on the straight-line micro) and the slave block-journal guard
 # (bit-identical cycles on/off; >= 2x single-step throughput on the
-# slave-body micro, noise-gated like TRACEG) and the service guard (a
-# daemon round trip must cost <= 5% over the same job in-process,
-# bit-identical results enforced unconditionally; single-core runners
-# report only)
+# slave-body micro, noise-gated like TRACEG)
 perf-smoke:
-	timeout 300 dune exec bench/main.exe -- E1s TRACEG FAULTG POOLG SBLKG SJRNLG SVCG
+	timeout 300 dune exec bench/main.exe -- E1s TRACEG FAULTG POOLG SBLKG SJRNLG
 
 # regenerate test/golden/*.trace from the current machine (review the
 # diff before committing: goldens exist to make event-stream changes
@@ -69,28 +65,6 @@ fuzz-distill:
 # failing modes dump stats + event trails to _predict_failures/
 fuzz-predict:
 	dune exec -- mssp_sim fuzz --predict-grid --seed $${SEED:-1} --count $${COUNT:-300} --jobs $${JOBS:-4} --out fuzz/corpus
-
-# end-to-end daemon smoke: boot mssp_simd on a private socket, hammer
-# it with concurrent generated jobs — every result diffed bit-for-bit
-# against the in-process serial oracle, duplicates exercising the
-# distillation cache, an oversubmission burst answered with structured
-# queue_full rejections — then SIGTERM it and require a clean drain.
-# COUNT/CLIENTS/SEED override the load shape.
-daemon-smoke: build
-	@sock=$$(mktemp -u); \
-	./_build/default/bin/mssp_simd.exe --socket $$sock --workers 4 --queue-cap 32 & \
-	simd=$$!; \
-	trap 'kill -9 '$$simd' 2>/dev/null || true' EXIT; \
-	for i in $$(seq 50); do [ -S $$sock ] && break; sleep 0.1; done; \
-	[ -S $$sock ] || { echo "daemon-smoke: daemon never bound $$sock"; exit 1; }; \
-	./_build/default/bin/mssp_sim.exe client load --socket $$sock \
-	  --count $${COUNT:-200} --clients $${CLIENTS:-8} --oversubmit 40 \
-	  --seed $${SEED:-7} --quiet || exit 1; \
-	kill -TERM $$simd; \
-	for i in $$(seq 100); do kill -0 $$simd 2>/dev/null || break; sleep 0.1; done; \
-	if kill -0 $$simd 2>/dev/null; then \
-	  echo "daemon-smoke: daemon did not drain on SIGTERM"; exit 1; fi; \
-	echo "daemon-smoke: ok (load verified against the serial oracle; SIGTERM drained cleanly)"
 
 examples:
 	dune exec examples/quickstart.exe

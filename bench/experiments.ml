@@ -624,7 +624,10 @@ let e14 () =
   let cfg_of rate =
     {
       (with_slaves 4) with
-      Config.fault_injection = (if rate > 0.0 then Some (42, rate) else None);
+      Config.faults =
+        (if rate > 0.0 then
+           Some (Mssp_faults.Plan.quiet Live_in_corrupt ~seed:42 ~p:rate)
+         else None);
     }
   in
   let runs = checked_runs (List.map (fun rate -> (p, cfg_of rate)) rates) in
@@ -1433,165 +1436,6 @@ let sjrnlg () =
           at 8 slaves (floor 1.3x)"
          m_speedup)
 
-(* --- SVCG: service-layer-overhead guard -------------------------------- *)
-
-(* The daemon's cost contract, enforced under `make perf-smoke`: a full
-   round trip through mssp_simd — connect, submit over the socket,
-   schedule through the admission queue, stream the result back — must
-   cost at most 5% over the identical job run in-process, on a probe
-   job big enough (~100 ms of simulation) that the budget is about the
-   service layer, not the clock. Bit-identity between the two paths is
-   enforced unconditionally: the daemon's reply must carry the same
-   simulated cycles and final-state digest as the in-process run, every
-   rep. The 5% budget follows TRACEG's honesty protocol — the
-   in-process baseline is timed twice, and when the two minima disagree
-   by more than the budget, or the host has a single core (the daemon's
-   service threads then contend with the run being timed), the ratio is
-   reported without being enforced. The measured pair lands in the
-   --json report as [svc_guard]. *)
-let svcg () =
-  section "SVCG  Service guard: in-process vs daemon round trip";
-  let module P = Mssp_service.Protocol in
-  let module D = Mssp_service.Daemon in
-  let module C = Mssp_service.Client in
-  (* matmul at the reference input: a probe whose run is long (~50 ms
-     of simulation) while its architected state and output stream stay
-     tiny, so the timed gap isolates the service layer — two thread
-     handoffs and a few hundred bytes of NDJSON — rather than the cost
-     of digesting a large final state, which both paths pay alike *)
-  let size = (W.find "matmul").W.ref_size in
-  let spec =
-    {
-      P.default_spec with
-      P.program = P.Bench { name = "matmul"; size = Some size };
-      slaves = 4;
-      pool = Some 0;
-    }
-  in
-  (* the in-process baseline mirrors the daemon's steady state: the
-     program is resolved and distilled once (the daemon's cache does
-     the same after its first submit), so the timed reps compare a bare
-     machine run against machine run + the whole service layer *)
-  let program =
-    match D.resolve_program spec with
-    | Ok p -> p
-    | Error e -> failwith ("SVCG: probe does not resolve: " ^ e)
-  in
-  let config =
-    match D.job_config spec ~fuel:Mssp_service.Budget.default_limits.Mssp_service.Budget.default_fuel with
-    | Ok c -> c
-    | Error e -> failwith ("SVCG: probe config invalid: " ^ e)
-  in
-  let dist = D.distill_program program in
-  (* the baseline does the same per-job work as the daemon's steady
-     state — resolve the spec, key the distillation cache, run, digest
-     the final state, extract the output stream; only distillation
-     itself is cached on both sides — so the timed gap is the service
-     layer alone: socket, queue, scheduling, reply *)
-  let inproc () =
-    let p =
-      match D.resolve_program spec with
-      | Ok p -> p
-      | Error e -> failwith ("SVCG: probe does not resolve: " ^ e)
-    in
-    ignore (Mssp_service.Dcache.key_of_program p : string);
-    let r = M.run ~config dist in
-    let digest = D.state_digest r.M.arch in
-    ignore (Mssp_seq.Machine.output r.M.arch : int list);
-    (r, digest)
-  in
-  let socket =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "mssp_svcg_%d.sock" (Unix.getpid ()))
-  in
-  let d =
-    D.start
-      { D.default_config with D.socket; workers = 1; default_pool = Some 0 }
-  in
-  Fun.protect ~finally:(fun () -> D.stop d) @@ fun () ->
-  let c = C.connect ~socket in
-  Fun.protect ~finally:(fun () -> C.close c) @@ fun () ->
-  let daemon () =
-    match C.submit c spec with
-    | Error r -> failwith ("SVCG: daemon rejected the probe: " ^ P.reject_string r)
-    | Ok job -> (
-      match C.await c job with
-      | C.Result r, _ -> r
-      | C.Failed { exn; _ }, _ -> failwith ("SVCG: probe failed: " ^ exn)
-      | C.Cancelled reason, _ -> failwith ("SVCG: probe cancelled: " ^ reason))
-  in
-  let time f =
-    Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  (* warm both paths untimed: the daemon's first submit pays the
-     distillation-cache miss, later reps measure the steady state *)
-  let warm, warm_digest = inproc () in
-  let warm_cycles = warm.M.stats.M.cycles in
-  let warm_d = daemon () in
-  if warm_d.P.cycles <> warm_cycles || warm_d.P.state_digest <> warm_digest
-  then failwith "SVCG: daemon round trip diverged from in-process";
-  let reps = 5 in
-  let best_in = ref infinity and best_in2 = ref infinity in
-  let best_d = ref infinity in
-  let last_wall_ms = ref 0. in
-  for _ = 1 to reps do
-    let t, (r, dg) = time inproc in
-    if r.M.stats.M.cycles <> warm_cycles || dg <> warm_digest then
-      failwith "SVCG: in-process diverged";
-    if t < !best_in then best_in := t;
-    let t, r = time daemon in
-    if r.P.cycles <> warm_cycles || r.P.state_digest <> warm_digest then
-      failwith "SVCG: daemon round trip diverged from in-process";
-    if t < !best_d then best_d := t;
-    last_wall_ms := r.P.wall_ms;
-    let t, (r, dg) = time inproc in
-    if r.M.stats.M.cycles <> warm_cycles || dg <> warm_digest then
-      failwith "SVCG: in-process diverged";
-    if t < !best_in2 then best_in2 := t
-  done;
-  let budget = 0.05 in
-  let baseline = Float.min !best_in !best_in2 in
-  let noise = Float.abs (!best_in -. !best_in2) /. baseline in
-  let cores = Domain.recommended_domain_count () in
-  let enforced = cores > 1 && noise <= budget in
-  let overhead = (!best_d -. baseline) /. baseline in
-  note "simulated cycles identical in-process and through the daemon (%d)"
-    warm_cycles;
-  note
-    "in-process: %.4fs   daemon round trip: %.4fs   overhead: %+.1f%%  \
-     (budget +%.0f%%, clock noise %.1f%%)"
-    baseline !best_d (overhead *. 100.) (budget *. 100.) (noise *. 100.);
-  note "daemon-side execution: %.1f ms of the %.1f ms round trip"
-    !last_wall_ms (!best_d *. 1000.);
-  Harness.svc_guard :=
-    Some
-      {
-        vg_cycles = warm_cycles;
-        vg_inproc_s = baseline;
-        vg_daemon_s = !best_d;
-        vg_noise = noise;
-        vg_enforced = enforced;
-      };
-  if enforced then begin
-    if overhead > budget then
-      failwith
-        (Printf.sprintf
-           "SVCG: daemon round trip costs %+.1f%% over in-process (budget \
-            +%.0f%%)"
-           (overhead *. 100.) (budget *. 100.))
-  end
-  else
-    note
-      "host cannot enforce the +%.0f%% budget (%d core%s, baseline \
-       self-disagrees by %.1f%%): overhead reported, not enforced"
-      (budget *. 100.) cores
-      (if cores = 1 then "" else "s")
-      (noise *. 100.)
-
 let all : (string * (unit -> unit)) list =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
@@ -1605,5 +1449,5 @@ let all : (string * (unit -> unit)) list =
 let extras : (string * (unit -> unit)) list =
   [
     ("E1s", e1s); ("TRACEG", traceg); ("FAULTG", faultg); ("POOLG", poolg);
-    ("SBLKG", sblkg); ("ADPTG", adptg); ("SJRNLG", sjrnlg); ("SVCG", svcg);
+    ("SBLKG", sblkg); ("ADPTG", adptg); ("SJRNLG", sjrnlg);
   ]

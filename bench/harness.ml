@@ -156,19 +156,6 @@ type sjrnl_guard = {
 
 let sjrnl_guard : sjrnl_guard option ref = ref None
 
-(* SVCG's measurements, picked up by the bench --json writer *)
-type svc_guard = {
-  vg_cycles : int;
-      (** simulated cycles of the probe job — bit-identical in-process
-          and through the daemon *)
-  vg_inproc_s : float;  (** in-process run+distill wall clock *)
-  vg_daemon_s : float;  (** same job, full daemon round trip *)
-  vg_noise : float;  (** double-timed baseline self-disagreement *)
-  vg_enforced : bool;  (** the 5% budget was a hard failure condition *)
-}
-
-let svc_guard : svc_guard option ref = ref None
-
 (* ADPTG's measurements, picked up by the bench --json writer *)
 type adapt_guard = {
   ag_kernels : (string * int * int) list;

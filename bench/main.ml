@@ -245,27 +245,6 @@ let () =
               ] );
         ]
     in
-    let svc_guard =
-      match !Harness.svc_guard with
-      | None -> []
-      | Some g ->
-        [
-          ( "svc_guard",
-            Obj
-              [
-                ("mssp_cycles", Int g.Harness.vg_cycles);
-                ("inproc_wall_clock_s", Float g.Harness.vg_inproc_s);
-                ("daemon_wall_clock_s", Float g.Harness.vg_daemon_s);
-                ( "overhead",
-                  Float
-                    ((g.Harness.vg_daemon_s -. g.Harness.vg_inproc_s)
-                    /. g.Harness.vg_inproc_s) );
-                ("clock_noise", Float g.Harness.vg_noise);
-                ( "budget_enforced",
-                  String (if g.Harness.vg_enforced then "yes" else "no") );
-              ] );
-        ]
-    in
     let adapt_guard =
       match !Harness.adapt_guard with
       | None -> []
@@ -293,9 +272,8 @@ let () =
     write_file file
       (Obj
          ([ ("experiments", List experiments); ("micro", List micro) ]
-         @ pool_guard @ fault_guard @ sblk_guard @ sjrnl_guard @ adapt_guard
-         @ svc_guard));
+         @ pool_guard @ fault_guard @ sblk_guard @ sjrnl_guard @ adapt_guard));
     Printf.printf "\n  [json report written to %s]\n" file);
-  (* the shared lifecycle path with the daemon: drain and join any
-     worker domains --jobs or a guard spawned before the process exits *)
+  (* drain and join any worker domains --jobs or a guard spawned before
+     the process exits *)
   Mssp_exec.Pool.shutdown_global ()

@@ -663,8 +663,8 @@ let fuzz_cmd =
       Driver.campaign ~seed ~count ~size ~shrink_budget:budget ?out ~save
         ~trace ~log ~jobs ~weights ~faults ~distill_grid ~predict_grid ()
     in
-    (* one lifecycle path with the daemon: join shard workers before
-       the verdict is reported and the process exits *)
+    (* join shard workers before the verdict is reported and the
+       process exits *)
     Mssp_exec.Pool.shutdown_global ();
     Printf.printf
       "fuzz: %d programs (%d skipped), %d machine runs compared, %d divergence(s)\n"
@@ -825,208 +825,9 @@ let maude_cmd =
        ~doc:"Export the formal models (plus a concrete instance) as Maude source")
     Term.(const run $ out_arg $ seed_arg)
 
-(* --- client: talk to a running mssp_simd daemon --- *)
-
-let client_cmd =
-  let module S_daemon = Mssp_service.Daemon in
-  let module S_client = Mssp_service.Client in
-  let module S_load = Mssp_service.Loadtest in
-  let module P = Mssp_service.Protocol in
-  let socket_arg =
-    Arg.(value & opt string S_daemon.default_config.S_daemon.socket
-         & info [ "socket" ] ~docv:"PATH" ~doc:"Daemon socket path.")
-  in
-  let submit_cmd =
-    let bench_arg =
-      Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH"
-           ~doc:"Benchmark name (omit when using --gen-seed).")
-    in
-    let gen_seed_arg =
-      Arg.(value & opt (some int) None & info [ "gen-seed" ] ~docv:"N"
-           ~doc:"Submit a fuzzer-generated program instead of a benchmark.")
-    in
-    let gen_size_arg =
-      Arg.(value & opt int 20 & info [ "gen-size" ] ~docv:"N"
-           ~doc:"Shapes for --gen-seed programs.")
-    in
-    let fuel_arg =
-      Arg.(value & opt (some int) None & info [ "fuel" ] ~docv:"CYCLES"
-           ~doc:"Simulated-cycle budget (default: the daemon's).")
-    in
-    let deadline_arg =
-      Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS"
-           ~doc:"Wall-clock deadline (default: the daemon's).")
-    in
-    let predict_str_arg =
-      Arg.(value & opt (some string) None & info [ "predict" ] ~docv:"MODE"
-           ~doc:"Live-in predictor mode name.")
-    in
-    let stream_arg =
-      Arg.(value & flag & info [ "stream" ]
-           ~doc:"Stream the run's trace events back and print them.")
-    in
-    let client_name_arg =
-      Arg.(value & opt string "cli" & info [ "client" ] ~docv:"NAME"
-           ~doc:"Admission fairness key.")
-    in
-    let run socket bench gen_seed gen_size size slaves task_size fuel deadline
-        predict stream client_name =
-      let program =
-        match (bench, gen_seed) with
-        | Some name, None -> P.Bench { name; size }
-        | None, Some seed -> P.Gen { seed; size = gen_size }
-        | _ ->
-          prerr_endline "submit wants a BENCH name or --gen-seed (not both)";
-          exit 2
-      in
-      let spec =
-        { P.default_spec with
-          P.client = client_name; program; slaves; task_size; fuel;
-          deadline_ms = deadline; predict; stream_events = stream }
-      in
-      let c = S_client.connect ~socket in
-      match S_client.submit c spec with
-      | Error reason ->
-        Printf.eprintf "rejected: %s\n" (P.reject_string reason);
-        exit 2
-      | Ok id -> (
-        Printf.printf "accepted: job %d\n%!" id;
-        let terminal, events = S_client.await c id in
-        S_client.close c;
-        match terminal with
-        | S_client.Result r ->
-          if stream then begin
-            Printf.printf "--- %d streamed events ---\n" (List.length events);
-            List.iter (fun ev -> Format.printf "%a@." Trace.pp_event ev) events
-          end;
-          Printf.printf "cycles:          %d\n" r.P.cycles;
-          Printf.printf "instructions:    %d\n" r.P.instructions;
-          Printf.printf "tasks committed: %d, squashes: %d\n"
-            r.P.tasks_committed r.P.squashes;
-          Printf.printf "stop:            %s\n" r.P.stop;
-          Printf.printf "output:          %s\n"
-            (String.concat ", " (List.map string_of_int r.P.output));
-          Printf.printf "cache hit:       %b, attempts: %d, wall: %.1f ms\n"
-            r.P.cache_hit r.P.attempts r.P.wall_ms
-        | S_client.Failed { exn; repro } ->
-          Printf.eprintf "job failed: %s\nrepro: %s\n" exn repro;
-          exit 3
-        | S_client.Cancelled reason ->
-          Printf.eprintf "job cancelled: %s\n" reason;
-          exit 124)
-    in
-    Cmd.v
-      (Cmd.info "submit" ~doc:"Submit one job and wait for its result")
-      Term.(
-        const run $ socket_arg $ bench_arg $ gen_seed_arg $ gen_size_arg
-        $ size_arg $ slaves_arg $ task_size_arg $ fuel_arg $ deadline_arg
-        $ predict_str_arg $ stream_arg $ client_name_arg)
-  in
-  let status_cmd =
-    let run socket =
-      let c = S_client.connect ~socket in
-      let counters = S_client.status c in
-      S_client.close c;
-      print_string
-        (Table.render ~header:[ "counter"; "value" ]
-           (List.map (fun (k, v) -> [ k; string_of_int v ]) counters))
-    in
-    Cmd.v (Cmd.info "status" ~doc:"Print the daemon's counter snapshot")
-      Term.(const run $ socket_arg)
-  in
-  let ping_cmd =
-    let run socket =
-      match S_client.connect ~socket with
-      | exception Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "no daemon at %s (%s)\n" socket (Unix.error_message e);
-        exit 1
-      | c ->
-        let ok = S_client.ping c in
-        S_client.close c;
-        if ok then print_endline "pong"
-        else begin
-          prerr_endline "daemon did not answer";
-          exit 1
-        end
-    in
-    Cmd.v (Cmd.info "ping" ~doc:"Check a daemon is alive")
-      Term.(const run $ socket_arg)
-  in
-  let drain_cmd =
-    let run socket =
-      let c = S_client.connect ~socket in
-      S_client.drain c;
-      S_client.close c;
-      print_endline "drain acknowledged"
-    in
-    Cmd.v
-      (Cmd.info "drain"
-         ~doc:"Ask the daemon to shut down gracefully (acknowledged before \
-               the drain completes)")
-      Term.(const run $ socket_arg)
-  in
-  let load_cmd =
-    let seed_arg =
-      Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N"
-           ~doc:"Base seed for the generated programs.")
-    in
-    let jobs_arg =
-      Arg.(value & opt int 200 & info [ "count" ] ~docv:"N"
-           ~doc:"Jobs to submit (every result is diffed against the \
-                 in-process serial oracle).")
-    in
-    let clients_arg =
-      Arg.(value & opt int 8 & info [ "clients" ] ~docv:"N"
-           ~doc:"Concurrent client connections.")
-    in
-    let gen_size_arg =
-      Arg.(value & opt int 20 & info [ "gen-size" ] ~docv:"N"
-           ~doc:"Shapes per generated program.")
-    in
-    let dups_arg =
-      Arg.(value & opt (some int) None & info [ "dups" ] ~docv:"N"
-           ~doc:"Duplicate submissions (distillation-cache hits expected).")
-    in
-    let oversubmit_arg =
-      Arg.(value & opt int 0 & info [ "oversubmit" ] ~docv:"N"
-           ~doc:"Extra burst submissions expecting structured queue_full \
-                 rejections.")
-    in
-    let quiet_arg =
-      Arg.(value & flag & info [ "quiet" ] ~doc:"Suppress progress lines.")
-    in
-    let run socket seed jobs clients gen_size slaves dups oversubmit quiet =
-      let progress = if quiet then fun _ -> () else print_endline in
-      let r =
-        S_load.run ~socket ~seed ~jobs ~clients ~gen_size ~slaves ?dups
-          ~oversubmit ~progress ()
-      in
-      Format.printf "%a@." S_load.pp_report r;
-      if r.S_load.mismatches <> [] then begin
-        List.iter (Printf.eprintf "  %s\n") r.S_load.mismatches;
-        exit 1
-      end
-    in
-    Cmd.v
-      (Cmd.info "load"
-         ~doc:
-           "Sustained-load test: concurrent generated jobs through the \
-            daemon, every result verified bit-identical against the \
-            in-process serial oracle")
-      Term.(
-        const run $ socket_arg $ seed_arg $ jobs_arg $ clients_arg
-        $ gen_size_arg $ slaves_arg $ dups_arg $ oversubmit_arg $ quiet_arg)
-  in
-  let info =
-    Cmd.info "client"
-      ~doc:"Talk to a running mssp_simd daemon (submit/status/ping/drain/load)"
-  in
-  Cmd.group info [ submit_cmd; status_cmd; ping_cmd; drain_cmd; load_cmd ]
-
 let () =
   let doc = "Master/Slave Speculative Parallelization — reproduction driver" in
   let info = Cmd.info "mssp_sim" ~version:"1.0" ~doc in
   exit (Cmd.eval (Cmd.group info
     [ list_cmd; seq_cmd; distill_cmd; run_cmd; trace_cmd; compare_cmd;
-      exec_cmd; cc_cmd; formal_cmd; fuzz_cmd; audit_cmd; maude_cmd;
-      client_cmd ]))
+      exec_cmd; cc_cmd; formal_cmd; fuzz_cmd; audit_cmd; maude_cmd ]))

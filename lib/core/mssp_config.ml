@@ -42,8 +42,6 @@ type t = {
   dual_mode : bool;
   dual_trigger : int;
   dual_burst : int;
-  fault_injection : (int * float) option;
-  chaos_commit : (int * float) option;
   faults : Mssp_faults.Plan.t option;
   liveness_window : int option;
   adaptive_backoff : bool;
@@ -79,8 +77,6 @@ let default =
     dual_mode = false;
     dual_trigger = 3;
     dual_burst = 5_000;
-    fault_injection = None;
-    chaos_commit = None;
     faults = None;
     liveness_window = None;
     adaptive_backoff = false;
@@ -92,8 +88,8 @@ let default =
     tracer = None;
     interrupt = None;
     pool = None;
-    superblock = Mssp_seq.Sblock.default_enabled;
-    slave_block_journal = Mssp_task.Task.default_block_journal;
+    superblock = true;
+    slave_block_journal = true;
     master_chunk = 1_000_000;
     max_cycles = 2_000_000_000;
     max_squashes = 1_000_000;
@@ -109,7 +105,6 @@ let pp fmt c =
      task size: %d, budget: %d@,\
      isolated: %b, control-only: %b, refinement check: %b@,\
      dual mode: %b (trigger %d, burst %d)@,\
-     fault injection: %s, chaos commit: %s@,\
      fault plan: %s, liveness window: %s@,\
      adaptive backoff: %b, quarantine after: %s@,\
      predict: %s (seed %d, warmup %d cells)@,\
@@ -119,12 +114,6 @@ let pp fmt c =
     c.slaves c.max_in_flight c.task_size c.task_budget c.isolated_slaves
     c.control_only_master c.verify_refinement c.dual_mode c.dual_trigger
     c.dual_burst
-    (match c.fault_injection with
-    | None -> "off"
-    | Some (seed, p) -> Printf.sprintf "seed %d, p=%g" seed p)
-    (match c.chaos_commit with
-    | None -> "off"
-    | Some (seed, p) -> Printf.sprintf "seed %d, p=%g" seed p)
     (match c.faults with
     | None -> "off"
     | Some plan -> Mssp_faults.Plan.to_string plan)

@@ -336,21 +336,10 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
     | Some tr -> (true, Trace.emit tr)
   in
   (* The fault subsystem. A [Mssp_faults.Plan.t] is compiled into one
-     injector whose per-surface PRNG streams drive every fault site; the
-     legacy [fault_injection] / [chaos_commit] pairs become quiet alias
-     actions with bit-identical streams ([Plan.of_legacy]). [inj = None]
-     (no plan, no legacy knobs) makes every site below a single
-     predictable branch — zero cost, guarded by FAULTG in perf-smoke. *)
-  let inj =
-    let legacy =
-      Fplan.of_legacy ~fault_injection:cfg.fault_injection
-        ~chaos_commit:cfg.chaos_commit
-    in
-    match (legacy, cfg.faults) with
-    | None, None -> None
-    | Some p, None | None, Some p -> Some (Inject.make p)
-    | Some l, Some p -> Some (Inject.make (Fplan.merge l p))
-  in
+     injector whose per-surface PRNG streams drive every fault site.
+     [inj = None] (no plan) makes every site below a single predictable
+     branch — zero cost, guarded by FAULTG in perf-smoke. *)
+  let inj = Option.map Inject.make cfg.faults in
   let policy =
     match inj with Some i -> Inject.policy i | None -> Fplan.default_policy
   in
@@ -395,12 +384,12 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
           Fragment.add c (v lxor (1 lsl bit)) li)
       | None -> li)
   in
-  (* chaos_commit / [Commit_corrupt]: the DELIBERATELY broken
+  (* [Commit_corrupt]: the DELIBERATELY broken
      verify/commit unit. After a verified commit, corrupt one committed
      memory live-out in architected state — the machine bug the
      differential fuzzer's mutation smoke test must catch (and shrink).
      The one non-absorbable surface. *)
-  let maybe_chaos_commit cp_id task =
+  let maybe_corrupt_commit cp_id task =
     match inj with
     | None -> ()
     | Some i -> (
@@ -536,8 +525,8 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
      armed, the hook (an unknown closure — typically an [Atomic.get])
      is only invoked every 1024th event, so the armed hot path pays a
      decrement and a branch, not an indirect call. At simulator speeds
-     1024 events is far under a millisecond, well inside the service
-     watchdog's own 10 ms tick. *)
+     1024 events is far under a millisecond, so a wall-clock hook such
+     as [mssp_sim run --timeout] still stops the run promptly. *)
   let interrupt_stride = 1024 in
   let interrupt_countdown = ref interrupt_stride in
   let guarded thunk () =
@@ -983,7 +972,7 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
           Task.commit_into task arch;
           if engine_live () || specs_live then
             Task.iter_writes note_arch_cell task;
-          maybe_chaos_commit cp.cp_id task;
+          maybe_corrupt_commit cp.cp_id task;
           let n_outs = Task.live_out_size task in
           fruitless_squashes := 0;
           burst_streak := 0;

@@ -55,8 +55,7 @@ type stats = {
       (** instructions retired inside dual-mode bursts (subset of
           [recovery_instructions]) *)
   mutable faults_injected : int;
-      (** fault-plan actions that fired (all surfaces, legacy injection
-          included) *)
+      (** fault-plan actions that fired (all surfaces) *)
   mutable spawn_retries : int;
       (** checkpoint re-sends after a modeled drop, before giving up *)
   mutable verify_retries : int;  (** transient verification errors retried *)
@@ -104,11 +103,10 @@ type stop_reason =
           that would otherwise spin silently to [max_cycles] *)
   | Interrupted of string
       (** the cooperative cancellation hook ([config.interrupt]) asked
-          the machine to stop, carrying its reason (e.g. ["timeout"],
-          ["deadline_exceeded"], ["drained"]). Architected state is the
-          last committed boundary — consistent but partial; callers
-          (the service layer, [run --timeout]) must treat the result as
-          cancelled, never as a completed run *)
+          the machine to stop, carrying its reason (e.g. ["timeout"]).
+          Architected state is the last committed boundary — consistent
+          but partial; callers (such as [run --timeout]) must treat the
+          result as cancelled, never as a completed run *)
   | Wedged
       (** the event queue drained before the program halted — a machine
           bug surfaced honestly; should never occur *)

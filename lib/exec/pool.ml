@@ -166,11 +166,8 @@ let global ~size () =
 
 (* Lifecycle for the process-global pool: drain the queue, join the
    worker domains, and clear the slot so a later [global] starts fresh.
-   Until now the global pool was grow-on-demand with no teardown —
-   fine for one-shot CLIs that exit anyway, wrong for the daemon
-   (SIGTERM drain must join every domain before the process reports a
-   clean exit) and untidy for bench/fuzz runs that want their workers
-   gone before final reporting. Idempotent; thread-safe. *)
+   Bench and fuzz runs call it to have their workers gone before final
+   reporting. Idempotent; thread-safe. *)
 let shutdown_global () =
   Mutex.lock global_m;
   let t = !global_pool in

@@ -61,8 +61,8 @@ val global : size:int -> unit -> t
 val shutdown_global : unit -> unit
 (** Drain and tear down the process-global pool: finish queued jobs,
     join every worker domain, and clear the slot so a later {!global}
-    spawns a fresh pool. The one lifecycle path shared by the daemon's
-    SIGTERM drain and the bench/fuzz CLI exits. Idempotent (a no-op
+    spawns a fresh pool. The bench and fuzz CLIs call it before they
+    exit. Idempotent (a no-op
     when no global pool exists); thread-safe. Never call it while
     other threads still hold unresolved futures on the global pool. *)
 

@@ -1,7 +1,7 @@
 (* Surface-specific seed-mixing constants. Live_in_corrupt and
-   Commit_corrupt MUST keep the constants the legacy fault_injection /
-   chaos_commit knobs used: the golden chaos trace and the fuzz grid's
-   honest-fault-injection point pin those exact streams. *)
+   Commit_corrupt MUST keep their constants: the commit-corruption
+   golden trace and the fuzz grid's honest-fault-injection point pin
+   those exact streams. *)
 let mix = function
   | Plan.Live_in_corrupt -> 0x9E3779B9
   | Plan.Commit_corrupt -> 0xB5297A4D

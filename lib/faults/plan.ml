@@ -62,22 +62,8 @@ type t = { actions : action list; policy : policy }
 
 let make ?(policy = default_policy) actions = { actions; policy }
 
-let of_legacy ~fault_injection ~chaos_commit =
-  let legacy surface (seed, p) =
-    { surface; seed; p; window = None; magnitude = 0; quiet = true }
-  in
-  match
-    List.filter_map
-      (fun x -> x)
-      [
-        Option.map (legacy Live_in_corrupt) fault_injection;
-        Option.map (legacy Commit_corrupt) chaos_commit;
-      ]
-  with
-  | [] -> None
-  | actions -> Some { actions; policy = default_policy }
-
-let merge a b = { actions = a.actions @ b.actions; policy = b.policy }
+let quiet surface ~seed ~p =
+  make [ { (action surface ~seed ~p) with quiet = true } ]
 
 let absorbable t =
   (not (List.exists (fun a -> a.surface = Commit_corrupt) t.actions))

@@ -31,8 +31,7 @@
 type surface =
   | Live_in_corrupt
       (** corrupt one predicted live-in binding of a fresh checkpoint
-          (whole-word xor) — generalizes the legacy
-          [Mssp_config.fault_injection] knob *)
+          (whole-word xor) *)
   | Mem_bit_flip
       (** flip one bit of one predicted {e memory} live-in binding: a
           soft error in the speculative domain's storage *)
@@ -57,8 +56,8 @@ type surface =
           the real outcome is reported *)
   | Commit_corrupt
       (** NOT absorbable: corrupt one committed memory live-out after a
-          verified commit (the legacy [Mssp_config.chaos_commit] class
-          of machine bug). Only for mutation smoke tests. *)
+          verified commit (a broken commit unit on purpose). Only for
+          mutation smoke tests. *)
 
 val all_surfaces : surface list
 (** Every surface, [Commit_corrupt] included, in declaration order. *)
@@ -82,8 +81,8 @@ type action = private {
           ignored elsewhere. 0 picks a surface default. *)
   quiet : bool;
       (** suppress the [Fault] trace event when this action fires —
-          only for the legacy-alias actions, whose event streams
-          predate the fault subsystem and are pinned by golden traces *)
+          only for {!quiet} plans, whose event streams predate the
+          fault subsystem and are pinned by golden traces *)
 }
 
 val action :
@@ -114,19 +113,13 @@ type t = { actions : action list; policy : policy }
 
 val make : ?policy:policy -> action list -> t
 
-val of_legacy :
-  fault_injection:(int * float) option ->
-  chaos_commit:(int * float) option ->
-  t option
-(** The degenerate plans the legacy config knobs compile to. The
-    resulting actions reproduce the original knobs' PRNG streams and
-    corruption patterns byte for byte and are [quiet], so runs driven
-    through the plan path are bit-identical to the pre-plan machine —
-    events, stats and cycles. [None] when both knobs are [None]. *)
-
-val merge : t -> t -> t
-(** [merge a b] concatenates the action lists ([a]'s first) and keeps
-    [b]'s policy. *)
+val quiet : surface -> seed:int -> p:float -> t
+(** A one-action plan under {!default_policy} whose action is [quiet]:
+    it fires without a [Fault] trace event. [quiet Live_in_corrupt] is
+    the soft-error point of the fuzz grids; [quiet Commit_corrupt] is
+    the deliberately broken commit unit of the mutation smoke tests and
+    of the commit-corruption golden trace, whose event stream predates
+    the [Fault] event. *)
 
 val absorbable : t -> bool
 (** No [Commit_corrupt] action, and any [Slave_stall] action implies

@@ -7,6 +7,7 @@ module Distill = Mssp_distill.Distill
 module M = Mssp_core.Mssp_machine
 module Config = Mssp_core.Mssp_config
 module Adversary = Mssp_workload.Adversary
+module Fplan = Mssp_faults.Plan
 
 type failure = { point : string; reason : string }
 
@@ -53,6 +54,10 @@ let aggressive_options =
     min_store_count = 2;
   }
 
+(* Live-in soft errors the machine must absorb: verification squashes
+   every corrupted task, so only squash rates move. *)
+let soft_errors = Fplan.quiet Fplan.Live_in_corrupt ~seed:99 ~p:0.25
+
 let default_grid () =
   let t = base_config.Config.timing in
   [
@@ -77,7 +82,7 @@ let default_grid () =
     {
       name = "honest-fault-injection";
       distiller = Honest;
-      config = { base_config with Config.fault_injection = Some (99, 0.25) };
+      config = { base_config with Config.faults = Some soft_errors };
     };
     {
       name = "honest-isolated";
@@ -170,7 +175,7 @@ let predict_grid ~seed () =
        Mssp_predict.Predict.modes)
   @ [
       pt "tournament-faults" Mssp_predict.Predict.Tournament
-        { base_config with Config.fault_injection = Some (99, 0.25) };
+        { base_config with Config.faults = Some soft_errors };
     ]
 
 (* A deliberately broken pass, alone in its pipeline: the pass-checker
@@ -186,7 +191,11 @@ let chaos_point ~seed ~p =
   {
     name = "chaos-commit";
     distiller = Honest;
-    config = { base_config with Config.chaos_commit = Some (seed, p) };
+    config =
+      {
+        base_config with
+        Config.faults = Some (Fplan.quiet Fplan.Commit_corrupt ~seed ~p);
+      };
   }
 
 (* Program x plan fuzzing: the plan under a plain machine, and under the

@@ -88,8 +88,9 @@ val broken_pass_point : string -> point
 
 val chaos_point : seed:int -> p:float -> point
 (** A grid point whose verify/commit unit is {e deliberately broken}
-    ([Mssp_config.chaos_commit]): the mutation smoke test proving the
-    oracle catches a buggy machine. Never part of {!default_grid}. *)
+    (a quiet [Commit_corrupt] fault plan, {!Mssp_faults.Plan.quiet}):
+    the mutation smoke test proving the oracle catches a buggy machine.
+    Never part of {!default_grid}. *)
 
 val plan_grid : plan:Mssp_faults.Plan.t -> unit -> point list
 (** The program x plan grid: an honest control point, the plan on a

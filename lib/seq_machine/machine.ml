@@ -21,10 +21,7 @@ type t = {
    sequential interpreter and recovery replay live in this loop. The
    record is recursive only so the hoisted callbacks can bump the memory
    traffic counters. *)
-let of_state ?superblock ?(images = []) ?engine state =
-  let superblock =
-    match superblock with Some b -> b | None -> Sblock.default_enabled
-  in
+let of_state ?(superblock = true) ?(images = []) ?engine state =
   let rec m =
     {
       state;

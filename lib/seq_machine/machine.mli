@@ -6,7 +6,7 @@
 
     Whole-run entry points ({!run}, {!run_until}) execute through the
     pre-decoded superblock engine ({!Sblock}) when [superblock] is on
-    (the default, see {!Sblock.default_enabled}); results and the
+    (the default); results and the
     instruction/load/store counters are bit-identical to the single-step
     path either way. {!step}, {!next}, {!seq} and {!seq_in_place} always
     single-step — per-instruction observers (the profiler, the
@@ -45,7 +45,7 @@ val of_state :
   Mssp_state.Full.t ->
   t
 (** Machine over an existing state (not copied). [superblock] defaults
-    to {!Sblock.default_enabled}; [images] (default none) seed a lazily
+    to [true]; [images] (default none) seed a lazily
     created engine's pre-decode; [engine] shares an existing engine —
     the caller then owns its consistency and must report external stores
     to the state via {!Sblock.note_store}. *)

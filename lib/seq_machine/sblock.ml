@@ -46,11 +46,6 @@ type t = {
   mutable invalidations : int;
 }
 
-let default_enabled =
-  match Sys.getenv_opt "MSSP_SBLK" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | _ -> true
-
 let create ?(images = []) () =
   let span_lo, span_len =
     match images with

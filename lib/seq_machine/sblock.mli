@@ -50,10 +50,6 @@ type stop =
 
 type t
 
-val default_enabled : bool
-(** Whether engines are on by default in this process: [true] unless the
-    [MSSP_SBLK] environment variable is ["0"]/["false"]/["off"]/["no"]. *)
-
 val create : ?images:Mssp_isa.Program.t list -> unit -> t
 (** Fresh engine with an empty block cache. [images] (default none)
     accelerate decode via {!Mssp_isa.Program.decode_all} and give warmed

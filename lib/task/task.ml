@@ -202,11 +202,6 @@ let step_ctx t ctx =
 
 let step ?on_access t view = step_ctx t (make_ctx ?on_access t view)
 
-let default_block_journal =
-  match Sys.getenv_opt "MSSP_SJRNL" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | _ -> true
-
 (* --- block-journaled execution (the slave superblock rung) -----------
 
    The per-instruction interpreter above pays, for every instruction, a

@@ -145,12 +145,6 @@ val run :
     {!Mssp_seq.Sblock.Spec.clear} the cache), and never share one
     engine between concurrently-running tasks. *)
 
-val default_block_journal : bool
-(** Whether callers should enable [block_journal] by default in this
-    process: [true] unless the [MSSP_SJRNL] environment variable is
-    ["0"]/["false"]/["off"]/["no"] — the slave-journal analogue of
-    {!Mssp_seq.Sblock.default_enabled}. *)
-
 val live_in_size : t -> int
 (** Number of recorded live-in bindings (drives verification cost). *)
 

@@ -88,13 +88,6 @@ type event =
     }
   | Counter of { cycle : int; name : string; value : int }
   | Halt of { cycle : int; stop : string }
-  (* service-level events: emitted by the mssp_simd daemon, never by the
-     machine core. [cycle] carries wall-clock milliseconds since daemon
-     start — the service layer has no simulated clock. *)
-  | Admit of { cycle : int; job : int; client : string }
-  | Reject of { cycle : int; client : string; reason : string }
-  | Deadline of { cycle : int; job : int }
-  | Drain of { cycle : int; pending : int; running : int }
 
 let event_cycle = function
   | Fork { cycle; _ }
@@ -113,11 +106,7 @@ let event_cycle = function
   | Quarantine { cycle; _ }
   | Livelock { cycle; _ }
   | Counter { cycle; _ }
-  | Halt { cycle; _ }
-  | Admit { cycle; _ }
-  | Reject { cycle; _ }
-  | Deadline { cycle; _ }
-  | Drain { cycle; _ } ->
+  | Halt { cycle; _ } ->
     cycle
 
 let event_equal a b =
@@ -196,15 +185,6 @@ let pp_event fmt = function
   | Counter { cycle; name; value } ->
     Format.fprintf fmt "%8d  counter  %s = %d" cycle name value
   | Halt { cycle; stop } -> Format.fprintf fmt "%8d  halt     (%s)" cycle stop
-  | Admit { cycle; job; client } ->
-    Format.fprintf fmt "%8d  admit    job %d (client %s)" cycle job client
-  | Reject { cycle; client; reason } ->
-    Format.fprintf fmt "%8d  reject   client %s (%s)" cycle client reason
-  | Deadline { cycle; job } ->
-    Format.fprintf fmt "%8d  deadline job %d exceeded its wall clock" cycle job
-  | Drain { cycle; pending; running } ->
-    Format.fprintf fmt "%8d  drain    %d pending, %d running" cycle pending
-      running
 
 (* --- tracer and sinks ------------------------------------------------ *)
 
@@ -419,14 +399,6 @@ let event_to_json ev =
   | Counter { cycle; name; value } ->
     base "counter" cycle [ ("name", J.Str name); ("value", J.Int value) ]
   | Halt { cycle; stop } -> base "halt" cycle [ ("stop", J.Str stop) ]
-  | Admit { cycle; job; client } ->
-    base "admit" cycle [ ("job", J.Int job); ("client", J.Str client) ]
-  | Reject { cycle; client; reason } ->
-    base "reject" cycle [ ("client", J.Str client); ("reason", J.Str reason) ]
-  | Deadline { cycle; job } -> base "deadline" cycle [ ("job", J.Int job) ]
-  | Drain { cycle; pending; running } ->
-    base "drain" cycle
-      [ ("pending", J.Int pending); ("running", J.Int running) ]
 
 let event_of_json j =
   let ( let* ) = Result.bind in
@@ -561,21 +533,6 @@ let event_of_json j =
   | "halt" ->
     let* stop = str "stop" in
     Ok (Halt { cycle; stop })
-  | "admit" ->
-    let* job = int "job" in
-    let* client = str "client" in
-    Ok (Admit { cycle; job; client })
-  | "reject" ->
-    let* client = str "client" in
-    let* reason = str "reason" in
-    Ok (Reject { cycle; client; reason })
-  | "deadline" ->
-    let* job = int "job" in
-    Ok (Deadline { cycle; job })
-  | "drain" ->
-    let* pending = int "pending" in
-    let* running = int "running" in
-    Ok (Drain { cycle; pending; running })
   | other -> Error (Printf.sprintf "unknown event %S" other)
 
 let jsonl_sink oc ev =
@@ -666,10 +623,6 @@ module Summary = struct
     watchdogs : int;
     quarantines : int;
     livelocks : int;
-    admits : int;
-    rejects : int;
-    deadlines : int;
-    drains : int;  (** service-level events (the mssp_simd daemon) *)
     counters : (string * int) list;
     halt : string option;
     last_cycle : int;
@@ -709,10 +662,6 @@ module Summary = struct
       watchdogs = 0;
       quarantines = 0;
       livelocks = 0;
-      admits = 0;
-      rejects = 0;
-      deadlines = 0;
-      drains = 0;
       counters = [];
       halt = None;
       last_cycle = 0;
@@ -780,10 +729,6 @@ module Summary = struct
       | Counter { name; value; _ } ->
         { s with counters = (List.remove_assoc name s.counters) @ [ (name, value) ] }
       | Halt { stop; _ } -> { s with halt = Some stop }
-      | Admit _ -> { s with admits = s.admits + 1 }
-      | Reject _ -> { s with rejects = s.rejects + 1 }
-      | Deadline _ -> { s with deadlines = s.deadlines + 1 }
-      | Drain _ -> { s with drains = s.drains + 1 }
     in
     List.fold_left step empty events
 
@@ -832,14 +777,6 @@ module Summary = struct
       [ "livelocks"; i s.livelocks ];
       [ "last_cycle"; i s.last_cycle ];
     ]
-    @ (if s.admits + s.rejects + s.deadlines + s.drains = 0 then []
-       else
-         [
-           [ "jobs_admitted"; i s.admits ];
-           [ "jobs_rejected"; i s.rejects ];
-           [ "deadlines_exceeded"; i s.deadlines ];
-           [ "drains"; i s.drains ];
-         ])
     @ List.map (fun (name, v) -> [ name; i v ]) s.counters
     @ [ [ "halt"; (match s.halt with Some h -> h | None -> "<none>") ] ]
 
@@ -1038,23 +975,7 @@ module Chrome = struct
             :: !counters
         | Halt { cycle; stop } ->
           add_instant
-            (instant ~ts:cycle ~name:(Printf.sprintf "halt (%s)" stop) ())
-        | Admit { cycle; job; client } ->
-          add_instant
-            (instant ~ts:cycle ~name:(Printf.sprintf "admit job %d" job)
-               ~args:[ ("client", J.Str client) ] ())
-        | Reject { cycle; client; reason } ->
-          add_instant
-            (instant ~ts:cycle ~name:(Printf.sprintf "reject (%s)" reason)
-               ~args:[ ("client", J.Str client) ] ())
-        | Deadline { cycle; job } ->
-          add_instant
-            (instant ~ts:cycle ~name:(Printf.sprintf "deadline job %d" job) ())
-        | Drain { cycle; pending; running } ->
-          add_instant
-            (instant ~ts:cycle ~name:"drain"
-               ~args:[ ("pending", J.Int pending); ("running", J.Int running) ]
-               ()))
+            (instant ~ts:cycle ~name:(Printf.sprintf "halt (%s)" stop) ()))
       events;
     (* a slice still open at the end of the stream (truncated trace) *)
     Hashtbl.iter

@@ -137,20 +137,6 @@ type event =
       (** end-of-run counter sample (cache, memory image, sim engine) *)
   | Halt of { cycle : int; stop : string }
       (** exactly one per run; [stop] names the machine's stop reason *)
-  | Admit of { cycle : int; job : int; client : string }
-      (** service level (the [mssp_simd] daemon): a job passed admission
-          control. [cycle] is wall-clock milliseconds since daemon start
-          — the service layer has no simulated clock. *)
-  | Reject of { cycle : int; client : string; reason : string }
-      (** admission control shed load: [reason] is the structured
-          rejection ("queue_full" | "over_budget" | "shutting_down" |
-          "bad_request") the client was sent instead of a hang *)
-  | Deadline of { cycle : int; job : int }
-      (** the daemon watchdog cancelled [job] for exceeding its
-          wall-clock deadline; the client got [Cancelled], never a
-          partial result *)
-  | Drain of { cycle : int; pending : int; running : int }
-      (** graceful shutdown began with this much work in flight *)
 
 val event_cycle : event -> int
 
@@ -264,12 +250,6 @@ module Summary : sig
     watchdogs : int;
     quarantines : int;
     livelocks : int;  (** 0 or 1: at most one per run *)
-    admits : int;
-    rejects : int;
-    deadlines : int;
-    drains : int;
-        (** service-level events (the [mssp_simd] daemon stream); always 0
-            on machine-emitted streams *)
     counters : (string * int) list;  (** last sample per name, emit order *)
     halt : string option;
     last_cycle : int;

@@ -1,6 +1,7 @@
 (* The fault-plan subsystem, end to end:
-   - plan DSL: absorbability predicate, legacy aliasing;
-   - legacy knobs and their explicit of_legacy plans are bit-identical;
+   - plan DSL: absorbability predicate, quiet one-action plans;
+   - a quiet action drives the same machine as its loud twin: only its
+     Fault events are missing;
    - every absorbable surface at full intensity is absorbed: final
      architected state equals SEQ, only stats/cycles move;
    - a stall plan with no watchdog spins to the cycle limit; the same
@@ -107,13 +108,12 @@ let test_plan_dsl () =
        (Plan.make
           ~policy:(watchdog_policy 1000)
           [ Plan.action Plan.Slave_stall ~seed:1 ~p:0.1 ]));
-  check "no legacy knobs, no plan" true
-    (Plan.of_legacy ~fault_injection:None ~chaos_commit:None = None);
-  (match Plan.of_legacy ~fault_injection:(Some (42, 0.5)) ~chaos_commit:None with
-  | Some { Plan.actions = [ a ]; _ } ->
-    check "alias surface" true (a.Plan.surface = Plan.Live_in_corrupt);
-    check "alias quiet" true a.Plan.quiet
-  | _ -> Alcotest.fail "of_legacy: expected one live-in action");
+  (match Plan.quiet Plan.Live_in_corrupt ~seed:42 ~p:0.5 with
+  | { Plan.actions = [ a ]; policy } ->
+    check "quiet surface" true (a.Plan.surface = Plan.Live_in_corrupt);
+    check "quiet action" true a.Plan.quiet;
+    check "quiet plan policy" true (policy = Plan.default_policy)
+  | _ -> Alcotest.fail "quiet: expected one live-in action");
   check "every absorbable surface is a surface" true
     (List.for_all
        (fun s -> List.mem s Plan.all_surfaces)
@@ -128,25 +128,30 @@ let same_outcome r1 r2 =
   && r1.M.stats.M.tasks_committed = r2.M.stats.M.tasks_committed
   && Full.equal_observable r1.M.arch r2.M.arch
 
-let test_legacy_alias_bit_identical () =
-  (* the legacy knobs and their compiled plans are the same machine:
-     cycles, stats, final state all bit-equal *)
+let test_quiet_plan_bit_identical () =
+  (* a quiet action and its loud twin are the same machine: cycles,
+     stats, final state all bit-equal, and the two event streams differ
+     exactly by the loud run's Fault events *)
   let d = distill_of small_program in
-  let legacy =
-    M.run
-      ~config:{ checking_config with Config.fault_injection = Some (42, 0.7) }
-      d
+  let run plan =
+    traced_run ~config:{ checking_config with Config.faults = Some plan } d
   in
-  let plan =
-    Option.get
-      (Plan.of_legacy ~fault_injection:(Some (42, 0.7)) ~chaos_commit:None)
+  let quiet, ev_quiet = run (Plan.quiet Plan.Live_in_corrupt ~seed:42 ~p:0.7) in
+  let loud, ev_loud =
+    run (Plan.make [ Plan.action Plan.Live_in_corrupt ~seed:42 ~p:0.7 ])
   in
-  let explicit =
-    M.run ~config:{ checking_config with Config.faults = Some plan } d
-  in
-  check "legacy knob == explicit of_legacy plan" true
-    (same_outcome legacy explicit);
-  check "faults actually fired" true (legacy.M.stats.M.faults_injected > 0)
+  let is_fault = function Trace.Fault _ -> true | _ -> false in
+  let ev_loud_quieted = List.filter (fun e -> not (is_fault e)) ev_loud in
+  check "quiet plan == loud plan" true (same_outcome quiet loud);
+  check "faults actually fired" true (quiet.M.stats.M.faults_injected > 0);
+  check_int "quiet run emits no Fault event" 0
+    (List.length (List.filter is_fault ev_quiet));
+  check_int "loud run emits one Fault event per fault"
+    loud.M.stats.M.faults_injected
+    (List.length (List.filter is_fault ev_loud));
+  check "otherwise identical streams" true
+    (List.length ev_quiet = List.length ev_loud_quieted
+    && List.for_all2 Trace.event_equal ev_quiet ev_loud_quieted)
 
 (* --- per-surface absorption ------------------------------------------- *)
 
@@ -491,8 +496,8 @@ let () =
       ( "plan",
         [
           Alcotest.test_case "DSL and absorbability" `Quick test_plan_dsl;
-          Alcotest.test_case "legacy alias bit-identical" `Quick
-            test_legacy_alias_bit_identical;
+          Alcotest.test_case "quiet plan bit-identical" `Quick
+            test_quiet_plan_bit_identical;
           Alcotest.test_case "disabled plan changes nothing" `Quick
             test_disabled_plan_changes_nothing;
         ] );

@@ -5,9 +5,9 @@
      paged-span-edge traffic it advertises;
    - the shrinker is well-founded (every candidate strictly smaller);
    - a machine with a DELIBERATELY broken verify/commit unit
-     ([Mssp_config.chaos_commit]) is caught by the oracle and shrunk to
-     a tiny repro — the mutation smoke test that proves the oracle has
-     teeth. *)
+     ([Oracle.chaos_point], a quiet [Commit_corrupt] fault plan) is
+     caught by the oracle and shrunk to a tiny repro — the mutation
+     smoke test that proves the oracle has teeth. *)
 
 module Gen = Mssp_fuzz.Gen
 module Oracle = Mssp_fuzz.Oracle
@@ -114,7 +114,7 @@ let chaos_failing grid p =
   | Oracle.Failed fs -> chaos_signature fs
   | Oracle.Passed _ | Oracle.Skipped _ -> false
 
-let test_chaos_commit_caught_and_shrunk () =
+let test_broken_commit_caught_and_shrunk () =
   let grid = [ Oracle.chaos_point ~seed:3 ~p:1.0 ] in
   let rec find seed =
     if seed > 20 then Alcotest.fail "chaos commit was never caught"
@@ -258,7 +258,7 @@ let () =
       ( "mutation",
         [
           Alcotest.test_case "broken commit caught and shrunk" `Quick
-            test_chaos_commit_caught_and_shrunk;
+            test_broken_commit_caught_and_shrunk;
           Alcotest.test_case "broken pass caught by the oracle" `Quick
             test_broken_pass_caught_by_oracle;
         ] );

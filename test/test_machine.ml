@@ -1,6 +1,7 @@
 (* Tests for the MSSP machine: end-to-end correctness against SEQ,
    refinement shadow, squash/recovery, window limits, I/O handling,
-   isolated mode, stats coherence, safety limits. *)
+   isolated mode, stats coherence, safety limits, the cooperative
+   interrupt hook. *)
 
 module Full = Mssp_state.Full
 module Layout = Mssp_isa.Layout
@@ -13,6 +14,8 @@ module W = Mssp_workload.Workload
 module Adversary = Mssp_workload.Adversary
 module Dsl = Mssp_asm.Dsl
 module Instr = Mssp_isa.Instr
+module Fragment = Mssp_state.Fragment
+module Plan = Mssp_faults.Plan
 open Mssp_asm.Regs
 
 let check = Alcotest.(check bool)
@@ -191,14 +194,19 @@ let test_determinism () =
     (r1.M.stats.M.tasks_committed = r2.M.stats.M.tasks_committed);
   check "same squashes" true (r1.M.stats.M.squashes = r2.M.stats.M.squashes)
 
-let test_fault_injection_harmless () =
+let test_soft_errors_harmless () =
   (* soft errors in checkpoints: correctness must be untouched at any
      rate; only squashes may grow *)
   let d = distill_of small_program in
   let seq = seq_reference d in
   List.iter
     (fun p ->
-      let cfg = { checking_config with Config.fault_injection = Some (42, p) } in
+      let cfg =
+        {
+          checking_config with
+          Config.faults = Some (Plan.quiet Plan.Live_in_corrupt ~seed:42 ~p);
+        }
+      in
       let r = M.run ~config:cfg d in
       check (Printf.sprintf "p=%.1f halted" p) true (r.M.stop = M.Halted);
       check
@@ -210,13 +218,73 @@ let test_fault_injection_harmless () =
         check "faults were actually injected" true (r.M.stats.M.faults_injected > 0))
     [ 0.1; 0.5; 1.0 ]
 
-let test_fault_injection_monotone_squashes () =
+let test_soft_errors_monotone_squashes () =
   let d = distill_of small_program in
   let run p =
-    let cfg = { Config.default with Config.fault_injection = Some (7, p) } in
+    let cfg =
+      {
+        Config.default with
+        Config.faults = Some (Plan.quiet Plan.Live_in_corrupt ~seed:7 ~p);
+      }
+    in
     (M.run ~config:cfg d).M.stats.M.squashes
   in
   check "more faults, at least as many squashes" true (run 1.0 >= run 0.0)
+
+(* The cooperative interrupt hook, driven by poll counts instead of a
+   wall clock: the machine polls it every 1024th dispatched event, so a
+   countdown over polls is as deterministic as the run itself. *)
+let interrupt_package () =
+  let b = W.find "vecsum" in
+  distill_of (b.W.program ~size:4000)
+
+let test_interrupt_countdown_stops () =
+  let d = interrupt_package () in
+  let full = M.run ~config:checking_config d in
+  let polls = ref 0 in
+  let counted =
+    M.run
+      ~config:
+        {
+          checking_config with
+          Config.interrupt = Some (fun () -> incr polls; None);
+        }
+      d
+  in
+  check "counted run halts" true (counted.M.stop = M.Halted);
+  check
+    (Printf.sprintf "run is long enough to poll twice (%d polls)" !polls)
+    true (!polls >= 2);
+  let k = !polls / 2 in
+  let left = ref k in
+  let countdown () =
+    decr left;
+    if !left = 0 then Some "stop" else None
+  in
+  let r =
+    M.run ~config:{ checking_config with Config.interrupt = Some countdown } d
+  in
+  check "interrupted with the hook's reason" true
+    (r.M.stop = M.Interrupted "stop");
+  check_int "stopped at the k-th poll" 0 !left;
+  check "commits fewer tasks than the full run" true
+    (r.M.stats.M.tasks_committed < full.M.stats.M.tasks_committed);
+  check_int "no refinement violations" 0 r.M.refinement_violations
+
+let test_interrupt_none_identical () =
+  let d = interrupt_package () in
+  let off = M.run ~config:checking_config d in
+  let on =
+    M.run
+      ~config:{ checking_config with Config.interrupt = Some (fun () -> None) }
+      d
+  in
+  check "same stop" true (on.M.stop = off.M.stop);
+  check "stats bit-identical" true (on.M.stats = off.M.stats);
+  check "final state bit-identical" true
+    (Fragment.equal (Full.snapshot on.M.arch) (Full.snapshot off.M.arch));
+  check_int "same refinement violations" off.M.refinement_violations
+    on.M.refinement_violations
 
 let test_dual_mode_restores_floor () =
   (* under a hopeless master that dies at every restart (but with real
@@ -329,9 +397,13 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "task-size knob" `Quick test_task_size_knob;
           Alcotest.test_case "fault injection harmless" `Quick
-            test_fault_injection_harmless;
+            test_soft_errors_harmless;
           Alcotest.test_case "fault injection squashes" `Quick
-            test_fault_injection_monotone_squashes;
+            test_soft_errors_monotone_squashes;
+          Alcotest.test_case "interrupt countdown stops the run" `Quick
+            test_interrupt_countdown_stops;
+          Alcotest.test_case "interrupt returning None changes nothing" `Quick
+            test_interrupt_none_identical;
           Alcotest.test_case "dual mode floor" `Quick test_dual_mode_restores_floor;
           Alcotest.test_case "trace well-formed" `Quick test_trace_well_formed;
           Alcotest.test_case "control-only mode" `Quick test_control_only_mode_correct;

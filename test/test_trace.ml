@@ -25,6 +25,7 @@ module Trace = Mssp_trace.Trace
 module Tjson = Mssp_trace.Tjson
 module Gen = Mssp_fuzz.Gen
 module Predict = Mssp_predict.Predict
+module Plan = Mssp_faults.Plan
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -57,15 +58,20 @@ let base2 = Config.with_slaves 2 Config.default
    suite follows the CI matrix leg; [golden_cases_at (Some 4)] pins the
    pooled path against the same committed traces — the bit-identity
    contract of lib/exec, enforced on every runtest. [sjrnl] pins the
-   slave block journal explicitly (ignoring MSSP_SJRNL), so the
-   block-journaled engine is checked against the committed streams on
-   every runtest whatever the environment says. *)
-let golden_cases_at ?sjrnl pool =
+   slave block journal explicitly. [engines:false] turns both block
+   engines off (superblock and slave block journal), so the single-step
+   reference rung replays the same committed streams on every
+   runtest. *)
+let golden_cases_at ?sjrnl ?(engines = true) pool =
   let base2 = { base2 with Config.pool } in
   let base2 =
     match sjrnl with
     | None -> base2
     | Some bj -> { base2 with Config.slave_block_journal = bj }
+  in
+  let base2 =
+    if engines then base2
+    else { base2 with Config.superblock = false; slave_block_journal = false }
   in
   [
     ( "vecsum",
@@ -91,7 +97,11 @@ let golden_cases_at ?sjrnl pool =
       fun () ->
         run_traced
           ~config:
-            { base2 with Config.task_size = 25; chaos_commit = Some (3, 0.5) }
+            {
+              base2 with
+              Config.task_size = 25;
+              faults = Some (Plan.quiet Plan.Commit_corrupt ~seed:3 ~p:0.5);
+            }
           (distill_bench "qsort" ~size:60 ~train:30) );
     (* a benign, always-absorbed fault plan: pins the serialization of
        the Fault / Watchdog / Quarantine event variants and the
@@ -99,7 +109,6 @@ let golden_cases_at ?sjrnl pool =
        state equal to SEQ *)
     ( "fault_plan",
       fun () ->
-        let module Plan = Mssp_faults.Plan in
         let plan =
           Plan.make
             ~policy:
@@ -459,17 +468,24 @@ let () =
             Alcotest.test_case name `Quick (fun () ->
                 if not promote then test_golden case ()))
           (golden_cases_at (Some 4)) );
-      (* and out of block-journaled slave bodies, forced on regardless
-         of MSSP_SJRNL: the staged first-read stream must replay into
-         the exact committed event streams — including the
-         predicted_stride predictor-outcome events, which train from
-         the verification-order stream *)
+      (* and out of block-journaled slave bodies, pinned on: the staged
+         first-read stream must replay into the exact committed event
+         streams — including the predicted_stride predictor-outcome
+         events, which train from the verification-order stream *)
       ( "golden (block journal)",
         List.map
           (fun (name, _ as case) ->
             Alcotest.test_case name `Quick (fun () ->
                 if not promote then test_golden case ()))
           (golden_cases_at ~sjrnl:true None) );
+      (* and with both block engines off: the single-step reference
+         rung must produce the very same streams *)
+      ( "golden (engines off)",
+        List.map
+          (fun (name, _ as case) ->
+            Alcotest.test_case name `Quick (fun () ->
+                if not promote then test_golden case ()))
+          (golden_cases_at ~engines:false None) );
       ( "attribution",
         [
           Alcotest.test_case "fold over JSONL reproduces stats" `Quick
