@@ -19,26 +19,16 @@ bench:
 bench-csv:
 	dune exec bench/main.exe -- --csv results
 
-# machine-readable baseline: headline experiment + hot-path micros
-# (including the trace-off/ring-on and serial/pooled pairs and the
-# superblock/single-step and slave-body throughput pairs) + the
-# tracing-overhead guard + the host-pool guard (serial and pooled E1
-# wall clocks land in the pool_guard JSON object) + the superblock
-# guard (sblk_guard object) + the slave block-journal guard
-# (sjrnl_guard object)
-bench-json:
-	dune exec bench/main.exe -- E1 micro TRACEG FAULTG POOLG SBLKG ADPTG SJRNLG --json BENCH_mssp.json
+# the bench guards, one row each in EXPERIMENTS.md's guard table
+GUARDS = TRACEG FAULTG POOLG SBLKG ADPTG SJRNLG
 
-# quick perf regression check: reduced-scale E1, the tracing-overhead
-# guard (event bus > 2% of a run's wall clock fails), the host-pool
-# guard (4 worker domains must cut the E1 grid below 0.6x serial wall
-# clock on hosts with >= 4 cores; single-core runners report only), the
-# superblock guard (blocks on must be cycle-identical to off and no
-# slower on the straight-line micro) and the slave block-journal guard
-# (bit-identical cycles on/off; >= 2x single-step throughput on the
-# slave-body micro, noise-gated like TRACEG)
+# machine-readable baseline: headline experiment, micros and guards
+bench-json:
+	dune exec bench/main.exe -- E1 micro $(GUARDS) --json BENCH_mssp.json
+
+# quick perf regression check: quarter-scale E1 plus the guards
 perf-smoke:
-	timeout 300 dune exec bench/main.exe -- E1s TRACEG FAULTG POOLG SBLKG SJRNLG
+	timeout 300 dune exec bench/main.exe -- E1s $(GUARDS) --json _perf_smoke.json
 
 # regenerate test/golden/*.trace from the current machine (review the
 # diff before committing: goldens exist to make event-stream changes

@@ -906,44 +906,6 @@ let e19 () =
   note "predictor covers the residual live-in cells). Every round is";
   note "re-verified against SEQ: adaptation only moves cycles."
 
-(* --- ADPTG: adaptation-loop guard ------------------------------------- *)
-
-(* The feedback loop must keep paying for itself: on the
-   prediction-friendly kernels the geomean of static-over-adaptive cycle
-   ratios at 8 slaves stays >= 1.15x. Deterministic simulated cycles —
-   no timers, no noise allowance. Fails the bench process (and
-   perf-smoke) when the loop stops earning its keep; best-of-rounds
-   makes < 1x impossible, so the budget polices the win, not safety. *)
-let adptg_kernels = [ "fir"; "rle"; "treesum"; "dijkstra" ]
-let adptg_budget = 1.15
-
-let adptg () =
-  section "ADPTG  Adaptation guard: the feedback loop keeps its speedup";
-  let kernels =
-    List.map
-      (fun name ->
-        let a = adapt_bench name 8 in
-        let s = Adapt.round_cycles (List.hd a.Adapt.rounds) in
-        let c = Adapt.round_cycles a.Adapt.best in
-        note "%-10s static %8d  adaptive %8d  (%.3fx, round %d)" name s c
-          (float_of_int s /. float_of_int c)
-          a.Adapt.best.Adapt.index;
-        (name, s, c))
-      adptg_kernels
-  in
-  let geomean =
-    Stats.geomean
-      (List.map (fun (_, s, c) -> float_of_int s /. float_of_int c) kernels)
-  in
-  note "geomean %.3fx (budget >= %.2fx)" geomean adptg_budget;
-  Harness.adapt_guard := Some { ag_kernels = kernels; ag_geomean = geomean };
-  if geomean < adptg_budget then
-    failwith
-      (Printf.sprintf
-         "ADPTG: adaptive distillation geomean %.3fx fell below the %.2fx \
-          budget"
-         geomean adptg_budget)
-
 (* --- E1s: reduced-scale E1 for perf smoke runs ----------------------- *)
 
 (* E1 at a quarter of the reference inputs and a single slave count:
@@ -963,97 +925,65 @@ let e1s () =
   note "quarter-size inputs; geomean at 8 slaves: %s"
     (f2 (Stats.geomean (List.map snd results)))
 
-(* --- TRACEG: tracing-overhead guard ---------------------------------- *)
+(* --- Guards: one A/B check each (bench/guard.ml) ----------------------
 
-(* The event bus's cost contract, enforced under `make perf-smoke`: a
-   fixed MSSP run with the tracer disabled must stay within 2% of the
-   same run with a bounded ring sink attached — and since the ring-on
-   wall clock upper-bounds the instrumentation's total cost, the
-   disabled path (which only ever tests one [if tracing]) is covered a
-   fortiori. Min-of-k over interleaved reps so one GC pause or a noisy
-   neighbour cannot fail the build.
+   Every guard is a row of EXPERIMENTS.md's guard table: a baseline leg
+   a, a candidate leg b, a bound on their wall-clock ratio and the gate
+   that decides whether the bound is enforced on this host. Simulated
+   cycles must be bit-identical across a and b on every host. *)
 
-   A 2% budget is only decidable where the clock can resolve 2%: each
-   guard times its baseline twice (interleaved with everything else)
-   and, when the two baseline minima disagree by more than the budget —
-   the host cannot even measure *itself* reproducibly, as happens on
-   1-core shared containers — or when the host has a single core (the
-   harness process itself then contends with the timed run), reports
-   the ratio without enforcing it, the same honest fallback POOLG uses
-   on small hosts. The semantic
-   half (bit-identical simulated cycles) is enforced unconditionally. *)
+module V = Mssp_metrics.Guard
+
+(* a wall-clock bound is only decidable where the clock can resolve it:
+   at least 2 cores, and a baseline that agrees with itself to within
+   [noise] *)
+let quiet noise = V.Quiet { cores = 2; noise }
+
+(* one MSSP run as a guard leg; verified against SEQ, outside the clock *)
+let leg ?(label = "") ?(check = ignore) p config () =
+  let r = run ~config p in
+  fun () ->
+    assert_correct p r;
+    check r;
+    [
+      ( Printf.sprintf "%s@%d%s" p.bench.W.name config.Config.slaves label,
+        r.M.stats.M.cycles );
+    ]
+
+(* a fault plan that corrupts live-ins, so verification fails and
+   sequential recovery runs on many tasks *)
+let squash_heavy name p config =
+  let module Plan = Mssp_faults.Plan in
+  let stormy =
+    Plan.make [ Plan.action Plan.Live_in_corrupt ~seed:11 ~p:0.25 ]
+  in
+  let check r =
+    if r.M.stats.M.squashes = 0 then
+      failwith (name ^ ": the squash-heavy leg produced no squashes")
+  in
+  leg ~label:" squash-heavy" ~check p
+    { config with Config.faults = Some stormy }
+
+(* TRACEG: the event bus costs at most 2% with a bounded ring attached,
+   which bounds the disabled path (one [if tracing]) from above. 3x the
+   reference input keeps a run near 100 ms, well above timer noise. *)
 let traceg () =
   section "TRACEG  Tracing-overhead guard: bus off vs ring sink";
   let module Trace = Mssp_trace.Trace in
-  (* 3x the reference input: a ~100 ms run keeps container timer noise
-     well under the 2% budget being enforced *)
   let p = prepare ~scale:3.0 (W.find "vecsum") in
   let cfg = with_slaves 4 in
-  let run_off () = run ~config:cfg p in
-  let run_ring () =
+  let ring () =
     let tr = Trace.create () in
-    let buf = Trace.Ring.create 4096 in
-    Trace.attach tr (Trace.Ring.sink buf);
-    run ~config:{ cfg with Config.tracer = Some tr } p
+    Trace.attach tr (Trace.Ring.sink (Trace.Ring.create 4096));
+    leg p { cfg with Config.tracer = Some tr } ()
   in
-  (* a major collection before each timed rep, so whatever ran before
-     this guard (E1 leaves a large heap behind) cannot skew one side *)
-  let time f =
-    Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  ignore (run_off () : M.result);
-  ignore (run_ring () : M.result);
-  let reps = 9 in
-  let best_off = ref infinity and best_off2 = ref infinity in
-  let best_ring = ref infinity in
-  let cycles_off = ref 0 and cycles_ring = ref 0 in
-  for _ = 1 to reps do
-    let t, r = time run_off in
-    assert_correct p r;
-    cycles_off := r.M.stats.M.cycles;
-    if t < !best_off then best_off := t;
-    let t, r = time run_ring in
-    assert_correct p r;
-    cycles_ring := r.M.stats.M.cycles;
-    if t < !best_ring then best_ring := t;
-    let t, r = time run_off in
-    assert_correct p r;
-    if t < !best_off2 then best_off2 := t
-  done;
-  if !cycles_off <> !cycles_ring then
-    failwith
-      (Printf.sprintf
-         "TRACEG: tracing changed the simulation (%d cycles off, %d on)"
-         !cycles_off !cycles_ring);
-  let noise = Float.abs (!best_off -. !best_off2) /. Float.min !best_off !best_off2 in
-  let best_off = Float.min !best_off !best_off2 in
-  let overhead = (!best_ring -. best_off) /. best_off in
-  note "trace off: %.4fs   ring sink: %.4fs   overhead: %+.1f%%  (budget 2%%, clock noise %.1f%%)"
-    best_off !best_ring (overhead *. 100.) (noise *. 100.);
-  let cores = Domain.recommended_domain_count () in
-  if cores < 2 || noise > 0.02 then
-    note
-      "host cannot resolve the 2%% budget (%d core%s, baseline self-disagrees by %.1f%%): ratio reported, budget not enforced"
-      cores (if cores = 1 then "" else "s") (noise *. 100.)
-  else if overhead > 0.02 then
-    failwith
-      (Printf.sprintf "TRACEG: tracing overhead %.1f%% exceeds the 2%% budget"
-         (overhead *. 100.))
+  Guard.run ~reps:9 ~bound:(V.At_most 1.02) ~gate:(quiet 0.02) "TRACEG"
+    ("trace off", leg p cfg) ("ring sink", ring)
 
-(* --- FAULTG: fault-subsystem-overhead guard --------------------------- *)
-
-(* The fault injector's cost contract, enforced under `make perf-smoke`:
-   a fixed MSSP run with no plan compiled in must stay within 2% of the
-   same run with a benign plan armed — one action per absorbable surface,
-   every probability zero, so the injector is consulted on every spawn,
-   dispatch and verify but never fires. Simulated cycles must be
-   bit-identical (a plan that cannot fire must not perturb the machine),
-   and the disabled path (a single [match] on [None]) is covered a
-   fortiori by the armed bound. Min-of-k over interleaved reps, as in
-   TRACEG. *)
+(* FAULTG: the same contract for the fault injector. The benign plan has
+   one action per absorbable surface, every probability zero, so the
+   injector is consulted on every spawn, dispatch and verify but never
+   fires. *)
 let faultg () =
   section "FAULTG  Fault-subsystem guard: no plan vs benign armed plan";
   let module Plan = Mssp_faults.Plan in
@@ -1065,376 +995,117 @@ let faultg () =
          (fun s -> Plan.action s ~seed:1 ~p:0.0)
          Plan.absorbable_surfaces)
   in
-  let run_off () = run ~config:cfg p in
-  let run_armed () = run ~config:{ cfg with Config.faults = Some benign } p in
-  let time f =
-    Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  ignore (run_off () : M.result);
-  ignore (run_armed () : M.result);
-  let reps = 9 in
-  let best_off = ref infinity and best_off2 = ref infinity in
-  let best_armed = ref infinity in
-  let cycles_off = ref 0 and cycles_armed = ref 0 in
-  for _ = 1 to reps do
-    let t, r = time run_off in
-    assert_correct p r;
-    cycles_off := r.M.stats.M.cycles;
-    if t < !best_off then best_off := t;
-    let t, r = time run_armed in
-    assert_correct p r;
-    cycles_armed := r.M.stats.M.cycles;
+  let check r =
     if r.M.stats.M.faults_injected <> 0 then
-      failwith "FAULTG: a p = 0 action fired";
-    if t < !best_armed then best_armed := t;
-    let t, r = time run_off in
-    assert_correct p r;
-    if t < !best_off2 then best_off2 := t
-  done;
-  if !cycles_off <> !cycles_armed then
-    failwith
-      (Printf.sprintf
-         "FAULTG: an unfired plan changed the simulation (%d cycles off, %d armed)"
-         !cycles_off !cycles_armed);
-  let noise = Float.abs (!best_off -. !best_off2) /. Float.min !best_off !best_off2 in
-  let best_off = Float.min !best_off !best_off2 in
-  let overhead = (!best_armed -. best_off) /. best_off in
-  note "plan off: %.4fs   benign armed: %.4fs   overhead: %+.1f%%  (budget 2%%, clock noise %.1f%%)"
-    best_off !best_armed (overhead *. 100.) (noise *. 100.);
-  Harness.fault_guard :=
-    Some { fg_off_s = best_off; fg_armed_s = !best_armed };
-  let cores = Domain.recommended_domain_count () in
-  if cores < 2 || noise > 0.02 then
-    note
-      "host cannot resolve the 2%% budget (%d core%s, baseline self-disagrees by %.1f%%): ratio reported, budget not enforced"
-      cores (if cores = 1 then "" else "s") (noise *. 100.)
-  else if overhead > 0.02 then
-    failwith
-      (Printf.sprintf
-         "FAULTG: fault-subsystem overhead %.1f%% exceeds the 2%% budget"
-         (overhead *. 100.))
+      failwith "FAULTG: a p = 0 action fired"
+  in
+  Guard.run ~reps:9 ~bound:(V.At_most 1.02) ~gate:(quiet 0.02) "FAULTG"
+    ("no plan", leg p cfg)
+    ("benign plan", leg ~check p { cfg with Config.faults = Some benign })
 
-(* --- POOLG: host-pool speedup guard ----------------------------------- *)
-
-(* The domain pool's wall-clock contract, enforced under `make
-   perf-smoke`: fanning the reduced-scale E1 grid across 4 worker
-   domains must cost at most 0.6x the serial wall clock, and must
-   produce cycle-identical results. The bit-identity cross-check always
-   runs; the 0.6x budget is enforced only where it is physically
-   meaningful — hosts with at least 4 cores (a single-core container
-   can only report the ratio honestly). Either way the measured pair
-   lands in the --json report as [pool_guard]. *)
+(* POOLG: fanning the quarter-scale E1 grid across 4 worker domains
+   costs at most 0.6x the serial wall clock. Only a host with 4 cores
+   can show that; smaller hosts report the ratio. The serial SEQ checks
+   are part of the grid's wall clock, as they are in E1. *)
 let poolg () =
   section "POOLG  Host-pool guard: E1 grid, serial vs 4 worker domains";
-  let pool_jobs = 4 in
-  let prepared = List.map (fun b -> prepare ~scale:0.25 b) W.all in
-  let points = e1_points prepared in
-  let timed n =
-    let saved = !Harness.jobs in
-    Harness.jobs := n;
-    record_samples := false;
-    Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    let rs = checked_runs points in
-    Harness.jobs := saved;
-    record_samples := true;
-    (Unix.gettimeofday () -. t0, List.map (fun r -> r.M.stats.M.cycles) rs)
+  let points = e1_points (List.map (fun b -> prepare ~scale:0.25 b) W.all) in
+  let grid jobs () =
+    let rs =
+      Mssp_exec.Pool.map_runs ~jobs (fun (p, config) -> run ~config p) points
+    in
+    let cycles =
+      List.map2
+        (fun (p, config) r ->
+          assert_correct p r;
+          ( Printf.sprintf "%s@%d" p.bench.W.name config.Config.slaves,
+            r.M.stats.M.cycles ))
+        points rs
+    in
+    fun () -> cycles
   in
-  (* one untimed pooled pass first: domain spawning and first-touch
-     allocation costs land here, not in a timed rep *)
-  let _, warm_cycles = timed pool_jobs in
-  let best_serial = ref infinity and best_pooled = ref infinity in
-  for _ = 1 to 2 do
-    let t, cycles = timed 1 in
-    if cycles <> warm_cycles then failwith "POOLG: serial run diverged";
-    if t < !best_serial then best_serial := t;
-    let t, cycles = timed pool_jobs in
-    if cycles <> warm_cycles then failwith "POOLG: pooled run diverged";
-    if t < !best_pooled then best_pooled := t
-  done;
-  let cores = Domain.recommended_domain_count () in
-  let ratio = !best_pooled /. !best_serial in
-  let enforced = cores >= pool_jobs in
-  note "simulated cycles identical at both job counts (%d grid points)"
-    (List.length points);
-  note "serial: %.3fs   %d jobs: %.3fs   ratio: %.2fx  (budget 0.60x, %d host core%s)"
-    !best_serial pool_jobs !best_pooled ratio cores
-    (if cores = 1 then "" else "s");
-  Harness.pool_guard :=
-    Some
-      {
-        pg_jobs = pool_jobs;
-        pg_cores = cores;
-        pg_serial_s = !best_serial;
-        pg_pooled_s = !best_pooled;
-        pg_enforced = enforced;
-      };
-  if enforced then begin
-    if ratio > 0.6 then
-      failwith
-        (Printf.sprintf
-           "POOLG: pooled/serial ratio %.2fx exceeds the 0.60x budget" ratio)
-  end
-  else
-    note "host has %d core(s) < %d: ratio reported, budget not enforced"
-      cores pool_jobs
+  Guard.run ~reps:2 ~bound:(V.At_most 0.60) ~gate:(V.Min_cores 4) "POOLG"
+    ("serial", grid 1) ("4 jobs", grid 4)
 
-(* --- SBLKG: superblock-engine guard ------------------------------------ *)
-
-(* The pre-decoded block engine's two contracts, enforced under `make
-   perf-smoke`:
-
-   semantics — the engine is invisible: a full MSSP run (4 slaves) must
-   produce bit-identical simulated cycles with blocks on and off, and so
-   must the same run under a fault plan that forces squashes (so the
-   recovery path, which runs *through* the engine, is exercised, not
-   just the master's fetch).
-
-   performance — the engine pays for itself: the straight-line SEQ
-   micro (the workload blocks exist for) must be no slower with the
-   engine on; min-of-9 interleaved reps with a major collection before
-   each, as in TRACEG. The measured pair lands in the --json report as
-   [sblk_guard]; the headline >= 5x instrs/sec ratio is reported by the
-   micro section. *)
+(* SBLKG: the pre-decoded block engine is invisible to the simulation,
+   on a plain run and on a squash-heavy one (recovery executes through
+   the engine), and no slower on the straight-line micro it exists
+   for. The 5% allowance absorbs timer noise on loaded hosts. *)
 let sblkg () =
   section "SBLKG  Superblock guard: pre-decoded blocks vs single-step";
-  let module Plan = Mssp_faults.Plan in
   let p = prepare (W.find "vecsum") in
-  let cfg = with_slaves 4 in
-  let cycles config =
-    let r = run ~config p in
-    assert_correct p r;
-    r.M.stats.M.cycles
+  let cfg sblk = { (with_slaves 4) with Config.superblock = sblk } in
+  let micro superblock () =
+    Micro.run_straightline ~superblock ();
+    fun () -> []
   in
-  let on = cycles { cfg with Config.superblock = true } in
-  let off = cycles { cfg with Config.superblock = false } in
-  if on <> off then
-    failwith
-      (Printf.sprintf
-         "SBLKG: superblocks changed the simulation (%d cycles on, %d off)" on
-         off);
-  note "MSSP cycles bit-identical on/off: %d" on;
-  (* squash-heavy leg: corrupted live-ins force verification failures,
-     so sequential recovery — which executes through the engine — runs
-     on every squash *)
-  let stormy =
-    Plan.make [ Plan.action Plan.Live_in_corrupt ~seed:11 ~p:0.25 ]
-  in
-  let stormy_cycles sblk =
-    let config =
-      { cfg with Config.superblock = sblk; Config.faults = Some stormy }
-    in
-    let r = run ~config p in
-    assert_correct p r;
-    if r.M.stats.M.squashes = 0 then
-      failwith "SBLKG: the squash-heavy leg produced no squashes";
-    r.M.stats.M.cycles
-  in
-  let s_on = stormy_cycles true in
-  let s_off = stormy_cycles false in
-  if s_on <> s_off then
-    failwith
-      (Printf.sprintf
-         "SBLKG: superblocks changed a squash-heavy run (%d cycles on, %d off)"
-         s_on s_off);
-  note "squash-heavy cycles bit-identical on/off: %d" s_on;
-  let best_on = ref infinity and best_off = ref infinity in
-  ignore (Micro.run_straightline ~superblock:true () : float);
-  ignore (Micro.run_straightline ~superblock:false () : float);
-  for _ = 1 to 9 do
-    Gc.major ();
-    let t = Micro.run_straightline ~superblock:true () in
-    if t < !best_on then best_on := t;
-    let t = Micro.run_straightline ~superblock:false () in
-    if t < !best_off then best_off := t
-  done;
-  let speedup = !best_off /. !best_on in
-  note
-    "straight-line micro (%d instrs): on %.4fs   off %.4fs   speedup %.2fx"
-    Micro.straightline_instrs !best_on !best_off speedup;
-  Harness.sblk_guard :=
-    Some
-      {
-        sg_cycles = on;
-        sg_instrs = Micro.straightline_instrs;
-        sg_on_s = !best_on;
-        sg_off_s = !best_off;
-      };
-  (* "no slower", with a 5% allowance for timer noise on loaded hosts *)
-  if !best_on > !best_off *. 1.05 then
-    failwith
-      (Printf.sprintf
-         "SBLKG: superblock-on wall clock %.4fs is slower than single-step %.4fs"
-         !best_on !best_off)
+  Guard.run ~reps:9 ~bound:(V.At_most 1.05) ~gate:V.Always "SBLKG"
+    ~instructions:Micro.straightline_instrs
+    ~same:
+      [
+        (leg p (cfg false), leg p (cfg true));
+        (squash_heavy "SBLKG" p (cfg false), squash_heavy "SBLKG" p (cfg true));
+      ]
+    ("single-step", micro false) ("superblock", micro true)
 
-(* --- SJRNLG: slave block-journal guard --------------------------------- *)
-
-(* The block-aware slave journal's two contracts, enforced under `make
-   perf-smoke`:
-
-   semantics — the engine choice is invisible: a full MSSP run (4
-   slaves) must produce bit-identical simulated cycles with the slave
-   block journal on and off, and so must the same run under a fault
-   plan that forces squashes — every squash re-verifies a staged
-   first-read stream, so verification-order identity (content *and*
-   order of the insertion-order log) is what keeps squash attribution
-   and cycle counts pinned.
-
-   performance — the journal pays for itself where blocks exist: the
-   slave-body micro (the straight-line task body, run as a speculative
-   task against a fallback view) must be at least 2x single-step
-   throughput with the block journal on. A 2x floor needs a clock that
-   can resolve itself: as in TRACEG, the baseline is timed twice
-   (interleaved), and when the two minima disagree by more than 10% —
-   or the host has a single core — the ratio is reported without being
-   enforced. Min-of-9 interleaved reps with a major collection before
-   each. The measured pair lands in the --json report as
-   [sjrnl_guard]; the micro section reports the same pair as
-   instrs/sec rows. *)
+(* SJRNLG: the block-aware slave journal is invisible to the simulation,
+   plain and squash-heavy (every squash replays the staged first-read
+   stream, whose content and order pin squash attribution), and pays for
+   itself: >= 2x single-step on the slave-body micro and >= 1.3x on the
+   whole machine (vecsum at 8 slaves), where the per-slave block caches
+   must show up as wall clock. *)
 let sjrnlg () =
   section "SJRNLG  Slave block-journal guard: block journaling vs single-step";
-  let module Plan = Mssp_faults.Plan in
   let p = prepare (W.find "vecsum") in
-  let cfg = with_slaves 4 in
-  let cycles bj =
-    let r = run ~config:{ cfg with Config.slave_block_journal = bj } p in
-    assert_correct p r;
-    r.M.stats.M.cycles
+  let cfg n bj = { (with_slaves n) with Config.slave_block_journal = bj } in
+  let micro block_journal () =
+    Micro.run_slave_body ~block_journal ();
+    fun () -> []
   in
-  let on = cycles true in
-  let off = cycles false in
-  if on <> off then
-    failwith
-      (Printf.sprintf
-         "SJRNLG: the slave block journal changed the simulation (%d cycles \
-          on, %d off)"
-         on off);
-  note "MSSP cycles bit-identical on/off: %d" on;
-  (* squash-heavy leg: corrupted live-ins force verification failures,
-     so the staged first-read stream is replayed — and must mismatch at
-     the same cell — on every squash *)
-  let stormy =
-    Plan.make [ Plan.action Plan.Live_in_corrupt ~seed:11 ~p:0.25 ]
+  Guard.run ~reps:9 ~bound:(V.At_least 2.0) ~gate:(quiet 0.10) "SJRNLG"
+    ~instructions:Micro.slave_body_instrs
+    ~same:
+      [
+        (leg p (cfg 4 false), leg p (cfg 4 true));
+        ( squash_heavy "SJRNLG" p (cfg 4 false),
+          squash_heavy "SJRNLG" p (cfg 4 true) );
+      ]
+    ("single-step", micro false) ("block journal", micro true);
+  Guard.run ~reps:5 ~bound:(V.At_least 1.3) ~gate:(quiet 0.10)
+    "SJRNLG machine"
+    ("single-step", leg p (cfg 8 false))
+    ("block journal", leg p (cfg 8 true))
+
+(* ADPTG: the adaptation loop keeps paying for itself. Over the
+   prediction-friendly kernels at 8 slaves the geomean of static over
+   adaptive cycles stays >= 1.15x. Deterministic cycles, so always
+   enforced; best-of-rounds makes < 1x impossible, so the bound polices
+   the win, not safety. *)
+let adptg_kernels = [ "fir"; "rle"; "treesum"; "dijkstra" ]
+
+let adptg () =
+  section "ADPTG  Adaptation guard: the feedback loop keeps its speedup";
+  let kernels =
+    List.map
+      (fun name ->
+        let a = adapt_bench name 8 in
+        let s = Adapt.round_cycles (List.hd a.Adapt.rounds) in
+        let c = Adapt.round_cycles a.Adapt.best in
+        note "%-10s static %8d  adaptive %8d  (%.3fx, round %d)" name s c
+          (float_of_int s /. float_of_int c)
+          a.Adapt.best.Adapt.index;
+        (name, s, c))
+      adptg_kernels
   in
-  let stormy_cycles bj =
-    let config =
-      { cfg with Config.slave_block_journal = bj; Config.faults = Some stormy }
-    in
-    let r = run ~config p in
-    assert_correct p r;
-    if r.M.stats.M.squashes = 0 then
-      failwith "SJRNLG: the squash-heavy leg produced no squashes";
-    r.M.stats.M.cycles
+  let geomean =
+    Stats.geomean
+      (List.map (fun (_, s, c) -> float_of_int s /. float_of_int c) kernels)
   in
-  let s_on = stormy_cycles true in
-  let s_off = stormy_cycles false in
-  if s_on <> s_off then
-    failwith
-      (Printf.sprintf
-         "SJRNLG: the slave block journal changed a squash-heavy run (%d \
-          cycles on, %d off)"
-         s_on s_off);
-  note "squash-heavy cycles bit-identical on/off: %d" s_on;
-  let best_on = ref infinity in
-  let best_off = ref infinity and best_off2 = ref infinity in
-  ignore (Micro.run_slave_body ~block_journal:true () : float);
-  ignore (Micro.run_slave_body ~block_journal:false () : float);
-  for _ = 1 to 9 do
-    Gc.major ();
-    let t = Micro.run_slave_body ~block_journal:false () in
-    if t < !best_off then best_off := t;
-    Gc.major ();
-    let t = Micro.run_slave_body ~block_journal:true () in
-    if t < !best_on then best_on := t;
-    Gc.major ();
-    let t = Micro.run_slave_body ~block_journal:false () in
-    if t < !best_off2 then best_off2 := t
-  done;
-  let noise =
-    Float.abs (!best_off -. !best_off2) /. Float.min !best_off !best_off2
-  in
-  let best_off = Float.min !best_off !best_off2 in
-  let speedup = best_off /. !best_on in
-  note
-    "slave-body micro (%d instrs): on %.4fs   off %.4fs   speedup %.2fx  \
-     (floor 2x, clock noise %.1f%%)"
-    Micro.slave_body_instrs !best_on best_off speedup (noise *. 100.);
-  let cores = Domain.recommended_domain_count () in
-  let enforced = cores >= 2 && noise <= 0.10 in
-  (* whole-machine leg: the acceptance ratio. A block-friendly kernel at
-     8 slaves, the complete simulation (master, slaves, verify, commit)
-     timed end to end — this is where the per-slave caches must show up
-     as wall clock, not just in the body micro. Same double-timed
-     baseline noise gate; the floor is 1.3x. *)
-  let cfg8 = with_slaves 8 in
-  let timed_run bj =
-    let config = { cfg8 with Config.slave_block_journal = bj } in
-    Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    let r = run ~config p in
-    let dt = Unix.gettimeofday () -. t0 in
-    assert_correct p r;
-    dt
-  in
-  ignore (timed_run true : float);
-  ignore (timed_run false : float);
-  let m_on = ref infinity in
-  let m_off = ref infinity and m_off2 = ref infinity in
-  for _ = 1 to 5 do
-    let t = timed_run false in
-    if t < !m_off then m_off := t;
-    let t = timed_run true in
-    if t < !m_on then m_on := t;
-    let t = timed_run false in
-    if t < !m_off2 then m_off2 := t
-  done;
-  let m_noise = Float.abs (!m_off -. !m_off2) /. Float.min !m_off !m_off2 in
-  let m_off = Float.min !m_off !m_off2 in
-  let m_speedup = m_off /. !m_on in
-  note
-    "whole machine (vecsum, 8 slaves): on %.4fs   off %.4fs   speedup %.2fx  \
-     (floor 1.3x, clock noise %.1f%%)"
-    !m_on m_off m_speedup (m_noise *. 100.);
-  let m_enforced = cores >= 2 && m_noise <= 0.10 in
-  Harness.sjrnl_guard :=
-    Some
-      {
-        jg_cycles = on;
-        jg_instrs = Micro.slave_body_instrs;
-        jg_on_s = !best_on;
-        jg_off_s = best_off;
-        jg_noise = noise;
-        jg_enforced = enforced;
-        jg_mach_on_s = !m_on;
-        jg_mach_off_s = m_off;
-        jg_mach_noise = m_noise;
-        jg_mach_enforced = m_enforced;
-      };
-  if not enforced then
-    note
-      "host cannot resolve the 2x floor (%d core%s, baseline self-disagrees \
-       by %.1f%%): ratio reported, floor not enforced"
-      cores (if cores = 1 then "" else "s") (noise *. 100.)
-  else if speedup < 2.0 then
-    failwith
-      (Printf.sprintf
-         "SJRNLG: block-journal slave throughput is only %.2fx single-step \
-          (floor 2x)"
-         speedup);
-  if not m_enforced then
-    note
-      "host cannot resolve the 1.3x machine floor (%d core%s, baseline \
-       self-disagrees by %.1f%%): ratio reported, floor not enforced"
-      cores (if cores = 1 then "" else "s") (m_noise *. 100.)
-  else if m_speedup < 1.3 then
-    failwith
-      (Printf.sprintf
-         "SJRNLG: whole-machine wall clock is only %.2fx single-step slaves \
-          at 8 slaves (floor 1.3x)"
-         m_speedup)
+  Guard.deterministic ~bound:(V.At_least 1.15) ~ratio:geomean "ADPTG"
+    ("static", "adaptive")
+    (List.concat_map
+       (fun (name, s, c) -> [ (name ^ " static", s); (name ^ " adaptive", c) ])
+       kernels)
 
 let all : (string * (unit -> unit)) list =
   [

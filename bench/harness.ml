@@ -67,22 +67,17 @@ type sample = {
 
 let samples : sample list ref = ref []
 
-(* POOLG times runs whose samples would duplicate E1's; it flips this
-   off around its timed batches *)
-let record_samples = ref true
-
 let record_sample ~config prepared (r : M.result) =
   assert_correct prepared r;
-  if !record_samples then
-    samples :=
-      {
-        experiment = !current_section;
-        benchmark = prepared.bench.W.name;
-        slaves = config.Config.slaves;
-        cycles = r.M.stats.M.cycles;
-        speedup = speedup prepared r;
-      }
-      :: !samples
+  samples :=
+    {
+      experiment = !current_section;
+      benchmark = prepared.bench.W.name;
+      slaves = config.Config.slaves;
+      cycles = r.M.stats.M.cycles;
+      speedup = speedup prepared r;
+    }
+    :: !samples
 
 let checked_run ?(config = Config.default) prepared =
   let r = run ~config prepared in
@@ -109,64 +104,6 @@ let checked_runs points =
     points results;
   results
 
-(* POOLG's measured wall clocks, picked up by the bench --json writer *)
-type pool_guard = {
-  pg_jobs : int;
-  pg_cores : int;  (** Domain.recommended_domain_count on this host *)
-  pg_serial_s : float;
-  pg_pooled_s : float;
-  pg_enforced : bool;  (** the 0.6x budget was a hard failure condition *)
-}
-
-let pool_guard : pool_guard option ref = ref None
-
-(* FAULTG's measured wall clocks, picked up by the bench --json writer *)
-type fault_guard = {
-  fg_off_s : float;  (** no plan compiled in ([Config.faults = None]) *)
-  fg_armed_s : float;  (** benign plan compiled in, every action at p = 0 *)
-}
-
-let fault_guard : fault_guard option ref = ref None
-
-(* SBLKG's measurements, picked up by the bench --json writer *)
-type sblk_guard = {
-  sg_cycles : int;  (** MSSP vecsum cycles — bit-identical in both modes *)
-  sg_instrs : int;  (** straight-line micro retired instructions *)
-  sg_on_s : float;  (** straight-line micro wall clock, engine on *)
-  sg_off_s : float;  (** engine off (single-step reference) *)
-}
-
-let sblk_guard : sblk_guard option ref = ref None
-
-(* SJRNLG's measurements, picked up by the bench --json writer *)
-type sjrnl_guard = {
-  jg_cycles : int;
-      (** MSSP vecsum cycles — bit-identical with block journal on/off *)
-  jg_instrs : int;  (** slave-body micro retired instructions *)
-  jg_on_s : float;  (** slave-body micro wall clock, block journal on *)
-  jg_off_s : float;  (** single-step slave reference *)
-  jg_noise : float;  (** double-timed baseline self-disagreement *)
-  jg_enforced : bool;  (** the 2x floor was a hard failure condition *)
-  jg_mach_on_s : float;
-      (** whole-machine wall clock (vecsum, 8 slaves), block journal on *)
-  jg_mach_off_s : float;  (** same machine run, single-step slaves *)
-  jg_mach_noise : float;  (** double-timed machine baseline disagreement *)
-  jg_mach_enforced : bool;  (** the 1.3x floor was a hard failure condition *)
-}
-
-let sjrnl_guard : sjrnl_guard option ref = ref None
-
-(* ADPTG's measurements, picked up by the bench --json writer *)
-type adapt_guard = {
-  ag_kernels : (string * int * int) list;
-      (** per kernel: name, static (round 0) cycles, adaptive-best cycles
-          — both deterministic simulated cycle counts at 8 slaves with
-          the tournament predictor on *)
-  ag_geomean : float;  (** geomean of static / adaptive-best ratios *)
-}
-
-let adapt_guard : adapt_guard option ref = ref None
-
 let section title =
   (match String.index_opt title ' ' with
   | Some i -> current_section := String.sub title 0 i
@@ -189,6 +126,11 @@ let print_table ?align ~header rows =
         (Printf.sprintf "%s-%d.csv" !current_section !table_counter)
     in
     Mssp_metrics.Csv.write_file file ~header rows
+
+(* report floats keep 6 significant digits: more than a wall clock
+   resolves, and regenerated reports diff only where numbers moved *)
+let json_float x =
+  Mssp_trace.Tjson.Float (float_of_string (Printf.sprintf "%.6g" x))
 
 let f2 = Table.fmt_float
 let fi = string_of_int

@@ -10,9 +10,13 @@
      dune exec bench/main.exe -- --csv results/   # also write CSVs
      dune exec bench/main.exe -- E1 micro --json BENCH_mssp.json
 
-   --json FILE writes a machine-readable report: per-experiment
-   wall-clock, every verified machine run (benchmark, slaves, cycles,
-   speedup), and the micro-benchmark ns/run estimates.
+   --json FILE writes a machine-readable report: the host (cores, OCaml
+   version), per-experiment wall-clock, every verified machine run
+   (benchmark, slaves, cycles, speedup), the micro-benchmark ns/run
+   estimates and one row per guard (bench/guard.ml).
+
+   The exit code is 1 when any experiment check failed or any enforced
+   guard bound broke; the report is written first either way.
 
    --jobs N fans each experiment's independent simulation points across
    N worker domains. Every reported number — cycles, speedups, samples,
@@ -53,10 +57,14 @@ let () =
   Printf.printf
     "MSSP evaluation harness — every experiment re-verifies final-state\n\
      equivalence with the sequential machine before reporting numbers.\n";
-  let wall_clocks = ref [] in
+  let wall_clocks = ref [] and failures = ref [] in
+  (* a failing check is recorded, not fatal, so the report is still
+     written; the exit code reports it *)
   let run_experiment (name, f) =
     let t0 = Unix.gettimeofday () in
-    f ();
+    (try f () with Failure msg ->
+       Printf.printf "  [%s FAILED: %s]\n" name msg;
+       failures := msg :: !failures);
     let dt = Unix.gettimeofday () -. t0 in
     wall_clocks := (name, dt) :: !wall_clocks;
     Printf.printf "  [%s completed in %.1fs]\n%!" name dt
@@ -74,10 +82,11 @@ let () =
     end
     else []
   in
+  let guards = List.rev !Guard.rows in
   (match !json_file with
   | None -> ()
   | Some file ->
-    let open Json_out in
+    let open Mssp_trace.Tjson in
     let experiments =
       List.rev_map
         (fun (name, dt) ->
@@ -89,17 +98,17 @@ let () =
                   Some
                     (Obj
                        [
-                         ("benchmark", String s.benchmark);
+                         ("benchmark", Str s.benchmark);
                          ("slaves", Int s.slaves);
                          ("cycles", Int s.cycles);
-                         ("speedup", Float s.speedup);
+                         ("speedup", Harness.json_float s.speedup);
                        ]))
               (List.rev !Harness.samples)
           in
           Obj
             [
-              ("name", String name);
-              ("wall_clock_s", Float dt);
+              ("name", Str name);
+              ("wall_clock_s", Harness.json_float dt);
               ("runs", List runs);
             ])
         !wall_clocks
@@ -107,173 +116,34 @@ let () =
     let micro =
       List.map
         (fun (name, ns) ->
-          Obj [ ("name", String name); ("ns_per_run", Float ns) ])
+          Obj [ ("name", Str name); ("ns_per_run", Harness.json_float ns) ])
         micro_results
     in
-    (* the superblock throughput pair reports instructions/second — a
-       rate, not a ns/run estimate — so it gets its own row shape *)
-    let micro =
-      micro
-      @
-      match !Micro.throughput with
-      | None -> []
-      | Some t ->
+    let host =
+      Obj
         [
-          Obj
+          ("cores", Int (Domain.recommended_domain_count ()));
+          ("ocaml", Str Sys.ocaml_version);
+        ]
+    in
+    let oc = open_out file in
+    output_string oc
+      (pretty
+         (Obj
             [
-              ("name", String "seq straight-line (superblock)");
-              ("instructions_per_sec", Float t.Micro.ips_sblk);
-            ];
-          Obj
-            [
-              ("name", String "seq straight-line (single-step)");
-              ("instructions_per_sec", Float t.Micro.ips_step);
-            ];
-          Obj
-            [
-              ("name", String "seq straight-line superblock speedup");
-              ("ratio", Float (t.Micro.ips_sblk /. t.Micro.ips_step));
-            ];
-        ]
-    in
-    (* likewise the slave-body pair: the same straight-line workload run
-       as a speculative task, block journal on vs single-step *)
-    let micro =
-      micro
-      @
-      match !Micro.slave_throughput with
-      | None -> []
-      | Some t ->
-        [
-          Obj
-            [
-              ("name", String "slave body (block journal)");
-              ("instructions_per_sec", Float t.Micro.sips_blk);
-            ];
-          Obj
-            [
-              ("name", String "slave body (single-step)");
-              ("instructions_per_sec", Float t.Micro.sips_step);
-            ];
-          Obj
-            [
-              ("name", String "slave body block-journal speedup");
-              ("ratio", Float (t.Micro.sips_blk /. t.Micro.sips_step));
-            ];
-        ]
-    in
-    let pool_guard =
-      match !Harness.pool_guard with
-      | None -> []
-      | Some g ->
-        [
-          ( "pool_guard",
-            Obj
-              [
-                ("jobs", Int g.Harness.pg_jobs);
-                ("host_cores", Int g.Harness.pg_cores);
-                ("serial_wall_clock_s", Float g.Harness.pg_serial_s);
-                ("pooled_wall_clock_s", Float g.Harness.pg_pooled_s);
-                ("ratio", Float (g.Harness.pg_pooled_s /. g.Harness.pg_serial_s));
-                ("budget_enforced", String (if g.Harness.pg_enforced then "yes" else "no"));
-              ] );
-        ]
-    in
-    let fault_guard =
-      match !Harness.fault_guard with
-      | None -> []
-      | Some g ->
-        [
-          ( "fault_guard",
-            Obj
-              [
-                ("off_wall_clock_s", Float g.Harness.fg_off_s);
-                ("armed_wall_clock_s", Float g.Harness.fg_armed_s);
-                ( "overhead",
-                  Float
-                    ((g.Harness.fg_armed_s -. g.Harness.fg_off_s)
-                    /. g.Harness.fg_off_s) );
-              ] );
-        ]
-    in
-    let sblk_guard =
-      match !Harness.sblk_guard with
-      | None -> []
-      | Some g ->
-        let ips t = float_of_int g.Harness.sg_instrs /. t in
-        [
-          ( "sblk_guard",
-            Obj
-              [
-                ("mssp_cycles", Int g.Harness.sg_cycles);
-                ("micro_instructions", Int g.Harness.sg_instrs);
-                ("on_wall_clock_s", Float g.Harness.sg_on_s);
-                ("off_wall_clock_s", Float g.Harness.sg_off_s);
-                ("on_instructions_per_sec", Float (ips g.Harness.sg_on_s));
-                ("off_instructions_per_sec", Float (ips g.Harness.sg_off_s));
-                ("speedup", Float (g.Harness.sg_off_s /. g.Harness.sg_on_s));
-              ] );
-        ]
-    in
-    let sjrnl_guard =
-      match !Harness.sjrnl_guard with
-      | None -> []
-      | Some g ->
-        let ips t = float_of_int g.Harness.jg_instrs /. t in
-        [
-          ( "sjrnl_guard",
-            Obj
-              [
-                ("mssp_cycles", Int g.Harness.jg_cycles);
-                ("micro_instructions", Int g.Harness.jg_instrs);
-                ("on_wall_clock_s", Float g.Harness.jg_on_s);
-                ("off_wall_clock_s", Float g.Harness.jg_off_s);
-                ("on_instructions_per_sec", Float (ips g.Harness.jg_on_s));
-                ("off_instructions_per_sec", Float (ips g.Harness.jg_off_s));
-                ("speedup", Float (g.Harness.jg_off_s /. g.Harness.jg_on_s));
-                ("clock_noise", Float g.Harness.jg_noise);
-                ( "floor_enforced",
-                  String (if g.Harness.jg_enforced then "yes" else "no") );
-                ("machine_on_wall_clock_s", Float g.Harness.jg_mach_on_s);
-                ("machine_off_wall_clock_s", Float g.Harness.jg_mach_off_s);
-                ( "machine_speedup",
-                  Float (g.Harness.jg_mach_off_s /. g.Harness.jg_mach_on_s) );
-                ("machine_clock_noise", Float g.Harness.jg_mach_noise);
-                ( "machine_floor_enforced",
-                  String (if g.Harness.jg_mach_enforced then "yes" else "no")
-                );
-              ] );
-        ]
-    in
-    let adapt_guard =
-      match !Harness.adapt_guard with
-      | None -> []
-      | Some g ->
-        [
-          ( "adapt_guard",
-            Obj
-              [
-                ( "kernels",
-                  List
-                    (List.map
-                       (fun (name, s, c) ->
-                         Obj
-                           [
-                             ("name", String name);
-                             ("static_cycles", Int s);
-                             ("adaptive_cycles", Int c);
-                             ("ratio", Float (float_of_int s /. float_of_int c));
-                           ])
-                       g.Harness.ag_kernels) );
-                ("geomean", Float g.Harness.ag_geomean);
-              ] );
-        ]
-    in
-    write_file file
-      (Obj
-         ([ ("experiments", List experiments); ("micro", List micro) ]
-         @ pool_guard @ fault_guard @ sblk_guard @ sjrnl_guard @ adapt_guard));
+              ("host", host);
+              ("experiments", List experiments);
+              ("micro", List micro);
+              ("guards", List (List.map Guard.to_json guards));
+            ]));
+    close_out oc;
     Printf.printf "\n  [json report written to %s]\n" file);
   (* drain and join any worker domains --jobs or a guard spawned before
      the process exits *)
-  Mssp_exec.Pool.shutdown_global ()
+  Mssp_exec.Pool.shutdown_global ();
+  match List.rev !failures @ List.filter_map Guard.failure guards with
+  | [] -> ()
+  | failed ->
+    Printf.eprintf "bench: %d check(s) failed:\n" (List.length failed);
+    List.iter (Printf.eprintf "  %s\n") failed;
+    exit 1

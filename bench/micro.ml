@@ -3,7 +3,8 @@
     performance regressions in the substrate. The [(paged)] memory
     entries go through the real {!Mssp_state.Full.t}; the [pool ...]
     entries price the domain pool's dispatch overhead against the work
-    it amortizes. *)
+    it amortizes. The straight-line and slave-body workloads at the end
+    are timed by the SBLKG and SJRNLG guards, not by Bechamel. *)
 
 open Bechamel
 open Toolkit
@@ -175,49 +176,13 @@ let test_cache_access =
          cache_cursor := (!cache_cursor + 17) land 0xFFFF;
          Cache.Hierarchy.access cache !cache_cursor))
 
-(* --- tracing overhead: full MSSP runs, bus off vs ring sink ----------
-
-   The structured event bus claims to be zero-cost when disabled and
-   cheap with a bounded ring attached; both claims are priced here on a
-   complete simulator run (the TRACEG experiment enforces the budget,
-   these estimates land in BENCH_mssp.json). *)
-
-module Mcfg = Mssp_core.Mssp_config
-module Mm = Mssp_core.Mssp_machine
-module Trace = Mssp_trace.Trace
-
-let traced_prepared =
-  let b = Mssp_workload.Workload.find "vecsum" in
-  let program = b.Mssp_workload.Workload.program ~size:200 in
-  let profile =
-    Mssp_profile.Profile.collect (b.Mssp_workload.Workload.program ~size:40)
-  in
-  Mssp_distill.Distill.distill program profile
-
-let trace_cfg = { (Mcfg.with_slaves 2 Mcfg.default) with Mcfg.task_size = 20 }
-
-let test_run_trace_off =
-  Test.make ~name:"mssp run (trace off)"
-    (Staged.stage (fun () -> Mm.run ~config:trace_cfg traced_prepared))
-
-let test_run_trace_ring =
-  Test.make ~name:"mssp run (ring trace)"
-    (Staged.stage (fun () ->
-         let tr = Trace.create () in
-         let buf = Trace.Ring.create 1024 in
-         Trace.attach tr (Trace.Ring.sink buf);
-         Mm.run
-           ~config:{ trace_cfg with Mcfg.tracer = Some tr }
-           traced_prepared))
-
 (* --- superblock throughput: the straight-line interpreter micro ------
 
    The workload the pre-decoded engine exists for: a hot loop whose body
    is one long straight-line region (64 ALU ops per trip), so nearly
    every dynamic instruction executes from inside a cached block. The
-   [instructions_per_sec] pair below is the headline number the SBLKG
-   guard and BENCH_mssp.json report; block-off runs the same program
-   through the single-step reference loop. *)
+   SBLKG guard times it with blocks on and off (the single-step
+   reference loop). *)
 
 let straightline_trips = 2048
 
@@ -236,22 +201,14 @@ let straightline_program =
 (* li + trips * (64 ALU + sub + br); Halt does not retire *)
 let straightline_instrs = 1 + (straightline_trips * 66)
 
-(* one timed run; returns wall seconds, checks the run was the run *)
+(* one run, checked to be the run *)
 let run_straightline ~superblock () =
   let m = Machine.of_program ~superblock straightline_program in
-  let t0 = Unix.gettimeofday () in
   (match Machine.run m with
   | Machine.Halted -> ()
   | _ -> failwith "straight-line micro did not halt");
-  let dt = Unix.gettimeofday () -. t0 in
   if m.Machine.instructions <> straightline_instrs then
-    failwith "straight-line micro retired the wrong instruction count";
-  dt
-
-type throughput = { ips_sblk : float; ips_step : float }
-
-(* filled by [run]; the --json writer turns it into micro rows *)
-let throughput : throughput option ref = ref None
+    failwith "straight-line micro retired the wrong instruction count"
 
 (* --- slave-body throughput: block journal vs single-step -------------
 
@@ -260,8 +217,7 @@ let throughput : throughput option ref = ref None
    reads resolving through the journal stack. Block-journal on executes
    from a per-task-run superblock cache with first-reads staged into
    the insertion-order log; off is the single-step reference executor.
-   The [instructions_per_sec] pair is the headline number the SJRNLG
-   guard and BENCH_mssp.json report. *)
+   The SJRNLG guard times the pair. *)
 
 let slave_body_instrs = straightline_instrs
 
@@ -273,69 +229,18 @@ let slave_arch =
 let slave_entry = straightline_program.Mssp_isa.Program.entry
 let slave_view = Task.Fallback (fun c -> Full.get slave_arch c)
 
-(* one timed run; returns wall seconds, checks the run was the run *)
+(* one run, checked to be the run *)
 let run_slave_body ~block_journal () =
   let t =
     Task.make ~id:0 ~start_pc:slave_entry ~end_pc:None ~end_occurrence:1
       ~budget:(slave_body_instrs + 8)
       ~live_in:(Fragment.of_list [])
   in
-  let t0 = Unix.gettimeofday () in
-  let status = Task.run ~block_journal t slave_view in
-  let dt = Unix.gettimeofday () -. t0 in
-  (match status with
+  (match Task.run ~block_journal t slave_view with
   | Task.Complete Task.Program_halted -> ()
   | _ -> failwith "slave-body micro did not halt");
   if t.Task.executed <> slave_body_instrs then
-    failwith "slave-body micro retired the wrong instruction count";
-  dt
-
-type slave_throughput = { sips_blk : float; sips_step : float }
-
-(* filled by [run]; the --json writer turns it into micro rows *)
-let slave_throughput : slave_throughput option ref = ref None
-
-let measure_slave_throughput () =
-  let best_on = ref infinity and best_off = ref infinity in
-  ignore (run_slave_body ~block_journal:true () : float);
-  ignore (run_slave_body ~block_journal:false () : float);
-  for _ = 1 to 9 do
-    Gc.major ();
-    let t = run_slave_body ~block_journal:true () in
-    if t < !best_on then best_on := t;
-    let t = run_slave_body ~block_journal:false () in
-    if t < !best_off then best_off := t
-  done;
-  let ips t = float_of_int slave_body_instrs /. t in
-  let r = { sips_blk = ips !best_on; sips_step = ips !best_off } in
-  slave_throughput := Some r;
-  Printf.printf
-    "\n\
-    \  slave-body micro (%d instrs): %.1f M instrs/s block journal, %.1f M \
-     single-step  (%.2fx)\n"
-    slave_body_instrs (r.sips_blk /. 1e6) (r.sips_step /. 1e6)
-    (r.sips_blk /. r.sips_step)
-
-let measure_throughput () =
-  let best_on = ref infinity and best_off = ref infinity in
-  ignore (run_straightline ~superblock:true () : float);
-  ignore (run_straightline ~superblock:false () : float);
-  for _ = 1 to 9 do
-    Gc.major ();
-    let t = run_straightline ~superblock:true () in
-    if t < !best_on then best_on := t;
-    let t = run_straightline ~superblock:false () in
-    if t < !best_off then best_off := t
-  done;
-  let ips t = float_of_int straightline_instrs /. t in
-  let r = { ips_sblk = ips !best_on; ips_step = ips !best_off } in
-  throughput := Some r;
-  Printf.printf
-    "\n\
-    \  straight-line micro (%d instrs): %.1f M instrs/s superblock, %.1f M \
-     single-step  (%.2fx)\n"
-    straightline_instrs (r.ips_sblk /. 1e6) (r.ips_step /. 1e6)
-    (r.ips_sblk /. r.ips_step)
+    failwith "slave-body micro retired the wrong instruction count"
 
 let tests =
   Test.make_grouped ~name:"mssp hot paths"
@@ -346,11 +251,10 @@ let tests =
       test_exec_step; test_task_run; test_recovery_replay;
       test_pool_dispatch; test_task_run_pooled;
       test_superimpose; test_consistent; test_cache_access;
-      test_run_trace_off; test_run_trace_ring;
     ]
 
-(* runs the suite, renders the usual notty table, prints the speedup
-   ratios, and returns [(name, ns_per_run)] for the JSON report *)
+(* runs the suite, renders the usual notty table, prints the pool
+   dispatch ratio, and returns [(name, ns_per_run)] for the JSON report *)
 let run () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
@@ -404,12 +308,4 @@ let run () =
       "\n  pool dispatch: %.1f ns fixed cost, %.2fx one 48-instr task body\n" d
       (d /. t)
   | _ -> ());
-  (match (ns "mssp run (trace off)", ns "mssp run (ring trace)") with
-  | Some off, Some ring when off > 0. ->
-    Printf.printf "\n  tracing: full run %.1f us off, %.1f us ring  (%+.1f%%)\n"
-      (off /. 1e3) (ring /. 1e3)
-      ((ring -. off) /. off *. 100.)
-  | _ -> ());
-  measure_throughput ();
-  measure_slave_throughput ();
   estimates

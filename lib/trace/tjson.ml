@@ -30,11 +30,21 @@ let rec emit buf = function
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int n -> Buffer.add_string buf (string_of_int n)
   | Float f ->
-    (* keep it valid JSON: no "nan"/"inf" tokens, no trailing dot *)
+    (* keep it valid JSON (no "nan"/"inf" tokens) and keep it a float:
+       the fewest digits that read back as [f], and a ".0" on an
+       integral value so it does not parse back as Int *)
     if Float.is_integer f && Float.abs f < 1e15 then
       Buffer.add_string buf (Printf.sprintf "%.1f" f)
-    else if Float.is_finite f then
-      Buffer.add_string buf (Printf.sprintf "%.17g" f)
+    else if Float.is_finite f then begin
+      let rec shortest p =
+        let s = Printf.sprintf "%.*g" p f in
+        if p >= 17 || float_of_string s = f then s else shortest (p + 1)
+      in
+      let s = shortest 1 in
+      Buffer.add_string buf s;
+      if not (String.exists (fun c -> c = '.' || c = 'e') s) then
+        Buffer.add_string buf ".0"
+    end
     else Buffer.add_string buf "null"
   | Str s -> escape_into buf s
   | List l ->
@@ -59,6 +69,34 @@ let rec emit buf = function
 let to_string v =
   let buf = Buffer.create 256 in
   emit buf v;
+  Buffer.contents buf
+
+let pretty v =
+  let buf = Buffer.create 4096 in
+  let rec go indent v =
+    let items open_ close_ l item =
+      Buffer.add_string buf open_;
+      List.iteri
+        (fun i x ->
+          Buffer.add_string buf (if i > 0 then ",\n" else "\n");
+          Buffer.add_string buf (String.make (indent + 2) ' ');
+          item x)
+        l;
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (String.make indent ' ');
+      Buffer.add_string buf close_
+    in
+    match v with
+    | List (_ :: _ as l) -> items "[" "]" l (go (indent + 2))
+    | Obj (_ :: _ as kvs) ->
+      items "{" "}" kvs (fun (k, x) ->
+          escape_into buf k;
+          Buffer.add_string buf ": ";
+          go (indent + 2) x)
+    | v -> emit buf v
+  in
+  go 0 v;
+  Buffer.add_char buf '\n';
   Buffer.contents buf
 
 (* --- parsing --------------------------------------------------------- *)

@@ -5,8 +5,9 @@
     [trace_event] export — and the repo carries no JSON dependency, so
     this module implements the sliver of the format we use: objects,
     arrays, strings (with escapes), integers, floats, booleans, null.
-    The printer emits everything on one line, which is exactly what JSONL
-    wants and what Chrome tolerates. *)
+    {!to_string} emits everything on one line, which is exactly what
+    JSONL wants and what Chrome tolerates; {!pretty} indents, for the
+    bench report. *)
 
 type t =
   | Null
@@ -19,6 +20,10 @@ type t =
 
 val to_string : t -> string
 (** Compact single-line rendering (no spaces, no newlines). *)
+
+val pretty : t -> string
+(** Indented multi-line rendering, two spaces per level, with a trailing
+    newline — for reports meant to be read and diffed. *)
 
 val parse : string -> (t, string) result
 (** Parse one JSON value (surrounding whitespace allowed). Errors carry a

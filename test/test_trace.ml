@@ -452,6 +452,52 @@ let prop_jsonl_roundtrip =
           List.length parsed = List.length events
           && List.for_all2 Trace.event_equal parsed events))
 
+(* the bench report's indented printer reads back as what it printed;
+   the edge floats include a 16-digit integral value, which prints
+   without a point or exponent unless the printer adds one, and a
+   denormal *)
+let tjson_arb =
+  let open QCheck.Gen in
+  let finite =
+    oneof
+      [
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+        map float_of_int small_signed_int;
+        oneofl [ 1e15; -1234567890123456.; 5e-324; 0.1; -0.0 ];
+      ]
+  in
+  let value =
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Tjson.Null;
+                 map (fun b -> Tjson.Bool b) bool;
+                 map (fun i -> Tjson.Int i) int;
+                 map (fun f -> Tjson.Float f) finite;
+                 map (fun s -> Tjson.Str s) string_small;
+               ]
+           in
+           let sub = self (n / 2) and width = int_bound 4 in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Tjson.List l) (list_size width sub));
+                 ( 1,
+                   map
+                     (fun kvs -> Tjson.Obj kvs)
+                     (list_size width (pair string_small sub)) );
+               ])
+  in
+  QCheck.make ~print:Tjson.to_string value
+
+let prop_pretty_roundtrip =
+  QCheck.Test.make ~name:"tjson: pretty output parses back" ~count:300
+    tjson_arb (fun v -> Tjson.parse (Tjson.pretty v) = Ok v)
+
 let () =
   Alcotest.run "trace"
     [
@@ -504,5 +550,6 @@ let () =
           Mssp_testkit.to_alcotest prop_fold_matches_stats;
           Mssp_testkit.to_alcotest prop_disabled_identical;
           Mssp_testkit.to_alcotest prop_jsonl_roundtrip;
+          Mssp_testkit.to_alcotest prop_pretty_roundtrip;
         ] );
     ]
