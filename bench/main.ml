@@ -138,9 +138,6 @@ let () =
             ]));
     close_out oc;
     Printf.printf "\n  [json report written to %s]\n" file);
-  (* drain and join any worker domains --jobs or a guard spawned before
-     the process exits *)
-  Mssp_exec.Pool.shutdown_global ();
   match List.rev !failures @ List.filter_map Guard.failure guards with
   | [] -> ()
   | failed ->

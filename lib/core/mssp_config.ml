@@ -46,7 +46,6 @@ type t = {
   liveness_window : int option;
   adaptive_backoff : bool;
   quarantine_after : int;
-  record_tasks : bool;
   predict : Mssp_predict.Predict.mode;
   predict_seed : int;
   predict_warmup : (int * int list) list;
@@ -81,7 +80,6 @@ let default =
     liveness_window = None;
     adaptive_backoff = false;
     quarantine_after = 0;
-    record_tasks = true;
     predict = Mssp_predict.Predict.Off;
     predict_seed = 0x5bd1e995;
     predict_warmup = [];
@@ -109,8 +107,8 @@ let pp fmt c =
      adaptive backoff: %b, quarantine after: %s@,\
      predict: %s (seed %d, warmup %d cells)@,\
      master chunk: %d, max cycles: %d, max squashes: %d@,\
-     recovery fuel: %d, tracing: %s, pool: %s, superblock: %b, slave block \
-     journal: %b@]"
+     recovery fuel: %d, tracing: %s, superblock: %b, slave block journal: \
+     %b@]"
     c.slaves c.max_in_flight c.task_size c.task_budget c.isolated_slaves
     c.control_only_master c.verify_refinement c.dual_mode c.dual_trigger
     c.dual_burst
@@ -129,8 +127,4 @@ let pp fmt c =
     (List.length c.predict_warmup)
     c.master_chunk c.max_cycles c.max_squashes c.recovery_fuel
     (match c.tracer with None -> "off" | Some _ -> "on")
-    (match c.pool with
-    | None -> "env"
-    | Some 0 -> "off"
-    | Some n -> string_of_int n)
     c.superblock c.slave_block_journal

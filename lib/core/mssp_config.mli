@@ -95,7 +95,6 @@ type t = {
           benched for the rest of the run — except the last healthy
           slave, which is never benched. [0] (the default) disables
           quarantine; it only engages when [faults] is set. *)
-  record_tasks : bool;  (** keep per-task size/live-in lists in stats *)
   predict : Mssp_predict.Predict.mode;
       (** live-in value predictor consulted at checkpoint construction
           ({!Mssp_predict.Predict}): [Off] (the default) compiles every
@@ -107,8 +106,8 @@ type t = {
           (verification absorbs them like any master misprediction). *)
   predict_seed : int;
       (** seed for the tournament selector's deterministic tie-breaking
-          — part of the simulated machine, so runs are bit-identical at
-          every pool size *)
+          — part of the simulated machine, so runs are bit-identical on
+          every host *)
   predict_warmup : (int * int list) list;
       (** per-address observation streams replayed into the predictor
           before the run (see [Predict.warmup_of_profile]); ignored when
@@ -132,22 +131,17 @@ type t = {
           closure runs on the event-loop domain; keep it cheap (an
           [Atomic.get], a clock read). *)
   pool : int option;
-      (** worker domains for slave task {e functional} execution
-          ({!Mssp_exec.Pool}): [Some 0] pins the serial in-event-loop
-          path, [Some n] dispatches task bodies to [n] workers, [None]
-          (the default) defers to the [MSSP_POOL] environment variable
-          (absent ⇒ serial). Pool size {e never} changes simulated
-          cycles, stats, squash attribution or traces — runs are
-          bit-identical at every size (enforced by tests and the CI
-          pool leg). *)
+      (** has no effect: task bodies always run on the event-loop
+          domain. Kept only because the repo benchmark pins
+          [pool = Some 0]; it goes once that pin does. *)
   superblock : bool;
       (** pre-decoded superblock fast paths ([true] by default; [false]
           is the single-step reference rung): recovery segments run
           through the block engine and the master and slaves decode
-          fetched words via pre-decoded program images. Like [pool],
-          this {e never} changes simulated cycles, stats, squash
-          attribution or traces — runs are bit-identical either way
-          (enforced by tests and the SBLKG bench guard). *)
+          fetched words via pre-decoded program images. This {e never}
+          changes simulated cycles, stats, squash attribution or traces
+          — runs are bit-identical either way (enforced by tests and the
+          SBLKG bench guard). *)
   slave_block_journal : bool;
       (** block-aware slave journaling ([true] by default; [false] is the
           single-step slave interpreter): slave task bodies
@@ -155,12 +149,11 @@ type t = {
           first-reads staged into the journal's insertion-order log and
           replayed in serial first-read order at verification. Another
           pure engine choice: cycles, stats, squash attribution and
-          traces are bit-identical either way, at every pool size
-          (enforced by the sjournal differential suite, the golden
-          traces and the SJRNLG bench guard). Independent of
-          [superblock] — that one additionally accelerates decode via
-          program images, which the slave block builder reuses through
-          the task's decoder. *)
+          traces are bit-identical either way (enforced by the sjournal
+          differential suite, the golden traces and the SJRNLG bench
+          guard). Independent of [superblock] — that one additionally
+          accelerates decode via program images, which the slave block
+          builder reuses through the task's decoder. *)
   master_chunk : int;
       (** run-away guard: a master producing no fork for this many
           instructions is stopped (execution continues correctly via

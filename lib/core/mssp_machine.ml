@@ -12,7 +12,6 @@ module Distill = Mssp_distill.Distill
 module Sim = Mssp_sim_engine.Sim
 module Hierarchy = Mssp_cache.Cache.Hierarchy
 module Trace = Mssp_trace.Trace
-module Pool = Mssp_exec.Pool
 module Fplan = Mssp_faults.Plan
 module Inject = Mssp_faults.Injector
 module Predict = Mssp_predict.Predict
@@ -241,10 +240,9 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
   let next_cp_id = ref 0 in
   (* The live-in value predictor. Consulted at checkpoint construction
      ([spawn], before fault injection) and trained at verification time
-     from the actual architected values of the head task's first-reads —
-     both on the event-loop domain, so its state evolves identically at
-     every pool size. [Off] (the default) means no predictor object at
-     all: zero cost, bit-identical everything. *)
+     from the actual architected values of the head task's first-reads.
+     [Off] (the default) means no predictor object at all: zero cost,
+     bit-identical everything. *)
   let predictor =
     match cfg.predict with
     | Predict.Off -> None
@@ -271,9 +269,9 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
   (* Superblock fast paths ([cfg.superblock]): recovery segments run
      through a persistent block engine over [arch], and the master and
      slaves decode fetched words through pre-decoded images of both
-     programs. Like the domain pool, these are pure engine choices —
-     cycles, stats, squash attribution and traces are bit-identical
-     either way (differential tests + the SBLKG bench guard). *)
+     programs. These are pure engine choices — cycles, stats, squash
+     attribution and traces are bit-identical either way (differential
+     tests + the SBLKG bench guard). *)
   let image_decode =
     if cfg.superblock then
       Some
@@ -295,13 +293,9 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
      bodies execute from per-SLAVE superblock caches with first-reads
      staged in serial first-read order. The caches persist across a
      slave's task runs — tasks are far too short to amortize block
-     building per run — and per-slave ownership is what keeps the
-     pooled path race-free: a batch assigns distinct slaves, so no
-     engine is ever touched by two worker domains at once, and all
-     invalidation below runs on the event-loop domain between batches.
-     Like [pool] and [superblock], the switch is a pure engine choice:
-     bit-identical cycles, stats and traces either way (the sjournal
-     differential suite and the SJRNLG bench guard). *)
+     building per run. Like [superblock], the switch is a pure engine
+     choice: bit-identical cycles, stats and traces either way (the
+     sjournal differential suite and the SJRNLG bench guard). *)
   let slave_specs =
     if cfg.slave_block_journal then
       Some
@@ -416,99 +410,26 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
   let burst_streak = ref 0 in
   (* per-slave quarantine: consecutive head squashes of a slave's tasks *)
   let quarantine_on = cfg.quarantine_after > 0 && inj <> None in
-  (* Host-parallel slave execution. A task body is a pure function of
-     its checkpoint + the (frozen-during-dispatch) architected state:
-     PR 1's COW image and flat journals made it side-effect-free, so it
-     may run on a worker domain. Everything that orders the simulation —
-     cache traffic, trace emission, event scheduling — stays on the
-     event-loop domain, which is what keeps pooled runs bit-identical
-     to serial ones (see HACKING.md "Determinism under domains"). *)
-  let exec_pool =
-    match Pool.effective cfg.pool with
-    | 0 -> None
-    | n -> Some (Pool.global ~size:n ())
-  in
-  let task_view () =
+  let task_view =
     if cfg.isolated_slaves then Task.Isolated
     else Task.Fallback (fun c -> Full.get arch c)
   in
-  let block_journal = cfg.slave_block_journal in
-  let spec_for s =
-    match slave_specs with None -> None | Some specs -> Some specs.(s)
-  in
-  (* Execute one batch of startable tasks (all from a single
-     [try_start_tasks] event); returns each task's cache cost, in batch
-     order. Serial: run each body inline, charging its slave cache as it
-     goes. Pooled: run the bodies on workers with their Mem accesses
-     recorded instead of applied, await them all within this event, then
-     replay the recorded addresses through the slave caches here, in
-     batch order. The serial path issues all of task A's accesses before
-     any of task B's (bodies run back to back inside one event), which
-     is exactly the replay order — so the shared-L2 hierarchy evolves
-     identically and every per-task cost is bit-equal. *)
-  let run_task_batch batch =
-    match exec_pool with
-    | None ->
-      List.map
-        (fun (_, s, task) ->
-          let cache = slave_caches.(s) in
-          let cost = ref 0 in
-          let on_access c =
-            match c with
-            | Cell.Mem a -> cost := !cost + Hierarchy.access cache a
-            | Cell.Pc | Cell.Reg _ -> ()
-          in
-          ignore
-            (Task.run ~on_access ~block_journal ?engine:(spec_for s) task
-               (task_view ())
-              : Task.status);
-          !cost)
-        batch
-    | Some pool ->
-      let futures =
-        List.map
-          (fun (_, s, task) ->
-            let accesses = ref (Array.make 64 0) in
-            let n = ref 0 in
-            let on_access c =
-              match c with
-              | Cell.Mem a ->
-                let buf = !accesses in
-                let len = Array.length buf in
-                if !n = len then begin
-                  let bigger = Array.make (2 * len) 0 in
-                  Array.blit buf 0 bigger 0 len;
-                  accesses := bigger;
-                  bigger.(!n) <- a
-                end
-                else buf.(!n) <- a;
-                incr n
-              | Cell.Pc | Cell.Reg _ -> ()
-            in
-            let fut =
-              (* distinct [s] per batch: the slave's engine is touched
-                 by exactly one worker at a time, and the pool's
-                 submit/await edges publish inter-batch invalidations *)
-              Pool.submit pool (fun () ->
-                  ignore
-                    (Task.run ~on_access ~block_journal
-                       ?engine:(spec_for s) task (task_view ())
-                      : Task.status))
-            in
-            (accesses, n, fut))
-          batch
-      in
-      List.map2
-        (fun (_, s, _) (accesses, n, fut) ->
-          Pool.await fut;
-          let cache = slave_caches.(s) in
-          let cost = ref 0 in
-          let buf = !accesses in
-          for i = 0 to !n - 1 do
-            cost := !cost + Hierarchy.access cache buf.(i)
-          done;
-          !cost)
-        batch futures
+  (* Run one task body on slave [s], charging its Mem accesses to that
+     slave's cache as it goes; returns the cache cost. *)
+  let run_task_body s task =
+    let cache = slave_caches.(s) in
+    let cost = ref 0 in
+    let on_access c =
+      match c with
+      | Cell.Mem a -> cost := !cost + Hierarchy.access cache a
+      | Cell.Pc | Cell.Reg _ -> ()
+    in
+    let engine = Option.map (fun specs -> specs.(s)) slave_specs in
+    ignore
+      (Task.run ~on_access ~block_journal:cfg.slave_block_journal ?engine task
+         task_view
+        : Task.status);
+    !cost
   in
   let running = ref true in
   let commit_busy = ref false in
@@ -775,115 +696,99 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
     commit_kick ()
   (* --- slaves ------------------------------------------------------ *)
   and try_start_tasks () =
-    (* Phase 1: slave assignment and task construction, in window order
-       — the same scan (and therefore the same slave numbering) as the
-       serial engine's single pass. *)
-    let rev_batch = ref [] in
+    (* One pass over the window: each startable checkpoint gets a free
+       slave, its body runs inline (charging that slave's cache), and
+       its completion and watchdog are scheduled — all in window order,
+       so slave numbering, cache traffic, fault-stream draws and the
+       event heap's FIFO order follow the window. *)
     Queue.iter
       (fun cp ->
         if cp.cp_task = None && cp.cp_end_known then
           match find_free_slave () with
           | None -> ()
-          | Some s ->
-            slave_free.(s) <- false;
-            cp.cp_slave <- s;
-            let task =
-              Task.make ~id:cp.cp_id ~start_pc:cp.cp_entry ~end_pc:cp.cp_end
-                ~end_occurrence:cp.cp_end_occurrence ~budget:cfg.task_budget
-                ~live_in:cp.cp_live_in
-            in
-            let task =
-              match image_decode with
-              | Some dec -> Task.with_decode dec task
-              | None -> task
-            in
-            cp.cp_task <- Some task;
-            rev_batch := (cp, s, task) :: !rev_batch)
-      window;
-    match List.rev !rev_batch with
-    | [] -> ()
-    | batch ->
-      (* Phase 2: functional execution — inline, or fanned out to the
-         domain pool and awaited before this event proceeds. Architected
-         state is not mutated until the await completes, and [Task.run]
-         emits no events, so pooling cannot reorder anything
-         observable. *)
-      let costs = run_task_batch batch in
-      (* Phase 3: trace emission and completion scheduling, in window
-         order — the stream and heap-FIFO order match the serial engine
-         because phase 2 contributes neither. *)
-      List.iter2
-        (fun (cp, s, task) cost ->
-          if tracing then
-            temit
-              (Trace.Slave_start
-                 { cycle = Sim.now sim; task = cp.cp_id; slave = s });
-          let total =
-            t.spawn_latency + cp.cp_extra
-            + (t.slave_base * task.Task.executed)
-            + cost
-          in
-          stats.slave_busy_cycles <- stats.slave_busy_cycles + total;
-          let stalled =
-            match inj with
-            | None -> false
-            | Some i -> (
-              match Inject.fire i Fplan.Slave_stall ~cycle:(Sim.now sim) with
-              | Some a ->
-                fault_event a "slave_stall" (Some cp.cp_id);
-                true
-              | None -> false)
-          in
-          if stalled then
-            (* the completion message never arrives: park a no-op past
-               the horizon so the run hangs (to the cycle limit) unless
-               a watchdog or the liveness layer intervenes *)
-            Sim.schedule sim
-              ~delay:(cfg.max_cycles + 1)
-              (epoch_guarded (fun () -> ()))
-          else
-            Sim.schedule sim ~delay:total
-              (epoch_guarded (fun () ->
-                   cp.cp_finished <- true;
-                   if tracing then
-                     temit
-                       (Trace.Slave_finish
-                          {
-                            cycle = Sim.now sim;
-                            task = cp.cp_id;
-                            slave = s;
-                            executed = task.Task.executed;
-                            ok =
-                              (match task.Task.status with
-                              | Task.Complete _ -> true
-                              | Task.Running | Task.Failed _ -> false);
-                          });
-                   slave_free.(s) <- true;
-                   try_start_tasks ();
-                   commit_kick ()));
-          (* per-task cycle watchdog: a task not finished after
-             [watchdog_cycles] is declared stalled — squash and
-             re-dispatch via recovery. Squash-stale via the epoch guard;
-             honest completions land first and mark [cp_finished]. *)
-          match policy.Fplan.watchdog_cycles with
-          | Some w when inj <> None ->
-            Sim.schedule sim ~delay:w
-              (epoch_guarded (fun () ->
-                   if not cp.cp_finished then begin
-                     stats.watchdog_squashes <- stats.watchdog_squashes + 1;
-                     if tracing then
-                       temit
-                         (Trace.Watchdog
-                            {
-                              cycle = Sim.now sim;
-                              task = cp.cp_id;
-                              slave = s;
-                              waited = w;
-                            });
-                     start_squash ~task:cp.cp_id ~slave:s Stalled
-                   end))
-          | Some _ | None -> ())
-        batch costs
+          | Some s -> start_task cp s)
+      window
+  and start_task cp s =
+    slave_free.(s) <- false;
+    cp.cp_slave <- s;
+    let task =
+      Task.make ~id:cp.cp_id ~start_pc:cp.cp_entry ~end_pc:cp.cp_end
+        ~end_occurrence:cp.cp_end_occurrence ~budget:cfg.task_budget
+        ~live_in:cp.cp_live_in
+    in
+    let task =
+      match image_decode with
+      | Some dec -> Task.with_decode dec task
+      | None -> task
+    in
+    cp.cp_task <- Some task;
+    let cost = run_task_body s task in
+    if tracing then
+      temit
+        (Trace.Slave_start { cycle = Sim.now sim; task = cp.cp_id; slave = s });
+    let total =
+      t.spawn_latency + cp.cp_extra + (t.slave_base * task.Task.executed) + cost
+    in
+    stats.slave_busy_cycles <- stats.slave_busy_cycles + total;
+    let stalled =
+      match inj with
+      | None -> false
+      | Some i -> (
+        match Inject.fire i Fplan.Slave_stall ~cycle:(Sim.now sim) with
+        | Some a ->
+          fault_event a "slave_stall" (Some cp.cp_id);
+          true
+        | None -> false)
+    in
+    if stalled then
+      (* the completion message never arrives: park a no-op past
+         the horizon so the run hangs (to the cycle limit) unless
+         a watchdog or the liveness layer intervenes *)
+      Sim.schedule sim
+        ~delay:(cfg.max_cycles + 1)
+        (epoch_guarded (fun () -> ()))
+    else
+      Sim.schedule sim ~delay:total
+        (epoch_guarded (fun () ->
+             cp.cp_finished <- true;
+             if tracing then
+               temit
+                 (Trace.Slave_finish
+                    {
+                      cycle = Sim.now sim;
+                      task = cp.cp_id;
+                      slave = s;
+                      executed = task.Task.executed;
+                      ok =
+                        (match task.Task.status with
+                        | Task.Complete _ -> true
+                        | Task.Running | Task.Failed _ -> false);
+                    });
+             slave_free.(s) <- true;
+             try_start_tasks ();
+             commit_kick ()));
+    (* per-task cycle watchdog: a task not finished after
+       [watchdog_cycles] is declared stalled — squash and
+       re-dispatch via recovery. Squash-stale via the epoch guard;
+       honest completions land first and mark [cp_finished]. *)
+    match policy.Fplan.watchdog_cycles with
+    | Some w when inj <> None ->
+      Sim.schedule sim ~delay:w
+        (epoch_guarded (fun () ->
+             if not cp.cp_finished then begin
+               stats.watchdog_squashes <- stats.watchdog_squashes + 1;
+               if tracing then
+                 temit
+                   (Trace.Watchdog
+                      {
+                        cycle = Sim.now sim;
+                        task = cp.cp_id;
+                        slave = s;
+                        waited = w;
+                      });
+               start_squash ~task:cp.cp_id ~slave:s Stalled
+             end))
+    | Some _ | None -> ()
   (* --- verify/commit unit ------------------------------------------ *)
   and commit_kick () =
     (* The commit unit re-examines the window head; serialization of the
@@ -991,10 +896,8 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
           stats.instructions_committed <-
             stats.instructions_committed + task.Task.executed;
           stats.live_outs_committed <- stats.live_outs_committed + n_outs;
-          if cfg.record_tasks then begin
-            stats.task_sizes <- task.Task.executed :: stats.task_sizes;
-            stats.live_in_counts <- n_live_ins :: stats.live_in_counts
-          end;
+          stats.task_sizes <- task.Task.executed :: stats.task_sizes;
+          stats.live_in_counts <- n_live_ins :: stats.live_in_counts;
           advance_shadow task.Task.executed;
           let ceil_div a b = (a + b - 1) / max 1 b in
           let cost =

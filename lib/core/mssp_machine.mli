@@ -68,7 +68,7 @@ type stats = {
           verification, over examined head tasks (predictor enabled) *)
   mutable predict_misses : int;
   mutable slave_busy_cycles : int;
-  mutable task_sizes : int list;  (** committed task lengths (if recorded) *)
+  mutable task_sizes : int list;  (** committed task lengths *)
   mutable live_in_counts : int list;  (** recorded live-ins per committed task *)
 }
 

@@ -257,11 +257,11 @@ let decode w =
    once a cap is reached, so large fuzz programs never degrade to cold
    decode — every recently fetched word stays memoized. Slots start as
    the valid entry (0, decode 0), so an uninitialized tag can never
-   produce a wrong hit. The table is domain-local: task bodies decode
-   on pool workers concurrently with the event loop, and shared arrays
-   would race on publication — per-domain tables memoize the same pure
-   function, so results cannot differ across domains. (Hot engines
-   bypass this path entirely via [Program.decode_all] images.) *)
+   produce a wrong hit. The table is domain-local: whole runs execute
+   on several domains at once ([Mssp_exec.Pool.map_runs]), and shared
+   arrays would race on publication — per-domain tables memoize the
+   same pure function, so results cannot differ across domains. (Hot
+   engines bypass this path entirely via [Program.decode_all] images.) *)
 let decode_slot_bits = 14
 let decode_slots = 1 lsl decode_slot_bits
 let decode_slot_mask = decode_slots - 1

@@ -4,8 +4,7 @@
    warm-up from the profiler's per-cell observation streams. A
    deterministic tournament selects among them per cell by saturating
    confidence counters, with a seeded hash breaking exact ties so runs
-   are bit-identical at every pool size (all training and consultation
-   happens on the event-loop domain; see HACKING.md "Live-in prediction
+   are bit-identical on every host (see HACKING.md "Live-in prediction
    and the adaptation loop").
 
    Correctness never depends on a prediction: a wrong refinement is a
@@ -169,7 +168,7 @@ let master_confidence t cell =
 
 (* Seeded deterministic tie-break: a small integer hash of (seed, cell,
    component). No Random state anywhere — the same seed gives the same
-   winner on every host and at every pool size. *)
+   winner on every host. *)
 let tie_rank t cell i =
   let h = (t.seed lxor (Cell.hash cell * 0x9e3779b1)) + (i * 0x85ebca6b) in
   let h = h lxor (h lsr 13) in

@@ -5,7 +5,7 @@
     observes, optionally warmed from the profiler's per-cell observation
     streams. A deterministic tournament selects per cell by saturating
     confidence counters with seeded tie-breaking, so a run's predictions
-    are bit-identical at every pool size and on every host.
+    are bit-identical on every host.
 
     Predictions are consulted at checkpoint construction ({!refine}):
     a confident prediction overrides the master's live-in value for that
@@ -41,8 +41,7 @@ val mode : t -> mode
 val observe : t -> Mssp_state.Cell.t -> int -> unit
 (** [observe t cell actual] scores every component's standing prediction
     against [actual] (hit +1 / miss -2, saturating), then trains all of
-    them on it. Call only from the event-loop domain, in a deterministic
-    order. *)
+    them on it. Call in a deterministic order. *)
 
 val observe_master : t -> Mssp_state.Cell.t -> supplied:int -> actual:int -> unit
 (** Score the MASTER's checkpoint value for a cell against the verified

@@ -108,9 +108,7 @@ val decoder : t -> pc:int -> word:int -> Mssp_isa.Instr.t option
     page-granular store invalidation and the leave-after-a-store SMC
     rule. [Spec] is that core, parameterized over the owner's fetch
     resolution. Owners are strictly private (one cache per task run —
-    block validity depends on the task's own write buffer), which is
-    also what keeps pooled execution race-free: no cross-domain block
-    sharing, ever. *)
+    block validity depends on the task's own write buffer). *)
 module Spec : sig
   type sblock = {
     s_start : int;

@@ -633,21 +633,14 @@ let test_diff_compact () =
     (Lazy.force corpus)
 
 (* --- machine equivalence: each pass alone (and none) must land the
-   MSSP machine on the SEQ state, serial and on the domain pool --- *)
+   MSSP machine on the SEQ state --- *)
 
-let subset_point ~pool names =
+let subset_point names =
   {
     Oracle.name =
-      Printf.sprintf "passes/%s@pool%d"
-        (if names = [] then "none" else String.concat "+" names)
-        pool;
+      "passes/" ^ if names = [] then "none" else String.concat "+" names;
     Oracle.distiller = Oracle.Subset names;
-    Oracle.config =
-      {
-        Config.default with
-        Config.verify_refinement = true;
-        pool = (if pool = 0 then None else Some pool);
-      };
+    Oracle.config = { Config.default with Config.verify_refinement = true };
   }
 
 let test_single_pass_machine_equivalence () =
@@ -657,16 +650,10 @@ let test_single_pass_machine_equivalence () =
     (fun (bname, p, _) ->
       List.iter
         (fun names ->
-          List.iter
-            (fun pool ->
-              match
-                Oracle.check ~grid:[ subset_point ~pool names ] ~formal:false p
-              with
-              | Oracle.Passed _ -> ()
-              | Oracle.Skipped r -> Alcotest.failf "%s: skipped: %s" bname r
-              | Oracle.Failed fs ->
-                Alcotest.failf "%s: %s" bname (pp_failures fs))
-            [ 0; 4 ])
+          match Oracle.check ~grid:[ subset_point names ] ~formal:false p with
+          | Oracle.Passed _ -> ()
+          | Oracle.Skipped r -> Alcotest.failf "%s: skipped: %s" bname r
+          | Oracle.Failed fs -> Alcotest.failf "%s: %s" bname (pp_failures fs))
         subsets)
     benches
 
@@ -681,9 +668,7 @@ let prop_pass_subsets =
       let p = Mssp_fuzz.Gen.generate ~seed ~size () in
       let names = Oracle.random_subset ~seed:((seed * 31) + size) in
       match
-        Oracle.check
-          ~grid:[ subset_point ~pool:0 names ]
-          ~formal:false ~fuel:500_000 p
+        Oracle.check ~grid:[ subset_point names ] ~formal:false ~fuel:500_000 p
       with
       | Oracle.Passed _ -> true
       | Oracle.Skipped _ -> true (* reference ran out of fuel: out of scope *)
@@ -817,7 +802,7 @@ let () =
           Alcotest.test_case "boundaries differential" `Quick
             test_diff_boundaries;
           Alcotest.test_case "compact differential" `Quick test_diff_compact;
-          Alcotest.test_case "machine equivalence per pass (pool 0/4)" `Quick
+          Alcotest.test_case "machine equivalence per pass" `Quick
             test_single_pass_machine_equivalence;
         ] );
       ("pipeline", [ Mssp_testkit.to_alcotest prop_pass_subsets ]);

@@ -1,14 +1,14 @@
-(* The domain pool's two contracts, pinned by test:
-   - the library itself: submission order, exception transparency,
-     map_runs order preservation, and helping-await (nested map_runs on
-     one shared pool must not deadlock);
-   - bit-identical determinism: an MSSP run with task bodies fanned
-     across 4 worker domains produces the same cycles, stats record,
-     final architected state, event stream and attribution summary as
-     the serial event-loop path — on a fixed benchmark and on random
-     fuzz-generated programs. The fuzz driver's shard seeding is pinned
-     the same way: a --jobs 2 campaign equals the merge of its two
-     --jobs 1 shard replays. *)
+(* The inter-run driver's two contracts, pinned by test:
+   - the library itself: [map_runs] is [List.map] — order preserved at
+     every job count, the lowest-index exception re-raised, nesting
+     safe, and no helper domain outliving its call;
+   - bit-identical determinism: a simulation run on a helper domain
+     produces the same cycles, stats record, final architected state,
+     event stream and attribution summary as one run on the calling
+     domain — on a fixed benchmark and on random fuzz-generated
+     programs. The fuzz driver's shard seeding is pinned the same way:
+     a --jobs 2 campaign equals the merge of its two --jobs 1 shard
+     replays. *)
 
 module Full = Mssp_state.Full
 module Machine = Mssp_seq.Machine
@@ -25,40 +25,62 @@ module Pool = Mssp_exec.Pool
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* --- the pool library itself ----------------------------------------- *)
-
-let test_submit_await () =
-  let p = Pool.global ~size:2 () in
-  let futs = List.init 100 (fun i -> Pool.submit p (fun () -> i * i)) in
-  List.iteri (fun i f -> check_int "square" (i * i) (Pool.await f)) futs
+(* --- the library itself ---------------------------------------------- *)
 
 let test_exceptions_propagate () =
-  let p = Pool.global ~size:2 () in
-  let f = Pool.submit p (fun () -> failwith "boom") in
-  match Pool.await f with
-  | exception Failure m -> check "exception payload survives" true (m = "boom")
-  | _ -> Alcotest.fail "expected the worker's exception to re-raise"
+  let f i = if i = 3 || i = 7 then failwith (string_of_int i) else i in
+  match Pool.map_runs ~jobs:4 f (List.init 10 Fun.id) with
+  | exception Failure m -> check "lowest-index exception wins" true (m = "3")
+  | _ -> Alcotest.fail "expected an item's exception to re-raise"
 
 let test_map_runs_order () =
-  let xs = List.init 37 Fun.id in
-  check "order preserved" true
-    (Pool.map_runs ~jobs:4 (fun x -> (3 * x) + 1) xs
-    = List.map (fun x -> (3 * x) + 1) xs)
+  let f x = (3 * x) + 1 in
+  List.iter
+    (fun (jobs, n) ->
+      let xs = List.init n Fun.id in
+      check
+        (Printf.sprintf "order preserved (jobs %d, %d items)" jobs n)
+        true
+        (Pool.map_runs ~jobs f xs = List.map f xs))
+    [ (4, 37); (5, 5); (8, 3) ]
 
-(* helping-await: a worker blocked awaiting an inner map_runs steals
-   queued jobs instead of sleeping, so nesting on the one global pool
-   cannot deadlock even when every worker is itself inside an await *)
+(* [jobs <= 1] is [List.map]: same results, and [f] applied on the
+   calling domain in item order *)
+let test_serial_is_list_map () =
+  List.iter
+    (fun jobs ->
+      let seen = ref [] in
+      let f x =
+        seen := x :: !seen;
+        (x * x, Domain.self ())
+      in
+      let xs = List.init 9 Fun.id in
+      let got = Pool.map_runs ~jobs f xs in
+      check "results" true
+        (List.map fst got = List.map (fun x -> x * x) xs);
+      check "on the calling domain" true
+        (List.for_all (fun (_, d) -> d = Domain.self ()) got);
+      check "in item order" true (List.rev !seen = xs))
+    [ 1; 0; -3 ]
+
+(* every helper is joined before [map_runs] returns: 300 calls of up to
+   9 domains each would pass OCaml's 128-domain cap if helpers leaked *)
+let test_no_leaked_domains () =
+  for i = 1 to 300 do
+    let xs = List.init 8 (fun k -> k + i) in
+    if Pool.map_runs ~jobs:8 succ xs <> List.map succ xs then
+      Alcotest.failf "call %d: wrong results" i
+  done
+
+(* nested calls: helpers of the outer call start inner calls of their
+   own; every one is joined before its caller returns *)
 let test_nested_map_runs () =
   let inner x = Pool.map_runs ~jobs:2 (fun y -> x + y) [ 1; 2; 3 ] in
   check "nested map_runs" true
     (Pool.map_runs ~jobs:2 inner [ 10; 20; 30; 40 ]
     = List.map inner [ 10; 20; 30; 40 ])
 
-let test_effective () =
-  check_int "Some 0 pins the serial path" 0 (Pool.effective (Some 0));
-  check_int "Some n means n workers" 3 (Pool.effective (Some 3))
-
-(* --- machine determinism: pooled == serial, bit for bit -------------- *)
+(* --- machine determinism: helper domain == calling domain ------------ *)
 
 let distill_bench name ~size ~train =
   let b = W.find name in
@@ -66,14 +88,16 @@ let distill_bench name ~size ~train =
   let profile = Profile.collect (b.W.program ~size:train) in
   Distill.distill program profile
 
-let run_recorded ~pool config d =
+let run_recorded config d =
   let tracer, events = Trace.recording () in
-  let r =
-    M.run
-      ~config:{ config with Config.tracer = Some tracer; pool = Some pool }
-      d
-  in
+  let r = M.run ~config:{ config with Config.tracer = Some tracer } d in
   (events (), r)
+
+(* the same run on the calling domain, then 4 copies on helper domains *)
+let serial_and_pooled config d =
+  ( run_recorded config d,
+    Pool.map_runs ~jobs:4 (fun () -> run_recorded config d) [ (); (); (); () ]
+  )
 
 let base4 = Config.with_slaves 4 Config.default
 
@@ -93,8 +117,10 @@ let same_run name (ev0, r0) (ev4, r4) =
 
 let test_vecsum_identical () =
   let d = distill_bench "vecsum" ~size:160 ~train:40 in
-  let cfg = { base4 with Config.task_size = 20 } in
-  same_run "vecsum" (run_recorded ~pool:0 cfg d) (run_recorded ~pool:4 cfg d)
+  let serial, pooled =
+    serial_and_pooled { base4 with Config.task_size = 20 } d
+  in
+  List.iter (same_run "vecsum" serial) pooled
 
 let program_arb ~min_size ~max_size =
   let gen st =
@@ -115,13 +141,15 @@ let prop_pool_identical =
       | Some Machine.Halted ->
         let profile = Profile.collect ~fuel:2_000_000 p in
         let d = Distill.distill p profile in
-        let ev0, r0 = run_recorded ~pool:0 qc_config d in
-        let ev4, r4 = run_recorded ~pool:4 qc_config d in
-        r0.M.stats = r4.M.stats
-        && r0.M.stop = r4.M.stop
-        && Full.equal_observable r0.M.arch r4.M.arch
-        && List.length ev0 = List.length ev4
-        && List.for_all2 Trace.event_equal ev0 ev4
+        let (ev0, r0), pooled = serial_and_pooled qc_config d in
+        List.for_all
+          (fun (ev4, r4) ->
+            r0.M.stats = r4.M.stats
+            && r0.M.stop = r4.M.stop
+            && Full.equal_observable r0.M.arch r4.M.arch
+            && List.length ev0 = List.length ev4
+            && List.for_all2 Trace.event_equal ev0 ev4)
+          pooled
       | _ -> true)
 
 (* --- fuzz sharding: a parallel campaign is its shard replays ---------- *)
@@ -141,18 +169,20 @@ let test_fuzz_shards_replayable () =
     (List.length parallel.Driver.findings)
 
 let () =
-  Alcotest.run "pool"
+  Alcotest.run "exec"
     [
       ( "library",
         [
-          Alcotest.test_case "submit/await" `Quick test_submit_await;
           Alcotest.test_case "exceptions propagate" `Quick
             test_exceptions_propagate;
           Alcotest.test_case "map_runs preserves order" `Quick
             test_map_runs_order;
+          Alcotest.test_case "jobs <= 1 is List.map" `Quick
+            test_serial_is_list_map;
+          Alcotest.test_case "300 calls leak no domain" `Quick
+            test_no_leaked_domains;
           Alcotest.test_case "nested map_runs (helping await)" `Quick
             test_nested_map_runs;
-          Alcotest.test_case "effective size" `Quick test_effective;
         ] );
       ( "determinism",
         [

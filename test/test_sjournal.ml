@@ -7,9 +7,9 @@
    predictor training key on that order). Hand-written shapes cover
    blocks, boundaries, budgets, SMC self-patching, I/O latching and
    faults; QCheck covers fuzz programs with the SMC shape boosted; and
-   full-machine legs pin the six kernels, a squash-forcing fault plan,
-   and the pool {0,4} x block-journal {on,off} grid down to the cycle
-   and the event stream. *)
+   full-machine legs pin the six kernels, a squash-forcing fault plan
+   and fuzz programs with the block journal on and off, down to the
+   cycle and the event stream. *)
 
 module Full = Mssp_state.Full
 module Cell = Mssp_state.Cell
@@ -257,7 +257,7 @@ let prop_smc_task =
     (program_arb ~weights:smc_heavy ~min_size:4 ~max_size:16 ())
     (fun p -> same_task ~budget:2_000 p)
 
-(* --- full machine: kernels, fault shapes, and the pool grid ------------ *)
+(* --- full machine: kernels, fault shapes, and fuzz programs ------------ *)
 
 let six_kernels =
   [ "vecsum"; "listwalk"; "branchy"; "qsort"; "hashbuild"; "matmul" ]
@@ -270,7 +270,7 @@ let distill_bench name ~size ~train =
 
 let base4 = Config.with_slaves 4 Config.default
 
-let run_recorded ~block_journal ~pool config d =
+let run_recorded ~block_journal config d =
   let tracer, events = Trace.recording () in
   let r =
     M.run
@@ -278,7 +278,6 @@ let run_recorded ~block_journal ~pool config d =
         {
           config with
           Config.tracer = Some tracer;
-          pool = Some pool;
           slave_block_journal = block_journal;
         }
       d
@@ -305,8 +304,8 @@ let test_kernels_identical () =
       in
       let cfg = { base4 with Config.task_size = 20 } in
       same_machine_run name
-        (run_recorded ~block_journal:true ~pool:0 cfg d)
-        (run_recorded ~block_journal:false ~pool:0 cfg d))
+        (run_recorded ~block_journal:true cfg d)
+        (run_recorded ~block_journal:false cfg d))
     six_kernels
 
 (* squash-forcing fault plan: every squash replays the staged first-read
@@ -320,20 +319,20 @@ let test_fault_shape_identical () =
   let cfg =
     { base4 with Config.task_size = 20; Config.faults = Some stormy }
   in
-  let ev_on, r_on = run_recorded ~block_journal:true ~pool:0 cfg d in
-  let ev_off, r_off = run_recorded ~block_journal:false ~pool:0 cfg d in
+  let ev_on, r_on = run_recorded ~block_journal:true cfg d in
+  let ev_off, r_off = run_recorded ~block_journal:false cfg d in
   check "squashes happened" true (r_on.M.stats.M.squashes > 0);
   same_machine_run "vecsum+faults" (ev_on, r_on) (ev_off, r_off)
 
-(* the pool {0,4} x block-journal {on,off} grid on fuzz programs: all
-   four runs bit-identical — the verification-time first-read stream
-   (what squash attribution, stats and the event stream are derived
-   from) is independent of both the engine choice and the pool size *)
+(* block journal {on,off} on fuzz programs: both runs bit-identical —
+   the verification-time first-read stream (what squash attribution,
+   stats and the event stream are derived from) is independent of the
+   engine choice *)
 let qc_config = { base4 with Config.max_cycles = 100_000_000 }
 
-let prop_pool_grid_identical =
+let prop_block_journal_identical =
   QCheck.Test.make
-    ~name:"fuzz machine: block journal x pool {0,4} all bit-identical"
+    ~name:"fuzz machine: block journal on/off bit-identical"
     ~count:20
     (program_arb ~min_size:5 ~max_size:20 ())
     (fun p ->
@@ -342,16 +341,13 @@ let prop_pool_grid_identical =
       | Some Machine.Halted ->
         let profile = Profile.collect ~fuel:2_000_000 p in
         let d = Distill.distill p profile in
-        let ev_ref, r_ref = run_recorded ~block_journal:false ~pool:0 qc_config d in
-        List.for_all
-          (fun (bj, pool) ->
-            let ev, r = run_recorded ~block_journal:bj ~pool qc_config d in
-            r.M.stats = r_ref.M.stats
-            && r.M.stop = r_ref.M.stop
-            && Full.equal_observable r.M.arch r_ref.M.arch
-            && List.length ev = List.length ev_ref
-            && List.for_all2 Trace.event_equal ev ev_ref)
-          [ (true, 0); (true, 4); (false, 4) ]
+        let ev_ref, r_ref = run_recorded ~block_journal:false qc_config d in
+        let ev, r = run_recorded ~block_journal:true qc_config d in
+        r.M.stats = r_ref.M.stats
+        && r.M.stop = r_ref.M.stop
+        && Full.equal_observable r.M.arch r_ref.M.arch
+        && List.length ev = List.length ev_ref
+        && List.for_all2 Trace.event_equal ev ev_ref
       | _ -> true)
 
 let () =
@@ -385,6 +381,6 @@ let () =
             `Quick test_kernels_identical;
           Alcotest.test_case "fault shape: squash replay identical" `Quick
             test_fault_shape_identical;
-          Mssp_testkit.to_alcotest prop_pool_grid_identical;
+          Mssp_testkit.to_alcotest prop_block_journal_identical;
         ] );
     ]

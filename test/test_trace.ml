@@ -54,16 +54,11 @@ let distill_bench name ~size ~train =
 
 let base2 = Config.with_slaves 2 Config.default
 
-(* [pool = None] defers to MSSP_POOL (absent = serial), so the default
-   suite follows the CI matrix leg; [golden_cases_at (Some 4)] pins the
-   pooled path against the same committed traces — the bit-identity
-   contract of lib/exec, enforced on every runtest. [sjrnl] pins the
-   slave block journal explicitly. [engines:false] turns both block
-   engines off (superblock and slave block journal), so the single-step
-   reference rung replays the same committed streams on every
-   runtest. *)
-let golden_cases_at ?sjrnl ?(engines = true) pool =
-  let base2 = { base2 with Config.pool } in
+(* [sjrnl] pins the slave block journal explicitly. [engines:false]
+   turns both block engines off (superblock and slave block journal),
+   so the single-step reference rung replays the same committed streams
+   on every runtest. *)
+let golden_cases_at ?sjrnl ?(engines = true) () =
   let base2 =
     match sjrnl with
     | None -> base2
@@ -131,9 +126,7 @@ let golden_cases_at ?sjrnl ?(engines = true) pool =
     (* a stride-friendly kernel under the tournament live-in predictor,
        warmed from the training profile: pins the [Predict_outcome]
        event serialization (hit/miss attribution right after each
-       Verify) and the determinism of prediction itself — training and
-       consultation happen on the event-loop domain only, so the stream
-       is bit-identical at every pool size *)
+       Verify) and the determinism of prediction itself *)
     ( "predicted_stride",
       fun () ->
         let b = W.find "fir" in
@@ -150,7 +143,7 @@ let golden_cases_at ?sjrnl ?(engines = true) pool =
           (Distill.distill program profile) );
   ]
 
-let golden_cases = golden_cases_at None
+let golden_cases = golden_cases_at ()
 
 (* --- golden replay / promotion ---------------------------------------
 
@@ -202,6 +195,12 @@ let test_golden (name, run) () =
         (Format.asprintf "%a" Trace.pp_diff d)
         failures_dir
   end
+
+(* all six golden runs at once, fanned across 4 helper domains *)
+let golden_on_pool =
+  lazy
+    (List.combine (List.map fst golden_cases)
+       (Mssp_exec.Pool.map_runs ~jobs:4 (fun (_, run) -> run ()) golden_cases))
 
 (* --- the acceptance criterion: attribution from the stream alone -----
 
@@ -506,14 +505,17 @@ let () =
           (fun (name, _ as case) ->
             Alcotest.test_case name `Quick (test_golden case))
           golden_cases );
-      (* the same committed traces must fall out of the pooled engine:
-         promotion is skipped here (the serial suite owns the files) *)
+      (* the same committed traces must fall out when the six runs
+         execute concurrently on 4 helper domains of the inter-run pool:
+         whole runs share no simulator state. Promotion is skipped here
+         (the serial suite owns the files) *)
       ( "golden (pool 4)",
         List.map
-          (fun (name, _ as case) ->
+          (fun (name, _) ->
             Alcotest.test_case name `Quick (fun () ->
-                if not promote then test_golden case ()))
-          (golden_cases_at (Some 4)) );
+                let run () = List.assoc name (Lazy.force golden_on_pool) in
+                if not promote then test_golden (name, run) ()))
+          golden_cases );
       (* and out of block-journaled slave bodies, pinned on: the staged
          first-read stream must replay into the exact committed event
          streams — including the predicted_stride predictor-outcome
@@ -523,7 +525,7 @@ let () =
           (fun (name, _ as case) ->
             Alcotest.test_case name `Quick (fun () ->
                 if not promote then test_golden case ()))
-          (golden_cases_at ~sjrnl:true None) );
+          (golden_cases_at ~sjrnl:true ()) );
       (* and with both block engines off: the single-step reference
          rung must produce the very same streams *)
       ( "golden (engines off)",
@@ -531,7 +533,7 @@ let () =
           (fun (name, _ as case) ->
             Alcotest.test_case name `Quick (fun () ->
                 if not promote then test_golden case ()))
-          (golden_cases_at ~engines:false None) );
+          (golden_cases_at ~engines:false ()) );
       ( "attribution",
         [
           Alcotest.test_case "fold over JSONL reproduces stats" `Quick
