@@ -22,9 +22,9 @@ bench-csv:
 # the bench guards, one row each in EXPERIMENTS.md's guard table
 GUARDS = TRACEG FAULTG POOLG SBLKG ADPTG SJRNLG
 
-# machine-readable baseline: headline experiment, micros and guards
+# machine-readable baseline: headline experiment and guards
 bench-json:
-	dune exec bench/main.exe -- E1 micro $(GUARDS) --json BENCH_mssp.json
+	dune exec bench/main.exe -- E1 $(GUARDS) --json BENCH_mssp.json
 
 # quick perf regression check: quarter-scale E1 plus the guards
 perf-smoke:

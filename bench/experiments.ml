@@ -981,9 +981,8 @@ let traceg () =
     ("trace off", leg p cfg) ("ring sink", ring)
 
 (* FAULTG: the same contract for the fault injector. The benign plan has
-   one action per absorbable surface, every probability zero, so the
-   injector is consulted on every spawn, dispatch and verify but never
-   fires. *)
+   one action per absorbable value surface, every probability zero, so
+   the injector is consulted on every spawn but never fires. *)
 let faultg () =
   section "FAULTG  Fault-subsystem guard: no plan vs benign armed plan";
   let module Plan = Mssp_faults.Plan in

@@ -1,19 +1,17 @@
 (* The evaluation harness entry point.
 
    With no arguments: regenerate every experiment (E1..E17, one per
-   paper table/figure — see DESIGN.md's experiment index) and finish
-   with the Bechamel micro-benchmarks of the simulator's hot paths.
+   paper table/figure — see DESIGN.md's experiment index).
 
    With arguments: run only the named experiments, e.g.
      dune exec bench/main.exe -- E3 E5
-     dune exec bench/main.exe -- micro
      dune exec bench/main.exe -- --csv results/   # also write CSVs
-     dune exec bench/main.exe -- E1 micro --json BENCH_mssp.json
+     dune exec bench/main.exe -- E1 TRACEG --json BENCH_mssp.json
 
    --json FILE writes a machine-readable report: the host (cores, OCaml
    version), per-experiment wall-clock, every verified machine run
-   (benchmark, slaves, cycles, speedup), the micro-benchmark ns/run
-   estimates and one row per guard (bench/guard.ml).
+   (benchmark, slaves, cycles, speedup) and one row per guard
+   (bench/guard.ml).
 
    The exit code is 1 when any experiment check failed or any enforced
    guard bound broke; the report is written first either way.
@@ -75,13 +73,6 @@ let () =
   List.iter
     (fun (name, f) -> if List.mem name args then run_experiment (name, f))
     Experiments.extras;
-  let micro_results =
-    if want "micro" then begin
-      Harness.section "Micro-benchmarks (Bechamel): simulator hot paths";
-      Micro.run ()
-    end
-    else []
-  in
   let guards = List.rev !Guard.rows in
   (match !json_file with
   | None -> ()
@@ -113,12 +104,6 @@ let () =
             ])
         !wall_clocks
     in
-    let micro =
-      List.map
-        (fun (name, ns) ->
-          Obj [ ("name", Str name); ("ns_per_run", Harness.json_float ns) ])
-        micro_results
-    in
     let host =
       Obj
         [
@@ -133,7 +118,6 @@ let () =
             [
               ("host", host);
               ("experiments", List experiments);
-              ("micro", List micro);
               ("guards", List (List.map Guard.to_json guards));
             ]));
     close_out oc;

@@ -289,7 +289,6 @@ let run_cmd =
       | M.Cycle_limit -> "cycle limit"
       | M.Squash_limit -> "squash limit"
       | M.Recovery_fuel -> "recovery fuel exhausted"
-      | M.Livelock snap -> Format.asprintf "%a" M.pp_livelock snap
       | M.Interrupted why -> Printf.sprintf "interrupted (%s)" why
       | M.Wedged -> "WEDGED (bug)");
     Printf.printf "mean task size:   %.1f\n" (M.mean_task_size r);
@@ -696,22 +695,12 @@ let audit_cmd =
          ~doc:"Fault-plan PRNG seed (the whole matrix is deterministic in \
                it).")
   in
-  let watchdog_arg =
-    Arg.(value & opt int 100_000 & info [ "watchdog" ] ~docv:"CYCLES"
-         ~doc:"Per-task watchdog for the stall rows (a bare stall is not \
-               absorbable).")
-  in
   let intensities = [ 0.1; 0.5; 1.0 ] in
-  let run name size slaves task_size seed watchdog =
+  let run name size slaves task_size seed =
     let _, program, d = prepare name size false in
     let baseline = B.sequential ~also_load:[ d.Distill.distilled ] program in
-    let base_cfg =
-      { (config slaves task_size false true) with
-        Config.liveness_window = Some 5_000_000 }
-    in
+    let base_cfg = config slaves task_size false true in
     let clean = M.run ~config:base_cfg d in
-    let policy = { Plan.default_policy with Plan.watchdog_cycles = Some watchdog } in
-    let plan_of actions = Plan.make ~policy actions in
     let divergences = ref 0 in
     let cells = ref 0 in
     let cell plan =
@@ -736,7 +725,7 @@ let audit_cmd =
     let surface_row s =
       Plan.surface_name s
       :: List.mapi
-           (fun i p -> cell (plan_of [ Plan.action s ~seed:(seed + i) ~p ]))
+           (fun i p -> cell (Plan.make [ Plan.action s ~seed:(seed + i) ~p ]))
            intensities
     in
     let combined_row =
@@ -744,7 +733,7 @@ let audit_cmd =
       :: List.map
            (fun p ->
              cell
-               (plan_of
+               (Plan.make
                   (List.mapi
                      (fun k s -> Plan.action s ~seed:(seed + (31 * k)) ~p)
                      Plan.absorbable_surfaces)))
@@ -774,8 +763,7 @@ let audit_cmd =
           benchmark; every cell must be absorbed (final state equals SEQ) \
           or the audit fails")
     Term.(
-      const run $ bench_arg $ size_arg $ slaves_arg $ task_size_arg $ seed_arg
-      $ watchdog_arg)
+      const run $ bench_arg $ size_arg $ slaves_arg $ task_size_arg $ seed_arg)
 
 (* --- maude --- *)
 

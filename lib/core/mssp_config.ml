@@ -43,9 +43,6 @@ type t = {
   dual_trigger : int;
   dual_burst : int;
   faults : Mssp_faults.Plan.t option;
-  liveness_window : int option;
-  adaptive_backoff : bool;
-  quarantine_after : int;
   predict : Mssp_predict.Predict.mode;
   predict_seed : int;
   predict_warmup : (int * int list) list;
@@ -77,9 +74,6 @@ let default =
     dual_trigger = 3;
     dual_burst = 5_000;
     faults = None;
-    liveness_window = None;
-    adaptive_backoff = false;
-    quarantine_after = 0;
     predict = Mssp_predict.Predict.Off;
     predict_seed = 0x5bd1e995;
     predict_warmup = [];
@@ -103,8 +97,7 @@ let pp fmt c =
      task size: %d, budget: %d@,\
      isolated: %b, control-only: %b, refinement check: %b@,\
      dual mode: %b (trigger %d, burst %d)@,\
-     fault plan: %s, liveness window: %s@,\
-     adaptive backoff: %b, quarantine after: %s@,\
+     fault plan: %s@,\
      predict: %s (seed %d, warmup %d cells)@,\
      master chunk: %d, max cycles: %d, max squashes: %d@,\
      recovery fuel: %d, tracing: %s, superblock: %b, slave block journal: \
@@ -115,13 +108,6 @@ let pp fmt c =
     (match c.faults with
     | None -> "off"
     | Some plan -> Mssp_faults.Plan.to_string plan)
-    (match c.liveness_window with
-    | None -> "off"
-    | Some n -> string_of_int n)
-    c.adaptive_backoff
-    (match c.quarantine_after with
-    | 0 -> "off"
-    | n -> string_of_int n)
     (Mssp_predict.Predict.mode_to_string c.predict)
     c.predict_seed
     (List.length c.predict_warmup)

@@ -65,36 +65,13 @@ type t = {
   dual_burst : int;  (** sequential instructions per fallback burst *)
   faults : Mssp_faults.Plan.t option;
       (** the fault-plan subsystem ({!Mssp_faults.Plan}): a seeded
-          schedule of typed fault actions against the speculative
-          domain (live-in corruption, checkpoint drop/delay with
-          master-side retry+backoff, slave stall under a per-task
-          watchdog, transient verify errors, memory bit-flips).
-          [None] (the default) compiles every injection site down to
-          one predictable branch — zero cost, bit-identical behavior
-          (guarded by FAULTG in perf-smoke). A [Commit_corrupt] action
+          schedule of typed value faults against the speculative domain
+          (live-in corruption, memory bit-flips). [None] (the default)
+          compiles every injection site down to one predictable branch —
+          zero cost, bit-identical behavior (guarded by FAULTG in
+          perf-smoke). A [Commit_corrupt] action
           breaks the verify/commit unit on purpose, for the
           differential fuzzer's mutation smoke test only. *)
-  liveness_window : int option;
-      (** machine-level bounded-progress watchdog: [Some n] checks
-          every [n] cycles that the run made progress (a commit, squash
-          or recovery segment) since the previous check and stops with
-          a structured [Livelock] (carrying a window/slave/master
-          snapshot) when it did not — never a silent hang. [None] (the
-          default) schedules nothing. Set [n] well above the largest
-          honest commit-to-commit gap (task latency, recovery segment
-          length), or healthy-but-slow runs are reported as livelocked. *)
-  adaptive_backoff : bool;
-      (** adaptive degradation of dual mode: each consecutive fruitless
-          sequential burst doubles the next burst's length (capped at
-          64x [dual_burst]), backing off re-engagement of speculation
-          under persistent fault pressure. Off by default. *)
-  quarantine_after : int;
-      (** per-slave quarantine under an active fault plan: a slave
-          whose tasks are squashed at the window head this many times
-          in a row (with no intervening commit of one of its tasks) is
-          benched for the rest of the run — except the last healthy
-          slave, which is never benched. [0] (the default) disables
-          quarantine; it only engages when [faults] is set. *)
   predict : Mssp_predict.Predict.mode;
       (** live-in value predictor consulted at checkpoint construction
           ({!Mssp_predict.Predict}): [Off] (the default) compiles every

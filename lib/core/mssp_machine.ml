@@ -20,8 +20,6 @@ type squash_reason =
   | Live_in_mismatch
   | Task_failed of Task.fail_reason
   | Master_dead
-  | Checkpoint_lost
-  | Stalled
 
 type stats = {
   mutable cycles : int;
@@ -41,10 +39,6 @@ type stats = {
       (** instructions retired in dual-mode sequential bursts (a subset
           of [recovery_instructions]) *)
   mutable faults_injected : int;
-  mutable spawn_retries : int;
-  mutable verify_retries : int;
-  mutable watchdog_squashes : int;
-  mutable slaves_quarantined : int;
   mutable live_ins_checked : int;
   mutable live_outs_committed : int;
   mutable predict_hits : int;
@@ -75,10 +69,6 @@ let fresh_stats () =
     sequential_bursts = 0;
     sequential_instructions = 0;
     faults_injected = 0;
-    spawn_retries = 0;
-    verify_retries = 0;
-    watchdog_squashes = 0;
-    slaves_quarantined = 0;
     live_ins_checked = 0;
     live_outs_committed = 0;
     predict_hits = 0;
@@ -100,24 +90,12 @@ let trace_reason = function
   | Task_failed (Task.Io_speculative c) ->
     Trace.Speculative_io (Cell.show c)
   | Master_dead -> Trace.Master_dead
-  | Checkpoint_lost -> Trace.Checkpoint_lost
-  | Stalled -> Trace.Watchdog_stall
-
-type livelock_snapshot = {
-  ll_cycle : int;
-  ll_window : int;
-  ll_busy_slaves : int;
-  ll_quarantined : int;
-  ll_master : string;
-  ll_head_task : int option;
-}
 
 type stop_reason =
   | Halted
   | Cycle_limit
   | Squash_limit
   | Recovery_fuel
-  | Livelock of livelock_snapshot
   | Interrupted of string
   | Wedged
 
@@ -126,18 +104,8 @@ let stop_string = function
   | Cycle_limit -> "cycle_limit"
   | Squash_limit -> "squash_limit"
   | Recovery_fuel -> "recovery_fuel"
-  | Livelock _ -> "livelock"
   | Interrupted _ -> "interrupted"
   | Wedged -> "wedged"
-
-let pp_livelock fmt s =
-  Format.fprintf fmt
-    "livelock at cycle %d: window %d, %d busy slave(s), %d quarantined, \
-     master %s%s"
-    s.ll_cycle s.ll_window s.ll_busy_slaves s.ll_quarantined s.ll_master
-    (match s.ll_head_task with
-    | Some id -> Printf.sprintf ", head task %d" id
-    | None -> "")
 
 type result = {
   arch : Full.t;
@@ -166,15 +134,6 @@ type checkpoint = {
   mutable cp_end_known : bool;
   mutable cp_task : Task.t option;
   mutable cp_finished : bool;
-  cp_extra : int;
-      (** extra spawn-path latency from fault-plan delivery faults
-          (checkpoint delay, drop retries with backoff) *)
-  mutable cp_slave : int;  (** slave it was dispatched to, [-1] before *)
-  mutable cp_verify_attempts : int;
-      (** transient verify errors already retried for this task *)
-  mutable cp_deferred : bool;
-      (** a verify retry is scheduled; the commit unit must not
-          re-examine the head until it fires *)
 }
 
 type master = {
@@ -223,14 +182,10 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
         Hierarchy.make_shared ~l1:t.l1 ~lat:t.lat ~l2:master_cache ())
   in
   let slave_free = Array.make cfg.slaves true in
-  (* per-slave quarantine state: a benched slave is never assigned again *)
-  let quarantined = Array.make cfg.slaves false in
-  let slave_streak = Array.make cfg.slaves 0 in
-  let healthy_slaves = ref cfg.slaves in
   let find_free_slave () =
     let rec go i =
       if i = cfg.slaves then None
-      else if slave_free.(i) && not quarantined.(i) then Some i
+      else if slave_free.(i) then Some i
       else go (i + 1)
     in
     go 0
@@ -334,9 +289,6 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
      [inj = None] (no plan) makes every site below a single predictable
      branch — zero cost, guarded by FAULTG in perf-smoke. *)
   let inj = Option.map Inject.make cfg.faults in
-  let policy =
-    match inj with Some i -> Inject.policy i | None -> Fplan.default_policy
-  in
   let fault_event a surface task =
     stats.faults_injected <- stats.faults_injected + 1;
     if tracing && not a.Fplan.quiet then
@@ -405,11 +357,6 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
   in
   (* dual-mode: squashes with no commit in between *)
   let fruitless_squashes = ref 0 in
-  (* adaptive degradation: consecutive sequential bursts with no commit
-     in between double the next burst (capped at 64x) *)
-  let burst_streak = ref 0 in
-  (* per-slave quarantine: consecutive head squashes of a slave's tasks *)
-  let quarantine_on = cfg.quarantine_after > 0 && inj <> None in
   let task_view =
     if cfg.isolated_slaves then Task.Isolated
     else Task.Fallback (fun c -> Full.get arch c)
@@ -544,38 +491,6 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
       | Exec.Halted | Exec.Fault _ -> `Dead
       | Exec.Missing _ -> assert false)
   in
-  (* Spawn-path delivery faults: [Checkpoint_delay] adds latency to the
-     checkpoint transfer; [Checkpoint_drop] models message loss — the
-     master re-sends with exponential backoff up to [spawn_retries]
-     attempts, then gives up ([`Lost]) and falls back to recovery. *)
-  let spawn_path_faults () =
-    match inj with
-    | None -> `Proceed 0
-    | Some i ->
-      let delay =
-        match Inject.fire i Fplan.Checkpoint_delay ~cycle:(Sim.now sim) with
-        | Some a ->
-          fault_event a "checkpoint_delay" (Some !next_cp_id);
-          if a.Fplan.magnitude > 0 then a.Fplan.magnitude
-          else 4 * t.spawn_latency
-        | None -> 0
-      in
-      if not (Inject.has i Fplan.Checkpoint_drop) then `Proceed delay
-      else begin
-        let rec attempt k acc =
-          match Inject.fire i Fplan.Checkpoint_drop ~cycle:(Sim.now sim) with
-          | None -> `Proceed (delay + acc)
-          | Some a ->
-            fault_event a "checkpoint_drop" (Some !next_cp_id);
-            if k >= policy.Fplan.spawn_retries then `Lost
-            else begin
-              stats.spawn_retries <- stats.spawn_retries + 1;
-              attempt (k + 1) (acc + (policy.Fplan.spawn_backoff * (1 lsl k)))
-            end
-        in
-        attempt 0 0
-      end
-  in
   (* Forward declarations: the component processes call each other. *)
   let rec master_run () =
     if master.m_dead || master.m_waiting then ()
@@ -634,58 +549,50 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
       cp.cp_end_known <- true;
       try_start_tasks ()
     | Some _ | None -> ());
-    ignore (occurrence : int);
+    spawn_or_wait e li
+  and spawn_or_wait e li =
+    (* a full window parks the checkpoint until a commit frees a slot *)
     if Queue.length window >= cfg.max_in_flight then begin
       master.m_waiting <- true;
       master.m_pending <- Some (e, li)
     end
-    else if spawn e li then master_run ()
+    else begin
+      spawn e li;
+      master_run ()
+    end
   and spawn e li =
-    (* Returns false when the checkpoint was lost on the spawn path:
-       [start_squash] already bumped the epoch and the master must not
-       be driven further by this (stale) event. *)
-    match spawn_path_faults () with
-    | `Lost ->
-      start_squash Checkpoint_lost;
-      false
-    | `Proceed extra ->
-      let master_li = li in
-      let li =
-        match predictor with None -> li | Some p -> Predict.refine p li
-      in
-      let li = maybe_corrupt !next_cp_id li in
-      let cp =
-        {
-          cp_id = !next_cp_id;
-          cp_entry = e;
-          cp_live_in = li;
-          cp_master_li = master_li;
-          cp_end = None;
-          cp_end_occurrence = 1;
-          cp_end_known = false;
-          cp_task = None;
-          cp_finished = false;
-          cp_extra = extra;
-          cp_slave = -1;
-          cp_verify_attempts = 0;
-          cp_deferred = false;
-        }
-      in
-      incr next_cp_id;
-      stats.tasks_spawned <- stats.tasks_spawned + 1;
-      if tracing then begin
-        temit (Trace.Fork { cycle = Sim.now sim; task = cp.cp_id; entry = e });
-        (* the prediction as the slave will see it: post fault injection.
-           The fragment is persistent and shared with the checkpoint, so
-           this emission is O(1) — no per-binding rendering here *)
-        temit
-          (Trace.Predict
-             { cycle = Sim.now sim; task = cp.cp_id; live_in = cp.cp_live_in })
-      end;
-      Queue.add cp window;
-      last_cp := Some cp;
-      try_start_tasks ();
-      true
+    let master_li = li in
+    let li =
+      match predictor with None -> li | Some p -> Predict.refine p li
+    in
+    let li = maybe_corrupt !next_cp_id li in
+    let cp =
+      {
+        cp_id = !next_cp_id;
+        cp_entry = e;
+        cp_live_in = li;
+        cp_master_li = master_li;
+        cp_end = None;
+        cp_end_occurrence = 1;
+        cp_end_known = false;
+        cp_task = None;
+        cp_finished = false;
+      }
+    in
+    incr next_cp_id;
+    stats.tasks_spawned <- stats.tasks_spawned + 1;
+    if tracing then begin
+      temit (Trace.Fork { cycle = Sim.now sim; task = cp.cp_id; entry = e });
+      (* the prediction as the slave will see it: post fault injection.
+         The fragment is persistent and shared with the checkpoint, so
+         this emission is O(1) — no per-binding rendering here *)
+      temit
+        (Trace.Predict
+           { cycle = Sim.now sim; task = cp.cp_id; live_in = cp.cp_live_in })
+    end;
+    Queue.add cp window;
+    last_cp := Some cp;
+    try_start_tasks ()
   and on_master_dead () =
     (match !last_cp with
     | Some cp when not cp.cp_end_known ->
@@ -698,9 +605,9 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
   and try_start_tasks () =
     (* One pass over the window: each startable checkpoint gets a free
        slave, its body runs inline (charging that slave's cache), and
-       its completion and watchdog are scheduled — all in window order,
-       so slave numbering, cache traffic, fault-stream draws and the
-       event heap's FIFO order follow the window. *)
+       its completion is scheduled — all in window order, so slave
+       numbering, cache traffic and the event heap's FIFO order follow
+       the window. *)
     Queue.iter
       (fun cp ->
         if cp.cp_task = None && cp.cp_end_known then
@@ -710,7 +617,6 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
       window
   and start_task cp s =
     slave_free.(s) <- false;
-    cp.cp_slave <- s;
     let task =
       Task.make ~id:cp.cp_id ~start_pc:cp.cp_entry ~end_pc:cp.cp_end
         ~end_occurrence:cp.cp_end_occurrence ~budget:cfg.task_budget
@@ -726,69 +632,27 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
     if tracing then
       temit
         (Trace.Slave_start { cycle = Sim.now sim; task = cp.cp_id; slave = s });
-    let total =
-      t.spawn_latency + cp.cp_extra + (t.slave_base * task.Task.executed) + cost
-    in
+    let total = t.spawn_latency + (t.slave_base * task.Task.executed) + cost in
     stats.slave_busy_cycles <- stats.slave_busy_cycles + total;
-    let stalled =
-      match inj with
-      | None -> false
-      | Some i -> (
-        match Inject.fire i Fplan.Slave_stall ~cycle:(Sim.now sim) with
-        | Some a ->
-          fault_event a "slave_stall" (Some cp.cp_id);
-          true
-        | None -> false)
-    in
-    if stalled then
-      (* the completion message never arrives: park a no-op past
-         the horizon so the run hangs (to the cycle limit) unless
-         a watchdog or the liveness layer intervenes *)
-      Sim.schedule sim
-        ~delay:(cfg.max_cycles + 1)
-        (epoch_guarded (fun () -> ()))
-    else
-      Sim.schedule sim ~delay:total
-        (epoch_guarded (fun () ->
-             cp.cp_finished <- true;
-             if tracing then
-               temit
-                 (Trace.Slave_finish
-                    {
-                      cycle = Sim.now sim;
-                      task = cp.cp_id;
-                      slave = s;
-                      executed = task.Task.executed;
-                      ok =
-                        (match task.Task.status with
-                        | Task.Complete _ -> true
-                        | Task.Running | Task.Failed _ -> false);
-                    });
-             slave_free.(s) <- true;
-             try_start_tasks ();
-             commit_kick ()));
-    (* per-task cycle watchdog: a task not finished after
-       [watchdog_cycles] is declared stalled — squash and
-       re-dispatch via recovery. Squash-stale via the epoch guard;
-       honest completions land first and mark [cp_finished]. *)
-    match policy.Fplan.watchdog_cycles with
-    | Some w when inj <> None ->
-      Sim.schedule sim ~delay:w
-        (epoch_guarded (fun () ->
-             if not cp.cp_finished then begin
-               stats.watchdog_squashes <- stats.watchdog_squashes + 1;
-               if tracing then
-                 temit
-                   (Trace.Watchdog
-                      {
-                        cycle = Sim.now sim;
-                        task = cp.cp_id;
-                        slave = s;
-                        waited = w;
-                      });
-               start_squash ~task:cp.cp_id ~slave:s Stalled
-             end))
-    | Some _ | None -> ()
+    Sim.schedule sim ~delay:total
+      (epoch_guarded (fun () ->
+           cp.cp_finished <- true;
+           if tracing then
+             temit
+               (Trace.Slave_finish
+                  {
+                    cycle = Sim.now sim;
+                    task = cp.cp_id;
+                    slave = s;
+                    executed = task.Task.executed;
+                    ok =
+                      (match task.Task.status with
+                      | Task.Complete _ -> true
+                      | Task.Running | Task.Failed _ -> false);
+                  });
+           slave_free.(s) <- true;
+           try_start_tasks ();
+           commit_kick ()))
   (* --- verify/commit unit ------------------------------------------ *)
   and commit_kick () =
     (* The commit unit re-examines the window head; serialization of the
@@ -802,8 +666,7 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
       match Queue.peek_opt window with
       | None -> if master.m_dead then start_squash Master_dead else ()
       | Some cp ->
-      if (not cp.cp_finished) || cp.cp_deferred then ()
-      else if transient_verify_fault cp then ()
+      if not cp.cp_finished then ()
       else begin
         let task = Option.get cp.cp_task in
         let n_live_ins = Task.live_in_size task in
@@ -880,9 +743,6 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
           maybe_corrupt_commit cp.cp_id task;
           let n_outs = Task.live_out_size task in
           fruitless_squashes := 0;
-          burst_streak := 0;
-          if quarantine_on && cp.cp_slave >= 0 then
-            slave_streak.(cp.cp_slave) <- 0;
           if tracing then
             temit
               (Trace.Commit
@@ -924,79 +784,25 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
             | Task.Failed r -> Task_failed r
             | Task.Running -> assert false
           in
-          start_squash ~task:cp.cp_id ~slave:cp.cp_slave reason
+          start_squash ~task:cp.cp_id reason
         end
       end
-  (* Transient verification-unit error: the check is retried after an
-     exponential backoff, up to [verify_retries] times per task; the
-     head is held ([cp_deferred]) so no same-instant kick re-rolls. *)
-  and transient_verify_fault cp =
-    match inj with
-    | None -> false
-    | Some _ when cp.cp_verify_attempts >= policy.Fplan.verify_retries ->
-      false
-    | Some i -> (
-      match Inject.fire i Fplan.Verify_transient ~cycle:(Sim.now sim) with
-      | Some a ->
-        fault_event a "verify_transient" (Some cp.cp_id);
-        stats.verify_retries <- stats.verify_retries + 1;
-        let backoff =
-          policy.Fplan.verify_backoff * (1 lsl cp.cp_verify_attempts)
-        in
-        cp.cp_verify_attempts <- cp.cp_verify_attempts + 1;
-        cp.cp_deferred <- true;
-        Sim.schedule sim ~delay:(max 1 backoff)
-          (epoch_guarded (fun () ->
-               cp.cp_deferred <- false;
-               commit_head ()));
-        true
-      | None -> false)
   and wake_master () =
     if master.m_waiting then begin
       master.m_waiting <- false;
       match master.m_pending with
       | Some (e, li) ->
         master.m_pending <- None;
-        if Queue.length window >= cfg.max_in_flight then begin
-          master.m_waiting <- true;
-          master.m_pending <- Some (e, li)
-        end
-        else if spawn e li then master_run ()
+        spawn_or_wait e li
       | None -> master_run ()
     end
   (* --- squash and recovery ----------------------------------------- *)
-  and start_squash ?task ?slave reason =
+  and start_squash ?task reason =
     stats.squashes <- stats.squashes + 1;
     (match reason with
     | Live_in_mismatch -> stats.squash_mismatch <- stats.squash_mismatch + 1
-    | Task_failed _ | Checkpoint_lost | Stalled ->
-      stats.squash_task_failed <- stats.squash_task_failed + 1
+    | Task_failed _ -> stats.squash_task_failed <- stats.squash_task_failed + 1
     | Master_dead -> stats.squash_master_dead <- stats.squash_master_dead + 1);
-    (* adaptive degradation: a slave whose tasks keep getting squashed
-       (no commit of its work in between) is benched — but never the
-       last healthy one *)
-    (if quarantine_on then
-       match slave with
-       | Some s when s >= 0 ->
-         slave_streak.(s) <- slave_streak.(s) + 1;
-         if
-           slave_streak.(s) >= cfg.quarantine_after
-           && (not quarantined.(s))
-           && !healthy_slaves > 1
-         then begin
-           quarantined.(s) <- true;
-           decr healthy_slaves;
-           stats.slaves_quarantined <- stats.slaves_quarantined + 1;
-           if tracing then
-             temit
-               (Trace.Quarantine
-                  {
-                    cycle = Sim.now sim;
-                    slave = s;
-                    squashes = slave_streak.(s);
-                  })
-         end
-       | Some _ | None -> ());
     (* the Squash event rides with the stats bump, not with the
        recovery: even a squash that trips [max_squashes] (and therefore
        never recovers) is attributed in the stream *)
@@ -1034,16 +840,7 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
     let min_steps =
       if cfg.dual_mode && !fruitless_squashes >= cfg.dual_trigger then begin
         stats.sequential_bursts <- stats.sequential_bursts + 1;
-        (* adaptive degradation: consecutive fruitless bursts double the
-           next one (capped at 64x), backing off re-engagement of
-           speculation under persistent fault pressure *)
-        let burst =
-          if cfg.adaptive_backoff then
-            cfg.dual_burst * (1 lsl min 6 !burst_streak)
-          else cfg.dual_burst
-        in
-        incr burst_streak;
-        burst
+        cfg.dual_burst
       end
       else 0
     in
@@ -1114,66 +911,6 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
           (epoch_guarded master_run))
   in
 
-  (* Machine-level liveness layer: every [liveness_window] cycles, check
-     that the run made progress (a commit, squash or recovery segment)
-     since the previous check; if not, stop with a structured [Livelock]
-     carrying a diagnostic snapshot — never a silent hang. [None]
-     schedules nothing at all, preserving bit-identical event counts. *)
-  (match cfg.liveness_window with
-  | None -> ()
-  | Some n ->
-    let n = max 1 n in
-    let last = ref (-1, -1, -1) in
-    let rec tick () =
-      let cur =
-        (stats.tasks_committed, stats.squashes, stats.recovery_segments)
-      in
-      if cur = !last then begin
-        let busy =
-          Array.fold_left
-            (fun acc free -> if free then acc else acc + 1)
-            0 slave_free
-        in
-        let quar =
-          Array.fold_left
-            (fun acc q -> if q then acc + 1 else acc)
-            0 quarantined
-        in
-        let snap =
-          {
-            ll_cycle = Sim.now sim;
-            ll_window = Queue.length window;
-            ll_busy_slaves = busy;
-            ll_quarantined = quar;
-            ll_master =
-              (if master.m_dead then "dead"
-               else if master.m_waiting then "waiting"
-               else "running");
-            ll_head_task =
-              (match Queue.peek_opt window with
-              | Some cp -> Some cp.cp_id
-              | None -> None);
-          }
-        in
-        if tracing then
-          temit
-            (Trace.Livelock
-               {
-                 cycle = snap.ll_cycle;
-                 window = snap.ll_window;
-                 busy_slaves = busy;
-                 quarantined = quar;
-                 master = snap.ll_master;
-                 head_task = snap.ll_head_task;
-               });
-        halt_machine (Livelock snap)
-      end
-      else begin
-        last := cur;
-        Sim.schedule sim ~delay:n (guarded tick)
-      end
-    in
-    Sim.schedule sim ~delay:n (guarded tick));
   (* kick off *)
   Sim.schedule sim ~delay:0 (guarded master_run);
   (match Sim.run ~limit:cfg.max_cycles sim with
@@ -1254,8 +991,6 @@ let pp_stats fmt s =
      instructions committed via tasks: %d (+%d recovery)@,\
      squashes: %d (mismatch %d, failed %d, master-dead %d)@,\
      sequential bursts: %d (%d instructions), faults injected: %d@,\
-     fault handling: %d spawn retries, %d verify retries, %d watchdog \
-     squashes, %d slaves quarantined@,\
      live-ins checked: %d, live-outs committed: %d@,\
      value prediction: %d hits, %d misses@,\
      slave busy cycles: %d@]"
@@ -1263,6 +998,5 @@ let pp_stats fmt s =
     s.tasks_discarded s.instructions_committed s.recovery_instructions
     s.squashes s.squash_mismatch s.squash_task_failed s.squash_master_dead
     s.sequential_bursts s.sequential_instructions s.faults_injected
-    s.spawn_retries s.verify_retries s.watchdog_squashes
-    s.slaves_quarantined s.live_ins_checked s.live_outs_committed
+    s.live_ins_checked s.live_outs_committed
     s.predict_hits s.predict_misses s.slave_busy_cycles

@@ -28,14 +28,6 @@ type squash_reason =
   | Live_in_mismatch  (** recorded live-ins ≠ architected state *)
   | Task_failed of Mssp_task.Task.fail_reason
   | Master_dead  (** master halted/faulted/ran away with work remaining *)
-  | Checkpoint_lost
-      (** a fault-plan [Checkpoint_drop] exhausted the master's spawn
-          retries — the checkpoint never reached a slave, give up and
-          recover (counted under [squash_task_failed]) *)
-  | Stalled
-      (** the per-task cycle watchdog caught a stalled task (fault-plan
-          [Slave_stall]) — squash and re-dispatch via recovery (counted
-          under [squash_task_failed]) *)
 
 type stats = {
   mutable cycles : int;
@@ -56,11 +48,6 @@ type stats = {
           [recovery_instructions]) *)
   mutable faults_injected : int;
       (** fault-plan actions that fired (all surfaces) *)
-  mutable spawn_retries : int;
-      (** checkpoint re-sends after a modeled drop, before giving up *)
-  mutable verify_retries : int;  (** transient verification errors retried *)
-  mutable watchdog_squashes : int;  (** per-task watchdog firings *)
-  mutable slaves_quarantined : int;  (** slaves benched by quarantine *)
   mutable live_ins_checked : int;
   mutable live_outs_committed : int;
   mutable predict_hits : int;
@@ -79,17 +66,6 @@ val trace_reason : squash_reason -> Mssp_trace.Trace.squash_reason
     fold over the event stream reproduce the [squash_mismatch] /
     [squash_task_failed] / [squash_master_dead] stats exactly. *)
 
-type livelock_snapshot = {
-  ll_cycle : int;  (** detection cycle *)
-  ll_window : int;  (** in-flight checkpoints *)
-  ll_busy_slaves : int;
-  ll_quarantined : int;
-  ll_master : string;  (** ["running"] | ["waiting"] | ["dead"] *)
-  ll_head_task : int option;
-}
-(** Diagnostic snapshot carried by a [Livelock] stop: what the machine
-    looked like when the bounded-progress watchdog found it stuck. *)
-
 type stop_reason =
   | Halted
   | Cycle_limit
@@ -97,10 +73,6 @@ type stop_reason =
   | Recovery_fuel
       (** a single recovery segment exhausted [config.recovery_fuel] —
           non-speculative execution never reached a task entry *)
-  | Livelock of livelock_snapshot
-      (** the liveness watchdog ([config.liveness_window]) observed no
-          commit/squash/recovery progress for a whole window — a stall
-          that would otherwise spin silently to [max_cycles] *)
   | Interrupted of string
       (** the cooperative cancellation hook ([config.interrupt]) asked
           the machine to stop, carrying its reason (e.g. ["timeout"]).
@@ -122,11 +94,8 @@ type result = {
 
 val stop_string : stop_reason -> string
 (** ["halted"], ["cycle_limit"], ["squash_limit"], ["recovery_fuel"],
-    ["livelock"], ["interrupted"], ["wedged"] — the rendering carried by
+    ["interrupted"], ["wedged"] — the rendering carried by
     the trace stream's [Halt] event. *)
-
-val pp_livelock : Format.formatter -> livelock_snapshot -> unit
-(** One-line rendering of the diagnostic snapshot. *)
 
 val run :
   ?config:Mssp_config.t -> Mssp_distill.Distill.t -> result

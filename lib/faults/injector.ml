@@ -1,30 +1,22 @@
-(* Surface-specific seed-mixing constants. Live_in_corrupt and
-   Commit_corrupt MUST keep their constants: the commit-corruption
-   golden trace and the fuzz grid's honest-fault-injection point pin
+(* Surface-specific seed-mixing constants. Each surface MUST keep its
+   constant: the commit-corruption and fault-plan golden traces, the
+   fuzz grid's honest-fault-injection point and the audit tables pin
    those exact streams. *)
 let mix = function
   | Plan.Live_in_corrupt -> 0x9E3779B9
   | Plan.Commit_corrupt -> 0xB5297A4D
   | Plan.Mem_bit_flip -> 0x7F4A7C15
-  | Plan.Checkpoint_drop -> 0x2545F491
-  | Plan.Checkpoint_delay -> 0x165667B1
-  | Plan.Slave_stall -> 0x27D4EB2F
-  | Plan.Verify_transient -> 0x85EBCA6B
 
 let surface_index = function
   | Plan.Live_in_corrupt -> 0
   | Plan.Mem_bit_flip -> 1
-  | Plan.Checkpoint_drop -> 2
-  | Plan.Checkpoint_delay -> 3
-  | Plan.Slave_stall -> 4
-  | Plan.Verify_transient -> 5
-  | Plan.Commit_corrupt -> 6
+  | Plan.Commit_corrupt -> 2
 
-let n_surfaces = 7
+let n_surfaces = 3
 
 type armed = { act : Plan.action; state : int ref }
 
-type t = { slots : armed list array; policy : Plan.policy }
+type t = armed list array
 
 let make (plan : Plan.t) =
   let slots = Array.make n_surfaces [] in
@@ -34,11 +26,7 @@ let make (plan : Plan.t) =
       let state = ref ((a.Plan.seed lxor mix a.Plan.surface) land max_int) in
       slots.(i) <- slots.(i) @ [ { act = a; state } ])
     plan.Plan.actions;
-  { slots; policy = plan.Plan.policy }
-
-let policy t = t.policy
-
-let has t surface = t.slots.(surface_index surface) <> []
+  slots
 
 (* The legacy 48-bit LCG (java.util.Random's multiplier), thresholded on
    the top 32 bits — identical to the old fault_rng/chaos_rng. *)
@@ -53,7 +41,7 @@ let in_window (a : Plan.action) cycle =
   | Some (lo, hi) -> cycle >= lo && cycle < hi
 
 let fire t surface ~cycle =
-  match t.slots.(surface_index surface) with
+  match t.(surface_index surface) with
   | [] -> None
   | armed_list ->
     (* step every armed action so one action's presence never reshapes

@@ -16,10 +16,6 @@
 type t
 
 val make : Plan.t -> t
-val policy : t -> Plan.policy
-
-val has : t -> Plan.surface -> bool
-(** Does the plan contain any action on this surface? (No RNG step.) *)
 
 val fire : t -> Plan.surface -> cycle:int -> Plan.action option
 (** One opportunity on [surface] at absolute time [cycle]: step every

@@ -226,9 +226,8 @@ let generate ?(weights = default_weights) ~seed ~size () =
   Dsl.build ~entry:"main" b ()
 
 (* Fault-plan arbitrary: a deterministic, always-absorbable plan — 1 to
-   4 actions over the absorbable surfaces, varied probabilities,
-   occasional cycle windows and magnitudes, and a generous per-task
-   watchdog so stall plans stay absorbable in bounded time. Paired with
+   4 actions over the absorbable value surfaces, varied probabilities,
+   occasional cycle windows and magnitudes. Paired with
    [generate] this gives program x plan fuzzing: the oracle's invariant
    is that any such plan only moves stats and cycles, never the final
    architected state. *)
@@ -243,11 +242,6 @@ let plan ~seed =
     List.init n (fun k ->
         let surface = surfaces.(rng () mod Array.length surfaces) in
         let p = ps.(rng () mod Array.length ps) in
-        (* a stalled task only progresses by recovery once its watchdog
-           fires, so near-certain stalls degrade the run to [min_steps]
-           instructions per watchdog window — absorbable but far too slow
-           for a fuzz budget; keep generated stalls occasional *)
-        let p = if surface = Fplan.Slave_stall then Float.min p 0.25 else p in
         let window =
           if rng () mod 4 = 0 then begin
             let lo = rng () mod 100_000 in
@@ -260,7 +254,4 @@ let plan ~seed =
         in
         Fplan.action ?window ~magnitude surface ~seed:(seed + (31 * k)) ~p)
   in
-  let policy =
-    { Fplan.default_policy with Fplan.watchdog_cycles = Some 5_000 }
-  in
-  Fplan.make ~policy actions
+  Fplan.make actions

@@ -64,7 +64,6 @@ val plan : seed:int -> Mssp_faults.Plan.t
 (** Fault-plan arbitrary for program x plan fuzzing: a deterministic
     function of [seed] producing an {e always-absorbable} plan — 1 to 4
     actions over {!Mssp_faults.Plan.absorbable_surfaces} with varied
-    probabilities, occasional cycle windows/magnitudes, and a per-task
-    watchdog armed (so stall plans terminate in bounded time). The
+    probabilities and occasional cycle windows/magnitudes. The
     oracle's invariant for any such plan: final architected state
     identical to SEQ; only stats and cycles move. *)

@@ -198,11 +198,10 @@ let chaos_point ~seed ~p =
       };
   }
 
-(* Program x plan fuzzing: the plan under a plain machine, and under the
-   full adaptive-degradation stack (dual mode with exponential burst
-   backoff, per-slave quarantine, liveness watchdog). The honest control
-   point rides along so a program-only divergence is attributed to the
-   program, not the plan. *)
+(* Program x plan fuzzing: the plan under a plain machine, and under
+   dual mode (squash pressure trips its sequential bursts). The honest
+   control point rides along so a program-only divergence is attributed
+   to the program, not the plan. *)
 let plan_grid ~plan () =
   [
     { name = "honest"; distiller = Honest; config = base_config };
@@ -212,17 +211,10 @@ let plan_grid ~plan () =
       config = { base_config with Config.faults = Some plan };
     };
     {
-      name = "plan-degraded";
+      name = "plan-dual-mode";
       distiller = Honest;
       config =
-        {
-          base_config with
-          Config.faults = Some plan;
-          dual_mode = true;
-          adaptive_backoff = true;
-          quarantine_after = 2;
-          liveness_window = Some 50_000_000;
-        };
+        { base_config with Config.faults = Some plan; dual_mode = true };
     };
   ]
 
@@ -270,8 +262,6 @@ let check_package ~fuel point subname (d : Distill.t) =
   | M.Cycle_limit -> fail "machine stopped on the cycle limit"
   | M.Squash_limit -> fail "machine stopped on the squash limit"
   | M.Recovery_fuel -> fail "machine exhausted its recovery fuel"
-  | M.Livelock snap ->
-    fail "machine livelocked: %s" (Format.asprintf "%a" M.pp_livelock snap)
   | M.Interrupted why ->
     (* no oracle point installs an interrupt hook; seeing one is a bug *)
     fail "machine interrupted (%s) with no interrupt hook armed" why

@@ -94,10 +94,9 @@ val chaos_point : seed:int -> p:float -> point
 
 val plan_grid : plan:Mssp_faults.Plan.t -> unit -> point list
 (** The program x plan grid: an honest control point, the plan on a
-    plain machine, and the plan under the full adaptive-degradation
-    stack (dual mode + exponential burst backoff + quarantine + liveness
-    watchdog). For an {e absorbable} plan every point must agree with
-    SEQ — only stats and cycles may move; feeding a non-absorbable plan
+    plain machine, and the plan under dual mode. For an {e absorbable}
+    plan every point must agree with SEQ — only stats and cycles may
+    move; feeding a non-absorbable plan
     (e.g. with a [Commit_corrupt] action) here is the fault-plan
     mutation smoke test. *)
 

@@ -132,8 +132,6 @@ let plan_weight (plan : Fplan.t) =
       +. a.Fplan.p)
     0. plan.Fplan.actions
 
-let remake (plan : Fplan.t) actions = Fplan.make ~policy:plan.Fplan.policy actions
-
 let rebuild ?window ?magnitude ?p (a : Fplan.action) =
   let window = match window with Some w -> w | None -> a.Fplan.window in
   let magnitude =
@@ -149,13 +147,11 @@ let plan_candidates (plan : Fplan.t) =
   let push c = out := c :: !out in
   (* drop one action *)
   for i = n - 1 downto 0 do
-    push
-      (remake plan
-         (List.filteri (fun j _ -> j <> i) plan.Fplan.actions))
+    push (Fplan.make (List.filteri (fun j _ -> j <> i) plan.Fplan.actions))
   done;
   (* per-action simplifications: clear window, zero magnitude, halve p *)
   let with_action i a' =
-    remake plan (List.mapi (fun j a -> if j = i then a' else a) plan.Fplan.actions)
+    Fplan.make (List.mapi (fun j a -> if j = i then a' else a) plan.Fplan.actions)
   in
   for i = n - 1 downto 0 do
     let a = actions.(i) in

@@ -14,13 +14,10 @@ type squash_reason =
   | Missing_cell of string
   | Speculative_io of string
   | Master_dead
-  | Checkpoint_lost
-  | Watchdog_stall
 
 let coarse = function
   | Bad_prediction -> `Bad_prediction
-  | Fuel_exhausted | Task_fault _ | Missing_cell _ | Speculative_io _
-  | Checkpoint_lost | Watchdog_stall ->
+  | Fuel_exhausted | Task_fault _ | Missing_cell _ | Speculative_io _ ->
     `Task_failed
   | Master_dead -> `Master_dead
 
@@ -31,8 +28,6 @@ let pp_squash_reason fmt = function
   | Missing_cell c -> Format.fprintf fmt "missing-cell(%s)" c
   | Speculative_io c -> Format.fprintf fmt "speculative-io(%s)" c
   | Master_dead -> Format.pp_print_string fmt "master-dead"
-  | Checkpoint_lost -> Format.pp_print_string fmt "checkpoint-lost"
-  | Watchdog_stall -> Format.pp_print_string fmt "watchdog-stall"
 
 type verify_outcome =
   | Pass
@@ -76,16 +71,6 @@ type event =
   | Restart of { cycle : int; pc : int }
   | Master_stop of { cycle : int; pc : int }
   | Fault of { cycle : int; surface : string; task : int option }
-  | Watchdog of { cycle : int; task : int; slave : int; waited : int }
-  | Quarantine of { cycle : int; slave : int; squashes : int }
-  | Livelock of {
-      cycle : int;
-      window : int;
-      busy_slaves : int;
-      quarantined : int;
-      master : string;
-      head_task : int option;
-    }
   | Counter of { cycle : int; name : string; value : int }
   | Halt of { cycle : int; stop : string }
 
@@ -102,9 +87,6 @@ let event_cycle = function
   | Restart { cycle; _ }
   | Master_stop { cycle; _ }
   | Fault { cycle; _ }
-  | Watchdog { cycle; _ }
-  | Quarantine { cycle; _ }
-  | Livelock { cycle; _ }
   | Counter { cycle; _ }
   | Halt { cycle; _ } ->
     cycle
@@ -166,21 +148,6 @@ let pp_event fmt = function
     Format.fprintf fmt "%8d  fault    %s%s" cycle surface
       (match task with
       | Some id -> Printf.sprintf " (task %d)" id
-      | None -> "")
-  | Watchdog { cycle; task; slave; waited } ->
-    Format.fprintf fmt "%8d  watchdog task %d on slave %d stalled (%d cycles)"
-      cycle task slave waited
-  | Quarantine { cycle; slave; squashes } ->
-    Format.fprintf fmt "%8d  quarant  slave %d after %d consecutive squashes"
-      cycle slave squashes
-  | Livelock { cycle; window; busy_slaves; quarantined; master; head_task } ->
-    Format.fprintf fmt
-      "%8d  livelock window %d, %d busy slave%s, %d quarantined, master %s%s"
-      cycle window busy_slaves
-      (if busy_slaves = 1 then "" else "s")
-      quarantined master
-      (match head_task with
-      | Some id -> Printf.sprintf ", head task %d" id
       | None -> "")
   | Counter { cycle; name; value } ->
     Format.fprintf fmt "%8d  counter  %s = %d" cycle name value
@@ -251,8 +218,6 @@ let reason_to_json = function
   | Speculative_io c ->
     J.Obj [ ("kind", J.Str "speculative_io"); ("detail", J.Str c) ]
   | Master_dead -> J.Obj [ ("kind", J.Str "master_dead") ]
-  | Checkpoint_lost -> J.Obj [ ("kind", J.Str "checkpoint_lost") ]
-  | Watchdog_stall -> J.Obj [ ("kind", J.Str "watchdog_stall") ]
 
 let reason_of_json j =
   let detail () =
@@ -268,8 +233,6 @@ let reason_of_json j =
   | Some "speculative_io" ->
     Result.map (fun d -> Speculative_io d) (detail ())
   | Some "master_dead" -> Ok Master_dead
-  | Some "checkpoint_lost" -> Ok Checkpoint_lost
-  | Some "watchdog_stall" -> Ok Watchdog_stall
   | Some k -> Error (Printf.sprintf "unknown squash reason %S" k)
   | None -> Error "squash reason: missing kind"
 
@@ -375,26 +338,6 @@ let event_to_json ev =
       [
         ("surface", J.Str surface);
         ("task", match task with Some id -> J.Int id | None -> J.Null);
-      ]
-  | Watchdog { cycle; task; slave; waited } ->
-    base "watchdog" cycle
-      [
-        ("task", J.Int task);
-        ("slave", J.Int slave);
-        ("waited", J.Int waited);
-      ]
-  | Quarantine { cycle; slave; squashes } ->
-    base "quarantine" cycle
-      [ ("slave", J.Int slave); ("squashes", J.Int squashes) ]
-  | Livelock { cycle; window; busy_slaves; quarantined; master; head_task } ->
-    base "livelock" cycle
-      [
-        ("window", J.Int window);
-        ("busy_slaves", J.Int busy_slaves);
-        ("quarantined", J.Int quarantined);
-        ("master", J.Str master);
-        ( "head_task",
-          match head_task with Some id -> J.Int id | None -> J.Null );
       ]
   | Counter { cycle; name; value } ->
     base "counter" cycle [ ("name", J.Str name); ("value", J.Int value) ]
@@ -506,26 +449,6 @@ let event_of_json j =
       match J.member "task" j with Some (J.Int id) -> Some id | _ -> None
     in
     Ok (Fault { cycle; surface; task })
-  | "watchdog" ->
-    let* task = int "task" in
-    let* slave = int "slave" in
-    let* waited = int "waited" in
-    Ok (Watchdog { cycle; task; slave; waited })
-  | "quarantine" ->
-    let* slave = int "slave" in
-    let* squashes = int "squashes" in
-    Ok (Quarantine { cycle; slave; squashes })
-  | "livelock" ->
-    let* window = int "window" in
-    let* busy_slaves = int "busy_slaves" in
-    let* quarantined = int "quarantined" in
-    let* master = str "master" in
-    let head_task =
-      match J.member "head_task" j with
-      | Some (J.Int id) -> Some id
-      | _ -> None
-    in
-    Ok (Livelock { cycle; window; busy_slaves; quarantined; master; head_task })
   | "counter" ->
     let* name = str "name" in
     let* value = int "value" in
@@ -610,8 +533,6 @@ module Summary = struct
     missing_cell : int;
     speculative_io : int;
     master_dead : int;
-    checkpoint_lost : int;
-    watchdog_stall : int;
     recoveries : int;
     recovery_instructions : int;
     recovery_loads : int;
@@ -620,9 +541,6 @@ module Summary = struct
     restarts : int;
     master_stops : int;
     faults : int;
-    watchdogs : int;
-    quarantines : int;
-    livelocks : int;
     counters : (string * int) list;
     halt : string option;
     last_cycle : int;
@@ -649,8 +567,6 @@ module Summary = struct
       missing_cell = 0;
       speculative_io = 0;
       master_dead = 0;
-      checkpoint_lost = 0;
-      watchdog_stall = 0;
       recoveries = 0;
       recovery_instructions = 0;
       recovery_loads = 0;
@@ -659,9 +575,6 @@ module Summary = struct
       restarts = 0;
       master_stops = 0;
       faults = 0;
-      watchdogs = 0;
-      quarantines = 0;
-      livelocks = 0;
       counters = [];
       halt = None;
       last_cycle = 0;
@@ -708,9 +621,7 @@ module Summary = struct
         | Task_fault _ -> { s with task_fault = s.task_fault + 1 }
         | Missing_cell _ -> { s with missing_cell = s.missing_cell + 1 }
         | Speculative_io _ -> { s with speculative_io = s.speculative_io + 1 }
-        | Master_dead -> { s with master_dead = s.master_dead + 1 }
-        | Checkpoint_lost -> { s with checkpoint_lost = s.checkpoint_lost + 1 }
-        | Watchdog_stall -> { s with watchdog_stall = s.watchdog_stall + 1 })
+        | Master_dead -> { s with master_dead = s.master_dead + 1 })
       | Recovery { instructions; loads; stores; burst; _ } ->
         {
           s with
@@ -723,9 +634,6 @@ module Summary = struct
       | Restart _ -> { s with restarts = s.restarts + 1 }
       | Master_stop _ -> { s with master_stops = s.master_stops + 1 }
       | Fault _ -> { s with faults = s.faults + 1 }
-      | Watchdog _ -> { s with watchdogs = s.watchdogs + 1 }
-      | Quarantine _ -> { s with quarantines = s.quarantines + 1 }
-      | Livelock _ -> { s with livelocks = s.livelocks + 1 }
       | Counter { name; value; _ } ->
         { s with counters = (List.remove_assoc name s.counters) @ [ (name, value) ] }
       | Halt { stop; _ } -> { s with halt = Some stop }
@@ -736,7 +644,6 @@ module Summary = struct
 
   let squash_task_failed s =
     s.fuel_exhausted + s.task_fault + s.missing_cell + s.speculative_io
-    + s.checkpoint_lost + s.watchdog_stall
 
   let squash_master_dead s = s.master_dead
 
@@ -762,8 +669,6 @@ module Summary = struct
       [ "squash_missing_cell"; i s.missing_cell ];
       [ "squash_speculative_io"; i s.speculative_io ];
       [ "squash_master_dead"; i s.master_dead ];
-      [ "squash_checkpoint_lost"; i s.checkpoint_lost ];
-      [ "squash_watchdog_stall"; i s.watchdog_stall ];
       [ "recovery_segments"; i s.recoveries ];
       [ "recovery_instructions"; i s.recovery_instructions ];
       [ "recovery_loads"; i s.recovery_loads ];
@@ -772,9 +677,6 @@ module Summary = struct
       [ "restarts"; i s.restarts ];
       [ "master_stops"; i s.master_stops ];
       [ "faults_injected"; i s.faults ];
-      [ "watchdog_fires"; i s.watchdogs ];
-      [ "quarantines"; i s.quarantines ];
-      [ "livelocks"; i s.livelocks ];
       [ "last_cycle"; i s.last_cycle ];
     ]
     @ List.map (fun (name, v) -> [ name; i v ]) s.counters
@@ -942,25 +844,6 @@ module Chrome = struct
                  (match task with
                  | Some id -> [ ("task", J.Int id) ]
                  | None -> [])
-               ())
-        | Watchdog { cycle; task; slave; waited } ->
-          add_instant
-            (instant ~ts:cycle ~name:(Printf.sprintf "watchdog task %d" task)
-               ~args:[ ("slave", J.Int slave); ("waited", J.Int waited) ]
-               ())
-        | Quarantine { cycle; slave; squashes } ->
-          add_instant
-            (instant ~ts:cycle ~name:(Printf.sprintf "quarantine slave %d" slave)
-               ~args:[ ("squashes", J.Int squashes) ] ())
-        | Livelock { cycle; window; busy_slaves; master; _ } ->
-          add_instant
-            (instant ~ts:cycle ~name:"livelock"
-               ~args:
-                 [
-                   ("window", J.Int window);
-                   ("busy_slaves", J.Int busy_slaves);
-                   ("master", J.Str master);
-                 ]
                ())
         | Counter { cycle; name; value } ->
           counters :=

@@ -36,14 +36,6 @@ type squash_reason =
   | Master_dead
       (** the distilled program halted/faulted/ran away with the window
           empty — nothing to verify, restart via recovery *)
-  | Checkpoint_lost
-      (** the checkpoint message never arrived: a fault-plan
-          [Checkpoint_drop] exhausted the master's spawn retries, so it
-          gave up and recovered *)
-  | Watchdog_stall
-      (** the per-task watchdog fired on a task that stopped making
-          progress (fault-plan [Slave_stall]) — squashed and
-          re-dispatched via recovery *)
 
 val coarse :
   squash_reason -> [ `Bad_prediction | `Task_failed | `Master_dead ]
@@ -115,24 +107,6 @@ type event =
       (** a fault-plan action fired ([surface] is
           [Mssp_faults.Plan.surface_name]); [task] when the fault
           targets a specific checkpoint/task *)
-  | Watchdog of { cycle : int; task : int; slave : int; waited : int }
-      (** the per-task watchdog caught a stalled task after [waited]
-          cycles; a [Squash] with reason [Watchdog_stall] follows *)
-  | Quarantine of { cycle : int; slave : int; squashes : int }
-      (** adaptive degradation benched [slave] after [squashes]
-          consecutive squashes of its tasks *)
-  | Livelock of {
-      cycle : int;
-      window : int;  (** in-flight checkpoints at detection *)
-      busy_slaves : int;
-      quarantined : int;
-      master : string;  (** "running" | "waiting" | "dead" *)
-      head_task : int option;
-    }
-      (** the bounded-progress liveness watchdog found no commit,
-          squash or recovery progress within its window; a [Halt] with
-          stop ["livelock"] follows. The diagnostic snapshot mirrors
-          [Mssp_machine.livelock_snapshot]. *)
   | Counter of { cycle : int; name : string; value : int }
       (** end-of-run counter sample (cache, memory image, sim engine) *)
   | Halt of { cycle : int; stop : string }
@@ -236,9 +210,7 @@ module Summary : sig
     task_fault : int;
     missing_cell : int;
     speculative_io : int;
-    master_dead : int;
-    checkpoint_lost : int;
-    watchdog_stall : int;  (** the eight-way squash-reason breakdown *)
+    master_dead : int;  (** the six-way squash-reason breakdown *)
     recoveries : int;
     recovery_instructions : int;
     recovery_loads : int;
@@ -247,9 +219,6 @@ module Summary : sig
     restarts : int;
     master_stops : int;
     faults : int;  (** [Fault] events (injected fault-plan actions) *)
-    watchdogs : int;
-    quarantines : int;
-    livelocks : int;  (** 0 or 1: at most one per run *)
     counters : (string * int) list;  (** last sample per name, emit order *)
     halt : string option;
     last_cycle : int;

@@ -2,16 +2,12 @@
    - plan DSL: absorbability predicate, quiet one-action plans;
    - a quiet action drives the same machine as its loud twin: only its
      Fault events are missing;
-   - every absorbable surface at full intensity is absorbed: final
-     architected state equals SEQ, only stats/cycles move;
-   - a stall plan with no watchdog spins to the cycle limit; the same
-     plan under the machine-level liveness layer stops early with a
-     structured Livelock carrying a diagnostic snapshot;
+   - every absorbable surface at full intensity is absorbed: the run
+     halts (no watchdog needed) with final architected state equal to
+     SEQ, only stats/cycles move;
    - a compiled-in-but-disabled subsystem changes nothing: cycles,
      stats and the full event stream are bit-identical (the semantic
      twin of the FAULTG perf guard);
-   - quarantine benches repeat-squashing slaves (never the last one);
-     adaptive backoff lengthens dual-mode bursts;
    - QCheck edges for dual mode: fallback engages exactly at
      [dual_trigger] consecutive squashes, bursts retire at least
      [dual_burst] instructions unless the run ends inside one, and
@@ -25,7 +21,6 @@ module M = Mssp_core.Mssp_machine
 module Config = Mssp_core.Mssp_config
 module Plan = Mssp_faults.Plan
 module Trace = Mssp_trace.Trace
-module Adversary = Mssp_workload.Adversary
 module Gen = Mssp_fuzz.Gen
 module Oracle = Mssp_fuzz.Oracle
 module Dsl = Mssp_asm.Dsl
@@ -86,9 +81,6 @@ let traced_run ~config d =
 
 (* --- plan DSL --------------------------------------------------------- *)
 
-let watchdog_policy w =
-  { Plan.default_policy with Plan.watchdog_cycles = Some w }
-
 let test_plan_dsl () =
   let a = Plan.action Plan.Live_in_corrupt ~seed:1 ~p:2.5 in
   check "p clamped" true (a.Plan.p = 1.0);
@@ -99,20 +91,10 @@ let test_plan_dsl () =
     (not
        (Plan.absorbable
           (Plan.make [ Plan.action Plan.Commit_corrupt ~seed:1 ~p:0.1 ])));
-  check "bare stall is not absorbable" true
-    (not
-       (Plan.absorbable
-          (Plan.make [ Plan.action Plan.Slave_stall ~seed:1 ~p:0.1 ])));
-  check "watchdog makes stall absorbable" true
-    (Plan.absorbable
-       (Plan.make
-          ~policy:(watchdog_policy 1000)
-          [ Plan.action Plan.Slave_stall ~seed:1 ~p:0.1 ]));
   (match Plan.quiet Plan.Live_in_corrupt ~seed:42 ~p:0.5 with
-  | { Plan.actions = [ a ]; policy } ->
+  | { Plan.actions = [ a ] } ->
     check "quiet surface" true (a.Plan.surface = Plan.Live_in_corrupt);
-    check "quiet action" true a.Plan.quiet;
-    check "quiet plan policy" true (policy = Plan.default_policy)
+    check "quiet action" true a.Plan.quiet
   | _ -> Alcotest.fail "quiet: expected one live-in action");
   check "every absorbable surface is a surface" true
     (List.for_all
@@ -155,10 +137,7 @@ let test_quiet_plan_bit_identical () =
 
 (* --- per-surface absorption ------------------------------------------- *)
 
-let surface_plan surface =
-  Plan.make
-    ~policy:(watchdog_policy 100_000)
-    [ Plan.action surface ~seed:11 ~p:1.0 ]
+let surface_plan surface = Plan.make [ Plan.action surface ~seed:11 ~p:1.0 ]
 
 let test_surfaces_absorbed () =
   let d = distill_of mem_program in
@@ -175,94 +154,8 @@ let test_surfaces_absorbed () =
         (Full.equal_observable seq.Machine.state r.M.arch);
       check_int (name ^ " refinement") 0 r.M.refinement_violations;
       check (name ^ " fired") true (r.M.stats.M.faults_injected > 0);
-      match surface with
-      | Plan.Checkpoint_drop ->
-        check "drop: spawn retries counted" true (r.M.stats.M.spawn_retries > 0);
-        check "drop: lost checkpoints squash" true
-          (r.M.stats.M.squash_task_failed > 0)
-      | Plan.Slave_stall ->
-        check "stall: watchdog squashed" true
-          (r.M.stats.M.watchdog_squashes > 0)
-      | Plan.Verify_transient ->
-        check "transient: verify retries counted" true
-          (r.M.stats.M.verify_retries > 0)
-      | Plan.Live_in_corrupt | Plan.Mem_bit_flip ->
-        check (name ^ ": caused squashes") true (r.M.stats.M.squashes > 0)
-      | Plan.Checkpoint_delay | Plan.Commit_corrupt -> ())
+      check (name ^ ": caused squashes") true (r.M.stats.M.squashes > 0))
     Plan.absorbable_surfaces
-
-(* --- stall, watchdog, liveness ---------------------------------------- *)
-
-let stall_plan = Plan.make [ Plan.action Plan.Slave_stall ~seed:5 ~p:1.0 ]
-
-let test_stall_without_watchdog_spins () =
-  (* no watchdog, no liveness layer: the stalled task hangs the run to
-     the cycle limit — the failure mode the liveness layer exists for *)
-  let d = distill_of small_program in
-  let cfg =
-    {
-      Config.default with
-      Config.faults = Some stall_plan;
-      max_cycles = 200_000;
-    }
-  in
-  let r = M.run ~config:cfg d in
-  check "spun to the cycle limit" true (r.M.stop = M.Cycle_limit);
-  check_int "no task ever committed" 0 r.M.stats.M.tasks_committed
-
-let test_liveness_watchdog_stops_stall () =
-  (* same stall plan, liveness armed: a structured Livelock stop, early,
-     with a diagnostic snapshot — never a silent spin *)
-  let d = distill_of small_program in
-  let cfg =
-    {
-      Config.default with
-      Config.faults = Some stall_plan;
-      liveness_window = Some 10_000;
-      max_cycles = 200_000;
-    }
-  in
-  let r, events = traced_run ~config:cfg d in
-  (match r.M.stop with
-  | M.Livelock snap ->
-    check "detected well before the cycle limit" true
-      (snap.M.ll_cycle < 100_000);
-    check "a slave is stuck busy" true (snap.M.ll_busy_slaves >= 1);
-    check "window is non-empty" true (snap.M.ll_window >= 1);
-    check "head task identified" true (snap.M.ll_head_task <> None);
-    check "master state named" true
-      (List.mem snap.M.ll_master [ "running"; "waiting"; "dead" ])
-  | _ -> Alcotest.failf "expected Livelock, got %s" (M.stop_string r.M.stop));
-  check "Livelock event emitted" true
-    (List.exists (function Trace.Livelock _ -> true | _ -> false) events);
-  (match List.rev events with
-  | Trace.Halt { stop; _ } :: _ -> check_int "halt names livelock" 0
-      (compare stop "livelock")
-  | _ -> Alcotest.fail "stream must end with Halt")
-
-let test_watchdog_absorbs_stall () =
-  (* per-task watchdog on: the stalled task is squashed and the run
-     completes, equal to SEQ *)
-  let d = distill_of small_program in
-  let seq = seq_reference d in
-  let plan =
-    Plan.make
-      ~policy:(watchdog_policy 50_000)
-      [ Plan.action Plan.Slave_stall ~seed:5 ~p:1.0 ]
-  in
-  let cfg = { checking_config with Config.faults = Some plan } in
-  let r, events = traced_run ~config:cfg d in
-  check "halted" true (r.M.stop = M.Halted);
-  check "equal to SEQ" true (Full.equal_observable seq.Machine.state r.M.arch);
-  check "watchdog fired" true (r.M.stats.M.watchdog_squashes > 0);
-  check "Watchdog events in stream" true
-    (List.exists (function Trace.Watchdog _ -> true | _ -> false) events);
-  (* attribution: the trace fold books watchdog squashes as task-failed *)
-  let s = Trace.Summary.of_events events in
-  check_int "summary sees the stalls" r.M.stats.M.watchdog_squashes
-    s.Trace.Summary.watchdog_stall;
-  check_int "fold matches machine bucket" r.M.stats.M.squash_task_failed
-    (Trace.Summary.squash_task_failed s)
 
 (* --- zero cost when disabled ------------------------------------------ *)
 
@@ -287,68 +180,6 @@ let test_disabled_plan_changes_nothing () =
   check "event streams identical" true
     (List.length ev_off = List.length ev_on
     && List.for_all2 Trace.event_equal ev_off ev_on)
-
-(* --- adaptive degradation --------------------------------------------- *)
-
-let test_quarantine_benches_slaves () =
-  (* every task's live-ins are corrupted: each slave's tasks squash at
-     the head over and over; with quarantine_after 1, slaves get benched
-     one by one — but never the last healthy one — and the run stays
-     correct *)
-  let d = distill_of small_program in
-  let seq = seq_reference d in
-  let plan =
-    Plan.make [ Plan.action Plan.Live_in_corrupt ~seed:2 ~p:1.0 ]
-  in
-  let cfg =
-    {
-      checking_config with
-      Config.faults = Some plan;
-      quarantine_after = 1;
-      slaves = 4;
-      max_in_flight = 8;
-    }
-  in
-  let r, events = traced_run ~config:cfg d in
-  check "halted" true (r.M.stop = M.Halted);
-  check "equal to SEQ" true (Full.equal_observable seq.Machine.state r.M.arch);
-  check "slaves were benched" true (r.M.stats.M.slaves_quarantined >= 1);
-  check "never the last one" true (r.M.stats.M.slaves_quarantined <= 3);
-  check_int "Quarantine events match" r.M.stats.M.slaves_quarantined
-    (let s = Trace.Summary.of_events events in
-     s.Trace.Summary.quarantines);
-  (* quarantine off: same plan, nobody benched *)
-  let r0 = M.run ~config:{ cfg with Config.quarantine_after = 0 } d in
-  check_int "off: nobody benched" 0 r0.M.stats.M.slaves_quarantined
-
-let test_adaptive_backoff_lengthens_bursts () =
-  (* amnesiac master under dual mode: with adaptive backoff, consecutive
-     fruitless bursts double, so at equal burst counts strictly more
-     sequential instructions retire per burst on average *)
-  let d = Adversary.amnesiac (distill_of small_program) in
-  let seq = seq_reference d in
-  let base =
-    {
-      checking_config with
-      Config.master_chunk = 50_000;
-      dual_mode = true;
-      dual_trigger = 2;
-      dual_burst = 40;
-    }
-  in
-  let flat = M.run ~config:base d in
-  let adaptive =
-    M.run ~config:{ base with Config.adaptive_backoff = true } d
-  in
-  check "adaptive run correct" true
-    (Full.equal_observable seq.Machine.state adaptive.M.arch);
-  check "bursts happened" true (adaptive.M.stats.M.sequential_bursts > 0);
-  let per_burst (r : M.result) =
-    float_of_int r.M.stats.M.sequential_instructions
-    /. float_of_int (max 1 r.M.stats.M.sequential_bursts)
-  in
-  check "adaptive bursts are longer on average" true
-    (per_burst adaptive >= per_burst flat)
 
 (* --- oracle: program x plan ------------------------------------------- *)
 
@@ -393,7 +224,7 @@ let test_oracle_catches_non_absorbable_plan () =
         check "attributed to a plan point" true
           (List.for_all
              (fun (f : Oracle.failure) ->
-               f.Oracle.point = "honest-plan" || f.Oracle.point = "plan-degraded")
+               f.Oracle.point = "honest-plan" || f.Oracle.point = "plan-dual-mode")
              fs)
       | Oracle.Passed _ | Oracle.Skipped _ -> find (seed + 1)
   in
@@ -505,19 +336,6 @@ let () =
         [
           Alcotest.test_case "every absorbable surface absorbed" `Quick
             test_surfaces_absorbed;
-          Alcotest.test_case "stall w/o watchdog spins" `Quick
-            test_stall_without_watchdog_spins;
-          Alcotest.test_case "liveness stops the stall" `Quick
-            test_liveness_watchdog_stops_stall;
-          Alcotest.test_case "watchdog absorbs the stall" `Quick
-            test_watchdog_absorbs_stall;
-        ] );
-      ( "degradation",
-        [
-          Alcotest.test_case "quarantine benches slaves" `Quick
-            test_quarantine_benches_slaves;
-          Alcotest.test_case "adaptive backoff lengthens bursts" `Quick
-            test_adaptive_backoff_lengthens_bursts;
         ] );
       ( "oracle",
         [

@@ -50,7 +50,7 @@ let distill_bench name ~size ~train =
    randomness. Two well-behaved runs, one adversarial master (master
    death + task-budget attribution), one deliberately broken commit
    unit (commit-then-mismatch churn) and one benign fault plan (every
-   fault absorbed; pins the fault/watchdog event serialization). *)
+   fault absorbed; pins the Fault event serialization). *)
 
 let base2 = Config.with_slaves 2 Config.default
 
@@ -98,30 +98,20 @@ let golden_cases_at ?sjrnl ?(engines = true) () =
               faults = Some (Plan.quiet Plan.Commit_corrupt ~seed:3 ~p:0.5);
             }
           (distill_bench "qsort" ~size:60 ~train:30) );
-    (* a benign, always-absorbed fault plan: pins the serialization of
-       the Fault / Watchdog / Quarantine event variants and the
-       watchdog-stall squash reason — the run still commits a final
-       state equal to SEQ *)
+    (* a benign, always-absorbed fault plan over both value surfaces:
+       pins the serialization of the Fault event — the run still
+       commits a final state equal to SEQ *)
     ( "fault_plan",
       fun () ->
         let plan =
           Plan.make
-            ~policy:
-              { Plan.default_policy with Plan.watchdog_cycles = Some 2_000 }
             [
               Plan.action Plan.Live_in_corrupt ~seed:5 ~p:0.5;
-              Plan.action Plan.Verify_transient ~seed:7 ~p:0.25;
-              Plan.action Plan.Slave_stall ~seed:9 ~p:0.1;
+              Plan.action Plan.Mem_bit_flip ~seed:7 ~p:0.5;
             ]
         in
         run_traced
-          ~config:
-            {
-              base2 with
-              Config.task_size = 20;
-              faults = Some plan;
-              quarantine_after = 3;
-            }
+          ~config:{ base2 with Config.task_size = 20; faults = Some plan }
           (distill_bench "vecsum" ~size:160 ~train:40) );
     (* a stride-friendly kernel under the tournament live-in predictor,
        warmed from the training profile: pins the [Predict_outcome]
