@@ -12,28 +12,30 @@ type result = {
   state : Full.t;
 }
 
-(* One timed instruction on a full state: base cost plus a cache access
-   for every memory cell touched (fetch included). Returns [None] when
-   the machine stops. *)
-let timed_step (t : Config.timing) cache state =
-  let cost = ref t.slave_base in
-  let read c =
-    (match c with
-    | Cell.Mem a -> cost := !cost + Hierarchy.access cache a
-    | Cell.Pc | Cell.Reg _ -> ());
-    Some (Full.get state c)
+(* Run up to [limit] timed instructions on a full state, each costing
+   [slave_base] plus its cache accesses (fetch included), through the
+   closure-free [Exec.timed_step]. Returns the cycles, the instructions
+   retired and the stop, if the machine stopped. *)
+let run_steps (t : Config.timing) cache state ~limit =
+  let cycles = ref 0 and n = ref 0 and stopped = ref false in
+  while (not !stopped) && !n < limit do
+    let c = Exec.timed_step ~on_store:Exec.no_store cache state in
+    if c = Exec.timed_stopped then stopped := true
+    else begin
+      cycles := !cycles + t.slave_base + c;
+      incr n
+    end
+  done;
+  let stop =
+    if not !stopped then None
+    else
+      let pc = Full.pc state in
+      let word = Full.get_mem state pc in
+      match Exec.default_decode ~pc ~word with
+      | Some Mssp_isa.Instr.Halt -> Some Machine.Halted
+      | Some _ | None -> Some (Machine.Faulted (Exec.Undecodable { pc; word }))
   in
-  let write c v =
-    (match c with
-    | Cell.Mem a -> cost := !cost + Hierarchy.access cache a
-    | Cell.Pc | Cell.Reg _ -> ());
-    Full.set state c v
-  in
-  match Exec.step ~read ~write with
-  | Exec.Stepped -> Ok !cost
-  | Exec.Halted -> Error Machine.Halted
-  | Exec.Fault f -> Error (Machine.Faulted f)
-  | Exec.Missing _ -> assert false
+  (!cycles, !n, stop)
 
 let load_all ?(also_load = []) p =
   let state = Full.create () in
@@ -45,15 +47,9 @@ let sequential ?(timing = Config.default_timing) ?also_load
     ?(fuel = 200_000_000) p =
   let state = load_all ?also_load p in
   let cache = Hierarchy.make ~l1:timing.l1 ~lat:timing.lat () in
-  let rec go cycles instructions remaining =
-    if remaining = 0 then
-      { cycles; instructions; stop = Machine.Out_of_fuel; state }
-    else
-      match timed_step timing cache state with
-      | Ok c -> go (cycles + c) (instructions + 1) (remaining - 1)
-      | Error stop -> { cycles; instructions; stop; state }
-  in
-  go 0 0 fuel
+  let cycles, instructions, stop = run_steps timing cache state ~limit:fuel in
+  let stop = Option.value stop ~default:Machine.Out_of_fuel in
+  { cycles; instructions; stop; state }
 
 let oracle_parallel ?(timing = Config.default_timing) ?(task_size = 100)
     ~slaves ?(fuel = 200_000_000) p =
@@ -75,20 +71,15 @@ let oracle_parallel ?(timing = Config.default_timing) ?(task_size = 100)
     !best
   in
   let commit_cost = timing.verify_base + timing.commit_base in
-  let rec run_task s acc_cycles k remaining =
-    if k = 0 || remaining = 0 then (acc_cycles, remaining, None)
-    else
-      match timed_step timing caches.(s) state with
-      | Ok c -> run_task s (acc_cycles + c) (k - 1) (remaining - 1)
-      | Error stop -> (acc_cycles, remaining, Some stop)
-  in
   let rec go last_commit instructions remaining =
     if remaining = 0 then
       { cycles = last_commit; instructions; stop = Machine.Out_of_fuel; state }
     else begin
       let s = pick_slave () in
-      let exec_cycles, remaining', stop = run_task s 0 task_size remaining in
-      let executed = remaining - remaining' in
+      let exec_cycles, executed, stop =
+        run_steps timing caches.(s) state ~limit:(min task_size remaining)
+      in
+      let remaining' = remaining - executed in
       let start = slave_free.(s) in
       let complete = start + exec_cycles in
       slave_free.(s) <- complete;

@@ -33,12 +33,17 @@ let access c addr =
   let tags = c.tags.(set) and lru = c.lru.(set) in
   c.tick <- c.tick + 1;
   c.stats.accesses <- c.stats.accesses + 1;
-  let rec find w = if w = c.cfg.ways then None else if tags.(w) = tag then Some w else find (w + 1) in
-  match find 0 with
-  | Some w ->
-    lru.(w) <- c.tick;
+  (* way search as a plain loop: no closure, no option *)
+  let ways = c.cfg.ways in
+  let w = ref 0 in
+  while !w < ways && tags.(!w) <> tag do
+    incr w
+  done;
+  if !w < ways then begin
+    lru.(!w) <- c.tick;
     true
-  | None ->
+  end
+  else begin
     c.stats.misses <- c.stats.misses + 1;
     (* LRU victim: smallest tick (invalid ways have tick 0, chosen first) *)
     let victim = ref 0 in
@@ -48,6 +53,7 @@ let access c addr =
     tags.(!victim) <- tag;
     lru.(!victim) <- c.tick;
     false
+  end
 
 let invalidate_all c =
   Array.iter (fun tags -> Array.fill tags 0 (Array.length tags) (-1)) c.tags;

@@ -441,30 +441,18 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
       !f
     end
   in
-  (* The master's executor callbacks, hoisted out of the instruction
-     loop: they read the current [m_state] through the mutable [master]
-     record, so one pair of closures serves the whole run (including
-     across post-squash reseeds), and the per-instruction cycle cost
-     accumulates in [master_cost]. *)
-  let master_cost = ref 0 in
-  let master_read c =
-    (match c with
-    | Cell.Mem a -> master_cost := !master_cost + Hierarchy.access master_cache a
-    | Cell.Pc | Cell.Reg _ -> ());
-    Some (Full.get master.m_state c)
-  in
-  let master_write c v =
-    (match c with
-    | Cell.Mem a ->
-      master_cost := !master_cost + Hierarchy.access master_cache a;
-      master.m_dirty <- Fragment.add c v master.m_dirty
-    | Cell.Pc | Cell.Reg _ -> ());
-    Full.set master.m_state c v
+  (* The master's store hook: every memory write since the last seed
+     joins the cumulative dirty set. One closure for the whole run —
+     it reaches [m_dirty] through the mutable [master] record. *)
+  let master_store a v =
+    master.m_dirty <- Fragment.add (Cell.mem a) v master.m_dirty
   in
   (* One functional master instruction; returns its cost, a fork, or
      death (halt/fault/trap). The master-side PC map redirects jumps that
      landed in original code (indirect returns) back into distilled
-     code. *)
+     code. The word is fetched and decoded once: markers and death cost
+     nothing, and every other instruction runs through the closure-free
+     timed step, which charges the fetch and the data accesses. *)
   let master_step () =
     let pc0 = Full.pc master.m_state in
     let pc =
@@ -479,17 +467,13 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
     | None -> `Dead
     | Some Instr.Halt -> `Dead
     | Some (Instr.Fork e) -> `Fork e
-    | Some _ -> (
-      master_cost := t.master_base;
-      match
-        Exec.step_with ~decode:master_decode ~read:master_read
-          ~write:master_write
-      with
-      | Exec.Stepped ->
-        stats.master_instructions <- stats.master_instructions + 1;
-        `Cost !master_cost
-      | Exec.Halted | Exec.Fault _ -> `Dead
-      | Exec.Missing _ -> assert false)
+    | Some instr ->
+      let cost =
+        Exec.timed_exec master_cache ~on_store:master_store master.m_state ~pc
+          instr
+      in
+      stats.master_instructions <- stats.master_instructions + 1;
+      `Cost (t.master_base + cost)
   in
   (* Forward declarations: the component processes call each other. *)
   let rec master_run () =

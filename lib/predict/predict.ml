@@ -230,16 +230,19 @@ let predict t cell = Option.map snd (pick_with_conf t cell)
 let refine t frag =
   if t.mode = Off then frag
   else
+    (* only the overridden cells are re-added onto the incoming
+       fragment: a checkpoint live-in carries the master's whole dirty
+       set, and rebuilding it per spawn would be O(n log n) *)
     Fragment.fold
       (fun c v acc ->
         match c with
-        | Cell.Pc -> Fragment.add c v acc
+        | Cell.Pc -> acc
         | _ -> (
           match pick_with_conf t c with
           | Some (conf, p) when p <> v && conf > master_confidence t c ->
             Fragment.add c p acc
-          | Some _ | None -> Fragment.add c v acc))
-      frag Fragment.empty
+          | Some _ | None -> acc))
+      frag frag
 
 (* --- introspection (tests, tooling) ---------------------------------- *)
 

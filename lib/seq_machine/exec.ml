@@ -3,6 +3,8 @@ module Fragment = Mssp_state.Fragment
 module Instr = Mssp_isa.Instr
 module Reg = Mssp_isa.Reg
 module Layout = Mssp_isa.Layout
+module Full = Mssp_state.Full
+module Hierarchy = Mssp_cache.Cache.Hierarchy
 
 type fault = Undecodable of { pc : int; word : int }
 
@@ -134,3 +136,90 @@ let observed_step ~read ~write =
   in
   let o = step ~read:read' ~write:write' in
   (List.rev !reads, !writes, o)
+
+(* --- the timed step ---------------------------------------------------
+
+   The master's and the timed baselines' executor: the semantics of
+   [exec_decoded_exn] specialized to a full state, with no callbacks,
+   option returns or cell boxes. Every memory touch is charged to the
+   cache hierarchy in [step]'s access order — the fetch, then the data
+   read or write ([Out]: count read, slot write, count write) — so the
+   cache sees exactly the sequence a callback-charged [step] gives it. *)
+
+let no_store (_ : int) (_ : int) = ()
+
+let timed_store cache on_store s a v =
+  let c = Hierarchy.access cache a in
+  on_store a v;
+  Full.set_mem s a v;
+  c
+
+let timed_exec cache ~on_store s ~pc instr =
+  let fetch = Hierarchy.access cache pc in
+  match instr with
+  | Instr.Halt -> invalid_arg "Exec.timed_exec: Halt"
+  | Instr.Nop | Instr.Fork _ ->
+    Full.set_pc s (pc + 1);
+    fetch
+  | Instr.Alu (op, rd, rs1, rs2) ->
+    Full.set_reg s rd
+      (Instr.eval_alu op (Full.get_reg s rs1) (Full.get_reg s rs2));
+    Full.set_pc s (pc + 1);
+    fetch
+  | Instr.Alui (op, rd, rs1, imm) ->
+    Full.set_reg s rd (Instr.eval_alu op (Full.get_reg s rs1) imm);
+    Full.set_pc s (pc + 1);
+    fetch
+  | Instr.Li (rd, imm) ->
+    Full.set_reg s rd imm;
+    Full.set_pc s (pc + 1);
+    fetch
+  | Instr.Ld (rd, rs1, off) ->
+    let a = Full.get_reg s rs1 + off in
+    let c = Hierarchy.access cache a in
+    Full.set_reg s rd (Full.get_mem s a);
+    Full.set_pc s (pc + 1);
+    fetch + c
+  | Instr.St (rs2, rs1, off) ->
+    let a = Full.get_reg s rs1 + off in
+    let c = timed_store cache on_store s a (Full.get_reg s rs2) in
+    Full.set_pc s (pc + 1);
+    fetch + c
+  | Instr.Br (cmp, rs1, rs2, off) ->
+    let taken = Instr.eval_cmp cmp (Full.get_reg s rs1) (Full.get_reg s rs2) in
+    Full.set_pc s (if taken then pc + off else pc + 1);
+    fetch
+  | Instr.Jmp off ->
+    Full.set_pc s (pc + off);
+    fetch
+  | Instr.Jal (rd, off) ->
+    Full.set_reg s rd (pc + 1);
+    Full.set_pc s (pc + off);
+    fetch
+  | Instr.Jr rs ->
+    Full.set_pc s (Full.get_reg s rs);
+    fetch
+  | Instr.Jalr (rd, rs) ->
+    let target = Full.get_reg s rs in
+    Full.set_reg s rd (pc + 1);
+    Full.set_pc s target;
+    fetch
+  | Instr.Out rs ->
+    let v = Full.get_reg s rs in
+    let c0 = Hierarchy.access cache Layout.out_count_addr in
+    let count = Full.get_mem s Layout.out_count_addr in
+    let c1 = timed_store cache on_store s (Layout.out_base + count) v in
+    let c2 = timed_store cache on_store s Layout.out_count_addr (count + 1) in
+    Full.set_pc s (pc + 1);
+    fetch + c0 + c1 + c2
+
+let timed_stopped = -1
+
+let timed_step ~on_store cache s =
+  let pc = Full.pc s in
+  let word = Full.get_mem s pc in
+  match default_decode ~pc ~word with
+  | None | Some Instr.Halt ->
+    ignore (Hierarchy.access cache pc : int);
+    timed_stopped
+  | Some instr -> timed_exec cache ~on_store s ~pc instr

@@ -100,3 +100,48 @@ val observed_step :
     instruction's operands, whether or not [start_pc] is a block head.
     (Live-in journals are keyed stores, so only first-read values are
     retained; the order contract is what makes "first" well defined.) *)
+
+(** {2 The timed step}
+
+    The one timed executor: the master's instruction step and the
+    {!Mssp_baseline} machines' ([sequential], [oracle_parallel]) run
+    through it. It executes directly on a {!Mssp_state.Full.t}'s
+    register and memory arrays — no read/write callbacks, option
+    returns or cell boxes, so a step allocates nothing — with the
+    semantics of {!step}, and charges one
+    {!Mssp_cache.Cache.Hierarchy.access} per memory touch in {!step}'s
+    access order: the fetch at the PC first, then the data read or
+    write; [Out] charges its count read, slot write and count write in
+    that order. The cache therefore sees the same address sequence as a
+    {!step} whose callbacks charge every [Mem] cell. *)
+
+val timed_exec :
+  Mssp_cache.Cache.Hierarchy.t ->
+  on_store:(int -> int -> unit) ->
+  Mssp_state.Full.t ->
+  pc:int ->
+  Mssp_isa.Instr.t ->
+  int
+(** [timed_exec cache ~on_store s ~pc instr] executes [instr], already
+    fetched and decoded at [pc] (the PC of [s]), and returns the cycles
+    its memory accesses cost, fetch included. [on_store a v] is called
+    for every memory store, before it lands (the master records its
+    dirty set here). [instr] must not be [Halt]. *)
+
+val timed_step :
+  on_store:(int -> int -> unit) ->
+  Mssp_cache.Cache.Hierarchy.t ->
+  Mssp_state.Full.t ->
+  int
+(** Fetch the word at [s]'s PC, decode it with {!default_decode}, then
+    {!timed_exec} it. Returns the access cycles of the retired
+    instruction, or {!timed_stopped} when the word is [Halt] or does not
+    decode: the fetch is still charged (as {!step} charges it) and [s]
+    is left unchanged, so the caller tells the two apart by decoding the
+    word at the PC again. *)
+
+val timed_stopped : int
+(** The negative value {!timed_step} returns when it retires nothing. *)
+
+val no_store : int -> int -> unit
+(** An [on_store] hook that records nothing. *)

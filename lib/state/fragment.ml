@@ -7,6 +7,8 @@ let singleton = Cell.Map.singleton
 let add = Cell.Map.add
 let remove = Cell.Map.remove
 let find_opt = Cell.Map.find_opt
+let find_first_opt = Cell.Map.find_first_opt
+let max_binding_opt = Cell.Map.max_binding_opt
 let mem = Cell.Map.mem
 let of_list bindings = List.fold_left (fun m (c, v) -> add c v m) empty bindings
 let to_list = Cell.Map.bindings

@@ -8,8 +8,8 @@ module Reg = Mssp_isa.Reg
    reads journal replays its first-reads in serial first-read order at
    verification time, whatever mixture of per-instruction recording and
    block-batched staging produced them, and whatever the table's
-   capacity. That decouples the observable order from [mem_size], which
-   is what lets tasks pre-size their tables from the static footprint. *)
+   capacity. That decouples the observable order from [mem_size], so a
+   journal's initial capacity can never change a result. *)
 type t = {
   mutable pc : int;
   mutable pc_set : bool;
@@ -73,8 +73,6 @@ let record_mem j a v =
 
 let set_mem j a v =
   if Hashtbl.mem j.mem a then Hashtbl.replace j.mem a v else record_mem j a v
-
-let mem_count j = j.mem_n
 
 (* conservative O(1) span test off the bounds above: [true] guarantees
    no memory binding lies in [lo, hi] (inclusive) — the block executor's

@@ -16,7 +16,7 @@
     training replay the task's first-reads in serial first-read order,
     no matter whether the per-instruction interpreter or the block
     engine staged them, and no matter the table's capacity — which is
-    what makes [mem_size] pre-sizing invisible. *)
+    what makes [mem_size] invisible. *)
 
 type t
 
@@ -56,10 +56,6 @@ val record_mem : t -> int -> int -> unit
     {!set_mem} pays. The caller guarantees [find_mem j a = None] (block
     dispatch has just probed); violating that duplicates the binding. *)
 
-val mem_count : t -> int
-(** Number of bound memory cells ([O(1)]); with {!cardinal}, the sizing
-    input for pre-allocating dependent journals. *)
-
 val mem_avoids : t -> lo:int -> hi:int -> bool
 (** [mem_avoids j ~lo ~hi] is [true] when no memory binding lies in
     [\[lo, hi\]] (inclusive). [O(1)] and conservative — computed from
@@ -82,4 +78,9 @@ val for_all : (Mssp_state.Cell.t -> int -> bool) -> t -> bool
 (** Same order as {!iter}. *)
 
 val to_fragment : t -> Mssp_state.Fragment.t
+
 val of_fragment : Mssp_state.Fragment.t -> t
+(** The whole fragment flattened into a journal. Tasks no longer hold
+    their live-in this way ({!Task.make} reads memory live-ins from the
+    fragment by reference); the live-in lookup tests use it as the
+    oracle. *)

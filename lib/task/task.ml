@@ -37,6 +37,8 @@ type t = {
   budget : int;
   live_in : Fragment.t;
   li : Journal.t;
+  li_lo : int;
+  li_hi : int;
   reads : Journal.t;
   writes : Journal.t;
   mutable executed : int;
@@ -44,18 +46,41 @@ type t = {
   decode : pc:int -> word:int -> Mssp_isa.Instr.t option;
 }
 
+(* stops the in-order walk of a live-in at its first memory binding *)
+exception Past_registers
+
 let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in =
   let live_in =
     if Fragment.mem Cell.Pc live_in then live_in
     else Fragment.add Cell.Pc start_pc live_in
   in
-  let li = Journal.of_fragment live_in in
-  (* The task's static footprint — the master's predicted read-set — is
-     the best spawn-time estimate of how many memory cells the body will
-     touch, so the reads and writes journals are pre-sized from it
-     instead of the default table size; the journals' insertion-order
-     iteration makes capacity invisible, so this only cuts rehashing. *)
-  let mem_size = 16 + (2 * Journal.mem_count li) in
+  (* The live-in is passed by reference: a checkpoint's prediction holds
+     the master's cumulative dirty set (thousands of cells on long
+     runs), so copying it per task would cost more than the task body.
+     Only the PC and the registers — the lowest keys in cell order, at
+     most 33 bindings — are flattened into [li]'s fast arrays; memory
+     live-ins are looked up in the persistent fragment itself. *)
+  let li = Journal.create ~mem_size:1 () in
+  (try
+     Fragment.iter
+       (fun c v ->
+         match c with
+         | Cell.Pc -> Journal.set_pc li v
+         | Cell.Reg r -> Journal.set_reg li (Reg.to_int r) v
+         | Cell.Mem _ -> raise_notrace Past_registers)
+       live_in
+   with Past_registers -> ());
+  let li_lo, li_hi =
+    match
+      ( Fragment.find_first_opt Cell.is_mem live_in,
+        Fragment.max_binding_opt live_in )
+    with
+    | Some (Cell.Mem lo, _), Some (Cell.Mem hi, _) -> (lo, hi)
+    | _ -> (max_int, min_int)
+  in
+  (* The journals iterate in insertion order, so their initial capacity
+     cannot change any result; a small fixed size keeps short tasks
+     cheap, and the tables grow with the body's actual footprint. *)
   {
     id;
     start_pc;
@@ -65,12 +90,19 @@ let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in =
     budget;
     live_in;
     li;
-    reads = Journal.create ~mem_size ();
-    writes = Journal.create ~mem_size ();
+    li_lo;
+    li_hi;
+    reads = Journal.create ~mem_size:16 ();
+    writes = Journal.create ~mem_size:16 ();
     executed = 0;
     status = Running;
     decode = Exec.default_decode;
   }
+
+(* a memory live-in straight off the predicted fragment; the address
+   bounds reject most misses without a tree walk *)
+let li_mem t c a =
+  if a < t.li_lo || a > t.li_hi then None else Fragment.find_opt c t.live_in
 
 let with_decode decode t = { t with decode }
 
@@ -130,7 +162,7 @@ let make_ctx ?(on_access = no_access) t view =
       match Journal.find_mem t.writes a with
       | Some _ as r -> r
       | None -> (
-        match Journal.find_mem t.li a with
+        match li_mem t c a with
         | Some v as r ->
           record v;
           r
@@ -227,9 +259,10 @@ let step ?on_access t view = step_ctx t (make_ctx ?on_access t view)
    Sharing is what forces builds to resolve words from architected
    state only — a cached block must not embed one task's write-buffer
    or live-in values — and the executor refuses to dispatch a block
-   whose span the current task's journals might shadow ([shadowed]
-   probe below, O(1) off the journals' address bounds): such spans run
-   on the single-step rung, whose fetch consults the journal stack.
+   whose span the current task's write buffer or live-in might shadow
+   ([shadowed] probe below, O(1) off the write journal's and the
+   live-in's address bounds): such spans run on the single-step rung,
+   whose fetch consults the journal stack.
    The architected words inside a block stay trustworthy because every
    store into architected state between runs is reported to the cache
    (task commits, chaos corruption) or drops it whole (recovery
@@ -310,19 +343,20 @@ let exec_spec_block t ~on_access arch eng ~gen (b : Spec.sblock) =
   in
   (* data read, address already known non-I/O *)
   let read_mem a =
-    on_access (Cell.mem a);
+    let c = Cell.mem a in
+    on_access c;
     match Journal.find_mem t.writes a with
     | Some v -> v
     | None -> (
       let record v =
         if Journal.find_mem t.reads a = None then Journal.record_mem t.reads a v
       in
-      match Journal.find_mem t.li a with
+      match li_mem t c a with
       | Some v ->
         record v;
         v
       | None ->
-        let v = arch (Cell.mem a) in
+        let v = arch c in
         record v;
         v)
   in
@@ -470,7 +504,7 @@ let run_block_journal ~on_access ?engine t arch ctx =
     let lo = b.Spec.s_start in
     let hi = lo + Array.length b.Spec.s_instrs - 1 in
     not
-      (Journal.mem_avoids t.writes ~lo ~hi && Journal.mem_avoids t.li ~lo ~hi)
+      (Journal.mem_avoids t.writes ~lo ~hi && (t.li_hi < lo || t.li_lo > hi))
   in
   let rec go () =
     match t.status with

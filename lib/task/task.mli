@@ -53,8 +53,16 @@ type t = {
           pass is the boundary (it counted its own marker passes) *)
   mutable end_seen : int;  (** arrivals at [end_pc] so far *)
   budget : int;
-  live_in : Mssp_state.Fragment.t;  (** master's prediction; binds [Pc] *)
-  li : Journal.t;  (** [live_in] flattened for the execution fast path *)
+  live_in : Mssp_state.Fragment.t;
+      (** master's prediction; binds [Pc]. Held by reference, never
+          copied: memory live-ins are looked up here directly *)
+  li : Journal.t;
+      (** the PC and register bindings of [live_in], flattened into the
+          journal's fast arrays; it binds no memory *)
+  li_lo : int;  (** lowest memory address bound in [live_in] *)
+  li_hi : int;
+      (** highest memory address bound in [live_in]; [li_lo > li_hi]
+          when it binds no memory *)
   reads : Journal.t;
       (** recorded live-ins: first-read value of every cell obtained from
           outside the write buffer *)
@@ -77,7 +85,13 @@ val make :
   t
 (** A fresh task ([⟨S_in, n, S_in, 0⟩] in the paper's tuple form). The
     [Pc ↦ start_pc] binding is added to [live_in] if absent — the task's
-    start position is itself a live-in and is verified like any other. *)
+    start position is itself a live-in and is verified like any other.
+
+    Cost is O(registers + log |live_in|), independent of how many memory
+    cells [live_in] binds: only the PC and registers are flattened, and
+    a memory read resolves write buffer, then [Fragment.find_opt] on
+    [live_in], then the view — the same values, in the same order, as a
+    task whose whole live-in had been flattened into a journal. *)
 
 val with_decode : (pc:int -> word:int -> Mssp_isa.Instr.t option) -> t -> t
 (** A copy of a fresh task using the given decoder. [decode] must agree

@@ -1,7 +1,13 @@
 (* Tests for the baseline machines. *)
 
 module Full = Mssp_state.Full
+module Cell = Mssp_state.Cell
 module Machine = Mssp_seq.Machine
+module Exec = Mssp_seq.Exec
+module Cache = Mssp_cache.Cache
+module Hierarchy = Mssp_cache.Cache.Hierarchy
+module Gen = Mssp_fuzz.Gen
+module W = Mssp_workload.Workload
 module B = Mssp_baseline.Baseline
 module Config = Mssp_core.Mssp_config
 module Dsl = Mssp_asm.Dsl
@@ -80,6 +86,128 @@ let test_oracle_beats_sequential () =
   let base = B.sequential p in
   let o = B.oracle_parallel ~slaves:8 p in
   check "oracle faster than sequential" true (o.B.cycles < base.B.cycles)
+
+(* --- the timed step ----------------------------------------------------- *)
+
+(* The oracle: the closure-based timed step the baselines ran before
+   [Exec.timed_step] — [Exec.step] with callbacks that charge every
+   memory cell to the hierarchy as it is read or written. Returns the
+   access cycles, or the stop. *)
+let oracle_step cache ~stores state =
+  let cost = ref 0 in
+  let read c =
+    (match c with
+    | Cell.Mem a -> cost := !cost + Hierarchy.access cache a
+    | Cell.Pc | Cell.Reg _ -> ());
+    Some (Full.get state c)
+  in
+  let write c v =
+    (match c with
+    | Cell.Mem a ->
+      cost := !cost + Hierarchy.access cache a;
+      stores := (a, v) :: !stores
+    | Cell.Pc | Cell.Reg _ -> ());
+    Full.set state c v
+  in
+  match Exec.step ~read ~write with
+  | Exec.Stepped -> Ok !cost
+  | Exec.Halted -> Error Machine.Halted
+  | Exec.Fault f -> Error (Machine.Faulted f)
+  | Exec.Missing _ -> assert false
+
+let direct_step cache ~stores state =
+  let on_store a v = stores := (a, v) :: !stores in
+  let c = Exec.timed_step ~on_store cache state in
+  if c <> Exec.timed_stopped then Ok c
+  else
+    let pc = Full.pc state in
+    let word = Full.get_mem state pc in
+    match Instr.decode word with
+    | Some Instr.Halt -> Error Machine.Halted
+    | Some _ | None -> Error (Machine.Faulted (Exec.Undecodable { pc; word }))
+
+(* Run a stepper from a fresh load of [p] for at most [fuel] steps over
+   a hierarchy built from [l1]/[l2]; everything observable comes back. *)
+let drive step ~l1 ~l2 ~fuel p =
+  let state = Full.create () in
+  Full.load state p;
+  let cache = Hierarchy.make ~l1 ~l2 () in
+  let stores = ref [] in
+  let rec go cycles n =
+    if n = fuel then (cycles, n, None)
+    else
+      match step cache ~stores state with
+      | Ok c -> go (cycles + c) (n + 1)
+      | Error stop -> (cycles, n, Some stop)
+  in
+  let cycles, retired, stop = go 0 0 in
+  let stats s = (s.Cache.accesses, s.Cache.misses) in
+  ( (cycles, retired, stop, List.rev !stores),
+    (stats (Hierarchy.l1_stats cache), stats (Hierarchy.l2_stats cache)),
+    state )
+
+(* Cache shapes: the defaults, and a one-word direct-mapped L1 over a
+   two-line L2 — there an access hits only when it repeats the previous
+   address, so equal stats pin down the charged-address sequence far
+   more tightly than the default geometry does. *)
+let geometries =
+  [
+    (Cache.config (), Cache.config ~sets:1024 ~ways:8 ());
+    ( Cache.config ~sets:1 ~ways:1 ~line_words:1 (),
+      Cache.config ~sets:2 ~ways:1 ~line_words:1 () );
+  ]
+
+let same_timed_run ~fuel p =
+  List.for_all
+    (fun (l1, l2) ->
+      let r_new, s_new, st_new = drive direct_step ~l1 ~l2 ~fuel p in
+      let r_old, s_old, st_old = drive oracle_step ~l1 ~l2 ~fuel p in
+      r_new = r_old && s_new = s_old && Full.equal_observable st_new st_old)
+    geometries
+
+let program_arb ?(weights = Gen.default_weights) ~min_size ~max_size () =
+  let gen st =
+    let seed = Random.State.int st 0x3FFFFFFF in
+    let size = min_size + Random.State.int st (max_size - min_size + 1) in
+    Gen.generate ~weights ~seed ~size ()
+  in
+  QCheck.make ~print:Mssp_asm.Emit.program_to_source gen
+
+let prop_timed_fuzz =
+  QCheck.Test.make ~name:"fuzz program: timed step = closure-charged step"
+    ~count:80
+    (program_arb ~min_size:4 ~max_size:20 ())
+    (same_timed_run ~fuel:5_000)
+
+let prop_timed_smc =
+  QCheck.Test.make ~name:"SMC-heavy program: timed step = closure-charged step"
+    ~count:40
+    (program_arb ~weights:Gen.smc_heavy ~min_size:4 ~max_size:16 ())
+    (same_timed_run ~fuel:5_000)
+
+let test_timed_kernels () =
+  List.iter
+    (fun b ->
+      check (b.W.name ^ ": timed step = closure-charged step") true
+        (same_timed_run ~fuel:5_000_000 (b.W.program ~size:b.W.ref_size)))
+    W.all
+
+(* the stop paths: [Halt] and an undecodable word are charged their
+   fetch and leave the state alone, exactly as before *)
+let test_timed_stops () =
+  check "halt" true (same_timed_run ~fuel:1_000 (loop 5));
+  (* jump into the data segment, whose word is not an instruction *)
+  let b = Dsl.create () in
+  let junk = Dsl.data_words b [ -1 ] in
+  Dsl.li b t0 junk;
+  Dsl.jr b t0;
+  let p = Dsl.build b () in
+  let (_, _, stop, _), _, _ =
+    drive direct_step ~l1:(Cache.config ()) ~l2:(Cache.config ()) ~fuel:10 p
+  in
+  check "faults" true
+    (match stop with Some (Machine.Faulted _) -> true | _ -> false);
+  check "garbage word" true (same_timed_run ~fuel:10 p)
 
 (* --- ILP limit --- *)
 
@@ -160,6 +288,13 @@ let () =
           Alcotest.test_case "validates" `Quick test_oracle_validates_slaves;
           Alcotest.test_case "speedup helper" `Quick test_speedup_helper;
           Alcotest.test_case "beats sequential" `Quick test_oracle_beats_sequential;
+        ] );
+      ( "timed step",
+        [
+          Alcotest.test_case "stop paths" `Quick test_timed_stops;
+          Alcotest.test_case "13 kernels" `Quick test_timed_kernels;
+          Mssp_testkit.to_alcotest prop_timed_fuzz;
+          Mssp_testkit.to_alcotest prop_timed_smc;
         ] );
       ( "ilp limit",
         [

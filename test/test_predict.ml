@@ -157,6 +157,68 @@ let test_master_incumbent () =
   check "master re-earns the cell" true
     (Fragment.equal (Predict.refine t frag) frag)
 
+(* The rebuild [refine] replaced, restated over the public API: fold
+   every binding from the empty fragment, keeping [Pc] and every value
+   the mode's pick does not beat the master on. [refine] now adds only
+   the overridden cells onto the incoming fragment, and must agree. *)
+let rebuild mode t frag =
+  let pick_conf c =
+    match mode with
+    | Predict.Broken -> max_int
+    | Predict.Tournament -> (
+      match Predict.chosen t c with
+      | Some name -> Predict.confidence t c name
+      | None -> 0)
+    | Predict.Last_value -> Predict.confidence t c "last-value"
+    | Predict.Stride -> Predict.confidence t c "stride"
+    | Predict.Context -> Predict.confidence t c "context"
+    | Predict.Off -> 0
+  in
+  Fragment.fold
+    (fun c v acc ->
+      match (c, Predict.predict t c) with
+      | Cell.Pc, _ -> Fragment.add c v acc
+      | _, Some p when p <> v && pick_conf c > Predict.master_confidence t c ->
+        Fragment.add c p acc
+      | _ -> Fragment.add c v acc)
+    frag Fragment.empty
+
+let prop_refine_is_rebuild =
+  let modes =
+    [| Predict.Last_value; Predict.Stride; Predict.Context; Predict.Tournament;
+       Predict.Broken |]
+  in
+  QCheck.Test.make ~name:"refine = rebuild of the live-in" ~count:200
+    QCheck.(
+      pair (int_bound (Array.length modes - 1))
+        (pair
+           (list_of_size (Gen.int_range 0 60)
+              (triple (int_bound 7) (int_range (-4) 4) bool))
+           (list_of_size (Gen.int_range 0 24) (pair (int_bound 9) small_int))))
+    (fun (m, (training, bindings)) ->
+      let t = Predict.create modes.(m) in
+      (* eight memory cells trained on short affine streams; a master
+         miss on a cell collapses its incumbent confidence so overrides
+         actually happen *)
+      let mem i = Cell.Mem (0x4000 + i) in
+      List.iter
+        (fun (i, step, miss) ->
+          let c = mem i in
+          observe_all t c (List.init 4 (fun k -> (i * 100) + (k * step)));
+          if miss then Predict.observe_master t c ~supplied:0 ~actual:1)
+        training;
+      let cell_of k =
+        if k = 0 then Cell.Pc
+        else if k = 1 then Cell.Reg Mssp_asm.Regs.t0
+        else mem (k - 2)
+      in
+      let frag =
+        List.fold_left
+          (fun f (k, v) -> Fragment.add (cell_of k) v f)
+          Fragment.empty bindings
+      in
+      Fragment.equal (Predict.refine t frag) (rebuild modes.(m) t frag))
+
 let test_off_never_predicts () =
   let t = Predict.create Predict.Off in
   observe_all t cell [ 5; 5; 5; 5; 5; 5 ];
@@ -264,6 +326,7 @@ let () =
           Alcotest.test_case "master incumbent" `Quick test_master_incumbent;
           Mssp_testkit.to_alcotest prop_tournament_maximal;
           Mssp_testkit.to_alcotest prop_deterministic;
+          Mssp_testkit.to_alcotest prop_refine_is_rebuild;
         ] );
       ( "machine",
         [

@@ -1,5 +1,7 @@
 (* Tests for speculative tasks: view resolution order, live-in recording,
-   boundary/occurrence completion, budgets, failures, I/O refusal. *)
+   boundary/occurrence completion, budgets, failures, I/O refusal, and
+   the live-in lookup contract (memory live-ins read from the fragment
+   by reference behave exactly like a flattened copy). *)
 
 module Cell = Mssp_state.Cell
 module Fragment = Mssp_state.Fragment
@@ -264,6 +266,210 @@ let prop_task_matches_abstract_evolution =
       | _ -> false)
       && Fragment.equal sim_result abstract.Abstract_task.live_out)
 
+(* --- live-in lookup: by reference = flattened --------------------------- *)
+
+(* The oracle: a task executor over a live-in flattened whole into a
+   journal with [Journal.of_fragment], the representation tasks used
+   before memory live-ins were looked up in the fragment itself. Reads
+   resolve write buffer, then the flattened live-in, then the view,
+   recording first-reads; memory touches feed the access list and the
+   first I/O touch fails the instruction, as [Task]'s contract says. *)
+let oracle_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc view =
+  let live_in =
+    if Fragment.mem Cell.Pc live_in then live_in
+    else Fragment.add Cell.Pc start_pc live_in
+  in
+  let li = Journal.of_fragment live_in in
+  let reads = Journal.create () and writes = Journal.create () in
+  let accesses = ref [] and io = ref None in
+  let touch c =
+    if Cell.is_mem c then begin
+      if Cell.is_io c && !io = None then io := Some c;
+      accesses := c :: !accesses
+    end
+  in
+  let read c =
+    touch c;
+    match Journal.find writes c with
+    | Some _ as r -> r
+    | None ->
+      let r =
+        match Journal.find li c with
+        | Some _ as r -> r
+        | None -> (
+          match view with
+          | Task.Fallback arch -> Some (arch c)
+          | Task.Isolated -> if Cell.is_mem c then Some 0 else None)
+      in
+      (match r with
+      | Some v when not (Journal.mem reads c) -> Journal.set reads c v
+      | Some _ | None -> ());
+      r
+  in
+  let write c v =
+    touch c;
+    Journal.set writes c v
+  in
+  let executed = ref 0 and seen = ref 0 in
+  let rec go () =
+    if !executed >= budget then Task.Failed Task.Budget_exhausted
+    else begin
+      io := None;
+      let outcome = Mssp_seq.Exec.step ~read ~write in
+      match (!io, outcome) with
+      | Some c, _ -> Task.Failed (Task.Io_speculative c)
+      | None, Mssp_seq.Exec.Stepped -> (
+        incr executed;
+        match (end_pc, Journal.pc writes) with
+        | Some e, Some pc when pc = e ->
+          incr seen;
+          if !seen >= max 1 end_occurrence then Task.Complete Task.Reached_boundary
+          else go ()
+        | _ -> go ())
+      | None, Mssp_seq.Exec.Halted -> Task.Complete Task.Program_halted
+      | None, Mssp_seq.Exec.Fault f -> Task.Failed (Task.Fault f)
+      | None, Mssp_seq.Exec.Missing c -> Task.Failed (Task.Missing_cell c)
+    end
+  in
+  let status = go () in
+  (status, !executed, reads, writes, List.rev !accesses)
+
+let journal_list j =
+  let l = ref [] in
+  Journal.iter (fun c v -> l := (c, v) :: !l) j;
+  List.rev !l
+
+let task_run ~block_journal ~budget ~end_pc ~end_occurrence ~live_in ~start_pc
+    view =
+  let t = Task.make ~id:0 ~start_pc ~end_pc ~end_occurrence ~budget ~live_in in
+  let accesses = ref [] in
+  let status =
+    Task.run ~on_access:(fun c -> accesses := c :: !accesses) ~block_journal t
+      view
+  in
+  ( status,
+    t.Task.executed,
+    journal_list t.Task.reads,
+    journal_list t.Task.writes,
+    List.rev !accesses )
+
+(* A generated program with a random live-in: maybe a PC (the entry or a
+   word inside the code), registers, and memory cells inside the code
+   span (the architected word, or another instruction's word — live-in
+   code the block engine must not run from its cache), around the data
+   base, and at the output counter; plus a random boundary. *)
+let live_in_case =
+  let gen st =
+    let int n = Random.State.int st n in
+    let p =
+      Mssp_fuzz.Gen.generate ~seed:(int 0x3FFFFFFF) ~size:(4 + int 13) ()
+    in
+    let arch = arch_of p in
+    let base = p.Mssp_isa.Program.base in
+    let len = Array.length p.Mssp_isa.Program.code in
+    let code_addr () = base + int len in
+    let reg () = Cell.Reg (Mssp_isa.Reg.of_int (1 + int 31)) in
+    let value c =
+      match int 3 with
+      | 0 -> Full.get arch c
+      | 1 -> int 64 - 8
+      | _ -> Layout.data_base + int 64
+    in
+    let binding () =
+      match int 8 with
+      | 0 | 1 ->
+        let c = reg () in
+        (c, value c)
+      | 2 ->
+        let c = Cell.mem (code_addr ()) in
+        (c, Full.get arch c)
+      | 3 -> (Cell.mem (code_addr ()), Full.get_mem arch (code_addr ()))
+      | 4 | 5 ->
+        let c = Cell.mem (Layout.data_base + int 64) in
+        (c, value c)
+      | 6 -> (Cell.mem Layout.out_count_addr, int 4)
+      | _ ->
+        let c = Cell.mem (int 0x100000) in
+        (c, value c)
+    in
+    let live_in = Fragment.of_list (List.init (int 24) (fun _ -> binding ())) in
+    let live_in =
+      match int 8 with
+      | 0 -> Fragment.add Cell.Pc p.Mssp_isa.Program.entry live_in
+      | 1 -> Fragment.add Cell.Pc (code_addr ()) live_in
+      | _ -> live_in
+    in
+    let end_pc = if int 4 = 0 then None else Some (code_addr ()) in
+    (p, live_in, end_pc, 1 + int 3)
+  in
+  QCheck.make
+    ~print:(fun (p, li, end_pc, occ) ->
+      Printf.sprintf "%s\nlive-in %s\nend %s x%d"
+        (Mssp_asm.Emit.program_to_source p)
+        (Fragment.show li)
+        (match end_pc with Some e -> Printf.sprintf "%#x" e | None -> "halt")
+        occ)
+    gen
+
+let prop_live_in_by_reference =
+  QCheck.Test.make
+    ~name:"live-ins by reference = flattened (single-step and block paths)"
+    ~count:150 live_in_case
+    (fun (p, live_in, end_pc, end_occurrence) ->
+      let arch = arch_of p in
+      let start_pc = p.Mssp_isa.Program.entry in
+      let budget = 500 in
+      let oracle view =
+        let status, executed, reads, writes, accesses =
+          oracle_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc view
+        in
+        (status, executed, journal_list reads, journal_list writes, accesses)
+      in
+      let run ~block_journal view =
+        task_run ~block_journal ~budget ~end_pc ~end_occurrence ~live_in
+          ~start_pc view
+      in
+      let fb = fallback arch in
+      let expected = oracle fb in
+      run ~block_journal:false fb = expected
+      && run ~block_journal:true fb = expected
+      && run ~block_journal:false Task.Isolated = oracle Task.Isolated)
+
+(* [Task.make] never copies the live-in: its allocation is the same for
+   one memory binding and for four thousand *)
+let test_make_allocation () =
+  let regs =
+    List.filter_map
+      (fun r -> Option.map (fun c -> (c, 1)) (Cell.reg r))
+      Mssp_isa.Reg.all
+  in
+  let live_in n =
+    Fragment.of_list
+      ((Cell.Pc, head) :: regs
+      @ List.init (n - 1 - List.length regs) (fun i ->
+            (Cell.mem (Layout.data_base + (3 * i)), i)))
+  in
+  let allocated live_in =
+    let make () =
+      Task.make ~id:0 ~start_pc:head ~end_pc:None ~end_occurrence:1 ~budget:1
+        ~live_in
+    in
+    ignore (Sys.opaque_identity (make ()));
+    (* [Gc.allocated_bytes] sees tables allocated straight on the major
+       heap at once, but its minor share can lag (OCaml 5.1), where
+       [Gc.minor_words] is exact: take the larger of the two *)
+    let minor0 = Gc.minor_words () and all0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (make ()));
+    let minor1 = Gc.minor_words () and all1 = Gc.allocated_bytes () in
+    Float.max (8. *. (minor1 -. minor0)) (all1 -. all0)
+  in
+  let small = allocated (live_in 40) and big = allocated (live_in 4096) in
+  check
+    (Printf.sprintf "4,096-binding live-in: %.0f bytes, 40-binding: %.0f" big
+       small)
+    true
+    (big <= small +. 2048. && big < 16384.)
+
 let () =
   Alcotest.run "task"
     [
@@ -286,6 +492,12 @@ let () =
           Alcotest.test_case "live-in accounting" `Quick
             test_live_in_size_counts_reads_only;
           Mssp_testkit.to_alcotest prop_task_matches_abstract_evolution;
+        ] );
+      ( "live-ins",
+        [
+          Mssp_testkit.to_alcotest prop_live_in_by_reference;
+          Alcotest.test_case "make allocates O(registers)" `Quick
+            test_make_allocation;
         ] );
       ( "journal",
         [
