@@ -1026,12 +1026,13 @@ let poolg () =
   Guard.run ~reps:2 ~bound:(V.At_most 0.60) ~gate:(V.Min_cores 4) "POOLG"
     ("serial", grid 1) ("4 jobs", grid 4)
 
-(* SBLKG: the pre-decoded block engine is invisible to the simulation,
-   on a plain run and on a squash-heavy one (recovery executes through
-   the engine), and no slower on the straight-line micro it exists
-   for. The 5% allowance absorbs timer noise on loaded hosts. *)
+(* SBLKG: the direct step ([Config.superblock] on) is invisible to the
+   simulation, on a plain run and on a squash-heavy one (recovery
+   executes on the direct step), and no slower than the single-step
+   reference on the straight-line interpreter micro. The 5% allowance
+   absorbs timer noise on loaded hosts. *)
 let sblkg () =
-  section "SBLKG  Superblock guard: pre-decoded blocks vs single-step";
+  section "SBLKG  Direct-step guard: direct step vs single-step";
   let p = prepare (W.find "vecsum") in
   let cfg sblk = { (with_slaves 4) with Config.superblock = sblk } in
   let micro superblock () =
@@ -1045,7 +1046,7 @@ let sblkg () =
         (leg p (cfg false), leg p (cfg true));
         (squash_heavy "SBLKG" p (cfg false), squash_heavy "SBLKG" p (cfg true));
       ]
-    ("single-step", micro false) ("superblock", micro true)
+    ("single-step", micro false) ("direct step", micro true)
 
 (* SJRNLG: the block-aware slave journal is invisible to the simulation,
    plain and squash-heavy (every squash replays the staged first-read

@@ -1,4 +1,4 @@
-(** The two engine workloads the SBLKG and SJRNLG guards time: a
+(** The two workloads the SBLKG and SJRNLG guards time: a
     straight-line interpreter loop and the same loop run as a slave task
     body. Each run checks that it halted and retired exactly the stated
     instruction count, so a guard's time always covers the same work. *)
@@ -9,13 +9,13 @@ module Full = Mssp_state.Full
 module Task = Mssp_task.Task
 module Machine = Mssp_seq.Machine
 
-(* --- superblock throughput: the straight-line interpreter micro ------
+(* --- interpreter throughput: the straight-line micro -----------------
 
-   The workload the pre-decoded engine exists for: a hot loop whose body
-   is one long straight-line region (64 ALU ops per trip), so nearly
-   every dynamic instruction executes from inside a cached block. The
-   SBLKG guard times it with blocks on and off (the single-step
-   reference loop). *)
+   A hot loop whose body is one long straight-line region (64 ALU ops
+   per trip), so the run is all instruction dispatch. The SBLKG guard
+   times it on the direct step and on the single-step reference loop;
+   the SJRNLG guard runs the same loop as a slave task body, where a
+   block cache pays off. *)
 
 let straightline_trips = 2048
 
@@ -48,9 +48,9 @@ let run_straightline ~superblock () =
    The same straight-line workload, but run the way a slave runs it: as
    a speculative task against a fallback view of architected state, all
    reads resolving through the journal stack. Block-journal on executes
-   from a per-task-run superblock cache with first-reads staged into
-   the insertion-order log; off is the single-step reference executor.
-   The SJRNLG guard times the pair. *)
+   from a block cache with first-reads staged into the insertion-order
+   log; off is the single-step reference executor. The SJRNLG guard
+   times the pair. *)
 
 let slave_body_instrs = straightline_instrs
 

@@ -634,8 +634,8 @@ let fuzz_cmd =
          & info [ "weights" ] ~docv:"PROFILE"
              ~doc:"Program generator shape-weight profile: $(b,default), or \
                    $(b,smc-heavy) — self-modifying code boosted to dominate, \
-                   stressing the decode caches (superblocks, the slave block \
-                   journal) with constant invalidation. Replay lines assume \
+                   stressing the decode caches (pre-decoded images, the slave \
+                   block journal) with patched words. Replay lines assume \
                    the same profile.")
   in
   let run seed count size budget out save quiet trace jobs faults distill_grid

@@ -112,33 +112,6 @@ let block_of_pc g pc =
 let instrs g b = Array.init b.len (fun i -> instr_pc g (b.start + i))
 let terminator g b = instr_pc g (b.start + b.len - 1)
 
-let superblock_starts g =
-  Array.to_list (Array.map (fun b -> b.start) g.blocks)
-
-let superblock_len g pc =
-  let p = g.program in
-  if not (Program.in_code p pc) then 0
-  else begin
-    let n = ref 0 in
-    let continue = ref true in
-    while !continue do
-      match Program.instr_at p (pc + !n) with
-      | None -> continue := false
-      | Some i ->
-        incr n;
-        (match i with
-        (* conditional fall-through keeps the region growing; only a
-           transfer that cannot fall through ends it *)
-        | Instr.Br _ -> ()
-        | Instr.Jmp _ | Instr.Jal _ | Instr.Jr _ | Instr.Jalr _ | Instr.Halt ->
-          continue := false
-        | Instr.Alu _ | Instr.Alui _ | Instr.Li _ | Instr.Ld _ | Instr.St _
-        | Instr.Out _ | Instr.Fork _ | Instr.Nop ->
-          ())
-    done;
-    !n
-  end
-
 (* Roots for conservative reachability: the entry, return points after
    calls, and any block whose start address appears as a constant (li/la
    targets feed jr/jalr) or a fork operand. *)

@@ -37,18 +37,6 @@ val instrs : t -> block -> Mssp_isa.Instr.t array
 val terminator : t -> block -> Mssp_isa.Instr.t
 (** Last instruction of the block. *)
 
-val superblock_starts : t -> int list
-(** Entry PCs of every straight-line region: the basic-block leaders, in
-    address order. The superblock engine warms its block cache at these
-    addresses (mid-region entries are discovered at run time). *)
-
-val superblock_len : t -> int -> int
-(** Static length of the superblock starting at an absolute PC: the
-    straight-line run extending {e through} conditional branches (their
-    fall-through continues the region) until an instruction that cannot
-    fall through — [Jmp]/[Jal]/[Jr]/[Jalr]/[Halt] (included) — or the
-    image end. 0 outside the code image. *)
-
 val reachable : t -> bool array
 (** Per-block reachability from the entry. Blocks reachable only through
     indirect jumps are kept reachable conservatively: any block whose

@@ -112,13 +112,16 @@ type t = {
           domain. Kept only because the repo benchmark pins
           [pool = Some 0]; it goes once that pin does. *)
   superblock : bool;
-      (** pre-decoded superblock fast paths ([true] by default; [false]
-          is the single-step reference rung): recovery segments run
-          through the block engine and the master and slaves decode
-          fetched words via pre-decoded program images. This {e never}
-          changes simulated cycles, stats, squash attribution or traces
-          — runs are bit-identical either way (enforced by tests and the
-          SBLKG bench guard). *)
+      (** the direct-step fast paths. [true] (the default): recovery
+          segments run on the direct step ({!Mssp_seq.Exec.exec}), and
+          the master, slaves and recovery decode fetched words through
+          pre-decoded images of both programs. [false]: recovery
+          single-steps the closure reference ({!Mssp_seq.Exec.step})
+          and fetched words decode through the generic
+          {!Mssp_seq.Exec.default_decode} — the reference rung. The master runs on the timed direct step either way.
+          This {e never} changes simulated cycles, stats, squash
+          attribution or traces — runs are bit-identical either way
+          (enforced by tests and the SBLKG bench guard). *)
   slave_block_journal : bool;
       (** block-aware slave journaling ([true] by default; [false] is the
           single-step slave interpreter): slave task bodies

@@ -221,12 +221,12 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
   let entry_set = Hashtbl.create 16 in
   List.iter (fun e -> Hashtbl.replace entry_set e ()) d.task_entries;
   let at_entry pc = Hashtbl.mem entry_set pc in
-  (* Superblock fast paths ([cfg.superblock]): recovery segments run
-     through a persistent block engine over [arch], and the master and
-     slaves decode fetched words through pre-decoded images of both
-     programs. These are pure engine choices — cycles, stats, squash
-     attribution and traces are bit-identical either way (differential
-     tests + the SBLKG bench guard). *)
+  (* Direct-step fast paths ([cfg.superblock]): recovery segments run on
+     the direct step over [arch], and the master, slaves and recovery
+     decode fetched words through pre-decoded images of both programs.
+     These are pure engine choices — cycles, stats, squash attribution
+     and traces are bit-identical either way (differential tests + the
+     SBLKG bench guard). *)
   let image_decode =
     if cfg.superblock then
       Some
@@ -237,15 +237,8 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
   let master_decode =
     match image_decode with Some dec -> dec | None -> Exec.default_decode
   in
-  (* Created at the first recovery segment — [arch] only becomes the
-     engine's execution state then; until that point no blocks exist and
-     no store notifications are needed. *)
-  let recovery_engine =
-    lazy (Sblock.create ~images:[ d.original; d.distilled ] ())
-  in
-  let engine_live () = cfg.superblock && Lazy.is_val recovery_engine in
   (* Block-aware slave journaling ([cfg.slave_block_journal]): task
-     bodies execute from per-SLAVE superblock caches with first-reads
+     bodies execute from per-SLAVE block caches with first-reads
      staged in serial first-read order. The caches persist across a
      slave's task runs — tasks are far too short to amortize block
      building per run. Like [superblock], the switch is a pure engine
@@ -255,25 +248,19 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
     if cfg.slave_block_journal then
       Some
         (Array.init cfg.slaves (fun _ ->
-             Sblock.Spec.create ~decode:master_decode ()))
+             Sblock.create ~decode:master_decode ()))
     else None
   in
   let specs_live = slave_specs <> None in
-  (* Every store into [arch] performed outside the engines (task
-     commits, chaos corruption) must reach the block caches'
-     invalidation probes, or a block over self-modified code could go
-     stale — across recovery segments (master engine) or across task
-     runs (slave caches). *)
+  (* Every store into [arch] between task runs (task commits, chaos
+     corruption) must reach the slave block caches' invalidation probes,
+     or a block over self-modified code could go stale. *)
   let note_arch_cell c _v =
     match c with
     | Cell.Mem a ->
-      if engine_live () then Sblock.note_store (Lazy.force recovery_engine) a;
-      (match slave_specs with
-      | None -> ()
-      | Some specs ->
-        Array.iter
-          (fun e -> ignore (Sblock.Spec.note_store e a : bool))
-          specs)
+      Option.iter
+        (Array.iter (fun e -> ignore (Sblock.note_store e a : bool)))
+        slave_specs
     | Cell.Pc | Cell.Reg _ -> ()
   in
   (* The event bus. Every emission site is guarded by [if tracing then],
@@ -352,7 +339,7 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
           let c, v = List.nth l (cp_id mod List.length l) in
           fault_event a "commit_corrupt" (Some cp_id);
           Full.set arch c (v lxor 0x2A);
-          if engine_live () || specs_live then note_arch_cell c 0)
+          if specs_live then note_arch_cell c 0)
       | None -> ())
   in
   (* dual-mode: squashes with no commit in between *)
@@ -722,8 +709,7 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
           (* the memoization hit: superimpose the live-outs *)
           ignore (Queue.pop window : checkpoint);
           Task.commit_into task arch;
-          if engine_live () || specs_live then
-            Task.iter_writes note_arch_cell task;
+          if specs_live then Task.iter_writes note_arch_cell task;
           maybe_corrupt_commit cp.cp_id task;
           let n_outs = Task.live_out_size task in
           fruitless_squashes := 0;
@@ -829,15 +815,11 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
       else 0
     in
     let from_pc = Full.pc arch in
-    (* Engine path: the persistent block cache over [arch] survives
-       across segments (commits/chaos report their stores into it), so
-       later segments re-dispatch warm blocks. The single-step path is
-       the reference this must stay bit-identical to. *)
+    (* the direct step, or with [superblock] off the single-step
+       reference it must stay bit-identical to *)
     let m =
-      if cfg.superblock then
-        Seq_machine.of_state ~superblock:true
-          ~engine:(Lazy.force recovery_engine) arch
-      else Seq_machine.of_state ~superblock:false arch
+      Seq_machine.of_state ~superblock:cfg.superblock ~decode:master_decode
+        arch
     in
     let outcome =
       Seq_machine.run_until m ~fuel:cfg.recovery_fuel ~min_steps ~at:at_entry
@@ -846,7 +828,7 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
        drop the slave block caches whole rather than track its writes *)
     (match slave_specs with
     | None -> ()
-    | Some specs -> Array.iter Sblock.Spec.clear specs);
+    | Some specs -> Array.iter Sblock.clear specs);
     let steps = m.Seq_machine.instructions in
     stats.recovery_segments <- stats.recovery_segments + 1;
     stats.recovery_instructions <- stats.recovery_instructions + steps;

@@ -36,8 +36,8 @@ let default_weights =
   }
 
 (* the self-modifying-code stress profile: most programs patch their own
-   bodies, so decode caches (superblocks, the slave block journal) see
-   constant invalidation pressure *)
+   bodies, so decode caches (pre-decoded images, the slave block
+   journal) see patched words on every trip *)
 let smc_heavy = { default_weights with smc = 40; alu = 8; loop = 12 }
 
 (* Mirror Full.t's geometry without depending on mssp_state: 4096 pages
@@ -167,9 +167,10 @@ let generate ?(weights = default_weights) ~seed ~size () =
   (* Self-modifying code: a two-trip loop whose body starts with a
      labeled patch slot; the first trip overwrites the slot's word with
      a different (valid) instruction, so the second trip executes the
-     patched one. Exercises the superblock engine's store invalidation
-     (SEQ oracle and recovery both fetch through it) and slaves' fetch
-     of their own buffered code stores. *)
+     patched one. Exercises the image decoder's word check (the SEQ
+     oracle and recovery both decode through it), the slave block
+     caches' store invalidation, and slaves' fetch of their own
+     buffered code stores. *)
   let emit_smc () =
     let l = fresh "smc" in
     let patch = fresh "patch" in

@@ -26,14 +26,14 @@ let symbol p name = List.assoc name p.symbols
 type image = {
   i_base : int;
   i_words : int array;
-  i_instrs : Instr.t array;
+  i_instrs : Instr.t option array;
 }
 
 let decode_all p =
   {
     i_base = p.base;
     i_words = Array.map Instr.encode p.code;
-    i_instrs = Array.copy p.code;
+    i_instrs = Array.map Option.some p.code;
   }
 
 let image_base img = img.i_base
@@ -42,7 +42,7 @@ let image_limit img = img.i_base + Array.length img.i_words
 let image_decode img ~pc ~word =
   let i = pc - img.i_base in
   if i >= 0 && i < Array.length img.i_words && Array.unsafe_get img.i_words i = word
-  then Some (Array.unsafe_get img.i_instrs i)
+  then Array.unsafe_get img.i_instrs i
   else Instr.decode_cached word
 
 let image_decoder = function
@@ -58,7 +58,7 @@ let image_decoder = function
             i >= 0
             && i < Array.length img.i_words
             && Array.unsafe_get img.i_words i = word
-          then Some (Array.unsafe_get img.i_instrs i)
+          then Array.unsafe_get img.i_instrs i
           else probe rest
       in
       probe imgs

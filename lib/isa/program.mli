@@ -53,7 +53,9 @@ val symbol : t -> string -> int
 type image = {
   i_base : int;  (** address of [i_words.(0)] *)
   i_words : int array;  (** encodings the loader wrote into memory *)
-  i_instrs : Instr.t array;  (** [decode i_words.(i)], pre-computed *)
+  i_instrs : Instr.t option array;
+      (** [decode i_words.(i)], pre-computed (boxed once, so a hit
+          allocates nothing) *)
 }
 
 val decode_all : t -> image

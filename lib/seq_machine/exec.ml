@@ -110,9 +110,6 @@ let step_with ~decode ~read ~write =
 
 let step ~read ~write = step_with ~decode:default_decode ~read ~write
 
-let step_decoded ~read ~write ~pc instr =
-  try exec_decoded_exn ~read ~write ~pc instr with Unavailable c -> Missing c
-
 let delta ~read =
   let writes = ref Fragment.empty in
   let write c v = writes := Fragment.add c v !writes in
@@ -137,81 +134,93 @@ let observed_step ~read ~write =
   let o = step ~read:read' ~write:write' in
   (List.rev !reads, !writes, o)
 
-(* --- the timed step ---------------------------------------------------
+(* --- the direct step ---------------------------------------------------
 
-   The master's and the timed baselines' executor: the semantics of
-   [exec_decoded_exn] specialized to a full state, with no callbacks,
-   option returns or cell boxes. Every memory touch is charged to the
-   cache hierarchy in [step]'s access order — the fetch, then the data
-   read or write ([Out]: count read, slot write, count write) — so the
-   cache sees exactly the sequence a callback-charged [step] gives it. *)
+   The semantics of [exec_decoded_exn] specialized to a full state, with
+   no callbacks, option returns or cell boxes: the untimed executor of
+   whole SEQ runs and recovery segments, and the execute stage of the
+   timed step below. Inlined into both callers' per-instruction loops,
+   where a call per instruction showed on the timed baselines' host
+   time. *)
 
-let no_store (_ : int) (_ : int) = ()
-
-let timed_store cache on_store s a v =
-  let c = Hierarchy.access cache a in
-  on_store a v;
-  Full.set_mem s a v;
-  c
-
-let timed_exec cache ~on_store s ~pc instr =
-  let fetch = Hierarchy.access cache pc in
+let[@inline] exec s ~pc instr =
   match instr with
-  | Instr.Halt -> invalid_arg "Exec.timed_exec: Halt"
-  | Instr.Nop | Instr.Fork _ ->
-    Full.set_pc s (pc + 1);
-    fetch
+  | Instr.Halt -> invalid_arg "Exec.exec: Halt"
+  | Instr.Nop | Instr.Fork _ -> Full.set_pc s (pc + 1)
   | Instr.Alu (op, rd, rs1, rs2) ->
     Full.set_reg s rd
       (Instr.eval_alu op (Full.get_reg s rs1) (Full.get_reg s rs2));
-    Full.set_pc s (pc + 1);
-    fetch
+    Full.set_pc s (pc + 1)
   | Instr.Alui (op, rd, rs1, imm) ->
     Full.set_reg s rd (Instr.eval_alu op (Full.get_reg s rs1) imm);
-    Full.set_pc s (pc + 1);
-    fetch
+    Full.set_pc s (pc + 1)
   | Instr.Li (rd, imm) ->
     Full.set_reg s rd imm;
-    Full.set_pc s (pc + 1);
-    fetch
+    Full.set_pc s (pc + 1)
   | Instr.Ld (rd, rs1, off) ->
-    let a = Full.get_reg s rs1 + off in
-    let c = Hierarchy.access cache a in
-    Full.set_reg s rd (Full.get_mem s a);
-    Full.set_pc s (pc + 1);
-    fetch + c
+    Full.set_reg s rd (Full.get_mem s (Full.get_reg s rs1 + off));
+    Full.set_pc s (pc + 1)
   | Instr.St (rs2, rs1, off) ->
-    let a = Full.get_reg s rs1 + off in
-    let c = timed_store cache on_store s a (Full.get_reg s rs2) in
-    Full.set_pc s (pc + 1);
-    fetch + c
+    Full.set_mem s (Full.get_reg s rs1 + off) (Full.get_reg s rs2);
+    Full.set_pc s (pc + 1)
   | Instr.Br (cmp, rs1, rs2, off) ->
     let taken = Instr.eval_cmp cmp (Full.get_reg s rs1) (Full.get_reg s rs2) in
-    Full.set_pc s (if taken then pc + off else pc + 1);
-    fetch
-  | Instr.Jmp off ->
-    Full.set_pc s (pc + off);
-    fetch
+    Full.set_pc s (if taken then pc + off else pc + 1)
+  | Instr.Jmp off -> Full.set_pc s (pc + off)
   | Instr.Jal (rd, off) ->
     Full.set_reg s rd (pc + 1);
-    Full.set_pc s (pc + off);
-    fetch
-  | Instr.Jr rs ->
-    Full.set_pc s (Full.get_reg s rs);
-    fetch
+    Full.set_pc s (pc + off)
+  | Instr.Jr rs -> Full.set_pc s (Full.get_reg s rs)
   | Instr.Jalr (rd, rs) ->
     let target = Full.get_reg s rs in
     Full.set_reg s rd (pc + 1);
-    Full.set_pc s target;
-    fetch
+    Full.set_pc s target
   | Instr.Out rs ->
     let v = Full.get_reg s rs in
-    let c0 = Hierarchy.access cache Layout.out_count_addr in
     let count = Full.get_mem s Layout.out_count_addr in
-    let c1 = timed_store cache on_store s (Layout.out_base + count) v in
-    let c2 = timed_store cache on_store s Layout.out_count_addr (count + 1) in
-    Full.set_pc s (pc + 1);
-    fetch + c0 + c1 + c2
+    Full.set_mem s (Layout.out_base + count) v;
+    Full.set_mem s Layout.out_count_addr (count + 1);
+    Full.set_pc s (pc + 1)
+
+(* --- the timed step ---------------------------------------------------
+
+   The master's and the timed baselines' executor: every memory touch is
+   charged to the cache hierarchy in [step]'s access order — the fetch,
+   then the data read or write ([Out]: count read, slot write, count
+   write) — so the cache sees exactly the sequence a callback-charged
+   [step] gives it; then [exec] runs the instruction. All of an
+   instruction's reads precede its writes, so the addresses charged
+   here are the ones [exec] touches. *)
+
+let no_store (_ : int) (_ : int) = ()
+
+let timed_exec cache ~on_store s ~pc instr =
+  let fetch = Hierarchy.access cache pc in
+  let data =
+    match instr with
+    | Instr.Halt -> invalid_arg "Exec.timed_exec: Halt"
+    | Instr.Ld (_, rs1, off) ->
+      Hierarchy.access cache (Full.get_reg s rs1 + off)
+    | Instr.St (rs2, rs1, off) ->
+      let a = Full.get_reg s rs1 + off in
+      let c = Hierarchy.access cache a in
+      on_store a (Full.get_reg s rs2);
+      c
+    | Instr.Out rs ->
+      let count = Full.get_mem s Layout.out_count_addr in
+      let slot = Layout.out_base + count in
+      let c0 = Hierarchy.access cache Layout.out_count_addr in
+      let c1 = Hierarchy.access cache slot in
+      on_store slot (Full.get_reg s rs);
+      let c2 = Hierarchy.access cache Layout.out_count_addr in
+      on_store Layout.out_count_addr (count + 1);
+      c0 + c1 + c2
+    | Instr.Nop | Instr.Fork _ | Instr.Alu _ | Instr.Alui _ | Instr.Li _
+    | Instr.Br _ | Instr.Jmp _ | Instr.Jal _ | Instr.Jr _ | Instr.Jalr _ ->
+      0
+  in
+  exec s ~pc instr;
+  fetch + data
 
 let timed_stopped = -1
 

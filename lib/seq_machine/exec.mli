@@ -1,12 +1,28 @@
-(** The single-instruction executor — the paper's [next]/[δ], generic over
-    where state lives.
+(** Instruction semantics — the paper's [next]/[δ].
 
-    Every machine in this reproduction (the SEQ reference, the master, the
-    slaves, the pure fragment executor of the formal models) executes
-    instructions through this one function, parameterized by read/write
-    callbacks. That there is exactly {e one} implementation of instruction
-    semantics is what makes "slaves implement the same ISA as the
-    reference sequential machine" (paper §4.1) true by construction.
+    Three executors implement the ISA, each checked against an oracle
+    that makes "slaves implement the same ISA as the reference
+    sequential machine" (paper §4.1) a tested property rather than a
+    hope:
+
+    - the {e closure reference} ({!step}, {!observed_step}, {!delta}),
+      generic over where state lives through read/write callbacks. It
+      is the definition: the single-step SEQ machine, the slaves'
+      single-step interpreter and the formal models run on it.
+    - the {e direct step} on a {!Mssp_state.Full.t} ({!exec}, and
+      {!timed_exec} which charges a cache hierarchy and then calls
+      {!exec}): whole SEQ runs, recovery segments, the master and the
+      timed baselines. Checked against the closure reference by the
+      superblock on = off differentials (test_sblock, the golden traces
+      replayed with both fast paths off), by the fuzz oracle (its SEQ
+      reference runs on the direct step, every MSSP run's refinement
+      shadow single-steps the closure reference) and, for the cache
+      charges, by test_baseline's closure-charged timed-step
+      differential.
+    - the {e slave block journal} ({!Mssp_task.Task.run} with
+      [~block_journal:true]), which executes cached blocks through the
+      task's journal stack. Checked against the single-step interpreter
+      by the sjournal differential suite and the SJRNLG bench guard.
 
     Reads return [int option]: [None] means the cell is unavailable in the
     backing store — possible only for partial stores (a task's live-in
@@ -55,21 +71,6 @@ val step_with :
 val default_decode : pc:int -> word:int -> Mssp_isa.Instr.t option
 (** The generic decoder: [Instr.decode_cached word]. *)
 
-val step_decoded :
-  read:(Mssp_state.Cell.t -> int option) ->
-  write:(Mssp_state.Cell.t -> int -> unit) ->
-  pc:int ->
-  Mssp_isa.Instr.t ->
-  outcome
-(** The execute stage alone: run an already fetched-and-decoded
-    instruction at [pc]. The caller is responsible for having read the
-    PC and the instruction word through its own access path first (so
-    live-in recording and cost accounting see the fetch); operand reads
-    and all writes go through [read]/[write] exactly as in {!step}.
-    Never returns [Fault] (decode already succeeded). This is the one
-    implementation of instruction semantics — the superblock engine's
-    fallback and the slaves' pre-decoded fetch path both land here. *)
-
 val delta :
   read:(Mssp_state.Cell.t -> int option) ->
   (Mssp_state.Fragment.t, outcome) result
@@ -92,8 +93,8 @@ val observed_step :
     operands in the order of {!step}'s semantics (e.g. [Ld]: base
     register, then the loaded address; [St]: base, then the stored
     register; [Out]: the register, then [Mem out_count]). This order is
-    {e per instruction} and does not change when an engine executes a
-    pre-decoded superblock: blocks replay the same per-instruction
+    {e per instruction} and does not change when the slave block journal
+    executes a pre-decoded block: blocks replay the same per-instruction
     fetch-then-operands sequence, and a checkpoint PC landing mid-block
     simply starts the sequence at that instruction — a slave's first
     three recorded reads are always [Pc], [Mem start_pc], then the first
@@ -101,19 +102,26 @@ val observed_step :
     (Live-in journals are keyed stores, so only first-read values are
     retained; the order contract is what makes "first" well defined.) *)
 
+(** {2 The direct step} *)
+
+val exec : Mssp_state.Full.t -> pc:int -> Mssp_isa.Instr.t -> unit
+(** [exec s ~pc instr] executes [instr], already fetched and decoded at
+    [pc] (the PC of [s]), straight on [s]'s register and memory arrays,
+    with the semantics of {!step}: no callbacks, option returns or cell
+    boxes, so a step allocates nothing. The caller owns the fetch and
+    any traffic accounting. [instr] must not be [Halt] (a fixed point
+    the caller detects at decode). *)
+
 (** {2 The timed step}
 
-    The one timed executor: the master's instruction step and the
-    {!Mssp_baseline} machines' ([sequential], [oracle_parallel]) run
-    through it. It executes directly on a {!Mssp_state.Full.t}'s
-    register and memory arrays — no read/write callbacks, option
-    returns or cell boxes, so a step allocates nothing — with the
-    semantics of {!step}, and charges one
+    The master's instruction step and the {!Mssp_baseline} machines'
+    ([sequential], [oracle_parallel]). It charges one
     {!Mssp_cache.Cache.Hierarchy.access} per memory touch in {!step}'s
-    access order: the fetch at the PC first, then the data read or
+    access order — the fetch at the PC first, then the data read or
     write; [Out] charges its count read, slot write and count write in
-    that order. The cache therefore sees the same address sequence as a
-    {!step} whose callbacks charge every [Mem] cell. *)
+    that order — and then runs {!exec}. The cache therefore sees the
+    same address sequence as a {!step} whose callbacks charge every
+    [Mem] cell. *)
 
 val timed_exec :
   Mssp_cache.Cache.Hierarchy.t ->
@@ -122,11 +130,11 @@ val timed_exec :
   pc:int ->
   Mssp_isa.Instr.t ->
   int
-(** [timed_exec cache ~on_store s ~pc instr] executes [instr], already
-    fetched and decoded at [pc] (the PC of [s]), and returns the cycles
-    its memory accesses cost, fetch included. [on_store a v] is called
-    for every memory store, before it lands (the master records its
-    dirty set here). [instr] must not be [Halt]. *)
+(** [timed_exec cache ~on_store s ~pc instr] charges [instr]'s accesses,
+    fetch included, then {!exec}s it, and returns the cycles the
+    accesses cost. [on_store a v] is called for every memory store,
+    before the instruction's writes land (the master records its dirty
+    set here). [instr] must not be [Halt]. *)
 
 val timed_step :
   on_store:(int -> int -> unit) ->

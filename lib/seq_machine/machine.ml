@@ -1,6 +1,8 @@
 module Full = Mssp_state.Full
 module Cell = Mssp_state.Cell
 module Layout = Mssp_isa.Layout
+module Instr = Mssp_isa.Instr
+module Program = Mssp_isa.Program
 
 type stop = Halted | Faulted of Exec.fault | Out_of_fuel
 
@@ -13,15 +15,13 @@ type t = {
   read : Cell.t -> int option;
   write : Cell.t -> int -> unit;
   superblock : bool;
-  mutable engine : Sblock.t option;
-  images : Mssp_isa.Program.t list;
+  decode : pc:int -> word:int -> Instr.t option;
 }
 
 (* the executor callbacks are built once per machine, not per step — the
-   sequential interpreter and recovery replay live in this loop. The
-   record is recursive only so the hoisted callbacks can bump the memory
-   traffic counters. *)
-let of_state ?(superblock = true) ?(images = []) ?engine state =
+   single-step reference loop lives on them. The record is recursive
+   only so the hoisted callbacks can bump the memory traffic counters. *)
+let of_state ?(superblock = true) ?(decode = Exec.default_decode) state =
   let rec m =
     {
       state;
@@ -42,8 +42,7 @@ let of_state ?(superblock = true) ?(images = []) ?engine state =
           | Cell.Pc | Cell.Reg _ -> ());
           Full.set state c v);
       superblock;
-      engine;
-      images;
+      decode;
     }
   in
   m
@@ -51,7 +50,9 @@ let of_state ?(superblock = true) ?(images = []) ?engine state =
 let of_program ?superblock p =
   let state = Full.create () in
   Full.load state p;
-  of_state ?superblock ~images:[ p ] state
+  of_state ?superblock
+    ~decode:(Program.image_decoder [ Program.decode_all p ])
+    state
 
 let step m =
   match m.stopped with
@@ -69,43 +70,71 @@ let step m =
       false
     | Exec.Missing _ -> assert false (* full states are total *))
 
-(* The engine is forced lazily at the first whole-run entry point, never
-   by [step]/[next]/[seq*]: single-stepping callers (profiler, shadow)
-   keep the plain path and pay nothing. *)
-let force_engine m =
-  match m.engine with
-  | Some e -> e
-  | None ->
-    let e = Sblock.create ~images:m.images () in
-    m.engine <- Some e;
-    e
+(* The direct loop: fetch through memory, decode through [m.decode],
+   {!Exec.exec}. Counter and stop parity with the single-step driver is
+   the whole contract:
+   - every fetch charges a load, the [Halt] probe and a faulting fetch
+     included; [Ld] charges one more load, [St] one store, [Out] one
+     load and two stores — [Exec.step]'s callback traffic exactly;
+   - fuel is checked before each instruction;
+   - [at] is checked on the PC after each retirement, once [min_steps]
+     instructions of this call have retired, and wins over fuel at the
+     boundary.
+   Fetch reads memory on every instruction, so self-modified code is
+   seen at once; the image decoder checks each word before reusing its
+   pre-decoded instruction. *)
+let direct m ~fuel ~min_steps ~at =
+  let s = m.state in
+  let n = ref 0 and loads = ref 0 and stores = ref 0 in
+  let result = ref `Fuel and running = ref true in
+  while !running && !n < fuel do
+    let pc = Full.pc s in
+    let word = Full.get_mem s pc in
+    incr loads;
+    match m.decode ~pc ~word with
+    | None ->
+      m.stopped <- Some (Faulted (Exec.Undecodable { pc; word }));
+      result := `Stopped;
+      running := false
+    | Some Instr.Halt ->
+      m.stopped <- Some Halted;
+      result := `Stopped;
+      running := false
+    | Some instr ->
+      (match instr with
+      | Instr.Ld _ -> incr loads
+      | Instr.St _ -> incr stores
+      | Instr.Out _ ->
+        incr loads;
+        stores := !stores + 2
+      | Instr.Halt | Instr.Nop | Instr.Fork _
+      | Instr.Alu _ | Instr.Alui _ | Instr.Li _
+      | Instr.Br _ | Instr.Jmp _ | Instr.Jal _
+      | Instr.Jr _ | Instr.Jalr _ ->
+        ());
+      Exec.exec s ~pc instr;
+      incr n;
+      if !n >= min_steps && at (Full.pc s) then begin
+        result := `At_entry;
+        running := false
+      end
+  done;
+  m.instructions <- m.instructions + !n;
+  m.loads <- m.loads + !loads;
+  m.stores <- m.stores + !stores;
+  !result
 
-(* Fold one engine run into the machine's lifetime counters and stop
-   status. *)
-let engine_run m ~fuel ~min_steps ~stop_at =
-  let e = force_engine m in
-  Sblock.warm e m.state;
-  let ctr = Sblock.fresh_counters () in
-  let r = Sblock.run e m.state ctr ~fuel ~min_steps ~stop_at in
-  m.instructions <- m.instructions + ctr.Sblock.c_instructions;
-  m.loads <- m.loads + ctr.Sblock.c_loads;
-  m.stores <- m.stores + ctr.Sblock.c_stores;
-  (match r with
-  | Sblock.Halted -> m.stopped <- Some Halted
-  | Sblock.Fault f -> m.stopped <- Some (Faulted f)
-  | Sblock.Fuel | Sblock.Stop_at -> ());
-  r
+let never_at (_ : int) = false
 
 let run ?(fuel = 100_000_000) m =
-  if m.superblock then (
+  if m.superblock then
     match m.stopped with
     | Some s -> s
     | None -> (
-      match engine_run m ~fuel ~min_steps:0 ~stop_at:None with
-      | Sblock.Fuel -> Out_of_fuel
-      | Sblock.Halted -> Halted
-      | Sblock.Fault f -> Faulted f
-      | Sblock.Stop_at -> assert false (* no stop_at passed *)))
+      match direct m ~fuel ~min_steps:max_int ~at:never_at with
+      | `Fuel -> Out_of_fuel
+      | `Stopped -> Option.get m.stopped
+      | `At_entry -> assert false (* [never_at] never matches *))
   else
     let rec go remaining =
       if remaining = 0 then Out_of_fuel
@@ -118,18 +147,14 @@ let run ?(fuel = 100_000_000) m =
     go fuel
 
 let run_until m ~fuel ~min_steps ~at =
-  if m.superblock then (
+  if m.superblock then
     match m.stopped with
     | Some _ -> `Stopped
-    | None -> (
-      match engine_run m ~fuel ~min_steps ~stop_at:(Some at) with
-      | Sblock.Fuel -> `Fuel
-      | Sblock.Stop_at -> `At_entry
-      | Sblock.Halted | Sblock.Fault _ -> `Stopped))
+    | None -> direct m ~fuel ~min_steps ~at
   else
     (* reference single-step driver: fuel before the step, [at] after
        it (and only once [min_steps] have run), [at] winning over fuel
-       at the boundary — the engine path replicates this ordering *)
+       at the boundary — the direct loop replicates this ordering *)
     let steps = ref 0 in
     let rec go () =
       if !steps >= fuel then `Fuel

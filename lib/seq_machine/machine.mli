@@ -5,12 +5,13 @@
     core of the sequential baseline.
 
     Whole-run entry points ({!run}, {!run_until}) execute through the
-    pre-decoded superblock engine ({!Sblock}) when [superblock] is on
-    (the default); results and the
-    instruction/load/store counters are bit-identical to the single-step
-    path either way. {!step}, {!next}, {!seq} and {!seq_in_place} always
-    single-step — per-instruction observers (the profiler, the
-    verification shadow) see the plain {!Exec.step} loop. *)
+    direct step ({!Exec.exec}) when [superblock] is on (the default),
+    fetching through memory and decoding through the machine's decoder;
+    off, they single-step the closure reference. Results and the
+    instruction/load/store counters are bit-identical either way.
+    {!step}, {!next}, {!seq} and {!seq_in_place} always single-step —
+    per-instruction observers (the profiler, the verification shadow)
+    see the plain {!Exec.step} loop. *)
 
 type stop = Halted | Faulted of Exec.fault | Out_of_fuel
 
@@ -25,30 +26,27 @@ type t = {
       (** executor read callback over [state], built once at creation so
           the step loop allocates no closures *)
   write : Mssp_state.Cell.t -> int -> unit;  (** executor write callback *)
-  superblock : bool;  (** whole-run calls use the superblock engine *)
-  mutable engine : Sblock.t option;
-      (** the block cache, created lazily at the first {!run}/{!run_until}
-          (never by {!step}); pass one in to persist it across machines
-          over the same state *)
-  images : Mssp_isa.Program.t list;
-      (** programs pre-decoded into a lazily created engine *)
+  superblock : bool;  (** whole-run calls use the direct step *)
+  decode : pc:int -> word:int -> Mssp_isa.Instr.t option;
+      (** the direct step's decoder (agrees with [Instr.decode]) *)
 }
 
 val of_program : ?superblock:bool -> Mssp_isa.Program.t -> t
 (** Fresh machine with the program loaded and PC at its entry. The
-    program becomes the engine's pre-decoded image. *)
+    direct step decodes through the program's pre-decoded image. *)
 
 val of_state :
   ?superblock:bool ->
-  ?images:Mssp_isa.Program.t list ->
-  ?engine:Sblock.t ->
+  ?decode:(pc:int -> word:int -> Mssp_isa.Instr.t option) ->
   Mssp_state.Full.t ->
   t
 (** Machine over an existing state (not copied). [superblock] defaults
-    to [true]; [images] (default none) seed a lazily
-    created engine's pre-decode; [engine] shares an existing engine —
-    the caller then owns its consistency and must report external stores
-    to the state via {!Sblock.note_store}. *)
+    to [true]; [decode] (default {!Exec.default_decode}) must agree with
+    [Instr.decode] — typically a {!Mssp_isa.Program.image_decoder} over
+    the programs loaded in the state. Fetch always reads the state, and
+    an image decoder checks each fetched word against its image, so
+    stores to code from anywhere — self-modifying code, a direct
+    [Full.set_mem] between calls — need no notification. *)
 
 val step : t -> bool
 (** Execute one instruction (always single-step). [false] once the

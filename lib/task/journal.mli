@@ -48,7 +48,8 @@ val set_mem : t -> int -> int -> unit
 (** Bind or rebind a memory cell; a fresh address is appended to the
     insertion-order log. *)
 
-(* the batched read-set interface — the block engine's staging path *)
+(* the batched read-set interface — the slave block journal's staging
+   path *)
 
 val record_mem : t -> int -> int -> unit
 (** [record_mem j a v] stages a {e fresh} first-read binding: appends

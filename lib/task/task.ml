@@ -5,7 +5,7 @@ module Reg = Mssp_isa.Reg
 module Instr = Mssp_isa.Instr
 module Layout = Mssp_isa.Layout
 module Exec = Mssp_seq.Exec
-module Spec = Mssp_seq.Sblock.Spec
+module Sblock = Mssp_seq.Sblock
 
 type fail_reason =
   | Budget_exhausted
@@ -202,8 +202,7 @@ let step_ctx t ctx =
       (* [decode] only short-circuits decoding of the fetched word (via a
          pre-decoded image); the fetch itself still goes through
          [c_read], so live-in recording and the access hook see exactly
-         the single-step sequence — slaves stay on the lowest rung of the
-         superblock fallback ladder by design *)
+         the single-step sequence *)
       let outcome =
         Exec.step_with ~decode:t.decode ~read:ctx.c_read ~write:ctx.c_write
       in
@@ -234,12 +233,12 @@ let step_ctx t ctx =
 
 let step ?on_access t view = step_ctx t (make_ctx ?on_access t view)
 
-(* --- block-journaled execution (the slave superblock rung) -----------
+(* --- block-journaled execution (the slave block journal) -------------
 
    The per-instruction interpreter above pays, for every instruction, a
    closure-dispatched [Exec.step_with], three journal probes and two
    option allocations for the PC, and three to four more probes for the
-   fetch. The block path below runs the task body from a {!Spec} cache
+   fetch. The block path below runs the task body from a {!Sblock} cache
    of pre-decoded straight-line regions instead: the PC lives in a loop
    index and is flushed to the write journal once at block exit, bound
    cells resolve straight off the journal fast arrays, and a block's
@@ -249,7 +248,7 @@ let step ?on_access t view = step_ctx t (make_ctx ?on_access t view)
    bit-identity with the interpreter: same status, same [executed], same
    write buffer, same [on_access] sequence, and a first-read stream
    identical in content and order (the differential suite and the SJRNLG
-   bench guard enforce this, like PR 6's SBLKG does for the master).
+   bench guard enforce this).
 
    The cache is meant to be SHARED across the task runs of one slave
    (the machine passes [?engine] and keeps one per slave): MSSP tasks
@@ -270,29 +269,29 @@ let step ?on_access t view = step_ctx t (make_ctx ?on_access t view)
    anyway, so verification would catch a stale one exactly as it
    catches any other mispredicted live-in.
 
-   The fallback ladder is the interpreter itself, one instruction at a
-   time, exactly where the master engine falls back: entry at a word
+   The fallback is the interpreter itself, one instruction at a time,
+   wherever no block can be built or trusted: entry at a word
    that does not decode (the fault probe), entry in the I/O region, and
    a [Ld]/[St] whose operand address turns out speculative-I/O — the
    block is left *before* the instruction, so the slow path replays it
    with the interpreter's exact latch-and-fail behaviour. A store that
-   invalidates cached blocks ([Spec.note_store]) forces block exit after
-   the store, the PR 6 SMC rule. Isolated-view tasks stay entirely on
+   invalidates cached blocks ([Sblock.note_store]) forces block exit after
+   the store. Isolated-view tasks stay entirely on
    the interpreter: their reads can be [Missing], which only the
    single-step path models. *)
 
-let exec_spec_block t ~on_access arch eng ~gen (b : Spec.sblock) =
+let exec_spec_block t ~on_access arch eng ~gen (b : Sblock.block) =
   (* the cache outlives task runs; a block first dispatched by this run
      carries a stale watermark from its previous owner *)
-  if b.Spec.s_cover_gen <> gen then begin
-    b.Spec.s_cover_gen <- gen;
-    b.Spec.s_covered <- 0
+  if b.Sblock.s_cover_gen <> gen then begin
+    b.Sblock.s_cover_gen <- gen;
+    b.Sblock.s_covered <- 0
   end;
-  let instrs = b.Spec.s_instrs in
-  let words = b.Spec.s_words in
-  let lives = b.Spec.s_live in
+  let instrs = b.Sblock.s_instrs in
+  let words = b.Sblock.s_words in
+  let lives = b.Sblock.s_live in
   let len = Array.length instrs in
-  let base = b.Spec.s_start in
+  let base = b.Sblock.s_start in
   let remaining = t.budget - t.executed in
   let lim = if remaining < len then remaining else len in
   let i = ref 0 in
@@ -313,12 +312,12 @@ let exec_spec_block t ~on_access arch eng ~gen (b : Spec.sblock) =
      the block, so the provenance cannot be stale) *)
   let fetch_at i pc =
     on_access (Cell.mem pc);
-    if i >= b.Spec.s_covered then begin
+    if i >= b.Sblock.s_covered then begin
       if
         Array.unsafe_get lives i
         && Journal.find_mem t.reads pc = None
       then Journal.record_mem t.reads pc (Array.unsafe_get words i);
-      b.Spec.s_covered <- i + 1
+      b.Sblock.s_covered <- i + 1
     end
   in
   let read_reg r =
@@ -365,7 +364,7 @@ let exec_spec_block t ~on_access arch eng ~gen (b : Spec.sblock) =
   let write_mem a v =
     on_access (Cell.mem a);
     Journal.set_mem t.writes a v;
-    Spec.note_store eng a
+    Sblock.note_store eng a
   in
   (* retirement: the boundary check runs on every retired instruction's
      successor PC, exactly like the interpreter's post-step check *)
@@ -490,9 +489,9 @@ let run_block_journal ~on_access ?engine t arch ctx =
   let eng =
     match engine with
     | Some e -> e
-    | None -> Spec.create ~decode:t.decode ()
+    | None -> Sblock.create ~decode:t.decode ()
   in
-  let gen = Spec.new_run eng in
+  let gen = Sblock.new_run eng in
   (* build-time fetch resolution: architected words only (no staging,
      access traffic or the I/O latch — all charged at execution time).
      Journal-bound words must not be baked into a shareable block; the
@@ -501,8 +500,8 @@ let run_block_journal ~on_access ?engine t arch ctx =
     if Layout.is_io a then None else Some (arch (Cell.mem a), true)
   in
   let shadowed b =
-    let lo = b.Spec.s_start in
-    let hi = lo + Array.length b.Spec.s_instrs - 1 in
+    let lo = b.Sblock.s_start in
+    let hi = lo + Array.length b.Sblock.s_instrs - 1 in
     not
       (Journal.mem_avoids t.writes ~lo ~hi && (t.li_hi < lo || t.li_lo > hi))
   in
@@ -520,7 +519,7 @@ let run_block_journal ~on_access ?engine t arch ctx =
         match ctx.c_read Cell.Pc with
         | None -> single_step ()
         | Some pc -> (
-          match Spec.lookup_or_build eng ~fetch:peek pc with
+          match Sblock.lookup_or_build eng ~fetch:peek pc with
           | Some b when not (shadowed b) ->
             exec_spec_block t ~on_access arch eng ~gen b;
             go ()

@@ -97,14 +97,14 @@ val with_decode : (pc:int -> word:int -> Mssp_isa.Instr.t option) -> t -> t
 (** A copy of a fresh task using the given decoder. [decode] must agree
     with [Instr.decode]; the master passes an
     {!Mssp_isa.Program.image_decoder} over the original and distilled
-    images when the superblock engine is enabled. With
-    [run ~block_journal:true], slaves climb the rest of the superblock
-    ladder too: task bodies execute from a {!Mssp_seq.Sblock.Spec}
-    cache of pre-decoded straight-line regions (shared across one
-    slave's task runs via [?engine]), and their first-reads are staged
-    into the reads journal's insertion-order log — so verification
-    still replays them in serial first-read order, identical in content
-    and order to the single-step interpreter's stream. *)
+    images when [Config.superblock] is on. With
+    [run ~block_journal:true], task bodies execute from a
+    {!Mssp_seq.Sblock} cache of pre-decoded straight-line regions
+    (shared across one slave's task runs via [?engine]), and their
+    first-reads are staged into the reads journal's insertion-order
+    log — so verification still replays them in serial first-read
+    order, identical in content and order to the single-step
+    interpreter's stream. *)
 
 (** How reads outside the write buffer and live-in set are satisfied. *)
 type view =
@@ -125,7 +125,7 @@ val step : ?on_access:(Mssp_state.Cell.t -> unit) -> t -> view -> status
 val run :
   ?on_access:(Mssp_state.Cell.t -> unit) ->
   ?block_journal:bool ->
-  ?engine:Mssp_seq.Sblock.Spec.t ->
+  ?engine:Mssp_seq.Sblock.t ->
   t ->
   view ->
   status
@@ -140,9 +140,9 @@ val run :
     exit. Everything observable — status, [executed], the write buffer,
     the [on_access] sequence, and the first-read stream in content
     {e and} order — is bit-identical to the interpreter. The
-    interpreter remains the fallback rung, entered per instruction
-    exactly where the master engine falls back (undecodable entry
-    words, I/O-region entry) plus the speculative-I/O latch, and for
+    interpreter remains the fallback, entered per instruction wherever
+    no block can be built (undecodable entry words, I/O-region entry),
+    for the speculative-I/O latch, and for
     any code span the task's own write buffer or live-in set could
     shadow (self-modified or live-in-bound code never executes from a
     cached block); a store that invalidates a cached block forces block
@@ -155,8 +155,8 @@ val run :
     per-slave engine that persists across that slave's task runs,
     building each block of the static code once. The caller owns
     coherence between runs: report every architected store to
-    {!Mssp_seq.Sblock.Spec.note_store} (or
-    {!Mssp_seq.Sblock.Spec.clear} the cache), and never share one
+    {!Mssp_seq.Sblock.note_store} (or
+    {!Mssp_seq.Sblock.clear} the cache), and never share one
     engine between concurrently-running tasks. *)
 
 val live_in_size : t -> int
@@ -185,9 +185,9 @@ val first_inconsistent :
 
 val commit_into : t -> Mssp_state.Full.t -> unit
 (** [commit_into t arch] superimposes the write buffer onto [arch] — the
-    commit operation [S ← live_out(t)]. A caller keeping a superblock
-    engine over [arch] must report the committed memory cells to it
-    ({!Mssp_seq.Sblock.note_store}); {!iter_writes} enumerates them
+    commit operation [S ← live_out(t)]. A caller keeping slave block
+    caches across task runs must report the committed memory cells to
+    them ({!Mssp_seq.Sblock.note_store}); {!iter_writes} enumerates them
     without allocating a fragment. *)
 
 val iter_writes : (Mssp_state.Cell.t -> int -> unit) -> t -> unit

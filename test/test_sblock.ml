@@ -1,19 +1,20 @@
-(* The superblock engine's bit-identity contract, tested differentially:
-   whole-run and run-until execution with the engine on must match the
-   single-step reference exactly — final state, stop reason, and the
+(* The direct loop's bit-identity contract, tested differentially:
+   whole-run and run-until execution with [superblock] on (the direct
+   step, decoding through the program image) must match the single-step
+   reference exactly — final state, stop reason, and the
    instruction/load/store counters — on hand-written programs, on fuzz
-   programs (SMC shapes boosted), at every fuel boundary, entering
-   blocks mid-region, and across self-modifying stores both internal
-   (executed by the engine) and external (reported via [note_store]).
-   Plus the two fine-grained contracts the engine leans on: the
-   [observed_step] read-order and [Task.with_decode] neutrality. *)
+   programs (SMC shapes boosted), at every fuel boundary, stopping
+   mid-region, and across self-modifying stores both internal (executed
+   by the program) and external (a direct [Full.set_mem] between calls,
+   with no notification). Plus the fine-grained contracts the fast paths
+   lean on: the [observed_step] read-order, [Task.with_decode]
+   neutrality, and machines taking turns over one state. *)
 
 module Full = Mssp_state.Full
 module Cell = Mssp_state.Cell
 module Instr = Mssp_isa.Instr
 module Program = Mssp_isa.Program
 module Machine = Mssp_seq.Machine
-module Sblock = Mssp_seq.Sblock
 module Exec = Mssp_seq.Exec
 module Task = Mssp_task.Task
 module Fragment = Mssp_state.Fragment
@@ -88,8 +89,8 @@ let test_calls_and_indirect () =
   Dsl.halt b;
   assert_same_run (Dsl.build ~entry:"main" b ())
 
-(* a fault mid-program: the engine must stop with the same fault, at the
-   same PC, with identical counters *)
+(* a fault mid-program: the direct loop must stop with the same fault,
+   at the same PC, with identical counters *)
 let test_fault_parity () =
   let b = Dsl.create () in
   Dsl.li b t0 5;
@@ -152,8 +153,8 @@ let test_fuel_sweep () =
   done
 
 (* run_until with an [at] landing in the middle of a straight-line
-   region: the engine must stop there (mid-block), state and counters
-   identical to single-step; resuming re-enters the block mid-region *)
+   region: the direct loop must stop there, state and counters
+   identical to single-step, and resume from it *)
 let test_run_until_mid_block () =
   let p = straightline in
   (* the PC of the 9th Alui in the unrolled body: entry + 2 (two li) + 8 *)
@@ -207,8 +208,8 @@ let test_run_until_min_steps () =
 (* --- self-modifying code ---------------------------------------------- *)
 
 (* a loop that patches its own body: trip 1 executes the original word,
-   trip 2 the patched one; the engine must invalidate and replay
-   identically, and must actually have invalidated something *)
+   trip 2 the patched one — a word inside the program image that no
+   longer matches it, so the image decoder must decode it afresh *)
 let smc_program patched =
   let b = Dsl.create () in
   Dsl.li b s5 2;
@@ -225,7 +226,7 @@ let smc_program patched =
   Dsl.halt b;
   Dsl.build b ()
 
-let test_smc_invalidates () =
+let test_smc_patched_trip () =
   let p = smc_program (Instr.Alui (Instr.Add, t2, t2, 7)) in
   let on = Machine.of_program ~superblock:true p in
   let off = Machine.of_program ~superblock:false p in
@@ -237,17 +238,18 @@ let test_smc_invalidates () =
   check_int "same instructions" off.Machine.instructions on.Machine.instructions;
   check_int "same loads" off.Machine.loads on.Machine.loads;
   check_int "same stores" off.Machine.stores on.Machine.stores;
-  (* the patched trip must observe the new instruction: t2 = 7 out *)
-  (match Machine.output on.Machine.state with
-  | [ v ] -> check_int "patched trip executed" 7 v
-  | _ -> Alcotest.fail "expected one output");
-  match on.Machine.engine with
-  | Some eng -> check "engine invalidated" true (Sblock.invalidations eng > 0)
-  | None -> Alcotest.fail "engine was never created"
+  (* the patched trip must observe the new instruction on both rungs:
+     t2 = 7 out *)
+  List.iter
+    (fun (rung, m) ->
+      match Machine.output m.Machine.state with
+      | [ v ] -> check_int (rung ^ ": patched trip executed") 7 v
+      | _ -> Alcotest.fail (rung ^ ": expected one output"))
+    [ ("direct", on); ("single-step", off) ]
 
-(* a store from OUTSIDE the engine (direct Full.set_mem between two
-   run_until calls) — stale unless the owner reports it via note_store *)
-let test_external_store_note () =
+(* a store from OUTSIDE the machine (direct Full.set_mem between two
+   run_until calls, nothing notified): the next fetch must see it *)
+let test_external_store () =
   let b = Dsl.create () in
   Dsl.label b "head";
   Dsl.alui b Instr.Add t0 t0 1;
@@ -266,9 +268,6 @@ let test_external_store_note () =
     | _ -> Alcotest.fail "expected to stop at head");
     (* external patch: second Add becomes Halt *)
     Full.set_mem m.Machine.state (head + 1) (Instr.encode Instr.Halt);
-    (match m.Machine.engine with
-    | Some eng -> Sblock.note_store eng (head + 1)
-    | None -> ());
     ignore (Machine.run ~fuel:100 m : Machine.stop);
     (m.Machine.stopped, m.Machine.instructions, Full.get_reg m.Machine.state t0)
   in
@@ -374,21 +373,21 @@ let test_task_with_decode_neutral () =
   check "same live-outs" true
     (Fragment.equal (Task.writes_fragment plain) (Task.writes_fragment decoded))
 
-(* shared engine across machines over the same state: of_state ~engine *)
-let test_shared_engine () =
+(* two machines taking turns over one state (the recovery pattern: a
+   fresh machine per segment over architected state): the second
+   resumes exactly where the first stopped *)
+let test_machines_share_state () =
   let p = straightline in
   let s = Full.create () in
   Full.load s p;
-  let eng = Sblock.create ~images:[ p ] () in
-  let m1 = Machine.of_state ~superblock:true ~engine:eng s in
+  let decode = Program.image_decoder [ Program.decode_all p ] in
+  let m1 = Machine.of_state ~superblock:true ~decode s in
   let r1 =
     Machine.run_until m1 ~fuel:200 ~min_steps:1 ~at:(fun pc ->
         pc = p.Program.entry + 2)
   in
   check "first leg at entry" true (r1 = `At_entry);
-  let built = Sblock.blocks_built eng in
-  check "blocks built" true (built > 0);
-  let m2 = Machine.of_state ~superblock:true ~engine:eng s in
+  let m2 = Machine.of_state ~superblock:true ~decode s in
   ignore (Machine.run m2 : Machine.stop);
   check "finished" true (m2.Machine.stopped = Some Machine.Halted);
   (* reference: same program single-stepped from scratch *)
@@ -418,10 +417,10 @@ let () =
         ] );
       ( "smc",
         [
-          Alcotest.test_case "self-patching loop invalidates" `Quick
-            test_smc_invalidates;
-          Alcotest.test_case "external store via note_store" `Quick
-            test_external_store_note;
+          Alcotest.test_case "self-patching loop runs the patch" `Quick
+            test_smc_patched_trip;
+          Alcotest.test_case "external store seen unannounced" `Quick
+            test_external_store;
         ] );
       ( "properties",
         [
@@ -434,7 +433,7 @@ let () =
             test_observed_read_order;
           Alcotest.test_case "Task.with_decode is neutral" `Quick
             test_task_with_decode_neutral;
-          Alcotest.test_case "shared engine across machines" `Quick
-            test_shared_engine;
+          Alcotest.test_case "two machines over one state" `Quick
+            test_machines_share_state;
         ] );
     ]

@@ -151,7 +151,7 @@ let test_budget_sweep () =
 
 (* a task that patches its own body through the write buffer: trip 1
    executes the original word, trip 2 the patched one. The store drops
-   the cached block (Spec.note_store), the executor leaves the block
+   the cached block (Sblock.note_store), the executor leaves the block
    after the store, and the patched fetch resolves from the buffer —
    all invisible against single-step. *)
 let test_smc_self_patch () =

@@ -356,8 +356,8 @@ let task_run ~block_journal ~budget ~end_pc ~end_occurrence ~live_in ~start_pc
 (* A generated program with a random live-in: maybe a PC (the entry or a
    word inside the code), registers, and memory cells inside the code
    span (the architected word, or another instruction's word — live-in
-   code the block engine must not run from its cache), around the data
-   base, and at the output counter; plus a random boundary. *)
+   code the slave block journal must not run from its cache), around
+   the data base, and at the output counter; plus a random boundary. *)
 let live_in_case =
   let gen st =
     let int n = Random.State.int st n in

@@ -55,9 +55,9 @@ let distill_bench name ~size ~train =
 let base2 = Config.with_slaves 2 Config.default
 
 (* [sjrnl] pins the slave block journal explicitly. [engines:false]
-   turns both block engines off (superblock and slave block journal),
-   so the single-step reference rung replays the same committed streams
-   on every runtest. *)
+   turns both fast paths off (the direct step behind [superblock], and
+   the slave block journal), so the single-step reference rung replays
+   the same committed streams on every runtest. *)
 let golden_cases_at ?sjrnl ?(engines = true) () =
   let base2 =
     match sjrnl with
@@ -516,7 +516,7 @@ let () =
             Alcotest.test_case name `Quick (fun () ->
                 if not promote then test_golden case ()))
           (golden_cases_at ~sjrnl:true ()) );
-      (* and with both block engines off: the single-step reference
+      (* and with both fast paths off: the single-step reference
          rung must produce the very same streams *)
       ( "golden (engines off)",
         List.map
