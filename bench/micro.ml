@@ -60,7 +60,7 @@ let slave_arch =
   s
 
 let slave_entry = straightline_program.Mssp_isa.Program.entry
-let slave_view = Task.Fallback (fun c -> Full.get slave_arch c)
+let slave_view = Task.Fallback slave_arch
 
 (* one run, checked to be the run *)
 let run_slave_body ~block_journal () =

@@ -125,9 +125,12 @@ type t = {
   slave_block_journal : bool;
       (** block-aware slave journaling ([true] by default; [false] is the
           single-step slave interpreter): slave task bodies
-          execute from per-task caches of pre-decoded superblocks, with
-          first-reads staged into the journal's insertion-order log and
-          replayed in serial first-read order at verification. Another
+          execute from per-slave caches of pre-decoded straight-line
+          blocks, with first-reads staged into the journal's
+          insertion-order log and replayed in serial first-read order at
+          verification. A cache persists across its slave's task runs
+          and checks each block's words against architected memory at
+          the block's first dispatch in a run. Another
           pure engine choice: cycles, stats, squash attribution and
           traces are bit-identical either way (enforced by the sjournal
           differential suite, the golden traces and the SJRNLG bench

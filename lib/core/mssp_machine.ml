@@ -5,7 +5,6 @@ module Instr = Mssp_isa.Instr
 module Reg = Mssp_isa.Reg
 module Seq_machine = Mssp_seq.Machine
 module Exec = Mssp_seq.Exec
-module Sblock = Mssp_seq.Sblock
 module Program = Mssp_isa.Program
 module Task = Mssp_task.Task
 module Distill = Mssp_distill.Distill
@@ -241,27 +240,15 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
      bodies execute from per-SLAVE block caches with first-reads
      staged in serial first-read order. The caches persist across a
      slave's task runs — tasks are far too short to amortize block
-     building per run. Like [superblock], the switch is a pure engine
-     choice: bit-identical cycles, stats and traces either way (the
-     sjournal differential suite and the SJRNLG bench guard). *)
-  let slave_specs =
+     building per run — and check their own words against [arch], so
+     nothing here reports stores to them. Like [superblock], the switch
+     is a pure engine choice: bit-identical cycles, stats and traces
+     either way (the sjournal differential suite and the SJRNLG bench
+     guard). *)
+  let slave_blocks =
     if cfg.slave_block_journal then
-      Some
-        (Array.init cfg.slaves (fun _ ->
-             Sblock.create ~decode:master_decode ()))
+      Some (Array.init cfg.slaves (fun _ -> Task.block_cache ()))
     else None
-  in
-  let specs_live = slave_specs <> None in
-  (* Every store into [arch] between task runs (task commits, chaos
-     corruption) must reach the slave block caches' invalidation probes,
-     or a block over self-modified code could go stale. *)
-  let note_arch_cell c _v =
-    match c with
-    | Cell.Mem a ->
-      Option.iter
-        (Array.iter (fun e -> ignore (Sblock.note_store e a : bool)))
-        slave_specs
-    | Cell.Pc | Cell.Reg _ -> ()
   in
   (* The event bus. Every emission site is guarded by [if tracing then],
      so a disabled run pays exactly one predictable branch per would-be
@@ -338,15 +325,14 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
         | l ->
           let c, v = List.nth l (cp_id mod List.length l) in
           fault_event a "commit_corrupt" (Some cp_id);
-          Full.set arch c (v lxor 0x2A);
-          if specs_live then note_arch_cell c 0)
+          Full.set arch c (v lxor 0x2A))
       | None -> ())
   in
   (* dual-mode: squashes with no commit in between *)
   let fruitless_squashes = ref 0 in
   let task_view =
     if cfg.isolated_slaves then Task.Isolated
-    else Task.Fallback (fun c -> Full.get arch c)
+    else Task.Fallback arch
   in
   (* Run one task body on slave [s], charging its Mem accesses to that
      slave's cache as it goes; returns the cache cost. *)
@@ -358,7 +344,7 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
       | Cell.Mem a -> cost := !cost + Hierarchy.access cache a
       | Cell.Pc | Cell.Reg _ -> ()
     in
-    let engine = Option.map (fun specs -> specs.(s)) slave_specs in
+    let engine = Option.map (fun blocks -> blocks.(s)) slave_blocks in
     ignore
       (Task.run ~on_access ~block_journal:cfg.slave_block_journal ?engine task
          task_view
@@ -709,7 +695,6 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
           (* the memoization hit: superimpose the live-outs *)
           ignore (Queue.pop window : checkpoint);
           Task.commit_into task arch;
-          if specs_live then Task.iter_writes note_arch_cell task;
           maybe_corrupt_commit cp.cp_id task;
           let n_outs = Task.live_out_size task in
           fruitless_squashes := 0;
@@ -824,11 +809,6 @@ let run ?(config = Mssp_config.default) (d : Distill.t) =
     let outcome =
       Seq_machine.run_until m ~fuel:cfg.recovery_fuel ~min_steps ~at:at_entry
     in
-    (* the segment stored straight into [arch] with no per-store report:
-       drop the slave block caches whole rather than track its writes *)
-    (match slave_specs with
-    | None -> ()
-    | Some specs -> Array.iter Sblock.clear specs);
     let steps = m.Seq_machine.instructions in
     stats.recovery_segments <- stats.recovery_segments + 1;
     stats.recovery_instructions <- stats.recovery_instructions + steps;

@@ -169,8 +169,8 @@ let generate ?(weights = default_weights) ~seed ~size () =
      a different (valid) instruction, so the second trip executes the
      patched one. Exercises the image decoder's word check (the SEQ
      oracle and recovery both decode through it), the slave block
-     caches' store invalidation, and slaves' fetch of their own
-     buffered code stores. *)
+     caches' own word check and in-block store exit, and slaves' fetch
+     of their own buffered code stores. *)
   let emit_smc () =
     let l = fresh "smc" in
     let patch = fresh "patch" in

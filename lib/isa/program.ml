@@ -45,23 +45,23 @@ let image_decode img ~pc ~word =
   then Array.unsafe_get img.i_instrs i
   else Instr.decode_cached word
 
+(* top level, not local to the decoder: a local probe would capture [pc]
+   and [word] and allocate a closure on every decode *)
+let rec probe_images pc word = function
+  | [] -> Instr.decode_cached word
+  | img :: rest ->
+    let i = pc - img.i_base in
+    if
+      i >= 0
+      && i < Array.length img.i_words
+      && Array.unsafe_get img.i_words i = word
+    then Array.unsafe_get img.i_instrs i
+    else probe_images pc word rest
+
 let image_decoder = function
   | [] -> fun ~pc:_ ~word -> Instr.decode_cached word
   | [ img ] -> fun ~pc ~word -> image_decode img ~pc ~word
-  | imgs ->
-    fun ~pc ~word ->
-      let rec probe = function
-        | [] -> Instr.decode_cached word
-        | img :: rest ->
-          let i = pc - img.i_base in
-          if
-            i >= 0
-            && i < Array.length img.i_words
-            && Array.unsafe_get img.i_words i = word
-          then Array.unsafe_get img.i_instrs i
-          else probe rest
-      in
-      probe imgs
+  | imgs -> fun ~pc ~word -> probe_images pc word imgs
 
 let pp fmt p =
   let label_of = Hashtbl.create 16 in

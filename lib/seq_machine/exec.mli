@@ -21,8 +21,12 @@
       differential.
     - the {e slave block journal} ({!Mssp_task.Task.run} with
       [~block_journal:true]), which executes cached blocks through the
-      task's journal stack. Checked against the single-step interpreter
-      by the sjournal differential suite and the SJRNLG bench guard.
+      task's journal stack. A block's first dispatch in each task run
+      compares its words with architected memory, so code rewritten
+      between runs needs no store report. Checked against the
+      single-step interpreter by the sjournal differential suite
+      (including code rewritten by a commit or a recovery segment
+      between a slave's runs) and the SJRNLG bench guard.
 
     Reads return [int option]: [None] means the cell is unavailable in the
     backing store — possible only for partial stores (a task's live-in

@@ -2,23 +2,20 @@ type t = {
   queue : (unit -> unit) Heap.t;
   mutable time : int;
   mutable current_epoch : int;
-  (* event counters are Atomic so a trace sink or monitor on another
-     domain can read them while the loop runs; the event loop remains
-     the only writer *)
-  scheduled : int Atomic.t;
-  executed : int Atomic.t;
+  mutable scheduled : int;
+  mutable executed : int;
 }
 
 type epoch = int
 
 let create () =
-  { queue = Heap.create (); time = 0; current_epoch = 0;
-    scheduled = Atomic.make 0; executed = Atomic.make 0 }
+  { queue = Heap.create (); time = 0; current_epoch = 0; scheduled = 0;
+    executed = 0 }
 let now s = s.time
 
 let schedule_at s ~time thunk =
   let time = max time s.time in
-  Atomic.incr s.scheduled;
+  s.scheduled <- s.scheduled + 1;
   Heap.push s.queue ~key:time thunk
 
 let schedule s ~delay thunk =
@@ -34,7 +31,7 @@ let step s =
   | None -> false
   | Some (time, thunk) ->
     s.time <- time;
-    Atomic.incr s.executed;
+    s.executed <- s.executed + 1;
     thunk ();
     true
 
@@ -51,8 +48,8 @@ let run ?limit s =
   in
   go ()
 
-let scheduled s = Atomic.get s.scheduled
-let executed s = Atomic.get s.executed
+let scheduled s = s.scheduled
+let executed s = s.executed
 let epoch s = s.current_epoch
 let bump_epoch s = s.current_epoch <- s.current_epoch + 1
 let cancelled s ep = ep <> s.current_epoch

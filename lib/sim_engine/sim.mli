@@ -36,13 +36,12 @@ val step : t -> bool
 (** Execute the single next event; [false] if the queue is empty. *)
 
 val scheduled : t -> int
-(** Total events ever scheduled on this kernel (trace counter; atomic,
-    so a sink on another domain may sample it mid-run). *)
+(** Total events ever scheduled on this kernel (trace counter). *)
 
 val executed : t -> int
 (** Total events popped and run, stale epoch-guarded ones included
-    (trace counter, atomic like {!scheduled};
-    [scheduled - executed] = still queued or abandoned). *)
+    (trace counter; [scheduled - executed] = still queued or
+    abandoned). *)
 
 (** {1 Epoch-based cancellation} *)
 

@@ -5,7 +5,6 @@ module Reg = Mssp_isa.Reg
 module Instr = Mssp_isa.Instr
 module Layout = Mssp_isa.Layout
 module Exec = Mssp_seq.Exec
-module Sblock = Mssp_seq.Sblock
 
 type fail_reason =
   | Budget_exhausted
@@ -106,7 +105,7 @@ let li_mem t c a =
 
 let with_decode decode t = { t with decode }
 
-type view = Isolated | Fallback of (Cell.t -> int)
+type view = Isolated | Fallback of Full.t
 
 let no_access (_ : Cell.t) = ()
 
@@ -135,7 +134,7 @@ let make_ctx ?(on_access = no_access) t view =
       else (
         match view with
         | Fallback arch ->
-          let v = arch c in
+          let v = Full.get arch c in
           if not (Journal.has_reg t.reads i) then Journal.set_reg t.reads i v;
           Some v
         | Isolated -> None)
@@ -149,7 +148,7 @@ let make_ctx ?(on_access = no_access) t view =
       else (
         match view with
         | Fallback arch ->
-          let v = arch c in
+          let v = Full.get arch c in
           if not (Journal.has_pc t.reads) then Journal.set_pc t.reads v;
           Some v
         | Isolated -> None)
@@ -169,7 +168,7 @@ let make_ctx ?(on_access = no_access) t view =
         | None -> (
           match view with
           | Fallback arch ->
-            let v = arch c in
+            let v = Full.get arch c in
             record v;
             Some v
           | Isolated ->
@@ -233,65 +232,153 @@ let step_ctx t ctx =
 
 let step ?on_access t view = step_ctx t (make_ctx ?on_access t view)
 
+(* --- the slave block cache ---------------------------------------------
+
+   Pre-decoded straight-line regions for block-journaled task bodies. A
+   block extends through conditional branches (their fall-through
+   continues the region) and ends at a transfer that cannot fall
+   through ([Jmp]/[Jal]/[Jr]/[Jalr]/[Halt]), an undecodable word, the
+   I/O region, or [block_cap]. Blocks are built from architected words
+   only, so one cache can serve every task run of a slave (the machine
+   keeps one per slave: consecutive tasks re-dispatch warm blocks instead
+   of rebuilding them). What is per-run is the staging state: a recorded
+   prefix ([s_covered]) stamped with the run generation ([s_cover_gen]),
+   so a new run sees the watermark as empty without touching every
+   block.
+
+   Self-modifying code needs no report from anyone: a block remembers
+   the words it was decoded from, and its first dispatch in each run
+   compares them with architected memory and rebuilds the block on any
+   mismatch. That is enough because architected state does not change
+   while a task body runs, and spans the task's own stores could cover
+   never run from a block (the [shadowed] probe below). *)
+
+(* Longest straight-line region pre-decoded in one piece. A truncated
+   block simply falls through to the next dispatch, so the cap bounds
+   build cost without changing semantics. *)
+let block_cap = 1024
+
+type block = {
+  s_start : int;
+  s_instrs : Instr.t array;
+  s_words : int array;  (* the decoded words, staged as first-reads *)
+  mutable s_covered : int;
+  mutable s_cover_gen : int;
+}
+
+type block_cache = { blocks : (int, block) Hashtbl.t; mutable gen : int }
+
+let block_cache () = { blocks = Hashtbl.create 16; gen = 0 }
+
+(* Build the region entered at [pc] from [arch]'s words and cache it
+   (replacing a stale block there), or drop the entry when even the
+   first word refuses: the single-step rung then owns the fault/I/O
+   probe. Building performs no journal staging and no access-hook
+   traffic: fetches are charged and staged at execution time, exactly
+   as the single-step path does. *)
+let build eng ~decode arch pc =
+  let ibuf = Array.make block_cap Instr.Nop in
+  let wbuf = Array.make block_cap 0 in
+  let n = ref 0 in
+  let scanning = ref true in
+  while !scanning && !n < block_cap do
+    let a = pc + !n in
+    if Layout.is_io a then scanning := false
+    else begin
+      let word = Full.get_mem arch a in
+      match decode ~pc:a ~word with
+      | None -> scanning := false
+      | Some i -> (
+        ibuf.(!n) <- i;
+        wbuf.(!n) <- word;
+        incr n;
+        match i with
+        | Instr.Jmp _ | Instr.Jal _ | Instr.Jr _ | Instr.Jalr _ | Instr.Halt ->
+          scanning := false
+        | Instr.Alu _ | Instr.Alui _ | Instr.Li _ | Instr.Ld _ | Instr.St _
+        | Instr.Br _ | Instr.Out _ | Instr.Fork _ | Instr.Nop ->
+          ())
+    end
+  done;
+  if !n = 0 then begin
+    Hashtbl.remove eng.blocks pc;
+    None
+  end
+  else begin
+    let b =
+      {
+        s_start = pc;
+        s_instrs = Array.sub ibuf 0 !n;
+        s_words = Array.sub wbuf 0 !n;
+        s_covered = 0;
+        s_cover_gen = eng.gen;
+      }
+    in
+    Hashtbl.replace eng.blocks pc b;
+    Some b
+  end
+
+(* every word a block was decoded from still in architected memory *)
+let words_current arch b =
+  let words = b.s_words in
+  let n = Array.length words in
+  let i = ref 0 in
+  while
+    !i < n && Full.get_mem arch (b.s_start + !i) = Array.unsafe_get words !i
+  do
+    incr i
+  done;
+  !i = n
+
+(* The block entered at [pc] for the current run. Its first dispatch in
+   a run resets the staging watermark and checks its words. *)
+let block_at eng ~decode arch pc =
+  match Hashtbl.find_opt eng.blocks pc with
+  | Some b as r when b.s_cover_gen = eng.gen -> r
+  | Some b as r when words_current arch b ->
+    b.s_cover_gen <- eng.gen;
+    b.s_covered <- 0;
+    r
+  | Some _ | None -> build eng ~decode arch pc
+
 (* --- block-journaled execution (the slave block journal) -------------
 
    The per-instruction interpreter above pays, for every instruction, a
    closure-dispatched [Exec.step_with], three journal probes and two
    option allocations for the PC, and three to four more probes for the
-   fetch. The block path below runs the task body from a {!Sblock} cache
-   of pre-decoded straight-line regions instead: the PC lives in a loop
-   index and is flushed to the write journal once at block exit, bound
-   cells resolve straight off the journal fast arrays, and a block's
-   unbound fetches are staged as first-reads into the reads journal's
-   insertion-order log — the [s_covered] watermark skips even the
-   staging probes on re-dispatch. The observable contract is
-   bit-identity with the interpreter: same status, same [executed], same
-   write buffer, same [on_access] sequence, and a first-read stream
-   identical in content and order (the differential suite and the SJRNLG
-   bench guard enforce this).
+   fetch. The block path below runs the task body from the block cache
+   instead: the PC lives in a loop index and is flushed to the write
+   journal once at block exit, bound cells resolve straight off the
+   journal fast arrays, and a block's fetches are staged as first-reads
+   into the reads journal's insertion-order log — the [s_covered]
+   watermark skips even the staging probes on re-dispatch. The
+   observable contract is bit-identity with the interpreter: same
+   status, same [executed], same write buffer, same [on_access]
+   sequence, and a first-read stream identical in content and order
+   (the differential suite and the SJRNLG bench guard enforce this).
 
-   The cache is meant to be SHARED across the task runs of one slave
-   (the machine passes [?engine] and keeps one per slave): MSSP tasks
-   average around a hundred instructions, far too short to amortize
-   block building per run, but consecutive tasks execute the same
-   static code, so a slave-lifetime cache builds each block once.
-   Sharing is what forces builds to resolve words from architected
-   state only — a cached block must not embed one task's write-buffer
-   or live-in values — and the executor refuses to dispatch a block
-   whose span the current task's write buffer or live-in might shadow
-   ([shadowed] probe below, O(1) off the write journal's and the
-   live-in's address bounds): such spans run on the single-step rung,
-   whose fetch consults the journal stack.
-   The architected words inside a block stay trustworthy because every
-   store into architected state between runs is reported to the cache
-   (task commits, chaos corruption) or drops it whole (recovery
-   segments) — and a first-read is staged for every fetched word
-   anyway, so verification would catch a stale one exactly as it
-   catches any other mispredicted live-in.
+   A shared cache must not embed one task's write-buffer or live-in
+   values, so the executor refuses to dispatch a block whose span the
+   current task's write buffer or live-in might shadow ([shadowed]
+   probe below, O(1) off the write journal's and the live-in's address
+   bounds): such spans run on the single-step rung, whose fetch consults
+   the journal stack. A store into the span of the block being executed
+   forces block exit after the store, so the next dispatch sees it.
 
    The fallback is the interpreter itself, one instruction at a time,
-   wherever no block can be built or trusted: entry at a word
-   that does not decode (the fault probe), entry in the I/O region, and
-   a [Ld]/[St] whose operand address turns out speculative-I/O — the
-   block is left *before* the instruction, so the slow path replays it
-   with the interpreter's exact latch-and-fail behaviour. A store that
-   invalidates cached blocks ([Sblock.note_store]) forces block exit after
-   the store. Isolated-view tasks stay entirely on
-   the interpreter: their reads can be [Missing], which only the
-   single-step path models. *)
+   wherever no block can be built or trusted: entry at a word that does
+   not decode (the fault probe), entry in the I/O region, and a
+   [Ld]/[St] whose operand address turns out speculative-I/O — the block
+   is left *before* the instruction, so the slow path replays it with
+   the interpreter's exact latch-and-fail behaviour. Isolated-view tasks
+   stay entirely on the interpreter: their reads can be [Missing], which
+   only the single-step path models. *)
 
-let exec_spec_block t ~on_access arch eng ~gen (b : Sblock.block) =
-  (* the cache outlives task runs; a block first dispatched by this run
-     carries a stale watermark from its previous owner *)
-  if b.Sblock.s_cover_gen <> gen then begin
-    b.Sblock.s_cover_gen <- gen;
-    b.Sblock.s_covered <- 0
-  end;
-  let instrs = b.Sblock.s_instrs in
-  let words = b.Sblock.s_words in
-  let lives = b.Sblock.s_live in
+let exec_spec_block t ~on_access arch (b : block) =
+  let instrs = b.s_instrs in
+  let words = b.s_words in
   let len = Array.length instrs in
-  let base = b.Sblock.s_start in
+  let base = b.s_start in
   let remaining = t.budget - t.executed in
   let lim = if remaining < len then remaining else len in
   let i = ref 0 in
@@ -307,17 +394,13 @@ let exec_spec_block t ~on_access arch eng ~gen (b : Sblock.block) =
     running := false
   in
   (* fetch: charged on every execution; staged as a first-read only past
-     the covered watermark, and only when the word resolved outside the
-     write buffer at build time (stores since then would have dropped
-     the block, so the provenance cannot be stale) *)
+     the covered watermark *)
   let fetch_at i pc =
     on_access (Cell.mem pc);
-    if i >= b.Sblock.s_covered then begin
-      if
-        Array.unsafe_get lives i
-        && Journal.find_mem t.reads pc = None
-      then Journal.record_mem t.reads pc (Array.unsafe_get words i);
-      b.Sblock.s_covered <- i + 1
+    if i >= b.s_covered then begin
+      if Journal.find_mem t.reads pc = None then
+        Journal.record_mem t.reads pc (Array.unsafe_get words i);
+      b.s_covered <- i + 1
     end
   in
   let read_reg r =
@@ -331,7 +414,7 @@ let exec_spec_block t ~on_access arch eng ~gen (b : Sblock.block) =
         v
       end
       else begin
-        let v = arch (Cell.Reg r) in
+        let v = Full.get_reg arch r in
         if not (Journal.has_reg t.reads k) then Journal.set_reg t.reads k v;
         v
       end
@@ -355,16 +438,17 @@ let exec_spec_block t ~on_access arch eng ~gen (b : Sblock.block) =
         record v;
         v
       | None ->
-        let v = arch c in
+        let v = Full.get_mem arch a in
         record v;
         v)
   in
   (* data write, address already known non-I/O; [true] forces block exit
-     (the store dropped cached blocks — this one may be stale) *)
+     (the store lands in this block's span, whose later words it may
+     have rewritten) *)
   let write_mem a v =
     on_access (Cell.mem a);
     Journal.set_mem t.writes a v;
-    Sblock.note_store eng a
+    a >= base && a < base + len
   in
   (* retirement: the boundary check runs on every retired instruction's
      successor PC, exactly like the interpreter's post-step check *)
@@ -486,22 +570,11 @@ let exec_spec_block t ~on_access arch eng ~gen (b : Sblock.block) =
   end
 
 let run_block_journal ~on_access ?engine t arch ctx =
-  let eng =
-    match engine with
-    | Some e -> e
-    | None -> Sblock.create ~decode:t.decode ()
-  in
-  let gen = Sblock.new_run eng in
-  (* build-time fetch resolution: architected words only (no staging,
-     access traffic or the I/O latch — all charged at execution time).
-     Journal-bound words must not be baked into a shareable block; the
-     [shadowed] probe keeps any span they could cover off this path. *)
-  let peek a =
-    if Layout.is_io a then None else Some (arch (Cell.mem a), true)
-  in
+  let eng = match engine with Some e -> e | None -> block_cache () in
+  eng.gen <- eng.gen + 1;
   let shadowed b =
-    let lo = b.Sblock.s_start in
-    let hi = lo + Array.length b.Sblock.s_instrs - 1 in
+    let lo = b.s_start in
+    let hi = lo + Array.length b.s_instrs - 1 in
     not
       (Journal.mem_avoids t.writes ~lo ~hi && (t.li_hi < lo || t.li_lo > hi))
   in
@@ -519,9 +592,9 @@ let run_block_journal ~on_access ?engine t arch ctx =
         match ctx.c_read Cell.Pc with
         | None -> single_step ()
         | Some pc -> (
-          match Sblock.lookup_or_build eng ~fetch:peek pc with
+          match block_at eng ~decode:t.decode arch pc with
           | Some b when not (shadowed b) ->
-            exec_spec_block t ~on_access arch eng ~gen b;
+            exec_spec_block t ~on_access arch b;
             go ()
           | Some _ | None -> single_step ())
       end

@@ -99,12 +99,12 @@ val with_decode : (pc:int -> word:int -> Mssp_isa.Instr.t option) -> t -> t
     {!Mssp_isa.Program.image_decoder} over the original and distilled
     images when [Config.superblock] is on. With
     [run ~block_journal:true], task bodies execute from a
-    {!Mssp_seq.Sblock} cache of pre-decoded straight-line regions
-    (shared across one slave's task runs via [?engine]), and their
-    first-reads are staged into the reads journal's insertion-order
-    log — so verification still replays them in serial first-read
-    order, identical in content and order to the single-step
-    interpreter's stream. *)
+    {!block_cache} of pre-decoded straight-line regions (shared across
+    one slave's task runs via [?engine]), and their first-reads are
+    staged into the reads journal's insertion-order log — so
+    verification still replays them in serial first-read order,
+    identical in content and order to the single-step interpreter's
+    stream. *)
 
 (** How reads outside the write buffer and live-in set are satisfied. *)
 type view =
@@ -112,9 +112,10 @@ type view =
       (** absent memory cells read as 0 (memory is total); the abstract
           model of the companion paper, where slaves see only master
           data *)
-  | Fallback of (Mssp_state.Cell.t -> int)
+  | Fallback of Mssp_state.Full.t
       (** read through to architected state (the MICRO'02 machine); the
-          obtained value is recorded and verified at commit *)
+          obtained value is recorded and verified at commit. The task
+          only reads it. *)
 
 val step : ?on_access:(Mssp_state.Cell.t -> unit) -> t -> view -> status
 (** Execute one instruction. No-op unless [Running]. [on_access] is
@@ -122,10 +123,22 @@ val step : ?on_access:(Mssp_state.Cell.t -> unit) -> t -> view -> status
     hook the timing model's caches observe. Single-stepping rebuilds the
     executor callbacks each call; {!run} hoists them out of the loop. *)
 
+type block_cache
+(** Pre-decoded straight-line regions of architected code, kept across
+    task runs. A cache checks itself: the first dispatch of a block in
+    each run compares the words it was decoded from with architected
+    memory and rebuilds it on any mismatch, so stores into architected
+    state between runs need no report. Stores during a run are not
+    allowed: the architected state must not change while {!run}
+    executes. *)
+
+val block_cache : unit -> block_cache
+(** An empty cache. *)
+
 val run :
   ?on_access:(Mssp_state.Cell.t -> unit) ->
   ?block_journal:bool ->
-  ?engine:Mssp_seq.Sblock.t ->
+  ?engine:block_cache ->
   t ->
   view ->
   status
@@ -145,19 +158,16 @@ val run :
     for the speculative-I/O latch, and for
     any code span the task's own write buffer or live-in set could
     shadow (self-modified or live-in-bound code never executes from a
-    cached block); a store that invalidates a cached block forces block
-    exit after the store. [Isolated] tasks always use the interpreter
-    (their reads can be [Missing]).
+    cached block); a store into the span of the block being executed
+    forces block exit after the store. [Isolated] tasks always use the
+    interpreter (their reads can be [Missing]).
 
     [engine] (default: a fresh private cache) is the block cache to
     dispatch from. MSSP tasks are around a hundred instructions — too
     short to amortize block building per run — so the machine passes a
-    per-slave engine that persists across that slave's task runs,
-    building each block of the static code once. The caller owns
-    coherence between runs: report every architected store to
-    {!Mssp_seq.Sblock.note_store} (or
-    {!Mssp_seq.Sblock.clear} the cache), and never share one
-    engine between concurrently-running tasks. *)
+    per-slave cache that persists across that slave's task runs,
+    building each block of the static code once. Never share one cache
+    between concurrently-running tasks. *)
 
 val live_in_size : t -> int
 (** Number of recorded live-in bindings (drives verification cost). *)
@@ -185,10 +195,7 @@ val first_inconsistent :
 
 val commit_into : t -> Mssp_state.Full.t -> unit
 (** [commit_into t arch] superimposes the write buffer onto [arch] — the
-    commit operation [S ← live_out(t)]. A caller keeping slave block
-    caches across task runs must report the committed memory cells to
-    them ({!Mssp_seq.Sblock.note_store}); {!iter_writes} enumerates them
-    without allocating a fragment. *)
+    commit operation [S ← live_out(t)]. *)
 
 val iter_writes : (Mssp_state.Cell.t -> int -> unit) -> t -> unit
 (** Iterate the write buffer in journal order (allocation-free). *)

@@ -169,24 +169,13 @@ let recording () =
   (t, fun () -> List.rev !acc)
 
 module Ring = struct
-  (* [pushed] is Atomic so monitors on other domains can sample the
-     flow-rate counters ([seen]/[dropped]) while a run emits; the slots
-     and cursor stay single-writer — emission itself must remain on the
-     event-loop domain (HACKING.md "Determinism under domains") *)
-  type buf = {
-    slots : event option array;
-    mutable next : int;
-    pushed : int Atomic.t;
-  }
+  type buf = { slots : event option array; mutable next : int }
 
-  let create capacity =
-    { slots = Array.make (max 1 capacity) None; next = 0;
-      pushed = Atomic.make 0 }
+  let create capacity = { slots = Array.make (max 1 capacity) None; next = 0 }
 
   let sink b ev =
     b.slots.(b.next) <- Some ev;
-    b.next <- (b.next + 1) mod Array.length b.slots;
-    Atomic.incr b.pushed
+    b.next <- (b.next + 1) mod Array.length b.slots
 
   let contents b =
     let cap = Array.length b.slots in
@@ -199,9 +188,6 @@ module Ring = struct
         | Some ev -> collect (i - 1) (ev :: acc)
     in
     List.rev (collect cap [])
-
-  let seen b = Atomic.get b.pushed
-  let dropped b = max 0 (Atomic.get b.pushed - Array.length b.slots)
 end
 
 (* --- serialization --------------------------------------------------- *)

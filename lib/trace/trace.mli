@@ -142,18 +142,14 @@ val recording : unit -> t * (unit -> event list)
     returns everything emitted so far, oldest first. *)
 
 module Ring : sig
-  (** Bounded in-memory sink: keeps the last [capacity] events, counts
-      the rest. The flight-recorder sink for long runs. *)
+  (** Bounded in-memory sink: keeps the last [capacity] events and
+      drops older ones. The flight-recorder sink for long runs. *)
 
   type buf
 
   val create : int -> buf
   val sink : buf -> sink
   val contents : buf -> event list  (** oldest retained first *)
-
-  val seen : buf -> int  (** total events pushed *)
-
-  val dropped : buf -> int  (** [max 0 (seen - capacity)] *)
 end
 
 val jsonl_sink : out_channel -> sink

@@ -172,6 +172,41 @@ let test_program () =
   check "instr_at" true (Program.instr_at p (Layout.code_base + 1) = Some Instr.Halt);
   check "instr_at out" true (Program.instr_at p 0 = None)
 
+(* The master decodes every fetched instruction through a two-image
+   decoder (distilled + original), so a decode must not allocate: not
+   on a hit in either image, nor on a miss served by the decode cache. *)
+let test_image_decoder_alloc () =
+  let li = Instr.Li (Reg.of_int 1, 7)
+  and inc = Instr.Alui (Add, Reg.of_int 2, Reg.of_int 2, 1)
+  and jmp = Instr.Jmp 3 in
+  let a = Program.make [| li; Instr.Halt |] in
+  let b = Program.make ~base:(Layout.code_base + 100) [| Instr.Nop; inc |] in
+  let decode =
+    Program.image_decoder [ Program.decode_all a; Program.decode_all b ]
+  in
+  (* a hit in each image, and a miss outside both *)
+  let probes =
+    [|
+      (a.Program.base, li); (b.Program.base + 1, inc); (Layout.code_base + 50, jmp);
+    |]
+  in
+  let words = Array.map (fun (pc, i) -> (pc, Instr.encode i)) probes in
+  Array.iteri
+    (fun k (pc, word) ->
+      check (Printf.sprintf "probe %d" k) true
+        (decode ~pc ~word = Some (snd probes.(k))))
+    words;
+  let m0 = Gc.minor_words () in
+  for n = 0 to 9_999 do
+    let pc, word = Array.unsafe_get words (n mod 3) in
+    ignore (Sys.opaque_identity (decode ~pc ~word))
+  done;
+  let m1 = Gc.minor_words () in
+  check
+    (Printf.sprintf "10,000 decodes: %.0f minor words" (m1 -. m0))
+    true
+    (m1 -. m0 = 0.)
+
 let () =
   Alcotest.run "isa"
     [
@@ -197,5 +232,7 @@ let () =
           Alcotest.test_case "writes_reg" `Quick test_writes_reg;
           Alcotest.test_case "branch_targets" `Quick test_branch_targets;
           Alcotest.test_case "program" `Quick test_program;
+          Alcotest.test_case "two-image decoder allocates nothing" `Quick
+            test_image_decoder_alloc;
         ] );
     ]

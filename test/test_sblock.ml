@@ -357,7 +357,7 @@ let test_task_with_decode_neutral () =
     Task.make ~id:0 ~start_pc:p.Program.entry ~end_pc:None ~end_occurrence:1
       ~budget:1000 ~live_in:Fragment.empty
   in
-  let view = Task.Fallback (fun c -> Full.get s c) in
+  let view = Task.Fallback s in
   let plain = fresh () in
   let decoded =
     Task.with_decode

@@ -5,11 +5,12 @@
    first-read journal in content *and order* (the verification unit
    replays it in serial first-read order; squash attribution and
    predictor training key on that order). Hand-written shapes cover
-   blocks, boundaries, budgets, SMC self-patching, I/O latching and
-   faults; QCheck covers fuzz programs with the SMC shape boosted; and
-   full-machine legs pin the six kernels, a squash-forcing fault plan
-   and fuzz programs with the block journal on and off, down to the
-   cycle and the event stream. *)
+   blocks, boundaries, budgets, SMC self-patching (within a run and
+   across runs of one block cache), I/O latching and faults; QCheck
+   covers fuzz programs with the SMC shape boosted; and full-machine
+   legs pin the six kernels, a squash-forcing fault plan, code that a
+   commit or a recovery segment rewrites, and fuzz programs with the
+   block journal on and off, down to the cycle and the event stream. *)
 
 module Full = Mssp_state.Full
 module Cell = Mssp_state.Cell
@@ -40,8 +41,8 @@ let load_arch p =
   s
 
 (* run one task body, collecting everything a caller can observe *)
-let run_task ~block_journal ?(budget = 5_000) ?end_pc ?(end_occurrence = 1)
-    ?(live_in = Fragment.empty) arch (p : Program.t) =
+let run_task ~block_journal ?engine ?(budget = 5_000) ?end_pc
+    ?(end_occurrence = 1) ?(live_in = Fragment.empty) arch (p : Program.t) =
   let t =
     Task.make ~id:0 ~start_pc:p.Program.entry ~end_pc ~end_occurrence ~budget
       ~live_in
@@ -50,8 +51,7 @@ let run_task ~block_journal ?(budget = 5_000) ?end_pc ?(end_occurrence = 1)
   let status =
     Task.run
       ~on_access:(fun c -> acc := c :: !acc)
-      ~block_journal t
-      (Task.Fallback (fun c -> Full.get arch c))
+      ~block_journal ?engine t (Task.Fallback arch)
   in
   (status, t, List.rev !acc)
 
@@ -149,15 +149,22 @@ let test_budget_sweep () =
       (same_task ~budget memory_traffic)
   done
 
-(* a task that patches its own body through the write buffer: trip 1
-   executes the original word, trip 2 the patched one. The store drops
-   the cached block (Sblock.note_store), the executor leaves the block
-   after the store, and the patched fetch resolves from the buffer —
-   all invisible against single-step. *)
+(* a task that patches its own body through the write buffer. The first
+   store rewrites the very next word; in the loop, trip 1 executes the
+   original word and trip 2 the patched one. Each store lands in the
+   span of the block being executed, so the executor leaves the block
+   after it; the next dispatch finds the span shadowed by the write
+   buffer and single-steps it, so the patched fetch resolves from the
+   buffer — all invisible against single-step. *)
 let test_smc_self_patch () =
   let b = Dsl.create () in
   Dsl.li b s5 2;
   Dsl.li b t2 0;
+  Dsl.la b s6 "ahead";
+  Dsl.li b s7 (Instr.encode (Instr.Alui (Instr.Add, t2, t2, 100)));
+  Dsl.st b s7 s6 0;
+  Dsl.label b "ahead";
+  Dsl.nop b;
   Dsl.label b "smc";
   Dsl.label b "patch";
   Dsl.nop b;
@@ -170,11 +177,44 @@ let test_smc_self_patch () =
   Dsl.halt b;
   let p = Dsl.build b () in
   assert_same_task p;
-  (* and the patched trip really ran: t2 = 7 in the write buffer *)
+  (* and both patched words really ran: t2 = 100 + 7 in the write
+     buffer *)
   let arch = load_arch p in
   let _, t, _ = run_task ~block_journal:true arch p in
-  check "patched trip executed" true
-    (Mssp_task.Journal.find t.Task.writes (Cell.Reg t2) = Some 7)
+  check "patched words executed" true
+    (Mssp_task.Journal.find t.Task.writes (Cell.Reg t2) = Some 107)
+
+(* one block cache serves two task runs over one architected state, and
+   between them a word inside a cached block changes with no report to
+   the cache (as a commit or a recovery segment changes it in the
+   machine). The second run must execute the new word: its first
+   dispatch of the block checks the block's words against [arch]. *)
+let test_smc_between_runs () =
+  let b = Dsl.create () in
+  Dsl.li b t2 0;
+  Dsl.label b "patch";
+  Dsl.alui b Instr.Add t2 t2 2;
+  Dsl.out b t2;
+  Dsl.halt b;
+  let p = Dsl.build b () in
+  let arch = load_arch p in
+  let engine = Task.block_cache () in
+  let _, t1, _ = run_task ~block_journal:true ~engine arch p in
+  check "first run: t2 = 2" true
+    (Mssp_task.Journal.find t1.Task.writes (Cell.Reg t2) = Some 2);
+  Full.set_mem arch
+    (List.assoc "patch" p.Program.symbols)
+    (Instr.encode (Instr.Alui (Instr.Add, t2, t2, 8)));
+  let s_on, t_on, a_on = run_task ~block_journal:true ~engine arch p in
+  let s_off, t_off, a_off = run_task ~block_journal:false arch p in
+  check "second run: t2 = 8" true
+    (Mssp_task.Journal.find t_on.Task.writes (Cell.Reg t2) = Some 8);
+  check "same status" true (s_on = s_off);
+  check "same writes" true
+    (journal_list Task.iter_writes t_on = journal_list Task.iter_writes t_off);
+  check "same reads" true
+    (journal_list Task.iter_reads t_on = journal_list Task.iter_reads t_off);
+  check "same accesses" true (a_on = a_off)
 
 (* speculative I/O: the latch semantics (instruction completes into the
    write buffer, then the task fails without retiring it) must be
@@ -324,6 +364,56 @@ let test_fault_shape_identical () =
   check "squashes happened" true (r_on.M.stats.M.squashes > 0);
   same_machine_run "vecsum+faults" (ev_on, r_on) (ev_off, r_off)
 
+(* Code rewritten between task runs of one slave. Every trip stores a
+   value that the patch site computes into a buffer nobody reads (so the
+   master's stale copy of the site never mispredicts a live-in), and
+   trip [patch_trip] rewrites the site. With [~via_io] that trip first
+   touches the I/O region, so its task fails and the rewrite lands in
+   architected state from the recovery segment; otherwise from a commit.
+   Later tasks dispatch the site from a block cached before the rewrite:
+   the block must be rebuilt, or the stale word becomes a mismatching
+   first-read and a squash the single-step run does not have. *)
+let rewritten_loop ~via_io =
+  let trips = 60 and patch_trip = 30 in
+  let b = Dsl.create () in
+  let buf = Dsl.alloc b trips in
+  Dsl.li b s5 trips;
+  Dsl.la b s6 "patch";
+  Dsl.li b s7 (Instr.encode (Instr.Li (t4, 2)));
+  Dsl.label b "loop";
+  Dsl.label b "patch";
+  Dsl.li b t4 1;
+  Dsl.st b t4 s5 buf;
+  Dsl.li b t3 patch_trip;
+  Dsl.br b Instr.Ne s5 t3 "next";
+  if via_io then begin
+    Dsl.li b t3 Layout.io_base;
+    Dsl.ld b t3 t3 0
+  end;
+  Dsl.st b s7 s6 0;
+  Dsl.label b "next";
+  Dsl.alui b Instr.Sub s5 s5 1;
+  Dsl.br b Instr.Gt s5 zero "loop";
+  Dsl.halt b;
+  (Dsl.build b (), buf, patch_trip)
+
+let test_rewrite_between_tasks ~via_io () =
+  let p, buf, patch_trip = rewritten_loop ~via_io in
+  let profile = Profile.collect p in
+  let d = Distill.distill p profile in
+  let cfg = { base4 with Config.task_size = 8 } in
+  let ((_, r_on) as on) = run_recorded ~block_journal:true cfg d in
+  let off = run_recorded ~block_journal:false cfg d in
+  (* the I/O touch fails exactly the rewriting trip's task *)
+  check_int "tasks failed" (if via_io then 1 else 0)
+    r_on.M.stats.M.squash_task_failed;
+  check "the rewrite took effect" true
+    (Full.get_mem r_on.M.arch (buf + 1) = 2
+    && Full.get_mem r_on.M.arch (buf + patch_trip + 1) = 1);
+  same_machine_run
+    (if via_io then "rewrite by recovery" else "rewrite by commit")
+    on off
+
 (* block journal {on,off} on fuzz programs: both runs bit-identical —
    the verification-time first-read stream (what squash attribution,
    stats and the event stream are derived from) is independent of the
@@ -365,8 +455,10 @@ let () =
         ] );
       ( "ladder",
         [
-          Alcotest.test_case "SMC self-patch invalidates" `Quick
+          Alcotest.test_case "SMC self-patch leaves the block" `Quick
             test_smc_self_patch;
+          Alcotest.test_case "SMC between runs of one cache" `Quick
+            test_smc_between_runs;
           Alcotest.test_case "speculative I/O latch" `Quick test_io_latch;
           Alcotest.test_case "fault parity" `Quick test_fault_parity;
         ] );
@@ -381,6 +473,10 @@ let () =
             `Quick test_kernels_identical;
           Alcotest.test_case "fault shape: squash replay identical" `Quick
             test_fault_shape_identical;
+          Alcotest.test_case "code rewritten by a commit" `Quick
+            (test_rewrite_between_tasks ~via_io:false);
+          Alcotest.test_case "code rewritten by a recovery segment" `Quick
+            (test_rewrite_between_tasks ~via_io:true);
           Mssp_testkit.to_alcotest prop_block_journal_identical;
         ] );
     ]

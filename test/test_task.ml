@@ -27,7 +27,7 @@ let arch_of p =
   Full.load s p;
   s
 
-let fallback arch = Task.Fallback (fun c -> Full.get arch c)
+let fallback arch = Task.Fallback arch
 
 let simple_loop =
   build (fun b ->
@@ -298,7 +298,7 @@ let oracle_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc view =
         | Some _ as r -> r
         | None -> (
           match view with
-          | Task.Fallback arch -> Some (arch c)
+          | Task.Fallback arch -> Some (Full.get arch c)
           | Task.Isolated -> if Cell.is_mem c then Some 0 else None)
       in
       (match r with
