@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-csv bench-json perf-smoke promote-golden fuzz fuzz-distill fuzz-predict examples clean loc
+.PHONY: all build test bench bench-csv bench-json perf-smoke promote-golden trace-snapshot fuzz fuzz-distill fuzz-predict examples clean loc
 
 all: build
 
@@ -35,6 +35,23 @@ perf-smoke:
 # deliberate)
 promote-golden:
 	PROMOTE_GOLDEN=1 dune exec test/test_trace.exe -- test golden
+
+# the JSONL event stream of every `mssp_sim list` benchmark at 1, 2, 4
+# and 8 slaves (plus isolated slaves at 4) into OUT, with their sums in
+# OUT/SHA256SUMS: run it on two trees and diff the sums files to show a
+# refactor moved no event
+SIM = ./_build/default/bin/mssp_sim.exe
+trace-snapshot:
+	@test -n "$(OUT)" || { echo "usage: make trace-snapshot OUT=dir" >&2; exit 2; }
+	dune build bin/mssp_sim.exe
+	mkdir -p $(OUT)
+	for b in $$($(SIM) list | cut -d' ' -f1); do \
+	  for n in 1 2 4 8; do \
+	    $(SIM) trace $$b --slaves $$n --format jsonl -o $(OUT)/$$b-s$$n.jsonl || exit 1; \
+	  done; \
+	  $(SIM) trace $$b --slaves 4 --isolated --format jsonl -o $(OUT)/$$b-s4-isolated.jsonl || exit 1; \
+	done
+	cd $(OUT) && sha256sum *.jsonl > SHA256SUMS
 
 # differential fuzzing: SEQ vs MSSP config grid vs formal models.
 # Failing programs are shrunk and written to fuzz/corpus/ as .s repros.

@@ -1,8 +1,10 @@
 (* The golden-trace harness: the structured event bus is pinned down by
-   - six committed golden traces (vecsum, listwalk, a garbage
+   - nine committed golden traces (vecsum, listwalk, a garbage
      adversarial master, a deliberately broken chaos-commit run, a
-     benign always-absorbed fault plan and a stride-friendly kernel
-     under the tournament live-in predictor) that
+     benign always-absorbed fault plan, a stride-friendly kernel
+     under the tournament live-in predictor, an amnesiac master under
+     dual mode stopped by the squash limit, isolated slaves and a
+     control-only master) that
      every [dune runtest] replays and structurally diffs
      ([PROMOTE_GOLDEN=1] / `make promote-golden` rewrites them);
    - the acceptance criterion of the tracing subsystem: a fold over the
@@ -43,14 +45,16 @@ let distill_bench name ~size ~train =
   let profile = Profile.collect (b.W.program ~size:train) in
   Distill.distill program profile
 
-(* --- the five golden workloads ---------------------------------------
+(* --- the nine golden workloads ---------------------------------------
 
    Deterministic by construction: fixed benchmarks, fixed sizes, fixed
    configurations, and an event-driven simulator with no hidden
    randomness. Two well-behaved runs, one adversarial master (master
    death + task-budget attribution), one deliberately broken commit
-   unit (commit-then-mismatch churn) and one benign fault plan (every
-   fault absorbed; pins the Fault event serialization). *)
+   unit (commit-then-mismatch churn), one benign fault plan (every
+   fault absorbed; pins the Fault event serialization), one predicted
+   kernel, one amnesiac master stopped by the squash limit, and the
+   isolated-slave and control-only-master modes. *)
 
 let base2 = Config.with_slaves 2 Config.default
 
@@ -131,6 +135,35 @@ let golden_cases_at ?sjrnl ?(engines = true) () =
               predict_warmup = Predict.warmup_of_profile profile;
             }
           (Distill.distill program profile) );
+    (* a master that dies at every restart, under dual mode and a
+       squash cap: pins master-dead squashes, sequential bursts
+       ([burst: true]) and the [squash_limit] stop *)
+    ( "amnesiac_limit",
+      fun () ->
+        run_traced
+          ~config:
+            {
+              base2 with
+              Config.dual_mode = true;
+              dual_burst = 60;
+              max_squashes = 20;
+            }
+          (Adversary.amnesiac (distill_bench "vecsum" ~size:160 ~train:40)) );
+    (* vecsum with no architected-state fallback for slave reads *)
+    ( "isolated",
+      fun () ->
+        run_traced
+          ~config:
+            { base2 with Config.task_size = 20; isolated_slaves = true }
+          (distill_bench "vecsum" ~size:160 ~train:40) );
+    (* listwalk with a master that predicts no values: pins the
+       mismatch-squash path at every pointer-chasing boundary *)
+    ( "control_only",
+      fun () ->
+        run_traced
+          ~config:
+            { base2 with Config.task_size = 25; control_only_master = true }
+          (distill_bench "listwalk" ~size:120 ~train:40) );
   ]
 
 let golden_cases = golden_cases_at ()
@@ -186,7 +219,7 @@ let test_golden (name, run) () =
         failures_dir
   end
 
-(* all six golden runs at once, fanned across 4 helper domains *)
+(* all nine golden runs at once, fanned across 4 helper domains *)
 let golden_on_pool =
   lazy
     (List.combine (List.map fst golden_cases)
@@ -495,7 +528,7 @@ let () =
           (fun (name, _ as case) ->
             Alcotest.test_case name `Quick (test_golden case))
           golden_cases );
-      (* the same committed traces must fall out when the six runs
+      (* the same committed traces must fall out when the nine runs
          execute concurrently on 4 helper domains of the inter-run pool:
          whole runs share no simulator state. Promotion is skipped here
          (the serial suite owns the files) *)
