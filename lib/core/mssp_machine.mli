@@ -24,11 +24,6 @@
     (shared L2) access, verification/commit serialization, and squash/
     restart penalties. *)
 
-type squash_reason =
-  | Live_in_mismatch  (** recorded live-ins ≠ architected state *)
-  | Task_failed of Mssp_task.Task.fail_reason
-  | Master_dead  (** master halted/faulted/ran away with work remaining *)
-
 type stats = {
   mutable cycles : int;
   mutable master_instructions : int;
@@ -58,13 +53,6 @@ type stats = {
   mutable task_sizes : int list;  (** committed task lengths *)
   mutable live_in_counts : int list;  (** recorded live-ins per committed task *)
 }
-
-val trace_reason : squash_reason -> Mssp_trace.Trace.squash_reason
-(** Refine the machine's three-way squash taxonomy into the trace
-    layer's six-way one (cells and faults pre-rendered to strings).
-    [Mssp_trace.Trace.coarse] is its left inverse, which is what lets a
-    fold over the event stream reproduce the [squash_mismatch] /
-    [squash_task_failed] / [squash_master_dead] stats exactly. *)
 
 type stop_reason =
   | Halted

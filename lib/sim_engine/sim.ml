@@ -13,27 +13,12 @@ let create () =
     executed = 0 }
 let now s = s.time
 
-let schedule_at s ~time thunk =
-  let time = max time s.time in
-  s.scheduled <- s.scheduled + 1;
-  Heap.push s.queue ~key:time thunk
-
 let schedule s ~delay thunk =
   if delay < 0 then invalid_arg "Sim.schedule: negative delay";
-  schedule_at s ~time:(s.time + delay) thunk
-
-let pending s = Heap.length s.queue
+  s.scheduled <- s.scheduled + 1;
+  Heap.push s.queue ~key:(s.time + delay) thunk
 
 type outcome = Drained | Hit_limit
-
-let step s =
-  match Heap.pop s.queue with
-  | None -> false
-  | Some (time, thunk) ->
-    s.time <- time;
-    s.executed <- s.executed + 1;
-    thunk ();
-    true
 
 let run ?limit s =
   let over_limit () =
@@ -41,9 +26,18 @@ let run ?limit s =
     | Some l, Some k -> k > l
     | _, _ -> false
   in
+  let step () =
+    match Heap.pop s.queue with
+    | None -> false
+    | Some (time, thunk) ->
+      s.time <- time;
+      s.executed <- s.executed + 1;
+      thunk ();
+      true
+  in
   let rec go () =
     if over_limit () then Hit_limit
-    else if step s then go ()
+    else if step () then go ()
     else Drained
   in
   go ()

@@ -20,20 +20,11 @@ val now : t -> int
 val schedule : t -> delay:int -> (unit -> unit) -> unit
 (** Schedule a thunk [delay ≥ 0] cycles from now. *)
 
-val schedule_at : t -> time:int -> (unit -> unit) -> unit
-(** Schedule at an absolute time (clamped to [now] if in the past). *)
-
-val pending : t -> int
-(** Events still queued. *)
-
 type outcome = Drained | Hit_limit
 
 val run : ?limit:int -> t -> outcome
 (** Execute events in time order until the queue drains or simulated time
     would exceed [limit] (default: no limit). *)
-
-val step : t -> bool
-(** Execute the single next event; [false] if the queue is empty. *)
 
 val scheduled : t -> int
 (** Total events ever scheduled on this kernel (trace counter). *)

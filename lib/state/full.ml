@@ -111,12 +111,6 @@ let load ?(set_entry = true) s (p : Mssp_isa.Program.t) =
   set_reg s Reg.gp Layout.data_base;
   if set_entry then s.pc <- p.entry
 
-let apply s f = Fragment.iter (fun c v -> set s c v) f
-let consistent f s = Fragment.fold (fun c v ok -> ok && get s c = v) f true
-
-let restrict s cells =
-  Cell.Set.fold (fun c acc -> Fragment.add c (get s c) acc) cells Fragment.empty
-
 (* Visit every explicitly written memory word (address, current value). *)
 let iter_materialized f s =
   for p = 0 to table_pages - 1 do

@@ -14,9 +14,10 @@
     (including writes of 0), so {!snapshot} and {!pp} enumerate the same
     "materialized" set the representation has always exposed.
 
-    Fragments relate to full states through {!apply} (superimposition of
-    a fragment onto a full state — the commit operation) and
-    {!consistent} (the verification check [live_in ⊑ architected]). *)
+    The verify/commit unit checks a task's live-ins against a full state
+    and superimposes its live-outs onto it through [Mssp_task.Task]
+    ([live_ins_consistent], [commit_into]); {!snapshot} reads a full
+    state back as a fragment. *)
 
 type t
 
@@ -50,18 +51,6 @@ val load : ?set_entry:bool -> t -> Mssp_isa.Program.t -> unit
     set the PC to the program's entry. Loading a second image (e.g. the
     distilled program at {!Mssp_isa.Layout.distilled_base}) with
     [~set_entry:false] leaves the PC alone. *)
-
-val apply : t -> Fragment.t -> unit
-(** [apply s f] superimposes [f] onto [s]: the commit operation
-    [S ← live_out(t)]. *)
-
-val consistent : Fragment.t -> t -> bool
-(** [consistent f s] is [f ⊑ s]: full states are total, so this checks
-    only value agreement. This is the verification unit's memoization
-    check. *)
-
-val restrict : t -> Cell.Set.t -> Fragment.t
-(** Fragment holding [s]'s current values for the given cells. *)
 
 val snapshot : t -> Fragment.t
 (** PC, all registers, and every memory word ever written (explicitly

@@ -129,18 +129,6 @@ let test_full_copy_isolated () =
   check_int "copy mem" 66 (Full.get_mem s' 5);
   check_int "original reg" 0 (Full.get_reg s (Reg.of_int 4))
 
-let test_full_apply_consistent () =
-  let s = Full.create () in
-  let f = Fragment.of_list [ (Cell.Pc, 7); (Cell.mem 3, 33) ] in
-  check "not yet consistent" false (Full.consistent f s);
-  Full.apply s f;
-  check "now consistent" true (Full.consistent f s);
-  check_int "pc applied" 7 (Full.pc s);
-  (* a fragment binding an untouched mem cell to 0 is consistent: memory
-     is total with default 0 *)
-  check "default-0 consistency" true
-    (Full.consistent (Fragment.singleton (Cell.mem 999) 0) s)
-
 let test_full_load () =
   let p =
     Mssp_isa.Program.make ~data:[ (Mssp_isa.Layout.data_base, 77) ]
@@ -167,17 +155,14 @@ let test_observable_equality () =
   Full.set_mem s1 20 0;
   check "explicit zero" true (Full.equal_observable s1 s2)
 
-let test_snapshot_restrict () =
+let test_snapshot () =
   let s = Full.create () in
   Full.set_pc s 4;
   Full.set_mem s 8 88;
   let snap = Full.snapshot s in
   check "snap pc" true (Fragment.pc snap = Some 4);
   check "snap mem" true (Fragment.find_opt (Cell.mem 8) snap = Some 88);
-  check "snap has all regs" true (Fragment.cardinal snap >= 32);
-  let r = Full.restrict s (Cell.Set.of_list [ Cell.mem 8; Cell.mem 9 ]) in
-  check "restrict" true
-    (Fragment.to_list r = [ (Cell.mem 8, 88); (Cell.mem 9, 0) ])
+  check "snap has all regs" true (Fragment.cardinal snap >= 32)
 
 (* --- COW aliasing: the paged image must behave exactly like a deep
    copy, whichever side of a copy is written first --- *)
@@ -389,10 +374,9 @@ let () =
           Alcotest.test_case "defaults" `Quick test_full_defaults;
           Alcotest.test_case "zero register" `Quick test_full_zero_reg;
           Alcotest.test_case "copy isolation" `Quick test_full_copy_isolated;
-          Alcotest.test_case "apply/consistent" `Quick test_full_apply_consistent;
           Alcotest.test_case "load" `Quick test_full_load;
           Alcotest.test_case "observable equality" `Quick test_observable_equality;
-          Alcotest.test_case "snapshot/restrict" `Quick test_snapshot_restrict;
+          Alcotest.test_case "snapshot" `Quick test_snapshot;
           Alcotest.test_case "COW aliasing" `Quick test_cow_aliasing;
           Alcotest.test_case "COW overflow addresses" `Quick
             test_cow_overflow_addresses;
