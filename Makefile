@@ -20,7 +20,7 @@ bench-csv:
 	dune exec bench/main.exe -- --csv results
 
 # the bench guards, one row each in EXPERIMENTS.md's guard table
-GUARDS = TRACEG FAULTG POOLG SBLKG ADPTG SJRNLG
+GUARDS = TRACEG FAULTG POOLG ADPTG
 
 # machine-readable baseline: headline experiment and guards
 bench-json:

@@ -950,20 +950,6 @@ let leg ?(label = "") ?(check = ignore) p config () =
         r.M.stats.M.cycles );
     ]
 
-(* a fault plan that corrupts live-ins, so verification fails and
-   sequential recovery runs on many tasks *)
-let squash_heavy name p config =
-  let module Plan = Mssp_faults.Plan in
-  let stormy =
-    Plan.make [ Plan.action Plan.Live_in_corrupt ~seed:11 ~p:0.25 ]
-  in
-  let check r =
-    if r.M.stats.M.squashes = 0 then
-      failwith (name ^ ": the squash-heavy leg produced no squashes")
-  in
-  leg ~label:" squash-heavy" ~check p
-    { config with Config.faults = Some stormy }
-
 (* TRACEG: the event bus costs at most 2% with a bounded ring attached,
    which bounds the disabled path (one [if tracing]) from above. 3x the
    reference input keeps a run near 100 ms, well above timer noise. *)
@@ -1026,56 +1012,6 @@ let poolg () =
   Guard.run ~reps:2 ~bound:(V.At_most 0.60) ~gate:(V.Min_cores 4) "POOLG"
     ("serial", grid 1) ("4 jobs", grid 4)
 
-(* SBLKG: the direct step ([Config.superblock] on) is invisible to the
-   simulation, on a plain run and on a squash-heavy one (recovery
-   executes on the direct step), and no slower than the single-step
-   reference on the straight-line interpreter micro. The 5% allowance
-   absorbs timer noise on loaded hosts. *)
-let sblkg () =
-  section "SBLKG  Direct-step guard: direct step vs single-step";
-  let p = prepare (W.find "vecsum") in
-  let cfg sblk = { (with_slaves 4) with Config.superblock = sblk } in
-  let micro superblock () =
-    Micro.run_straightline ~superblock ();
-    fun () -> []
-  in
-  Guard.run ~reps:9 ~bound:(V.At_most 1.05) ~gate:V.Always "SBLKG"
-    ~instructions:Micro.straightline_instrs
-    ~same:
-      [
-        (leg p (cfg false), leg p (cfg true));
-        (squash_heavy "SBLKG" p (cfg false), squash_heavy "SBLKG" p (cfg true));
-      ]
-    ("single-step", micro false) ("direct step", micro true)
-
-(* SJRNLG: the block-aware slave journal is invisible to the simulation,
-   plain and squash-heavy (every squash replays the staged first-read
-   stream, whose content and order pin squash attribution), and pays for
-   itself: >= 2x single-step on the slave-body micro and >= 1.3x on the
-   whole machine (vecsum at 8 slaves), where the per-slave block caches
-   must show up as wall clock. *)
-let sjrnlg () =
-  section "SJRNLG  Slave block-journal guard: block journaling vs single-step";
-  let p = prepare (W.find "vecsum") in
-  let cfg n bj = { (with_slaves n) with Config.slave_block_journal = bj } in
-  let micro block_journal () =
-    Micro.run_slave_body ~block_journal ();
-    fun () -> []
-  in
-  Guard.run ~reps:9 ~bound:(V.At_least 2.0) ~gate:(quiet 0.10) "SJRNLG"
-    ~instructions:Micro.slave_body_instrs
-    ~same:
-      [
-        (leg p (cfg 4 false), leg p (cfg 4 true));
-        ( squash_heavy "SJRNLG" p (cfg 4 false),
-          squash_heavy "SJRNLG" p (cfg 4 true) );
-      ]
-    ("single-step", micro false) ("block journal", micro true);
-  Guard.run ~reps:5 ~bound:(V.At_least 1.3) ~gate:(quiet 0.10)
-    "SJRNLG machine"
-    ("single-step", leg p (cfg 8 false))
-    ("block journal", leg p (cfg 8 true))
-
 (* ADPTG: the adaptation loop keeps paying for itself. Over the
    prediction-friendly kernels at 8 slaves the geomean of static over
    adaptive cycles stays >= 1.15x. Deterministic cycles, so always
@@ -1120,5 +1056,5 @@ let all : (string * (unit -> unit)) list =
 let extras : (string * (unit -> unit)) list =
   [
     ("E1s", e1s); ("TRACEG", traceg); ("FAULTG", faultg); ("POOLG", poolg);
-    ("SBLKG", sblkg); ("ADPTG", adptg); ("SJRNLG", sjrnlg);
+    ("ADPTG", adptg);
   ]

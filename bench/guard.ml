@@ -1,5 +1,5 @@
-(** The one timing loop behind every bench guard (TRACEG FAULTG POOLG
-    SBLKG SJRNLG; ADPTG records a deterministic row). A guard times a
+(** The one timing loop behind every bench guard (TRACEG FAULTG POOLG;
+    ADPTG records a deterministic row). A guard times a
     baseline leg [a] against a candidate leg [b]:
 
     - one untimed warm-up run of each leg;
@@ -10,7 +10,7 @@
     - a leg returns a check to run after the clock stops: it verifies
       the run against SEQ and yields the simulated cycles it produced.
       Every run of either leg must match the warm-up of [a] bit for
-      bit, as must each extra config pair in [same].
+      bit.
 
     The verdict itself is {!Mssp_metrics.Guard.verdict}. Each guard
     appends one {!row}; the bench writes them all to the [guards] list
@@ -37,7 +37,6 @@ type row = {
   noise : float;
   verdict : V.verdict;
   cycles : cycles;
-  instructions : int option;  (** retired instructions per run, micros only *)
 }
 
 let rows : row list ref = ref []
@@ -61,21 +60,13 @@ let failure r =
 let show (c : cycles) =
   String.concat ", " (List.map (fun (l, n) -> Printf.sprintf "%s %d" l n) c)
 
-let run ?(same = []) ?instructions ~reps ~bound ~gate name
+let run ~reps ~bound ~gate name
     (a, (run_a : leg)) (b, (run_b : leg)) =
   let check x y =
     if x <> y then
       failwith
         (Printf.sprintf "%s: %s and %s disagree on cycles (%s | %s)" name a b
            (show x) (show y))
-  in
-  let extra =
-    List.concat_map
-      (fun ((fa : leg), (fb : leg)) ->
-        let x = fa () () in
-        check x (fb () ());
-        x)
-      same
   in
   let warm = run_a () () in
   check warm (run_b () ());
@@ -111,8 +102,7 @@ let run ?(same = []) ?instructions ~reps ~bound ~gate name
       bound;
       noise;
       verdict = V.verdict bound gate ~cores ~noise ratio;
-      cycles = warm @ extra;
-      instructions;
+      cycles = warm;
     }
 
 (* a guard over deterministic simulated cycles: no clock, always
@@ -130,28 +120,24 @@ let deterministic ~bound ~ratio name (a, b) cycles =
       noise = 0.;
       verdict = V.verdict bound V.Always ~cores:1 ~noise:0. ratio;
       cycles;
-      instructions = None;
     }
 
 let to_json r =
   let num = Harness.json_float in
   let secs = function Some s -> num s | None -> Tjson.Null in
   Tjson.Obj
-    ([
-       ("name", Tjson.Str r.name);
-       ("a", Tjson.Str r.a);
-       ("b", Tjson.Str r.b);
-       ("a_s", secs r.a_s);
-       ("b_s", secs r.b_s);
-       ("ratio", num r.ratio);
-       ("bound", Tjson.Str (V.describe r.bound));
-       ("noise", num r.noise);
-       ("enforced", Tjson.Bool (r.verdict <> V.Reported));
-       (* whether the bound held, enforced or not *)
-       ("passed", Tjson.Bool (V.holds r.bound r.ratio));
-       ("cycles", Tjson.Obj (List.map (fun (l, n) -> (l, Tjson.Int n)) r.cycles));
-     ]
-    @
-    match r.instructions with
-    | Some n -> [ ("instructions", Tjson.Int n) ]
-    | None -> [])
+    [
+      ("name", Tjson.Str r.name);
+      ("a", Tjson.Str r.a);
+      ("b", Tjson.Str r.b);
+      ("a_s", secs r.a_s);
+      ("b_s", secs r.b_s);
+      ("ratio", num r.ratio);
+      ("bound", Tjson.Str (V.describe r.bound));
+      ("noise", num r.noise);
+      ("enforced", Tjson.Bool (r.verdict <> V.Reported));
+      (* whether the bound held, enforced or not *)
+      ("passed", Tjson.Bool (V.holds r.bound r.ratio));
+      ( "cycles",
+        Tjson.Obj (List.map (fun (l, n) -> (l, Tjson.Int n)) r.cycles) );
+    ]

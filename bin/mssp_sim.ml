@@ -366,6 +366,7 @@ let trace_cmd =
           && Trace.Summary.squash_mismatch s = st.M.squash_mismatch
           && Trace.Summary.squash_task_failed s = st.M.squash_task_failed
           && Trace.Summary.squash_master_dead s = st.M.squash_master_dead
+          && s.Trace.Summary.discarded = st.M.tasks_discarded
         in
         Table.render ~header:[ "counter"; "value" ] (Trace.Summary.rows s)
         ^ Printf.sprintf "\nfold matches machine stats: %b\n" agrees
@@ -463,39 +464,20 @@ let formal_cmd =
          ~doc:"Random instances per check.")
   in
   let run trials =
-    let module Seq_model = Mssp_formal.Seq_model in
-    let module Abstract_task = Mssp_formal.Abstract_task in
-    let module Safety = Mssp_formal.Safety in
-    let module Mssp_model = Mssp_formal.Mssp_model in
-    let module Refinement = Mssp_formal.Refinement in
     let ok = ref true in
     for seed = 1 to trials do
       let p = Mssp_workload.Synthetic.generate ~seed ~size:6 in
-      let s0 = Seq_model.complete_of_program p in
-      (* Lemma 2 *)
-      let t = Abstract_task.evolve_fully (Abstract_task.make s0 7) in
-      if not (Mssp_state.Fragment.equal t.Abstract_task.live_out (Seq_model.seq s0 7))
-      then begin
-        Printf.printf "Lemma 2 FAILED at seed %d\n" seed;
-        ok := false
-      end;
-      (* Theorem 2 on the full state (trivially consistent+complete) *)
-      if not (Safety.safe (Abstract_task.make s0 5) s0) then begin
-        Printf.printf "Theorem 2 FAILED at seed %d\n" seed;
-        ok := false
-      end;
-      (* jumping refinement of a sampled abstract run *)
-      let rec chain state = function
-        | [] -> []
-        | n :: rest ->
-          Abstract_task.make state n :: chain (Seq_model.seq state n) rest
-      in
-      let start = Mssp_model.make ~arch:s0 (chain s0 [ 2; 3 ]) in
-      let trace = Mssp_model.Search.random_run ~seed ~max_steps:40 start in
-      if not (Refinement.is_refinement_trace ~bound:10 trace) then begin
-        Printf.printf "refinement FAILED at seed %d\n" seed;
-        ok := false
-      end
+      List.iter
+        (fun { Mssp_fuzz.Oracle.point; reason } ->
+          (match point with
+          | "formal/lemma2" -> Printf.printf "Lemma 2 FAILED at seed %d\n" seed
+          | "formal/theorem2" ->
+            Printf.printf "Theorem 2 FAILED at seed %d\n" seed
+          | "formal/refinement" ->
+            Printf.printf "refinement FAILED at seed %d\n" seed
+          | _ -> Printf.printf "%s FAILED at seed %d: %s\n" point seed reason);
+          ok := false)
+        (Mssp_fuzz.Oracle.formal_failures ~seed p)
     done;
     if !ok then
       Printf.printf
@@ -634,9 +616,9 @@ let fuzz_cmd =
          & info [ "weights" ] ~docv:"PROFILE"
              ~doc:"Program generator shape-weight profile: $(b,default), or \
                    $(b,smc-heavy) — self-modifying code boosted to dominate, \
-                   stressing the decode caches (pre-decoded images, the slave \
-                   block journal) with patched words. Replay lines assume \
-                   the same profile.")
+                   stressing the pre-decoded images and slaves' fetches of \
+                   their own buffered code stores with patched words. \
+                   Replay lines assume the same profile.")
   in
   let run seed count size budget out save quiet trace jobs faults distill_grid
       predict_grid weights =

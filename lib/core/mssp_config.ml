@@ -100,8 +100,7 @@ let pp fmt c =
      fault plan: %s@,\
      predict: %s (seed %d, warmup %d cells)@,\
      master chunk: %d, max cycles: %d, max squashes: %d@,\
-     recovery fuel: %d, tracing: %s, superblock: %b, slave block journal: \
-     %b@]"
+     recovery fuel: %d, tracing: %s@]"
     c.slaves c.max_in_flight c.task_size c.task_budget c.isolated_slaves
     c.control_only_master c.verify_refinement c.dual_mode c.dual_trigger
     c.dual_burst
@@ -113,4 +112,3 @@ let pp fmt c =
     (List.length c.predict_warmup)
     c.master_chunk c.max_cycles c.max_squashes c.recovery_fuel
     (match c.tracer with None -> "off" | Some _ -> "on")
-    c.superblock c.slave_block_journal

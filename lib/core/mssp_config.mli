@@ -112,31 +112,11 @@ type t = {
           domain. Kept only because the repo benchmark pins
           [pool = Some 0]; it goes once that pin does. *)
   superblock : bool;
-      (** the direct-step fast paths. [true] (the default): recovery
-          segments run on the direct step ({!Mssp_seq.Exec.exec}), and
-          the master, slaves and recovery decode fetched words through
-          pre-decoded images of both programs. [false]: recovery
-          single-steps the closure reference ({!Mssp_seq.Exec.step})
-          and fetched words decode through the generic
-          {!Mssp_seq.Exec.default_decode} — the reference rung. The master runs on the timed direct step either way.
-          This {e never} changes simulated cycles, stats, squash
-          attribution or traces — runs are bit-identical either way
-          (enforced by tests and the SBLKG bench guard). *)
+      (** has no effect: the master, the slaves and recovery each have
+          one executor. Kept only because the repo benchmark pins it;
+          it goes with [pool]. *)
   slave_block_journal : bool;
-      (** block-aware slave journaling ([true] by default; [false] is the
-          single-step slave interpreter): slave task bodies
-          execute from per-slave caches of pre-decoded straight-line
-          blocks, with first-reads staged into the journal's
-          insertion-order log and replayed in serial first-read order at
-          verification. A cache persists across its slave's task runs
-          and checks each block's words against architected memory at
-          the block's first dispatch in a run. Another
-          pure engine choice: cycles, stats, squash attribution and
-          traces are bit-identical either way (enforced by the sjournal
-          differential suite, the golden traces and the SJRNLG bench
-          guard). Independent of [superblock] — that one additionally
-          accelerates decode via program images, which the slave block
-          builder reuses through the task's decoder. *)
+      (** has no effect, like [superblock], and kept for the same pin. *)
   master_chunk : int;
       (** run-away guard: a master producing no fork for this many
           instructions is stopped (execution continues correctly via

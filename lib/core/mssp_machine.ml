@@ -151,8 +151,7 @@ type t = {
   mutable violations : int;
   decode : pc:int -> word:int -> Instr.t option;
       (** the master's, the slaves' and recovery's decoder: pre-decoded
-          images of both programs with [cfg.superblock], a pure engine
-          choice (bit-identical cycles, stats and traces either way) *)
+          images of both programs, checked against each fetched word *)
   entries : (int, unit) Hashtbl.t;  (** task entries: recovery stops here *)
   tracing : bool;
   emit : Trace.event -> unit;
@@ -193,11 +192,6 @@ type t = {
   mutable next_cp_id : int;
   slave_caches : Hierarchy.t array;
   slave_free : bool array;
-  slave_blocks : Task.block_cache array option;
-      (** per-slave block caches ([cfg.slave_block_journal]), kept across
-          a slave's task runs — tasks are far too short to amortize block
-          building per run — and checking their own words against [arch].
-          A pure engine choice, like [decode] *)
   view : Task.view;
   (* commit unit *)
   mutable commit_busy : bool;
@@ -248,10 +242,8 @@ let create (cfg : Mssp_config.t) (d : Distill.t) =
       shadow;
       violations = 0;
       decode =
-        (if cfg.superblock then
-           Program.image_decoder
-             [ Program.decode_all d.distilled; Program.decode_all d.original ]
-         else Exec.default_decode);
+        Program.image_decoder
+          [ Program.decode_all d.distilled; Program.decode_all d.original ];
       entries;
       tracing;
       emit;
@@ -274,10 +266,6 @@ let create (cfg : Mssp_config.t) (d : Distill.t) =
         Array.init cfg.slaves (fun _ ->
             Hierarchy.make_shared ~l1:t.l1 ~lat:t.lat ~l2:master_cache ());
       slave_free = Array.make cfg.slaves true;
-      slave_blocks =
-        (if cfg.slave_block_journal then
-           Some (Array.init cfg.slaves (fun _ -> Task.block_cache ()))
-         else None);
       view =
         (if cfg.isolated_slaves then Task.Isolated else Task.Fallback arch);
       commit_busy = false;
@@ -533,11 +521,9 @@ and start_task m cp s =
   m.slave_free.(s) <- false;
   let end_pc, end_occurrence = Option.get cp.cp_end in
   let task =
-    Task.make ~id:cp.cp_id ~start_pc:cp.cp_entry ~end_pc ~end_occurrence
-      ~budget:m.cfg.task_budget ~live_in:cp.cp_live_in
-  in
-  let task =
-    if m.cfg.superblock then Task.with_decode m.decode task else task
+    Task.with_decode m.decode
+      (Task.make ~id:cp.cp_id ~start_pc:cp.cp_entry ~end_pc ~end_occurrence
+         ~budget:m.cfg.task_budget ~live_in:cp.cp_live_in)
   in
   cp.cp_task <- Some task;
   let cost = run_task_body m s task in
@@ -568,15 +554,8 @@ and start_task m cp s =
 and run_task_body m s task =
   let cache = m.slave_caches.(s) in
   let cost = ref 0 in
-  let on_access = function
-    | Cell.Mem a -> cost := !cost + Hierarchy.access cache a
-    | Cell.Pc | Cell.Reg _ -> ()
-  in
-  let engine = Option.map (fun blocks -> blocks.(s)) m.slave_blocks in
-  ignore
-    (Task.run ~on_access ~block_journal:m.cfg.slave_block_journal ?engine task
-       m.view
-      : Task.status);
+  let on_access a = cost := !cost + Hierarchy.access cache a in
+  ignore (Task.run ~on_access task m.view : Task.status);
   !cost
 
 and completed task =
@@ -736,9 +715,10 @@ and start_squash ?task m reason =
   | Live_in_mismatch -> s.squash_mismatch <- s.squash_mismatch + 1
   | Task_failed _ -> s.squash_task_failed <- s.squash_task_failed + 1
   | Master_dead -> s.squash_master_dead <- s.squash_master_dead + 1);
-  (* the Squash event rides with the stats bump, not with the recovery:
-     even a squash that trips [max_squashes] (and therefore never
-     recovers) is attributed in the stream *)
+  (* the Squash event and the discarded count ride with the stats bump,
+     not with the recovery: even a squash that trips [max_squashes] (and
+     therefore never recovers) throws its window away *)
+  s.tasks_discarded <- s.tasks_discarded + Queue.length m.window;
   if m.tracing then
     m.emit
       (Trace.Squash
@@ -776,7 +756,6 @@ and start_recovery m =
 (* Discard all speculative work: the window, the slaves, the L1s and the
    master's pending checkpoint. *)
 and discard m =
-  m.stats.tasks_discarded <- m.stats.tasks_discarded + Queue.length m.window;
   Sim.bump_epoch m.sim;
   Queue.clear m.window;
   m.last_cp <- None;
@@ -804,11 +783,7 @@ and recovery_segment m =
     else 0
   in
   let from_pc = Full.pc m.arch in
-  (* the direct step, or with [superblock] off the single-step reference
-     it must stay bit-identical to *)
-  let sm =
-    Seq_machine.of_state ~superblock:cfg.superblock ~decode:m.decode m.arch
-  in
+  let sm = Seq_machine.of_state ~decode:m.decode m.arch in
   let outcome =
     Seq_machine.run_until sm ~fuel:cfg.recovery_fuel ~min_steps
       ~at:(Hashtbl.mem m.entries)

@@ -36,8 +36,7 @@ let default_weights =
   }
 
 (* the self-modifying-code stress profile: most programs patch their own
-   bodies, so decode caches (pre-decoded images, the slave block
-   journal) see patched words on every trip *)
+   bodies, so the pre-decoded images see patched words on every trip *)
 let smc_heavy = { default_weights with smc = 40; alu = 8; loop = 12 }
 
 (* Mirror Full.t's geometry without depending on mssp_state: 4096 pages
@@ -168,9 +167,8 @@ let generate ?(weights = default_weights) ~seed ~size () =
      labeled patch slot; the first trip overwrites the slot's word with
      a different (valid) instruction, so the second trip executes the
      patched one. Exercises the image decoder's word check (the SEQ
-     oracle and recovery both decode through it), the slave block
-     caches' own word check and in-block store exit, and slaves' fetch
-     of their own buffered code stores. *)
+     oracle, recovery and the slaves all decode through it) and slaves'
+     fetch of their own buffered code stores. *)
   let emit_smc () =
     let l = fresh "smc" in
     let patch = fresh "patch" in

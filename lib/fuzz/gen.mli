@@ -22,10 +22,9 @@
       budget ([Budget_exhausted] squashes) while still terminating under
       the sequential fuel;
     - {e self-modifying code}: loops that patch an instruction word in
-      their own body and re-execute it, so the image decoder's and
-      the slave block caches' word checks must reject the patched
-      word, the block executor must leave a block its task stores
-      into, and slaves must fetch their own buffered code stores.
+      their own body and re-execute it, so the image decoder's word
+      check must reject the patched word, and slaves must fetch their
+      own buffered code stores.
 
     Every shape is bounded, so generated programs halt unless a
     data-dependent early [Halt] race makes them halt {e sooner} — the
@@ -52,10 +51,9 @@ val default_weights : weights
 val smc_heavy : weights
 (** The self-modifying-code stress profile: [smc] boosted to dominate
     (with [alu]/[loop] rebalanced), so most programs patch their own
-    bodies: pre-decoded images see patched words on every trip and the
-    slave block journal's caches see their words rewritten under them
-    on every trip. Shared by the sblock/sjournal property tests and the
-    CI SMC fuzz smoke and nightly leg. *)
+    bodies: pre-decoded images see patched words on every trip. Shared
+    by the sblock/sjournal property tests and the CI SMC fuzz smoke and
+    nightly leg. *)
 
 val generate :
   ?weights:weights -> seed:int -> size:int -> unit -> Mssp_isa.Program.t

@@ -320,45 +320,42 @@ let check_entry ~fuel point (subname, pkg) =
     [ { point = point.name ^ subname; reason = "pass-checker: " ^ e } ]
   | Ok d -> check_package ~fuel point subname d
 
-(* The abstract-model layer, affordable only on small programs: fragment
-   states replay the whole run per [seq] step. *)
-let formal_failures ~seed p ~seq_instructions =
-  if seq_instructions > 150 then []
-  else begin
-    let module Seq_model = Mssp_formal.Seq_model in
-    let module Abstract_task = Mssp_formal.Abstract_task in
-    let module Safety = Mssp_formal.Safety in
-    let module Mssp_model = Mssp_formal.Mssp_model in
-    let module Refinement = Mssp_formal.Refinement in
-    let fails = ref [] in
-    let fail point reason = fails := { point; reason } :: !fails in
-    let s0 = Seq_model.complete_of_program p in
-    let t = Abstract_task.evolve_fully (Abstract_task.make s0 7) in
-    if not (Fragment.equal t.Abstract_task.live_out (Seq_model.seq s0 7)) then
-      fail "formal/lemma2" "evolved live-out <> seq s0 7";
-    if not (Safety.safe (Abstract_task.make s0 5) s0) then
-      fail "formal/theorem2" "task unsafe for its own creation state";
-    (* absorbability: the statement the distiller pass-checker leans on —
-       an in-order committed task chain over the original program lands
-       on seq, whatever guidance chose the chain *)
-    (match Mssp_formal.Absorb.check p with
-    | Ok () -> ()
-    | Error e -> fail "formal/absorb" e);
-    let rec chain state = function
-      | [] -> []
-      | n :: rest ->
-        Abstract_task.make state n :: chain (Seq_model.seq state n) rest
-    in
-    let start = Mssp_model.make ~arch:s0 (chain s0 [ 2; 3 ]) in
-    let trace = Mssp_model.Search.random_run ~seed ~max_steps:40 start in
-    let verdicts = Refinement.check_trace ~bound:10 trace in
-    if
-      List.exists
-        (function Refinement.Violation -> true | _ -> false)
-        verdicts
-    then fail "formal/refinement" "Violation verdict on a sampled run";
-    !fails
-  end
+(* The abstract-model layer. Fragment states replay the whole run per
+   [seq] step, so [check] runs it on small programs only. *)
+let formal_failures ~seed p =
+  let module Seq_model = Mssp_formal.Seq_model in
+  let module Abstract_task = Mssp_formal.Abstract_task in
+  let module Safety = Mssp_formal.Safety in
+  let module Mssp_model = Mssp_formal.Mssp_model in
+  let module Refinement = Mssp_formal.Refinement in
+  let fails = ref [] in
+  let fail point reason = fails := { point; reason } :: !fails in
+  let s0 = Seq_model.complete_of_program p in
+  let t = Abstract_task.evolve_fully (Abstract_task.make s0 7) in
+  if not (Fragment.equal t.Abstract_task.live_out (Seq_model.seq s0 7)) then
+    fail "formal/lemma2" "evolved live-out <> seq s0 7";
+  if not (Safety.safe (Abstract_task.make s0 5) s0) then
+    fail "formal/theorem2" "task unsafe for its own creation state";
+  (* absorbability: the statement the distiller pass-checker leans on —
+     an in-order committed task chain over the original program lands
+     on seq, whatever guidance chose the chain *)
+  (match Mssp_formal.Absorb.check p with
+  | Ok () -> ()
+  | Error e -> fail "formal/absorb" e);
+  let rec chain state = function
+    | [] -> []
+    | n :: rest ->
+      Abstract_task.make state n :: chain (Seq_model.seq state n) rest
+  in
+  let start = Mssp_model.make ~arch:s0 (chain s0 [ 2; 3 ]) in
+  let trace = Mssp_model.Search.random_run ~seed ~max_steps:40 start in
+  let verdicts = Refinement.check_trace ~bound:10 trace in
+  if
+    List.exists
+      (function Refinement.Violation -> true | _ -> false)
+      verdicts
+  then fail "formal/refinement" "Violation verdict on a sampled run";
+  List.rev !fails
 
 let check ?(grid = default_grid ()) ?(fuel = 5_000_000) ?(formal = true)
     ?(formal_seed = 1) p =
@@ -381,10 +378,8 @@ let check ?(grid = default_grid ()) ?(fuel = 5_000_000) ?(formal = true)
         grid
     in
     let fails =
-      if formal then
-        fails
-        @ formal_failures ~seed:formal_seed p
-            ~seq_instructions:probe.Machine.instructions
+      if formal && probe.Machine.instructions <= 150 then
+        fails @ formal_failures ~seed:formal_seed p
       else fails
     in
     if fails = [] then Passed !runs else Failed fails

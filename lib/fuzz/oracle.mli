@@ -100,6 +100,15 @@ val plan_grid : plan:Mssp_faults.Plan.t -> unit -> point list
     (e.g. with a [Commit_corrupt] action) here is the fault-plan
     mutation smoke test. *)
 
+val formal_failures : seed:int -> Mssp_isa.Program.t -> failure list
+(** The formal layer on one program, in this order: Lemma 2
+    (["formal/lemma2"]), Theorem 2 (["formal/theorem2"]), absorbability
+    of committed chains (["formal/absorb"]) and jumping refinement of an
+    abstract run sampled with [seed] (["formal/refinement"],
+    {!Mssp_formal.Refinement.check_trace}). Fragment states replay the
+    whole run per [seq] step: affordable on small programs only. Shared
+    by {!check} and [mssp_sim formal]. *)
+
 val check :
   ?grid:point list ->
   ?fuel:int ->
@@ -108,7 +117,8 @@ val check :
   Mssp_isa.Program.t ->
   verdict
 (** Judge one program. [fuel] (default 5M) bounds the reference run;
-    [formal] (default true) enables the formal layer on small programs. *)
+    [formal] (default true) enables {!formal_failures} on programs of at
+    most 150 SEQ instructions. *)
 
 val failing : ?grid:point list -> ?fuel:int -> Mssp_isa.Program.t -> bool
 (** [check] as a shrinker predicate: [true] iff [Failed]. A candidate

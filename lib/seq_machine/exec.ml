@@ -97,18 +97,15 @@ let default_decode ~pc:_ ~word = Instr.decode_cached word
 
 (* Fetch/decode, then execute: the read order every observer sees is
    PC, then the instruction cell [Mem pc], then operands. *)
-let step_exn ~decode ~read ~write =
+let step ~read ~write =
   let read_cell c = match read c with Some v -> v | None -> raise (Unavailable c) in
-  let pc = read_cell Cell.Pc in
-  let word = read_cell (Cell.Mem pc) in
-  match decode ~pc ~word with
-  | None -> Fault (Undecodable { pc; word })
-  | Some instr -> exec_decoded_exn ~read ~write ~pc instr
-
-let step_with ~decode ~read ~write =
-  try step_exn ~decode ~read ~write with Unavailable c -> Missing c
-
-let step ~read ~write = step_with ~decode:default_decode ~read ~write
+  try
+    let pc = read_cell Cell.Pc in
+    let word = read_cell (Cell.Mem pc) in
+    match default_decode ~pc ~word with
+    | None -> Fault (Undecodable { pc; word })
+    | Some instr -> exec_decoded_exn ~read ~write ~pc instr
+  with Unavailable c -> Missing c
 
 let delta ~read =
   let writes = ref Fragment.empty in

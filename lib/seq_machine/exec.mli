@@ -1,32 +1,30 @@
 (** Instruction semantics — the paper's [next]/[δ].
 
-    Three executors implement the ISA, each checked against an oracle
-    that makes "slaves implement the same ISA as the reference
-    sequential machine" (paper §4.1) a tested property rather than a
-    hope:
+    The ISA is evaluated in three places. One is the specification;
+    the other two are checked against it, which makes "slaves implement
+    the same ISA as the reference sequential machine" (paper §4.1) a
+    tested property rather than a hope:
 
-    - the {e closure reference} ({!step}, {!observed_step}, {!delta}),
-      generic over where state lives through read/write callbacks. It
-      is the definition: the single-step SEQ machine, the slaves'
-      single-step interpreter and the formal models run on it.
+    - the {e specification} ({!step}, {!observed_step}, {!delta}),
+      generic over where state lives through read/write callbacks. The
+      single-step SEQ machine ({!Machine.step}), the refinement shadow
+      and the formal models run on it.
     - the {e direct step} on a {!Mssp_state.Full.t} ({!exec}, and
       {!timed_exec} which charges a cache hierarchy and then calls
       {!exec}): whole SEQ runs, recovery segments, the master and the
-      timed baselines. Checked against the closure reference by the
-      superblock on = off differentials (test_sblock, the golden traces
-      replayed with both fast paths off), by the fuzz oracle (its SEQ
-      reference runs on the direct step, every MSSP run's refinement
-      shadow single-steps the closure reference) and, for the cache
-      charges, by test_baseline's closure-charged timed-step
-      differential.
-    - the {e slave block journal} ({!Mssp_task.Task.run} with
-      [~block_journal:true]), which executes cached blocks through the
-      task's journal stack. A block's first dispatch in each task run
-      compares its words with architected memory, so code rewritten
-      between runs needs no store report. Checked against the
-      single-step interpreter by the sjournal differential suite
-      (including code rewritten by a commit or a recovery segment
-      between a slave's runs) and the SJRNLG bench guard.
+      timed baselines. Checked against the specification by
+      test_sblock (whole runs against a loop of {!Machine.step}), by
+      the fuzz oracle (its SEQ reference runs on the direct step, every
+      MSSP run's refinement shadow single-steps the specification) and,
+      for the cache charges, by test_baseline's closure-charged
+      timed-step differential.
+    - the {e slave journal step} ({!Mssp_task.Task.run}), which
+      evaluates each instruction straight on a task's journal stack
+      (write buffer, live-in, view). Checked against a spec slave — a
+      single-step loop of {!step} over the same resolution — by the
+      reference differential in test_sjournal: status, retirement
+      count, write buffer, memory touches and the ordered first-read
+      stream, on hand-written shapes and on generated programs.
 
     Reads return [int option]: [None] means the cell is unavailable in the
     backing store — possible only for partial stores (a task's live-in
@@ -61,17 +59,6 @@ val step :
     not go through [read]; writes to it are discarded before reaching
     [write]. All reads happen before any write. *)
 
-val step_with :
-  decode:(pc:int -> word:int -> Mssp_isa.Instr.t option) ->
-  read:(Mssp_state.Cell.t -> int option) ->
-  write:(Mssp_state.Cell.t -> int -> unit) ->
-  outcome
-(** {!step} with a caller-supplied decoder: [decode] lets a hot caller
-    decode the fetched word through a pre-decoded program image
-    ([Program.image_decoder]); it must agree with [Instr.decode] — the
-    fetch itself still goes through [read], so the observable access
-    sequence is unchanged. *)
-
 val default_decode : pc:int -> word:int -> Mssp_isa.Instr.t option
 (** The generic decoder: [Instr.decode_cached word]. *)
 
@@ -96,15 +83,12 @@ val observed_step :
     instruction: [Pc] first, then the instruction cell [Mem pc], then
     operands in the order of {!step}'s semantics (e.g. [Ld]: base
     register, then the loaded address; [St]: base, then the stored
-    register; [Out]: the register, then [Mem out_count]). This order is
-    {e per instruction} and does not change when the slave block journal
-    executes a pre-decoded block: blocks replay the same per-instruction
-    fetch-then-operands sequence, and a checkpoint PC landing mid-block
-    simply starts the sequence at that instruction — a slave's first
-    three recorded reads are always [Pc], [Mem start_pc], then the first
-    instruction's operands, whether or not [start_pc] is a block head.
-    (Live-in journals are keyed stores, so only first-read values are
-    retained; the order contract is what makes "first" well defined.) *)
+    register; [Out]: the register, then [Mem out_count]). The slave
+    journal step reads in this order too, so a slave's first three
+    recorded reads are always [Pc], [Mem start_pc], then the first
+    instruction's operands. (Live-in journals are keyed stores, so only
+    first-read values are retained; the order contract is what makes
+    "first" well defined.) *)
 
 (** {2 The direct step} *)
 

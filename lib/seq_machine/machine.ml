@@ -14,14 +14,13 @@ type t = {
   mutable stores : int;
   read : Cell.t -> int option;
   write : Cell.t -> int -> unit;
-  superblock : bool;
   decode : pc:int -> word:int -> Instr.t option;
 }
 
 (* the executor callbacks are built once per machine, not per step — the
-   single-step reference loop lives on them. The record is recursive
+   single-step reference [step] lives on them. The record is recursive
    only so the hoisted callbacks can bump the memory traffic counters. *)
-let of_state ?(superblock = true) ?(decode = Exec.default_decode) state =
+let of_state ?(decode = Exec.default_decode) state =
   let rec m =
     {
       state;
@@ -41,18 +40,15 @@ let of_state ?(superblock = true) ?(decode = Exec.default_decode) state =
           | Cell.Mem _ -> m.stores <- m.stores + 1
           | Cell.Pc | Cell.Reg _ -> ());
           Full.set state c v);
-      superblock;
       decode;
     }
   in
   m
 
-let of_program ?superblock p =
+let of_program p =
   let state = Full.create () in
   Full.load state p;
-  of_state ?superblock
-    ~decode:(Program.image_decoder [ Program.decode_all p ])
-    state
+  of_state ~decode:(Program.image_decoder [ Program.decode_all p ]) state
 
 let step m =
   match m.stopped with
@@ -71,8 +67,8 @@ let step m =
     | Exec.Missing _ -> assert false (* full states are total *))
 
 (* The direct loop: fetch through memory, decode through [m.decode],
-   {!Exec.exec}. Counter and stop parity with the single-step driver is
-   the whole contract:
+   {!Exec.exec}. Counter and stop parity with a loop of [step] is the
+   whole contract (test_sblock):
    - every fetch charges a load, the [Halt] probe and a faulting fetch
      included; [Ld] charges one more load, [St] one store, [Out] one
      load and two stores — [Exec.step]'s callback traffic exactly;
@@ -127,54 +123,27 @@ let direct m ~fuel ~min_steps ~at =
 let never_at (_ : int) = false
 
 let run ?(fuel = 100_000_000) m =
-  if m.superblock then
-    match m.stopped with
-    | Some s -> s
-    | None -> (
-      match direct m ~fuel ~min_steps:max_int ~at:never_at with
-      | `Fuel -> Out_of_fuel
-      | `Stopped -> Option.get m.stopped
-      | `At_entry -> assert false (* [never_at] never matches *))
-  else
-    let rec go remaining =
-      if remaining = 0 then Out_of_fuel
-      else if step m then go (remaining - 1)
-      else
-        match m.stopped with
-        | Some s -> s
-        | None -> assert false
-    in
-    go fuel
+  match m.stopped with
+  | Some s -> s
+  | None -> (
+    match direct m ~fuel ~min_steps:max_int ~at:never_at with
+    | `Fuel -> Out_of_fuel
+    | `Stopped -> Option.get m.stopped
+    | `At_entry -> assert false (* [never_at] never matches *))
 
 let run_until m ~fuel ~min_steps ~at =
-  if m.superblock then
-    match m.stopped with
-    | Some _ -> `Stopped
-    | None -> direct m ~fuel ~min_steps ~at
-  else
-    (* reference single-step driver: fuel before the step, [at] after
-       it (and only once [min_steps] have run), [at] winning over fuel
-       at the boundary — the direct loop replicates this ordering *)
-    let steps = ref 0 in
-    let rec go () =
-      if !steps >= fuel then `Fuel
-      else if step m then begin
-        incr steps;
-        if !steps >= min_steps && at (Full.pc m.state) then `At_entry
-        else go ()
-      end
-      else `Stopped
-    in
-    go ()
+  match m.stopped with
+  | Some _ -> `Stopped
+  | None -> direct m ~fuel ~min_steps ~at
 
 let next s =
   let s' = Full.copy s in
-  let m = of_state ~superblock:false s' in
+  let m = of_state s' in
   ignore (step m : bool);
   s'
 
 let seq_in_place s n =
-  let m = of_state ~superblock:false s in
+  let m = of_state s in
   let rec go k = if k = 0 then None else if step m then go (k - 1) else m.stopped in
   go n
 
@@ -187,7 +156,7 @@ let output s =
   let count = Full.get_mem s Layout.out_count_addr in
   List.init count (fun i -> Full.get_mem s (Layout.out_base + i))
 
-let run_program ?fuel ?superblock p =
-  let m = of_program ?superblock p in
+let run_program ?fuel ?superblock:_ p =
+  let m = of_program p in
   ignore (run ?fuel m : stop);
   m

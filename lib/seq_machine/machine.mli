@@ -5,13 +5,13 @@
     core of the sequential baseline.
 
     Whole-run entry points ({!run}, {!run_until}) execute through the
-    direct step ({!Exec.exec}) when [superblock] is on (the default),
-    fetching through memory and decoding through the machine's decoder;
-    off, they single-step the closure reference. Results and the
-    instruction/load/store counters are bit-identical either way.
-    {!step}, {!next}, {!seq} and {!seq_in_place} always single-step —
+    direct step ({!Exec.exec}), fetching through memory and decoding
+    through the machine's decoder. {!step}, {!next}, {!seq} and
+    {!seq_in_place} single-step the specification ({!Exec.step}) —
     per-instruction observers (the profiler, the verification shadow)
-    see the plain {!Exec.step} loop. *)
+    see the plain {!Exec.step} loop. A whole run and a loop of {!step}
+    agree on the result and on the instruction/load/store counters
+    (test_sblock). *)
 
 type stop = Halted | Faulted of Exec.fault | Out_of_fuel
 
@@ -26,22 +26,20 @@ type t = {
       (** executor read callback over [state], built once at creation so
           the step loop allocates no closures *)
   write : Mssp_state.Cell.t -> int -> unit;  (** executor write callback *)
-  superblock : bool;  (** whole-run calls use the direct step *)
   decode : pc:int -> word:int -> Mssp_isa.Instr.t option;
       (** the direct step's decoder (agrees with [Instr.decode]) *)
 }
 
-val of_program : ?superblock:bool -> Mssp_isa.Program.t -> t
+val of_program : Mssp_isa.Program.t -> t
 (** Fresh machine with the program loaded and PC at its entry. The
     direct step decodes through the program's pre-decoded image. *)
 
 val of_state :
-  ?superblock:bool ->
   ?decode:(pc:int -> word:int -> Mssp_isa.Instr.t option) ->
   Mssp_state.Full.t ->
   t
-(** Machine over an existing state (not copied). [superblock] defaults
-    to [true]; [decode] (default {!Exec.default_decode}) must agree with
+(** Machine over an existing state (not copied). [decode] (default
+    {!Exec.default_decode}) must agree with
     [Instr.decode] — typically a {!Mssp_isa.Program.image_decoder} over
     the programs loaded in the state. Fetch always reads the state, and
     an image decoder checks each fetched word against its image, so
@@ -49,8 +47,9 @@ val of_state :
     [Full.set_mem] between calls — need no notification. *)
 
 val step : t -> bool
-(** Execute one instruction (always single-step). [false] once the
-    machine has halted or faulted (no state change then). *)
+(** Execute one instruction on the specification ({!Exec.step}).
+    [false] once the machine has halted or faulted (no state change
+    then). *)
 
 val run : ?fuel:int -> t -> stop
 (** Run until [Halt], a fault, or [fuel] instructions (default 100M).
@@ -87,4 +86,7 @@ val output : Mssp_state.Full.t -> int list
     first. *)
 
 val run_program : ?fuel:int -> ?superblock:bool -> Mssp_isa.Program.t -> t
-(** Convenience: load, run to completion, return the machine. *)
+(** Convenience: load, run to completion, return the machine.
+    [superblock] has no effect: it is kept only because the repo
+    benchmark passes [~superblock:true], and goes with that pin, like
+    [Config.superblock]. *)

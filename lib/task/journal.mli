@@ -2,20 +2,18 @@
 
     A journal is the hot-loop counterpart of {!Mssp_state.Fragment.t}: a
     slave instruction resolves registers and the PC by direct array/flag
-    access and memory by one hashtable probe, instead of paying a
-    balanced-tree lookup per cell. Tasks keep their live-in prediction,
-    recorded reads and buffered writes in journals while running, and
-    convert to fragments only at the commit boundary (or for tests and
-    diagnostics).
+    access and memory by one probe of an int-keyed index, instead of
+    paying a balanced-tree lookup per cell. Tasks keep their live-in
+    prediction, recorded reads and buffered writes in journals while
+    running, and convert to fragments only at the commit boundary (or
+    for tests and diagnostics).
 
     {b Iteration order is a contract.} Memory bindings carry an
-    insertion-order log alongside the hashtable, and {!iter}/{!for_all}
-    walk it in first-binding order (after [Pc] and the registers in
-    index order). For a reads journal that log {e is} the staged
-    first-read stream: verification, squash attribution and predictor
-    training replay the task's first-reads in serial first-read order,
-    no matter whether the per-instruction interpreter or the block
-    engine staged them, and no matter the table's capacity — which is
+    insertion-order log, and {!iter}/{!for_all} walk it in first-binding
+    order (after [Pc] and the registers in index order). For a reads
+    journal that log {e is} the first-read stream: verification, squash
+    attribution and predictor training replay the task's first-reads in
+    serial first-read order, no matter the index's capacity — which is
     what makes [mem_size] invisible. *)
 
 type t
@@ -42,27 +40,20 @@ val reg : t -> int -> int
     [has_reg j i]. *)
 
 val set_reg : t -> int -> int -> unit
+
+val mem_index : t -> int -> int
+(** [mem_index j a] is the position of address [a]'s binding, or [-1]
+    when [a] is unbound. Allocation-free: the slave step's probe. *)
+
+val mem_at : t -> int -> int
+(** [mem_at j i] is the value at a position {!mem_index} returned;
+    meaningful only for [i >= 0]. *)
+
 val find_mem : t -> int -> int option
 
 val set_mem : t -> int -> int -> unit
 (** Bind or rebind a memory cell; a fresh address is appended to the
     insertion-order log. *)
-
-(* the batched read-set interface — the slave block journal's staging
-   path *)
-
-val record_mem : t -> int -> int -> unit
-(** [record_mem j a v] stages a {e fresh} first-read binding: appends
-    [a] to the log and adds it to the table without the rebind probe
-    {!set_mem} pays. The caller guarantees [find_mem j a = None] (block
-    dispatch has just probed); violating that duplicates the binding. *)
-
-val mem_avoids : t -> lo:int -> hi:int -> bool
-(** [mem_avoids j ~lo ~hi] is [true] when no memory binding lies in
-    [\[lo, hi\]] (inclusive). [O(1)] and conservative — computed from
-    the journal's running address bounds, so [false] only means "maybe
-    bound inside". The block executor uses it to decide whether a code
-    span could be shadowed by a task's write buffer or live-in set. *)
 
 (* generic cell interface *)
 

@@ -12,15 +12,16 @@
     consistent with architected state ⊑, plus the executability of every
     step, imply task safety).
 
-    The instrumented executor also realizes the paper's task-evolution
-    rule (Definition 5): each step advances the live-out fragment by
-    [next].
+    The executor, {!run}, is one direct step per instruction with the
+    semantics of {!Mssp_seq.Exec.step}; it realizes the paper's
+    task-evolution rule (Definition 5): each step advances the live-out
+    fragment by [next].
 
-    While running, the prediction, the recordings and the write buffer
-    live in flat {!Journal.t} buffers (register arrays + one memory
-    hashtable), so an instruction pays no balanced-tree lookups; use
-    {!reads_fragment}/{!writes_fragment} to convert at the commit
-    boundary or in tests. *)
+    While running, the prediction's registers, the recordings and the
+    write buffer live in flat {!Journal.t} buffers (register arrays and
+    an int-keyed memory index), so an instruction pays no balanced-tree
+    lookups; use {!reads_fragment}/{!writes_fragment} to convert at the
+    commit boundary or in tests. *)
 
 type fail_reason =
   | Budget_exhausted  (** never reached [end_pc]: master mispredicted
@@ -95,16 +96,11 @@ val make :
 
 val with_decode : (pc:int -> word:int -> Mssp_isa.Instr.t option) -> t -> t
 (** A copy of a fresh task using the given decoder. [decode] must agree
-    with [Instr.decode]; the master passes an
+    with [Instr.decode]; the machine passes an
     {!Mssp_isa.Program.image_decoder} over the original and distilled
-    images when [Config.superblock] is on. With
-    [run ~block_journal:true], task bodies execute from a
-    {!block_cache} of pre-decoded straight-line regions (shared across
-    one slave's task runs via [?engine]), and their first-reads are
-    staged into the reads journal's insertion-order log — so
-    verification still replays them in serial first-read order,
-    identical in content and order to the single-step interpreter's
-    stream. *)
+    images. Every fetch still reads memory through the journal stack,
+    so the access sequence and the recorded live-ins are the same with
+    any agreeing decoder. *)
 
 (** How reads outside the write buffer and live-in set are satisfied. *)
 type view =
@@ -117,57 +113,26 @@ type view =
           obtained value is recorded and verified at commit. The task
           only reads it. *)
 
-val step : ?on_access:(Mssp_state.Cell.t -> unit) -> t -> view -> status
-(** Execute one instruction. No-op unless [Running]. [on_access] is
-    invoked for every memory cell touched (fetch, loads, stores) — the
-    hook the timing model's caches observe. Single-stepping rebuilds the
-    executor callbacks each call; {!run} hoists them out of the loop. *)
+val run : ?on_access:(int -> unit) -> t -> view -> status
+(** Step until the task leaves [Running] (no-op unless [Running]).
 
-type block_cache
-(** Pre-decoded straight-line regions of architected code, kept across
-    task runs. A cache checks itself: the first dispatch of a block in
-    each run compares the words it was decoded from with architected
-    memory and rebuilds it on any mismatch, so stores into architected
-    state between runs need no report. Stores during a run are not
-    allowed: the architected state must not change while {!run}
-    executes. *)
+    Each step evaluates one instruction with the semantics of
+    {!Mssp_seq.Exec.step} straight on the journal stack: it reads the PC,
+    fetches [Mem pc], decodes through [t.decode] and reads its operands
+    in [Exec.step]'s order, each read resolving write buffer, then
+    live-in, then view, and recording the value on its first read; its
+    writes land in the write buffer. The step allocates nothing once its
+    cells are recorded. Equal, in status, [executed], write buffer,
+    [on_access] sequence and first-read stream (content {e and} order),
+    to a single-step loop of [Exec.step] over the same resolution
+    (test_sjournal's reference differential).
 
-val block_cache : unit -> block_cache
-(** An empty cache. *)
+    [on_access a] is invoked for every memory address touched — the
+    fetch, loads, stores; [Out] touches its count, slot and count — the
+    hook the timing model's caches observe.
 
-val run :
-  ?on_access:(Mssp_state.Cell.t -> unit) ->
-  ?block_journal:bool ->
-  ?engine:block_cache ->
-  t ->
-  view ->
-  status
-(** Step until the task leaves [Running]. The executor callbacks are
-    constructed once for the whole run.
-
-    [block_journal] (default [false]) runs the body from cached
-    superblocks instead of the per-instruction interpreter: blocks are
-    pre-decoded through [t.decode] from architected words, bound cells
-    resolve off the journal fast arrays, unbound cells are staged as
-    first-reads, and the PC and retirement count flush once per block
-    exit. Everything observable — status, [executed], the write buffer,
-    the [on_access] sequence, and the first-read stream in content
-    {e and} order — is bit-identical to the interpreter. The
-    interpreter remains the fallback, entered per instruction wherever
-    no block can be built (undecodable entry words, I/O-region entry),
-    for the speculative-I/O latch, and for
-    any code span the task's own write buffer or live-in set could
-    shadow (self-modified or live-in-bound code never executes from a
-    cached block); a store into the span of the block being executed
-    forces block exit after the store. [Isolated] tasks always use the
-    interpreter (their reads can be [Missing]).
-
-    [engine] (default: a fresh private cache) is the block cache to
-    dispatch from. MSSP tasks are around a hundred instructions — too
-    short to amortize block building per run — so the machine passes a
-    per-slave cache that persists across that slave's task runs,
-    building each block of the static code once. Never share one cache
-    between concurrently-running tasks. *)
+    The architected state behind a [Fallback] view must not change
+    while [run] executes. *)
 
 val live_in_size : t -> int
 (** Number of recorded live-in bindings (drives verification cost). *)

@@ -1,14 +1,14 @@
-(* The direct loop's bit-identity contract, tested differentially:
-   whole-run and run-until execution with [superblock] on (the direct
-   step, decoding through the program image) must match the single-step
-   reference exactly — final state, stop reason, and the
-   instruction/load/store counters — on hand-written programs, on fuzz
-   programs (SMC shapes boosted), at every fuel boundary, stopping
-   mid-region, and across self-modifying stores both internal (executed
-   by the program) and external (a direct [Full.set_mem] between calls,
-   with no notification). Plus the fine-grained contracts the fast paths
-   lean on: the [observed_step] read-order, [Task.with_decode]
-   neutrality, and machines taking turns over one state. *)
+(* The direct loop against the specification, differentially: whole-run
+   and run-until execution ([Machine.run]/[run_until]: the direct step,
+   decoding through the program image) must match a loop of
+   [Machine.step] (the specification, [Exec.step]) exactly — final
+   state, stop reason, and the instruction/load/store counters — on
+   hand-written programs, on fuzz programs (SMC shapes boosted), at
+   every fuel boundary, stopping mid-region, and across self-modifying
+   stores both internal (executed by the program) and external (a
+   direct [Full.set_mem] between calls, with no notification). Plus the
+   fine-grained contracts the direct loop leans on: the [observed_step]
+   read order, and machines taking turns over one state. *)
 
 module Full = Mssp_state.Full
 module Cell = Mssp_state.Cell
@@ -16,8 +16,6 @@ module Instr = Mssp_isa.Instr
 module Program = Mssp_isa.Program
 module Machine = Mssp_seq.Machine
 module Exec = Mssp_seq.Exec
-module Task = Mssp_task.Task
-module Fragment = Mssp_state.Fragment
 module Gen = Mssp_fuzz.Gen
 module Dsl = Mssp_asm.Dsl
 open Mssp_asm.Regs
@@ -25,12 +23,42 @@ open Mssp_asm.Regs
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* The specification's whole run: [Machine.step] until the machine
+   stops or [fuel] instructions retire, fuel checked before each one. *)
+let step_run ?(fuel = 100_000_000) m =
+  let rec go remaining =
+    match m.Machine.stopped with
+    | Some s -> s
+    | None ->
+      if remaining = 0 then Machine.Out_of_fuel
+      else begin
+        ignore (Machine.step m : bool);
+        go (remaining - 1)
+      end
+  in
+  go fuel
+
+(* ... and its run_until: fuel before each step, [at] after it (only
+   once [min_steps] have run), [at] winning over fuel at the boundary *)
+let step_run_until m ~fuel ~min_steps ~at =
+  let steps = ref 0 in
+  let rec go () =
+    if !steps >= fuel then `Fuel
+    else if Machine.step m then begin
+      incr steps;
+      if !steps >= min_steps && at (Full.pc m.Machine.state) then `At_entry
+      else go ()
+    end
+    else `Stopped
+  in
+  go ()
+
 (* run a program both ways; compare everything a caller can observe *)
 let same_run ?(fuel = 2_000_000) p =
-  let on = Machine.of_program ~superblock:true p in
-  let off = Machine.of_program ~superblock:false p in
+  let on = Machine.of_program p in
+  let off = Machine.of_program p in
   let s_on = Machine.run ~fuel on in
-  let s_off = Machine.run ~fuel off in
+  let s_off = step_run ~fuel off in
   s_on = s_off
   && on.Machine.instructions = off.Machine.instructions
   && on.Machine.loads = off.Machine.loads
@@ -38,7 +66,7 @@ let same_run ?(fuel = 2_000_000) p =
   && Full.equal_observable on.Machine.state off.Machine.state
   && Machine.output on.Machine.state = Machine.output off.Machine.state
 
-let assert_same_run ?fuel p = check "on = off" true (same_run ?fuel p)
+let assert_same_run ?fuel p = check "run = step loop" true (same_run ?fuel p)
 
 (* --- hand-written shapes ---------------------------------------------- *)
 
@@ -99,14 +127,14 @@ let test_fault_parity () =
   Dsl.halt b;
   let p = Dsl.build b () in
   (* corrupt the third instruction word into garbage after load *)
-  let on = Machine.of_program ~superblock:true p in
-  let off = Machine.of_program ~superblock:false p in
+  let on = Machine.of_program p in
+  let off = Machine.of_program p in
   let garbage = -0x7EADBEEF in
   let patch m = Full.set_mem m.Machine.state (p.Program.entry + 2) garbage in
   patch on;
   patch off;
   let s_on = Machine.run on in
-  let s_off = Machine.run off in
+  let s_off = step_run off in
   check "same stop" true (s_on = s_off);
   (match s_on with
   | Machine.Faulted (Exec.Undecodable { pc; _ }) ->
@@ -134,10 +162,10 @@ let test_fuel_sweep () =
   Dsl.halt b;
   let p = Dsl.build b () in
   for fuel = 0 to 40 do
-    let on = Machine.of_program ~superblock:true p in
-    let off = Machine.of_program ~superblock:false p in
+    let on = Machine.of_program p in
+    let off = Machine.of_program p in
     let s_on = Machine.run ~fuel on in
-    let s_off = Machine.run ~fuel off in
+    let s_off = step_run ~fuel off in
     check (Printf.sprintf "fuel %d stop" fuel) true (s_on = s_off);
     check_int
       (Printf.sprintf "fuel %d instructions" fuel)
@@ -152,6 +180,10 @@ let test_fuel_sweep () =
       (Full.equal_observable on.Machine.state off.Machine.state)
   done
 
+(* the two run_until loops, direct and specification *)
+let run_until ~direct =
+  if direct then Machine.run_until else step_run_until
+
 (* run_until with an [at] landing in the middle of a straight-line
    region: the direct loop must stop there, state and counters
    identical to single-step, and resume from it *)
@@ -159,12 +191,13 @@ let test_run_until_mid_block () =
   let p = straightline in
   (* the PC of the 9th Alui in the unrolled body: entry + 2 (two li) + 8 *)
   let mid = p.Program.entry + 10 in
-  let drive superblock =
-    let m = Machine.of_program ~superblock p in
+  let drive direct =
+    let m = Machine.of_program p in
     let hits = ref 0 in
     let rec go acc =
       match
-        Machine.run_until m ~fuel:1_000_000 ~min_steps:1 ~at:(fun pc -> pc = mid)
+        run_until ~direct m ~fuel:1_000_000 ~min_steps:1 ~at:(fun pc ->
+            pc = mid)
       with
       | `At_entry ->
         incr hits;
@@ -190,10 +223,10 @@ let test_run_until_mid_block () =
 let test_run_until_min_steps () =
   let p = straightline in
   let entry = p.Program.entry in
-  let drive superblock =
-    let m = Machine.of_program ~superblock p in
+  let drive direct =
+    let m = Machine.of_program p in
     let r =
-      Machine.run_until m ~fuel:1_000_000 ~min_steps:5 ~at:(fun _ -> true)
+      run_until ~direct m ~fuel:1_000_000 ~min_steps:5 ~at:(fun _ -> true)
     in
     (r, m.Machine.instructions, Full.pc m.Machine.state)
   in
@@ -228,10 +261,10 @@ let smc_program patched =
 
 let test_smc_patched_trip () =
   let p = smc_program (Instr.Alui (Instr.Add, t2, t2, 7)) in
-  let on = Machine.of_program ~superblock:true p in
-  let off = Machine.of_program ~superblock:false p in
+  let on = Machine.of_program p in
+  let off = Machine.of_program p in
   let s_on = Machine.run on in
-  let s_off = Machine.run off in
+  let s_off = step_run off in
   check "same stop" true (s_on = s_off);
   check "same state" true
     (Full.equal_observable on.Machine.state off.Machine.state);
@@ -257,18 +290,20 @@ let test_external_store () =
   Dsl.jmp b "head";
   let p = Dsl.build b () in
   let head = p.Program.entry in
-  let drive superblock =
-    let m = Machine.of_program ~superblock p in
-    (* run a few laps so the block over "head" is hot *)
+  let drive direct =
+    let m = Machine.of_program p in
+    (* run a few laps so the image's words over "head" are in use *)
     (match
-       Machine.run_until m ~fuel:1_000_000 ~min_steps:6 ~at:(fun pc ->
+       run_until ~direct m ~fuel:1_000_000 ~min_steps:6 ~at:(fun pc ->
            pc = head)
      with
     | `At_entry -> ()
     | _ -> Alcotest.fail "expected to stop at head");
     (* external patch: second Add becomes Halt *)
     Full.set_mem m.Machine.state (head + 1) (Instr.encode Instr.Halt);
-    ignore (Machine.run ~fuel:100 m : Machine.stop);
+    ignore
+      ((if direct then Machine.run ~fuel:100 m else step_run ~fuel:100 m)
+        : Machine.stop);
     (m.Machine.stopped, m.Machine.instructions, Full.get_reg m.Machine.state t0)
   in
   let on = drive true in
@@ -288,14 +323,14 @@ let program_arb ?(weights = Gen.default_weights) ~min_size ~max_size () =
   QCheck.make ~print:Mssp_asm.Emit.program_to_source gen
 
 let prop_fuzz_differential =
-  QCheck.Test.make ~name:"fuzz program: superblock on = off" ~count:60
+  QCheck.Test.make ~name:"fuzz program: run = step loop" ~count:60
     (program_arb ~min_size:4 ~max_size:20 ())
     same_run
 
 let smc_heavy = Gen.smc_heavy
 
 let prop_smc_differential =
-  QCheck.Test.make ~name:"SMC-heavy program: superblock on = off" ~count:40
+  QCheck.Test.make ~name:"SMC-heavy program: run = step loop" ~count:40
     (program_arb ~weights:smc_heavy ~min_size:4 ~max_size:16 ())
     same_run
 
@@ -303,7 +338,7 @@ let prop_smc_differential =
 
 (* observed_step's documented read order: Pc, then Mem pc, then operands
    in semantics order — the order live-in journals key on, and the order
-   block execution must preserve *)
+   the slave journal step must preserve *)
 let test_observed_read_order () =
   let pc0 = 0x1000 in
   let observe instr setup =
@@ -338,41 +373,6 @@ let test_observed_read_order () =
   check "St order" true
     (order = [ Cell.Pc; Cell.Mem pc0; Cell.Reg t1; Cell.Reg t2 ])
 
-(* Task.with_decode must be invisible: identical status, executed count,
-   recorded live-ins and live-outs — only the decode work changes *)
-let test_task_with_decode_neutral () =
-  let b = Dsl.create () in
-  let buf = Dsl.alloc b 4 in
-  Dsl.li b t0 4;
-  Dsl.label b "l";
-  Dsl.alu b Instr.Add t1 t1 t0;
-  Dsl.st b t1 zero buf;
-  Dsl.alui b Instr.Sub t0 t0 1;
-  Dsl.br b Instr.Gt t0 zero "l";
-  Dsl.halt b;
-  let p = Dsl.build b () in
-  let s = Full.create () in
-  Full.load s p;
-  let fresh () =
-    Task.make ~id:0 ~start_pc:p.Program.entry ~end_pc:None ~end_occurrence:1
-      ~budget:1000 ~live_in:Fragment.empty
-  in
-  let view = Task.Fallback s in
-  let plain = fresh () in
-  let decoded =
-    Task.with_decode
-      (Program.image_decoder [ Program.decode_all p ])
-      (fresh ())
-  in
-  let st_plain = Task.run plain view in
-  let st_decoded = Task.run decoded view in
-  check "same status" true (st_plain = st_decoded);
-  check_int "same executed" plain.Task.executed decoded.Task.executed;
-  check "same live-ins" true
-    (Fragment.equal (Task.reads_fragment plain) (Task.reads_fragment decoded));
-  check "same live-outs" true
-    (Fragment.equal (Task.writes_fragment plain) (Task.writes_fragment decoded))
-
 (* two machines taking turns over one state (the recovery pattern: a
    fresh machine per segment over architected state): the second
    resumes exactly where the first stopped *)
@@ -381,18 +381,18 @@ let test_machines_share_state () =
   let s = Full.create () in
   Full.load s p;
   let decode = Program.image_decoder [ Program.decode_all p ] in
-  let m1 = Machine.of_state ~superblock:true ~decode s in
+  let m1 = Machine.of_state ~decode s in
   let r1 =
     Machine.run_until m1 ~fuel:200 ~min_steps:1 ~at:(fun pc ->
         pc = p.Program.entry + 2)
   in
   check "first leg at entry" true (r1 = `At_entry);
-  let m2 = Machine.of_state ~superblock:true ~decode s in
+  let m2 = Machine.of_state ~decode s in
   ignore (Machine.run m2 : Machine.stop);
   check "finished" true (m2.Machine.stopped = Some Machine.Halted);
   (* reference: same program single-stepped from scratch *)
-  let off = Machine.of_program ~superblock:false p in
-  ignore (Machine.run off : Machine.stop);
+  let off = Machine.of_program p in
+  ignore (step_run off : Machine.stop);
   check_int "combined instructions" off.Machine.instructions
     (m1.Machine.instructions + m2.Machine.instructions);
   check "same state" true
@@ -431,8 +431,6 @@ let () =
         [
           Alcotest.test_case "observed_step read order" `Quick
             test_observed_read_order;
-          Alcotest.test_case "Task.with_decode is neutral" `Quick
-            test_task_with_decode_neutral;
           Alcotest.test_case "two machines over one state" `Quick
             test_machines_share_state;
         ] );

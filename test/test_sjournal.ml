@@ -1,16 +1,19 @@
-(* The block-aware slave journal's bit-identity contract, tested
-   differentially: a task body run with [Task.run ~block_journal:true]
-   must match the single-step reference exactly — status, retirement
-   count, the write buffer, the [on_access] sequence, and above all the
-   first-read journal in content *and order* (the verification unit
-   replays it in serial first-read order; squash attribution and
-   predictor training key on that order). Hand-written shapes cover
-   blocks, boundaries, budgets, SMC self-patching (within a run and
-   across runs of one block cache), I/O latching and faults; QCheck
-   covers fuzz programs with the SMC shape boosted; and full-machine
-   legs pin the six kernels, a squash-forcing fault plan, code that a
-   commit or a recovery segment rewrites, and fuzz programs with the
-   block journal on and off, down to the cycle and the event stream. *)
+(* The slave journal step against the specification, differentially: a
+   task body run with [Task.run] must match a spec slave — a single-step
+   loop of [Exec.step] whose read and write callbacks resolve write
+   buffer, then live-in, then view, exactly as [Task]'s contract states
+   — in status, retirement count, write buffer, [on_access] sequence,
+   and above all the first-read journal in content *and order* (the
+   verification unit replays it in serial first-read order; squash
+   attribution and predictor training key on that order). [Task.run]
+   decodes through the program's pre-decoded image, as the machine's
+   slaves do; the spec slave decodes every word afresh. Hand-written
+   shapes cover loops, boundaries, budgets, self-patching code, code
+   rewritten between runs, I/O latching, faults and isolated-view
+   misses; QCheck covers generated programs (default and SMC-heavy
+   weights) on both views; and two machine legs pin code that a commit
+   or a recovery segment rewrites between a slave's tasks against
+   SEQ. *)
 
 module Full = Mssp_state.Full
 module Cell = Mssp_state.Cell
@@ -18,14 +21,15 @@ module Fragment = Mssp_state.Fragment
 module Instr = Mssp_isa.Instr
 module Program = Mssp_isa.Program
 module Layout = Mssp_isa.Layout
+module Reg = Mssp_isa.Reg
+module Exec = Mssp_seq.Exec
 module Machine = Mssp_seq.Machine
 module Task = Mssp_task.Task
+module Journal = Mssp_task.Journal
 module Profile = Mssp_profile.Profile
 module Distill = Mssp_distill.Distill
 module M = Mssp_core.Mssp_machine
 module Config = Mssp_core.Mssp_config
-module W = Mssp_workload.Workload
-module Trace = Mssp_trace.Trace
 module Gen = Mssp_fuzz.Gen
 module Dsl = Mssp_asm.Dsl
 open Mssp_asm.Regs
@@ -33,53 +37,130 @@ open Mssp_asm.Regs
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* --- task-level differential ------------------------------------------ *)
+(* --- the spec slave ------------------------------------------------------
+
+   [Exec.step] over callbacks into the task's journals: reads resolve
+   write buffer -> live-in -> view and record their first value, writes
+   land in the write buffer, every memory touch is reported, and the
+   first I/O touch of an instruction is latched and fails the task once
+   the instruction has completed into the write buffer. *)
+
+let spec_run ~on_access (t : Task.t) view =
+  let io = ref None in
+  let li_mem a =
+    if a < t.Task.li_lo || a > t.Task.li_hi then None
+    else Fragment.find_opt (Cell.mem a) t.Task.live_in
+  in
+  let touch a =
+    if Layout.is_io a && !io = None then io := Some (Cell.mem a);
+    on_access a
+  in
+  let live_in c =
+    match c with
+    | Cell.Mem a -> li_mem a
+    | Cell.Pc | Cell.Reg _ -> Journal.find t.Task.li c
+  in
+  let resolve c =
+    match Journal.find t.Task.writes c with
+    | Some _ as r -> r
+    | None ->
+      let r =
+        match live_in c with
+        | Some _ as r -> r
+        | None -> (
+          match (view, c) with
+          | Task.Fallback arch, _ -> Some (Full.get arch c)
+          | Task.Isolated, Cell.Mem _ -> Some 0
+          | Task.Isolated, (Cell.Pc | Cell.Reg _) -> None)
+      in
+      (match r with
+      | Some v when not (Journal.mem t.Task.reads c) ->
+        Journal.set t.Task.reads c v
+      | Some _ | None -> ());
+      r
+  in
+  let read c =
+    (match c with Cell.Mem a -> touch a | Cell.Pc | Cell.Reg _ -> ());
+    resolve c
+  in
+  let write c v =
+    (match c with Cell.Mem a -> touch a | Cell.Pc | Cell.Reg _ -> ());
+    Journal.set t.Task.writes c v
+  in
+  let rec go () =
+    if t.Task.executed >= t.Task.budget then Task.Failed Task.Budget_exhausted
+    else begin
+      io := None;
+      let outcome = Exec.step ~read ~write in
+      match (!io, outcome) with
+      | Some c, _ -> Task.Failed (Task.Io_speculative c)
+      | None, Exec.Stepped -> (
+        t.Task.executed <- t.Task.executed + 1;
+        match (t.Task.end_pc, Journal.pc t.Task.writes) with
+        | Some e, Some pc when pc = e ->
+          t.Task.end_seen <- t.Task.end_seen + 1;
+          if t.Task.end_seen >= t.Task.end_occurrence then
+            Task.Complete Task.Reached_boundary
+          else go ()
+        | _ -> go ())
+      | None, Exec.Halted -> Task.Complete Task.Program_halted
+      | None, Exec.Fault f -> Task.Failed (Task.Fault f)
+      | None, Exec.Missing c -> Task.Failed (Task.Missing_cell c)
+    end
+  in
+  let status = go () in
+  t.Task.status <- status;
+  status
+
+(* --- the differential ---------------------------------------------------- *)
 
 let load_arch p =
   let s = Full.create () in
   Full.load s p;
   s
 
-(* run one task body, collecting everything a caller can observe *)
-let run_task ~block_journal ?engine ?(budget = 5_000) ?end_pc
-    ?(end_occurrence = 1) ?(live_in = Fragment.empty) arch (p : Program.t) =
-  let t =
-    Task.make ~id:0 ~start_pc:p.Program.entry ~end_pc ~end_occurrence ~budget
-      ~live_in
-  in
-  let acc = ref [] in
-  let status =
-    Task.run
-      ~on_access:(fun c -> acc := c :: !acc)
-      ~block_journal ?engine t (Task.Fallback arch)
-  in
-  (status, t, List.rev !acc)
-
 let journal_list iter t =
   let l = ref [] in
   iter (fun c v -> l := (c, v) :: !l) t;
   List.rev !l
 
-(* the whole observable surface, compared in order *)
-let same_task ?budget ?end_pc ?end_occurrence ?live_in p =
-  let arch = load_arch p in
-  let s_on, t_on, a_on =
-    run_task ~block_journal:true ?budget ?end_pc ?end_occurrence ?live_in arch
-      p
+(* one task body on one executor, with everything a caller can observe:
+   status, retirements, first-reads and writes in journal order, and
+   the memory touches in order *)
+let observe ~spec ?(budget = 5_000) ?end_pc ?(end_occurrence = 1)
+    ?(live_in = Fragment.empty) ?start_pc view (p : Program.t) =
+  let start_pc = Option.value start_pc ~default:p.Program.entry in
+  let t =
+    Task.make ~id:0 ~start_pc ~end_pc ~end_occurrence ~budget ~live_in
   in
-  let s_off, t_off, a_off =
-    run_task ~block_journal:false ?budget ?end_pc ?end_occurrence ?live_in
-      arch p
+  let acc = ref [] in
+  let on_access a = acc := a :: !acc in
+  let t, status =
+    if spec then (t, spec_run ~on_access t view)
+    else
+      let t =
+        Task.with_decode (Program.image_decoder [ Program.decode_all p ]) t
+      in
+      (t, Task.run ~on_access t view)
   in
-  s_on = s_off
-  && t_on.Task.executed = t_off.Task.executed
-  && journal_list Task.iter_reads t_on = journal_list Task.iter_reads t_off
-  && journal_list Task.iter_writes t_on = journal_list Task.iter_writes t_off
-  && a_on = a_off
+  ( status,
+    t.Task.executed,
+    journal_list Task.iter_reads t,
+    journal_list Task.iter_writes t,
+    List.rev !acc )
 
-let assert_same_task ?budget ?end_pc ?end_occurrence ?live_in p =
-  check "block journal = single-step" true
-    (same_task ?budget ?end_pc ?end_occurrence ?live_in p)
+let same_task ?budget ?end_pc ?end_occurrence ?live_in ?start_pc ?view p =
+  let view =
+    match view with Some v -> v | None -> Task.Fallback (load_arch p)
+  in
+  observe ~spec:false ?budget ?end_pc ?end_occurrence ?live_in ?start_pc view p
+  = observe ~spec:true ?budget ?end_pc ?end_occurrence ?live_in ?start_pc view
+      p
+
+let assert_same_task ?budget ?end_pc ?end_occurrence ?live_in ?start_pc ?view
+    p =
+  check "slave step = spec slave" true
+    (same_task ?budget ?end_pc ?end_occurrence ?live_in ?start_pc ?view p)
 
 (* --- hand-written shapes ---------------------------------------------- *)
 
@@ -131,16 +212,16 @@ let test_calls_and_indirect () =
   Dsl.halt b;
   assert_same_task (Dsl.build ~entry:"main" b ())
 
-(* the boundary lands mid-block: end_pc is the loop header, and the task
-   completes on the third arrival — the block executor must stop at the
-   same retirement as the interpreter, not at its block's end *)
+(* the boundary is the loop header, inside a straight-line region, and
+   the task completes on its third arrival: the same retirement as the
+   spec slave *)
 let test_boundary_occurrence () =
   let p = straightline in
   let head = p.Program.entry + 2 in
   assert_same_task ~end_pc:head ~end_occurrence:3 p
 
-(* every budget from 0 to past completion: budget exhaustion must cut a
-   block short at exactly the interpreter's instruction *)
+(* every budget from 0 to past completion: budget exhaustion must stop
+   at exactly the spec slave's instruction *)
 let test_budget_sweep () =
   for budget = 0 to 40 do
     check
@@ -151,12 +232,9 @@ let test_budget_sweep () =
 
 (* a task that patches its own body through the write buffer. The first
    store rewrites the very next word; in the loop, trip 1 executes the
-   original word and trip 2 the patched one. Each store lands in the
-   span of the block being executed, so the executor leaves the block
-   after it; the next dispatch finds the span shadowed by the write
-   buffer and single-steps it, so the patched fetch resolves from the
-   buffer — all invisible against single-step. *)
-let test_smc_self_patch () =
+   original word and trip 2 the patched one. The patched fetches must
+   resolve from the write buffer, and record no first-read. *)
+let smc_self_patch =
   let b = Dsl.create () in
   Dsl.li b s5 2;
   Dsl.li b t2 0;
@@ -175,21 +253,22 @@ let test_smc_self_patch () =
   Dsl.br b Instr.Gt s5 zero "smc";
   Dsl.out b t2;
   Dsl.halt b;
-  let p = Dsl.build b () in
+  Dsl.build b ()
+
+let test_smc_self_patch () =
+  let p = smc_self_patch in
   assert_same_task p;
   (* and both patched words really ran: t2 = 100 + 7 in the write
      buffer *)
-  let arch = load_arch p in
-  let _, t, _ = run_task ~block_journal:true arch p in
-  check "patched words executed" true
-    (Mssp_task.Journal.find t.Task.writes (Cell.Reg t2) = Some 107)
+  let _, _, _, writes, _ =
+    observe ~spec:false (Task.Fallback (load_arch p)) p
+  in
+  check "patched words executed" true (List.mem (Cell.Reg t2, 107) writes)
 
-(* one block cache serves two task runs over one architected state, and
-   between them a word inside a cached block changes with no report to
-   the cache (as a commit or a recovery segment changes it in the
-   machine). The second run must execute the new word: its first
-   dispatch of the block checks the block's words against [arch]. *)
-let test_smc_between_runs () =
+(* two task runs over one architected state, and between them a word of
+   the body changes (as a commit or a recovery segment changes it in the
+   machine): the second run must execute the new word *)
+let test_code_rewritten_between_runs () =
   let b = Dsl.create () in
   Dsl.li b t2 0;
   Dsl.label b "patch";
@@ -198,41 +277,45 @@ let test_smc_between_runs () =
   Dsl.halt b;
   let p = Dsl.build b () in
   let arch = load_arch p in
-  let engine = Task.block_cache () in
-  let _, t1, _ = run_task ~block_journal:true ~engine arch p in
-  check "first run: t2 = 2" true
-    (Mssp_task.Journal.find t1.Task.writes (Cell.Reg t2) = Some 2);
+  let t2_of run =
+    let _, _, _, writes, _ = run in
+    List.assoc (Cell.Reg t2) writes
+  in
+  check_int "first run: t2 = 2" 2
+    (t2_of (observe ~spec:false (Task.Fallback arch) p));
   Full.set_mem arch
     (List.assoc "patch" p.Program.symbols)
     (Instr.encode (Instr.Alui (Instr.Add, t2, t2, 8)));
-  let s_on, t_on, a_on = run_task ~block_journal:true ~engine arch p in
-  let s_off, t_off, a_off = run_task ~block_journal:false arch p in
-  check "second run: t2 = 8" true
-    (Mssp_task.Journal.find t_on.Task.writes (Cell.Reg t2) = Some 8);
-  check "same status" true (s_on = s_off);
-  check "same writes" true
-    (journal_list Task.iter_writes t_on = journal_list Task.iter_writes t_off);
-  check "same reads" true
-    (journal_list Task.iter_reads t_on = journal_list Task.iter_reads t_off);
-  check "same accesses" true (a_on = a_off)
+  check_int "second run: t2 = 8" 8
+    (t2_of (observe ~spec:false (Task.Fallback arch) p));
+  assert_same_task ~view:(Task.Fallback arch) p
 
 (* speculative I/O: the latch semantics (instruction completes into the
    write buffer, then the task fails without retiring it) must be
-   identical, including the recorded I/O cell and the access sequence *)
+   identical, including the recorded I/O cell and the access sequence —
+   for a store, a load, an [Out] whose slot lands in the region, and a
+   fetch from it *)
 let test_io_latch () =
   let shapes =
     [
-      (* store into the I/O region *)
       (fun b ->
         Dsl.li b t0 9;
         Dsl.li b t1 Layout.io_base;
         Dsl.st b t0 t1 0;
         Dsl.halt b);
-      (* load from the I/O region *)
       (fun b ->
         Dsl.li b t1 Layout.io_base;
         Dsl.ld b t0 t1 4;
         Dsl.halt b);
+      (fun b ->
+        Dsl.li b t0 (Layout.io_base - Layout.out_base);
+        Dsl.li b t1 0;
+        Dsl.st b t0 zero Layout.out_count_addr;
+        Dsl.out b t1;
+        Dsl.halt b);
+      (fun b ->
+        Dsl.li b t1 Layout.io_base;
+        Dsl.jr b t1);
     ]
   in
   List.iteri
@@ -241,16 +324,13 @@ let test_io_latch () =
       shape b;
       let p = Dsl.build b () in
       check (Printf.sprintf "io shape %d" i) true (same_task p);
-      let arch = load_arch p in
-      let s, _, _ = run_task ~block_journal:true arch p in
-      match s with
-      | Task.Failed (Task.Io_speculative _) -> ()
+      match observe ~spec:false (Task.Fallback (load_arch p)) p with
+      | Task.Failed (Task.Io_speculative _), _, _, _, _ -> ()
       | _ -> Alcotest.fail "expected an I/O refusal")
     shapes
 
-(* an undecodable word mid-body: the block builder refuses the region
-   there, the single-step rung probes it, and the fault must carry the
-   same pc and leave the same journals as the interpreter *)
+(* an undecodable word mid-body: the fault must carry the same pc and
+   leave the same journals as the spec slave *)
 let test_fault_parity () =
   let b = Dsl.create () in
   Dsl.li b t0 5;
@@ -260,119 +340,113 @@ let test_fault_parity () =
   let p = Dsl.build b () in
   let arch = load_arch p in
   Full.set_mem arch (p.Program.entry + 2) (-0x7EADBEEF);
-  let s_on, t_on, a_on = run_task ~block_journal:true arch p in
-  let s_off, t_off, a_off = run_task ~block_journal:false arch p in
-  check "same status" true (s_on = s_off);
-  (match s_on with
-  | Task.Failed (Task.Fault (Mssp_seq.Exec.Undecodable { pc; _ })) ->
+  assert_same_task ~view:(Task.Fallback arch) p;
+  match observe ~spec:false (Task.Fallback arch) p with
+  | Task.Failed (Task.Fault (Exec.Undecodable { pc; _ })), _, _, _, _ ->
     check_int "fault pc" (p.Program.entry + 2) pc
-  | _ -> Alcotest.fail "expected Undecodable fault");
-  check_int "same executed" t_off.Task.executed t_on.Task.executed;
-  check "same reads" true
-    (journal_list Task.iter_reads t_on = journal_list Task.iter_reads t_off);
-  check "same accesses" true (a_on = a_off)
+  | _ -> Alcotest.fail "expected Undecodable fault"
 
-(* --- property tests: fuzz programs, SMC boosted ------------------------ *)
+(* An isolated task sees only its live-in: the program's memory image
+   (code included, as the machine's isolated live-in snapshots it) and
+   the given register bindings. *)
+let isolated_live_in p regs =
+  List.fold_left
+    (fun f (c, v) -> Fragment.add c v f)
+    (Fragment.filter (fun c _ -> Cell.is_mem c) (Full.snapshot (load_arch p)))
+    regs
 
-let program_arb ?(weights = Gen.default_weights) ~min_size ~max_size () =
+(* isolated view: a register bound nowhere is [Missing]; with both
+   operands unbound the same one must be reported, and a fetch from the
+   I/O region latches before the miss *)
+let test_isolated_missing () =
+  let add =
+    let b = Dsl.create () in
+    Dsl.alu b Instr.Add t2 t0 t1;
+    Dsl.alui b Instr.Add t2 t2 1;
+    Dsl.halt b;
+    Dsl.build b ()
+  in
+  let reg r v = (Cell.Reg r, v) in
+  List.iter
+    (fun (what, regs) ->
+      check what true
+        (same_task ~live_in:(isolated_live_in add regs) ~view:Task.Isolated
+           add))
+    [
+      ("both operands bound", [ reg t0 1; reg t1 2 ]);
+      ("rs2 unbound", [ reg t0 1 ]);
+      ("rs1 unbound", [ reg t1 2 ]);
+      ("both unbound", []);
+    ];
+  (match
+     observe ~spec:false ~live_in:(isolated_live_in add [ reg t0 1 ])
+       Task.Isolated add
+   with
+  | Task.Failed (Task.Missing_cell c), 0, _, writes, _ ->
+    check "t1 missing" true (Cell.equal c (Cell.Reg t1));
+    check "nothing written" true (writes = [])
+  | _ -> Alcotest.fail "expected a missing t1");
+  let word = Instr.encode (Instr.Alu (Instr.Add, t2, t0, t1)) in
+  let live_in = Fragment.of_list [ (Cell.mem Layout.io_base, word) ] in
+  check "I/O fetch, then a miss" true
+    (same_task ~live_in ~start_pc:Layout.io_base ~view:Task.Isolated add);
+  match
+    observe ~spec:false ~live_in ~start_pc:Layout.io_base Task.Isolated add
+  with
+  | Task.Failed (Task.Io_speculative c), _, _, _, _ ->
+    check "the fetch is the I/O touch" true
+      (Cell.equal c (Cell.mem Layout.io_base))
+  | _ -> Alcotest.fail "expected an I/O refusal"
+
+(* --- property tests: generated programs, SMC boosted --------------------- *)
+
+(* a generated program, and for the isolated view its memory image and
+   a random subset of the registers *)
+let case_arb ?(weights = Gen.default_weights) ~min_size ~max_size () =
   let gen st =
     let seed = Random.State.int st 0x3FFFFFFF in
     let size = min_size + Random.State.int st (max_size - min_size + 1) in
-    Gen.generate ~weights ~seed ~size ()
+    let regs =
+      List.filter_map
+        (fun r ->
+          if Random.State.bool st then
+            Option.map (fun c -> (c, Random.State.int st 64)) (Cell.reg r)
+          else None)
+        Reg.all
+    in
+    let p = Gen.generate ~weights ~seed ~size () in
+    (p, isolated_live_in p regs)
   in
-  QCheck.make ~print:Mssp_asm.Emit.program_to_source gen
+  QCheck.make
+    ~print:(fun (p, li) ->
+      Mssp_asm.Emit.program_to_source p ^ "\nisolated live-in "
+      ^ Fragment.show li)
+    gen
+
+let both_views (p, live_in) =
+  same_task ~budget:2_000 p
+  && same_task ~budget:2_000 ~live_in ~view:Task.Isolated p
 
 let prop_fuzz_task =
-  QCheck.Test.make
-    ~name:"fuzz task body: block journal = single-step (reads in order)"
-    ~count:60
-    (program_arb ~min_size:4 ~max_size:20 ())
-    (fun p -> same_task ~budget:2_000 p)
-
-let smc_heavy = Gen.smc_heavy
+  QCheck.Test.make ~name:"fuzz task body: slave step = spec slave" ~count:60
+    (case_arb ~min_size:4 ~max_size:20 ())
+    both_views
 
 let prop_smc_task =
-  QCheck.Test.make
-    ~name:"SMC-heavy task body: block journal = single-step" ~count:40
-    (program_arb ~weights:smc_heavy ~min_size:4 ~max_size:16 ())
-    (fun p -> same_task ~budget:2_000 p)
+  QCheck.Test.make ~name:"SMC-heavy task body: slave step = spec slave"
+    ~count:40
+    (case_arb ~weights:Gen.smc_heavy ~min_size:4 ~max_size:16 ())
+    both_views
 
-(* --- full machine: kernels, fault shapes, and fuzz programs ------------ *)
+(* --- full machine: code rewritten between a slave's tasks ---------------- *)
 
-let six_kernels =
-  [ "vecsum"; "listwalk"; "branchy"; "qsort"; "hashbuild"; "matmul" ]
-
-let distill_bench name ~size ~train =
-  let b = W.find name in
-  let program = b.W.program ~size in
-  let profile = Profile.collect (b.W.program ~size:train) in
-  Distill.distill program profile
-
-let base4 = Config.with_slaves 4 Config.default
-
-let run_recorded ~block_journal config d =
-  let tracer, events = Trace.recording () in
-  let r =
-    M.run
-      ~config:
-        {
-          config with
-          Config.tracer = Some tracer;
-          slave_block_journal = block_journal;
-        }
-      d
-  in
-  (events (), r)
-
-let same_machine_run name (ev_on, r_on) (ev_off, r_off) =
-  check_int (name ^ ": cycles") r_off.M.stats.M.cycles r_on.M.stats.M.cycles;
-  check (name ^ ": whole stats record") true (r_off.M.stats = r_on.M.stats);
-  check (name ^ ": stop reason") true (r_off.M.stop = r_on.M.stop);
-  check (name ^ ": final architected state") true
-    (Full.equal_observable r_off.M.arch r_on.M.arch);
-  check_int (name ^ ": event count") (List.length ev_off) (List.length ev_on);
-  check (name ^ ": event stream") true
-    (List.for_all2 Trace.event_equal ev_off ev_on)
-
-let test_kernels_identical () =
-  List.iter
-    (fun name ->
-      let b = W.find name in
-      let d =
-        distill_bench name ~size:b.W.train_size
-          ~train:(max 8 (b.W.train_size / 4))
-      in
-      let cfg = { base4 with Config.task_size = 20 } in
-      same_machine_run name
-        (run_recorded ~block_journal:true cfg d)
-        (run_recorded ~block_journal:false cfg d))
-    six_kernels
-
-(* squash-forcing fault plan: every squash replays the staged first-read
-   stream against architected state, and attribution picks the first
-   mismatching cell in journal order — so this leg fails if staging
-   ever reorders the stream *)
-let test_fault_shape_identical () =
-  let module Plan = Mssp_faults.Plan in
-  let d = distill_bench "vecsum" ~size:160 ~train:40 in
-  let stormy = Plan.make [ Plan.action Plan.Live_in_corrupt ~seed:11 ~p:0.25 ] in
-  let cfg =
-    { base4 with Config.task_size = 20; Config.faults = Some stormy }
-  in
-  let ev_on, r_on = run_recorded ~block_journal:true cfg d in
-  let ev_off, r_off = run_recorded ~block_journal:false cfg d in
-  check "squashes happened" true (r_on.M.stats.M.squashes > 0);
-  same_machine_run "vecsum+faults" (ev_on, r_on) (ev_off, r_off)
-
-(* Code rewritten between task runs of one slave. Every trip stores a
-   value that the patch site computes into a buffer nobody reads (so the
-   master's stale copy of the site never mispredicts a live-in), and
-   trip [patch_trip] rewrites the site. With [~via_io] that trip first
-   touches the I/O region, so its task fails and the rewrite lands in
-   architected state from the recovery segment; otherwise from a commit.
-   Later tasks dispatch the site from a block cached before the rewrite:
-   the block must be rebuilt, or the stale word becomes a mismatching
-   first-read and a squash the single-step run does not have. *)
+(* Every trip stores a value that the patch site computes into a buffer
+   nobody reads (so the master's stale copy of the site never
+   mispredicts a live-in), and trip [patch_trip] rewrites the site. With
+   [~via_io] that trip first touches the I/O region, so its task fails
+   and the rewrite lands in architected state from the recovery segment;
+   otherwise from a commit. Later tasks must fetch the new word: a stale
+   one becomes a wrong value in the buffer, and the run leaves SEQ. *)
 let rewritten_loop ~via_io =
   let trips = 60 and patch_trip = 30 in
   let b = Dsl.create () in
@@ -399,46 +473,23 @@ let rewritten_loop ~via_io =
 
 let test_rewrite_between_tasks ~via_io () =
   let p, buf, patch_trip = rewritten_loop ~via_io in
-  let profile = Profile.collect p in
-  let d = Distill.distill p profile in
-  let cfg = { base4 with Config.task_size = 8 } in
-  let ((_, r_on) as on) = run_recorded ~block_journal:true cfg d in
-  let off = run_recorded ~block_journal:false cfg d in
+  let d = Distill.distill p (Profile.collect p) in
+  let config =
+    { (Config.with_slaves 4 Config.default) with Config.task_size = 8 }
+  in
+  let r = M.run ~config d in
+  let seq = Full.create () in
+  Full.load seq d.Distill.original;
+  Full.load ~set_entry:false seq d.Distill.distilled;
+  ignore (Machine.run (Machine.of_state seq) : Machine.stop);
   (* the I/O touch fails exactly the rewriting trip's task *)
   check_int "tasks failed" (if via_io then 1 else 0)
-    r_on.M.stats.M.squash_task_failed;
+    r.M.stats.M.squash_task_failed;
+  check "halted" true (r.M.stop = M.Halted);
   check "the rewrite took effect" true
-    (Full.get_mem r_on.M.arch (buf + 1) = 2
-    && Full.get_mem r_on.M.arch (buf + patch_trip + 1) = 1);
-  same_machine_run
-    (if via_io then "rewrite by recovery" else "rewrite by commit")
-    on off
-
-(* block journal {on,off} on fuzz programs: both runs bit-identical —
-   the verification-time first-read stream (what squash attribution,
-   stats and the event stream are derived from) is independent of the
-   engine choice *)
-let qc_config = { base4 with Config.max_cycles = 100_000_000 }
-
-let prop_block_journal_identical =
-  QCheck.Test.make
-    ~name:"fuzz machine: block journal on/off bit-identical"
-    ~count:20
-    (program_arb ~min_size:5 ~max_size:20 ())
-    (fun p ->
-      let probe = Machine.run_program ~fuel:2_000_000 p in
-      match probe.Machine.stopped with
-      | Some Machine.Halted ->
-        let profile = Profile.collect ~fuel:2_000_000 p in
-        let d = Distill.distill p profile in
-        let ev_ref, r_ref = run_recorded ~block_journal:false qc_config d in
-        let ev, r = run_recorded ~block_journal:true qc_config d in
-        r.M.stats = r_ref.M.stats
-        && r.M.stop = r_ref.M.stop
-        && Full.equal_observable r.M.arch r_ref.M.arch
-        && List.length ev = List.length ev_ref
-        && List.for_all2 Trace.event_equal ev ev_ref
-      | _ -> true)
+    (Full.get_mem r.M.arch (buf + 1) = 2
+    && Full.get_mem r.M.arch (buf + patch_trip + 1) = 1);
+  check "states equal SEQ" true (Full.equal_observable seq r.M.arch)
 
 let () =
   Alcotest.run "sjournal"
@@ -455,12 +506,13 @@ let () =
         ] );
       ( "ladder",
         [
-          Alcotest.test_case "SMC self-patch leaves the block" `Quick
-            test_smc_self_patch;
-          Alcotest.test_case "SMC between runs of one cache" `Quick
-            test_smc_between_runs;
+          Alcotest.test_case "SMC self-patch" `Quick test_smc_self_patch;
+          Alcotest.test_case "code rewritten between runs" `Quick
+            test_code_rewritten_between_runs;
           Alcotest.test_case "speculative I/O latch" `Quick test_io_latch;
           Alcotest.test_case "fault parity" `Quick test_fault_parity;
+          Alcotest.test_case "isolated-view misses" `Quick
+            test_isolated_missing;
         ] );
       ( "properties",
         [
@@ -469,14 +521,9 @@ let () =
         ] );
       ( "machine",
         [
-          Alcotest.test_case "six kernels: block journal == single-step"
-            `Quick test_kernels_identical;
-          Alcotest.test_case "fault shape: squash replay identical" `Quick
-            test_fault_shape_identical;
           Alcotest.test_case "code rewritten by a commit" `Quick
             (test_rewrite_between_tasks ~via_io:false);
           Alcotest.test_case "code rewritten by a recovery segment" `Quick
             (test_rewrite_between_tasks ~via_io:true);
-          Mssp_testkit.to_alcotest prop_block_journal_identical;
         ] );
     ]

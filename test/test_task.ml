@@ -171,10 +171,10 @@ let test_on_access_hook () =
   let live_in = Fragment.of_list [ (t0_cell, 1); (t1_cell, 0) ] in
   let task = make_task ~live_in ~end_pc:None () in
   let touched = ref [] in
-  let on_access c = touched := c :: !touched in
+  let on_access a = touched := a :: !touched in
   ignore (Task.run ~on_access task (fallback arch) : Task.status);
   (* every instruction fetch is a memory access *)
-  check "fetches observed" true (List.mem (Cell.mem head) !touched)
+  check "fetches observed" true (List.mem head !touched)
 
 let test_live_in_size_counts_reads_only () =
   let arch = arch_of simple_loop in
@@ -283,10 +283,11 @@ let oracle_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc view =
   let reads = Journal.create () and writes = Journal.create () in
   let accesses = ref [] and io = ref None in
   let touch c =
-    if Cell.is_mem c then begin
+    match c with
+    | Cell.Mem a ->
       if Cell.is_io c && !io = None then io := Some c;
-      accesses := c :: !accesses
-    end
+      accesses := a :: !accesses
+    | Cell.Pc | Cell.Reg _ -> ()
   in
   let read c =
     touch c;
@@ -339,13 +340,11 @@ let journal_list j =
   Journal.iter (fun c v -> l := (c, v) :: !l) j;
   List.rev !l
 
-let task_run ~block_journal ~budget ~end_pc ~end_occurrence ~live_in ~start_pc
-    view =
+let task_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc view =
   let t = Task.make ~id:0 ~start_pc ~end_pc ~end_occurrence ~budget ~live_in in
   let accesses = ref [] in
   let status =
-    Task.run ~on_access:(fun c -> accesses := c :: !accesses) ~block_journal t
-      view
+    Task.run ~on_access:(fun a -> accesses := a :: !accesses) t view
   in
   ( status,
     t.Task.executed,
@@ -356,8 +355,8 @@ let task_run ~block_journal ~budget ~end_pc ~end_occurrence ~live_in ~start_pc
 (* A generated program with a random live-in: maybe a PC (the entry or a
    word inside the code), registers, and memory cells inside the code
    span (the architected word, or another instruction's word — live-in
-   code the slave block journal must not run from its cache), around
-   the data base, and at the output counter; plus a random boundary. *)
+   code the slave must fetch from its live-in), around the data base,
+   and at the output counter; plus a random boundary. *)
 let live_in_case =
   let gen st =
     let int n = Random.State.int st n in
@@ -413,7 +412,7 @@ let live_in_case =
 
 let prop_live_in_by_reference =
   QCheck.Test.make
-    ~name:"live-ins by reference = flattened (single-step and block paths)"
+    ~name:"live-ins by reference = flattened (single step, both views)"
     ~count:150 live_in_case
     (fun (p, live_in, end_pc, end_occurrence) ->
       let arch = arch_of p in
@@ -425,15 +424,11 @@ let prop_live_in_by_reference =
         in
         (status, executed, journal_list reads, journal_list writes, accesses)
       in
-      let run ~block_journal view =
-        task_run ~block_journal ~budget ~end_pc ~end_occurrence ~live_in
-          ~start_pc view
+      let run view =
+        task_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc view
       in
       let fb = fallback arch in
-      let expected = oracle fb in
-      run ~block_journal:false fb = expected
-      && run ~block_journal:true fb = expected
-      && run ~block_journal:false Task.Isolated = oracle Task.Isolated)
+      run fb = oracle fb && run Task.Isolated = oracle Task.Isolated)
 
 (* [Task.make] never copies the live-in: its allocation is the same for
    one memory binding and for four thousand *)
@@ -470,6 +465,75 @@ let test_make_allocation () =
     true
     (big <= small +. 2048. && big < 16384.)
 
+(* --- the slave step's allocation ----------------------------------------
+
+   A straight-line loop body: 16 ALU instructions plus one load and one
+   store per trip. With [~fresh] each trip's load and store touch new
+   words, so an extra trip costs the growth of the journals recording
+   them, and an extra instruction must allocate fewer than 3 words.
+   Without it every trip touches the same cells, all recorded after the
+   first trip, and an extra instruction must allocate (next to)
+   nothing: one [Cell.t] boxed per memory touch, as a cell-valued
+   access hook would, costs 2.2 words per instruction here. *)
+
+let straightline_body ~fresh trips =
+  build (fun b ->
+      let src = Dsl.alloc b trips in
+      let dst = Dsl.alloc b trips in
+      let index = if fresh then t0 else zero in
+      Dsl.li b t0 trips;
+      Dsl.label b "head";
+      for _ = 1 to 16 do
+        Dsl.alui b Instr.Add t1 t1 3
+      done;
+      Dsl.ld b t2 index src;
+      Dsl.st b t1 index dst;
+      Dsl.alui b Instr.Sub t0 t0 1;
+      Dsl.br b Instr.Gt t0 zero "head";
+      Dsl.halt b)
+
+(* words allocated by one task run over the body, and its retirements;
+   the full major flushes the words allocated straight on the major
+   heap (journal growth) into the counters *)
+let words_for_trips ~fresh trips =
+  let p = straightline_body ~fresh trips in
+  let arch = arch_of p in
+  let decode =
+    Mssp_isa.Program.image_decoder [ Mssp_isa.Program.decode_all p ]
+  in
+  let touches = ref 0 in
+  let on_access _ = incr touches in
+  let words () =
+    Gc.full_major ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let task =
+    Task.with_decode decode
+      (Task.make ~id:0 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
+         ~end_occurrence:1 ~budget:max_int ~live_in:Fragment.empty)
+  in
+  let status = Task.run ~on_access task (fallback arch) in
+  let w1 = words () in
+  check "halts" true (status = Task.Complete Task.Program_halted);
+  (w1 -. w0, task.Task.executed)
+
+let test_step_allocation () =
+  let per_instr ~fresh =
+    let w_short, n_short = words_for_trips ~fresh 200 in
+    let w_long, n_long = words_for_trips ~fresh 2_000 in
+    (w_long -. w_short) /. float_of_int (n_long - n_short)
+  in
+  let fresh = per_instr ~fresh:true and recorded = per_instr ~fresh:false in
+  check
+    (Printf.sprintf "fresh cells: %.2f words per extra instruction (< 3)" fresh)
+    true (fresh < 3.);
+  check
+    (Printf.sprintf "recorded cells: %.2f words per extra instruction (< 0.5)"
+       recorded)
+    true (recorded < 0.5)
+
 let () =
   Alcotest.run "task"
     [
@@ -491,6 +555,7 @@ let () =
           Alcotest.test_case "on_access hook" `Quick test_on_access_hook;
           Alcotest.test_case "live-in accounting" `Quick
             test_live_in_size_counts_reads_only;
+          Alcotest.test_case "step allocation" `Quick test_step_allocation;
           Mssp_testkit.to_alcotest prop_task_matches_abstract_evolution;
         ] );
       ( "live-ins",

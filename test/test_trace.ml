@@ -9,7 +9,8 @@
      ([PROMOTE_GOLDEN=1] / `make promote-golden` rewrites them);
    - the acceptance criterion of the tracing subsystem: a fold over the
      JSONL stream ALONE reproduces the machine's committed/squashed
-     counts and the squash-reason breakdown exactly;
+     counts and the squash-reason breakdown exactly, and the discarded
+     count on runs stopped by the squash limit;
    - a validity check of the Chrome trace_event export;
    - QCheck invariants over random programs: per-task event bracketing,
      committed tasks never squashed, fold == stats, and tracing off
@@ -58,20 +59,7 @@ let distill_bench name ~size ~train =
 
 let base2 = Config.with_slaves 2 Config.default
 
-(* [sjrnl] pins the slave block journal explicitly. [engines:false]
-   turns both fast paths off (the direct step behind [superblock], and
-   the slave block journal), so the single-step reference rung replays
-   the same committed streams on every runtest. *)
-let golden_cases_at ?sjrnl ?(engines = true) () =
-  let base2 =
-    match sjrnl with
-    | None -> base2
-    | Some bj -> { base2 with Config.slave_block_journal = bj }
-  in
-  let base2 =
-    if engines then base2
-    else { base2 with Config.superblock = false; slave_block_journal = false }
-  in
+let golden_cases =
   [
     ( "vecsum",
       fun () ->
@@ -166,8 +154,6 @@ let golden_cases_at ?sjrnl ?(engines = true) () =
           (distill_bench "listwalk" ~size:120 ~train:40) );
   ]
 
-let golden_cases = golden_cases_at ()
-
 (* --- golden replay / promotion ---------------------------------------
 
    Under [dune runtest] the cwd is [_build/default/test] and the golden
@@ -261,14 +247,37 @@ let test_fold_reproduces_stats () =
       i "recovery instructions" st.M.recovery_instructions
         s.Trace.Summary.recovery_instructions;
       i "sequential bursts" st.M.sequential_bursts s.Trace.Summary.bursts;
-      (* a clean run loses no in-flight work silently: the discarded
-         total is also derivable (squash-limit trips stop counting in
-         the machine, so only pin it on halted runs) *)
-      if r.M.stop = M.Halted then
-        i "discarded" st.M.tasks_discarded s.Trace.Summary.discarded;
+      (* no run loses in-flight work silently, a squash-limit stop
+         included: the discarded total is also derivable *)
+      i "discarded" st.M.tasks_discarded s.Trace.Summary.discarded;
       check (name ^ ": exactly one halt event") true
         (s.Trace.Summary.halt <> None))
     golden_cases
+
+(* The window a squash throws away is counted with the squash, so a
+   run stopped by the squash limit counts it too: stats and the fold of
+   the Squash events agree on qsort under a live-in corruption plan
+   capped at 0 and at 3 squashes. *)
+let test_squash_limit_discarded () =
+  let p = (W.find "qsort").W.program ~size:100 in
+  let d = Distill.distill p (Profile.collect p) in
+  List.iter
+    (fun max_squashes ->
+      let config =
+        {
+          (Config.with_slaves 4 Config.default) with
+          Config.max_squashes;
+          faults = Some (Plan.quiet Plan.Live_in_corrupt ~seed:3 ~p:0.5);
+        }
+      in
+      let events, r = run_traced ~config d in
+      let s = Trace.Summary.of_events events in
+      check (Printf.sprintf "max_squashes %d: squash limit" max_squashes) true
+        (r.M.stop = M.Squash_limit);
+      check_int
+        (Printf.sprintf "max_squashes %d: discarded = fold" max_squashes)
+        s.Trace.Summary.discarded r.M.stats.M.tasks_discarded)
+    [ 0; 3 ]
 
 (* --- Chrome export validity ------------------------------------------ *)
 
@@ -432,7 +441,8 @@ let prop_fold_matches_stats =
         && s.Trace.Summary.committed_instructions
            = st.M.instructions_committed
         && s.Trace.Summary.recovery_instructions
-           = st.M.recovery_instructions)
+           = st.M.recovery_instructions
+        && s.Trace.Summary.discarded = st.M.tasks_discarded)
 
 (* tracing is observationally free: a run with the bus off is identical,
    cycle for cycle, to the same run with a sink attached *)
@@ -539,28 +549,14 @@ let () =
                 let run () = List.assoc name (Lazy.force golden_on_pool) in
                 if not promote then test_golden (name, run) ()))
           golden_cases );
-      (* and out of block-journaled slave bodies, pinned on: the staged
-         first-read stream must replay into the exact committed event
-         streams — including the predicted_stride predictor-outcome
-         events, which train from the verification-order stream *)
-      ( "golden (block journal)",
-        List.map
-          (fun (name, _ as case) ->
-            Alcotest.test_case name `Quick (fun () ->
-                if not promote then test_golden case ()))
-          (golden_cases_at ~sjrnl:true ()) );
-      (* and with both fast paths off: the single-step reference
-         rung must produce the very same streams *)
-      ( "golden (engines off)",
-        List.map
-          (fun (name, _ as case) ->
-            Alcotest.test_case name `Quick (fun () ->
-                if not promote then test_golden case ()))
-          (golden_cases_at ~engines:false ()) );
       ( "attribution",
         [
           Alcotest.test_case "fold over JSONL reproduces stats" `Quick
             test_fold_reproduces_stats;
+        ] );
+      ( "squash-limit discarded",
+        [
+          Alcotest.test_case "stats = fold" `Quick test_squash_limit_discarded;
         ] );
       ( "chrome",
         [
