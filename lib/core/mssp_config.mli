@@ -90,11 +90,12 @@ type t = {
           before the run (see [Predict.warmup_of_profile]); ignored when
           [predict] is [Off] *)
   tracer : Mssp_trace.Trace.t option;
-      (** structured event bus ({!Mssp_trace.Trace}): [Some t] makes the
-          machine emit the full task-lifecycle event stream into [t]'s
-          sinks; [None] (the default) compiles every emission site down
-          to one predictable branch — no event is allocated. Attach a
-          collector, ring buffer, or JSONL sink before the run. *)
+      (** recording sinks for the structured event stream
+          ({!Mssp_trace.Trace}): the machine builds every task-lifecycle
+          event on every run and folds it into its stats; [Some t] also
+          delivers each one to [t]'s sinks. [None] (the default) records
+          nothing; the run is the same either way. Attach a collector,
+          ring buffer, or JSONL sink before the run. *)
   interrupt : (unit -> string option) option;
       (** cooperative cancellation hook: polled once per dispatched
           simulation event (between events, never mid-instruction-batch).

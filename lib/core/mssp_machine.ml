@@ -15,80 +15,30 @@ module Fplan = Mssp_faults.Plan
 module Inject = Mssp_faults.Injector
 module Predict = Mssp_predict.Predict
 
-type squash_reason =
-  | Live_in_mismatch  (** recorded live-ins ≠ architected state *)
-  | Task_failed of Task.fail_reason
-  | Master_dead  (** master halted/faulted/ran away with work remaining *)
-
 type stats = {
-  mutable cycles : int;
-  mutable master_instructions : int;
-  mutable tasks_spawned : int;
-  mutable tasks_committed : int;
-  mutable instructions_committed : int;
-  mutable tasks_discarded : int;
-  mutable squashes : int;
-  mutable squash_mismatch : int;
-  mutable squash_task_failed : int;
-  mutable squash_master_dead : int;
-  mutable recovery_segments : int;
-  mutable recovery_instructions : int;
-  mutable sequential_bursts : int;
-  mutable sequential_instructions : int;
-      (** instructions retired in dual-mode sequential bursts (a subset
-          of [recovery_instructions]) *)
-  mutable faults_injected : int;
-  mutable live_ins_checked : int;
-  mutable live_outs_committed : int;
-  mutable predict_hits : int;
-  mutable predict_misses : int;
-      (** per-cell value-prediction accuracy at verification, counted
-          only when a predictor is enabled ([config.predict]); both stay
-          0 — and every other field stays bit-identical — with
-          prediction off *)
-  mutable slave_busy_cycles : int;
-  mutable task_sizes : int list;
-  mutable live_in_counts : int list;
+  cycles : int;
+  master_instructions : int;
+  tasks_spawned : int;
+  tasks_committed : int;
+  instructions_committed : int;
+  tasks_discarded : int;
+  squashes : int;
+  squash_mismatch : int;
+  squash_task_failed : int;
+  squash_master_dead : int;
+  recovery_segments : int;
+  recovery_instructions : int;
+  sequential_bursts : int;
+  sequential_instructions : int;
+  faults_injected : int;
+  live_ins_checked : int;
+  live_outs_committed : int;
+  predict_hits : int;
+  predict_misses : int;
+  slave_busy_cycles : int;
+  task_sizes : int list;
+  live_in_counts : int list;
 }
-
-let fresh_stats () =
-  {
-    cycles = 0;
-    master_instructions = 0;
-    tasks_spawned = 0;
-    tasks_committed = 0;
-    instructions_committed = 0;
-    tasks_discarded = 0;
-    squashes = 0;
-    squash_mismatch = 0;
-    squash_task_failed = 0;
-    squash_master_dead = 0;
-    recovery_segments = 0;
-    recovery_instructions = 0;
-    sequential_bursts = 0;
-    sequential_instructions = 0;
-    faults_injected = 0;
-    live_ins_checked = 0;
-    live_outs_committed = 0;
-    predict_hits = 0;
-    predict_misses = 0;
-    slave_busy_cycles = 0;
-    task_sizes = [];
-    live_in_counts = [];
-  }
-
-(* Refine the machine's coarse squash taxonomy into the trace layer's
-   six-way one. [Trace.coarse] collapses it back; the round trip is what
-   lets the attribution fold reproduce the three stats counters. *)
-let trace_reason = function
-  | Live_in_mismatch -> Trace.Bad_prediction
-  | Task_failed Task.Budget_exhausted -> Trace.Fuel_exhausted
-  | Task_failed (Task.Fault f) ->
-    Trace.Task_fault (Format.asprintf "%a" Exec.pp_fault f)
-  | Task_failed (Task.Missing_cell c) -> Trace.Missing_cell (Cell.show c)
-  | Task_failed (Task.Io_speculative c) ->
-    Trace.Speculative_io (Cell.show c)
-  | Master_dead -> Trace.Master_dead
 
 type stop_reason =
   | Halted
@@ -142,7 +92,9 @@ type t = {
   cfg : Mssp_config.t;
   d : Distill.t;
   sim : Sim.t;
-  stats : stats;
+  summary : Trace.Summary.t;
+      (** the fold of every event this run emits: the source of every
+          [stats] field an event carries *)
   arch : Full.t;
       (** architected state, holding BOTH images: the original program
           (PC at its entry) and the distilled program (the master's code
@@ -153,11 +105,6 @@ type t = {
       (** the master's, the slaves' and recovery's decoder: pre-decoded
           images of both programs, checked against each fetched word *)
   entries : (int, unit) Hashtbl.t;  (** task entries: recovery stops here *)
-  tracing : bool;
-  emit : Trace.event -> unit;
-      (** every emission site is guarded by [if tracing then], so a
-          disabled run pays one predictable branch per would-be event
-          and never allocates one *)
   inj : Inject.t option;
       (** the fault plan's injector; [None] makes every fault site one
           predictable branch *)
@@ -167,6 +114,13 @@ type t = {
           first-reads; [None] with [Predict.Off] *)
   mutable stop : stop_reason option;  (** [None] while the machine runs *)
   mutable interrupt_countdown : int;
+  (* the counts no event carries *)
+  mutable cycles : int;  (** the clock at the stop *)
+  mutable master_instructions : int;
+  mutable sequential_instructions : int;
+  mutable faults_injected : int;  (** quiet plan actions emit no event *)
+  mutable task_sizes : int list;
+  mutable live_in_counts : int list;
   (* master *)
   master_cache : Hierarchy.t;  (** owns the shared L2 the slaves attach to *)
   mutable m_state : Full.t;
@@ -227,17 +181,12 @@ let create (cfg : Mssp_config.t) (d : Distill.t) =
   Full.set_pc m_state d.distilled.entry;
   let entries = Hashtbl.create 16 in
   List.iter (fun e -> Hashtbl.replace entries e ()) d.task_entries;
-  let tracing, emit =
-    match cfg.tracer with
-    | None -> (false, fun (_ : Trace.event) -> ())
-    | Some tr -> (true, Trace.emit tr)
-  in
   let rec m =
     {
       cfg;
       d;
       sim;
-      stats = fresh_stats ();
+      summary = Trace.Summary.create ();
       arch;
       shadow;
       violations = 0;
@@ -245,12 +194,16 @@ let create (cfg : Mssp_config.t) (d : Distill.t) =
         Program.image_decoder
           [ Program.decode_all d.distilled; Program.decode_all d.original ];
       entries;
-      tracing;
-      emit;
       inj = Option.map Inject.make cfg.faults;
       predictor;
       stop = None;
       interrupt_countdown = interrupt_stride;
+      cycles = 0;
+      master_instructions = 0;
+      sequential_instructions = 0;
+      faults_injected = 0;
+      task_sizes = [];
+      live_in_counts = [];
       master_cache;
       m_state;
       m_dirty = Fragment.empty;
@@ -279,7 +232,12 @@ let now m = Sim.now m.sim
 let halt m reason =
   m.stop <- Some reason;
   (* later-scheduled events are dead; the machine's time is now *)
-  m.stats.cycles <- now m
+  m.cycles <- now m
+
+(* Every event goes into the run's fold, then to the recording sinks. *)
+let emit m ev =
+  Trace.Summary.add m.summary ev;
+  match m.cfg.tracer with None -> () | Some tr -> Trace.emit tr ev
 
 (* Event guard: drop every event once the machine has stopped, stop on
    the cycle limit, and poll the cooperative cancellation hook. *)
@@ -315,9 +273,15 @@ let advance_shadow m k =
       m.violations <- m.violations + 1
 
 let fault_event m a surface task =
-  m.stats.faults_injected <- m.stats.faults_injected + 1;
-  if m.tracing && not a.Fplan.quiet then
-    m.emit (Trace.Fault { cycle = now m; surface; task })
+  m.faults_injected <- m.faults_injected + 1;
+  if not a.Fplan.quiet then emit m (Trace.Fault { cycle = now m; surface; task })
+
+(* why a failed task squashes, rendered once for its Verify and Squash *)
+let failure_reason = function
+  | Task.Budget_exhausted -> Trace.Fuel_exhausted
+  | Task.Fault f -> Trace.Task_fault (Format.asprintf "%a" Exec.pp_fault f)
+  | Task.Missing_cell c -> Trace.Missing_cell (Cell.show c)
+  | Task.Io_speculative c -> Trace.Speculative_io (Cell.show c)
 
 (* The event handlers of the four parts call and schedule one another,
    so they form one recursive group, in four sections. *)
@@ -370,7 +334,7 @@ and master_go m budget cost =
       let c =
         Exec.timed_exec m.master_cache ~on_store:m.m_store m.m_state ~pc instr
       in
-      m.stats.master_instructions <- m.stats.master_instructions + 1;
+      m.master_instructions <- m.master_instructions + 1;
       m.m_since_cp <- m.m_since_cp + 1;
       master_go m (budget - 1) (cost + m.cfg.timing.master_base + c)
   end
@@ -397,8 +361,7 @@ and master_live_in m e =
    reseeds it, and the last checkpoint's task runs to the program's end. *)
 and master_stop m cost =
   m.m_dead <- true;
-  if m.tracing then
-    m.emit (Trace.Master_stop { cycle = now m; pc = Full.pc m.m_state });
+  emit m (Trace.Master_stop { cycle = now m; pc = Full.pc m.m_state });
   Sim.schedule m.sim ~delay:cost (epoch_guarded m (fun () -> on_master_dead m))
 
 and on_master_dead m =
@@ -450,15 +413,11 @@ and spawn m e master_li =
     }
   in
   m.next_cp_id <- id + 1;
-  m.stats.tasks_spawned <- m.stats.tasks_spawned + 1;
-  if m.tracing then begin
-    m.emit (Trace.Fork { cycle = now m; task = id; entry = e });
-    (* the prediction as the slave will see it: post fault injection.
-       The fragment is persistent and shared with the checkpoint, so
-       this emission is O(1) — no per-binding rendering here *)
-    m.emit
-      (Trace.Predict { cycle = now m; task = id; live_in = cp.cp_live_in })
-  end;
+  emit m (Trace.Fork { cycle = now m; task = id; entry = e });
+  (* the prediction as the slave will see it: post fault injection. The
+     fragment is persistent and shared with the checkpoint, so this
+     emission is O(1) — no per-binding rendering here *)
+  emit m (Trace.Predict { cycle = now m; task = id; live_in = cp.cp_live_in });
   Queue.add cp m.window;
   m.last_cp <- Some cp;
   try_start_tasks m
@@ -527,24 +486,21 @@ and start_task m cp s =
   in
   cp.cp_task <- Some task;
   let cost = run_task_body m s task in
-  if m.tracing then
-    m.emit (Trace.Slave_start { cycle = now m; task = cp.cp_id; slave = s });
+  emit m (Trace.Slave_start { cycle = now m; task = cp.cp_id; slave = s });
   let t = m.cfg.timing in
   let total = t.spawn_latency + (t.slave_base * task.Task.executed) + cost in
-  m.stats.slave_busy_cycles <- m.stats.slave_busy_cycles + total;
   Sim.schedule m.sim ~delay:total
     (epoch_guarded m (fun () ->
          cp.cp_finished <- true;
-         if m.tracing then
-           m.emit
-             (Trace.Slave_finish
-                {
-                  cycle = now m;
-                  task = cp.cp_id;
-                  slave = s;
-                  executed = task.Task.executed;
-                  ok = completed task;
-                });
+         emit m
+           (Trace.Slave_finish
+              {
+                cycle = now m;
+                task = cp.cp_id;
+                slave = s;
+                executed = task.Task.executed;
+                ok = completed task;
+              });
          m.slave_free.(s) <- true;
          try_start_tasks m;
          commit_kick m))
@@ -575,40 +531,29 @@ and commit_kick m =
 and commit_head m =
   if not m.commit_busy then
     match Queue.peek_opt m.window with
-    | None -> if m.m_dead then start_squash m Master_dead
+    | None -> if m.m_dead then start_squash m Trace.Master_dead
     | Some cp when cp.cp_finished -> verify m cp (Option.get cp.cp_task)
     | Some _ -> ()
 
 and verify m cp task =
-  let n_live_ins = Task.live_in_size task in
-  m.stats.live_ins_checked <- m.stats.live_ins_checked + n_live_ins;
-  let completed = completed task in
-  let consistent = completed && Task.live_ins_consistent task m.arch in
-  if m.tracing then begin
-    let outcome =
-      if consistent then Trace.Pass
-      else if completed then
-        match Task.first_inconsistent task m.arch with
-        | Some (c, predicted, actual) ->
-          Trace.Mismatch { cell = Cell.show c; predicted; actual }
-        | None -> assert false (* inconsistent => a witness exists *)
-      else
-        match task.Task.status with
-        | Task.Failed r -> Trace.Incomplete (trace_reason (Task_failed r))
-        | Task.Running | Task.Complete _ -> assert false
-    in
-    m.emit
-      (Trace.Verify
-         { cycle = now m; task = cp.cp_id; live_ins = n_live_ins; outcome })
-  end;
+  let live_ins = Task.live_in_size task in
+  let outcome =
+    match task.Task.status with
+    | Task.Complete _ when Task.live_ins_consistent task m.arch -> Trace.Pass
+    | Task.Complete _ -> (
+      match Task.first_inconsistent task m.arch with
+      | Some (c, predicted, actual) ->
+        Trace.Mismatch { cell = Cell.show c; predicted; actual }
+      | None -> assert false (* inconsistent => a witness exists *))
+    | Task.Failed r -> Trace.Incomplete (failure_reason r)
+    | Task.Running -> assert false
+  in
+  emit m (Trace.Verify { cycle = now m; task = cp.cp_id; live_ins; outcome });
   (match m.predictor with None -> () | Some p -> attribute m p cp task);
-  if consistent then commit m cp task n_live_ins
-  else
-    start_squash m ~task:cp.cp_id
-      (match task.Task.status with
-      | Task.Complete _ -> Live_in_mismatch
-      | Task.Failed r -> Task_failed r
-      | Task.Running -> assert false)
+  match outcome with
+  | Trace.Pass -> commit m cp task live_ins
+  | Trace.Mismatch _ -> start_squash m ~task:cp.cp_id Trace.Bad_prediction
+  | Trace.Incomplete r -> start_squash m ~task:cp.cp_id r
 
 (* Value-prediction attribution and online training: every recorded
    first-read is one per-cell prediction; its actual value is what
@@ -630,12 +575,9 @@ and attribute m p cp task =
         Predict.observe p c actual;
         if v = actual then incr hits else incr misses)
     task;
-  m.stats.predict_hits <- m.stats.predict_hits + !hits;
-  m.stats.predict_misses <- m.stats.predict_misses + !misses;
-  if m.tracing then
-    m.emit
-      (Trace.Predict_outcome
-         { cycle = now m; task = cp.cp_id; hits = !hits; misses = !misses })
+  emit m
+    (Trace.Predict_outcome
+       { cycle = now m; task = cp.cp_id; hits = !hits; misses = !misses })
 
 and commit m cp task n_live_ins =
   (* the memoization hit: superimpose the live-outs *)
@@ -645,21 +587,16 @@ and commit m cp task n_live_ins =
   let n_outs = Task.live_out_size task in
   let executed = task.Task.executed in
   m.fruitless_squashes <- 0;
-  if m.tracing then
-    m.emit
-      (Trace.Commit
-         {
-           cycle = now m;
-           task = cp.cp_id;
-           instructions = executed;
-           live_outs = n_outs;
-         });
-  let s = m.stats in
-  s.tasks_committed <- s.tasks_committed + 1;
-  s.instructions_committed <- s.instructions_committed + executed;
-  s.live_outs_committed <- s.live_outs_committed + n_outs;
-  s.task_sizes <- executed :: s.task_sizes;
-  s.live_in_counts <- n_live_ins :: s.live_in_counts;
+  emit m
+    (Trace.Commit
+       {
+         cycle = now m;
+         task = cp.cp_id;
+         instructions = executed;
+         live_outs = n_outs;
+       });
+  m.task_sizes <- executed :: m.task_sizes;
+  m.live_in_counts <- n_live_ins :: m.live_in_counts;
   advance_shadow m executed;
   match task.Task.status with
   | Task.Complete Task.Program_halted -> halt m Halted
@@ -709,26 +646,12 @@ and wake_master m =
 (* --- squash and recovery ----------------------------------------- *)
 
 and start_squash ?task m reason =
-  let s = m.stats in
-  s.squashes <- s.squashes + 1;
-  (match reason with
-  | Live_in_mismatch -> s.squash_mismatch <- s.squash_mismatch + 1
-  | Task_failed _ -> s.squash_task_failed <- s.squash_task_failed + 1
-  | Master_dead -> s.squash_master_dead <- s.squash_master_dead + 1);
-  (* the Squash event and the discarded count ride with the stats bump,
-     not with the recovery: even a squash that trips [max_squashes] (and
-     therefore never recovers) throws its window away *)
-  s.tasks_discarded <- s.tasks_discarded + Queue.length m.window;
-  if m.tracing then
-    m.emit
-      (Trace.Squash
-         {
-           cycle = now m;
-           task;
-           reason = trace_reason reason;
-           discarded = Queue.length m.window;
-         });
-  if s.squashes > m.cfg.max_squashes then halt m Squash_limit
+  (* the Squash event carries the window it throws away, even when the
+     squash trips [max_squashes] and therefore never recovers *)
+  emit m
+    (Trace.Squash
+       { cycle = now m; task; reason; discarded = Queue.length m.window });
+  if m.summary.squashes > m.cfg.max_squashes then halt m Squash_limit
   else start_recovery m
 
 and start_recovery m =
@@ -748,7 +671,7 @@ and start_recovery m =
         (epoch_guarded m (fun () -> start_recovery m))
     | Some dpc ->
       reseed m dpc;
-      if m.tracing then m.emit (Trace.Restart { cycle = now m; pc = dpc });
+      emit m (Trace.Restart { cycle = now m; pc = dpc });
       Sim.schedule m.sim
         ~delay:(cycles + m.cfg.timing.restart_latency)
         (epoch_guarded m (fun () -> master_run m)))
@@ -773,13 +696,11 @@ and discard m =
    the machine's "revert to normal execution" escape hatch. Returns the
    segment's outcome and cycles. *)
 and recovery_segment m =
-  let cfg = m.cfg and s = m.stats in
+  let cfg = m.cfg in
   m.fruitless_squashes <- m.fruitless_squashes + 1;
   let min_steps =
-    if cfg.dual_mode && m.fruitless_squashes >= cfg.dual_trigger then begin
-      s.sequential_bursts <- s.sequential_bursts + 1;
+    if cfg.dual_mode && m.fruitless_squashes >= cfg.dual_trigger then
       cfg.dual_burst
-    end
     else 0
   in
   let from_pc = Full.pc m.arch in
@@ -789,21 +710,18 @@ and recovery_segment m =
       ~at:(Hashtbl.mem m.entries)
   in
   let steps = sm.Seq_machine.instructions in
-  s.recovery_segments <- s.recovery_segments + 1;
-  s.recovery_instructions <- s.recovery_instructions + steps;
-  s.sequential_instructions <- s.sequential_instructions + min steps min_steps;
-  if m.tracing then
-    m.emit
-      (Trace.Recovery
-         {
-           cycle = now m;
-           instructions = steps;
-           from_pc;
-           to_pc = Full.pc m.arch;
-           loads = sm.Seq_machine.loads;
-           stores = sm.Seq_machine.stores;
-           burst = min_steps > 0;
-         });
+  m.sequential_instructions <- m.sequential_instructions + min steps min_steps;
+  emit m
+    (Trace.Recovery
+       {
+         cycle = now m;
+         instructions = steps;
+         from_pc;
+         to_pc = Full.pc m.arch;
+         loads = sm.Seq_machine.loads;
+         stores = sm.Seq_machine.stores;
+         burst = min_steps > 0;
+       });
   advance_shadow m steps;
   (outcome, steps * (cfg.timing.slave_base + cfg.timing.recovery_per_instr))
 
@@ -815,9 +733,9 @@ and reseed m dpc =
   Hashtbl.reset m.m_passes;
   Full.set_pc m.m_state dpc
 
-(* Settle the stop reason, then emit the end-of-run counter samples and
+(* Settle the stop reason, emit the end-of-run counter samples and
    exactly one Halt — every run, whatever the stop reason, closes its
-   stream the same way. *)
+   stream the same way — then read the stats off the closed fold. *)
 let close m (outcome : Sim.outcome) =
   (* a queue that drained before the machine stopped means it wedged:
      report it rather than masquerade as a clean halt *)
@@ -825,35 +743,60 @@ let close m (outcome : Sim.outcome) =
     halt m
       (match outcome with Sim.Drained -> Wedged | Sim.Hit_limit -> Cycle_limit);
   let stop = Option.get m.stop in
-  if m.tracing then begin
-    let cycle = m.stats.cycles in
-    let slave_l1 =
-      Array.fold_left
-        (fun (a, n) h ->
-          let s = Hierarchy.l1_stats h in
-          (a + s.Mssp_cache.Cache.accesses, n + s.Mssp_cache.Cache.misses))
-        (0, 0) m.slave_caches
-    in
-    let master_l1 = Hierarchy.l1_stats m.master_cache in
-    let l2 = Hierarchy.l2_stats m.master_cache in
-    List.iter
-      (fun (name, value) -> m.emit (Trace.Counter { cycle; name; value }))
-      [
-        ("cache.master_l1_accesses", master_l1.Mssp_cache.Cache.accesses);
-        ("cache.master_l1_misses", master_l1.Mssp_cache.Cache.misses);
-        ("cache.slaves_l1_accesses", fst slave_l1);
-        ("cache.slaves_l1_misses", snd slave_l1);
-        ("cache.shared_l2_accesses", l2.Mssp_cache.Cache.accesses);
-        ("cache.shared_l2_misses", l2.Mssp_cache.Cache.misses);
-        ("mem.arch_live_pages", Full.live_pages m.arch);
-        ("mem.arch_overflow_words", Full.overflow_words m.arch);
-        ("sim.events_scheduled", Sim.scheduled m.sim);
-        ("sim.events_executed", Sim.executed m.sim);
-        ("sim.epochs", Sim.epoch m.sim);
-      ];
-    m.emit (Trace.Halt { cycle; stop = stop_string stop })
-  end;
-  { arch = m.arch; stop; stats = m.stats; refinement_violations = m.violations }
+  let cycle = m.cycles in
+  let slave_l1 =
+    Array.fold_left
+      (fun (a, n) h ->
+        let s = Hierarchy.l1_stats h in
+        (a + s.Mssp_cache.Cache.accesses, n + s.Mssp_cache.Cache.misses))
+      (0, 0) m.slave_caches
+  in
+  let master_l1 = Hierarchy.l1_stats m.master_cache in
+  let l2 = Hierarchy.l2_stats m.master_cache in
+  List.iter
+    (fun (name, value) -> emit m (Trace.Counter { cycle; name; value }))
+    [
+      ("cache.master_l1_accesses", master_l1.Mssp_cache.Cache.accesses);
+      ("cache.master_l1_misses", master_l1.Mssp_cache.Cache.misses);
+      ("cache.slaves_l1_accesses", fst slave_l1);
+      ("cache.slaves_l1_misses", snd slave_l1);
+      ("cache.shared_l2_accesses", l2.Mssp_cache.Cache.accesses);
+      ("cache.shared_l2_misses", l2.Mssp_cache.Cache.misses);
+      ("mem.arch_live_pages", Full.live_pages m.arch);
+      ("mem.arch_overflow_words", Full.overflow_words m.arch);
+      ("sim.events_scheduled", Sim.scheduled m.sim);
+      ("sim.events_executed", Sim.executed m.sim);
+      ("sim.epochs", Sim.epoch m.sim);
+    ];
+  emit m (Trace.Halt { cycle; stop = stop_string stop });
+  let f = m.summary in
+  let stats =
+    {
+      cycles = m.cycles;
+      master_instructions = m.master_instructions;
+      tasks_spawned = f.forks;
+      tasks_committed = f.commits;
+      instructions_committed = f.committed_instructions;
+      tasks_discarded = f.discarded;
+      squashes = f.squashes;
+      squash_mismatch = Trace.Summary.squash_mismatch f;
+      squash_task_failed = Trace.Summary.squash_task_failed f;
+      squash_master_dead = Trace.Summary.squash_master_dead f;
+      recovery_segments = f.recoveries;
+      recovery_instructions = f.recovery_instructions;
+      sequential_bursts = f.bursts;
+      sequential_instructions = m.sequential_instructions;
+      faults_injected = m.faults_injected;
+      live_ins_checked = f.live_ins_checked;
+      live_outs_committed = f.committed_live_outs;
+      predict_hits = f.predict_hits;
+      predict_misses = f.predict_misses;
+      slave_busy_cycles = f.slave_busy_cycles;
+      task_sizes = m.task_sizes;
+      live_in_counts = m.live_in_counts;
+    }
+  in
+  { arch = m.arch; stop; stats; refinement_violations = m.violations }
 
 let run ?(config = Mssp_config.default) d =
   let m = create config d in
@@ -880,7 +823,7 @@ let slave_occupancy (r : result) ~config =
   if total = 0 then 0.0
   else float_of_int r.stats.slave_busy_cycles /. float_of_int total
 
-let pp_stats fmt s =
+let pp_stats fmt (s : stats) =
   Format.fprintf fmt
     "@[<v>cycles: %d@,\
      master instructions: %d@,\

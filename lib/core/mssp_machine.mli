@@ -24,34 +24,41 @@
     (shared L2) access, verification/commit serialization, and squash/
     restart penalties. *)
 
+(** The run's aggregates, built once when the run ends. [cycles],
+    [master_instructions], [sequential_instructions], [faults_injected],
+    [task_sizes] and [live_in_counts] are the machine's own counts: no
+    event carries them. Every other field is read off the fold of the
+    run's event stream ({!Mssp_trace.Trace.Summary}), so a recorded
+    stream reproduces it exactly. *)
 type stats = {
-  mutable cycles : int;
-  mutable master_instructions : int;
-  mutable tasks_spawned : int;
-  mutable tasks_committed : int;
-  mutable instructions_committed : int;  (** via committed tasks *)
-  mutable tasks_discarded : int;  (** in-flight work lost to squashes *)
-  mutable squashes : int;
-  mutable squash_mismatch : int;
-  mutable squash_task_failed : int;
-  mutable squash_master_dead : int;
-  mutable recovery_segments : int;
-  mutable recovery_instructions : int;  (** non-speculative instructions *)
-  mutable sequential_bursts : int;  (** dual-mode fallback episodes *)
-  mutable sequential_instructions : int;
+  cycles : int;  (** the clock at the stop; the [Halt] event's cycle *)
+  master_instructions : int;
+  tasks_spawned : int;
+  tasks_committed : int;
+  instructions_committed : int;  (** via committed tasks *)
+  tasks_discarded : int;  (** in-flight work lost to squashes *)
+  squashes : int;
+  squash_mismatch : int;
+  squash_task_failed : int;
+  squash_master_dead : int;
+  recovery_segments : int;
+  recovery_instructions : int;  (** non-speculative instructions *)
+  sequential_bursts : int;  (** dual-mode fallback episodes *)
+  sequential_instructions : int;
       (** instructions retired inside dual-mode bursts (subset of
           [recovery_instructions]) *)
-  mutable faults_injected : int;
-      (** fault-plan actions that fired (all surfaces) *)
-  mutable live_ins_checked : int;
-  mutable live_outs_committed : int;
-  mutable predict_hits : int;
+  faults_injected : int;  (** fault-plan actions fired, quiet ones included *)
+  live_ins_checked : int;
+  live_outs_committed : int;
+  predict_hits : int;
       (** recorded first-reads that matched architected state at
           verification, over examined head tasks (predictor enabled) *)
-  mutable predict_misses : int;
-  mutable slave_busy_cycles : int;
-  mutable task_sizes : int list;  (** committed task lengths *)
-  mutable live_in_counts : int list;  (** recorded live-ins per committed task *)
+  predict_misses : int;
+  slave_busy_cycles : int;
+      (** slave time from each task's start to its finish, cut short at
+          the squash that discards it or at the stop *)
+  task_sizes : int list;  (** committed task lengths *)
+  live_in_counts : int list;  (** recorded live-ins per committed task *)
 }
 
 type stop_reason =
@@ -91,14 +98,15 @@ val run :
     the program halts (or a safety limit trips). Architected state starts
     as the freshly loaded program image.
 
-    With [config.tracer = Some t], the run emits the structured event
-    stream of {!Mssp_trace.Trace} into [t]: [Fork]/[Predict] per
-    checkpoint, [Slave_start]/[Slave_finish] per task execution,
-    [Verify] (with pass/mismatch-witness/incomplete outcome) and
-    [Commit] or [Squash] per head task, [Recovery]/[Restart] per squash,
-    end-of-run [Counter] samples (cache, memory image, sim kernel), and
-    exactly one final [Halt]. With [tracer = None] the simulation is
-    bit-identical and pays one branch per would-be event. *)
+    Every run builds the structured event stream of {!Mssp_trace.Trace}:
+    [Fork]/[Predict] per checkpoint, [Slave_start]/[Slave_finish] per
+    task execution, [Verify] (with pass/mismatch-witness/incomplete
+    outcome) and [Commit] or [Squash] per head task,
+    [Recovery]/[Restart] per squash, end-of-run [Counter] samples
+    (cache, memory image, sim kernel), and exactly one final [Halt].
+    Each event goes into the run's own fold, which {!stats} is read
+    from, and, with [config.tracer = Some t], to [t]'s sinks too; a
+    tracer only records, it changes nothing about the run. *)
 
 val total_committed : result -> int
 (** Instructions retired into architected state: committed-task

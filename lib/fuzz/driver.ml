@@ -1,5 +1,6 @@
 module Wl_util = Mssp_workload.Wl_util
 module Fplan = Mssp_faults.Plan
+module Summary = Mssp_trace.Trace.Summary
 
 type finding = {
   program_seed : int;
@@ -17,6 +18,14 @@ type report = {
   runs : int;
   findings : finding list;
 }
+
+(* a traced run's squash attribution, for repro comments and artifacts *)
+let attribution (s : Summary.t) =
+  Printf.sprintf
+    "%d committed, %d squashed (bad-prediction %d, task-failed %d, \
+     master-dead %d)"
+    s.commits s.squashes (Summary.squash_mismatch s)
+    (Summary.squash_task_failed s) (Summary.squash_master_dead s)
 
 (* On a distill-grid failure, dump the checked pipeline's diffable
    artifacts (per-pass disassembly diff + pipeline.json) for every
@@ -76,21 +85,12 @@ let dump_predict_artifacts ?fuel ~log shrunk grid failures =
         match Oracle.trace_failure ?fuel ~grid:[ pt ] shrunk with
         | None -> ()
         | Some (_, events, fails) ->
-          let s = Mssp_trace.Trace.Summary.of_events events in
+          let s = Summary.of_events events in
           let txt =
             String.concat "\n"
               (Printf.sprintf "point: %s" pt.Oracle.name
-               :: Printf.sprintf
-                    "trace: %d committed, %d squashed (bad-prediction %d, \
-                     task-failed %d, master-dead %d), predict %d hits / %d \
-                     misses"
-                    s.Mssp_trace.Trace.Summary.commits
-                    s.Mssp_trace.Trace.Summary.squashes
-                    (Mssp_trace.Trace.Summary.squash_mismatch s)
-                    (Mssp_trace.Trace.Summary.squash_task_failed s)
-                    (Mssp_trace.Trace.Summary.squash_master_dead s)
-                    s.Mssp_trace.Trace.Summary.predict_hits
-                    s.Mssp_trace.Trace.Summary.predict_misses
+               :: Printf.sprintf "trace: %s, predict %d hits / %d misses"
+                    (attribution s) s.predict_hits s.predict_misses
                :: List.map
                     (fun (f : Oracle.failure) ->
                       Printf.sprintf "failure: %s" f.Oracle.reason)
@@ -211,16 +211,9 @@ let run_serial ?grid ?fuel ?weights ~faults ~distill ~predict ~size
               match traced with
               | None -> []
               | Some (tpoint, events, _) ->
-                let s = Mssp_trace.Trace.Summary.of_events events in
                 [
-                  Printf.sprintf
-                    "trace [%s]: %d committed, %d squashed (bad-prediction \
-                     %d, task-failed %d, master-dead %d)"
-                    tpoint s.Mssp_trace.Trace.Summary.commits
-                    s.Mssp_trace.Trace.Summary.squashes
-                    (Mssp_trace.Trace.Summary.squash_mismatch s)
-                    (Mssp_trace.Trace.Summary.squash_task_failed s)
-                    (Mssp_trace.Trace.Summary.squash_master_dead s);
+                  Printf.sprintf "trace [%s]: %s" tpoint
+                    (attribution (Summary.of_events events));
                 ]
             in
             let comment =

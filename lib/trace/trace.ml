@@ -15,12 +15,6 @@ type squash_reason =
   | Speculative_io of string
   | Master_dead
 
-let coarse = function
-  | Bad_prediction -> `Bad_prediction
-  | Fuel_exhausted | Task_fault _ | Missing_cell _ | Speculative_io _ ->
-    `Task_failed
-  | Master_dead -> `Master_dead
-
 let pp_squash_reason fmt = function
   | Bad_prediction -> Format.pp_print_string fmt "bad-prediction"
   | Fuel_exhausted -> Format.pp_print_string fmt "fuel-exhausted"
@@ -500,131 +494,128 @@ let pp_diff fmt (i, expected, actual) =
 
 module Summary = struct
   type t = {
-    forks : int;
-    slave_starts : int;
-    slave_finishes : int;
-    verifies : int;
-    commits : int;
-    committed_instructions : int;
-    committed_live_outs : int;
-    live_ins_checked : int;
-    predicted_bindings : int;
-    predict_hits : int;
-    predict_misses : int;
-    squashes : int;
-    discarded : int;
-    bad_prediction : int;
-    fuel_exhausted : int;
-    task_fault : int;
-    missing_cell : int;
-    speculative_io : int;
-    master_dead : int;
-    recoveries : int;
-    recovery_instructions : int;
-    recovery_loads : int;
-    recovery_stores : int;
-    bursts : int;
-    restarts : int;
-    master_stops : int;
-    faults : int;
-    counters : (string * int) list;
-    halt : string option;
-    last_cycle : int;
+    mutable forks : int;
+    mutable slave_starts : int;
+    mutable slave_finishes : int;
+    mutable slave_busy_cycles : int;
+    mutable busy_since : int array;
+    mutable verifies : int;
+    mutable commits : int;
+    mutable committed_instructions : int;
+    mutable committed_live_outs : int;
+    mutable live_ins_checked : int;
+    mutable predicted_bindings : int;
+    mutable predict_hits : int;
+    mutable predict_misses : int;
+    mutable squashes : int;
+    mutable discarded : int;
+    mutable bad_prediction : int;
+    mutable fuel_exhausted : int;
+    mutable task_fault : int;
+    mutable missing_cell : int;
+    mutable speculative_io : int;
+    mutable master_dead : int;
+    mutable recoveries : int;
+    mutable recovery_instructions : int;
+    mutable recovery_loads : int;
+    mutable recovery_stores : int;
+    mutable bursts : int;
+    mutable restarts : int;
+    mutable master_stops : int;
+    mutable faults : int;
+    mutable counters : (string * int) list;
+    mutable halt : string option;
+    mutable last_cycle : int;
   }
 
-  let empty =
-    {
-      forks = 0;
-      slave_starts = 0;
-      slave_finishes = 0;
-      verifies = 0;
-      commits = 0;
-      committed_instructions = 0;
-      committed_live_outs = 0;
-      live_ins_checked = 0;
-      predicted_bindings = 0;
-      predict_hits = 0;
-      predict_misses = 0;
-      squashes = 0;
-      discarded = 0;
-      bad_prediction = 0;
-      fuel_exhausted = 0;
-      task_fault = 0;
-      missing_cell = 0;
-      speculative_io = 0;
-      master_dead = 0;
-      recoveries = 0;
-      recovery_instructions = 0;
-      recovery_loads = 0;
-      recovery_stores = 0;
-      bursts = 0;
-      restarts = 0;
-      master_stops = 0;
-      faults = 0;
-      counters = [];
-      halt = None;
-      last_cycle = 0;
-    }
+  let create () =
+    { forks = 0; slave_starts = 0; slave_finishes = 0; slave_busy_cycles = 0;
+      busy_since = [||]; verifies = 0; commits = 0; committed_instructions = 0;
+      committed_live_outs = 0; live_ins_checked = 0; predicted_bindings = 0;
+      predict_hits = 0; predict_misses = 0; squashes = 0; discarded = 0;
+      bad_prediction = 0; fuel_exhausted = 0; task_fault = 0;
+      missing_cell = 0; speculative_io = 0; master_dead = 0; recoveries = 0;
+      recovery_instructions = 0; recovery_loads = 0; recovery_stores = 0;
+      bursts = 0; restarts = 0; master_stops = 0; faults = 0; counters = [];
+      halt = None; last_cycle = 0 }
+
+  (* [busy_since.(s)] is the cycle slave [s] started its running task,
+     or -1 while it is idle. A [Slave_finish] closes its slave's
+     interval; a [Squash] or the [Halt] closes every open one at its
+     cycle, as the Chrome exporter ends its slices. *)
+  let close_busy s cycle slave =
+    let since = s.busy_since.(slave) in
+    if since >= 0 then begin
+      s.slave_busy_cycles <- s.slave_busy_cycles + cycle - since;
+      s.busy_since.(slave) <- -1
+    end
+
+  let close_all_busy s cycle =
+    for slave = 0 to Array.length s.busy_since - 1 do
+      close_busy s cycle slave
+    done
+
+  let open_busy s cycle slave =
+    let old = s.busy_since in
+    if slave >= Array.length old then
+      s.busy_since <-
+        Array.init (2 * slave + 1) (fun i ->
+            if i < Array.length old then old.(i) else -1);
+    s.busy_since.(slave) <- cycle
+
+  let add s ev =
+    let cycle = event_cycle ev in
+    if cycle > s.last_cycle then s.last_cycle <- cycle;
+    match ev with
+    | Fork _ -> s.forks <- s.forks + 1
+    | Predict { live_in; _ } ->
+      s.predicted_bindings <- s.predicted_bindings + Fragment.cardinal live_in
+    | Predict_outcome { hits; misses; _ } ->
+      s.predict_hits <- s.predict_hits + hits;
+      s.predict_misses <- s.predict_misses + misses
+    | Slave_start { slave; _ } ->
+      s.slave_starts <- s.slave_starts + 1;
+      open_busy s cycle slave
+    | Slave_finish { slave; _ } ->
+      s.slave_finishes <- s.slave_finishes + 1;
+      if slave < Array.length s.busy_since then close_busy s cycle slave
+    | Verify { live_ins; _ } ->
+      s.verifies <- s.verifies + 1;
+      s.live_ins_checked <- s.live_ins_checked + live_ins
+    | Commit { instructions; live_outs; _ } ->
+      s.commits <- s.commits + 1;
+      s.committed_instructions <- s.committed_instructions + instructions;
+      s.committed_live_outs <- s.committed_live_outs + live_outs
+    | Squash { reason; discarded; _ } -> (
+      close_all_busy s cycle;
+      s.squashes <- s.squashes + 1;
+      s.discarded <- s.discarded + discarded;
+      match reason with
+      | Bad_prediction -> s.bad_prediction <- s.bad_prediction + 1
+      | Fuel_exhausted -> s.fuel_exhausted <- s.fuel_exhausted + 1
+      | Task_fault _ -> s.task_fault <- s.task_fault + 1
+      | Missing_cell _ -> s.missing_cell <- s.missing_cell + 1
+      | Speculative_io _ -> s.speculative_io <- s.speculative_io + 1
+      | Master_dead -> s.master_dead <- s.master_dead + 1)
+    | Recovery { instructions; loads; stores; burst; _ } ->
+      s.recoveries <- s.recoveries + 1;
+      s.recovery_instructions <- s.recovery_instructions + instructions;
+      s.recovery_loads <- s.recovery_loads + loads;
+      s.recovery_stores <- s.recovery_stores + stores;
+      if burst then s.bursts <- s.bursts + 1
+    | Restart _ -> s.restarts <- s.restarts + 1
+    | Master_stop _ -> s.master_stops <- s.master_stops + 1
+    | Fault _ -> s.faults <- s.faults + 1
+    | Counter { name; value; _ } ->
+      s.counters <- List.remove_assoc name s.counters @ [ (name, value) ]
+    | Halt { stop; _ } ->
+      close_all_busy s cycle;
+      s.halt <- Some stop
 
   let of_events events =
-    let step s ev =
-      let s = { s with last_cycle = max s.last_cycle (event_cycle ev) } in
-      match ev with
-      | Fork _ -> { s with forks = s.forks + 1 }
-      | Predict { live_in; _ } ->
-        {
-          s with
-          predicted_bindings = s.predicted_bindings + Fragment.cardinal live_in;
-        }
-      | Predict_outcome { hits; misses; _ } ->
-        {
-          s with
-          predict_hits = s.predict_hits + hits;
-          predict_misses = s.predict_misses + misses;
-        }
-      | Slave_start _ -> { s with slave_starts = s.slave_starts + 1 }
-      | Slave_finish _ -> { s with slave_finishes = s.slave_finishes + 1 }
-      | Verify { live_ins; _ } ->
-        {
-          s with
-          verifies = s.verifies + 1;
-          live_ins_checked = s.live_ins_checked + live_ins;
-        }
-      | Commit { instructions; live_outs; _ } ->
-        {
-          s with
-          commits = s.commits + 1;
-          committed_instructions = s.committed_instructions + instructions;
-          committed_live_outs = s.committed_live_outs + live_outs;
-        }
-      | Squash { reason; discarded; _ } ->
-        let s =
-          { s with squashes = s.squashes + 1; discarded = s.discarded + discarded }
-        in
-        (match reason with
-        | Bad_prediction -> { s with bad_prediction = s.bad_prediction + 1 }
-        | Fuel_exhausted -> { s with fuel_exhausted = s.fuel_exhausted + 1 }
-        | Task_fault _ -> { s with task_fault = s.task_fault + 1 }
-        | Missing_cell _ -> { s with missing_cell = s.missing_cell + 1 }
-        | Speculative_io _ -> { s with speculative_io = s.speculative_io + 1 }
-        | Master_dead -> { s with master_dead = s.master_dead + 1 })
-      | Recovery { instructions; loads; stores; burst; _ } ->
-        {
-          s with
-          recoveries = s.recoveries + 1;
-          recovery_instructions = s.recovery_instructions + instructions;
-          recovery_loads = s.recovery_loads + loads;
-          recovery_stores = s.recovery_stores + stores;
-          bursts = (s.bursts + if burst then 1 else 0);
-        }
-      | Restart _ -> { s with restarts = s.restarts + 1 }
-      | Master_stop _ -> { s with master_stops = s.master_stops + 1 }
-      | Fault _ -> { s with faults = s.faults + 1 }
-      | Counter { name; value; _ } ->
-        { s with counters = (List.remove_assoc name s.counters) @ [ (name, value) ] }
-      | Halt { stop; _ } -> { s with halt = Some stop }
-    in
-    List.fold_left step empty events
+    let s = create () in
+    List.iter (add s) events;
+    s
 
   let squash_mismatch s = s.bad_prediction
 
@@ -639,6 +630,7 @@ module Summary = struct
       [ "tasks_forked"; i s.forks ];
       [ "slave_starts"; i s.slave_starts ];
       [ "slave_finishes"; i s.slave_finishes ];
+      [ "slave_busy_cycles"; i s.slave_busy_cycles ];
       [ "verifies"; i s.verifies ];
       [ "tasks_committed"; i s.commits ];
       [ "instructions_committed"; i s.committed_instructions ];

@@ -1,26 +1,27 @@
-(** Structured simulator tracing: the zero-cost-when-disabled event bus.
+(** Structured simulator tracing: the machine's event stream and its
+    one fold.
 
     The machine core emits one {!event} per lifecycle step of every
     speculative task (fork, live-in prediction, slave start/finish,
     verify outcome, commit, squash with a typed reason, recovery,
-    restart) plus end-of-run counters. A tracer is a bag of sinks; with
-    the tracer disabled ([Mssp_config.tracer = None]) the emission sites
-    in the core compile to a single branch — no event is even
-    allocated.
+    restart) plus end-of-run counters. It builds every event on every
+    run and adds it to its own {!Summary}, which is where the machine's
+    stats come from; a tracer ([Mssp_config.tracer = Some t]) is a bag
+    of recording sinks that receives the same events besides.
 
-    Everything downstream is a fold over the stream: {!Summary} rebuilds
-    the machine's aggregate stats (squash attribution included) from
-    events alone, {!to_jsonl}/{!of_jsonl} round-trip the stream through
-    the on-disk format the golden tests pin down, and {!Chrome} exports
-    an [about://tracing] / Perfetto-loadable timeline.
+    Everything downstream is a fold over the stream: {!Summary} is the
+    machine's aggregate stats (squash attribution included) rebuilt
+    from events alone, {!to_jsonl}/{!of_jsonl} round-trip the stream
+    through the on-disk format the golden tests pin down, and {!Chrome}
+    exports an [about://tracing] / Perfetto-loadable timeline.
 
     This library sits below the machine core. Events are plain data,
     with one deliberate exception: {!event.Predict} carries the
     checkpoint's live-in {!Mssp_state.Fragment.t} by reference. The
-    fragment is persistent and already allocated by the machine whether
-    or not tracing is on, so the emission site stays O(1) — rendering
-    cells to strings happens only in the sinks and serializers (use
-    {!event_equal}, not [( = )], to compare events). *)
+    fragment is persistent and already allocated by the machine, so the
+    emission site stays O(1) — rendering cells to strings happens only
+    in the sinks and serializers (use {!event_equal}, not [( = )], to
+    compare events). *)
 
 (* --- vocabulary ------------------------------------------------------ *)
 
@@ -36,12 +37,6 @@ type squash_reason =
   | Master_dead
       (** the distilled program halted/faulted/ran away with the window
           empty — nothing to verify, restart via recovery *)
-
-val coarse :
-  squash_reason -> [ `Bad_prediction | `Task_failed | `Master_dead ]
-(** Collapse the six-way trace taxonomy onto the machine's three stats
-    counters ([squash_mismatch] / [squash_task_failed] /
-    [squash_master_dead]). *)
 
 val pp_squash_reason : Format.formatter -> squash_reason -> unit
 
@@ -133,9 +128,8 @@ val create : unit -> t
 val attach : t -> sink -> unit
 
 val emit : t -> event -> unit
-(** Deliver to every sink, in attach order. The machine core guards each
-    call site with [if tracing then ...], so disabled runs never build
-    the event. *)
+(** Deliver to every sink, in attach order. The machine calls it for
+    each event after adding the event to its own {!Summary}. *)
 
 val recording : unit -> t * (unit -> event list)
 (** A tracer with an unbounded in-memory collector attached; the thunk
@@ -183,50 +177,63 @@ val pp_diff : Format.formatter -> int * event option * event option -> unit
 (* --- aggregate fold -------------------------------------------------- *)
 
 module Summary : sig
-  (** The attribution fold: rebuild run aggregates from the stream alone.
-      [test_trace.ml] pins this against the machine's own stats — squash
-      attribution must be derivable from events, with no side channel. *)
+  (** The attribution fold: run aggregates rebuilt from the stream
+      alone, one event at a time. The machine keeps one accumulator per
+      run, adds every event it emits, and reads its stats from it
+      ([Mssp_core.Mssp_machine.stats]); {!of_events} runs the same fold
+      over a recorded or re-parsed stream. [add] updates the record in
+      place and allocates only on [Counter] and [Halt] events. *)
 
-  type t = {
-    forks : int;
-    slave_starts : int;
-    slave_finishes : int;
-    verifies : int;
-    commits : int;
-    committed_instructions : int;
-    committed_live_outs : int;
-    live_ins_checked : int;  (** summed over [Verify] events *)
-    predicted_bindings : int;  (** summed over [Predict] events *)
-    predict_hits : int;  (** summed over [Predict_outcome] events *)
-    predict_misses : int;
-    squashes : int;
-    discarded : int;  (** summed over [Squash.discarded] *)
-    bad_prediction : int;
-    fuel_exhausted : int;
-    task_fault : int;
-    missing_cell : int;
-    speculative_io : int;
-    master_dead : int;  (** the six-way squash-reason breakdown *)
-    recoveries : int;
-    recovery_instructions : int;
-    recovery_loads : int;
-    recovery_stores : int;
-    bursts : int;
-    restarts : int;
-    master_stops : int;
-    faults : int;  (** [Fault] events (injected fault-plan actions) *)
-    counters : (string * int) list;  (** last sample per name, emit order *)
-    halt : string option;
-    last_cycle : int;
+  type t = private {
+    mutable forks : int;
+    mutable slave_starts : int;
+    mutable slave_finishes : int;
+    mutable slave_busy_cycles : int;
+        (** each [Slave_start] to its slave's [Slave_finish], or to the
+            next [Squash] or the [Halt], whichever comes first *)
+    mutable busy_since : int array;  (** per slave: open interval's start, or -1 *)
+    mutable verifies : int;
+    mutable commits : int;
+    mutable committed_instructions : int;
+    mutable committed_live_outs : int;
+    mutable live_ins_checked : int;  (** summed over [Verify] events *)
+    mutable predicted_bindings : int;  (** summed over [Predict] events *)
+    mutable predict_hits : int;  (** summed over [Predict_outcome] events *)
+    mutable predict_misses : int;
+    mutable squashes : int;
+    mutable discarded : int;  (** summed over [Squash.discarded] *)
+    mutable bad_prediction : int;
+    mutable fuel_exhausted : int;
+    mutable task_fault : int;
+    mutable missing_cell : int;
+    mutable speculative_io : int;
+    mutable master_dead : int;  (** the six-way squash-reason breakdown *)
+    mutable recoveries : int;
+    mutable recovery_instructions : int;
+    mutable recovery_loads : int;
+    mutable recovery_stores : int;
+    mutable bursts : int;
+    mutable restarts : int;
+    mutable master_stops : int;
+    mutable faults : int;  (** [Fault] events (injected fault-plan actions) *)
+    mutable counters : (string * int) list;
+        (** last sample per name, emit order *)
+    mutable halt : string option;
+    mutable last_cycle : int;
   }
 
+  val create : unit -> t
+  val add : t -> event -> unit
+  (** [create ()] has seen no event; [add] folds one more in, in place. *)
+
   val of_events : event list -> t
+  (** [add] over the list, oldest first, into a fresh accumulator. *)
 
   val squash_mismatch : t -> int
   val squash_task_failed : t -> int
   val squash_master_dead : t -> int
-  (** The three-way collapse, for comparison against
-      [Mssp_core.Mssp_machine.stats]. *)
+  (** The three-way collapse that [Mssp_core.Mssp_machine.stats] reports
+      as [squash_mismatch] / [squash_task_failed] / [squash_master_dead]. *)
 
   val rows : t -> string list list
   (** [[counter; value]; ...] rows ready for [Metrics.Table.render] /

@@ -8,13 +8,13 @@
      every [dune runtest] replays and structurally diffs
      ([PROMOTE_GOLDEN=1] / `make promote-golden` rewrites them);
    - the acceptance criterion of the tracing subsystem: a fold over the
-     JSONL stream ALONE reproduces the machine's committed/squashed
-     counts and the squash-reason breakdown exactly, and the discarded
-     count on runs stopped by the squash limit;
+     JSONL stream ALONE reproduces every stats field an event carries,
+     on runs stopped by the squash limit too; the fold allocates under
+     a word per event, and slave busy time ends at a squash;
    - a validity check of the Chrome trace_event export;
    - QCheck invariants over random programs: per-task event bracketing,
-     committed tasks never squashed, fold == stats, and tracing off
-     being observationally identical to tracing on. *)
+     committed tasks never squashed, fold == stats, and a run without a
+     recording sink being identical to one with a sink. *)
 
 module Full = Mssp_state.Full
 module Machine = Mssp_seq.Machine
@@ -169,6 +169,11 @@ let golden_path name = Filename.concat golden_dir (name ^ ".trace")
 let write_file path s =
   Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc s)
 
+let read_golden path =
+  match Trace.of_jsonl (In_channel.with_open_text path In_channel.input_all) with
+  | Ok evs -> evs
+  | Error e -> Alcotest.failf "%s: unparseable golden trace: %s" path e
+
 let test_golden (name, run) () =
   let events, _ = run () in
   let path = golden_path name in
@@ -182,13 +187,7 @@ let test_golden (name, run) () =
         "%s is missing — run `make promote-golden` from the project root to \
          create it"
         path;
-    let expected =
-      match
-        Trace.of_jsonl (In_channel.with_open_text path In_channel.input_all)
-      with
-      | Ok evs -> evs
-      | Error e -> Alcotest.failf "%s: unparseable golden trace: %s" path e
-    in
+    let expected = read_golden path in
     match Trace.diff ~expected ~actual:events with
     | None -> ()
     | Some d ->
@@ -213,9 +212,34 @@ let golden_on_pool =
 
 (* --- the acceptance criterion: attribution from the stream alone -----
 
-   Serialize to JSONL, parse the text back, fold — no access to the
-   machine beyond its public stats to compare against. *)
+   Every [stats] field an event carries, next to the fold's value for
+   it: the machine reads these off its own fold, so a recorded stream
+   must reproduce each one exactly. *)
 
+let derived (st : M.stats) (s : Trace.Summary.t) =
+  let open Trace.Summary in
+  [
+    ("tasks_spawned = forks", st.M.tasks_spawned, s.forks);
+    ("tasks_committed", st.M.tasks_committed, s.commits);
+    ("instructions_committed", st.M.instructions_committed, s.committed_instructions);
+    ("tasks_discarded", st.M.tasks_discarded, s.discarded);
+    ("squashes", st.M.squashes, s.squashes);
+    ("squash: bad prediction", st.M.squash_mismatch, squash_mismatch s);
+    ("squash: task failed", st.M.squash_task_failed, squash_task_failed s);
+    ("squash: master dead", st.M.squash_master_dead, squash_master_dead s);
+    ("recovery_segments", st.M.recovery_segments, s.recoveries);
+    ("recovery_instructions", st.M.recovery_instructions, s.recovery_instructions);
+    ("sequential_bursts", st.M.sequential_bursts, s.bursts);
+    ("live_ins_checked", st.M.live_ins_checked, s.live_ins_checked);
+    ("live_outs_committed", st.M.live_outs_committed, s.committed_live_outs);
+    ("predict_hits", st.M.predict_hits, s.predict_hits);
+    ("predict_misses", st.M.predict_misses, s.predict_misses);
+    ("slave_busy_cycles", st.M.slave_busy_cycles, s.slave_busy_cycles);
+    ("cycles = last_cycle", st.M.cycles, s.last_cycle);
+  ]
+
+(* Serialize to JSONL, parse the text back, fold — no access to the
+   machine beyond its public stats to compare against. *)
 let test_fold_reproduces_stats () =
   List.iter
     (fun (name, run) ->
@@ -226,38 +250,70 @@ let test_fold_reproduces_stats () =
         | Error e -> Alcotest.failf "%s: JSONL round trip failed: %s" name e
       in
       let s = Trace.Summary.of_events reparsed in
-      let st = r.M.stats in
-      let i tag = check_int (name ^ ": " ^ tag) in
-      i "forks = tasks_spawned" st.M.tasks_spawned s.Trace.Summary.forks;
-      i "commits = tasks_committed" st.M.tasks_committed
-        s.Trace.Summary.commits;
-      i "committed instructions" st.M.instructions_committed
-        s.Trace.Summary.committed_instructions;
-      i "committed live-outs" st.M.live_outs_committed
-        s.Trace.Summary.committed_live_outs;
-      i "squashes" st.M.squashes s.Trace.Summary.squashes;
-      i "squash: bad prediction" st.M.squash_mismatch
-        (Trace.Summary.squash_mismatch s);
-      i "squash: task failed" st.M.squash_task_failed
-        (Trace.Summary.squash_task_failed s);
-      i "squash: master dead" st.M.squash_master_dead
-        (Trace.Summary.squash_master_dead s);
-      i "recovery segments" st.M.recovery_segments
-        s.Trace.Summary.recoveries;
-      i "recovery instructions" st.M.recovery_instructions
-        s.Trace.Summary.recovery_instructions;
-      i "sequential bursts" st.M.sequential_bursts s.Trace.Summary.bursts;
-      (* no run loses in-flight work silently, a squash-limit stop
-         included: the discarded total is also derivable *)
-      i "discarded" st.M.tasks_discarded s.Trace.Summary.discarded;
+      List.iter
+        (fun (tag, stat, folded) -> check_int (name ^ ": " ^ tag) stat folded)
+        (derived r.M.stats s);
       check (name ^ ": exactly one halt event") true
         (s.Trace.Summary.halt <> None))
     golden_cases
 
+(* The fold updates one record in place: over every golden stream it
+   allocates less than one word per event, where a fold that copies its
+   record per event allocates over thirty. *)
+let test_fold_allocation () =
+  let streams =
+    List.map (fun (name, _) -> read_golden (golden_path name)) golden_cases
+  in
+  let events = List.fold_left (fun n evs -> n + List.length evs) 0 streams in
+  let before = Gc.minor_words () in
+  List.iter
+    (fun evs -> ignore (Trace.Summary.of_events evs : Trace.Summary.t))
+    streams;
+  let per_event = (Gc.minor_words () -. before) /. float_of_int events in
+  check
+    (Printf.sprintf "%.3f words per event over %d events < 1" per_event events)
+    true (per_event < 1.0)
+
+(* A squash frees every slave at once, so a squashed task is busy only
+   up to the squash. Under a live-in corruption plan (vecsum on 1 slave,
+   qsort on 8, both at ref size) the machine's busy cycles equal the
+   Chrome export's task slices summed, and occupancy stays within 1. *)
+let test_slave_busy_cut_at_squash () =
+  let slice_cycles ev =
+    match (Tjson.member "ph" ev, Tjson.member "dur" ev) with
+    | Some (Tjson.Str "X"), Some (Tjson.Int d) -> d
+    | _ -> 0
+  in
+  List.iter
+    (fun (bench, slaves) ->
+      let b = W.find bench in
+      let config =
+        {
+          (Config.with_slaves slaves Config.default) with
+          Config.faults = Some (Plan.quiet Plan.Live_in_corrupt ~seed:3 ~p:0.5);
+        }
+      in
+      let events, r =
+        run_traced ~config
+          (distill_bench bench ~size:b.W.ref_size ~train:b.W.train_size)
+      in
+      let tag = Printf.sprintf "%s@%d" bench slaves in
+      check (tag ^ ": squashed") true (r.M.stats.M.squashes > 0);
+      (match Tjson.member "traceEvents" (Trace.Chrome.of_events events) with
+      | Some (Tjson.List tevs) ->
+        check_int (tag ^ ": busy cycles = task slices")
+          (List.fold_left (fun n ev -> n + slice_cycles ev) 0 tevs)
+          r.M.stats.M.slave_busy_cycles
+      | _ -> Alcotest.fail "no traceEvents array");
+      let occupancy = M.slave_occupancy r ~config in
+      check (Printf.sprintf "%s: occupancy %.4f <= 1" tag occupancy) true
+        (occupancy <= 1.0))
+    [ ("vecsum", 1); ("qsort", 8) ]
+
 (* The window a squash throws away is counted with the squash, so a
    run stopped by the squash limit counts it too: stats and the fold of
-   the Squash events agree on qsort under a live-in corruption plan
-   capped at 0 and at 3 squashes. *)
+   the stream agree on every derived field, discarded tasks included, on
+   qsort under a live-in corruption plan capped at 0 and at 3 squashes. *)
 let test_squash_limit_discarded () =
   let p = (W.find "qsort").W.program ~size:100 in
   let d = Distill.distill p (Profile.collect p) in
@@ -271,12 +327,11 @@ let test_squash_limit_discarded () =
         }
       in
       let events, r = run_traced ~config d in
-      let s = Trace.Summary.of_events events in
-      check (Printf.sprintf "max_squashes %d: squash limit" max_squashes) true
-        (r.M.stop = M.Squash_limit);
-      check_int
-        (Printf.sprintf "max_squashes %d: discarded = fold" max_squashes)
-        s.Trace.Summary.discarded r.M.stats.M.tasks_discarded)
+      let tag = Printf.sprintf "max_squashes %d: " max_squashes in
+      check (tag ^ "squash limit") true (r.M.stop = M.Squash_limit);
+      List.iter
+        (fun (field, stat, folded) -> check_int (tag ^ field) stat folded)
+        (derived r.M.stats (Trace.Summary.of_events events)))
     [ 0; 3 ]
 
 (* --- Chrome export validity ------------------------------------------ *)
@@ -429,23 +484,19 @@ let prop_fold_matches_stats =
     (fun p ->
       match traced_run p with
       | None -> true
-      | Some (events, r) ->
-        let s = Trace.Summary.of_events events in
-        let st = r.M.stats in
-        s.Trace.Summary.forks = st.M.tasks_spawned
-        && s.Trace.Summary.commits = st.M.tasks_committed
-        && s.Trace.Summary.squashes = st.M.squashes
-        && Trace.Summary.squash_mismatch s = st.M.squash_mismatch
-        && Trace.Summary.squash_task_failed s = st.M.squash_task_failed
-        && Trace.Summary.squash_master_dead s = st.M.squash_master_dead
-        && s.Trace.Summary.committed_instructions
-           = st.M.instructions_committed
-        && s.Trace.Summary.recovery_instructions
-           = st.M.recovery_instructions
-        && s.Trace.Summary.discarded = st.M.tasks_discarded)
+      | Some (events, r) -> (
+        match
+          List.find_opt
+            (fun (_, stat, folded) -> stat <> folded)
+            (derived r.M.stats (Trace.Summary.of_events events))
+        with
+        | None -> true
+        | Some (tag, stat, folded) ->
+          QCheck.Test.fail_reportf "%s: stats %d, fold %d" tag stat folded))
 
-(* tracing is observationally free: a run with the bus off is identical,
-   cycle for cycle, to the same run with a sink attached *)
+(* a recording sink is observationally free: a run without one is
+   identical, stats record and stop reason included, to the same run
+   with a sink attached *)
 let prop_disabled_identical =
   QCheck.Test.make ~name:"trace: disabled tracing changes nothing"
     ~count:20
@@ -454,17 +505,12 @@ let prop_disabled_identical =
       match traced_run p with
       | None -> true
       | Some (_, traced) ->
-        let probe = Machine.run_program ~fuel:2_000_000 p in
-        ignore probe;
         let profile = Profile.collect ~fuel:2_000_000 p in
         let plain =
           M.run ~config:qc_config (Distill.distill p profile)
         in
         plain.M.stop = traced.M.stop
-        && plain.M.stats.M.cycles = traced.M.stats.M.cycles
-        && plain.M.stats.M.tasks_committed
-           = traced.M.stats.M.tasks_committed
-        && plain.M.stats.M.squashes = traced.M.stats.M.squashes
+        && plain.M.stats = traced.M.stats
         && Full.equal_observable plain.M.arch traced.M.arch)
 
 (* the JSONL codec is lossless *)
@@ -557,6 +603,13 @@ let () =
       ( "squash-limit discarded",
         [
           Alcotest.test_case "stats = fold" `Quick test_squash_limit_discarded;
+        ] );
+      ( "summary fold",
+        [
+          Alcotest.test_case "under one word per event" `Quick
+            test_fold_allocation;
+          Alcotest.test_case "busy cycles end at the squash" `Quick
+            test_slave_busy_cut_at_squash;
         ] );
       ( "chrome",
         [
