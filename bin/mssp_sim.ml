@@ -332,17 +332,30 @@ let trace_cmd =
          ~doc:"Keep only the last $(docv) events (bounded ring buffer) \
                instead of the full stream.")
   in
-  let run name size slaves task_size isolated verify no_distill format out ring
-      =
+  let bench_opt_arg =
+    Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH"
+         ~doc:"Benchmark name (see `mssp_sim list`); omit with $(b,--from).")
+  in
+  let from_arg =
+    Arg.(value & opt (some string) None & info [ "from" ] ~docv:"FILE"
+         ~doc:"Read the stream from a JSONL export (such as a \
+               $(b,--format jsonl) file or a golden trace) instead of \
+               running a benchmark, and render it in the chosen format.")
+  in
+  let record name size slaves task_size isolated verify no_distill ring =
     let _, _, d = prepare name size no_distill in
-    let tracer, events =
+    let tracer, events, dropped =
       match ring with
-      | None -> Trace.recording ()
+      | None ->
+        let tr, events = Trace.recording () in
+        (tr, events, fun () -> 0)
       | Some n ->
         let tr = Trace.create () in
         let buf = Trace.Ring.create n in
         Trace.attach tr (Trace.Ring.sink buf);
-        (tr, fun () -> Trace.Ring.contents buf)
+        ( tr,
+          (fun () -> Trace.Ring.contents buf),
+          fun () -> Trace.Ring.dropped buf )
     in
     let cfg =
       { (config slaves task_size isolated verify) with
@@ -350,6 +363,38 @@ let trace_cmd =
     in
     let r = M.run ~config:cfg d in
     let evs = events () in
+    (evs, fun s -> M.fold_check ~dropped:(dropped ()) s r.M.stats)
+  in
+  let read_stream file =
+    match
+      Trace.of_jsonl (In_channel.with_open_text file In_channel.input_all)
+    with
+    | Ok evs ->
+      ( evs,
+        fun _ ->
+          Printf.sprintf "fold of %d events read from %s\n" (List.length evs)
+            file )
+    | Error e ->
+      Printf.eprintf "%s: %s\n" file e;
+      exit 2
+    | exception Sys_error e ->
+      prerr_endline e;
+      exit 2
+  in
+  let run name from size slaves task_size isolated verify no_distill format out
+      ring =
+    let evs, verdict =
+      match (name, from, ring) with
+      | Some name, None, _ ->
+        record name size slaves task_size isolated verify no_distill ring
+      | None, Some file, None -> read_stream file
+      | None, Some _, Some _ ->
+        prerr_endline "trace: --ring records a run; it cannot apply to --from";
+        exit 2
+      | Some _, Some _, _ | None, None, _ ->
+        prerr_endline "trace: give either a BENCH or --from FILE";
+        exit 2
+    in
     let rendered =
       match format with
       | `Text ->
@@ -359,17 +404,8 @@ let trace_cmd =
       | `Chrome -> Trace.Chrome.to_string evs ^ "\n"
       | `Summary ->
         let s = Trace.Summary.of_events evs in
-        let st = r.M.stats in
-        let agrees =
-          s.Trace.Summary.commits = st.M.tasks_committed
-          && s.Trace.Summary.squashes = st.M.squashes
-          && Trace.Summary.squash_mismatch s = st.M.squash_mismatch
-          && Trace.Summary.squash_task_failed s = st.M.squash_task_failed
-          && Trace.Summary.squash_master_dead s = st.M.squash_master_dead
-          && s.Trace.Summary.discarded = st.M.tasks_discarded
-        in
         Table.render ~header:[ "counter"; "value" ] (Trace.Summary.rows s)
-        ^ Printf.sprintf "\nfold matches machine stats: %b\n" agrees
+        ^ "\n" ^ verdict s
     in
     match out with
     | None -> print_string rendered
@@ -384,11 +420,11 @@ let trace_cmd =
        ~doc:
          "Run a benchmark under MSSP with the structured event bus on and \
           export the stream (text, JSONL, Chrome trace_event or an \
-          attribution summary)")
+          attribution summary), or re-render an exported stream")
     Term.(
-      const run $ bench_arg $ size_arg $ slaves_arg $ task_size_arg
-      $ isolated_arg $ verify_arg $ no_distill_arg $ format_arg $ out_arg
-      $ ring_arg)
+      const run $ bench_opt_arg $ from_arg $ size_arg $ slaves_arg
+      $ task_size_arg $ isolated_arg $ verify_arg $ no_distill_arg
+      $ format_arg $ out_arg $ ring_arg)
 
 (* --- compare --- *)
 

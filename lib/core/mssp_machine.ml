@@ -1,8 +1,8 @@
 module Cell = Mssp_state.Cell
 module Fragment = Mssp_state.Fragment
+module Live_in = Mssp_state.Live_in
 module Full = Mssp_state.Full
 module Instr = Mssp_isa.Instr
-module Reg = Mssp_isa.Reg
 module Seq_machine = Mssp_seq.Machine
 module Exec = Mssp_seq.Exec
 module Program = Mssp_isa.Program
@@ -69,11 +69,11 @@ type result = {
 type checkpoint = {
   cp_id : int;
   cp_entry : int;
-  cp_live_in : Fragment.t;
-  cp_master_li : Fragment.t;
+  cp_live_in : Live_in.t;
+  cp_master_li : Live_in.t;
       (** the master's own live-in prediction, before predictor
           refinement and fault injection — what the master-confidence
-          attribution scores at verify time. The same fragment as
+          attribution scores at verify time. The same live-in as
           [cp_live_in] (shared reference, no cost) when no predictor is
           refining *)
   mutable cp_end : (int option * int) option;
@@ -129,9 +129,10 @@ type t = {
           checkpoint's live-in prediction covers everything the slave may
           need from any older in-flight task (the hardware's speculative
           version forwarding) *)
+  mutable m_dirty_cells : int;  (** [Fragment.cardinal m_dirty] *)
   m_store : int -> int -> unit;  (** the timed step's hook into [m_dirty] *)
   mutable m_dead : bool;
-  mutable m_pending : (int * Fragment.t) option;
+  mutable m_pending : (int * Live_in.t) option;
       (** a checkpoint parked by a full window; the master waits *)
   mutable m_since_cp : int;
       (** instructions since the last checkpoint — the task-size pacing
@@ -207,7 +208,13 @@ let create (cfg : Mssp_config.t) (d : Distill.t) =
       master_cache;
       m_state;
       m_dirty = Fragment.empty;
-      m_store = (fun a v -> m.m_dirty <- Fragment.add (Cell.mem a) v m.m_dirty);
+      m_dirty_cells = 0;
+      m_store =
+        (fun a v ->
+          let c = Cell.mem a in
+          if not (Fragment.mem c m.m_dirty) then
+            m.m_dirty_cells <- m.m_dirty_cells + 1;
+          m.m_dirty <- Fragment.add c v m.m_dirty);
       m_dead = false;
       m_pending = None;
       m_since_cp = cfg.task_size (* fork immediately at start *);
@@ -283,6 +290,18 @@ let failure_reason = function
   | Task.Missing_cell c -> Trace.Missing_cell (Cell.show c)
   | Task.Io_speculative c -> Trace.Speculative_io (Cell.show c)
 
+(* The live-in a master in state [s], with dirty memory [dirty] of
+   [dirty_cells] cells, ships at a fork to [entry]: the PC alone for a
+   control-only master, else the PC, its registers and memory — its
+   whole written memory for isolated slaves, which cannot read
+   architected state, else the dirty set by reference. *)
+let checkpoint_live_in (cfg : Mssp_config.t) ~entry s ~dirty ~dirty_cells =
+  if cfg.control_only_master then Live_in.of_pc entry
+  else if cfg.isolated_slaves then
+    let mem = Full.snapshot_mem s in
+    Live_in.of_state ~pc:entry s ~mem ~mem_cells:(Fragment.cardinal mem)
+  else Live_in.of_state ~pc:entry s ~mem:dirty ~mem_cells:dirty_cells
+
 (* The event handlers of the four parts call and schedule one another,
    so they form one recursive group, in four sections. *)
 
@@ -326,7 +345,10 @@ and master_go m budget cost =
            accumulated cycles elapse *)
         Hashtbl.reset m.m_passes;
         m.m_since_cp <- 0;
-        let li = master_live_in m e in
+        let li =
+          checkpoint_live_in m.cfg ~entry:e m.m_state ~dirty:m.m_dirty
+            ~dirty_cells:m.m_dirty_cells
+        in
         Sim.schedule m.sim ~delay:(cost + m.cfg.timing.master_base)
           (epoch_guarded m (fun () -> handle_fork m e li occurrence))
       end
@@ -343,19 +365,6 @@ and master_note_pass m e =
   let n = 1 + Option.value ~default:0 (Hashtbl.find_opt m.m_passes e) in
   Hashtbl.replace m.m_passes e n;
   n
-
-and master_live_in m e =
-  if m.cfg.control_only_master then Fragment.singleton Cell.Pc e
-  else if m.cfg.isolated_slaves then
-    Fragment.add Cell.Pc e (Full.snapshot m.m_state)
-  else
-    List.fold_left
-      (fun f r ->
-        match Cell.reg r with
-        | Some c -> Fragment.add c (Full.get m.m_state c) f
-        | None -> f)
-      (Fragment.add Cell.Pc e m.m_dirty)
-      Reg.all
 
 (* Death (halt, fault or run-away): the master stops until a recovery
    reseeds it, and the last checkpoint's task runs to the program's end. *)
@@ -423,25 +432,26 @@ and spawn m e master_li =
   try_start_tasks m
 
 (* Checkpoint live-in faults, applied at spawn: [Live_in_corrupt] xors
-   one binding (the legacy soft-error model, stream preserved),
-   [Mem_bit_flip] flips one bit of one memory binding. Both land in the
-   speculative domain only — verification must absorb them. *)
+   one binding, counted in cell order (the legacy soft-error model,
+   stream preserved), [Mem_bit_flip] flips one bit of one memory
+   binding. Both land in the speculative domain only — verification
+   must absorb them. *)
 and maybe_corrupt m cp_id li =
   match m.inj with
   | None -> li
   | Some i -> (
     let li =
       match Inject.fire i Fplan.Live_in_corrupt ~cycle:(now m) with
-      | Some a when not (Fragment.is_empty li) ->
-        let bindings = Fragment.to_list li in
+      | Some a when Live_in.cardinal li > 0 ->
+        let bindings = Fragment.to_list (Live_in.to_fragment li) in
         let c, v = List.nth bindings (cp_id mod List.length bindings) in
         fault_event m a "live_in_corrupt" (Some cp_id);
-        Fragment.add c (v lxor 0x5A5A5A5A) li
+        Live_in.add c (v lxor 0x5A5A5A5A) li
       | Some _ | None -> li
     in
     match Inject.fire i Fplan.Mem_bit_flip ~cycle:(now m) with
     | Some a -> (
-      match mem_bindings li with
+      match mem_bindings li.Live_in.mem with
       | [] -> li
       | l ->
         let c, v = List.nth l (cp_id mod List.length l) in
@@ -449,7 +459,7 @@ and maybe_corrupt m cp_id li =
           (if a.Fplan.magnitude > 0 then a.Fplan.magnitude else cp_id) mod 62
         in
         fault_event m a "mem_bit_flip" (Some cp_id);
-        Fragment.add c (v lxor (1 lsl bit)) li)
+        Live_in.add c (v lxor (1 lsl bit)) li)
     | None -> li)
 
 and mem_bindings f =
@@ -569,7 +579,7 @@ and attribute m p cp task =
         let actual = Full.get m.arch c in
         (* score the incumbent first: how good was the master's own
            value for this cell (pre-refinement)? *)
-        (match Fragment.find_opt c cp.cp_master_li with
+        (match Live_in.find_opt c cp.cp_master_li with
         | Some supplied -> Predict.observe_master p c ~supplied ~actual
         | None -> ());
         Predict.observe p c actual;
@@ -729,6 +739,7 @@ and recovery_segment m =
 and reseed m dpc =
   m.m_state <- Full.copy m.arch;
   m.m_dirty <- Fragment.empty;
+  m.m_dirty_cells <- 0;
   m.m_since_cp <- m.cfg.task_size;
   Hashtbl.reset m.m_passes;
   Full.set_pc m.m_state dpc
@@ -802,6 +813,21 @@ let run ?(config = Mssp_config.default) d =
   let m = create config d in
   Sim.schedule m.sim ~delay:0 (guarded m (fun () -> master_run m));
   close m (Sim.run ~limit:config.max_cycles m.sim)
+
+let fold_check ~dropped (s : Trace.Summary.t) (st : stats) =
+  if dropped > 0 then
+    Printf.sprintf
+      "stream truncated: the first %d events were dropped; fold not \
+       compared with machine stats\n"
+      dropped
+  else
+    Printf.sprintf "fold matches machine stats: %b\n"
+      (s.commits = st.tasks_committed
+      && s.squashes = st.squashes
+      && Trace.Summary.squash_mismatch s = st.squash_mismatch
+      && Trace.Summary.squash_task_failed s = st.squash_task_failed
+      && Trace.Summary.squash_master_dead s = st.squash_master_dead
+      && s.discarded = st.tasks_discarded)
 
 let total_committed (r : result) =
   r.stats.instructions_committed + r.stats.recovery_instructions

@@ -108,6 +108,31 @@ val run :
     from, and, with [config.tracer = Some t], to [t]'s sinks too; a
     tracer only records, it changes nothing about the run. *)
 
+val checkpoint_live_in :
+  Mssp_config.t ->
+  entry:int ->
+  Mssp_state.Full.t ->
+  dirty:Mssp_state.Fragment.t ->
+  dirty_cells:int ->
+  Mssp_state.Live_in.t
+(** [checkpoint_live_in cfg ~entry s ~dirty ~dirty_cells] is the live-in
+    a master in state [s] ships at a fork to [entry], having written the
+    memory cells of [dirty] ([dirty_cells] of them) since its last seed:
+    the PC alone with [cfg.control_only_master]; else the PC and every
+    register, over [s]'s whole written memory with
+    [cfg.isolated_slaves] and over [dirty], by reference, otherwise.
+    Outside isolated mode its cost does not depend on the size of
+    [dirty]. *)
+
+val fold_check : dropped:int -> Mssp_trace.Trace.Summary.t -> stats -> string
+(** The verdict line under a recorded stream's summary. When the
+    recording kept the whole stream ([dropped = 0]): whether its fold
+    agrees with the run's [stats] on commits, squashes (all four
+    counts) and discarded tasks, which it does unless a sink lost
+    events. Otherwise: that the stream is truncated and was not
+    compared, since a fold of the last events cannot add up to the
+    run. *)
+
 val total_committed : result -> int
 (** Instructions retired into architected state: committed-task
     instructions plus non-speculative recovery instructions. *)

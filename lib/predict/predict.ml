@@ -12,7 +12,7 @@
    stale master value. The predictors only move the hit rate. *)
 
 module Cell = Mssp_state.Cell
-module Fragment = Mssp_state.Fragment
+module Live_in = Mssp_state.Live_in
 module Profile = Mssp_profile.Profile
 
 type mode = Off | Last_value | Stride | Context | Tournament | Broken
@@ -225,24 +225,23 @@ let predict t cell = Option.map snd (pick_with_conf t cell)
    overrides impossible, so turning the predictor on cannot regress a
    healthy run. Only cells the master demonstrably stopped predicting
    (elided chains' residual reads) are taken over. [Pc] is control,
-   never a value to predict. The result keeps the fragment's cell set —
-   only values move. *)
-let refine t frag =
-  if t.mode = Off then frag
+   never a value to predict. The result keeps the live-in's cell set —
+   only values move: a register override copies the register file, a
+   memory override is one [Fragment.add] onto the master's dirty set,
+   which is never rebuilt. *)
+let refine t li =
+  if t.mode = Off then li
   else
-    (* only the overridden cells are re-added onto the incoming
-       fragment: a checkpoint live-in carries the master's whole dirty
-       set, and rebuilding it per spawn would be O(n log n) *)
-    Fragment.fold
+    Live_in.fold
       (fun c v acc ->
         match c with
         | Cell.Pc -> acc
         | _ -> (
           match pick_with_conf t c with
           | Some (conf, p) when p <> v && conf > master_confidence t c ->
-            Fragment.add c p acc
+            Live_in.add c p acc
           | Some _ | None -> acc))
-      frag frag
+      li li
 
 (* --- introspection (tests, tooling) ---------------------------------- *)
 

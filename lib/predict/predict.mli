@@ -57,8 +57,8 @@ val predict : t -> Mssp_state.Cell.t -> int option
 (** The mode's prediction for a cell, [None] below the confidence
     threshold (or with no training). [Off] never predicts. *)
 
-val refine : t -> Mssp_state.Fragment.t -> Mssp_state.Fragment.t
-(** Override bindings in a live-in fragment where a component is both
+val refine : t -> Mssp_state.Live_in.t -> Mssp_state.Live_in.t
+(** Override bindings in a checkpoint live-in where a component is both
     confident and STRICTLY more confident than the master for that cell.
     The cell set is preserved; [Pc] is never touched. Does not train. *)
 

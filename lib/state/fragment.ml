@@ -7,9 +7,9 @@ let singleton = Cell.Map.singleton
 let add = Cell.Map.add
 let remove = Cell.Map.remove
 let find_opt = Cell.Map.find_opt
-let find_first_opt = Cell.Map.find_first_opt
-let max_binding_opt = Cell.Map.max_binding_opt
 let mem = Cell.Map.mem
+let min_binding_opt = Cell.Map.min_binding_opt
+let max_binding_opt = Cell.Map.max_binding_opt
 let of_list bindings = List.fold_left (fun m (c, v) -> add c v m) empty bindings
 let to_list = Cell.Map.bindings
 let domain f = Cell.Map.fold (fun c _ acc -> Cell.Set.add c acc) f Cell.Set.empty

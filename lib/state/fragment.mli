@@ -25,15 +25,10 @@ val remove : Cell.t -> t -> t
 val find_opt : Cell.t -> t -> int option
 val mem : Cell.t -> t -> bool
 
-val find_first_opt : (Cell.t -> bool) -> t -> (Cell.t * int) option
-(** [find_first_opt p f] is the lowest binding whose cell satisfies the
-    monotonically increasing predicate [p] ([O(log n)]). Cells order as
-    [Pc], the registers, then memory by address, so
-    [find_first_opt Cell.is_mem] is the lowest memory binding. *)
-
+val min_binding_opt : t -> (Cell.t * int) option
 val max_binding_opt : t -> (Cell.t * int) option
-(** The highest binding — the highest memory address, when any memory
-    cell is bound. *)
+(** The lowest and the highest binding in cell order: on a fragment of
+    memory cells, those of the lowest and highest address. *)
 
 val of_list : (Cell.t * int) list -> t
 val to_list : t -> (Cell.t * int) list
@@ -42,9 +37,7 @@ val to_list : t -> (Cell.t * int) list
 val domain : t -> Cell.Set.t
 val fold : (Cell.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Cell.t -> int -> unit) -> t -> unit
-(** In increasing cell order; an exception raised by the function stops
-    the walk, so reading a prefix (the PC and registers) costs only that
-    prefix plus the descent to it. *)
+(** In increasing cell order. *)
 
 val filter : (Cell.t -> int -> bool) -> t -> t
 

@@ -142,16 +142,19 @@ let live_pages s =
 
 let overflow_words s = Hashtbl.length s.overflow
 
-let snapshot s =
-  let f = ref (Fragment.singleton Cell.Pc s.pc) in
-  List.iter
-    (fun r ->
-      match Cell.reg r with
-      | Some c -> f := Fragment.add c (get_reg s r) !f
-      | None -> ())
-    Reg.all;
+let snapshot_mem s =
+  let f = ref Fragment.empty in
   iter_materialized (fun a v -> f := Fragment.add (Cell.mem a) v !f) s;
   !f
+
+let snapshot s =
+  List.fold_left
+    (fun f r ->
+      match Cell.reg r with
+      | Some c -> Fragment.add c (get_reg s r) f
+      | None -> f)
+    (Fragment.add Cell.Pc s.pc (snapshot_mem s))
+    Reg.all
 
 let diff_observable s1 s2 =
   let diffs = ref [] in

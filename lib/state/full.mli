@@ -57,6 +57,9 @@ val snapshot : t -> Fragment.t
     materialized cells). Intended for small formal-model states and
     debugging, not for the simulator fast path. *)
 
+val snapshot_mem : t -> Fragment.t
+(** The memory part of {!snapshot}: every memory word ever written. *)
+
 val equal_observable : t -> t -> bool
 (** States agree on PC, all registers, and every memory cell materialized
     in either — i.e. they are indistinguishable by any program. This is

@@ -73,6 +73,6 @@ val to_fragment : t -> Mssp_state.Fragment.t
 
 val of_fragment : Mssp_state.Fragment.t -> t
 (** The whole fragment flattened into a journal. Tasks no longer hold
-    their live-in this way ({!Task.make} reads memory live-ins from the
-    fragment by reference); the live-in lookup tests use it as the
-    oracle. *)
+    their live-in this way ({!Task.make} reads a
+    {!Mssp_state.Live_in.t} by reference); the live-in lookup tests use
+    it as the oracle. *)

@@ -1,5 +1,5 @@
 module Cell = Mssp_state.Cell
-module Fragment = Mssp_state.Fragment
+module Live_in = Mssp_state.Live_in
 module Full = Mssp_state.Full
 module Reg = Mssp_isa.Reg
 module Instr = Mssp_isa.Instr
@@ -34,10 +34,7 @@ type t = {
   end_occurrence : int;
   mutable end_seen : int;
   budget : int;
-  live_in : Fragment.t;
-  li : Journal.t;
-  li_lo : int;
-  li_hi : int;
+  live_in : Live_in.t;
   reads : Journal.t;
   writes : Journal.t;
   mutable executed : int;
@@ -45,41 +42,14 @@ type t = {
   decode : pc:int -> word:int -> Mssp_isa.Instr.t option;
 }
 
-(* stops the in-order walk of a live-in at its first memory binding *)
-exception Past_registers
-
 let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in =
-  let live_in =
-    if Fragment.mem Cell.Pc live_in then live_in
-    else Fragment.add Cell.Pc start_pc live_in
-  in
-  (* The live-in is passed by reference: a checkpoint's prediction holds
-     the master's cumulative dirty set (thousands of cells on long
-     runs), so copying it per task would cost more than the task body.
-     Only the PC and the registers — the lowest keys in cell order, at
-     most 33 bindings — are flattened into [li]'s fast arrays; memory
-     live-ins are looked up in the persistent fragment itself. *)
-  let li = Journal.create ~mem_size:1 () in
-  (try
-     Fragment.iter
-       (fun c v ->
-         match c with
-         | Cell.Pc -> Journal.set_pc li v
-         | Cell.Reg r -> Journal.set_reg li (Reg.to_int r) v
-         | Cell.Mem _ -> raise_notrace Past_registers)
-       live_in
-   with Past_registers -> ());
-  let li_lo, li_hi =
-    match
-      ( Fragment.find_first_opt Cell.is_mem live_in,
-        Fragment.max_binding_opt live_in )
-    with
-    | Some (Cell.Mem lo, _), Some (Cell.Mem hi, _) -> (lo, hi)
-    | _ -> (max_int, min_int)
-  in
-  (* The journals iterate in insertion order, so their initial capacity
-     cannot change any result; a small fixed size keeps short tasks
-     cheap, and the tables grow with the body's actual footprint. *)
+  (* The live-in is held by reference: its register file is read in
+     place and its memory part is the master's cumulative dirty set
+     (thousands of cells on long runs), looked up in the persistent
+     fragment itself. The journals iterate in insertion order, so their
+     initial capacity cannot change any result; a small fixed size keeps
+     short tasks cheap, and the tables grow with the body's actual
+     footprint. *)
   {
     id;
     start_pc;
@@ -87,10 +57,9 @@ let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in =
     end_occurrence = max 1 end_occurrence;
     end_seen = 0;
     budget;
-    live_in;
-    li;
-    li_lo;
-    li_hi;
+    live_in =
+      (if live_in.Live_in.bound land 1 <> 0 then live_in
+       else Live_in.add Cell.Pc start_pc live_in);
     reads = Journal.create ~mem_size:16 ();
     writes = Journal.create ~mem_size:16 ();
     executed = 0;
@@ -136,8 +105,10 @@ let read_reg t view r =
     let k = Reg.to_int r in
     if Journal.has_reg t.writes k then Journal.reg t.writes k
     else begin
+      let li = t.live_in in
       let v =
-        if Journal.has_reg t.li k then Journal.reg t.li k
+        if li.Live_in.bound land (1 lsl k) <> 0 then
+          Array.unsafe_get li.Live_in.regs k
         else
           match view with
           | Fallback arch -> Full.get_reg arch r
@@ -154,8 +125,9 @@ let write_reg t r v =
 let read_pc t view =
   if Journal.has_pc t.writes then Journal.pc_value t.writes
   else begin
+    let li = t.live_in in
     let v =
-      if Journal.has_pc t.li then Journal.pc_value t.li
+      if li.Live_in.bound land 1 <> 0 then Array.unsafe_get li.Live_in.regs 0
       else
         match view with
         | Fallback arch -> Full.pc arch
@@ -169,8 +141,8 @@ let read_pc t view =
    recorded value: the live-in and the view are fixed for the run, so
    that is the value a fresh lookup would find. Memory is total: an
    isolated task reads an unbound cell as 0, and that reading is itself
-   a live-in to verify. The address bounds reject most live-in misses
-   without a tree walk. *)
+   a live-in to verify. The live-in's address bounds reject most
+   live-in misses without a tree walk. *)
 let read_mem t view on_access a =
   on_access a;
   let i = Journal.mem_index t.writes a in
@@ -180,10 +152,7 @@ let read_mem t view on_access a =
     if i >= 0 then Journal.mem_at t.reads i
     else begin
       let v =
-        match
-          if a < t.li_lo || a > t.li_hi then None
-          else Fragment.find_opt (Cell.mem a) t.live_in
-        with
+        match Live_in.find_mem a t.live_in with
         | Some v -> v
         | None -> (
           match view with Fallback arch -> Full.get_mem arch a | Isolated -> 0)

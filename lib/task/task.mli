@@ -17,11 +17,13 @@
     task-evolution rule (Definition 5): each step advances the live-out
     fragment by [next].
 
-    While running, the prediction's registers, the recordings and the
-    write buffer live in flat {!Journal.t} buffers (register arrays and
-    an int-keyed memory index), so an instruction pays no balanced-tree
-    lookups; use {!reads_fragment}/{!writes_fragment} to convert at the
-    commit boundary or in tests. *)
+    The prediction is a {!Mssp_state.Live_in.t}, read in place: its
+    flat register file for the PC and registers, its memory fragment
+    for memory. The recordings and the write buffer live in flat
+    {!Journal.t} buffers (register arrays and an int-keyed memory
+    index), so an instruction pays no balanced-tree lookups once its
+    cells are recorded; use {!reads_fragment}/{!writes_fragment} to
+    convert at the commit boundary or in tests. *)
 
 type fail_reason =
   | Budget_exhausted  (** never reached [end_pc]: master mispredicted
@@ -54,16 +56,10 @@ type t = {
           pass is the boundary (it counted its own marker passes) *)
   mutable end_seen : int;  (** arrivals at [end_pc] so far *)
   budget : int;
-  live_in : Mssp_state.Fragment.t;
+  live_in : Mssp_state.Live_in.t;
       (** master's prediction; binds [Pc]. Held by reference, never
-          copied: memory live-ins are looked up here directly *)
-  li : Journal.t;
-      (** the PC and register bindings of [live_in], flattened into the
-          journal's fast arrays; it binds no memory *)
-  li_lo : int;  (** lowest memory address bound in [live_in] *)
-  li_hi : int;
-      (** highest memory address bound in [live_in]; [li_lo > li_hi]
-          when it binds no memory *)
+          copied: the PC, registers and memory live-ins are read from it
+          directly *)
   reads : Journal.t;
       (** recorded live-ins: first-read value of every cell obtained from
           outside the write buffer *)
@@ -82,16 +78,17 @@ val make :
   end_pc:int option ->
   end_occurrence:int ->
   budget:int ->
-  live_in:Mssp_state.Fragment.t ->
+  live_in:Mssp_state.Live_in.t ->
   t
 (** A fresh task ([⟨S_in, n, S_in, 0⟩] in the paper's tuple form). The
     [Pc ↦ start_pc] binding is added to [live_in] if absent — the task's
     start position is itself a live-in and is verified like any other.
 
-    Cost is O(registers + log |live_in|), independent of how many memory
-    cells [live_in] binds: only the PC and registers are flattened, and
-    a memory read resolves write buffer, then [Fragment.find_opt] on
-    [live_in], then the view — the same values, in the same order, as a
+    Cost is O(1), independent of how many cells [live_in] binds: the
+    task holds it by reference. A register read resolves write buffer,
+    then the live-in's register file, then the view; a memory read
+    resolves write buffer, then [Fragment.find_opt] on the live-in's
+    memory, then the view — the same values, in the same order, as a
     task whose whole live-in had been flattened into a journal. *)
 
 val with_decode : (pc:int -> word:int -> Mssp_isa.Instr.t option) -> t -> t

@@ -1,11 +1,12 @@
 (* The structured event bus. See trace.mli for the design contract; the
    short version: events are plain data (except Predict, which keeps the
-   checkpoint's live-in fragment by reference so the hot emission site
-   stays O(1)), sinks are closures, and every aggregate view is a
+   checkpoint's live-in by reference so the hot emission site stays
+   O(1)), sinks are closures, and every aggregate view is a
    fold. Cells render to strings only here, in the serializers. *)
 
 module Cell = Mssp_state.Cell
 module Fragment = Mssp_state.Fragment
+module Live_in = Mssp_state.Live_in
 
 type squash_reason =
   | Bad_prediction
@@ -30,7 +31,7 @@ type verify_outcome =
 
 type event =
   | Fork of { cycle : int; task : int; entry : int }
-  | Predict of { cycle : int; task : int; live_in : Fragment.t }
+  | Predict of { cycle : int; task : int; live_in : Live_in.t }
   | Predict_outcome of { cycle : int; task : int; hits : int; misses : int }
   | Slave_start of { cycle : int; task : int; slave : int }
   | Slave_finish of {
@@ -88,14 +89,14 @@ let event_cycle = function
 let event_equal a b =
   match (a, b) with
   | Predict p, Predict q ->
-    p.cycle = q.cycle && p.task = q.task && Fragment.equal p.live_in q.live_in
+    p.cycle = q.cycle && p.task = q.task && Live_in.equal p.live_in q.live_in
   | _ -> a = b
 
 let pp_event fmt = function
   | Fork { cycle; task; entry } ->
     Format.fprintf fmt "%8d  fork     task %d at %#x" cycle task entry
   | Predict { cycle; task; live_in } ->
-    let n = Fragment.cardinal live_in in
+    let n = Live_in.cardinal live_in in
     Format.fprintf fmt "%8d  predict  task %d (%d live-in%s)" cycle task n
       (if n = 1 then "" else "s")
   | Predict_outcome { cycle; task; hits; misses } ->
@@ -163,13 +164,21 @@ let recording () =
   (t, fun () -> List.rev !acc)
 
 module Ring = struct
-  type buf = { slots : event option array; mutable next : int }
+  type buf = {
+    slots : event option array;
+    mutable next : int;
+    mutable seen : int;  (** events ever sunk *)
+  }
 
-  let create capacity = { slots = Array.make (max 1 capacity) None; next = 0 }
+  let create capacity =
+    { slots = Array.make (max 1 capacity) None; next = 0; seen = 0 }
 
   let sink b ev =
     b.slots.(b.next) <- Some ev;
-    b.next <- (b.next + 1) mod Array.length b.slots
+    b.next <- (b.next + 1) mod Array.length b.slots;
+    b.seen <- b.seen + 1
+
+  let dropped b = max 0 (b.seen - Array.length b.slots)
 
   let contents b =
     let cap = Array.length b.slots in
@@ -263,7 +272,7 @@ let event_to_json ev =
         ( "live_in",
           J.List
             (List.rev
-               (Fragment.fold
+               (Live_in.fold
                   (fun c v acc -> J.List [ J.Str (Cell.show c); J.Int v ] :: acc)
                   live_in [])) );
       ]
@@ -366,7 +375,7 @@ let event_of_json j =
             | _ -> Error "predict: bad binding shape")
           (Ok Fragment.empty) l
     in
-    Ok (Predict { cycle; task; live_in })
+    Ok (Predict { cycle; task; live_in = Live_in.of_fragment live_in })
   | "predict_outcome" ->
     let* task = int "task" in
     let* hits = int "hits" in
@@ -569,7 +578,7 @@ module Summary = struct
     match ev with
     | Fork _ -> s.forks <- s.forks + 1
     | Predict { live_in; _ } ->
-      s.predicted_bindings <- s.predicted_bindings + Fragment.cardinal live_in
+      s.predicted_bindings <- s.predicted_bindings + Live_in.cardinal live_in
     | Predict_outcome { hits; misses; _ } ->
       s.predict_hits <- s.predict_hits + hits;
       s.predict_misses <- s.predict_misses + misses

@@ -17,11 +17,13 @@
 
     This library sits below the machine core. Events are plain data,
     with one deliberate exception: {!event.Predict} carries the
-    checkpoint's live-in {!Mssp_state.Fragment.t} by reference. The
-    fragment is persistent and already allocated by the machine, so the
-    emission site stays O(1) — rendering cells to strings happens only
-    in the sinks and serializers (use {!event_equal}, not [( = )], to
-    compare events). *)
+    checkpoint's live-in {!Mssp_state.Live_in.t} by reference. The
+    live-in is never written once built and is already allocated by the
+    machine, so the emission site stays O(1) and counting its bindings
+    is O(1) too — rendering cells to strings happens only in the sinks
+    and serializers, in cell order (the PC, the registers by index,
+    memory by ascending address). Use {!event_equal}, not [( = )], to
+    compare events. *)
 
 (* --- vocabulary ------------------------------------------------------ *)
 
@@ -52,11 +54,11 @@ type verify_outcome =
 type event =
   | Fork of { cycle : int; task : int; entry : int }
       (** master reached a fork marker and cut a checkpoint *)
-  | Predict of { cycle : int; task : int; live_in : Mssp_state.Fragment.t }
+  | Predict of { cycle : int; task : int; live_in : Mssp_state.Live_in.t }
       (** the checkpoint's predicted live-in bindings, post fault
           injection — exactly what the slave will be seeded with. Held by
-          reference (persistent, shared with the checkpoint): the
-          emission site does no per-binding work *)
+          reference (shared with the checkpoint): the emission site does
+          no per-binding work *)
   | Predict_outcome of { cycle : int; task : int; hits : int; misses : int }
       (** value-prediction attribution at verification: how many of the
           head task's recorded first-reads matched architected state
@@ -111,8 +113,9 @@ val event_cycle : event -> int
 
 val event_equal : event -> event -> bool
 (** Structural equality, with [Predict] live-ins compared by content
-    ([Fragment.equal]) rather than tree shape — a fragment rebuilt from
-    JSONL can balance differently from the machine's original. *)
+    ([Live_in.equal]) rather than representation — a live-in rebuilt
+    from JSONL can balance its memory differently from the machine's
+    original. *)
 
 val pp_event : Format.formatter -> event -> unit
 
@@ -144,6 +147,10 @@ module Ring : sig
   val create : int -> buf
   val sink : buf -> sink
   val contents : buf -> event list  (** oldest retained first *)
+
+  val dropped : buf -> int
+  (** Events the ring has let go, oldest first: [0] iff {!contents} is
+      the whole stream so far. *)
 end
 
 val jsonl_sink : out_channel -> sink

@@ -15,6 +15,8 @@ module Adversary = Mssp_workload.Adversary
 module Dsl = Mssp_asm.Dsl
 module Instr = Mssp_isa.Instr
 module Fragment = Mssp_state.Fragment
+module Live_in = Mssp_state.Live_in
+module Cell = Mssp_state.Cell
 module Plan = Mssp_faults.Plan
 open Mssp_asm.Regs
 
@@ -194,6 +196,88 @@ let test_master_loop_allocation () =
        (n2 - n1))
     true
     (n2 > n1 && per < 0.5)
+
+(* The reference for the live-in a fork ships, in every mode, as a
+   fragment built one binding at a time: the PC alone for a control-only
+   master; else the PC and every register over the dirty set, or over
+   all written memory for isolated slaves. *)
+let fragment_live_in (cfg : Config.t) ~entry s ~dirty =
+  let regs f =
+    List.fold_left
+      (fun f r ->
+        match Cell.reg r with
+        | Some c -> Fragment.add c (Full.get s c) f
+        | None -> f)
+      f Mssp_isa.Reg.all
+  in
+  if cfg.Config.control_only_master then Fragment.singleton Cell.Pc entry
+  else if cfg.Config.isolated_slaves then
+    Fragment.add Cell.Pc entry (Full.snapshot s)
+  else regs (Fragment.add Cell.Pc entry dirty)
+
+(* a master state two hundred instructions into vecsum, and a dirty set
+   of [n] data words *)
+let master_state () =
+  let s = Full.create () in
+  Full.load s ((W.find "vecsum").W.program ~size:100);
+  ignore (Machine.seq_in_place s 200 : Machine.stop option);
+  s
+
+let dirty_set n =
+  let rec go i f =
+    if i = n then f
+    else go (i + 1) (Fragment.add (Cell.mem (Layout.data_base + (3 * i))) i f)
+  in
+  go 0 Fragment.empty
+
+let test_live_in_modes () =
+  let s = master_state () and dirty = dirty_set 242 in
+  List.iter
+    (fun (mode, cfg) ->
+      let li =
+        M.checkpoint_live_in cfg ~entry:4096 s ~dirty ~dirty_cells:242
+      in
+      let f = fragment_live_in cfg ~entry:4096 s ~dirty in
+      check (mode ^ ": the same bindings") true
+        (Fragment.equal (Live_in.to_fragment li) f);
+      check_int (mode ^ ": counted in O(1)") (Fragment.cardinal f)
+        (Live_in.cardinal li))
+    [
+      ("plain", Config.default);
+      ( "control-only",
+        { Config.default with Config.control_only_master = true } );
+      ("isolated", { Config.default with Config.isolated_slaves = true });
+    ]
+
+(* Building a fork's live-in copies a 32-slot register file and holds
+   the dirty set by reference: its minor words stay small and do not
+   grow with the dirty set: 50 words. One insertion per register into
+   the 242-cell dirty set (the E1 grid's mean) reads 2,453. *)
+let test_fork_allocation () =
+  let s = master_state () in
+  let per_fork cfg n =
+    let dirty = dirty_set n in
+    let fork () =
+      M.checkpoint_live_in cfg ~entry:4096 s ~dirty ~dirty_cells:n
+    in
+    ignore (Sys.opaque_identity (fork ()));
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (fork ()))
+    done;
+    (Gc.minor_words () -. w0) /. 1000.
+  in
+  let control = { Config.default with Config.control_only_master = true } in
+  let small = per_fork Config.default 242
+  and big = per_fork Config.default 4096
+  and pc_only = per_fork control 4096 in
+  check
+    (Printf.sprintf
+       "%.1f words per fork over 242 dirty cells, %.1f over 4,096, %.1f \
+        control-only (< 100)"
+       small big pc_only)
+    true
+    (small < 100. && big < 100. && pc_only < 100.)
 
 let test_recovery_fuel_exhaustion () =
   (* recovery lands in an infinite loop with no task entry in it (the
@@ -442,6 +526,8 @@ let () =
           Alcotest.test_case "squash limit" `Quick test_squash_limit_stops;
           Alcotest.test_case "master loop allocation" `Quick
             test_master_loop_allocation;
+          Alcotest.test_case "fork allocation" `Quick test_fork_allocation;
+          Alcotest.test_case "live-in in every mode" `Quick test_live_in_modes;
           Alcotest.test_case "recovery fuel exhaustion" `Quick
             test_recovery_fuel_exhaustion;
           Alcotest.test_case "determinism" `Quick test_determinism;

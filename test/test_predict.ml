@@ -13,6 +13,7 @@
 
 module Full = Mssp_state.Full
 module Fragment = Mssp_state.Fragment
+module Live_in = Mssp_state.Live_in
 module Cell = Mssp_state.Cell
 module Profile = Mssp_profile.Profile
 module Distill = Mssp_distill.Distill
@@ -121,6 +122,11 @@ let prop_deterministic =
       && Predict.chosen a cell = Predict.chosen b cell
       && Predict.components a cell = Predict.components b cell)
 
+(* [Predict.refine] over a checkpoint live-in, seen as the fragment it
+   binds *)
+let refine t frag =
+  Live_in.to_fragment (Predict.refine t (Live_in.of_fragment frag))
+
 (* --- the master incumbent --------------------------------------------- *)
 
 let test_master_incumbent () =
@@ -135,19 +141,19 @@ let test_master_incumbent () =
   check_int "untracked master is fully trusted" 7
     (Predict.master_confidence t cell);
   check "refine is identity while the master never missed" true
-    (Fragment.equal (Predict.refine t frag) frag);
+    (Fragment.equal (refine t frag) frag);
   (* two recorded master misses collapse the incumbent below the
      component and the takeover happens *)
   Predict.observe_master t cell ~supplied:0 ~actual:40;
   Predict.observe_master t cell ~supplied:0 ~actual:43;
   check "master confidence collapsed" true
     (Predict.master_confidence t cell < Predict.confidence t cell "stride");
-  (match Fragment.find_opt cell (Predict.refine t frag) with
+  (match Fragment.find_opt cell (refine t frag) with
   | Some v -> check_int "stride takes the cell over" 40 v
   | None -> Alcotest.fail "cell lost by refine");
   (* pc is never touched, and the cell set is preserved *)
   let frag2 = Fragment.add Cell.Pc 0 frag in
-  (match Fragment.find_opt Cell.Pc (Predict.refine t frag2) with
+  (match Fragment.find_opt Cell.Pc (refine t frag2) with
   | Some v -> check_int "pc untouched" 0 v
   | None -> Alcotest.fail "pc lost by refine");
   (* a recovering master re-earns trust *)
@@ -155,12 +161,13 @@ let test_master_incumbent () =
     Predict.observe_master t cell ~supplied:40 ~actual:40
   done;
   check "master re-earns the cell" true
-    (Fragment.equal (Predict.refine t frag) frag)
+    (Fragment.equal (refine t frag) frag)
 
 (* The rebuild [refine] replaced, restated over the public API: fold
    every binding from the empty fragment, keeping [Pc] and every value
-   the mode's pick does not beat the master on. [refine] now adds only
-   the overridden cells onto the incoming fragment, and must agree. *)
+   the mode's pick does not beat the master on. [refine] now moves only
+   the overridden cells of the incoming live-in (a copied register file,
+   memory added onto its fragment), and must agree. *)
 let rebuild mode t frag =
   let pick_conf c =
     match mode with
@@ -217,7 +224,7 @@ let prop_refine_is_rebuild =
           (fun f (k, v) -> Fragment.add (cell_of k) v f)
           Fragment.empty bindings
       in
-      Fragment.equal (Predict.refine t frag) (rebuild modes.(m) t frag))
+      Fragment.equal (refine t frag) (rebuild modes.(m) t frag))
 
 let test_off_never_predicts () =
   let t = Predict.create Predict.Off in
@@ -226,7 +233,7 @@ let test_off_never_predicts () =
     (Predict.predict t cell);
   let frag = Fragment.add cell 1 Fragment.empty in
   check "off refine is identity" true
-    (Fragment.equal (Predict.refine t frag) frag)
+    (Fragment.equal (refine t frag) frag)
 
 (* --- warm-up from the profiler's streams ------------------------------ *)
 

@@ -18,6 +18,7 @@
 module Full = Mssp_state.Full
 module Cell = Mssp_state.Cell
 module Fragment = Mssp_state.Fragment
+module Live_in = Mssp_state.Live_in
 module Instr = Mssp_isa.Instr
 module Program = Mssp_isa.Program
 module Layout = Mssp_isa.Layout
@@ -47,18 +48,15 @@ let check_int = Alcotest.(check int)
 
 let spec_run ~on_access (t : Task.t) view =
   let io = ref None in
-  let li_mem a =
-    if a < t.Task.li_lo || a > t.Task.li_hi then None
-    else Fragment.find_opt (Cell.mem a) t.Task.live_in
-  in
   let touch a =
     if Layout.is_io a && !io = None then io := Some (Cell.mem a);
     on_access a
   in
-  let live_in c =
-    match c with
-    | Cell.Mem a -> li_mem a
-    | Cell.Pc | Cell.Reg _ -> Journal.find t.Task.li c
+  (* the live-in as the partial state it binds, independent of its
+     register mask and memory bounds *)
+  let live_in =
+    let li = Live_in.to_fragment t.Task.live_in in
+    fun c -> Fragment.find_opt c li
   in
   let resolve c =
     match Journal.find t.Task.writes c with
@@ -131,7 +129,8 @@ let observe ~spec ?(budget = 5_000) ?end_pc ?(end_occurrence = 1)
     ?(live_in = Fragment.empty) ?start_pc view (p : Program.t) =
   let start_pc = Option.value start_pc ~default:p.Program.entry in
   let t =
-    Task.make ~id:0 ~start_pc ~end_pc ~end_occurrence ~budget ~live_in
+    Task.make ~id:0 ~start_pc ~end_pc ~end_occurrence ~budget
+      ~live_in:(Live_in.of_fragment live_in)
   in
   let acc = ref [] in
   let on_access a = acc := a :: !acc in

@@ -355,6 +355,69 @@ let prop_paged_matches_hashtbl_reference =
       in
       same_trace && Full.pc full = r.Ref_state.pc && regs_ok && mem_ok)
 
+(* --- Live_in --- *)
+
+(* A checkpoint live-in and the fragment it binds are one partial state:
+   each converts to the other and back unchanged, and the live-in's
+   count, lookups, cell-order walk and update agree with the
+   fragment's. Three shapes: arbitrary fragments (any mask, memory or
+   none), the PC-only checkpoint of a control-only master, and the
+   isolated-slave snapshot of a state after random execution. *)
+
+let probe_cells =
+  Cell.Pc
+  :: List.init 31 (fun i -> Cell.Reg (Reg.of_int (i + 1)))
+  @ List.init 14 (fun a -> Cell.mem (a - 1))
+
+let agrees li f =
+  let walk fold x = List.rev (fold (fun c v l -> (c, v) :: l) x []) in
+  Fragment.equal (Live_in.to_fragment li) f
+  && Live_in.equal (Live_in.of_fragment f) li
+  && Live_in.cardinal li = Fragment.cardinal f
+  && walk Live_in.fold li = walk Fragment.fold f
+  && List.for_all (fun c -> Live_in.find_opt c li = Fragment.find_opt c f)
+       probe_cells
+
+let prop_live_in_round_trip =
+  QCheck.Test.make ~name:"live-in = fragment: round trip, count, order, add"
+    ~count:1000
+    QCheck.(
+      triple arbitrary_fragment
+        (int_bound (List.length probe_cells - 1))
+        small_int)
+    (fun (f, k, v) ->
+      let li = Live_in.of_fragment f in
+      let c = List.nth probe_cells k in
+      agrees li f
+      && agrees (Live_in.add c v li) (Fragment.add c v f)
+      (* [add] leaves its argument alone *)
+      && agrees li f)
+
+let prop_live_in_checkpoints =
+  QCheck.Test.make ~name:"live-in = fragment: PC-only and isolated snapshots"
+    ~count:50
+    QCheck.(triple small_nat (int_range 0 200) small_int)
+    (fun (seed, fuel, pc) ->
+      let p = Mssp_workload.Synthetic.generate ~seed ~size:8 in
+      let full = Full.create () in
+      Full.load full p;
+      let rec go n =
+        if n > 0 then
+          match
+            Mssp_seq.Exec.step
+              ~read:(fun c -> Some (Full.get full c))
+              ~write:(fun c v -> Full.set full c v)
+          with
+          | Mssp_seq.Exec.Stepped -> go (n - 1)
+          | _ -> ()
+      in
+      go fuel;
+      let mem = Full.snapshot_mem full in
+      agrees (Live_in.of_pc pc) (Fragment.singleton Cell.Pc pc)
+      && agrees
+           (Live_in.of_state ~pc full ~mem ~mem_cells:(Fragment.cardinal mem))
+           (Fragment.add Cell.Pc pc (Full.snapshot full)))
+
 let () =
   Alcotest.run "state"
     [
@@ -386,5 +449,10 @@ let () =
           Alcotest.test_case "span-edge straddle" `Quick
             test_span_edge_straddle;
           Mssp_testkit.to_alcotest prop_paged_matches_hashtbl_reference;
+        ] );
+      ( "live-in",
+        [
+          Mssp_testkit.to_alcotest prop_live_in_round_trip;
+          Mssp_testkit.to_alcotest prop_live_in_checkpoints;
         ] );
     ]

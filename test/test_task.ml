@@ -5,6 +5,7 @@
 
 module Cell = Mssp_state.Cell
 module Fragment = Mssp_state.Fragment
+module Live_in = Mssp_state.Live_in
 module Full = Mssp_state.Full
 module Layout = Mssp_isa.Layout
 module Instr = Mssp_isa.Instr
@@ -41,7 +42,7 @@ let head = simple_loop.Mssp_isa.Program.entry
 
 let make_task ?(occurrence = 1) ?(budget = 1000) ~live_in ~end_pc () =
   Task.make ~id:0 ~start_pc:head ~end_pc ~end_occurrence:occurrence ~budget
-    ~live_in
+    ~live_in:(Live_in.of_fragment live_in)
 
 let t0_cell = Cell.Reg t0
 let t1_cell = Cell.Reg t1
@@ -123,7 +124,7 @@ let test_isolated_missing_memory_reads_zero () =
   let live_in = Fragment.add Cell.Pc p.Mssp_isa.Program.entry (Full.snapshot full) in
   let task =
     Task.make ~id:1 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
-      ~end_occurrence:1 ~budget:10 ~live_in
+      ~end_occurrence:1 ~budget:10 ~live_in:(Live_in.of_fragment live_in)
   in
   check "halts" true (Task.run task Task.Isolated = Task.Complete Task.Program_halted);
   check "zero read recorded" true
@@ -142,7 +143,7 @@ let test_io_refusal () =
   let live_in = Fragment.singleton Cell.Pc p.Mssp_isa.Program.entry in
   let task =
     Task.make ~id:2 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
-      ~end_occurrence:1 ~budget:10 ~live_in
+      ~end_occurrence:1 ~budget:10 ~live_in:(Live_in.of_fragment live_in)
   in
   (match Task.run task (fallback arch) with
   | Task.Failed (Task.Io_speculative c) ->
@@ -158,7 +159,7 @@ let test_fault_reported () =
   let live_in = Fragment.singleton Cell.Pc 0 in
   let task =
     Task.make ~id:3 ~start_pc:0 ~end_pc:None ~end_occurrence:1 ~budget:10
-      ~live_in
+      ~live_in:(Live_in.of_fragment live_in)
   in
   match Task.run task (fallback arch) with
   | Task.Failed (Task.Fault _) -> ()
@@ -252,7 +253,8 @@ let prop_task_matches_abstract_evolution =
       let task =
         Task.make ~id:0
           ~start_pc:(Option.get (Fragment.pc live_in))
-          ~end_pc:None ~end_occurrence:1 ~budget:n ~live_in
+          ~end_pc:None ~end_occurrence:1 ~budget:n
+          ~live_in:(Live_in.of_fragment live_in)
       in
       let status = Task.run task Task.Isolated in
       let sim_result = Fragment.superimpose live_in (Task.writes_fragment task) in
@@ -341,7 +343,8 @@ let journal_list j =
   List.rev !l
 
 let task_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc view =
-  let t = Task.make ~id:0 ~start_pc ~end_pc ~end_occurrence ~budget ~live_in in
+  let t = Task.make ~id:0 ~start_pc ~end_pc ~end_occurrence ~budget 
+    ~live_in:(Live_in.of_fragment live_in) in
   let accesses = ref [] in
   let status =
     Task.run ~on_access:(fun a -> accesses := a :: !accesses) t view
@@ -439,10 +442,11 @@ let test_make_allocation () =
       Mssp_isa.Reg.all
   in
   let live_in n =
-    Fragment.of_list
-      ((Cell.Pc, head) :: regs
-      @ List.init (n - 1 - List.length regs) (fun i ->
-            (Cell.mem (Layout.data_base + (3 * i)), i)))
+    Live_in.of_fragment
+      (Fragment.of_list
+         ((Cell.Pc, head) :: regs
+         @ List.init (n - 1 - List.length regs) (fun i ->
+               (Cell.mem (Layout.data_base + (3 * i)), i))))
   in
   let allocated live_in =
     let make () =
@@ -512,7 +516,8 @@ let words_for_trips ~fresh trips =
   let task =
     Task.with_decode decode
       (Task.make ~id:0 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
-         ~end_occurrence:1 ~budget:max_int ~live_in:Fragment.empty)
+         ~end_occurrence:1 ~budget:max_int
+         ~live_in:(Live_in.of_fragment Fragment.empty))
   in
   let status = Task.run ~on_access task (fallback arch) in
   let w1 = words () in

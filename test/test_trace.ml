@@ -257,6 +257,55 @@ let test_fold_reproduces_stats () =
         (s.Trace.Summary.halt <> None))
     golden_cases
 
+(* What [mssp_sim trace --from FILE --format summary] folds: a stream
+   re-read from JSONL. Each committed golden is byte for byte the live
+   run's serialized stream and folds to the same summary, [Predict]
+   live-ins and their binding counts included. *)
+let test_reread_golden_summary () =
+  List.iter
+    (fun (name, run) ->
+      let events, _ = run () in
+      let path = golden_path name in
+      check (name ^ ": golden is byte-identical") true
+        (In_channel.with_open_text path In_channel.input_all
+        = Trace.to_jsonl events);
+      check (name ^ ": re-read summary = live summary") true
+        (Trace.Summary.rows (Trace.Summary.of_events (read_golden path))
+        = Trace.Summary.rows (Trace.Summary.of_events events)))
+    golden_cases
+
+(* A ring that dropped events holds a suffix of the stream, whose fold
+   cannot add up to the run: the verdict line says the stream is
+   truncated instead of reporting a mismatch on a healthy run. A ring
+   that kept every event compares, and agrees. *)
+let test_ring_verdict () =
+  let d = distill_bench "vecsum" ~size:160 ~train:40 in
+  let ring capacity =
+    let tracer = Trace.create () and buf = Trace.Ring.create capacity in
+    Trace.attach tracer (Trace.Ring.sink buf);
+    let r =
+      M.run
+        ~config:{ base2 with Config.task_size = 20; tracer = Some tracer }
+        d
+    in
+    (Trace.Ring.dropped buf, Trace.Summary.of_events (Trace.Ring.contents buf),
+     r.M.stats)
+  in
+  let dropped, s, stats = ring 50 in
+  check "a 50-event ring drops events" true (dropped > 0);
+  Alcotest.(check string) "truncated stream: no comparison"
+    (Printf.sprintf
+       "stream truncated: the first %d events were dropped; fold not \
+        compared with machine stats\n"
+       dropped)
+    (M.fold_check ~dropped s stats);
+  Alcotest.(check string) "comparing the suffix would report a mismatch"
+    "fold matches machine stats: false\n" (M.fold_check ~dropped:0 s stats);
+  let dropped, s, stats = ring 100_000 in
+  check_int "a large ring drops nothing" 0 dropped;
+  Alcotest.(check string) "complete stream: compared, and agrees"
+    "fold matches machine stats: true\n" (M.fold_check ~dropped s stats)
+
 (* The fold updates one record in place: over every golden stream it
    allocates less than one word per event, where a fold that copies its
    record per event allocates over thirty. *)
@@ -599,6 +648,10 @@ let () =
         [
           Alcotest.test_case "fold over JSONL reproduces stats" `Quick
             test_fold_reproduces_stats;
+          Alcotest.test_case "re-read goldens fold like their runs" `Quick
+            test_reread_golden_summary;
+          Alcotest.test_case "ring verdict: truncated or compared" `Quick
+            test_ring_verdict;
         ] );
       ( "squash-limit discarded",
         [
