@@ -153,24 +153,20 @@ let e4 () =
   let names = [ "branchy"; "hashbuild"; "strmatch" ] in
   let settings =
     [
-      ("off", 2.0, false);
-      ("0.999", 0.999, false);
-      ("0.98", 0.98, false);
-      ("0.90", 0.90, false);
-      ("0.80", 0.80, false);
-      ("0.80+loads", 0.80, true);
+      ("off", 2.0);
+      ("0.999", 0.999);
+      ("0.98", 0.98);
+      ("0.90", 0.90);
+      ("0.80", 0.80);
     ]
   in
   let rows =
     List.map
-      (fun (label, threshold, loads) ->
+      (fun (label, threshold) ->
         let options =
           {
             Distill.default_options with
             Distill.branch_bias_threshold = threshold;
-            promote_stable_loads = loads;
-            load_stability_threshold = 0.95;
-            min_load_count = 8;
           }
         in
         let prepared = List.map (fun n -> prepare ~options (W.find n)) names in
@@ -772,18 +768,17 @@ let e17 () =
 
 let e18 () =
   section "E18  Pass ablation: what each distiller pass buys";
-  let module Pipeline = Mssp_distill.Pipeline in
   let resolve names =
-    match Pipeline.resolve names with
+    match Distill.resolve names with
     | Ok ps -> ps
     | Error e -> failwith e
   in
-  let full = Pipeline.names (Pipeline.passes ()) in
+  let full = Distill.names (Distill.default_passes ()) in
   let names = [ "vecsum"; "branchy"; "treesum"; "qsort" ] in
   let benches = List.map W.find names in
   (* drop one rewrite pass at a time; removing harden takes repair with
-     it (repair only un-hardens), compact stays so static sizes are
-     comparable, and promote is gated off by default options already *)
+     it (repair only un-hardens), and compact stays so static sizes are
+     comparable *)
   let ablations =
     [
       ("full", full);

@@ -24,7 +24,6 @@ module Full = Mssp_state.Full
 module Machine = Mssp_seq.Machine
 module Profile = Mssp_profile.Profile
 module Distill = Mssp_distill.Distill
-module Pipeline = Mssp_distill.Pipeline
 module M = Mssp_core.Mssp_machine
 module Config = Mssp_core.Mssp_config
 module B = Mssp_baseline.Baseline
@@ -151,8 +150,8 @@ let distill_cmd =
   let passes_arg =
     let doc =
       "Comma-separated pass names to run instead of the default pipeline \
-       (see the registry: harden, promote, drop-stores, repair, \
-       dead-writes, boundaries, split-merge, predict-elide, compact). A \
+       (see the registry: harden, drop-stores, repair, dead-writes, \
+       boundaries, split-merge, predict-elide, compact). A \
        list without a layout pass gets the identity layout appended."
     in
     Arg.(value & opt (some string) None & info [ "passes" ] ~docv:"LIST" ~doc)
@@ -175,25 +174,24 @@ let distill_cmd =
     in
     let passes =
       match passes with
-      | None -> Pipeline.passes ()
+      | None -> Distill.default_passes ()
       | Some s -> (
         let names =
           String.split_on_char ',' s |> List.map String.trim
           |> List.filter (fun x -> x <> "")
         in
-        match Pipeline.resolve names with
+        match Distill.resolve names with
         | Ok ps -> ps
         | Error e ->
           prerr_endline e;
           exit 2)
     in
-    let r = Pipeline.run ~options ~passes ~check:true program profile in
-    let d = Distill.of_result r in
+    let d = Distill.distill ~options ~passes ~check:true program profile in
     Format.printf "%a@." Distill.pp_stats d.Distill.stats;
     Printf.printf "task entries: %s\n"
       (String.concat ", "
          (List.map (Printf.sprintf "%#x") d.Distill.task_entries));
-    Format.printf "--- passes ---@.%a@." Pipeline.pp_pass_stats r;
+    Format.printf "--- passes ---@.%a@." Distill.pp_steps d;
     if dump then begin
       Format.printf "@.--- original ---@.%a@." Mssp_isa.Program.pp program;
       Format.printf "--- distilled ---@.%a@." Mssp_isa.Program.pp
@@ -201,13 +199,13 @@ let distill_cmd =
     end;
     Option.iter
       (fun dir ->
-        let files = Pipeline.dump ~dir r in
+        let files = Distill.dump ~dir d in
         Printf.printf "wrote %d pass artifact(s) under %s\n"
           (List.length files) dir)
       dump_passes;
-    if not (Pipeline.ok r) then begin
+    if not (Distill.ok d) then begin
       Format.eprintf "pass-checker: %d violation(s)@."
-        (List.length r.Pipeline.violations);
+        (List.length d.Distill.violations);
       exit 1
     end
   in

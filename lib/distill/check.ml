@@ -56,25 +56,6 @@ let check_harden (st : Pass.state) pc before after =
       ( "hardening may only rewrite branches",
         Format.asprintf "pc %d: %a is not a branch" pc Instr.pp before )
 
-let check_promote (st : Pass.state) pc before after =
-  match (before, Instr.writes_reg before) with
-  | Instr.Ld _, Some rd -> (
-    match (after, Profile.load_stability st.profile pc) with
-    | Instr.Li (rd', v), Some (value, stability)
-      when stability >= st.options.load_stability_threshold
-           && Profile.exec_count st.profile pc >= st.options.min_load_count
-           && Reg.equal rd rd' && v = value && Instr.imm_fits v ->
-      None
-    | _ ->
-      Some
-        ( "promotion must load the profiled stable value",
-          Format.asprintf "pc %d: %a -> %a not justified by the profile" pc
-            Instr.pp before Instr.pp after ))
-  | _ ->
-    Some
-      ( "promotion may only rewrite loads",
-        Format.asprintf "pc %d: %a is not a load" pc Instr.pp before )
-
 let check_drop_store (st : Pass.state) pc before after =
   match before with
   | Instr.St (_, base, _) ->
@@ -138,7 +119,6 @@ let check_elide (_st : Pass.state) pc before after =
 
 let site_validator = function
   | "harden" | "broken-harden" -> Some check_harden
-  | "promote" -> Some check_promote
   | "drop-stores" | "broken-stores" -> Some check_drop_store
   | "repair" -> Some check_repair
   | "dead-writes" -> Some check_dead_write

@@ -7,25 +7,20 @@
     (verification catches every wrong prediction); they only have to be
     right often enough to be fast (paper §1–2).
 
-    Since PR 7 the distiller is a {e checked pass pipeline}: each
-    transformation is one named, independently-switchable {!Pass.t} with
-    a uniform signature over a shared distillation state, driven by
-    {!Pipeline.run}, which snapshots a diffable artifact per pass and
-    asserts structural invariants ({!Check}) after every step. This
-    module is the facade: the default pipeline reproduces the original
-    monolithic distiller bit-identically.
+    The distiller is a {e checked pass pipeline}: each transformation is
+    one named, independently-switchable {!Pass.t} with a uniform
+    signature over a shared distillation state. {!distill} runs a list
+    of them, keeps a copy of the code before and after every pass, and
+    with [~check:true] asserts the {!Check} invariants after every step.
+    The listings and diffs are rendered from those copies only by
+    {!dump}.
 
-    Transformations, all profile-driven:
+    Transformations, all profile-driven, in default order:
     + {b Branch hardening} ([harden]): a branch taken (or fallen through)
       with frequency ≥ [branch_bias_threshold] on the training input
       becomes an unconditional jump (or nothing), removing the test and
       the cold arm from the master's path. Paired with [repair], which
       restores hardened branches whose pruned cold edge lost hot code.
-    + {b Load-value promotion} ([promote]): a load returning the same
-      value with frequency ≥ [load_stability_threshold] becomes [Li] of
-      that value, breaking the master's dependence on memory.
-    + {b Dead-write removal} ([dead-writes]): register writes never
-      observed live (liveness on the hardened CFG) become [Nop].
     + {b Non-communicating store removal} ([drop-stores]): stores whose
       values were never loaded back within [store_comm_distance] dynamic
       instructions on the training input become [Nop] in the master's
@@ -35,18 +30,22 @@
       one back sooner, the slave sees a stale value and verification
       squashes — unsound-but-checked, like every other transformation
       here.)
-    + {b Compaction} ([compact]): unreachable blocks and [Nop]s are
-      dropped and the survivors re-laid-out contiguously at
-      {!Mssp_isa.Layout.distilled_base}, with all direct control-flow
-      retargeted. (Indirect targets materialized as constants are {e not}
-      rewritten — the master may wander into original code, which is
-      functionally harmless; see DESIGN.md.)
+    + {b Dead-write removal} ([dead-writes]): register writes never
+      observed live (liveness on the hardened CFG) become [Nop].
     + {b Task-boundary insertion} ([boundaries]): [Fork orig_pc] markers
       are placed at every hot loop header and function entry, plus the
       program entry, so all useful work flows through slave tasks.
       Markers are cheap: the {e master} paces actual checkpoint creation
       with its task-size counter ([Mssp_config.task_size]), the moral
       equivalent of the paper's loop unrolling for task sizing.
+    + {b Adaptive passes} ([split-merge], [predict-elide]): identities
+      unless [options.feedback] carries a previous run's measurements.
+    + {b Compaction} ([compact]): unreachable blocks and [Nop]s are
+      dropped and the survivors re-laid-out contiguously at
+      {!Mssp_isa.Layout.distilled_base}, with all direct control-flow
+      retargeted. (Indirect targets materialized as constants are {e not}
+      rewritten — the master may wander into original code, which is
+      functionally harmless; see DESIGN.md.)
 
     The result also carries the {e entry map} (original task-entry PC →
     distilled PC of its [Fork]), which the machine uses to restart the
@@ -58,17 +57,14 @@ type feedback = Pass.feedback = {
   fb_elide : bool;  (** enable strongly-live elision ({!Pass.predict_elide}) *)
 }
 (** Measured feedback from a previous run of the same program: the input
-    of the adaptive passes ([split-merge], [predict-elide]) added in
-    PR 8. [options.feedback = None] keeps both passes identities — the
+    of the adaptive passes ([split-merge], [predict-elide]).
+    [options.feedback = None] keeps both passes identities — the
     default pipeline's output is unchanged. *)
 
 type options = Pass.options = {
   branch_bias_threshold : float;
       (** harden branches with bias ≥ this; > 1.0 disables hardening *)
   min_branch_count : int;  (** never harden branches executed fewer times *)
-  promote_stable_loads : bool;
-  load_stability_threshold : float;
-  min_load_count : int;
   remove_dead_writes : bool;
   remove_noncomm_stores : bool;
   store_comm_distance : int;
@@ -84,9 +80,8 @@ type options = Pass.options = {
 }
 
 val default_options : options
-(** bias 0.98 (min 8), loads off by default (stability 0.999, min 16),
-    dead-write and non-communicating-store removal on (comm distance
-    1000, min 8), compaction on, boundary min 4. *)
+(** bias 0.98 (min 8), dead-write and non-communicating-store removal on
+    (comm distance 1000, min 8), compaction on, boundary min 4. *)
 
 val identity_options : options
 (** Disable every code transformation: the distilled program is the
@@ -98,7 +93,6 @@ type stats = {
   distilled_static : int;
   forks_inserted : int;
   branches_hardened : int;
-  loads_promoted : int;
   dead_writes_removed : int;
   stores_removed : int;
   blocks_dropped : int;
@@ -118,6 +112,35 @@ val dynamic_ratio : stats -> float
 (** estimated original/distilled dynamic length — the paper's headline
     distillation metric. *)
 
+(** {1 The pass registry} *)
+
+val default_passes : unit -> Pass.t list
+(** The default pipeline: harden, drop-stores, repair, dead-writes,
+    boundaries, split-merge, predict-elide, compact. *)
+
+val names : Pass.t list -> string list
+
+val resolve : string list -> (Pass.t list, string) Result.t
+(** Look up passes by name among the default passes and the
+    deliberately broken mutation-testing ones ([broken-harden],
+    [broken-stores], [broken-forks], never in a default pipeline);
+    [Error] lists unknown names and the known ones. *)
+
+(** {1 Distillation} *)
+
+(** One executed pass: its stats, its checker violations, and copies of
+    the working code just before and just after it. *)
+type step = {
+  index : int;
+  pass : Pass.t;
+  stat : Pass.pstat;
+  violations : Check.violation list;
+  before : Mssp_isa.Program.t;  (** working code at the original's base *)
+  after : Mssp_isa.Program.t;
+      (** working code after the pass, or the laid-out image for a
+          layout pass *)
+}
+
 type t = {
   original : Mssp_isa.Program.t;
   distilled : Mssp_isa.Program.t;  (** based at [Layout.distilled_base] *)
@@ -131,45 +154,44 @@ type t = {
           original-code address, the machine redirects it through this
           map back into distilled code. *)
   stats : stats;
-      (** flat aggregate record, derived by composing [pass_stats] — one
-          counter summed over every pass that claims it, so custom
+      (** flat aggregate record, derived by composing the steps' stats —
+          one counter summed over every pass that claims it, so custom
           pipelines still account correctly *)
-  pass_stats : Pass.pstat list;  (** per executed pass, execution order *)
+  steps : step list;
+      (** execution order, including the appended layout if any *)
+  violations : Check.violation list;
+      (** per-pass then final; always [[]] without [~check:true] *)
 }
 
 val distill :
   ?options:options ->
   ?passes:Pass.t list ->
+  ?check:bool ->
   Mssp_isa.Program.t ->
   Mssp_profile.Profile.t ->
   t
 (** [distill p profile] runs the pass pipeline ([?passes] defaults to
-    {!Pipeline.passes}, the seed distiller's order) without the checker.
-    Any pass subset/order yields a complete runnable package — the
-    driver appends an identity layout when the list carries no layout
-    pass. *)
+    {!default_passes}). Any pass subset/order yields a complete runnable
+    package — the driver appends an identity layout when the list
+    carries no layout pass. [~check:true] (default [false]) runs the
+    {!Check} pass-checker after every step and on the final package. *)
 
-val checked :
-  ?options:options ->
-  ?passes:Pass.t list ->
-  Mssp_isa.Program.t ->
-  Mssp_profile.Profile.t ->
-  (t, string) Result.t
-(** Like {!distill}, with the {!Check} pass-checker on: [Error] renders
-    every violated invariant. The fuzz distill-grid and the mutation
-    smoke tests run through this. *)
-
-val of_result : Pipeline.result -> t
-(** Package a pipeline result (e.g. after {!Pipeline.run} with artifact
-    dumping) into the machine-facing record. *)
-
-val pp_pass_stats : Format.formatter -> t -> unit
-(** Per-pass stats table (one {!Pass.pp_pstat} line per executed pass). *)
-
-val is_pure_def : Mssp_isa.Instr.t -> bool
-(** Re-export of {!Pass.is_pure_def}. *)
+val ok : t -> bool
+(** No checker violations anywhere. *)
 
 val distilled_entry_for : t -> int -> int option
 (** Distilled PC (of the [Fork]) for an original task-entry PC. *)
 
 val is_task_entry : t -> int -> bool
+
+(** {1 Diagnostics} *)
+
+val pp_steps : Format.formatter -> t -> unit
+(** Per-pass stats table, checker violations inlined. *)
+
+val dump : dir:string -> t -> string list
+(** Write one [NN-<pass>.diff] per executed pass (a unified-style
+    disassembly diff, checker violations inlined as [! ...] lines) plus
+    [pipeline.json] (each pass's rewrites, named counters and violations,
+    and the package's [stats] as its summary) under [dir], created if
+    missing; returns the paths written. *)

@@ -16,9 +16,6 @@ let split_threshold = 0.05
 type options = {
   branch_bias_threshold : float;
   min_branch_count : int;
-  promote_stable_loads : bool;
-  load_stability_threshold : float;
-  min_load_count : int;
   remove_dead_writes : bool;
   remove_noncomm_stores : bool;
   store_comm_distance : int;
@@ -32,9 +29,6 @@ let default_options =
   {
     branch_bias_threshold = 0.98;
     min_branch_count = 8;
-    promote_stable_loads = false;
-    load_stability_threshold = 0.999;
-    min_load_count = 16;
     remove_dead_writes = true;
     remove_noncomm_stores = true;
     store_comm_distance = 1000;
@@ -48,9 +42,6 @@ let identity_options =
   {
     branch_bias_threshold = 2.0;
     min_branch_count = max_int;
-    promote_stable_loads = false;
-    load_stability_threshold = 2.0;
-    min_load_count = max_int;
     remove_dead_writes = false;
     remove_noncomm_stores = false;
     store_comm_distance = default_options.store_comm_distance;
@@ -96,7 +87,6 @@ type state = {
           still standing — pushed by [harden], pruned by [repair] *)
   task_entries : int list option;  (** set by [boundaries] *)
   layout : layout_result option;  (** set by the layout/compaction pass *)
-  pstats : pstat list;  (** reverse execution order *)
 }
 
 let init ?(options = default_options) (p : Program.t) profile =
@@ -108,7 +98,6 @@ let init ?(options = default_options) (p : Program.t) profile =
     hardened = [];
     task_entries = None;
     layout = None;
-    pstats = [];
   }
 
 type kind = Rewrite | Analysis | Layout
@@ -121,7 +110,7 @@ type t = {
 }
 
 (* =================================================================== *)
-(* The six distiller transformations, each as one pass. The bodies are
+(* The distiller transformations, each as one pass. The bodies are
    the seed distiller's phases verbatim (split along instruction
    category, which the categories' disjointness makes exact): running
    the default pipeline is bit-identical to the original monolithic
@@ -159,43 +148,6 @@ let harden =
     doc =
       "branch hardening: profile-biased branches become unconditional \
        jumps (or fall-throughs)";
-    kind = Rewrite;
-    apply;
-  }
-
-(* --- load-value promotion ------------------------------------------ *)
-
-let promote =
-  let apply st =
-    let { options; profile; original = p; code; _ } = st in
-    let promoted = ref 0 in
-    Array.iteri
-      (fun i instr ->
-        let pc = p.base + i in
-        match instr with
-        | Instr.Ld _ when options.promote_stable_loads -> (
-          match (Instr.writes_reg instr, Profile.load_stability profile pc) with
-          | Some rd, Some (value, stability)
-            when stability >= options.load_stability_threshold
-                 && Profile.exec_count profile pc >= options.min_load_count
-                 && Instr.imm_fits value ->
-            incr promoted;
-            code.(i) <- Instr.Li (rd, value)
-          | _, _ -> ())
-        | _ -> ())
-      code;
-    ( st,
-      {
-        pass = "promote";
-        rewrites = !promoted;
-        detail = [ ("loads_promoted", !promoted) ];
-      } )
-  in
-  {
-    name = "promote";
-    doc =
-      "load-value promotion: profile-stable loads become immediate \
-       constants";
     kind = Rewrite;
     apply;
   }
@@ -401,29 +353,28 @@ let dead_writes =
    chosen on the ORIGINAL CFG so they name original PCs that the
    original program actually reaches. *)
 
+(* Back-edge targets and direct-call targets inside the code, other
+   than the entry, sorted and distinct. *)
+let boundary_candidates (p : Program.t) =
+  let calls = ref [] in
+  Array.iteri
+    (fun i instr ->
+      match instr with
+      | Instr.Jal (_, off) -> calls := (p.base + i + off) :: !calls
+      | _ -> ())
+    p.code;
+  Cfg.back_edge_targets (Cfg.build p) @ !calls
+  |> List.filter (fun pc -> Program.in_code p pc && pc <> p.entry)
+  |> List.sort_uniq Int.compare
+
 let boundaries =
   let apply st =
     let { options; profile; original = p; _ } = st in
-    let g = Cfg.build p in
-    let candidates = Hashtbl.create 32 in
-    let add pc =
-      if Program.in_code p pc && not (Hashtbl.mem candidates pc) then
-        Hashtbl.add candidates pc (max 1 (Profile.exec_count profile pc))
+    let candidates = boundary_candidates p in
+    let hot pc =
+      max 1 (Profile.exec_count profile pc) >= options.min_boundary_count
     in
-    List.iter add (Cfg.back_edge_targets g);
-    Array.iteri
-      (fun i instr ->
-        match instr with
-        | Instr.Jal (_, off) -> add (p.base + i + off)
-        | _ -> ())
-      p.code;
-    Hashtbl.remove candidates p.entry;
-    let selected =
-      Hashtbl.fold
-        (fun pc count acc ->
-          if count >= options.min_boundary_count then pc :: acc else acc)
-        candidates [ p.entry ]
-    in
+    let selected = p.entry :: List.filter hot candidates in
     let selected = List.sort_uniq Int.compare selected in
     ( { st with task_entries = Some selected },
       {
@@ -431,7 +382,7 @@ let boundaries =
         rewrites = 0;
         detail =
           [
-            ("candidates", Hashtbl.length candidates);
+            ("candidates", List.length candidates);
             ("selected", List.length selected);
           ];
       } )
@@ -479,20 +430,10 @@ let split_merge =
       | None -> entries
       | Some fb when fb.fb_squash_rate > split_threshold ->
         (* split: the full candidate set, count threshold 1 *)
-        let g = Cfg.build p in
-        let candidates = Hashtbl.create 32 in
-        let add pc =
-          if Program.in_code p pc then Hashtbl.replace candidates pc ()
+        let selected =
+          List.sort_uniq Int.compare
+            ((p.entry :: entries) @ boundary_candidates p)
         in
-        List.iter add (Cfg.back_edge_targets g);
-        Array.iteri
-          (fun i instr ->
-            match instr with
-            | Instr.Jal (_, off) -> add (p.base + i + off)
-            | _ -> ())
-          p.code;
-        let all = Hashtbl.fold (fun pc () acc -> pc :: acc) candidates [] in
-        let selected = List.sort_uniq Int.compare (p.entry :: (entries @ all)) in
         split := List.length selected - List.length entries;
         selected
       | Some fb ->

@@ -5,9 +5,7 @@
     passes mutate the working code copy in place (same length and layout
     as the original program); analysis passes only read it; the layout
     pass consumes it and produces the distilled program image. The
-    default pipeline (see {!Pipeline.passes}) applies them in the seed
-    distiller's order and is bit-identical to the original monolithic
-    distiller. *)
+    default pipeline is {!Distill.default_passes}. *)
 
 (** Measured feedback from a previous MSSP run of the same program — the
     input of the adaptive passes ({!split_merge}, {!predict_elide}).
@@ -34,10 +32,6 @@ type options = {
   branch_bias_threshold : float;
       (** harden a branch when one direction's frequency is >= this *)
   min_branch_count : int;  (** ... and it executed at least this often *)
-  promote_stable_loads : bool;  (** enable load-value promotion *)
-  load_stability_threshold : float;
-      (** promote a load when one value's frequency is >= this *)
-  min_load_count : int;  (** ... and it executed at least this often *)
   remove_dead_writes : bool;  (** enable dead register-write removal *)
   remove_noncomm_stores : bool;  (** enable non-communicating-store removal *)
   store_comm_distance : int;
@@ -60,7 +54,7 @@ val identity_options : options
 
 (** One executed pass's composable stats record: the number of in-place
     instruction rewrites it performed plus named counters specific to the
-    pass ([candidates], [loads_promoted], [stores_removed], [restored],
+    pass ([candidates], [stores_removed], [restored],
     [kept], [dead_writes_removed], [selected], [emitted], [forks],
     [blocks_dropped], [estimated_dynamic]). *)
 type pstat = {
@@ -96,7 +90,6 @@ type state = {
       (** (pc, original branch, cold-edge target) per standing hardening *)
   task_entries : int list option;  (** set by {!boundaries} *)
   layout : layout_result option;  (** set by {!compact} / the finisher *)
-  pstats : pstat list;  (** reverse execution order *)
 }
 
 val init :
@@ -114,11 +107,9 @@ type t = {
   apply : state -> state * pstat;
 }
 
-(** {1 The six distiller transformations} *)
+(** {1 The distiller transformations} *)
 
 val harden : t  (** branch hardening: biased branches -> Jmp / fall-through *)
-
-val promote : t  (** load-value promotion: stable loads -> Li *)
 
 val drop_stores : t  (** non-communicating-store removal: St -> Nop *)
 

@@ -45,17 +45,17 @@ let dump_distill_artifacts ?fuel ~log shrunk grid failures =
     (fun (pt : Oracle.point) ->
       match pt.Oracle.distiller with
       | Oracle.Subset names when failed pt -> (
-        match Mssp_distill.Pipeline.resolve names with
+        match Mssp_distill.Distill.resolve names with
         | Error _ -> ()
         | Ok passes ->
-          let r =
-            Mssp_distill.Pipeline.run ~check:true ~passes shrunk profile
+          let d =
+            Mssp_distill.Distill.distill ~check:true ~passes shrunk profile
           in
           let sub =
             Filename.concat dir
               (String.map (fun c -> if c = '/' then '-' else c) pt.Oracle.name)
           in
-          let files = Mssp_distill.Pipeline.dump ~dir:sub r in
+          let files = Mssp_distill.Distill.dump ~dir:sub d in
           log
             (Printf.sprintf "  wrote %d pass artifact(s) under %s"
                (List.length files) sub))

@@ -47,9 +47,6 @@ let aggressive_options =
     Distill.default_options with
     Distill.branch_bias_threshold = 0.7;
     min_branch_count = 2;
-    promote_stable_loads = true;
-    load_stability_threshold = 0.6;
-    min_load_count = 2;
     store_comm_distance = 10;
     min_store_count = 2;
   }
@@ -108,8 +105,7 @@ let default_grid () =
 
 let switchable_passes =
   [
-    "harden"; "promote"; "drop-stores"; "repair"; "dead-writes"; "boundaries";
-    "compact";
+    "harden"; "drop-stores"; "repair"; "dead-writes"; "boundaries"; "compact";
   ]
 
 (* Permutation validity: [compact] consumes the working code, so it goes
@@ -220,22 +216,26 @@ let plan_grid ~plan () =
 
 (* Packages are results: a [Subset] point runs the checked pass pipeline
    and surfaces pass-checker violations as oracle failures (the package
-   never reaches the machine in that case). *)
-let packages p profile point :
+   never reaches the machine in that case). [honest] is the program's one
+   default package, shared by every point that needs it: the machine and
+   [Adversary.amnesiac] only read a package. *)
+let packages ~honest p profile point :
     (string * (Distill.t, string) Result.t) list =
   match point.distiller with
-  | Honest -> [ ("", Ok (Distill.distill p profile)) ]
+  | Honest -> [ ("", Ok (Lazy.force honest)) ]
   | Aggressive ->
     [ ("", Ok (Distill.distill ~options:aggressive_options p profile)) ]
   | Identity ->
     [ ("", Ok (Distill.distill ~options:Distill.identity_options p profile)) ]
   | Adversaries -> List.map (fun (n, d) -> ("/" ^ n, Ok d)) (Adversary.all p)
-  | Amnesiac ->
-    [ ("/amnesiac", Ok (Adversary.amnesiac (Distill.distill p profile))) ]
+  | Amnesiac -> [ ("/amnesiac", Ok (Adversary.amnesiac (Lazy.force honest))) ]
   | Subset names -> (
-    match Mssp_distill.Pipeline.resolve names with
+    match Distill.resolve names with
     | Error e -> [ ("", Error e) ]
-    | Ok passes -> [ ("", Distill.checked ~passes p profile) ])
+    | Ok passes ->
+      let d = Distill.distill ~passes ~check:true p profile in
+      if Distill.ok d then [ ("", Ok d) ]
+      else [ ("", Error (Mssp_distill.Check.show d.Distill.violations)) ])
 
 (* The reference run over the same image MSSP starts from: both the
    original and the (package-specific) distilled program loaded, because
@@ -366,6 +366,7 @@ let check ?(grid = default_grid ()) ?(fuel = 5_000_000) ?(formal = true)
   | Some Machine.Out_of_fuel | None -> Skipped "reference run out of fuel"
   | Some Machine.Halted ->
     let profile = Profile.collect ~fuel p in
+    let honest = lazy (Distill.distill p profile) in
     let runs = ref 0 in
     let fails =
       List.concat_map
@@ -374,7 +375,7 @@ let check ?(grid = default_grid ()) ?(fuel = 5_000_000) ?(formal = true)
             (fun entry ->
               incr runs;
               check_entry ~fuel point entry)
-            (packages p profile point))
+            (packages ~honest p profile point))
         grid
     in
     let fails =
@@ -399,6 +400,7 @@ let trace_failure ?(grid = default_grid ()) ?(fuel = 5_000_000) p =
   | Some (Machine.Faulted _) | Some Machine.Out_of_fuel | None -> None
   | Some Machine.Halted ->
     let profile = Profile.collect ~fuel p in
+    let honest = lazy (Distill.distill p profile) in
     let rec points = function
       | [] -> None
       | point :: rest ->
@@ -427,6 +429,6 @@ let trace_failure ?(grid = default_grid ()) ?(fuel = 5_000_000) p =
             | [] -> pkgs more
             | fails -> Some (point.name ^ subname, events (), fails))
         in
-        pkgs (packages p profile point)
+        pkgs (packages ~honest p profile point)
     in
     points grid

@@ -40,7 +40,7 @@ type distiller =
   | Amnesiac
   | Subset of string list
       (** the distiller pass pipeline restricted to exactly these passes
-          (in this order, resolved via {!Mssp_distill.Pipeline.resolve}),
+          (in this order, resolved via {!Mssp_distill.Distill.resolve}),
           run with the pass-checker on: a checker violation is an oracle
           failure with reason ["pass-checker: ..."] and the package never
           reaches the machine *)
@@ -55,7 +55,7 @@ val default_grid : unit -> point list
 (** The standard ten-point grid described above. *)
 
 val switchable_passes : string list
-(** The seven named distiller passes the subset axis draws from. *)
+(** The six named distiller passes the subset axis draws from. *)
 
 val valid_order : string list -> string list
 (** Normalize a pass-name list into a permutation-valid pipeline:
@@ -68,7 +68,7 @@ val random_subset : seed:int -> string list
 val distill_grid : seed:int -> unit -> point list
 (** The pass-subset grid: honest control, the empty pipeline, every
     switchable pass alone, and a seed-derived random subset in a random
-    (valid) order — ten points, all checker-on, all required to land on
+    (valid) order — nine points, all checker-on, all required to land on
     the SEQ state. *)
 
 val predict_grid : seed:int -> unit -> point list
@@ -82,7 +82,7 @@ val predict_grid : seed:int -> unit -> point list
 
 val broken_pass_point : string -> point
 (** A grid point running one {e deliberately broken} pass
-    ({!Mssp_distill.Pipeline.broken}) alone: the distiller mutation
+    ([broken-harden], [broken-stores] or [broken-forks]) alone: the distiller mutation
     smoke test — the pass-checker must fail it. Never part of any
     default grid. *)
 

@@ -5,12 +5,6 @@ module Machine = Mssp_seq.Machine
 
 type branch_stats = { mutable taken : int; mutable not_taken : int }
 
-type load_stats = {
-  mutable first_value : int;
-  mutable same_value : int;
-  mutable executions : int;
-}
-
 type store_stats = {
   mutable store_executions : int;
   mutable min_comm_distance : int;
@@ -19,7 +13,6 @@ type store_stats = {
 type t = {
   block_counts : (int, int) Hashtbl.t;
   branches : (int, branch_stats) Hashtbl.t;
-  loads : (int, load_stats) Hashtbl.t;
   stores : (int, store_stats) Hashtbl.t;
   cells : (int, int list ref) Hashtbl.t;
   mutable dynamic_instructions : int;
@@ -32,7 +25,6 @@ let create () =
   {
     block_counts = Hashtbl.create 256;
     branches = Hashtbl.create 64;
-    loads = Hashtbl.create 64;
     stores = Hashtbl.create 64;
     cells = Hashtbl.create 256;
     dynamic_instructions = 0;
@@ -77,14 +69,6 @@ let record_cell t addr value =
   | Some l -> if List.length !l < cell_stream_cap then l := value :: !l
   | None -> Hashtbl.add t.cells addr (ref [ value ])
 
-let record_load t pc value =
-  match Hashtbl.find_opt t.loads pc with
-  | Some s ->
-    s.executions <- s.executions + 1;
-    if value = s.first_value then s.same_value <- s.same_value + 1
-  | None ->
-    Hashtbl.add t.loads pc { first_value = value; same_value = 1; executions = 1 }
-
 let collect ?(fuel = 100_000_000) p =
   let t = create () in
   let m = Machine.of_program p in
@@ -115,7 +99,6 @@ let collect ?(fuel = 100_000_000) p =
         | Some (Instr.Br _), _ ->
           record_branch t pc ~taken:(Full.pc m.state <> pc + 1)
         | Some (Instr.Ld (rd, _, _)), Some addr ->
-          record_load t pc (Full.get_reg m.state rd);
           record_cell t addr (Full.get_reg m.state rd);
           (match Hashtbl.find_opt last_store addr with
           | Some (site, when_) ->
@@ -162,12 +145,6 @@ let observed_cells t =
   Hashtbl.fold (fun addr _ acc -> addr :: acc) t.cells []
   |> List.sort Int.compare
 
-let load_stability t pc =
-  match Hashtbl.find_opt t.loads pc with
-  | None -> None
-  | Some s ->
-    Some (s.first_value, float_of_int s.same_value /. float_of_int s.executions)
-
 let pp_summary fmt t =
   let branches = Hashtbl.length t.branches in
   let strongly_biased = ref 0 in
@@ -178,7 +155,7 @@ let pp_summary fmt t =
       | Some _ | None -> ())
     t.branches;
   Format.fprintf fmt
-    "@[<v>dynamic instructions: %d@,static sites executed: %d@,branches: %d (%d with bias >= 0.95)@,loads profiled: %d@]"
+    "@[<v>dynamic instructions: %d@,static sites executed: %d@,branches: %d (%d with bias >= 0.95)@,stores profiled: %d@]"
     t.dynamic_instructions
     (Hashtbl.length t.block_counts)
-    branches !strongly_biased (Hashtbl.length t.loads)
+    branches !strongly_biased (Hashtbl.length t.stores)

@@ -2,8 +2,9 @@
 
     A profile is collected by running the original program on a training
     input under the sequential machine while observing, per static
-    instruction: execution counts, branch outcomes, and the values loads
-    return (for speculative load-value promotion). This mirrors the
+    instruction: execution counts, branch outcomes and store-to-load
+    communication distances, plus the values flowing through each memory
+    cell (the live-in predictors' warm-up). This mirrors the
     paper's toolchain, where the distilled binary is produced offline
     from profile data; approximateness comes from the training input
     differing from the reference input. *)
@@ -11,12 +12,6 @@
 type branch_stats = {
   mutable taken : int;
   mutable not_taken : int;
-}
-
-type load_stats = {
-  mutable first_value : int;
-  mutable same_value : int;  (** executions returning [first_value] *)
-  mutable executions : int;
 }
 
 type store_stats = {
@@ -33,7 +28,6 @@ type store_stats = {
 type t = {
   block_counts : (int, int) Hashtbl.t;  (** pc of executed instruction -> count *)
   branches : (int, branch_stats) Hashtbl.t;  (** branch pc -> outcomes *)
-  loads : (int, load_stats) Hashtbl.t;  (** load pc -> value stability *)
   stores : (int, store_stats) Hashtbl.t;  (** store pc -> communication *)
   cells : (int, int list ref) Hashtbl.t;
       (** per-address observation stream (reversed internally; use
@@ -55,10 +49,6 @@ val exec_count : t -> int -> int
 val branch_bias : t -> int -> (bool * float) option
 (** For a branch PC: the dominant direction ([true] = taken) and its
     frequency in [0.5, 1.0]. [None] if the branch never executed. *)
-
-val load_stability : t -> int -> (int * float) option
-(** For a load PC: the first observed value and the fraction of
-    executions that returned it. [None] if never executed. *)
 
 val cell_observations : t -> int -> int list
 (** Every value observed flowing through a memory address (loads from it

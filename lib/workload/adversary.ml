@@ -16,7 +16,6 @@ let dummy_stats (p : Program.t) (d : Program.t) =
     distilled_static = Program.length d;
     forks_inserted = 0;
     branches_hardened = 0;
-    loads_promoted = 0;
     dead_writes_removed = 0;
     stores_removed = 0;
     blocks_dropped = 0;
@@ -39,7 +38,8 @@ let package (p : Program.t) (distilled : Program.t) =
     entry_map;
     pc_map;
     stats = dummy_stats p distilled;
-    pass_stats = [];
+    steps = [];
+    violations = [];
   }
 
 (** Distilled code is pseudo-random garbage words: the master faults

@@ -125,42 +125,10 @@ let test_dead_write_elimination () =
   check "chain removed" true (d.Distill.stats.Distill.dead_writes_removed >= 2);
   check "big dynamic win" true (Distill.dynamic_ratio d.Distill.stats > 1.5)
 
-let test_load_promotion () =
-  let p =
-    build (fun b ->
-        let stable = Dsl.data_words b [ 7 ] in
-        Dsl.li b t0 100;
-        Dsl.li b t2 0;
-        Dsl.label b "loop";
-        Dsl.ld_addr b t1 stable;
-        Dsl.alu b Instr.Add t2 t2 t1;
-        Dsl.alui b Instr.Sub t0 t0 1;
-        Dsl.br b Instr.Gt t0 zero "loop";
-        Dsl.out b t2;
-        Dsl.halt b)
-  in
-  (* promotion alone (hardening would prune the loop exit and make the
-     master spin, which is fine for MSSP but not for running the
-     distilled code standalone here) *)
-  let options =
-    {
-      Distill.default_options with
-      Distill.promote_stable_loads = true;
-      branch_bias_threshold = 2.0;
-    }
-  in
-  let d = distill ~options p in
-  check_int "one load promoted" 1 d.Distill.stats.Distill.loads_promoted;
-  (* promoted distilled code still computes the same result when run
-     sequentially (the training and reference input coincide here) *)
-  let m = Machine.run_program d.Distill.distilled in
-  check "distilled output" true (Machine.output m.Machine.state = [ 700 ])
-
 let test_identity_options () =
   let d = distill ~options:Distill.identity_options checked_loop in
   let s = d.Distill.stats in
   check_int "nothing hardened" 0 s.Distill.branches_hardened;
-  check_int "nothing promoted" 0 s.Distill.loads_promoted;
   check_int "no dead writes" 0 s.Distill.dead_writes_removed;
   check_int "no stores removed" 0 s.Distill.stores_removed;
   (* identity distillation = original + forks, so running it produces the
@@ -347,7 +315,6 @@ let test_stats_ratios () =
    ================================================================== *)
 
 module Pass = Mssp_distill.Pass
-module Pipeline = Mssp_distill.Pipeline
 module Cfg = Mssp_cfg.Cfg
 module Oracle = Mssp_fuzz.Oracle
 module Config = Mssp_core.Mssp_config
@@ -367,7 +334,7 @@ let pp_failures fs =
        fs)
 
 let resolve names =
-  match Pipeline.resolve names with Ok ps -> ps | Error e -> Alcotest.fail e
+  match Distill.resolve names with Ok ps -> ps | Error e -> Alcotest.fail e
 
 (* every workload at training size, with its training profile *)
 let corpus =
@@ -378,20 +345,20 @@ let corpus =
          (b.W.name, p, Profile.collect p))
        W.all)
 
-let run_names ?options names p profile =
-  Pipeline.run ?options ~passes:(resolve names) ~check:true p profile
-
 let package_names ?options names p profile =
-  let r = run_names ?options names p profile in
-  if not (Pipeline.ok r) then
+  let d =
+    Distill.distill ?options ~passes:(resolve names) ~check:true p profile
+  in
+  if not (Distill.ok d) then
     Alcotest.failf "pass-checker: %s"
-      (Mssp_distill.Check.show r.Pipeline.violations);
-  Distill.of_result r
+      (Mssp_distill.Check.show d.Distill.violations);
+  d
 
-(* the pre-layout rewrite sites of a pipeline: (pc, before, after) *)
-let rewrite_sites ?options names p profile =
-  let r = run_names ?options names p profile in
-  let code = r.Pipeline.state.Pass.code in
+(* the pre-layout rewrite sites of a one-pass pipeline: (pc, before,
+   after), read off the pass's own code snapshot *)
+let rewrite_sites name p profile =
+  let d = package_names [ name ] p profile in
+  let code = (List.hd d.Distill.steps).Distill.after.Program.code in
   let sites = ref [] in
   Array.iteri
     (fun i before ->
@@ -421,7 +388,7 @@ let test_diff_drop_stores () =
     (fun (name, p, profile) ->
       let base = package_names [ "compact" ] p profile in
       let w = package_names [ "drop-stores"; "compact" ] p profile in
-      let sites = rewrite_sites [ "drop-stores" ] p profile in
+      let sites = rewrite_sites "drop-stores" p profile in
       let reach = reachable_pc p in
       let live = List.filter (fun (pc, _, _) -> reach pc) sites in
       check_int
@@ -458,7 +425,7 @@ let test_diff_dead_writes () =
     (fun (name, p, profile) ->
       let base = package_names [ "compact" ] p profile in
       let w = package_names [ "dead-writes"; "compact" ] p profile in
-      let sites = rewrite_sites [ "dead-writes" ] p profile in
+      let sites = rewrite_sites "dead-writes" p profile in
       let reach = reachable_pc p in
       let live = List.filter (fun (pc, _, _) -> reach pc) sites in
       check_int
@@ -503,7 +470,7 @@ let test_diff_harden () =
     (fun (name, p, profile) ->
       let base = package_names [ "compact" ] p profile in
       let w = package_names [ "harden"; "compact" ] p profile in
-      let sites = rewrite_sites [ "harden" ] p profile in
+      let sites = rewrite_sites "harden" p profile in
       check_int
         (name ^ ": branches_hardened counts the rewrite sites")
         (List.length sites)
@@ -535,9 +502,10 @@ let test_diff_repair () =
       let kept = (stats_of repaired).Distill.branches_hardened in
       check (name ^ ": repair only un-hardens") true (kept <= candidates);
       let rstat =
-        List.find
-          (fun (s : Pass.pstat) -> s.Pass.pass = "repair")
-          repaired.Distill.pass_stats
+        (List.find
+           (fun (s : Distill.step) -> s.Distill.stat.Pass.pass = "repair")
+           repaired.Distill.steps)
+          .Distill.stat
       in
       check_int
         (name ^ ": restored + kept = candidates")
@@ -549,39 +517,6 @@ let test_diff_repair () =
       check (name ^ ": restoring branches can only grow the estimate") true
         ((stats_of repaired).Distill.estimated_dynamic_distilled
         >= (stats_of unrepaired).Distill.estimated_dynamic_distilled))
-    (Lazy.force corpus)
-
-(* promotion rewrites Ld -> Li in place: never smaller, and any growth
-   comes only from the conservative Li-as-indirect-target roots *)
-let promote_options =
-  { Distill.default_options with Distill.promote_stable_loads = true }
-
-let test_diff_promote () =
-  List.iter
-    (fun (name, p, profile) ->
-      let base = package_names ~options:promote_options [ "compact" ] p profile in
-      let w =
-        package_names ~options:promote_options [ "promote"; "compact" ] p
-          profile
-      in
-      let sites = rewrite_sites ~options:promote_options [ "promote" ] p profile in
-      check_int
-        (name ^ ": loads_promoted counts the rewrite sites")
-        (List.length sites)
-        (stats_of w).Distill.loads_promoted;
-      List.iter
-        (fun (_, before, after) ->
-          check (name ^ ": Ld -> Li") true
-            (match (before, after) with
-            | Instr.Ld _, Instr.Li _ -> true
-            | _ -> false))
-        sites;
-      check (name ^ ": static never shrinks") true
-        ((stats_of w).Distill.distilled_static
-        >= (stats_of base).Distill.distilled_static);
-      check (name ^ ": dynamic estimate never shrinks") true
-        ((stats_of w).Distill.estimated_dynamic_distilled
-        >= (stats_of base).Distill.estimated_dynamic_distilled))
     (Lazy.force corpus)
 
 (* boundaries only add Forks, and Forks are free in the estimate *)
@@ -709,7 +644,11 @@ let mutant_options =
 
 let checked_with ?options names p =
   let profile = Profile.collect p in
-  Distill.checked ?options ~passes:(resolve names) p profile
+  let d =
+    Distill.distill ?options ~passes:(resolve names) ~check:true p profile
+  in
+  if Distill.ok d then Ok d
+  else Error (Mssp_distill.Check.show d.Distill.violations)
 
 let test_mutants_caught () =
   let expect bad needle =
@@ -726,7 +665,7 @@ let test_mutants_caught () =
   (* the honest pipeline over the same material is clean *)
   match
     checked_with ~options:mutant_options
-      (Pipeline.names (Pipeline.passes ()))
+      (Distill.names (Distill.default_passes ()))
       mutation_material
   with
   | Ok _ -> ()
@@ -751,15 +690,136 @@ let test_mutants_still_absorbed () =
   let profile = Profile.collect mutation_material in
   List.iter
     (fun bad ->
-      let r =
-        Pipeline.run ~options:mutant_options ~passes:(resolve [ bad ])
-          ~check:false mutation_material profile
+      let d =
+        Distill.distill ~options:mutant_options ~passes:(resolve [ bad ])
+          mutation_material profile
       in
-      check
-        (bad ^ " package is still absorbed by verification")
-        true
-        (agrees_with_seq (Distill.of_result r)))
+      check (bad ^ " package is still absorbed by verification") true
+        (agrees_with_seq d))
     [ "broken-harden"; "broken-stores"; "broken-forks" ]
+
+(* --- what a distillation costs and what it can show --------------- *)
+
+(* A distillation builds its package and the per-pass code copies; the
+   listings are rendered only by [dump]. Rendering them for every pass
+   cost 4,300-5,200 minor words per static instruction on the kernels. *)
+let test_distill_allocation () =
+  List.iter
+    (fun (b : W.benchmark) ->
+      let program = b.W.program ~size:b.W.ref_size in
+      let profile = Profile.collect (b.W.program ~size:b.W.train_size) in
+      let w0 = Gc.minor_words () in
+      let d = Distill.distill program profile in
+      let words = Gc.minor_words () -. w0 in
+      let per_instr = words /. float_of_int (Program.length program) in
+      ignore (Sys.opaque_identity d);
+      check
+        (Printf.sprintf "%s: %.0f minor words per static instruction < 1000"
+           b.W.name per_instr)
+        true (per_instr < 1000.0))
+    W.all
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let lines_of s = String.split_on_char '\n' s
+
+let test_pass_dump () =
+  let b = W.find "vecsum" in
+  let program = b.W.program ~size:b.W.ref_size in
+  let profile = Profile.collect (b.W.program ~size:b.W.train_size) in
+  let d = Distill.distill ~check:true program profile in
+  let dir = Filename.temp_dir "mssp_distill_dump" "" in
+  let files = Distill.dump ~dir d in
+  Fun.protect ~finally:(fun () ->
+      List.iter Sys.remove files;
+      Sys.rmdir dir)
+  @@ fun () ->
+  let expected =
+    List.map
+      (fun (s : Distill.step) ->
+        Printf.sprintf "%02d-%s.diff" s.Distill.index s.Distill.pass.Pass.name)
+      d.Distill.steps
+    @ [ "pipeline.json" ]
+  in
+  Alcotest.(check (list string))
+    "one diff per executed pass, then pipeline.json" expected
+    (List.map Filename.basename files);
+  Alcotest.(check (list string))
+    "nothing else written" (List.sort compare expected)
+    (List.sort compare (Array.to_list (Sys.readdir dir)));
+  (* the harden diff: every hardened branch as a -/+ pair of listing
+     lines *)
+  let harden =
+    List.find
+      (fun (s : Distill.step) -> s.Distill.pass.Pass.name = "harden")
+      d.Distill.steps
+  in
+  let diff =
+    lines_of
+      (read_file
+         (Filename.concat dir
+            (Printf.sprintf "%02d-harden.diff" harden.Distill.index)))
+  in
+  let line prefix pc instr =
+    Format.asprintf "%s  %#6x: %a" prefix pc Instr.pp instr
+  in
+  let before = harden.Distill.before and after = harden.Distill.after in
+  let sites = ref 0 in
+  Array.iteri
+    (fun i old ->
+      let pc = before.Program.base + i in
+      match old with
+      | Instr.Br _ when not (Instr.equal old after.Program.code.(i)) ->
+        incr sites;
+        check (Printf.sprintf "- line for %#x" pc) true
+          (List.mem (line "-" pc old) diff);
+        check (Printf.sprintf "+ line for %#x" pc) true
+          (List.mem (line "+" pc after.Program.code.(i)) diff)
+      | _ -> ())
+    before.Program.code;
+  check "vecsum hardens a branch" true (!sites > 0);
+  let count prefix header =
+    List.length
+      (List.filter
+         (fun l ->
+           String.starts_with ~prefix l
+           && not (String.starts_with ~prefix:header l))
+         diff)
+  in
+  check_int "one - line per hardened branch" !sites (count "-" "--- ");
+  check_int "one + line per hardened branch" !sites (count "+" "+++ ");
+  check_int "harden's stat counts them" !sites
+    harden.Distill.stat.Pass.rewrites;
+  (* pipeline.json parses and its summary is the package's stats *)
+  let module Tjson = Mssp_trace.Tjson in
+  match Tjson.parse (read_file (Filename.concat dir "pipeline.json")) with
+  | Error e -> Alcotest.failf "pipeline.json: %s" e
+  | Ok json ->
+    let passes =
+      Option.bind (Tjson.member "passes" json) Tjson.to_list
+      |> Option.value ~default:[]
+    in
+    check_int "one JSON entry per step" (List.length d.Distill.steps)
+      (List.length passes);
+    let field k =
+      match Option.bind (Tjson.member "summary" json) (Tjson.member k) with
+      | Some v -> Option.value ~default:(-1) (Tjson.to_int v)
+      | None -> Alcotest.failf "summary has no %s" k
+    in
+    let s = d.Distill.stats in
+    List.iter
+      (fun (k, v) -> check_int ("summary " ^ k) v (field k))
+      [
+        ("original_static", s.Distill.original_static);
+        ("distilled_static", s.Distill.distilled_static);
+        ("forks", s.Distill.forks_inserted);
+        ("blocks_dropped", s.Distill.blocks_dropped);
+        ("estimated_dynamic_original", s.Distill.estimated_dynamic_original);
+        ("estimated_dynamic_distilled", s.Distill.estimated_dynamic_distilled);
+      ];
+    check_int "no violations" 0
+      (Option.value ~default:(-1)
+         (Option.bind (Tjson.member "violations" json) Tjson.to_int))
 
 let () =
   Alcotest.run "distill"
@@ -774,7 +834,6 @@ let () =
           Alcotest.test_case "keeps communicating stores" `Quick
             test_keeps_communicating_stores;
           Alcotest.test_case "dead-write chains" `Quick test_dead_write_elimination;
-          Alcotest.test_case "load promotion" `Quick test_load_promotion;
           Alcotest.test_case "identity options" `Quick test_identity_options;
         ] );
       ( "layout",
@@ -794,7 +853,6 @@ let () =
         [
           Alcotest.test_case "harden differential" `Quick test_diff_harden;
           Alcotest.test_case "repair differential" `Quick test_diff_repair;
-          Alcotest.test_case "promote differential" `Quick test_diff_promote;
           Alcotest.test_case "drop-stores differential" `Quick
             test_diff_drop_stores;
           Alcotest.test_case "dead-writes differential" `Quick
@@ -811,5 +869,11 @@ let () =
           Alcotest.test_case "broken passes caught" `Quick test_mutants_caught;
           Alcotest.test_case "broken packages still absorbed" `Quick
             test_mutants_still_absorbed;
+        ] );
+      ( "diagnostics",
+        [
+          Alcotest.test_case "distillation allocation" `Quick
+            test_distill_allocation;
+          Alcotest.test_case "pass dump" `Quick test_pass_dump;
         ] );
     ]

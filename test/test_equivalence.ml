@@ -87,9 +87,6 @@ let prop_random_programs_aggressive =
           Distill.default_options with
           Distill.branch_bias_threshold = 0.7;
           min_branch_count = 2;
-          promote_stable_loads = true;
-          load_stability_threshold = 0.6;
-          min_load_count = 2;
           store_comm_distance = 10;
           min_store_count = 2;
         }

@@ -1,5 +1,5 @@
-(* Tests for the profiler: execution counts, branch bias, load stability,
-   store communication distance. *)
+(* Tests for the profiler: execution counts, branch bias, store
+   communication distance, per-cell value streams. *)
 
 module Instr = Mssp_isa.Instr
 module Profile = Mssp_profile.Profile
@@ -46,32 +46,6 @@ let test_branch_bias () =
     check "bias 99/100" true (abs_float (freq -. 0.99) < 1e-9)
   | None -> Alcotest.fail "no bias recorded");
   check "unexecuted branch" true (Profile.branch_bias prof 0xdead = None)
-
-let test_load_stability () =
-  let p =
-    build (fun b ->
-        let stable = Dsl.data_words b [ 7 ] in
-        let arr = Dsl.data_words b [ 1; 2; 3; 4 ] in
-        Dsl.li b t0 4;
-        Dsl.li b t1 arr;
-        Dsl.label b "loop";
-        Dsl.ld_addr b t2 stable; (* always 7 *)
-        Dsl.ld b t3 t1 0; (* varies *)
-        Dsl.alui b Instr.Add t1 t1 1;
-        Dsl.alui b Instr.Sub t0 t0 1;
-        Dsl.br b Instr.Gt t0 zero "loop";
-        Dsl.halt b)
-  in
-  let prof = Profile.collect p in
-  let base = p.Mssp_isa.Program.base in
-  (match Profile.load_stability prof (base + 2) with
-  | Some (v, s) ->
-    check_int "stable value" 7 v;
-    check "fully stable" true (s = 1.0)
-  | None -> Alcotest.fail "stable load not recorded");
-  match Profile.load_stability prof (base + 3) with
-  | Some (_, s) -> check "unstable" true (s < 0.5)
-  | None -> Alcotest.fail "unstable load not recorded"
 
 let test_store_comm_distance () =
   let p =
@@ -212,7 +186,6 @@ let () =
         [
           Alcotest.test_case "exec counts" `Quick test_exec_counts;
           Alcotest.test_case "branch bias" `Quick test_branch_bias;
-          Alcotest.test_case "load stability" `Quick test_load_stability;
           Alcotest.test_case "store comm distance" `Quick test_store_comm_distance;
           Alcotest.test_case "overwrite clears comm" `Quick
             test_overwrite_clears_communication;
