@@ -7,6 +7,7 @@ module Seq_machine = Mssp_seq.Machine
 module Exec = Mssp_seq.Exec
 module Program = Mssp_isa.Program
 module Task = Mssp_task.Task
+module Journal = Mssp_task.Journal
 module Distill = Mssp_distill.Distill
 module Sim = Mssp_sim_engine.Sim
 module Hierarchy = Mssp_cache.Cache.Hierarchy
@@ -148,6 +149,10 @@ type t = {
   slave_caches : Hierarchy.t array;
   slave_free : bool array;
   view : Task.view;
+  mutable spare_journals : (Journal.t * Journal.t) list;
+      (** cleared reads/writes pairs, handed back by commit and discard:
+          at most one pair per window slot is ever allocated, and a
+          recycled pair keeps the capacity earlier bodies grew *)
   (* commit unit *)
   mutable commit_busy : bool;
   (* squash and recovery *)
@@ -228,6 +233,7 @@ let create (cfg : Mssp_config.t) (d : Distill.t) =
       slave_free = Array.make cfg.slaves true;
       view =
         (if cfg.isolated_slaves then Task.Isolated else Task.Fallback arch);
+      spare_journals = [];
       commit_busy = false;
       fruitless_squashes = 0;
     }
@@ -313,7 +319,9 @@ let rec master_run m =
 
 (* Up to [budget] more functional master instructions, [cost] cycles
    accumulated so far. The master-side PC map redirects jumps that landed
-   in original code (indirect returns) back into distilled code. The word
+   in original code (indirect returns) back into distilled code; it maps
+   original-code PCs only, so a PC inside the distilled image skips the
+   probe. The word
    is fetched and decoded once: markers and death cost nothing, and every
    other instruction runs through the closure-free timed step, which
    charges the fetch and the data accesses. *)
@@ -324,11 +332,13 @@ and master_go m budget cost =
   else begin
     let pc0 = Full.pc m.m_state in
     let pc =
-      match Hashtbl.find_opt m.d.pc_map pc0 with
-      | Some dpc ->
-        Full.set_pc m.m_state dpc;
-        dpc
-      | None -> pc0
+      if Program.in_code m.d.distilled pc0 then pc0
+      else
+        match Hashtbl.find_opt m.d.pc_map pc0 with
+        | Some dpc ->
+          Full.set_pc m.m_state dpc;
+          dpc
+        | None -> pc0
     in
     match m.decode ~pc ~word:(Full.get_mem m.m_state pc) with
     | None | Some Instr.Halt -> master_stop m cost
@@ -489,10 +499,11 @@ and find_free_slave m i =
 and start_task m cp s =
   m.slave_free.(s) <- false;
   let end_pc, end_occurrence = Option.get cp.cp_end in
+  let reads, writes = take_journals m in
   let task =
     Task.with_decode m.decode
       (Task.make ~id:cp.cp_id ~start_pc:cp.cp_entry ~end_pc ~end_occurrence
-         ~budget:m.cfg.task_budget ~live_in:cp.cp_live_in)
+         ~budget:m.cfg.task_budget ~live_in:cp.cp_live_in ~reads ~writes)
   in
   cp.cp_task <- Some task;
   let cost = run_task_body m s task in
@@ -514,6 +525,20 @@ and start_task m cp s =
          m.slave_free.(s) <- true;
          try_start_tasks m;
          commit_kick m))
+
+and take_journals m =
+  match m.spare_journals with
+  | pair :: rest ->
+    m.spare_journals <- rest;
+    pair
+  | [] -> (Journal.create ~mem_size:16 (), Journal.create ~mem_size:16 ())
+
+(* a task the machine is done with hands its journals back, cleared *)
+and recycle m task =
+  let r = task.Task.reads and w = task.Task.writes in
+  Journal.clear r;
+  Journal.clear w;
+  m.spare_journals <- (r, w) :: m.spare_journals
 
 (* Run one task body on slave [s], charging its Mem accesses to that
    slave's cache as it goes; returns the cache cost. *)
@@ -608,6 +633,7 @@ and commit m cp task n_live_ins =
   m.task_sizes <- executed :: m.task_sizes;
   m.live_in_counts <- n_live_ins :: m.live_in_counts;
   advance_shadow m executed;
+  recycle m task;
   match task.Task.status with
   | Task.Complete Task.Program_halted -> halt m Halted
   | Task.Complete Task.Reached_boundary | Task.Running | Task.Failed _ ->
@@ -686,10 +712,14 @@ and start_recovery m =
         ~delay:(cycles + m.cfg.timing.restart_latency)
         (epoch_guarded m (fun () -> master_run m)))
 
-(* Discard all speculative work: the window, the slaves, the L1s and the
-   master's pending checkpoint. *)
+(* Discard all speculative work: the window (its started tasks' journals
+   go back to the free list), the slaves, the L1s and the master's
+   pending checkpoint. *)
 and discard m =
   Sim.bump_epoch m.sim;
+  Queue.iter
+    (fun cp -> match cp.cp_task with Some t -> recycle m t | None -> ())
+    m.window;
   Queue.clear m.window;
   m.last_cp <- None;
   Array.fill m.slave_free 0 m.cfg.slaves true;

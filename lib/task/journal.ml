@@ -3,15 +3,22 @@ module Fragment = Mssp_state.Fragment
 module Reg = Mssp_isa.Reg
 
 (* Memory bindings live in an insertion-order log of addresses with a
-   parallel value array, indexed by a chained hash table from address
+   parallel value array, indexed by an open-addressed table from address
    to log position. The log is what makes the journal's iteration order
    a *contract* rather than an accident of hashing: a reads journal
    replays its first-reads in serial first-read order at verification
    time, whatever the table's capacity. Any int, negative addresses
-   included, is a valid key, and a probe is int compares down a short
-   chain: no option results and no polymorphic hashing. *)
-type chain = Nil | Link of { addr : int; pos : int; next : chain }
+   included, is a valid key.
 
+   The table is one int array of slots, twice the log's capacity (load
+   at most one half): a slot holds a log position + 1, and 0 marks an
+   empty slot. A probe starts at the address's Fibonacci home and walks
+   linearly to its binding or to an empty slot: int compares, no option
+   results, no polymorphic hashing and no allocation. Entries are only
+   ever added (never removed one by one), so probe paths never break,
+   and a table rebuilt on growth re-inserts in log order — the path of
+   log position [k] crosses only slots of positions below [k], which is
+   what lets [clear] unwind the table in reverse log order. *)
 type t = {
   mutable pc : int;
   mutable pc_set : bool;
@@ -19,11 +26,12 @@ type t = {
   mutable reg_mask : int; (* bit [Reg.to_int r] set iff the register is bound *)
   mutable addrs : int array; (* bound addresses, in first-binding order *)
   mutable vals : int array; (* [vals.(i)] is bound at [addrs.(i)] *)
-  mutable heads : chain array; (* by hash; as long as [addrs] *)
-  mutable shift : int; (* [Sys.int_size - log2 (Array.length heads)] *)
+  mutable slots : int array; (* log position + 1 by probe, 0 = empty *)
+  mutable shift : int; (* [Sys.int_size - log2 (Array.length slots)] *)
+  mutable mask : int; (* [Array.length slots - 1] *)
   mutable mem_n : int;
-  mutable mem_lo : int; (* bounds of every address ever bound; *)
-  mutable mem_hi : int; (* lo > hi when no memory is bound *)
+  mutable mem_lo : int; (* bounds of every address bound since the *)
+  mutable mem_hi : int; (* last clear; lo > hi when no memory is bound *)
 }
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
@@ -38,8 +46,9 @@ let create ?(mem_size = 64) () =
     reg_mask = 0;
     addrs = Array.make cap 0;
     vals = Array.make cap 0;
-    heads = Array.make cap Nil;
-    shift = Sys.int_size - log2 cap;
+    slots = Array.make (2 * cap) 0;
+    shift = Sys.int_size - log2 (2 * cap);
+    mask = (2 * cap) - 1;
     mem_n = 0;
     mem_lo = max_int;
     mem_hi = min_int;
@@ -61,25 +70,31 @@ let set_reg j i v =
   j.reg_mask <- j.reg_mask lor (1 lsl i)
 
 (* Fibonacci hashing: the top bits of the product, so strided address
-   streams spread over the chains *)
+   streams spread over the table *)
 let[@inline] home shift a = (a * 0x1E3779B97F4A7C15) lsr shift
 
-let rec find_pos a = function
-  | Nil -> -1
-  | Link l -> if l.addr = a then l.pos else find_pos a l.next
+let rec probe j a i =
+  let s = Array.unsafe_get j.slots i in
+  if s = 0 then -1
+  else if Array.unsafe_get j.addrs (s - 1) = a then s - 1
+  else probe j a ((i + 1) land j.mask)
 
 let mem_index j a =
-  if a < j.mem_lo || a > j.mem_hi then -1
-  else find_pos a (Array.unsafe_get j.heads (home j.shift a))
+  if a < j.mem_lo || a > j.mem_hi then -1 else probe j a (home j.shift a)
 
 let mem_at j i = Array.unsafe_get j.vals i
+let mem_count j = j.mem_n
+let mem_addr j i = Array.unsafe_get j.addrs i
 
-(* chain position [i] under its address *)
-let link j i =
-  let addr = Array.unsafe_get j.addrs i in
-  let h = home j.shift addr in
-  Array.unsafe_set j.heads h
-    (Link { addr; pos = i; next = Array.unsafe_get j.heads h })
+(* the first empty slot on [a]'s probe path, from slot [i] *)
+let rec free_slot j i =
+  if Array.unsafe_get j.slots i = 0 then i
+  else free_slot j ((i + 1) land j.mask)
+
+(* slot log position [k] under its address *)
+let place j k =
+  let i = free_slot j (home j.shift (Array.unsafe_get j.addrs k)) in
+  Array.unsafe_set j.slots i (k + 1)
 
 let grow j =
   let n = j.mem_n in
@@ -89,20 +104,21 @@ let grow j =
   Array.blit j.vals 0 vals 0 n;
   j.addrs <- addrs;
   j.vals <- vals;
-  j.heads <- Array.make cap Nil;
-  j.shift <- Sys.int_size - log2 cap;
-  for i = 0 to n - 1 do
-    link j i
+  j.slots <- Array.make (2 * cap) 0;
+  j.shift <- Sys.int_size - log2 (2 * cap);
+  j.mask <- (2 * cap) - 1;
+  for k = 0 to n - 1 do
+    place j k
   done
 
 (* [a] is known unbound *)
 let add_mem j a v =
   if j.mem_n = Array.length j.addrs then grow j;
-  let i = j.mem_n in
-  Array.unsafe_set j.addrs i a;
-  Array.unsafe_set j.vals i v;
-  j.mem_n <- i + 1;
-  link j i;
+  let k = j.mem_n in
+  Array.unsafe_set j.addrs k a;
+  Array.unsafe_set j.vals k v;
+  j.mem_n <- k + 1;
+  place j k;
   if a < j.mem_lo then j.mem_lo <- a;
   if a > j.mem_hi then j.mem_hi <- a
 
@@ -113,6 +129,32 @@ let set_mem j a v =
 let find_mem j a =
   let i = mem_index j a in
   if i >= 0 then Some (mem_at j i) else None
+
+(* zero the slot holding [target], on the probe path from slot [i] *)
+let rec unplace j target i =
+  if Array.unsafe_get j.slots i = target then Array.unsafe_set j.slots i 0
+  else unplace j target ((i + 1) land j.mask)
+
+(* log positions [k] down to 0: when [k]'s slot is zeroed, every slot on
+   its probe path still holds an older position *)
+let rec unplace_from j k =
+  if k >= 0 then begin
+    unplace j (k + 1) (home j.shift (Array.unsafe_get j.addrs k));
+    unplace_from j (k - 1)
+  end
+
+let clear j =
+  unplace_from j (j.mem_n - 1);
+  j.pc_set <- false;
+  j.reg_mask <- 0;
+  j.mem_n <- 0;
+  j.mem_lo <- max_int;
+  j.mem_hi <- min_int
+
+let is_empty j = (not j.pc_set) && j.reg_mask = 0 && j.mem_n = 0
+
+let occupied_slots j =
+  Array.fold_left (fun n s -> if s <> 0 then n + 1 else n) 0 j.slots
 
 let set j c v =
   match c with

@@ -42,14 +42,17 @@ type t = {
   decode : pc:int -> word:int -> Mssp_isa.Instr.t option;
 }
 
-let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in =
+let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in ~reads
+    ~writes =
   (* The live-in is held by reference: its register file is read in
      place and its memory part is the master's cumulative dirty set
      (thousands of cells on long runs), looked up in the persistent
-     fragment itself. The journals iterate in insertion order, so their
-     initial capacity cannot change any result; a small fixed size keeps
-     short tasks cheap, and the tables grow with the body's actual
-     footprint. *)
+     fragment itself. The journals are the caller's: the machine
+     recycles one pair per window slot, so their tables have grown to
+     earlier bodies' footprints; they iterate in insertion order, so
+     their capacity cannot change any result. *)
+  if not (Journal.is_empty reads && Journal.is_empty writes) then
+    invalid_arg "Task.make: journals must be empty";
   {
     id;
     start_pc;
@@ -60,8 +63,8 @@ let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in =
     live_in =
       (if live_in.Live_in.bound land 1 <> 0 then live_in
        else Live_in.add Cell.Pc start_pc live_in);
-    reads = Journal.create ~mem_size:16 ();
-    writes = Journal.create ~mem_size:16 ();
+    reads;
+    writes;
     executed = 0;
     status = Running;
     decode = Exec.default_decode;
@@ -285,13 +288,29 @@ let live_out_size t = Journal.cardinal t.writes
 let reads_fragment t = Journal.to_fragment t.reads
 let writes_fragment t = Journal.to_fragment t.writes
 
-(* the verification unit's memoization check: every recorded live-in
-   still agrees with architected state *)
+(* The verification unit's memoization check: every recorded live-in
+   still agrees with architected state. The PC, the register mask and
+   the memory log are walked as ints: no cell is boxed and no closure
+   built per entry. *)
+let rec regs_agree r arch i =
+  i = Reg.count
+  || ((not (Journal.has_reg r i))
+     || Journal.reg r i = Full.get_reg arch (Reg.of_int i))
+     && regs_agree r arch (i + 1)
+
+let rec mem_agrees r arch k =
+  k = Journal.mem_count r
+  || Journal.mem_at r k = Full.get_mem arch (Journal.mem_addr r k)
+     && mem_agrees r arch (k + 1)
+
 let live_ins_consistent t arch =
-  Journal.for_all (fun c v -> Full.get arch c = v) t.reads
+  let r = t.reads in
+  ((not (Journal.has_pc r)) || Journal.pc_value r = Full.pc arch)
+  && regs_agree r arch 0 && mem_agrees r arch 0
 
 (* the trace layer's witness: which recorded live-in disagrees, and on
-   what values — [Some _] iff [live_ins_consistent] is [false] *)
+   what values — [Some _] iff [live_ins_consistent] is [false]. Runs
+   only on a mismatch, so it keeps the generic walk *)
 let first_inconsistent t arch =
   let exception Found of Cell.t * int * int in
   try
@@ -303,8 +322,18 @@ let first_inconsistent t arch =
     None
   with Found (c, predicted, actual) -> Some (c, predicted, actual)
 
-(* the commit operation [S <- live_out(t)], straight from the journal *)
-let commit_into t arch = Journal.iter (fun c v -> Full.set arch c v) t.writes
+(* the commit operation [S <- live_out(t)], straight from the journal
+   in its iteration order, as ints *)
+let commit_into t arch =
+  let w = t.writes in
+  if Journal.has_pc w then Full.set_pc arch (Journal.pc_value w);
+  for i = 0 to Reg.count - 1 do
+    if Journal.has_reg w i then
+      Full.set_reg arch (Reg.of_int i) (Journal.reg w i)
+  done;
+  for k = 0 to Journal.mem_count w - 1 do
+    Full.set_mem arch (Journal.mem_addr w k) (Journal.mem_at w k)
+  done
 
 let iter_writes f t = Journal.iter f t.writes
 let iter_reads f t = Journal.iter f t.reads

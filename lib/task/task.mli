@@ -22,8 +22,9 @@
     for memory. The recordings and the write buffer live in flat
     {!Journal.t} buffers (register arrays and an int-keyed memory
     index), so an instruction pays no balanced-tree lookups once its
-    cells are recorded; use {!reads_fragment}/{!writes_fragment} to
-    convert at the commit boundary or in tests. *)
+    cells are recorded. Verification ({!live_ins_consistent}) and commit
+    ({!commit_into}) walk the journals as ints; use
+    {!reads_fragment}/{!writes_fragment} in tests and tools. *)
 
 type fail_reason =
   | Budget_exhausted  (** never reached [end_pc]: master mispredicted
@@ -79,10 +80,18 @@ val make :
   end_occurrence:int ->
   budget:int ->
   live_in:Mssp_state.Live_in.t ->
+  reads:Journal.t ->
+  writes:Journal.t ->
   t
 (** A fresh task ([⟨S_in, n, S_in, 0⟩] in the paper's tuple form). The
     [Pc ↦ start_pc] binding is added to [live_in] if absent — the task's
     start position is itself a live-in and is verified like any other.
+
+    [reads] and [writes] become the task's recordings and write buffer;
+    they must be empty ({!Journal.create} or {!Journal.clear}ed), else
+    [Invalid_argument]. The machine passes a recycled pair, so a task
+    records into tables already grown by earlier bodies; tests and tools
+    pass fresh journals.
 
     Cost is O(1), independent of how many cells [live_in] binds: the
     task holds it by reference. A register read resolves write buffer,
@@ -145,7 +154,9 @@ val writes_fragment : t -> Mssp_state.Fragment.t
 
 val live_ins_consistent : t -> Mssp_state.Full.t -> bool
 (** [live_ins_consistent t arch] is the verification unit's memoization
-    check [reads(t) ⊑ arch], straight off the journal. *)
+    check [reads(t) ⊑ arch], straight off the journal: the PC, the
+    register mask and the memory log walked as ints against
+    [Full.pc]/[get_reg]/[get_mem]. Allocates nothing. *)
 
 val first_inconsistent :
   t -> Mssp_state.Full.t -> (Mssp_state.Cell.t * int * int) option
@@ -157,7 +168,9 @@ val first_inconsistent :
 
 val commit_into : t -> Mssp_state.Full.t -> unit
 (** [commit_into t arch] superimposes the write buffer onto [arch] — the
-    commit operation [S ← live_out(t)]. *)
+    commit operation [S ← live_out(t)] — in journal order, as ints
+    through [Full.set_pc]/[set_reg]/[set_mem]. Allocates nothing beyond
+    what [arch]'s own stores do (a page privatized on first write). *)
 
 val iter_writes : (Mssp_state.Cell.t -> int -> unit) -> t -> unit
 (** Iterate the write buffer in journal order (allocation-free). *)

@@ -147,7 +147,9 @@ let test_printers_total () =
       Format.asprintf "%a" Mssp_task.Task.pp
         (Mssp_task.Task.make ~id:0 ~start_pc:p.Mssp_isa.Program.entry
            ~end_pc:None ~end_occurrence:1 ~budget:10
-           ~live_in:(Mssp_state.Live_in.of_pc p.Mssp_isa.Program.entry));
+           ~live_in:(Mssp_state.Live_in.of_pc p.Mssp_isa.Program.entry)
+           ~reads:(Mssp_task.Journal.create ())
+           ~writes:(Mssp_task.Journal.create ()));
     ]
   in
   List.iter (fun s -> check "non-empty rendering" true (String.length s > 0)) rendered

@@ -18,6 +18,8 @@ module Fragment = Mssp_state.Fragment
 module Live_in = Mssp_state.Live_in
 module Cell = Mssp_state.Cell
 module Plan = Mssp_faults.Plan
+module Task = Mssp_task.Task
+module Journal = Mssp_task.Journal
 open Mssp_asm.Regs
 
 let check = Alcotest.(check bool)
@@ -279,6 +281,138 @@ let test_fork_allocation () =
     true
     (small < 100. && big < 100. && pc_only < 100.)
 
+(* --- task bodies, verify and commit on recycled journals -------------
+
+   A loop whose every trip loads one fresh word and stores another (four
+   instructions, two fresh cells): run as one task over a journal pair
+   the machine would recycle, after a longer body has grown its tables.
+   Recording a cell allocates nothing then, so an extra instruction must
+   cost (next to) no minor words; a chained index (a 4-word link per
+   recorded cell) costs 2 here. *)
+
+let fresh_cells_loop trips =
+  let b = Dsl.create () in
+  let src = Dsl.alloc b trips in
+  let dst = Dsl.alloc b trips in
+  Dsl.li b t0 trips;
+  Dsl.label b "head";
+  Dsl.ld b t1 t0 src;
+  Dsl.st b t1 t0 dst;
+  Dsl.alui b Instr.Sub t0 t0 1;
+  Dsl.br b Instr.Gt t0 zero "head";
+  Dsl.halt b;
+  Dsl.build b ()
+
+let test_task_allocation () =
+  let reads = Journal.create () and writes = Journal.create () in
+  let body trips =
+    let p = fresh_cells_loop trips in
+    let arch = Full.create () in
+    Full.load arch p;
+    let decode =
+      Mssp_isa.Program.image_decoder [ Mssp_isa.Program.decode_all p ]
+    in
+    (arch, decode, p.Mssp_isa.Program.entry)
+  in
+  let run (arch, decode, entry) =
+    let task =
+      Task.with_decode decode
+        (Task.make ~id:0 ~start_pc:entry ~end_pc:None ~end_occurrence:1
+           ~budget:max_int ~live_in:(Live_in.of_pc entry) ~reads ~writes)
+    in
+    let w0 = Gc.minor_words () in
+    let status = Task.run task (Task.Fallback arch) in
+    let w = Gc.minor_words () -. w0 in
+    check "halts" true (status = Task.Complete Task.Program_halted);
+    Journal.clear reads;
+    Journal.clear writes;
+    (w, task.Task.executed)
+  in
+  let short = body 200 and long = body 2_000 in
+  ignore (run long : float * int);
+  let w_short, n_short = run short in
+  let w_long, n_long = run long in
+  let per = (w_long -. w_short) /. float_of_int (n_long - n_short) in
+  check
+    (Printf.sprintf
+       "%.3f minor words per extra slave instruction on a recycled pair \
+        (< 0.5)"
+       per)
+    true (per < 0.5)
+
+(* Verify and commit over a 200-entry journal walk it as ints: the
+   PC, 8 registers and 191 memory cells, checked against and written
+   into architected state that agrees with them, allocate no word. *)
+let test_verify_commit_allocation () =
+  let arch = master_state () in
+  let task =
+    Task.make ~id:0 ~start_pc:(Full.pc arch) ~end_pc:None ~end_occurrence:1
+      ~budget:1 ~live_in:(Live_in.of_pc (Full.pc arch))
+      ~reads:(Journal.create ()) ~writes:(Journal.create ())
+  in
+  let fill j =
+    Journal.set_pc j (Full.pc arch);
+    for i = 1 to 8 do
+      Journal.set_reg j i (Full.get_reg arch (Mssp_isa.Reg.of_int i))
+    done;
+    for k = 0 to 190 do
+      let a = Layout.data_base + (5 * k) - 300 in
+      Journal.set_mem j a (Full.get_mem arch a)
+    done
+  in
+  fill task.Task.reads;
+  fill task.Task.writes;
+  check_int "200 recorded live-ins" 200 (Task.live_in_size task);
+  check_int "200 buffered live-outs" 200 (Task.live_out_size task);
+  (* one commit first: stores into a page [arch] has not yet written
+     may privatize it *)
+  Task.commit_into task arch;
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 100 do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. 100.
+  in
+  let consistent = ref true in
+  let verify =
+    words (fun () ->
+        consistent := Task.live_ins_consistent task arch && !consistent)
+  and commit = words (fun () -> Task.commit_into task arch) in
+  check "the live-ins agree" true !consistent;
+  check
+    (Printf.sprintf "%.1f words per verify, %.1f per commit (0)" verify commit)
+    true
+    (verify = 0. && commit = 0.)
+
+(* The master skips the PC-map probe inside the distilled image, which
+   is only sound while no [pc_map] key lies there: every registry
+   kernel's package, every adversary package and generated programs. *)
+let test_pc_map_outside_distilled () =
+  let check_package name (d : Distill.t) =
+    Hashtbl.iter
+      (fun o _ ->
+        check
+          (Printf.sprintf "%s: pc_map key %d outside the distilled image" name
+             o)
+          false
+          (Mssp_isa.Program.in_code d.Distill.distilled o))
+      d.Distill.pc_map
+  in
+  List.iter
+    (fun b ->
+      check_package b.W.name (distill_of (b.W.program ~size:b.W.train_size)))
+    W.all;
+  List.iter
+    (fun (name, d) -> check_package name d)
+    (Adversary.all small_program);
+  check_package "amnesiac" (Adversary.amnesiac (distill_of small_program));
+  for seed = 1 to 30 do
+    check_package
+      (Printf.sprintf "gen seed %d" seed)
+      (distill_of (Mssp_fuzz.Gen.generate ~seed ~size:8 ()))
+  done
+
 let test_recovery_fuel_exhaustion () =
   (* recovery lands in an infinite loop with no task entry in it (the
      dead master forks nothing, so there are no entries at all): the
@@ -527,6 +661,11 @@ let () =
           Alcotest.test_case "master loop allocation" `Quick
             test_master_loop_allocation;
           Alcotest.test_case "fork allocation" `Quick test_fork_allocation;
+          Alcotest.test_case "task allocation" `Quick test_task_allocation;
+          Alcotest.test_case "verify and commit allocation" `Quick
+            test_verify_commit_allocation;
+          Alcotest.test_case "pc map outside distilled code" `Quick
+            test_pc_map_outside_distilled;
           Alcotest.test_case "live-in in every mode" `Quick test_live_in_modes;
           Alcotest.test_case "recovery fuel exhaustion" `Quick
             test_recovery_fuel_exhaustion;

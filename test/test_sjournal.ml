@@ -131,6 +131,7 @@ let observe ~spec ?(budget = 5_000) ?end_pc ?(end_occurrence = 1)
   let t =
     Task.make ~id:0 ~start_pc ~end_pc ~end_occurrence ~budget
       ~live_in:(Live_in.of_fragment live_in)
+      ~reads:(Journal.create ()) ~writes:(Journal.create ())
   in
   let acc = ref [] in
   let on_access a = acc := a :: !acc in

@@ -40,8 +40,13 @@ let simple_loop =
 
 let head = simple_loop.Mssp_isa.Program.entry
 
+(* [Task.make] over a fresh journal pair *)
+let new_task ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in =
+  Task.make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in
+    ~reads:(Journal.create ()) ~writes:(Journal.create ())
+
 let make_task ?(occurrence = 1) ?(budget = 1000) ~live_in ~end_pc () =
-  Task.make ~id:0 ~start_pc:head ~end_pc ~end_occurrence:occurrence ~budget
+  new_task ~id:0 ~start_pc:head ~end_pc ~end_occurrence:occurrence ~budget
     ~live_in:(Live_in.of_fragment live_in)
 
 let t0_cell = Cell.Reg t0
@@ -123,7 +128,7 @@ let test_isolated_missing_memory_reads_zero () =
   Full.load full p;
   let live_in = Fragment.add Cell.Pc p.Mssp_isa.Program.entry (Full.snapshot full) in
   let task =
-    Task.make ~id:1 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
+    new_task ~id:1 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
       ~end_occurrence:1 ~budget:10 ~live_in:(Live_in.of_fragment live_in)
   in
   check "halts" true (Task.run task Task.Isolated = Task.Complete Task.Program_halted);
@@ -142,7 +147,7 @@ let test_io_refusal () =
   let arch = arch_of p in
   let live_in = Fragment.singleton Cell.Pc p.Mssp_isa.Program.entry in
   let task =
-    Task.make ~id:2 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
+    new_task ~id:2 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
       ~end_occurrence:1 ~budget:10 ~live_in:(Live_in.of_fragment live_in)
   in
   (match Task.run task (fallback arch) with
@@ -158,7 +163,7 @@ let test_fault_reported () =
   (* nothing loaded: fetching address 0 yields word 0, undecodable *)
   let live_in = Fragment.singleton Cell.Pc 0 in
   let task =
-    Task.make ~id:3 ~start_pc:0 ~end_pc:None ~end_occurrence:1 ~budget:10
+    new_task ~id:3 ~start_pc:0 ~end_pc:None ~end_occurrence:1 ~budget:10
       ~live_in:(Live_in.of_fragment live_in)
   in
   match Task.run task (fallback arch) with
@@ -251,7 +256,7 @@ let prop_task_matches_abstract_evolution =
       let live_in = Seq_model.complete_of_program p in
       (* run the simulator task for exactly n instructions *)
       let task =
-        Task.make ~id:0
+        new_task ~id:0
           ~start_pc:(Option.get (Fragment.pc live_in))
           ~end_pc:None ~end_occurrence:1 ~budget:n
           ~live_in:(Live_in.of_fragment live_in)
@@ -343,7 +348,7 @@ let journal_list j =
   List.rev !l
 
 let task_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc view =
-  let t = Task.make ~id:0 ~start_pc ~end_pc ~end_occurrence ~budget 
+  let t = new_task ~id:0 ~start_pc ~end_pc ~end_occurrence ~budget 
     ~live_in:(Live_in.of_fragment live_in) in
   let accesses = ref [] in
   let status =
@@ -448,10 +453,11 @@ let test_make_allocation () =
          @ List.init (n - 1 - List.length regs) (fun i ->
                (Cell.mem (Layout.data_base + (3 * i)), i))))
   in
+  let reads = Journal.create () and writes = Journal.create () in
   let allocated live_in =
     let make () =
       Task.make ~id:0 ~start_pc:head ~end_pc:None ~end_occurrence:1 ~budget:1
-        ~live_in
+        ~live_in ~reads ~writes
     in
     ignore (Sys.opaque_identity (make ()));
     (* [Gc.allocated_bytes] sees tables allocated straight on the major
@@ -515,7 +521,7 @@ let words_for_trips ~fresh trips =
   let w0 = words () in
   let task =
     Task.with_decode decode
-      (Task.make ~id:0 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
+      (new_task ~id:0 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
          ~end_occurrence:1 ~budget:max_int
          ~live_in:(Live_in.of_fragment Fragment.empty))
   in
@@ -538,6 +544,128 @@ let test_step_allocation () =
     (Printf.sprintf "recorded cells: %.2f words per extra instruction (< 0.5)"
        recorded)
     true (recorded < 0.5)
+
+(* --- journal reuse: a cleared journal is a fresh one ----------------- *)
+
+(* The journal's Fibonacci multiplier and its inverse mod 2^63: the
+   products of [base + i * fib_inverse] are [base * fib + i], so for
+   small [i] those addresses share a home at every table size and pile
+   up into one probe cluster. *)
+let fib = 0x1E3779B97F4A7C15
+
+let fib_inverse =
+  let rec newton x n =
+    if n = 0 then x else newton (x * (2 - (fib * x))) (n - 1)
+  in
+  newton fib 6
+
+type journal_op = Set_pc of int | Set_reg of int * int | Set_mem of int * int
+
+let journal_rounds =
+  let open QCheck.Gen in
+  let value = int_range (-50) 50 in
+  let addr =
+    frequency
+      [
+        (3, int_range (-2000) 2000);
+        (1, int);
+        (3, map (fun i -> 0x5EED + (i * fib_inverse)) (int_bound 40));
+        (1, map (fun i -> -0x5EED + (i * fib_inverse)) (int_bound 40));
+      ]
+  in
+  let op =
+    frequency
+      [
+        (1, map (fun v -> Set_pc v) value);
+        ( 2,
+          map2
+            (fun i v -> Set_reg (i, v))
+            (int_bound (Mssp_isa.Reg.count - 1))
+            value );
+        (8, map2 (fun a v -> Set_mem (a, v)) addr value);
+      ]
+  in
+  (* one round in four binds enough addresses to grow the tables *)
+  let round =
+    frequency
+      [
+        (3, list_size (int_bound 40) op); (1, list_size (int_range 100 400) op);
+      ]
+  in
+  QCheck.make
+    ~print:(fun rounds ->
+      String.concat " | "
+        (List.map
+           (fun ops ->
+             String.concat ";"
+               (List.map
+                  (function
+                    | Set_pc v -> Printf.sprintf "pc=%d" v
+                    | Set_reg (i, v) -> Printf.sprintf "r%d=%d" i v
+                    | Set_mem (a, v) -> Printf.sprintf "[%d]=%d" a v)
+                  ops))
+           rounds))
+    (list_size (int_range 1 5) round)
+
+let apply_ops j =
+  List.iter (function
+    | Set_pc v -> Journal.set_pc j v
+    | Set_reg (i, v) -> Journal.set_reg j i v
+    | Set_mem (a, v) -> Journal.set_mem j a v)
+
+let for_all_list j =
+  let l = ref [] in
+  ignore
+    (Journal.for_all
+       (fun c v ->
+         l := (c, v) :: !l;
+         true)
+       j
+      : bool);
+  List.rev !l
+
+(* every round but the last is applied and cleared; the journal must
+   then answer the last round like a fresh [create ()] does *)
+let prop_journal_reuse =
+  QCheck.Test.make ~name:"a cleared journal behaves like Journal.create ()"
+    ~count:300 journal_rounds
+    (fun rounds ->
+      assert (fib * fib_inverse = 1);
+      let j = Journal.create () in
+      let rec replay = function
+        | [] -> true
+        | [ last ] ->
+          apply_ops j last;
+          true
+        | ops :: rest ->
+          apply_ops j ops;
+          Journal.clear j;
+          Journal.is_empty j && Journal.occupied_slots j = 0 && replay rest
+      in
+      let cleared = replay rounds in
+      let fresh = Journal.create () in
+      apply_ops fresh (List.nth rounds (List.length rounds - 1));
+      let addrs =
+        List.concat_map
+          (List.filter_map (function Set_mem (a, _) -> Some a | _ -> None))
+          rounds
+      in
+      let cells =
+        Cell.Pc
+        :: List.map (fun r -> Cell.Reg r) Mssp_isa.Reg.all
+        @ List.map Cell.mem addrs
+      in
+      cleared
+      && Journal.cardinal j = Journal.cardinal fresh
+      && Journal.mem_count j = Journal.mem_count fresh
+      && Journal.occupied_slots j = Journal.mem_count j
+      && List.for_all (fun c -> Journal.find j c = Journal.find fresh c) cells
+      && List.for_all
+           (fun a -> Journal.mem_index j a = Journal.mem_index fresh a)
+           addrs
+      && journal_list j = journal_list fresh
+      && for_all_list j = for_all_list fresh
+      && Fragment.equal (Journal.to_fragment j) (Journal.to_fragment fresh))
 
 let () =
   Alcotest.run "task"
@@ -573,5 +701,6 @@ let () =
         [
           Mssp_testkit.to_alcotest prop_journal_fragment_round_trip;
           Mssp_testkit.to_alcotest prop_journal_set_find_matches_fragment;
+          Mssp_testkit.to_alcotest prop_journal_reuse;
         ] );
     ]
