@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-csv bench-json perf-smoke promote-golden trace-snapshot fuzz fuzz-distill fuzz-predict examples clean loc
+.PHONY: all build test bench bench-csv bench-json perf-smoke host-profile promote-golden trace-snapshot fuzz fuzz-distill fuzz-predict examples clean loc
 
 all: build
 
@@ -29,6 +29,13 @@ bench-json:
 # quick perf regression check: quarter-scale E1 plus the guards
 perf-smoke:
 	timeout 300 dune exec bench/main.exe -- E1s $(GUARDS) --json _perf_smoke.json
+
+# where the simulator's host time goes: PC samples (every 250 us) over
+# the E1 grid's 52 machine runs, as markdown tables of the top functions
+# and the per-module shares (tools/hostprof; one kernel with
+# `dune exec tools/hostprof/hostprof.exe -- --bench qsort`)
+host-profile:
+	@dune exec tools/hostprof/hostprof.exe
 
 # regenerate test/golden/*.trace from the current machine (review the
 # diff before committing: goldens exist to make event-stream changes

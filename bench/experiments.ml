@@ -832,14 +832,12 @@ let e18 () =
    the cheapest round. Every round executes a DIFFERENT distilled image,
    so each is verified against a SEQ baseline loading that round's image
    (final states are compared over all of observable memory). *)
-let adapt_bench ?(rounds = 1) name slaves =
+let adapt_bench ?(rounds = 1) ?(predict = Predict.Tournament) name slaves =
   let b = W.find name in
   let train = b.W.program ~size:b.W.train_size in
   let program = b.W.program ~size:b.W.ref_size in
   let profile = Profile.collect train in
-  let config =
-    { (with_slaves slaves) with Config.predict = Predict.Tournament }
-  in
+  let config = { (with_slaves slaves) with Config.predict } in
   let a = Adapt.run ~rounds ~config program profile in
   List.iter
     (fun (rd : Adapt.round) ->
@@ -873,6 +871,9 @@ let e19 () =
         in
         let _, s4, c4 = cell 4 in
         let a8, s8, c8 = cell 8 in
+        let off8 =
+          Adapt.round_cycles (adapt_bench ~predict:Predict.Off name 8).Adapt.best
+        in
         let st = a8.Adapt.best.Adapt.result.M.stats in
         [
           name;
@@ -884,6 +885,7 @@ let e19 () =
           f2 (float_of_int s8 /. float_of_int c8);
           string_of_int a8.Adapt.best.Adapt.index;
           Printf.sprintf "%d/%d" st.M.predict_hits st.M.predict_misses;
+          string_of_int off8;
         ])
       e19_kernels
   in
@@ -891,15 +893,16 @@ let e19 () =
     ~header:
       [
         "bench"; "static@4"; "adapt@4"; "x@4"; "static@8"; "adapt@8"; "x@8";
-        "round"; "hit/miss";
+        "round"; "hit/miss"; "adapt@8 off";
       ]
     rows;
   note "static = round 0 (one distillation, tournament predictor on);";
   note "adapt = best round after re-distilling from squash attribution";
-  note "(task split/merge + strongly-live elision; the master stops";
-  note "computing chains only verification-exempt reads consume and the";
-  note "predictor covers the residual live-in cells). Every round is";
-  note "re-verified against SEQ: adaptation only moves cycles."
+  note "(task split/merge + strongly-live elision); adapt@8 off = the same";
+  note "loop at 8 slaves with the predictor off. Equal adapt@8 and";
+  note "adapt@8 off cycles mean the win is the re-distillation's, not";
+  note "the predictor's. Every round is re-verified against SEQ:";
+  note "adaptation only moves cycles."
 
 (* --- E1s: reduced-scale E1 for perf smoke runs ----------------------- *)
 

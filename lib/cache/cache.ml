@@ -11,43 +11,62 @@ type stats = { mutable accesses : int; mutable misses : int }
 
 type t = {
   cfg : config;
-  tags : int array array; (* [set].[way]; -1 = invalid *)
-  lru : int array array; (* larger = more recently used *)
+  line_shift : int; (* log2 line_words *)
+  set_shift : int; (* log2 sets *)
+  tags : int array; (* [set * ways + way]; -1 = invalid *)
+  lru : int array; (* larger = more recently used *)
   mutable tick : int;
   stats : stats;
 }
 
+let log2 n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  go 0
+
 let make cfg =
+  let n = cfg.sets * cfg.ways in
   {
     cfg;
-    tags = Array.init cfg.sets (fun _ -> Array.make cfg.ways (-1));
-    lru = Array.init cfg.sets (fun _ -> Array.make cfg.ways 0);
+    line_shift = log2 cfg.line_words;
+    set_shift = log2 cfg.sets;
+    tags = Array.make n (-1);
+    lru = Array.make n 0;
     tick = 0;
     stats = { accesses = 0; misses = 0 };
   }
 
+let sign_shift = Sys.int_size - 1
+
+(* [a / (mask + 1)] for a power of two [mask + 1 = 1 lsl k], truncating
+   toward zero like [/]: a negative [a] is biased by [mask] first, since
+   [asr] alone rounds toward minus infinity *)
+let[@inline] div_pow2 a mask k = (a + ((a asr sign_shift) land mask)) asr k
+
 let access c addr =
-  let line = addr / c.cfg.line_words in
-  let set = line land (c.cfg.sets - 1) in
-  let tag = line / c.cfg.sets in
-  let tags = c.tags.(set) and lru = c.lru.(set) in
+  let cfg = c.cfg in
+  let line = div_pow2 addr (cfg.line_words - 1) c.line_shift in
+  let set = line land (cfg.sets - 1) in
+  let tag = div_pow2 line (cfg.sets - 1) c.set_shift in
+  let tags = c.tags and lru = c.lru in
   c.tick <- c.tick + 1;
   c.stats.accesses <- c.stats.accesses + 1;
   (* way search as a plain loop: no closure, no option *)
-  let ways = c.cfg.ways in
-  let w = ref 0 in
-  while !w < ways && tags.(!w) <> tag do
+  let ways = cfg.ways in
+  let base = set * ways in
+  let last = base + ways in
+  let w = ref base in
+  while !w < last && tags.(!w) <> tag do
     incr w
   done;
-  if !w < ways then begin
+  if !w < last then begin
     lru.(!w) <- c.tick;
     true
   end
   else begin
     c.stats.misses <- c.stats.misses + 1;
     (* LRU victim: smallest tick (invalid ways have tick 0, chosen first) *)
-    let victim = ref 0 in
-    for w = 1 to c.cfg.ways - 1 do
+    let victim = ref base in
+    for w = base + 1 to last - 1 do
       if lru.(w) < lru.(!victim) then victim := w
     done;
     tags.(!victim) <- tag;
@@ -56,8 +75,8 @@ let access c addr =
   end
 
 let invalidate_all c =
-  Array.iter (fun tags -> Array.fill tags 0 (Array.length tags) (-1)) c.tags;
-  Array.iter (fun lru -> Array.fill lru 0 (Array.length lru) 0) c.lru
+  Array.fill c.tags 0 (Array.length c.tags) (-1);
+  Array.fill c.lru 0 (Array.length c.lru) 0
 
 let stats c = c.stats
 let miss_rate c =

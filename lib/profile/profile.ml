@@ -10,11 +10,15 @@ type store_stats = {
   mutable min_comm_distance : int;
 }
 
+(* newest value first; [count] is the list's length, so the cap check
+   on every profiled load and store is O(1) *)
+type stream = { mutable values : int list; mutable count : int }
+
 type t = {
   block_counts : (int, int) Hashtbl.t;
   branches : (int, branch_stats) Hashtbl.t;
   stores : (int, store_stats) Hashtbl.t;
-  cells : (int, int list ref) Hashtbl.t;
+  cells : (int, stream) Hashtbl.t;
   mutable dynamic_instructions : int;
   mutable stop : Machine.stop option;
 }
@@ -66,8 +70,12 @@ let note_communication t site distance =
    — stable no matter how many [--jobs] consume the profile later. *)
 let record_cell t addr value =
   match Hashtbl.find_opt t.cells addr with
-  | Some l -> if List.length !l < cell_stream_cap then l := value :: !l
-  | None -> Hashtbl.add t.cells addr (ref [ value ])
+  | Some s ->
+    if s.count < cell_stream_cap then begin
+      s.values <- value :: s.values;
+      s.count <- s.count + 1
+    end
+  | None -> Hashtbl.add t.cells addr { values = [ value ]; count = 1 }
 
 let collect ?(fuel = 100_000_000) p =
   let t = create () in
@@ -139,7 +147,7 @@ let store_comm_distance t pc =
 let cell_observations t addr =
   match Hashtbl.find_opt t.cells addr with
   | None -> []
-  | Some l -> List.rev !l
+  | Some s -> List.rev s.values
 
 let observed_cells t =
   Hashtbl.fold (fun addr _ acc -> addr :: acc) t.cells []

@@ -25,11 +25,15 @@ type store_stats = {
           the master's code. *)
 }
 
+type stream = { mutable values : int list; mutable count : int }
+(** One address's observations, newest first; [count] is the length of
+    [values], so capping costs O(1) per observation. *)
+
 type t = {
   block_counts : (int, int) Hashtbl.t;  (** pc of executed instruction -> count *)
   branches : (int, branch_stats) Hashtbl.t;  (** branch pc -> outcomes *)
   stores : (int, store_stats) Hashtbl.t;  (** store pc -> communication *)
-  cells : (int, int list ref) Hashtbl.t;
+  cells : (int, stream) Hashtbl.t;
       (** per-address observation stream (reversed internally; use
           {!cell_observations}) — the value predictors' warm-up food *)
   mutable dynamic_instructions : int;

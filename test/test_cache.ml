@@ -87,6 +87,115 @@ let prop_fitting_working_set =
       done;
       !ok)
 
+(* The division-based model as it stood before [Cache.access] computed
+   its quotients by shift: per-set arrays, [/] for the line and the tag.
+   The shipped model must agree with it access by access. *)
+module Div_model = struct
+  type t = {
+    cfg : Cache.config;
+    tags : int array array;
+    lru : int array array;
+    mutable tick : int;
+    stats : Cache.stats;
+  }
+
+  let make (cfg : Cache.config) =
+    {
+      cfg;
+      tags = Array.init cfg.sets (fun _ -> Array.make cfg.ways (-1));
+      lru = Array.init cfg.sets (fun _ -> Array.make cfg.ways 0);
+      tick = 0;
+      stats = { Cache.accesses = 0; misses = 0 };
+    }
+
+  let access c addr =
+    let line = addr / c.cfg.line_words in
+    let set = line land (c.cfg.sets - 1) in
+    let tag = line / c.cfg.sets in
+    let tags = c.tags.(set) and lru = c.lru.(set) in
+    c.tick <- c.tick + 1;
+    c.stats.accesses <- c.stats.accesses + 1;
+    let ways = c.cfg.ways in
+    let w = ref 0 in
+    while !w < ways && tags.(!w) <> tag do
+      incr w
+    done;
+    if !w < ways then begin
+      lru.(!w) <- c.tick;
+      true
+    end
+    else begin
+      c.stats.misses <- c.stats.misses + 1;
+      let victim = ref 0 in
+      for w = 1 to c.cfg.ways - 1 do
+        if lru.(w) < lru.(!victim) then victim := w
+      done;
+      tags.(!victim) <- tag;
+      lru.(!victim) <- c.tick;
+      false
+    end
+
+  let invalidate_all c =
+    Array.iter (fun tags -> Array.fill tags 0 (Array.length tags) (-1)) c.tags;
+    Array.iter (fun lru -> Array.fill lru 0 (Array.length lru) 0) c.lru
+end
+
+type op = Access of int | Invalidate
+
+let show_op = function
+  | Access a -> string_of_int a
+  | Invalidate -> "invalidate"
+
+(* addresses around a base drawn from small, negative, extreme and
+   large-stride values, so that the sign correction and the top bits of
+   the tag are exercised as well as reuse and set conflicts *)
+let gen_addr =
+  let open QCheck.Gen in
+  let base =
+    frequency
+      [
+        (4, int_range (-64) 64);
+        (2, int_range (-100_000) 100_000);
+        (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1; -1; 0 ]);
+        (2, map2 (fun k s -> k * s) (int_range (-8) 8) (oneofl [ 1 lsl 20; 1 lsl 40; 1 lsl 61 ]));
+        (1, int);
+      ]
+  in
+  map2 (fun b d -> b + d) base (int_range (-3) 3)
+
+let gen_ops =
+  let open QCheck.Gen in
+  list_size (int_range 1 300)
+    (frequency [ (30, map (fun a -> Access a) gen_addr); (1, return Invalidate) ])
+
+let gen_config =
+  let open QCheck.Gen in
+  map3
+    (fun sets ways line_words -> Cache.config ~sets ~ways ~line_words ())
+    (oneofl [ 1; 2; 4; 64; 1024 ])
+    (oneofl [ 1; 2; 3; 4; 8 ])
+    (oneofl [ 1; 2; 4; 8; 16 ])
+
+let prop_matches_division_model =
+  QCheck.Test.make ~name:"shift model matches the division model" ~count:300
+    (QCheck.make
+       ~print:(fun ((cfg : Cache.config), ops) ->
+         Printf.sprintf "sets=%d ways=%d line_words=%d [%s]" cfg.sets cfg.ways
+           cfg.line_words
+           (String.concat "; " (List.map show_op ops)))
+       QCheck.Gen.(pair gen_config gen_ops))
+    (fun (cfg, ops) ->
+      let c = Cache.make cfg and d = Div_model.make cfg in
+      List.for_all
+        (function
+          | Access a -> Cache.access c a = Div_model.access d a
+          | Invalidate ->
+              Cache.invalidate_all c;
+              Div_model.invalidate_all d;
+              true)
+        ops
+      && Cache.stats c = d.stats)
+
 let () =
   Alcotest.run "cache"
     [
@@ -98,6 +207,7 @@ let () =
           Alcotest.test_case "associativity" `Quick test_associativity_conflicts;
           Alcotest.test_case "stats/invalidate" `Quick test_stats_and_invalidate;
           Mssp_testkit.to_alcotest prop_fitting_working_set;
+          Mssp_testkit.to_alcotest prop_matches_division_model;
         ] );
       ( "hierarchy",
         [

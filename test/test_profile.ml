@@ -144,6 +144,26 @@ let test_cell_stream_cap () =
     (300 - Profile.cell_stream_cap + 1)
     (List.nth s (Profile.cell_stream_cap - 1))
 
+(* a cell stored far past the cap keeps exactly the first
+   [cell_stream_cap] values, oldest first *)
+let test_cell_stream_cap_long () =
+  let cell = ref 0 in
+  let p =
+    build (fun b ->
+        cell := Dsl.alloc b 1;
+        Dsl.li b t0 0;
+        Dsl.li b t1 1000;
+        Dsl.label b "loop";
+        Dsl.st_addr b t0 !cell;
+        Dsl.alui b Instr.Add t0 t0 1;
+        Dsl.br b Instr.Lt t0 t1 "loop";
+        Dsl.halt b)
+  in
+  let prof = Profile.collect p in
+  Alcotest.(check (list int)) "first cap values, oldest first"
+    (List.init Profile.cell_stream_cap Fun.id)
+    (Profile.cell_observations prof !cell)
+
 let test_cell_stream_determinism () =
   (* the observation order is the single-threaded collection run's own:
      two collections agree exactly, and observed_cells is sorted — no
@@ -191,6 +211,8 @@ let () =
             test_overwrite_clears_communication;
           Alcotest.test_case "cell streams" `Quick test_cell_streams;
           Alcotest.test_case "cell stream cap" `Quick test_cell_stream_cap;
+          Alcotest.test_case "cell stored 1,000 times" `Quick
+            test_cell_stream_cap_long;
           Alcotest.test_case "cell stream determinism" `Quick
             test_cell_stream_determinism;
           Alcotest.test_case "fuel stop" `Quick test_profile_stops;

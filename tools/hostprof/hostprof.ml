@@ -1,0 +1,229 @@
+(* hostprof: where the simulator's host time goes, by function and by
+   module.
+
+   A SIGALRM timer samples the interrupted program counter every 250 us
+   (hostprof_stubs.c) while MSSP machine runs execute; the samples are
+   symbolized with `nm -n` on this executable and printed as two
+   markdown tables of self samples: the top functions, and the share of
+   each OCaml module (runtime C code grouped by role).
+
+     dune exec tools/hostprof/hostprof.exe                   # E1 grid
+     dune exec tools/hostprof/hostprof.exe -- --bench qsort  # one kernel
+     dune exec tools/hostprof/hostprof.exe -- --repeat 3     # more samples
+
+   Profiling and distillation happen before sampling starts, so the
+   tables hold the machine runs only: the 52 E1 points (13 registry
+   kernels at ref size, 1/2/4/8 slaves, default config) or one kernel's
+   four. On a host other than x86-64 or aarch64 Linux it prints
+   "unsupported" and exits 0. *)
+
+module W = Mssp_workload.Workload
+module Profile = Mssp_profile.Profile
+module Distill = Mssp_distill.Distill
+module M = Mssp_core.Mssp_machine
+module Config = Mssp_core.Mssp_config
+
+external supported : unit -> bool = "hostprof_supported"
+external start : int -> int -> unit = "hostprof_start"
+external stop : unit -> unit = "hostprof_stop"
+external samples : unit -> int array = "hostprof_samples"
+external dropped : unit -> int = "hostprof_dropped"
+
+let interval_us = 250
+let capacity = 1 lsl 22
+let top = 20
+
+(* --- symbols ------------------------------------------------------------ *)
+
+(* text symbols of this executable, ascending, from `nm -n` *)
+let text_symbols () =
+  let ic = Unix.open_process_args_in "nm" [| "nm"; "-n"; Sys.executable_name |] in
+  let rec go acc =
+    match input_line ic with
+    | exception End_of_file -> List.rev acc
+    | line -> (
+      match String.split_on_char ' ' line with
+      | [ addr; kind; name ] when kind = "T" || kind = "t" -> (
+        match int_of_string_opt ("0x" ^ addr) with
+        | Some a -> go ((a, name) :: acc)
+        | None -> go acc)
+      | _ -> go acc)
+  in
+  let syms = go [] in
+  (match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> ()
+  | _ -> failwith "hostprof: `nm -n` failed on this executable");
+  Array.of_list syms
+
+(* the symbol containing [pc]: the last one at or below it *)
+let symbol_at syms pc =
+  let rec go lo hi =
+    if hi - lo <= 1 then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if fst syms.(mid) <= pc then go mid hi else go lo mid
+  in
+  if Array.length syms = 0 || pc < fst syms.(0) then None
+  else Some (snd syms.(go 0 (Array.length syms)))
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+(* "Mssp_cache__Cache" -> "Mssp_cache.Cache" *)
+let dots unit =
+  let b = Buffer.create (String.length unit) in
+  let n = String.length unit in
+  let rec go i =
+    if i < n then
+      if i + 1 < n && unit.[i] = '_' && unit.[i + 1] = '_' then (Buffer.add_char b '.'; go (i + 2))
+      else (Buffer.add_char b unit.[i]; go (i + 1))
+  in
+  go 0;
+  Buffer.contents b
+
+(* "name_123" -> "name" *)
+let strip_stamp fn =
+  match String.rindex_opt fn '_' with
+  | Some i when i > 0 && int_of_string_opt (String.sub fn (i + 1) (String.length fn - i - 1)) <> None ->
+    String.sub fn 0 i
+  | _ -> fn
+
+(* An OCaml function symbol is "caml" ^ unit ^ "." ^ name ^ "_" ^ stamp
+   (OCaml 5.1 and later), the unit carrying its library wrapper:
+   "camlMssp_cache__Cache.access_412" is (Mssp_cache.Cache, access).
+   Runtime C symbols ("caml_apply2", "caml_major_collection_slice",
+   "oldify_one") have no unit. *)
+let split_ocaml name =
+  let n = String.length name in
+  if n < 5 || not (String.starts_with ~prefix:"caml" name) || name.[4] < 'A' || name.[4] > 'Z'
+  then None
+  else
+    match String.index_opt name '.' with
+    | None -> None
+    | Some dot ->
+      let unit = String.sub name 4 (dot - 4) in
+      let fn = String.sub name (dot + 1) (n - dot - 1) in
+      Some (dots unit, strip_stamp fn)
+
+let gc_words =
+  [ "major"; "minor"; "oldify"; "mark"; "sweep"; "darken"; "pool"; "alloc";
+    "compact"; "ephe"; "final"; "young"; "gc"; "memprof" ]
+
+(* the module a symbol's samples count towards *)
+let group_of name =
+  match split_ocaml name with
+  | Some (unit, _) -> unit
+  | None ->
+    if String.starts_with ~prefix:"caml_apply" name || String.starts_with ~prefix:"caml_curry" name
+       || String.starts_with ~prefix:"caml_tuplify" name
+    then "(caml_applyN / caml_curryN)"
+    else if List.exists (contains name) gc_words then "(GC and allocation)"
+    else if contains name "hash" then "(runtime: hashing)"
+    else if contains name "compare" || contains name "equal" then "(runtime: compare)"
+    else "(runtime and C, other)"
+
+let display name =
+  match split_ocaml name with Some (unit, fn) -> unit ^ "." ^ fn | None -> name
+
+(* --- workload ------------------------------------------------------------ *)
+
+let slave_counts = [ 1; 2; 4; 8 ]
+
+(* distill every kernel first; sampling covers only the machine runs *)
+let prepare benches =
+  List.concat_map
+    (fun (b : W.benchmark) ->
+      let train = b.W.program ~size:b.W.train_size in
+      let program = b.W.program ~size:b.W.ref_size in
+      let d = Distill.distill program (Profile.collect train) in
+      List.map (fun n -> (b.W.name, n, d)) slave_counts)
+    benches
+
+let run_points points =
+  List.fold_left
+    (fun cycles (name, n, d) ->
+      let r = M.run ~config:(Config.with_slaves n Config.default) d in
+      if r.M.stop <> M.Halted then
+        failwith (Printf.sprintf "hostprof: %s@%d stopped: %s" name n (M.stop_string r.M.stop));
+      cycles + r.M.stats.M.cycles)
+    0 points
+
+(* --- report -------------------------------------------------------------- *)
+
+let table title header rows total =
+  Printf.printf "\n%s\n\n| share | samples | %s |\n|---:|---:|---|\n" title header;
+  List.iter
+    (fun (k, n) ->
+      Printf.printf "| %5.1f%% | %d | %s |\n" (100.0 *. float_of_int n /. float_of_int total) n k)
+    rows
+
+let tally f names =
+  let h = Hashtbl.create 256 in
+  Array.iter
+    (fun name ->
+      let k = f name in
+      Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k)))
+    names;
+  Hashtbl.fold (fun k n acc -> (k, n) :: acc) h []
+  |> List.sort (fun (ka, a) (kb, b) -> if a <> b then compare b a else compare ka kb)
+
+let usage () =
+  prerr_endline
+    "usage: hostprof.exe [--bench NAME] [--repeat R]\n\
+    \  default: the E1 grid (every registry kernel at 1/2/4/8 slaves), once";
+  exit 2
+
+let () =
+  let bench = ref None and repeat = ref 1 in
+  let int_arg s = match int_of_string_opt s with Some n when n > 0 -> n | _ -> usage () in
+  let rec parse = function
+    | [] -> ()
+    | "--bench" :: b :: rest -> bench := Some b; parse rest
+    | "--repeat" :: n :: rest -> repeat := int_arg n; parse rest
+    | _ -> usage ()
+  in
+  parse (List.tl (Array.to_list Sys.argv));
+  if not (supported ()) then begin
+    print_endline "hostprof: unsupported (needs x86-64 or aarch64 Linux)";
+    exit 0
+  end;
+  let benches =
+    match !bench with
+    | None -> W.all
+    | Some b -> (
+      try [ W.find b ] with Invalid_argument msg -> prerr_endline msg; exit 2)
+  in
+  let points = prepare benches in
+  let what =
+    Printf.sprintf "%s x 1/2/4/8 slaves, %d points x %d"
+      (match !bench with None -> Printf.sprintf "E1 grid (%d kernels)" (List.length benches) | Some b -> b)
+      (List.length points) !repeat
+  in
+  let syms = text_symbols () in
+  let t0 = Unix.times () in
+  start interval_us capacity;
+  let cycles = ref 0 in
+  for _ = 1 to !repeat do
+    cycles := !cycles + run_points points
+  done;
+  stop ();
+  let t1 = Unix.times () in
+  let pcs = samples () in
+  let names =
+    Array.map
+      (fun pc ->
+        if pc < 0 then "(outside the executable: libc, vdso, kernel)"
+        else Option.value ~default:"(no symbol)" (symbol_at syms pc))
+      pcs
+  in
+  let total = Array.length names in
+  Printf.printf "hostprof: %s; %d simulated cycles\n" what !cycles;
+  Printf.printf "%d samples every %d us (%d dropped), %.2f s CPU\n" total interval_us (dropped ())
+    (t1.Unix.tms_utime +. t1.Unix.tms_stime -. t0.Unix.tms_utime -. t0.Unix.tms_stime);
+  if total > 0 then begin
+    table (Printf.sprintf "Top %d functions (self samples)" top) "function"
+      (List.filteri (fun i _ -> i < top) (tally display names)) total;
+    table "Per module (self samples)" "module" (tally group_of names) total
+  end
