@@ -1,6 +1,8 @@
 module Cell = Mssp_state.Cell
 module Fragment = Mssp_state.Fragment
 module Live_in = Mssp_state.Live_in
+module Dirty = Mssp_state.Dirty
+module Mem_log = Mssp_state.Mem_log
 module Full = Mssp_state.Full
 module Instr = Mssp_isa.Instr
 module Seq_machine = Mssp_seq.Machine
@@ -105,6 +107,8 @@ type t = {
   decode : pc:int -> word:int -> Instr.t option;
       (** the master's, the slaves' and recovery's decoder: pre-decoded
           images of both programs, checked against each fetched word *)
+  code_lo : int;
+  code_hi : int;  (** the distilled image's addresses: [code_lo, code_hi) *)
   entries : (int, unit) Hashtbl.t;  (** task entries: recovery stops here *)
   inj : Inject.t option;
       (** the fault plan's injector; [None] makes every fault site one
@@ -125,13 +129,16 @@ type t = {
   (* master *)
   master_cache : Hierarchy.t;  (** owns the shared L2 the slaves attach to *)
   mutable m_state : Full.t;
-  mutable m_dirty : Fragment.t;
-      (** memory the master wrote since its last seed — cumulative, so a
-          checkpoint's live-in prediction covers everything the slave may
-          need from any older in-flight task (the hardware's speculative
-          version forwarding) *)
-  mutable m_dirty_cells : int;  (** [Fragment.cardinal m_dirty] *)
-  m_store : int -> int -> unit;  (** the timed step's hook into [m_dirty] *)
+  m_dirty : Dirty.t;
+      (** memory the master wrote since its last seed, one write layer
+          per fork interval. Cumulative, so a checkpoint's live-in
+          prediction covers everything the slave may need from any older
+          in-flight task (the hardware's speculative version forwarding).
+          Each checkpoint's live-in views the layers up to its own fork;
+          a commit folds the layers no live checkpoint predates *)
+  m_store : int -> int -> unit;
+      (** the timed step's store hook: into [m_dirty] when live-ins view
+          it, else nothing *)
   mutable m_dead : bool;
   mutable m_pending : (int * Live_in.t) option;
       (** a checkpoint parked by a full window; the master waits *)
@@ -139,7 +146,7 @@ type t = {
       (** instructions since the last checkpoint — the task-size pacing
           counter; [Fork] markers are skipped while it is below
           [cfg.task_size] *)
-  m_passes : (int, int) Hashtbl.t;
+  m_passes : Mem_log.t;
       (** per-boundary-site marker passes since the last checkpoint;
           tells the slave which arrival at the end PC is the boundary *)
   (* window and slaves *)
@@ -167,7 +174,7 @@ type t = {
    run promptly. *)
 let interrupt_stride = 1024
 
-let create (cfg : Mssp_config.t) (d : Distill.t) =
+let create ?(wrap_store = Fun.id) (cfg : Mssp_config.t) (d : Distill.t) =
   let t = cfg.timing in
   let sim = Sim.create () in
   let arch = Full.create () in
@@ -187,58 +194,55 @@ let create (cfg : Mssp_config.t) (d : Distill.t) =
   Full.set_pc m_state d.distilled.entry;
   let entries = Hashtbl.create 16 in
   List.iter (fun e -> Hashtbl.replace entries e ()) d.task_entries;
-  let rec m =
-    {
-      cfg;
-      d;
-      sim;
-      summary = Trace.Summary.create ();
-      arch;
-      shadow;
-      violations = 0;
-      decode =
-        Program.image_decoder
-          [ Program.decode_all d.distilled; Program.decode_all d.original ];
-      entries;
-      inj = Option.map Inject.make cfg.faults;
-      predictor;
-      stop = None;
-      interrupt_countdown = interrupt_stride;
-      cycles = 0;
-      master_instructions = 0;
-      sequential_instructions = 0;
-      faults_injected = 0;
-      task_sizes = [];
-      live_in_counts = [];
-      master_cache;
-      m_state;
-      m_dirty = Fragment.empty;
-      m_dirty_cells = 0;
-      m_store =
-        (fun a v ->
-          let c = Cell.mem a in
-          if not (Fragment.mem c m.m_dirty) then
-            m.m_dirty_cells <- m.m_dirty_cells + 1;
-          m.m_dirty <- Fragment.add c v m.m_dirty);
-      m_dead = false;
-      m_pending = None;
-      m_since_cp = cfg.task_size (* fork immediately at start *);
-      m_passes = Hashtbl.create 16;
-      window = Queue.create ();
-      last_cp = None;
-      next_cp_id = 0;
-      slave_caches =
-        Array.init cfg.slaves (fun _ ->
-            Hierarchy.make_shared ~l1:t.l1 ~lat:t.lat ~l2:master_cache ());
-      slave_free = Array.make cfg.slaves true;
-      view =
-        (if cfg.isolated_slaves then Task.Isolated else Task.Fallback arch);
-      spare_journals = [];
-      commit_busy = false;
-      fruitless_squashes = 0;
-    }
-  in
-  m
+  let m_dirty = Dirty.create () in
+  {
+    cfg;
+    d;
+    sim;
+    summary = Trace.Summary.create ();
+    arch;
+    shadow;
+    violations = 0;
+    decode =
+      Program.image_decoder
+        [ Program.decode_all d.distilled; Program.decode_all d.original ];
+    code_lo = d.distilled.base;
+    code_hi = Program.limit d.distilled;
+    entries;
+    inj = Option.map Inject.make cfg.faults;
+    predictor;
+    stop = None;
+    interrupt_countdown = interrupt_stride;
+    cycles = 0;
+    master_instructions = 0;
+    sequential_instructions = 0;
+    faults_injected = 0;
+    task_sizes = [];
+    live_in_counts = [];
+    master_cache;
+    m_state;
+    m_dirty;
+    m_store =
+      wrap_store
+        (if cfg.control_only_master || cfg.isolated_slaves then Exec.no_store
+         else fun a v -> Dirty.store m_dirty a v);
+    m_dead = false;
+    m_pending = None;
+    m_since_cp = cfg.task_size (* fork immediately at start *);
+    m_passes = Mem_log.create ~size:8 ();
+    window = Queue.create ();
+    last_cp = None;
+    next_cp_id = 0;
+    slave_caches =
+      Array.init cfg.slaves (fun _ ->
+          Hierarchy.make_shared ~l1:t.l1 ~lat:t.lat ~l2:master_cache ());
+    slave_free = Array.make cfg.slaves true;
+    view =
+      (if cfg.isolated_slaves then Task.Isolated else Task.Fallback arch);
+    spare_journals = [];
+    commit_busy = false;
+    fruitless_squashes = 0;
+  }
 
 let now m = Sim.now m.sim
 
@@ -296,17 +300,16 @@ let failure_reason = function
   | Task.Missing_cell c -> Trace.Missing_cell (Cell.show c)
   | Task.Io_speculative c -> Trace.Speculative_io (Cell.show c)
 
-(* The live-in a master in state [s], with dirty memory [dirty] of
-   [dirty_cells] cells, ships at a fork to [entry]: the PC alone for a
+(* The live-in a master in state [s], having written [dirty] since its
+   last seed, ships at a fork to [entry]: the PC alone for a
    control-only master, else the PC, its registers and memory — its
    whole written memory for isolated slaves, which cannot read
-   architected state, else the dirty set by reference. *)
-let checkpoint_live_in (cfg : Mssp_config.t) ~entry s ~dirty ~dirty_cells =
+   architected state, else a view of [dirty], sealed here. *)
+let checkpoint_live_in (cfg : Mssp_config.t) ~entry s ~dirty =
   if cfg.control_only_master then Live_in.of_pc entry
   else if cfg.isolated_slaves then
-    let mem = Full.snapshot_mem s in
-    Live_in.of_state ~pc:entry s ~mem ~mem_cells:(Fragment.cardinal mem)
-  else Live_in.of_state ~pc:entry s ~mem:dirty ~mem_cells:dirty_cells
+    Live_in.of_state ~pc:entry s ~mem:(Full.snapshot_mem s)
+  else Live_in.checkpoint ~pc:entry s dirty
 
 (* The event handlers of the four parts call and schedule one another,
    so they form one recursive group, in four sections. *)
@@ -320,11 +323,11 @@ let rec master_run m =
 (* Up to [budget] more functional master instructions, [cost] cycles
    accumulated so far. The master-side PC map redirects jumps that landed
    in original code (indirect returns) back into distilled code; it maps
-   original-code PCs only, so a PC inside the distilled image skips the
-   probe. The word
-   is fetched and decoded once: markers and death cost nothing, and every
-   other instruction runs through the closure-free timed step, which
-   charges the fetch and the data accesses. *)
+   original-code PCs only, so a PC inside the distilled image (two
+   compares) skips the probe. The word is fetched and decoded once:
+   markers and death cost nothing, and every other instruction runs
+   through the closure-free timed step, which charges the fetch and the
+   data accesses. *)
 and master_go m budget cost =
   if budget = 0 then
     (* run-away master: no checkpoint for a whole chunk *)
@@ -332,7 +335,7 @@ and master_go m budget cost =
   else begin
     let pc0 = Full.pc m.m_state in
     let pc =
-      if Program.in_code m.d.distilled pc0 then pc0
+      if pc0 >= m.code_lo && pc0 < m.code_hi then pc0
       else
         match Hashtbl.find_opt m.d.pc_map pc0 with
         | Some dpc ->
@@ -353,12 +356,9 @@ and master_go m budget cost =
       else begin
         (* snapshot the prediction now; the spawn takes effect once the
            accumulated cycles elapse *)
-        Hashtbl.reset m.m_passes;
+        Mem_log.clear m.m_passes;
         m.m_since_cp <- 0;
-        let li =
-          checkpoint_live_in m.cfg ~entry:e m.m_state ~dirty:m.m_dirty
-            ~dirty_cells:m.m_dirty_cells
-        in
+        let li = checkpoint_live_in m.cfg ~entry:e m.m_state ~dirty:m.m_dirty in
         Sim.schedule m.sim ~delay:(cost + m.cfg.timing.master_base)
           (epoch_guarded m (fun () -> handle_fork m e li occurrence))
       end
@@ -372,9 +372,16 @@ and master_go m budget cost =
   end
 
 and master_note_pass m e =
-  let n = 1 + Option.value ~default:0 (Hashtbl.find_opt m.m_passes e) in
-  Hashtbl.replace m.m_passes e n;
-  n
+  let i = Mem_log.index m.m_passes e in
+  if i >= 0 then begin
+    let n = Mem_log.get m.m_passes i + 1 in
+    Mem_log.set_at m.m_passes i n;
+    n
+  end
+  else begin
+    Mem_log.add m.m_passes e 1;
+    1
+  end
 
 (* Death (halt, fault or run-away): the master stops until a recovery
    reseeds it, and the last checkpoint's task runs to the program's end. *)
@@ -434,9 +441,14 @@ and spawn m e master_li =
   m.next_cp_id <- id + 1;
   emit m (Trace.Fork { cycle = now m; task = id; entry = e });
   (* the prediction as the slave will see it: post fault injection. The
-     fragment is persistent and shared with the checkpoint, so this
-     emission is O(1) — no per-binding rendering here *)
-  emit m (Trace.Predict { cycle = now m; task = id; live_in = cp.cp_live_in });
+     run's own fold reads only its size; a tracer's sinks may keep it
+     past the checkpoint, so they get its fragment form *)
+  let live_in =
+    match m.cfg.tracer with
+    | None -> cp.cp_live_in
+    | Some _ -> Live_in.freeze cp.cp_live_in
+  in
+  emit m (Trace.Predict { cycle = now m; task = id; live_in });
   Queue.add cp m.window;
   m.last_cp <- Some cp;
   try_start_tasks m
@@ -461,7 +473,7 @@ and maybe_corrupt m cp_id li =
     in
     match Inject.fire i Fplan.Mem_bit_flip ~cycle:(now m) with
     | Some a -> (
-      match mem_bindings li.Live_in.mem with
+      match Live_in.fold mem_binding li [] with
       | [] -> li
       | l ->
         let c, v = List.nth l (cp_id mod List.length l) in
@@ -472,10 +484,7 @@ and maybe_corrupt m cp_id li =
         Live_in.add c (v lxor (1 lsl bit)) li)
     | None -> li)
 
-and mem_bindings f =
-  Fragment.fold
-    (fun c v acc -> if Cell.is_mem c then (c, v) :: acc else acc)
-    f []
+and mem_binding c v acc = if Cell.is_mem c then (c, v) :: acc else acc
 
 and try_start_tasks m =
   (* One pass over the window: each startable checkpoint gets a free
@@ -634,6 +643,12 @@ and commit m cp task n_live_ins =
   m.live_in_counts <- n_live_ins :: m.live_in_counts;
   advance_shadow m executed;
   recycle m task;
+  (* the master's layers no live checkpoint predates: a parked or
+     in-flight fork is newer than every sealed layer *)
+  Dirty.fold m.m_dirty
+    ~upto:
+      (if Queue.is_empty m.window then max_int
+       else (Queue.peek m.window).cp_master_li.Live_in.level);
   match task.Task.status with
   | Task.Complete Task.Program_halted -> halt m Halted
   | Task.Complete Task.Reached_boundary | Task.Running | Task.Failed _ ->
@@ -662,7 +677,7 @@ and maybe_corrupt_commit m cp_id task =
   | Some i -> (
     match Inject.fire i Fplan.Commit_corrupt ~cycle:(now m) with
     | Some a -> (
-      match mem_bindings (Task.writes_fragment task) with
+      match Fragment.fold mem_binding (Task.writes_fragment task) [] with
       | [] -> ()
       | l ->
         let c, v = List.nth l (cp_id mod List.length l) in
@@ -768,10 +783,9 @@ and recovery_segment m =
 (* Restart the master from architected state at distilled PC [dpc]. *)
 and reseed m dpc =
   m.m_state <- Full.copy m.arch;
-  m.m_dirty <- Fragment.empty;
-  m.m_dirty_cells <- 0;
+  Dirty.reset m.m_dirty;
   m.m_since_cp <- m.cfg.task_size;
-  Hashtbl.reset m.m_passes;
+  Mem_log.clear m.m_passes;
   Full.set_pc m.m_state dpc
 
 (* Settle the stop reason, emit the end-of-run counter samples and
@@ -839,8 +853,8 @@ let close m (outcome : Sim.outcome) =
   in
   { arch = m.arch; stop; stats; refinement_violations = m.violations }
 
-let run ?(config = Mssp_config.default) d =
-  let m = create config d in
+let run ?(config = Mssp_config.default) ?wrap_store d =
+  let m = create ?wrap_store config d in
   Sim.schedule m.sim ~delay:0 (guarded m (fun () -> master_run m));
   close m (Sim.run ~limit:config.max_cycles m.sim)
 

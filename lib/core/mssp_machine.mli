@@ -93,7 +93,10 @@ val stop_string : stop_reason -> string
     the trace stream's [Halt] event. *)
 
 val run :
-  ?config:Mssp_config.t -> Mssp_distill.Distill.t -> result
+  ?config:Mssp_config.t ->
+  ?wrap_store:((int -> int -> unit) -> int -> int -> unit) ->
+  Mssp_distill.Distill.t ->
+  result
 (** Simulate the distilled package's original program under MSSP until
     the program halts (or a safety limit trips). Architected state starts
     as the freshly loaded program image.
@@ -106,23 +109,26 @@ val run :
     (cache, memory image, sim kernel), and exactly one final [Halt].
     Each event goes into the run's own fold, which {!stats} is read
     from, and, with [config.tracer = Some t], to [t]'s sinks too; a
-    tracer only records, it changes nothing about the run. *)
+    tracer only records, it changes nothing about the run.
+
+    [wrap_store] wraps the hook through which every master store reaches
+    the master's write layers, once per run: host profiling measures the
+    hook's allocation this way ([tools/hostprof --words]). The wrapper
+    must pass each store on to the hook it is given. *)
 
 val checkpoint_live_in :
   Mssp_config.t ->
   entry:int ->
   Mssp_state.Full.t ->
-  dirty:Mssp_state.Fragment.t ->
-  dirty_cells:int ->
+  dirty:Mssp_state.Dirty.t ->
   Mssp_state.Live_in.t
-(** [checkpoint_live_in cfg ~entry s ~dirty ~dirty_cells] is the live-in
-    a master in state [s] ships at a fork to [entry], having written the
-    memory cells of [dirty] ([dirty_cells] of them) since its last seed:
-    the PC alone with [cfg.control_only_master]; else the PC and every
-    register, over [s]'s whole written memory with
-    [cfg.isolated_slaves] and over [dirty], by reference, otherwise.
-    Outside isolated mode its cost does not depend on the size of
-    [dirty]. *)
+(** [checkpoint_live_in cfg ~entry s ~dirty] is the live-in a master in
+    state [s] ships at a fork to [entry], having written [dirty] since
+    its last seed: the PC alone with [cfg.control_only_master]; else the
+    PC and every register, over [s]'s whole written memory with
+    [cfg.isolated_slaves] and otherwise over a view of [dirty], whose
+    open layer it seals. Outside isolated mode its cost does not depend
+    on how many cells [dirty] holds. *)
 
 val fold_check : dropped:int -> Mssp_trace.Trace.Summary.t -> stats -> string
 (** The verdict line under a recorded stream's summary. When the

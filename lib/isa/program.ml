@@ -39,29 +39,32 @@ let decode_all p =
 let image_base img = img.i_base
 let image_limit img = img.i_base + Array.length img.i_words
 
+(* [pc - img.i_base] is [i], inside the image, and the image's word
+   there is the fetched one *)
+let[@inline] matches img i word =
+  i >= 0 && i < Array.length img.i_words && Array.unsafe_get img.i_words i = word
+
 let image_decode img ~pc ~word =
   let i = pc - img.i_base in
-  if i >= 0 && i < Array.length img.i_words && Array.unsafe_get img.i_words i = word
-  then Array.unsafe_get img.i_instrs i
+  if matches img i word then Array.unsafe_get img.i_instrs i
   else Instr.decode_cached word
 
-(* top level, not local to the decoder: a local probe would capture [pc]
-   and [word] and allocate a closure on every decode *)
-let rec probe_images pc word = function
-  | [] -> Instr.decode_cached word
-  | img :: rest ->
-    let i = pc - img.i_base in
-    if
-      i >= 0
-      && i < Array.length img.i_words
-      && Array.unsafe_get img.i_words i = word
-    then Array.unsafe_get img.i_instrs i
-    else probe_images pc word rest
-
-let image_decoder = function
+(* one closure per image, each falling through to the next; two images
+   (the machine's distilled and original programs) are one closure *)
+let rec image_decoder = function
   | [] -> fun ~pc:_ ~word -> Instr.decode_cached word
   | [ img ] -> fun ~pc ~word -> image_decode img ~pc ~word
-  | imgs -> fun ~pc ~word -> probe_images pc word imgs
+  | [ a; b ] ->
+    fun ~pc ~word ->
+      let i = pc - a.i_base in
+      if matches a i word then Array.unsafe_get a.i_instrs i
+      else image_decode b ~pc ~word
+  | img :: rest ->
+    let next = image_decoder rest in
+    fun ~pc ~word ->
+      let i = pc - img.i_base in
+      if matches img i word then Array.unsafe_get img.i_instrs i
+      else next ~pc ~word
 
 let pp fmt p =
   let label_of = Hashtbl.create 16 in

@@ -227,8 +227,8 @@ let predict t cell = Option.map snd (pick_with_conf t cell)
    (elided chains' residual reads) are taken over. [Pc] is control,
    never a value to predict. The result keeps the live-in's cell set —
    only values move: a register override copies the register file, a
-   memory override is one [Fragment.add] onto the master's dirty set,
-   which is never rebuilt. *)
+   memory override is one [Fragment.add] into the live-in's overlay over
+   the master's write layers, which are never copied. *)
 let refine t li =
   if t.mode = Off then li
   else

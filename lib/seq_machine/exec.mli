@@ -121,8 +121,8 @@ val timed_exec :
 (** [timed_exec cache ~on_store s ~pc instr] charges [instr]'s accesses,
     fetch included, then {!exec}s it, and returns the cycles the
     accesses cost. [on_store a v] is called for every memory store,
-    before the instruction's writes land (the master records its dirty
-    set here). [instr] must not be [Halt]. *)
+    before the instruction's writes land (the master writes its write
+    layers here). [instr] must not be [Halt]. *)
 
 val timed_step :
   on_store:(int -> int -> unit) ->

@@ -64,6 +64,8 @@ let[@inline] get_reg s r =
 let[@inline] set_reg s r v =
   if (r : Reg.t :> int) <> 0 then s.regs.((r :> int)) <- v
 
+let copy_regs s = Array.copy s.regs
+
 let get_mem s a =
   (* [lsr] sends negative addresses far past [table_pages], so one
      unsigned bound check routes them to the overflow table *)

@@ -41,6 +41,10 @@ val get_reg : t -> Mssp_isa.Reg.t -> int
 val set_reg : t -> Mssp_isa.Reg.t -> int -> unit
 (** Writes to the hardwired zero register are discarded. *)
 
+val copy_regs : t -> int array
+(** A fresh array of the registers by index (slot 0, the zero register,
+    holds 0): one block copy. *)
+
 val get_mem : t -> int -> int
 val set_mem : t -> int -> int -> unit
 

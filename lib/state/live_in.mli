@@ -4,11 +4,22 @@
     At every task boundary the paper's master "checkpoints its
     speculative state and ships (start-PC, predicted live-in values)".
     Here that is a flat register file — the PC and the 31 registers in
-    one [int array], with a mask of the slots it binds — over the
-    master's dirty memory as a {!Fragment.t} held by reference. Building
-    one per fork is one 32-word array and two descents of the dirty set
-    for its address bounds; the memory part is shared with the master,
-    never copied.
+    one [int array], with a mask of the slots it binds — over a memory
+    part. The memory part of a fork's checkpoint is a view of the
+    master's write layers ({!Dirty}): its writes since its last seed as
+    they stood at that fork, read in place. Building one per fork seals
+    a layer and copies one 32-word array; nothing grows with the number
+    of cells the master has written.
+
+    A small {!Fragment} overlay sits over the view: cells bound by
+    {!add} (fault plans, the value predictor), and the whole memory part
+    of a live-in with no view ({!of_fragment}, {!of_state}'s isolated
+    snapshots, {!freeze}).
+
+    A view is valid while its checkpoint is live; the machine folds
+    layers only under older checkpoints, so every live view stays
+    exact. Anything that keeps a live-in past its checkpoint (a trace
+    sink) keeps {!freeze}'s fragment form.
 
     As a partial state a live-in is the fragment {!to_fragment}: the same
     cells with the same values. {!fold} and the trace serializers walk
@@ -21,20 +32,29 @@ type t = private {
           slot's value is its binding when the slot is bound, and
           meaningless otherwise. Never written once built *)
   bound : int;  (** bit [i] set iff slot [i] is bound *)
-  mem : Fragment.t;  (** the memory bindings; binds no PC or register *)
-  mem_cells : int;  (** [Fragment.cardinal mem], carried so counting is O(1) *)
-  mem_lo : int;
-  mem_hi : int;
-      (** the lowest and highest address [mem] binds ([max_int] and
-          [min_int] when it binds none): most memory reads a task makes
-          outside the live-in fall outside them and skip the tree *)
+  dirty : Dirty.t;  (** the master's write layers; {!Dirty.none} for no view *)
+  level : int;  (** the view's seal in [dirty] *)
+  cells : int;  (** memory cells the view binds *)
+  over : Fragment.t;  (** memory bindings over the view; no PC or register *)
+  over_lo : int;
+  over_hi : int;
+      (** the lowest and highest address [over] binds ([max_int] and
+          [min_int] when it binds none): a lookup outside them skips the
+          tree *)
+  mem_cells : int;  (** memory cells bound, view and overlay, carried so
+                        counting is O(1) *)
 }
 
-val of_state : pc:int -> Full.t -> mem:Fragment.t -> mem_cells:int -> t
-(** [of_state ~pc s ~mem ~mem_cells] binds the PC to [pc], every register
-    to its value in [s], and the memory cells of [mem], which must bind
-    memory cells only, [mem_cells] of them. O(registers + log |mem|):
-    [mem] is held by reference. *)
+val checkpoint : pc:int -> Full.t -> Dirty.t -> t
+(** [checkpoint ~pc s d] seals [d]'s open layer and binds the PC to
+    [pc], every register to its value in [s], and the memory cells of
+    the sealed view: what a master in state [s], having written [d],
+    ships at a fork. O(registers). *)
+
+val of_state : pc:int -> Full.t -> mem:Fragment.t -> t
+(** [of_state ~pc s ~mem] binds the PC to [pc], every register to its
+    value in [s], and the memory cells of [mem], which must bind memory
+    cells only (an isolated slave's snapshot of written memory). *)
 
 val of_pc : int -> t
 (** Binds the PC only: the checkpoint of a master that predicts no
@@ -44,19 +64,25 @@ val of_fragment : Fragment.t -> t
 val to_fragment : t -> Fragment.t
 (** The two are inverse: [to_fragment (of_fragment f)] equals [f]. *)
 
+val freeze : t -> t
+(** The same bindings with no view: the memory part as one persistent
+    fragment, valid after the checkpoint dies. What the machine emits to
+    a tracer. *)
+
 val cardinal : t -> int
 (** Bindings, PC included, in O(1). *)
 
 val find_opt : Cell.t -> t -> int option
 
-val find_mem : int -> t -> int option
-(** [find_mem a li] is [find_opt (Cell.mem a) li]; an address outside
-    [mem_lo, mem_hi] costs two comparisons. *)
+val find_mem : int -> t -> default:int -> int
+(** [find_mem a li ~default] is [a]'s value in [li], or [default] when
+    [li] does not bind [a]. Allocation-free on the view; an address
+    inside the overlay's bounds pays one {!Fragment} lookup. *)
 
 val add : Cell.t -> int -> t -> t
 (** [add c v li] is [li] with [c] bound to [v]; [li] is unchanged. The PC
     or a register copies the register file; a memory cell is one
-    {!Fragment.add}. *)
+    {!Fragment.add} into the overlay. *)
 
 val fold : (Cell.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
 (** In {!Cell} order, as {!Fragment.fold} walks {!to_fragment}. *)

@@ -8,12 +8,11 @@
     and commit walk them as ints, and they convert to fragments only
     for tests, diagnostics and fault injection.
 
-    Memory bindings sit in an insertion-order log (an address array and
-    a value array), indexed by an open-addressed table over one [int]
-    array: a slot holds a log position + 1, 0 marks it empty, and a
-    probe walks linearly from the address's Fibonacci home. Binding a
-    cell allocates nothing until the log is full, when the log doubles
-    and the table is rebuilt at twice its size (load at most one half).
+    Memory bindings sit in a {!Mssp_state.Mem_log}: an insertion-order
+    log (an address array and a value array), indexed by an
+    open-addressed table over one [int] array. Binding a cell allocates
+    nothing until the log is full, when the log doubles and the table is
+    rebuilt at twice its size (load at most one half).
 
     {b Journals are recycled.} {!clear} empties a journal in
     O(bindings) and keeps its capacity, so the machine hands each

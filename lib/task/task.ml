@@ -45,9 +45,8 @@ type t = {
 let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in ~reads
     ~writes =
   (* The live-in is held by reference: its register file is read in
-     place and its memory part is the master's cumulative dirty set
-     (thousands of cells on long runs), looked up in the persistent
-     fragment itself. The journals are the caller's: the machine
+     place and its memory part is a view of the master's write layers
+     (thousands of cells on long runs), looked up in place. The journals are the caller's: the machine
      recycles one pair per window slot, so their tables have grown to
      earlier bodies' footprints; they iterate in insertion order, so
      their capacity cannot change any result. *)
@@ -144,8 +143,9 @@ let read_pc t view =
    recorded value: the live-in and the view are fixed for the run, so
    that is the value a fresh lookup would find. Memory is total: an
    isolated task reads an unbound cell as 0, and that reading is itself
-   a live-in to verify. The live-in's address bounds reject most
-   live-in misses without a tree walk. *)
+   a live-in to verify. The live-in lookup takes the value to return on
+   a miss, so a hit boxes no option; most misses cost one probe of the
+   master's write base. *)
 let read_mem t view on_access a =
   on_access a;
   let i = Journal.mem_index t.writes a in
@@ -154,12 +154,10 @@ let read_mem t view on_access a =
     let i = Journal.mem_index t.reads a in
     if i >= 0 then Journal.mem_at t.reads i
     else begin
-      let v =
-        match Live_in.find_mem a t.live_in with
-        | Some v -> v
-        | None -> (
-          match view with Fallback arch -> Full.get_mem arch a | Isolated -> 0)
+      let default =
+        match view with Fallback arch -> Full.get_mem arch a | Isolated -> 0
       in
+      let v = Live_in.find_mem a t.live_in ~default in
       Journal.set_mem t.reads a v;
       v
     end

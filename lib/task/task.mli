@@ -18,8 +18,8 @@
     fragment by [next].
 
     The prediction is a {!Mssp_state.Live_in.t}, read in place: its
-    flat register file for the PC and registers, its memory fragment
-    for memory. The recordings and the write buffer live in flat
+    flat register file for the PC and registers, its view of the
+    master's write layers for memory. The recordings and the write buffer live in flat
     {!Journal.t} buffers (register arrays and an int-keyed memory
     index), so an instruction pays no balanced-tree lookups once its
     cells are recorded. Verification ({!live_ins_consistent}) and commit
@@ -96,8 +96,8 @@ val make :
     Cost is O(1), independent of how many cells [live_in] binds: the
     task holds it by reference. A register read resolves write buffer,
     then the live-in's register file, then the view; a memory read
-    resolves write buffer, then [Fragment.find_opt] on the live-in's
-    memory, then the view — the same values, in the same order, as a
+    resolves write buffer, then {!Mssp_state.Live_in.find_mem}, then
+    the view — the same values, in the same order, as a
     task whose whole live-in had been flattened into a journal. *)
 
 val with_decode : (pc:int -> word:int -> Mssp_isa.Instr.t option) -> t -> t

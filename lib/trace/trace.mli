@@ -17,10 +17,11 @@
 
     This library sits below the machine core. Events are plain data,
     with one deliberate exception: {!event.Predict} carries the
-    checkpoint's live-in {!Mssp_state.Live_in.t} by reference. The
-    live-in is never written once built and is already allocated by the
-    machine, so the emission site stays O(1) and counting its bindings
-    is O(1) too — rendering cells to strings happens only in the sinks
+    checkpoint's live-in {!Mssp_state.Live_in.t}. Without a tracer the
+    machine passes the checkpoint's own live-in, already allocated, and
+    its fold counts the bindings in O(1); with one it passes
+    {!Mssp_state.Live_in.freeze}'s form, which stays valid after the
+    checkpoint dies. Rendering cells to strings happens only in the sinks
     and serializers, in cell order (the PC, the registers by index,
     memory by ascending address). Use {!event_equal}, not [( = )], to
     compare events. *)
@@ -56,9 +57,8 @@ type event =
       (** master reached a fork marker and cut a checkpoint *)
   | Predict of { cycle : int; task : int; live_in : Mssp_state.Live_in.t }
       (** the checkpoint's predicted live-in bindings, post fault
-          injection — exactly what the slave will be seeded with. Held by
-          reference (shared with the checkpoint): the emission site does
-          no per-binding work *)
+          injection — exactly what the slave will be seeded with. Frozen
+          ({!Mssp_state.Live_in.freeze}) when a tracer is attached *)
   | Predict_outcome of { cycle : int; task : int; hits : int; misses : int }
       (** value-prediction attribution at verification: how many of the
           head task's recorded first-reads matched architected state

@@ -16,6 +16,7 @@ module Dsl = Mssp_asm.Dsl
 module Instr = Mssp_isa.Instr
 module Fragment = Mssp_state.Fragment
 module Live_in = Mssp_state.Live_in
+module Dirty = Mssp_state.Dirty
 module Cell = Mssp_state.Cell
 module Plan = Mssp_faults.Plan
 module Task = Mssp_task.Task
@@ -199,6 +200,37 @@ let test_master_loop_allocation () =
     true
     (n2 > n1 && per < 0.5)
 
+(* A master that stores on every trip and never forks: every store
+   lands in the open write layer, over the same few cells, so extra
+   master instructions must cost (next to) no minor words. A persistent
+   map under the hook costs about 6 words per store. *)
+let store_spinner (p : Mssp_isa.Program.t) =
+  let b = Dsl.create ~base:Layout.distilled_base () in
+  Dsl.li b t0 0;
+  Dsl.label b "spin";
+  Dsl.alui b Instr.Add t0 t0 1;
+  Dsl.alui b Instr.And t1 t0 7;
+  Dsl.st b t0 t1 Layout.data_base;
+  Dsl.jmp b "spin";
+  Adversary.package p (Dsl.build b ())
+
+let test_master_store_allocation () =
+  let d = store_spinner ((W.find "vecsum").W.program ~size:100) in
+  let measure chunk =
+    let config = { Config.default with Config.master_chunk = chunk } in
+    let w0 = Gc.minor_words () in
+    let r = M.run ~config d in
+    (Gc.minor_words () -. w0, r.M.stats.M.master_instructions)
+  in
+  let w1, n1 = measure 10_000 in
+  let w2, n2 = measure 100_000 in
+  let per = (w2 -. w1) /. float_of_int ((n2 - n1) / 4) in
+  check
+    (Printf.sprintf "%.3f words per master store (%d more instructions)" per
+       (n2 - n1))
+    true
+    (n2 > n1 && per < 0.5)
+
 (* The reference for the live-in a fork ships, in every mode, as a
    fragment built one binding at a time: the PC alone for a control-only
    master; else the PC and every register over the dirty set, or over
@@ -232,12 +264,23 @@ let dirty_set n =
   in
   go 0 Fragment.empty
 
+(* the same writes as the master's write layers, stored over three fork
+   intervals and folded, as commits leave them *)
+let dirty_layers n =
+  let d = Dirty.create () in
+  for i = 0 to n - 1 do
+    Dirty.store d (Layout.data_base + (3 * i)) i;
+    if i mod (n / 3 + 1) = 0 then ignore (Dirty.seal d : int)
+  done;
+  Dirty.fold d ~upto:max_int;
+  d
+
 let test_live_in_modes () =
   let s = master_state () and dirty = dirty_set 242 in
   List.iter
     (fun (mode, cfg) ->
       let li =
-        M.checkpoint_live_in cfg ~entry:4096 s ~dirty ~dirty_cells:242
+        M.checkpoint_live_in cfg ~entry:4096 s ~dirty:(dirty_layers 242)
       in
       let f = fragment_live_in cfg ~entry:4096 s ~dirty in
       check (mode ^ ": the same bindings") true
@@ -251,16 +294,20 @@ let test_live_in_modes () =
       ("isolated", { Config.default with Config.isolated_slaves = true });
     ]
 
-(* Building a fork's live-in copies a 32-slot register file and holds
-   the dirty set by reference: its minor words stay small and do not
-   grow with the dirty set: 50 words. One insertion per register into
-   the 242-cell dirty set (the E1 grid's mean) reads 2,453. *)
+(* Building a fork's live-in copies a 32-slot register file and seals
+   a recycled write layer: its minor words stay small and do not grow
+   with the dirty set: 43 words. One insertion per register into the
+   242-cell dirty set (the E1 grid's mean) reads 2,453. Each fork's
+   checkpoint commits before the next, as on a one-task window, so the
+   layer it sealed folds back for reuse. *)
 let test_fork_allocation () =
   let s = master_state () in
   let per_fork cfg n =
-    let dirty = dirty_set n in
+    let dirty = dirty_layers n in
     let fork () =
-      M.checkpoint_live_in cfg ~entry:4096 s ~dirty ~dirty_cells:n
+      let li = M.checkpoint_live_in cfg ~entry:4096 s ~dirty in
+      Dirty.fold dirty ~upto:max_int;
+      li
     in
     ignore (Sys.opaque_identity (fork ()));
     let w0 = Gc.minor_words () in
@@ -660,6 +707,8 @@ let () =
           Alcotest.test_case "squash limit" `Quick test_squash_limit_stops;
           Alcotest.test_case "master loop allocation" `Quick
             test_master_loop_allocation;
+          Alcotest.test_case "master store allocation" `Quick
+            test_master_store_allocation;
           Alcotest.test_case "fork allocation" `Quick test_fork_allocation;
           Alcotest.test_case "task allocation" `Quick test_task_allocation;
           Alcotest.test_case "verify and commit allocation" `Quick

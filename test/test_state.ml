@@ -415,8 +415,149 @@ let prop_live_in_checkpoints =
       let mem = Full.snapshot_mem full in
       agrees (Live_in.of_pc pc) (Fragment.singleton Cell.Pc pc)
       && agrees
-           (Live_in.of_state ~pc full ~mem ~mem_cells:(Fragment.cardinal mem))
+           (Live_in.of_state ~pc full ~mem)
            (Fragment.add Cell.Pc pc (Full.snapshot full)))
+
+(* --- Dirty: the master's write layers --- *)
+
+(* A model test of the layers against the persistent representation
+   they replace: the master's writes since its seed as one [Fragment],
+   snapshotted at every seal. Random sequences of stores (negative
+   addresses included), seals (a fork: a new live view), retirements
+   (the oldest view commits and the layers under the next one fold),
+   resets (a reseed kills every view), overlay [add]s on a live view and
+   fragment reads (which build and advance the mirror). After every step
+   each live view's [find_mem], [find_opt] and [cardinal], and on a
+   fragment read its [to_fragment] and [freeze], equal the snapshot. *)
+
+type dirty_op =
+  | Store of int * int
+  | Seal
+  | Retire
+  | Reset
+  | Add of int * int * int
+  | Frags
+
+let show_dirty_op = function
+  | Store (a, v) -> Printf.sprintf "store %d %d" a v
+  | Seal -> "seal"
+  | Retire -> "retire"
+  | Reset -> "reset"
+  | Add (k, a, v) -> Printf.sprintf "add #%d %d %d" k a v
+  | Frags -> "frags"
+
+let dirty_addrs = List.init 30 (fun i -> i - 8)
+
+let arbitrary_dirty_ops =
+  let open QCheck.Gen in
+  let addr = int_range (-8) 21 in
+  let op =
+    frequency
+      [
+        (8, map2 (fun a v -> Store (a, v)) addr small_int);
+        (3, return Seal);
+        (2, return Retire);
+        (1, return Reset);
+        (1, map3 (fun k a v -> Add (k, a, v)) small_nat addr small_int);
+        (1, return Frags);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_dirty_op ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 1 80) op)
+
+let mem_part f = Fragment.filter (fun c _ -> Cell.is_mem c) f
+
+(* [li] binds the registers of a fresh state, the PC and [snap] *)
+let view_agrees ~frags (li, snap) =
+  let finds =
+    List.for_all
+      (fun a ->
+        let c = Cell.mem a in
+        Live_in.find_mem a li ~default:min_int
+        = Option.value ~default:min_int (Fragment.find_opt c snap)
+        && Live_in.find_opt c li = Fragment.find_opt c snap)
+      dirty_addrs
+  in
+  let frag li = Fragment.equal (mem_part (Live_in.to_fragment li)) snap in
+  finds
+  && Live_in.cardinal li = Reg.count + Fragment.cardinal snap
+  && ((not frags)
+     || frag li
+        && frag (Live_in.freeze li)
+        && Live_in.equal (Live_in.freeze li) li)
+
+let prop_dirty_model =
+  QCheck.Test.make ~name:"dirty layers = a fragment snapshot per seal"
+    ~count:500 arbitrary_dirty_ops (fun ops ->
+      let full = Full.create () in
+      let d = Dirty.create () in
+      (* the model: writes since the reset; the live views, oldest first *)
+      let writes = ref Fragment.empty and views = ref [] in
+      let step op =
+        match op with
+        | Store (a, v) ->
+          Dirty.store d a v;
+          writes := Fragment.add (Cell.mem a) v !writes
+        | Seal ->
+          views := !views @ [ (Live_in.checkpoint ~pc:0 full d, !writes) ]
+        | Retire -> (
+          match !views with
+          | [] -> ()
+          | _ :: rest ->
+            views := rest;
+            Dirty.fold d
+              ~upto:
+                (match rest with
+                | (li, _) :: _ -> li.Live_in.level
+                | [] -> max_int))
+        | Reset ->
+          Dirty.reset d;
+          writes := Fragment.empty;
+          views := []
+        | Add (k, a, v) -> (
+          match !views with
+          | [] -> ()
+          | l ->
+            let k = k mod List.length l in
+            views :=
+              List.mapi
+                (fun i ((li, snap) as view) ->
+                  if i <> k then view
+                  else
+                    ( Live_in.add (Cell.mem a) v li,
+                      Fragment.add (Cell.mem a) v snap ))
+                l)
+        | Frags -> ()
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          List.for_all (view_agrees ~frags:(op = Frags)) !views)
+        ops)
+
+(* a view older than a folded layer is stale: reading it raises rather
+   than return a newer write *)
+let test_dirty_stale_view () =
+  let full = Full.create () and d = Dirty.create () in
+  Dirty.store d 5 1;
+  let old = Live_in.checkpoint ~pc:0 full d in
+  Dirty.store d 5 2;
+  let young = Live_in.checkpoint ~pc:0 full d in
+  check "old view" true (Live_in.find_mem 5 old ~default:0 = 1);
+  Dirty.fold d ~upto:young.Live_in.level;
+  check "young view after the fold" true
+    (Live_in.find_mem 5 young ~default:0 = 2);
+  check "old view is stale" true
+    (match Live_in.find_mem 5 old ~default:0 with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  Dirty.reset d;
+  check "reset kills every view" true
+    (match Live_in.find_mem 5 young ~default:0 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let () =
   Alcotest.run "state"
@@ -454,5 +595,10 @@ let () =
         [
           Mssp_testkit.to_alcotest prop_live_in_round_trip;
           Mssp_testkit.to_alcotest prop_live_in_checkpoints;
+        ] );
+      ( "dirty",
+        [
+          Mssp_testkit.to_alcotest prop_dirty_model;
+          Alcotest.test_case "stale views raise" `Quick test_dirty_stale_view;
         ] );
     ]

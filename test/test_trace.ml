@@ -14,7 +14,8 @@
    - a validity check of the Chrome trace_event export;
    - QCheck invariants over random programs: per-task event bracketing,
      committed tasks never squashed, fold == stats, and a run without a
-     recording sink being identical to one with a sink. *)
+     recording sink being identical to one with a sink (also on qsort
+     and nqueens under live-in faults). *)
 
 module Full = Mssp_state.Full
 module Machine = Mssp_seq.Machine
@@ -545,12 +546,40 @@ let prop_fold_matches_stats =
 
 (* a recording sink is observationally free: a run without one is
    identical, stats record and stop reason included, to the same run
-   with a sink attached *)
+   with a sink attached. Each case also runs a store-heavy kernel (qsort
+   or nqueens) under a live-in fault plan both ways: the untraced run's
+   checkpoints are views of the master's write layers, the traced run
+   hands its sinks frozen fragments, and faults add to the views *)
+let faulted_kernels =
+  lazy
+    (List.map
+       (fun (name, size, train) -> distill_bench name ~size ~train)
+       [ ("qsort", 300, 100); ("nqueens", 100, 50) ])
+
+let kernel_disabled_identical ~qsort ~seed =
+  let d = List.nth (Lazy.force faulted_kernels) (if qsort then 0 else 1) in
+  let plan =
+    Plan.make
+      [
+        Plan.action Plan.Live_in_corrupt ~seed ~p:0.3;
+        Plan.action Plan.Mem_bit_flip ~seed:(seed + 1) ~p:0.3;
+      ]
+  in
+  let config = { qc_config with Config.faults = Some plan } in
+  let _, traced = run_traced ~config d in
+  let plain = M.run ~config d in
+  plain.M.stop = traced.M.stop
+  && plain.M.stats = traced.M.stats
+  && Full.equal_observable plain.M.arch traced.M.arch
+
 let prop_disabled_identical =
   QCheck.Test.make ~name:"trace: disabled tracing changes nothing"
     ~count:20
-    (program_arb ~min_size:5 ~max_size:20)
-    (fun p ->
+    QCheck.(
+      pair (program_arb ~min_size:5 ~max_size:20) (pair bool (int_bound 1000)))
+    (fun (p, (qsort, seed)) ->
+      kernel_disabled_identical ~qsort ~seed
+      &&
       match traced_run p with
       | None -> true
       | Some (_, traced) ->

@@ -10,12 +10,19 @@
      dune exec tools/hostprof/hostprof.exe                   # E1 grid
      dune exec tools/hostprof/hostprof.exe -- --bench qsort  # one kernel
      dune exec tools/hostprof/hostprof.exe -- --repeat 3     # more samples
+     dune exec tools/hostprof/hostprof.exe -- --words        # allocation
 
    Profiling and distillation happen before sampling starts, so the
    tables hold the machine runs only: the 52 E1 points (13 registry
    kernels at ref size, 1/2/4/8 slaves, default config) or one kernel's
    four. On a host other than x86-64 or aarch64 Linux it prints
-   "unsupported" and exits 0. *)
+   "unsupported" and exits 0.
+
+   --words samples nothing (any host): it prints, per point, the minor
+   words the machine run allocates per committed instruction, and the
+   share of them allocated inside the master's store hook (the writes
+   into its write layers), measured in a second, identical run whose
+   hook is wrapped in [Gc.minor_words] reads. Both are deterministic. *)
 
 module W = Mssp_workload.Workload
 module Profile = Mssp_profile.Profile
@@ -130,6 +137,7 @@ let display name =
 (* --- workload ------------------------------------------------------------ *)
 
 let slave_counts = [ 1; 2; 4; 8 ]
+let config n = Config.with_slaves n Config.default
 
 (* distill every kernel first; sampling covers only the machine runs *)
 let prepare benches =
@@ -144,11 +152,58 @@ let prepare benches =
 let run_points points =
   List.fold_left
     (fun cycles (name, n, d) ->
-      let r = M.run ~config:(Config.with_slaves n Config.default) d in
+      let r = M.run ~config:(config n) d in
       if r.M.stop <> M.Halted then
         failwith (Printf.sprintf "hostprof: %s@%d stopped: %s" name n (M.stop_string r.M.stop));
       cycles + r.M.stats.M.cycles)
     0 points
+
+(* --- allocation ----------------------------------------------------------- *)
+
+(* minor words of one run, and of its store hook alone (a second run) *)
+let words_of (_, n, d) =
+  let w0 = Gc.minor_words () in
+  let r = M.run ~config:(config n) d in
+  let all = Gc.minor_words () -. w0 in
+  let hook = [| 0.0 |] in
+  let wrap store =
+    fun a v ->
+      let w = Gc.minor_words () in
+      store a v;
+      hook.(0) <- hook.(0) +. (Gc.minor_words () -. w)
+  in
+  ignore (M.run ~config:(config n) ~wrap_store:wrap d : M.result);
+  (float_of_int (M.total_committed r), all, hook.(0))
+
+let words_report points =
+  let header first =
+    Printf.printf "\n| %s | instructions | all words | store hook | hook share |\n" first;
+    print_endline "|---|---:|---:|---:|---:|"
+  in
+  let row what (i, all, hook) =
+    Printf.printf "| %s | %.0f | %.2f | %.2f | %.1f%% |\n" what i (all /. i) (hook /. i)
+      (if all > 0.0 then 100.0 *. hook /. all else 0.0)
+  in
+  let add (i, a, h) (i', a', h') = (i +. i', a +. a', h +. h') in
+  let zero = (0.0, 0.0, 0.0) in
+  Printf.printf "hostprof --words: %d points; minor words per committed instruction\n"
+    (List.length points);
+  header "point";
+  let per_kernel = Hashtbl.create 16 and names = ref [] in
+  let total =
+    List.fold_left
+      (fun total ((name, n, _) as p) ->
+        let w = words_of p in
+        row (Printf.sprintf "%s@%d" name n) w;
+        if not (Hashtbl.mem per_kernel name) then names := name :: !names;
+        Hashtbl.replace per_kernel name
+          (add w (Option.value ~default:zero (Hashtbl.find_opt per_kernel name)));
+        add w total)
+      zero points
+  in
+  header "kernel (1/2/4/8 slaves)";
+  List.iter (fun name -> row name (Hashtbl.find per_kernel name)) (List.rev !names);
+  row "**all points**" total
 
 (* --- report -------------------------------------------------------------- *)
 
@@ -171,21 +226,22 @@ let tally f names =
 
 let usage () =
   prerr_endline
-    "usage: hostprof.exe [--bench NAME] [--repeat R]\n\
+    "usage: hostprof.exe [--bench NAME] [--repeat R] [--words]\n\
     \  default: the E1 grid (every registry kernel at 1/2/4/8 slaves), once";
   exit 2
 
 let () =
-  let bench = ref None and repeat = ref 1 in
+  let bench = ref None and repeat = ref 1 and words = ref false in
   let int_arg s = match int_of_string_opt s with Some n when n > 0 -> n | _ -> usage () in
   let rec parse = function
     | [] -> ()
     | "--bench" :: b :: rest -> bench := Some b; parse rest
     | "--repeat" :: n :: rest -> repeat := int_arg n; parse rest
+    | "--words" :: rest -> words := true; parse rest
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if not (supported ()) then begin
+  if (not !words) && not (supported ()) then begin
     print_endline "hostprof: unsupported (needs x86-64 or aarch64 Linux)";
     exit 0
   end;
@@ -196,6 +252,10 @@ let () =
       try [ W.find b ] with Invalid_argument msg -> prerr_endline msg; exit 2)
   in
   let points = prepare benches in
+  if !words then begin
+    words_report points;
+    exit 0
+  end;
   let what =
     Printf.sprintf "%s x 1/2/4/8 slaves, %d points x %d"
       (match !bench with None -> Printf.sprintf "E1 grid (%d kernels)" (List.length benches) | Some b -> b)
