@@ -781,44 +781,9 @@ let audit_cmd =
     Term.(
       const run $ bench_arg $ size_arg $ slaves_arg $ task_size_arg $ seed_arg)
 
-(* --- maude --- *)
-
-let maude_cmd =
-  let out_arg =
-    Arg.(value & opt (some string) None & info [ "o" ] ~docv:"FILE"
-         ~doc:"Write to a file instead of stdout.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N"
-         ~doc:"Seed for the embedded synthetic program instance.")
-  in
-  let run out seed =
-    let module E = Mssp_formal.Maude_export in
-    let module Seq_model = Mssp_formal.Seq_model in
-    let module Abstract_task = Mssp_formal.Abstract_task in
-    let p = Mssp_workload.Synthetic.generate ~seed ~size:4 in
-    let s0 = Seq_model.complete_of_program p in
-    let rec chain state = function
-      | [] -> []
-      | n :: rest ->
-        Abstract_task.make state n :: chain (Seq_model.seq state n) rest
-    in
-    let src = E.export ~name:"instance" ~arch:s0 ~tasks:(chain s0 [ 2; 3 ]) in
-    match out with
-    | None -> print_string src
-    | Some file ->
-      Out_channel.with_open_text file (fun oc -> Out_channel.output_string oc src);
-      Printf.printf "wrote %s (%d bytes): load it in Maude and try `rew init .`\n"
-        file (String.length src)
-  in
-  Cmd.v
-    (Cmd.info "maude"
-       ~doc:"Export the formal models (plus a concrete instance) as Maude source")
-    Term.(const run $ out_arg $ seed_arg)
-
 let () =
   let doc = "Master/Slave Speculative Parallelization — reproduction driver" in
   let info = Cmd.info "mssp_sim" ~version:"1.0" ~doc in
   exit (Cmd.eval (Cmd.group info
     [ list_cmd; seq_cmd; distill_cmd; run_cmd; trace_cmd; compare_cmd;
-      exec_cmd; cc_cmd; formal_cmd; fuzz_cmd; audit_cmd; maude_cmd ]))
+      exec_cmd; cc_cmd; formal_cmd; fuzz_cmd; audit_cmd ]))

@@ -111,7 +111,6 @@ module Hierarchy = struct
     else h.lat.memory
 
   let invalidate_l1 h = invalidate_all h.l1
-  let l1_miss_rate h = miss_rate h.l1
   let l1_stats h = stats h.l1
   let l2_stats h = stats h.l2
 end

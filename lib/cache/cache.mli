@@ -55,8 +55,6 @@ module Hierarchy : sig
   (** Squash: drop the private L1; the shared L2 holds architected data
       and survives. *)
 
-  val l1_miss_rate : t -> float
-
   val l1_stats : t -> stats
   (** The private L1's live counters (trace/metrics). *)
 

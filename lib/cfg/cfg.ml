@@ -110,7 +110,6 @@ let block_of_pc g pc =
     !found
 
 let instrs g b = Array.init b.len (fun i -> instr_pc g (b.start + i))
-let terminator g b = instr_pc g (b.start + b.len - 1)
 
 (* Roots for conservative reachability: the entry, return points after
    calls, and any block whose start address appears as a constant (li/la

@@ -34,9 +34,6 @@ val block_of_pc : t -> int -> block option
 val instrs : t -> block -> Mssp_isa.Instr.t array
 (** The block's instructions, in order. *)
 
-val terminator : t -> block -> Mssp_isa.Instr.t
-(** Last instruction of the block. *)
-
 val reachable : t -> bool array
 (** Per-block reachability from the entry. Blocks reachable only through
     indirect jumps are kept reachable conservatively: any block whose

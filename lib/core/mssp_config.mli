@@ -94,8 +94,8 @@ type t = {
           ({!Mssp_trace.Trace}): the machine builds every task-lifecycle
           event on every run and folds it into its stats; [Some t] also
           delivers each one to [t]'s sinks. [None] (the default) records
-          nothing; the run is the same either way. Attach a collector,
-          ring buffer, or JSONL sink before the run. *)
+          nothing; the run is the same either way. Attach a collector
+          or ring buffer before the run. *)
   interrupt : (unit -> string option) option;
       (** cooperative cancellation hook: polled once per dispatched
           simulation event (between events, never mid-instruction-batch).

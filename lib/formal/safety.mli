@@ -14,7 +14,11 @@ val consistent_and_complete :
     performs: [live_in(t) ⊑ S] (consistency with architected state) and
     [live_in(t)] is [#t]-complete (every step executable from the
     prediction alone). Theorem 2: these imply {!safe} — property-checked
-    in [test/test_formal.ml] and exercised by every machine run. *)
+    in [test/test_formal.ml] on model tasks only. The machine does not
+    call this module: its verification unit checks a real task's
+    recorded live-ins with [Mssp_task.Task.live_ins_consistent]. Judging
+    the machine's own tasks here is ROADMAP's "formal layer judges the
+    machine's own tasks" item. *)
 
 val set_safe :
   Abstract_task.t list -> Mssp_state.Fragment.t -> Abstract_task.t list option

@@ -36,9 +36,6 @@ let decode_all p =
     i_instrs = Array.map Option.some p.code;
   }
 
-let image_base img = img.i_base
-let image_limit img = img.i_base + Array.length img.i_words
-
 (* [pc - img.i_base] is [i], inside the image, and the image's word
    there is the fetched one *)
 let[@inline] matches img i word =

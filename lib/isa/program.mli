@@ -61,10 +61,6 @@ type image = {
 val decode_all : t -> image
 (** Pre-decode the whole code image. *)
 
-val image_base : image -> int
-val image_limit : image -> int
-(** One past the last pre-decoded address. *)
-
 val image_decode : image -> pc:int -> word:int -> Instr.t option
 (** Decode [word] fetched at [pc]: the pre-decoded instruction when
     [pc] is inside the image and the word matches the image's encoding,

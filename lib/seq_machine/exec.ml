@@ -13,12 +13,6 @@ type outcome = Stepped | Halted | Fault of fault | Missing of Cell.t
 let pp_fault fmt (Undecodable { pc; word }) =
   Format.fprintf fmt "undecodable word %#x at pc %#x" word pc
 
-let pp_outcome fmt = function
-  | Stepped -> Format.pp_print_string fmt "stepped"
-  | Halted -> Format.pp_print_string fmt "halted"
-  | Fault f -> Format.fprintf fmt "fault (%a)" pp_fault f
-  | Missing c -> Format.fprintf fmt "missing cell %a" Cell.pp c
-
 exception Unavailable of Cell.t
 
 (* Instruction execution proper, on an already fetched and decoded

@@ -47,7 +47,6 @@ type outcome =
           performed (all reads precede all writes within one instruction) *)
 
 val pp_fault : Format.formatter -> fault -> unit
-val pp_outcome : Format.formatter -> outcome -> unit
 
 val step :
   read:(Mssp_state.Cell.t -> int option) ->

@@ -283,7 +283,6 @@ let run ?(on_access = no_access) t view =
 
 let live_in_size t = Journal.cardinal t.reads
 let live_out_size t = Journal.cardinal t.writes
-let reads_fragment t = Journal.to_fragment t.reads
 let writes_fragment t = Journal.to_fragment t.writes
 
 (* The verification unit's memoization check: every recorded live-in

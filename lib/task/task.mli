@@ -23,8 +23,9 @@
     {!Journal.t} buffers (register arrays and an int-keyed memory
     index), so an instruction pays no balanced-tree lookups once its
     cells are recorded. Verification ({!live_ins_consistent}) and commit
-    ({!commit_into}) walk the journals as ints; use
-    {!reads_fragment}/{!writes_fragment} in tests and tools. *)
+    ({!commit_into}) walk the journals as ints; {!writes_fragment}
+    renders the write buffer as a fragment for commit-fault injection
+    and tests. *)
 
 type fail_reason =
   | Budget_exhausted  (** never reached [end_pc]: master mispredicted
@@ -145,9 +146,6 @@ val live_in_size : t -> int
 
 val live_out_size : t -> int
 (** Number of buffered live-out bindings (drives commit cost). *)
-
-val reads_fragment : t -> Mssp_state.Fragment.t
-(** The recorded live-ins as a fragment (allocates; for tests/tools). *)
 
 val writes_fragment : t -> Mssp_state.Fragment.t
 (** The write buffer as a fragment (allocates; for tests/tools). *)

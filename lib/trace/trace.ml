@@ -447,10 +447,6 @@ let event_of_json j =
     Ok (Halt { cycle; stop })
   | other -> Error (Printf.sprintf "unknown event %S" other)
 
-let jsonl_sink oc ev =
-  output_string oc (J.to_string (event_to_json ev));
-  output_char oc '\n'
-
 let to_jsonl events =
   let buf = Buffer.create 4096 in
   List.iter

@@ -153,10 +153,6 @@ module Ring : sig
       the whole stream so far. *)
 end
 
-val jsonl_sink : out_channel -> sink
-(** Stream events to a channel, one JSON object per line, as they
-    happen. The caller owns the channel. *)
-
 (* --- serialization --------------------------------------------------- *)
 
 val event_to_json : event -> Tjson.t

@@ -421,64 +421,6 @@ let prop_iter2_refines_iter1_random =
       let trace = Mssp_model.Search.random_run ~seed:rseed ~max_steps:40 start in
       Iteration1.refines_iteration1 trace)
 
-(* --- Maude export --- *)
-
-let balanced s =
-  let depth = ref 0 and ok = ref true in
-  String.iter
-    (fun c ->
-      if c = '(' then incr depth
-      else if c = ')' then begin
-        decr depth;
-        if !depth < 0 then ok := false
-      end)
-    s;
-  !ok && !depth = 0
-
-let test_maude_prelude () =
-  let module E = Mssp_formal.Maude_export in
-  check "balanced parens" true (balanced E.prelude);
-  (* the paper's rule labels and operators are all present *)
-  List.iter
-    (fun needle ->
-      check ("contains " ^ needle) true
-        (let n = String.length needle and h = String.length E.prelude in
-         let rec go i =
-           i + n <= h && (String.sub E.prelude i n = needle || go (i + 1))
-         in
-         go 0))
-    [
-      "fmod MACHINE-STATE"; "fmod SEQ"; "mod MSSP-TASKS"; "mod MSSP";
-      "rl [evolve]"; "rl [commit]"; "rl [discard]"; "op _<<_"; "op _~<=_";
-      "op safe"; "endfm"; "endm";
-    ]
-
-let test_maude_terms () =
-  let module E = Mssp_formal.Maude_export in
-  check "empty fragment" true (E.term_of_fragment Fragment.empty = "empty");
-  let f = Fragment.of_list [ (Cell.Pc, 4096); (Cell.Reg t0, 7); (Cell.mem 10, -1) ] in
-  let t = E.term_of_fragment f in
-  check "pc binding" true (balanced t);
-  check "has pc" true (String.length t > 0 && t.[1] = 'p');
-  let task = Abstract_task.make f 3 in
-  let tt = E.term_of_task task in
-  check "task term balanced" true (balanced tt);
-  check "task term shape" true (tt.[0] = '<' && tt.[String.length tt - 1] = '>')
-
-let test_maude_instance () =
-  let module E = Mssp_formal.Maude_export in
-  let tasks = task_chain [ 2; 2 ] in
-  let src = E.export ~name:"demo" ~arch:s0 ~tasks in
-  check "balanced" true (balanced src);
-  check "deterministic" true (src = E.export ~name:"demo" ~arch:s0 ~tasks);
-  let has needle =
-    let n = String.length needle and h = String.length src in
-    let rec go i = i + n <= h && (String.sub src i n = needle || go (i + 1)) in
-    go 0
-  in
-  check "instance module" true (has "mod DEMO is");
-  check "init term" true (has "eq init = mssp(")
-
 (* --- SEQ determinism (§6.2) --- *)
 
 let prop_seq_determinism =
@@ -569,12 +511,6 @@ let () =
             test_absorb_holds;
           Alcotest.test_case "rejects non-positive cut lengths" `Quick
             test_absorb_rejects_bad_lengths;
-        ] );
-      ( "maude export",
-        [
-          Alcotest.test_case "prelude" `Quick test_maude_prelude;
-          Alcotest.test_case "terms" `Quick test_maude_terms;
-          Alcotest.test_case "instance" `Quick test_maude_instance;
         ] );
       ( "refinement",
         [

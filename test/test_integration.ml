@@ -1,6 +1,6 @@
 (* Cross-library integration: whole-pipeline flows that no single
-   suite exercises — text assembly in, MSSP out; MiniC in, Maude out;
-   emit/exec round trips through the machine. *)
+   suite exercises — text assembly in, MSSP out; MiniC in, formal
+   models out; emit/exec round trips through the machine. *)
 
 module Full = Mssp_state.Full
 module Machine = Mssp_seq.Machine
@@ -65,25 +65,25 @@ let test_minic_emit_roundtrip () =
   check "same states" true (Full.equal_observable m.Machine.state m'.Machine.state);
   check "printed 49" true (Machine.output m.Machine.state = [ 49 ])
 
-(* the Maude export embeds real task chains from real programs *)
-let test_maude_export_of_minic_tasks () =
-  let module E = Mssp_formal.Maude_export in
+(* MiniC in, formal models out: a compiled program's 3 + 4 task chain
+   is safe link by link, and committing it lands on the SEQ state *)
+let test_minic_tasks_through_formal_models () =
   let module Seq_model = Mssp_formal.Seq_model in
   let module Abstract_task = Mssp_formal.Abstract_task in
+  let module Safety = Mssp_formal.Safety in
   let p =
     Result.get_ok
       (Mssp_minic.Codegen.compile_source
          "int main() { int i = 5; int s = 0; while (i > 0) { s = s + i; i = i - 1; } return s; }")
   in
   let s0 = Seq_model.complete_of_program p in
-  let tasks = [ Abstract_task.make s0 3; Abstract_task.make (Seq_model.seq s0 3) 4 ] in
-  let src = E.export ~name:"minic_demo" ~arch:s0 ~tasks in
-  check "mentions mssp init" true
-    (let needle = "eq init = mssp(" in
-     let n = String.length needle and h = String.length src in
-     let rec go i = i + n <= h && (String.sub src i n = needle || go (i + 1)) in
-     go 0);
-  check "sizable" true (String.length src > 4000)
+  let t1 = Abstract_task.make s0 3 in
+  let t2 = Abstract_task.make (Seq_model.seq s0 3) 4 in
+  check "first task safe" true (Safety.safe t1 s0);
+  let s1 = Safety.commit t1 s0 in
+  check "second task safe" true (Safety.safe t2 s1);
+  check "commits land on seq 7" true
+    (Seq_model.equal (Safety.commit t2 s1) (Seq_model.seq s0 7))
 
 (* CSV round trip of a bench-style table *)
 let test_csv_module () =
@@ -161,8 +161,8 @@ let () =
         [
           Alcotest.test_case "assembly to MSSP" `Quick test_assembly_to_mssp;
           Alcotest.test_case "minic emit round trip" `Quick test_minic_emit_roundtrip;
-          Alcotest.test_case "maude export of tasks" `Quick
-            test_maude_export_of_minic_tasks;
+          Alcotest.test_case "minic tasks through formal models" `Quick
+            test_minic_tasks_through_formal_models;
           Alcotest.test_case "csv module" `Quick test_csv_module;
           Alcotest.test_case "all machines agree" `Quick test_all_machines_agree;
           Alcotest.test_case "printers total" `Quick test_printers_total;
