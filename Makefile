@@ -76,9 +76,9 @@ fuzz-distill:
 # the predictor axis: each program judged on every live-in predictor
 # mode (plus the tournament under fault injection) — prediction only
 # guides speculation, so every mode must land bit-identical on SEQ;
-# failing modes dump stats + event trails to _predict_failures/
+# a failing mode's repro lands in fuzz/corpus/ with its event trail
 fuzz-predict:
-	dune exec -- mssp_sim fuzz --predict-grid --seed $${SEED:-1} --count $${COUNT:-300} --jobs $${JOBS:-4} --out fuzz/corpus
+	dune exec -- mssp_sim fuzz --predict-grid --seed $${SEED:-1} --count $${COUNT:-300} --jobs $${JOBS:-4} --out fuzz/corpus --trace
 
 examples:
 	dune exec examples/quickstart.exe

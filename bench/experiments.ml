@@ -5,7 +5,7 @@
 
 open Harness
 module Adversary = Mssp_workload.Adversary
-module Synthetic = Mssp_workload.Synthetic
+module Gen = Mssp_fuzz.Gen
 module Fragment = Mssp_state.Fragment
 module Cell = Mssp_state.Cell
 module Seq_model = Mssp_formal.Seq_model
@@ -288,7 +288,7 @@ let e7 () =
   let partial_commits = ref 0 in
   let wrong_states = ref 0 in
   for seed = 1 to trials do
-    let p = Synthetic.generate ~seed ~size:8 in
+    let p = Gen.generate ~weights:Gen.plain ~seed ~size:8 () in
     let s0 = Seq_model.complete_of_program p in
     (* a chain of consecutive tasks + one junk task *)
     let lens = [ 2; 3; 2 ] in
@@ -341,7 +341,7 @@ let e8 () =
   let corrupted_caught = ref 0 in
   let corrupted_missed = ref 0 in
   for seed = 1 to trials do
-    let p = Synthetic.generate ~seed ~size:6 in
+    let p = Gen.generate ~weights:Gen.plain ~seed ~size:6 () in
     let s = Seq_model.complete_of_program p in
     let n = 3 + (seed mod 12) in
     let s_mid = Seq_model.seq s (seed mod 5) in
@@ -411,7 +411,7 @@ let e9 () =
   (* abstract level: classify sampled runs *)
   let energy = ref 0 and jumps = ref 0 and violations = ref 0 in
   for seed = 1 to 30 do
-    let p = Synthetic.generate ~seed ~size:6 in
+    let p = Gen.generate ~weights:Gen.plain ~seed ~size:6 () in
     let s0 = Seq_model.complete_of_program p in
     let rec chain state = function
       | [] -> []

@@ -500,7 +500,7 @@ let formal_cmd =
   let run trials =
     let ok = ref true in
     for seed = 1 to trials do
-      let p = Mssp_workload.Synthetic.generate ~seed ~size:6 in
+      let p = Mssp_fuzz.Gen.generate ~weights:Mssp_fuzz.Gen.plain ~seed ~size:6 () in
       List.iter
         (fun { Mssp_fuzz.Oracle.point; reason } ->
           (match point with
@@ -611,8 +611,10 @@ let fuzz_cmd =
   in
   let trace_flag =
     Arg.(value & flag & info [ "trace" ]
-         ~doc:"Re-run each shrunk witness with the event bus on and write \
-               its JSONL event trail beside the repro (needs --out).")
+         ~doc:"Re-run each shrunk witness with the event bus on, write its \
+               JSONL event trail beside the repro and fold its squash \
+               attribution and predictor hits/misses into the repro's \
+               comment (needs --out).")
   in
   let jobs_arg =
     Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N"
@@ -620,29 +622,35 @@ let fuzz_cmd =
                independently seeded shards (shard w runs with seed + w); \
                any parallel finding prints its exact --jobs 1 replay line.")
   in
-  let faults_flag =
-    Arg.(value & flag & info [ "faults" ]
-         ~doc:"Program x plan fuzzing: derive an always-absorbable fault \
-               plan from each program seed and judge on the fault-plan \
-               grid instead of the standard one (the invariant is that \
-               the final architected state still equals SEQ); failing \
-               witnesses shrink over both the program and the plan.")
-  in
-  let distill_grid_flag =
-    Arg.(value & flag & info [ "distill-grid" ]
-         ~doc:"Judge each program on the distiller pass-subset grid \
-               (every pass alone, the empty pipeline, a seed-derived \
-               random subset/order) with the pass-checker on; checker \
-               violations are divergences and failing subsets dump their \
-               per-pass artifacts under _distill_failures/.")
-  in
-  let predict_grid_flag =
-    Arg.(value & flag & info [ "predict-grid" ]
-         ~doc:"Judge each program on the live-in predictor grid (every \
-               predictor mode plus the tournament under fault injection): \
-               prediction only guides speculation, so every mode must \
-               land bit-identical on the SEQ final state; failing modes \
-               dump stats + event trails under _predict_failures/.")
+  let axis_arg =
+    let module Driver = Mssp_fuzz.Driver in
+    Arg.(value
+         & vflag Driver.Standard
+             [
+               ( Driver.Faults,
+                 info [ "faults" ]
+                   ~doc:"Program x plan fuzzing: derive an always-absorbable \
+                         fault plan from each program seed and judge on the \
+                         fault-plan grid instead of the standard one (the \
+                         invariant is that the final architected state still \
+                         equals SEQ); failing witnesses shrink over both the \
+                         program and the plan." );
+               ( Driver.Distill,
+                 info [ "distill-grid" ]
+                   ~doc:"Judge each program on the distiller pass-subset grid \
+                         (every pass alone, the empty pipeline, a seed-derived \
+                         random subset/order) with the pass-checker on; \
+                         checker violations are divergences and failing \
+                         subsets dump their per-pass artifacts under \
+                         _distill_failures/." );
+               ( Driver.Predict,
+                 info [ "predict-grid" ]
+                   ~doc:"Judge each program on the live-in predictor grid \
+                         (every predictor mode plus the tournament under \
+                         fault injection): prediction only guides \
+                         speculation, so every mode must land bit-identical \
+                         on the SEQ final state." );
+             ])
   in
   let weights_arg =
     Arg.(value & opt (enum [ ("default", `Default); ("smc-heavy", `Smc_heavy) ])
@@ -654,10 +662,13 @@ let fuzz_cmd =
                    their own buffered code stores with patched words. \
                    Replay lines assume the same profile.")
   in
-  let run seed count size budget out save quiet trace jobs faults distill_grid
-      predict_grid weights =
+  let run seed count size budget out save quiet trace jobs axis weights =
     let module Driver = Mssp_fuzz.Driver in
     let module Oracle = Mssp_fuzz.Oracle in
+    if trace && out = None then begin
+      prerr_endline "fuzz: --trace writes its trails beside the repros; give --out";
+      exit 2
+    end;
     let log = if quiet then fun _ -> () else print_endline in
     let weights =
       match weights with
@@ -666,7 +677,7 @@ let fuzz_cmd =
     in
     let r =
       Driver.campaign ~seed ~count ~size ~shrink_budget:budget ?out ~save
-        ~trace ~log ~jobs ~weights ~faults ~distill_grid ~predict_grid ()
+        ~trace ~log ~jobs ~weights ~axis ()
     in
     Printf.printf
       "fuzz: %d programs (%d skipped), %d machine runs compared, %d divergence(s)\n"
@@ -677,9 +688,7 @@ let fuzz_cmd =
         (fun (f : Driver.finding) ->
           Printf.printf "  seed %d: %s%s\n" f.Driver.program_seed
             (String.concat "; "
-               (List.map
-                  (fun (x : Oracle.failure) ->
-                    Printf.sprintf "[%s] %s" x.Oracle.point x.Oracle.reason)
+               (List.map (Format.asprintf "%a" Oracle.pp_failure)
                   f.Driver.failures))
             ((match f.Driver.repro_path with
              | Some p -> Printf.sprintf "  (repro: %s)" p
@@ -699,8 +708,7 @@ let fuzz_cmd =
           grid and the formal models; failures are shrunk to minimal repros")
     Term.(
       const run $ seed_arg $ count_arg $ size_arg $ budget_arg $ out_arg
-      $ save_arg $ quiet_arg $ trace_flag $ jobs_arg $ faults_flag
-      $ distill_grid_flag $ predict_grid_flag $ weights_arg)
+      $ save_arg $ quiet_arg $ trace_flag $ jobs_arg $ axis_arg $ weights_arg)
 
 (* --- audit --- *)
 

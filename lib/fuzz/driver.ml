@@ -2,6 +2,8 @@ module Wl_util = Mssp_workload.Wl_util
 module Fplan = Mssp_faults.Plan
 module Summary = Mssp_trace.Trace.Summary
 
+type axis = Standard | Faults | Distill | Predict
+
 type finding = {
   program_seed : int;
   program : Mssp_isa.Program.t;
@@ -19,13 +21,15 @@ type report = {
   findings : finding list;
 }
 
-(* a traced run's squash attribution, for repro comments and artifacts *)
+(* a traced run's squash attribution and predictor outcomes, for repro
+   comments *)
 let attribution (s : Summary.t) =
   Printf.sprintf
     "%d committed, %d squashed (bad-prediction %d, task-failed %d, \
-     master-dead %d)"
+     master-dead %d), predict %d hits / %d misses"
     s.commits s.squashes (Summary.squash_mismatch s)
     (Summary.squash_task_failed s) (Summary.squash_master_dead s)
+    s.predict_hits s.predict_misses
 
 (* On a distill-grid failure, dump the checked pipeline's diffable
    artifacts (per-pass disassembly diff + pipeline.json) for every
@@ -62,79 +66,37 @@ let dump_distill_artifacts ?fuel ~log shrunk grid failures =
       | _ -> ())
     grid
 
-(* On a predict-grid failure, dump one stats + event-trail artifact per
-   failing predictor point of the shrunk witness under
-   _predict_failures/ — which mode diverged, its squash attribution and
-   its prediction outcome counts, plus the JSONL trail when the machine
-   ran at all. *)
-let dump_predict_artifacts ?fuel ~log shrunk grid failures =
-  let dir = "_predict_failures" in
-  let failed (pt : Oracle.point) =
-    List.exists
-      (fun (f : Oracle.failure) -> String.equal f.Oracle.point pt.Oracle.name)
-      failures
-  in
-  List.iter
-    (fun (pt : Oracle.point) ->
-      if failed pt then begin
-        (if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
-        let base =
-          Filename.concat dir
-            (String.map (fun c -> if c = '/' then '-' else c) pt.Oracle.name)
-        in
-        match Oracle.trace_failure ?fuel ~grid:[ pt ] shrunk with
-        | None -> ()
-        | Some (_, events, fails) ->
-          let s = Summary.of_events events in
-          let txt =
-            String.concat "\n"
-              (Printf.sprintf "point: %s" pt.Oracle.name
-               :: Printf.sprintf "trace: %s, predict %d hits / %d misses"
-                    (attribution s) s.predict_hits s.predict_misses
-               :: List.map
-                    (fun (f : Oracle.failure) ->
-                      Printf.sprintf "failure: %s" f.Oracle.reason)
-                    fails)
-            ^ "\n"
-          in
-          Out_channel.with_open_text (base ^ ".txt") (fun oc ->
-              Out_channel.output_string oc txt);
-          Out_channel.with_open_text (base ^ ".trace.jsonl") (fun oc ->
-              Out_channel.output_string oc (Mssp_trace.Trace.to_jsonl events));
-          log (Printf.sprintf "  wrote %s.{txt,trace.jsonl}" base)
-      end)
-    grid
-
-let run_serial ?grid ?fuel ?weights ~faults ~distill ~predict ~size
-    ~shrink_budget ~out ~save ~trace ~log ~seed ~count () =
+let run_serial ?grid ?fuel ?weights ~axis ~size ~shrink_budget ~out ~save
+    ~trace ~log ~seed ~count () =
   let rng = Wl_util.lcg (seed lxor 0x6C078965) in
   let skipped = ref 0 in
   let runs = ref 0 in
+  let saved = ref 0 in
   let findings = ref [] in
   for i = 0 to count - 1 do
     let program_seed = (rng () lxor i) land 0x3FFFFFFF in
     let sz = if size > 0 then size else 6 + (program_seed mod 19) in
     let p = Gen.generate ?weights ~seed:program_seed ~size:sz () in
-    (* program x plan fuzzing: the plan is a function of the program
-       seed, so the one-line replay (seed -> program + plan) still
-       holds; the plan grid replaces the standard one. The distill grid
-       is seeded the same way: its random pass subset is a function of
-       the program seed. *)
-    let plan0 = if faults then Some (Gen.plan ~seed:program_seed) else None in
-    let grid =
-      match plan0 with
-      | Some pl -> Some (Oracle.plan_grid ~plan:pl ())
-      | None ->
-        if distill then Some (Oracle.distill_grid ~seed:program_seed ())
-        else if predict then Some (Oracle.predict_grid ~seed:program_seed ())
-        else grid
+    (* Every axis grid is a function of the program seed, so the
+       one-line replay (seed -> program + grid) still holds: the fault
+       plan of program x plan fuzzing, the distill grid's random pass
+       subset, the predictor grid's tournament seed. *)
+    let plan0, grid =
+      match axis with
+      | Standard -> (None, grid)
+      | Faults ->
+        let plan = Gen.plan ~seed:program_seed in
+        (Some plan, Some (Oracle.plan_grid ~plan ()))
+      | Distill -> (None, Some (Oracle.distill_grid ~seed:program_seed ()))
+      | Predict -> (None, Some (Oracle.predict_grid ~seed:program_seed ()))
     in
     match Oracle.check ?grid ?fuel ~formal_seed:program_seed p with
     | Oracle.Passed n ->
       runs := !runs + n;
-      if i < save then
+      if !saved < save then
         Option.iter
           (fun dir ->
+            incr saved;
             let comment =
               [
                 Printf.sprintf
@@ -156,10 +118,7 @@ let run_serial ?grid ?fuel ?weights ~faults ~distill ~predict ~size
       log
         (Printf.sprintf "program %d (seed %d): DIVERGENCE — %s" i program_seed
            (String.concat "; "
-              (List.map
-                 (fun (f : Oracle.failure) ->
-                   Printf.sprintf "[%s] %s" f.Oracle.point f.Oracle.reason)
-                 failures)));
+              (List.map (Format.asprintf "%a" Oracle.pp_failure) failures)));
       let shrunk, shrunk_plan =
         match plan0 with
         | None ->
@@ -191,13 +150,9 @@ let run_serial ?grid ?fuel ?weights ~faults ~distill ~predict ~size
         | Some sp -> Some (Oracle.plan_grid ~plan:sp ())
         | None -> grid
       in
-      if distill then
+      if axis = Distill then
         Option.iter
           (fun g -> dump_distill_artifacts ?fuel ~log shrunk g failures)
-          grid;
-      if predict then
-        Option.iter
-          (fun g -> dump_predict_artifacts ?fuel ~log shrunk g failures)
           grid;
       (* with tracing on, re-run the shrunk witness under the event bus:
          the trail that explains the divergence ships with the repro *)
@@ -272,14 +227,12 @@ let run_serial ?grid ?fuel ?weights ~faults ~distill ~predict ~size
     findings = List.rev !findings;
   }
 
-let campaign ?grid ?fuel ?weights ?(faults = false) ?(distill_grid = false)
-    ?(predict_grid = false) ?(size = 0) ?(shrink_budget = 500) ?out ?(save = 0)
-    ?(trace = false) ?(log = fun _ -> ()) ?(jobs = 1) ~seed ~count () =
-  let distill = distill_grid in
-  let predict = predict_grid in
+let campaign ?grid ?fuel ?weights ?(axis = Standard) ?(size = 0)
+    ?(shrink_budget = 500) ?out ?(save = 0) ?(trace = false)
+    ?(log = fun _ -> ()) ?(jobs = 1) ~seed ~count () =
   if jobs <= 1 || count <= 1 then
-    run_serial ?grid ?fuel ?weights ~faults ~distill ~predict ~size
-      ~shrink_budget ~out ~save ~trace ~log ~seed ~count ()
+    run_serial ?grid ?fuel ?weights ~axis ~size ~shrink_budget ~out ~save
+      ~trace ~log ~seed ~count ()
   else begin
     let jobs = min jobs count in
     (* Each shard is an independent serial campaign seeded with the
@@ -304,8 +257,7 @@ let campaign ?grid ?fuel ?weights ?(faults = false) ?(distill_grid = false)
             Buffer.add_char buf '\n'
           in
           let r =
-            run_serial ?grid ?fuel ?weights ~faults ~distill ~predict ~size
-              ~shrink_budget ~out
+            run_serial ?grid ?fuel ?weights ~axis ~size ~shrink_budget ~out
               ~save:(if w = 0 then save else 0)
               ~trace ~log:shard_log ~seed:(seed + w) ~count:cw ()
           in
@@ -321,8 +273,14 @@ let campaign ?grid ?fuel ?weights ?(faults = false) ?(distill_grid = false)
         if r.findings <> [] then
           log
             (Printf.sprintf
-               "[shard %d] replay: mssp_sim fuzz --seed %d --count %d --jobs 1"
-               w (seed + w) cw);
+               "[shard %d] replay: mssp_sim fuzz%s --seed %d --count %d --jobs 1"
+               w
+               (match axis with
+               | Standard -> ""
+               | Faults -> " --faults"
+               | Distill -> " --distill-grid"
+               | Predict -> " --predict-grid")
+               (seed + w) cw);
         {
           programs = acc.programs + r.programs;
           skipped = acc.skipped + r.skipped;

@@ -16,6 +16,24 @@
     deterministic either way; only the log's shard interleaving differs
     from a serial run. *)
 
+(** The grid axis a campaign judges its programs on. Each grid is a
+    function of the program seed, so one-line replays hold on every axis. *)
+type axis =
+  | Standard  (** the campaign's [grid] (default {!Oracle.default_grid}) *)
+  | Faults
+      (** program x plan fuzzing: each iteration derives an
+          always-absorbable fault plan from the program seed
+          ({!Gen.plan}), judges the program on {!Oracle.plan_grid} and
+          shrinks failing witnesses over both coordinates *)
+  | Distill
+      (** {!Oracle.distill_grid}, the pass-subset axis with the
+          pass-checker on; a failing subset point dumps the shrunk
+          witness's per-pass diff + JSON artifacts under
+          [_distill_failures/] *)
+  | Predict
+      (** {!Oracle.predict_grid}: every live-in predictor mode must land
+          bit-identical on the SEQ state *)
+
 type finding = {
   program_seed : int;
   program : Mssp_isa.Program.t;  (** as generated *)
@@ -41,9 +59,7 @@ val campaign :
   ?grid:Oracle.point list ->
   ?fuel:int ->
   ?weights:Gen.weights ->
-  ?faults:bool ->
-  ?distill_grid:bool ->
-  ?predict_grid:bool ->
+  ?axis:axis ->
   ?size:int ->
   ?shrink_budget:int ->
   ?out:string ->
@@ -59,30 +75,17 @@ val campaign :
     generator's shape-weight profile — e.g. {!Gen.smc_heavy} for the
     nightly self-modifying-code leg; every replay line assumes the same
     profile, so campaigns under a non-default profile replay with the
-    same flag. [faults] (default false) switches to program x plan fuzzing: each
-    iteration derives an always-absorbable fault plan from the program
-    seed ({!Gen.plan}), judges the program on {!Oracle.plan_grid}
-    instead of [grid], and shrinks failing witnesses over both
-    coordinates; [distill_grid] (default false, ignored under [faults])
-    judges each program on {!Oracle.distill_grid} seeded by the program
-    seed — the pass-subset axis with the pass-checker on — and, on a
-    failing subset point, dumps the shrunk witness's per-pass diff +
-    JSON artifacts under [_distill_failures/] (the distiller counterpart
-    of trace trails); [predict_grid] (default false, ignored under
-    [faults] and [distill_grid]) judges each program on
-    {!Oracle.predict_grid} — every live-in predictor mode must land
-    bit-identical on the SEQ state — and, on a failing predictor point,
-    dumps the shrunk witness's stats + JSONL event trail under
-    [_predict_failures/]; [size] (default 0 = vary per program in [6, 24]) fixes
-    the shape count; [shrink_budget] (default 500) bounds predicate
-    evaluations
-    per finding; [out] enables corpus persistence; [save] (default 0)
-    additionally writes the first [save] {e passing} programs into [out]
-    as corpus seeds, so interesting generated programs are replayed as
-    regressions by later runs; [trace] (default false) re-runs each
-    shrunk witness with the event bus on, writes its JSONL event trail
-    as [<repro>.trace.jsonl] beside the repro and folds the squash
-    attribution into the repro's comment; [log] receives one-line
-    progress messages; [jobs] (default 1) fans the campaign out across
-    that many worker domains as per-worker-seeded shards (corpus seed
-    saves then come from shard 0 only). *)
+    same flag. [axis] (default [Standard]) picks the grid; [grid] is
+    used on the [Standard] axis only. [size] (default 0 = vary per
+    program in [6, 24]) fixes the shape count; [shrink_budget] (default
+    500) bounds predicate evaluations per finding; [out] enables corpus
+    persistence; [save] (default 0) additionally writes the first [save]
+    {e passing} programs into [out] as corpus seeds, so interesting
+    generated programs are replayed as regressions by later runs;
+    [trace] (default false) re-runs each shrunk witness with the event
+    bus on, writes its JSONL event trail as [<repro>.trace.jsonl] beside
+    the repro and folds the squash attribution and predictor hits and
+    misses into the repro's comment (needs [out]); [log] receives
+    one-line progress messages; [jobs] (default 1) fans the campaign out
+    across that many worker domains as per-worker-seeded shards (corpus
+    seed saves then come from shard 0 only). *)

@@ -39,6 +39,11 @@ let default_weights =
    bodies, so the pre-decoded images see patched words on every trip *)
 let smc_heavy = { default_weights with smc = 40; alu = 8; loop = 12 }
 
+let plain =
+  { alu = 3; mem = 2; data_branch = 2; loop = 1; call = 1; out = 1;
+    far_mem = 0; straddle = 0; shared_acc = 0; early_halt = 0; runaway = 0;
+    smc = 0 }
+
 (* Mirror Full.t's geometry without depending on mssp_state: 4096 pages
    of 4096 words. Address [paged_span - 1] is the last paged word; the
    next word lives in the overflow table. *)

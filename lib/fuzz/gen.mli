@@ -1,9 +1,11 @@
 (** Seeded, weighted random program generator for differential fuzzing.
 
-    Like {!Mssp_workload.Synthetic} this stitches terminating shapes
-    together with a deterministic PRNG (same seed, same program), but the
-    repertoire is chosen to stress the corners of the simulator rather
-    than to look like a benchmark:
+    This stitches terminating shapes together with a deterministic PRNG
+    (same seed, same program). The six plain shapes are straight-line ALU
+    blocks, scratch-region loads/stores, branches over seeded data,
+    counted loops, leaf calls and [Out] ({!plain} draws only these); the
+    rest of the repertoire is chosen to stress the corners of the
+    simulator rather than to look like a benchmark:
 
     - {e far memory}: loads/stores at the edge of and beyond the paged
       span of {!Mssp_state.Full} (the last paged word, the first overflow
@@ -55,10 +57,17 @@ val smc_heavy : weights
     by the sblock/sjournal property tests and the CI SMC fuzz smoke and
     nightly leg. *)
 
+val plain : weights
+(** The six plain shapes only (ALU, memory, data branch, loop, call, out
+    in the ratio 3:2:2:1:1:1); loop bodies still mix in shared-cell and
+    page-straddle accesses. No far addresses, early halts, runaway loops
+    or self-modifying code: the small, well-behaved programs the
+    property tests, [mssp_sim formal] and the formal experiments draw. *)
+
 val generate :
   ?weights:weights -> seed:int -> size:int -> unit -> Mssp_isa.Program.t
 (** [generate ~seed ~size ()] is a deterministic function of its arguments;
-    [size] counts top-level shapes (as in {!Mssp_workload.Synthetic}). *)
+    [size] counts top-level shapes. *)
 
 val plan : seed:int -> Mssp_faults.Plan.t
 (** Fault-plan arbitrary for program x plan fuzzing: a deterministic

@@ -249,9 +249,7 @@ let seq_reference ~fuel (d : Distill.t) =
   ignore (Machine.run ~fuel m : Machine.stop);
   m
 
-let check_package ~fuel point subname (d : Distill.t) =
-  let name = point.name ^ subname in
-  let seq = seq_reference ~fuel d in
+let check_package ~(seq : Machine.t) point name (d : Distill.t) =
   let r = M.run ~config:point.config d in
   let fails = ref [] in
   let fail fmt =
@@ -314,12 +312,6 @@ let check_package ~fuel point subname (d : Distill.t) =
   end;
   !fails
 
-let check_entry ~fuel point (subname, pkg) =
-  match pkg with
-  | Error e ->
-    [ { point = point.name ^ subname; reason = "pass-checker: " ^ e } ]
-  | Ok d -> check_package ~fuel point subname d
-
 (* The abstract-model layer. Fragment states replay the whole run per
    [seq] step, so [check] runs it on small programs only. *)
 let formal_failures ~seed p =
@@ -357,78 +349,86 @@ let formal_failures ~seed p =
   then fail "formal/refinement" "Violation verdict on a sampled run";
   List.rev !fails
 
-let check ?(grid = default_grid ()) ?(fuel = 5_000_000) ?(formal = true)
-    ?(formal_seed = 1) p =
+(* The one walk over a grid: probe the program, profile it, distil the
+   honest package lazily, then judge every point's packages in grid
+   order. The SEQ reference depends only on the package, so it runs once
+   per distinct package: the six [Honest] points share one. Untraced
+   ([trace = false]) it judges every package; traced, each run carries a
+   recording tracer and the walk stops at the first failing package.
+   [Ok (SEQ instructions, runs, failures, first failing package's
+   (name, events, failures) when traced)]; [Error] is the skip reason. *)
+let walk ~trace ~grid ~fuel p =
   let probe = Machine.run_program ~fuel p in
   match probe.Machine.stopped with
   | Some (Machine.Faulted f) ->
-    Skipped (Format.asprintf "reference run faulted (%a)" Mssp_seq.Exec.pp_fault f)
-  | Some Machine.Out_of_fuel | None -> Skipped "reference run out of fuel"
+    Error (Format.asprintf "reference run faulted (%a)" Mssp_seq.Exec.pp_fault f)
+  | Some Machine.Out_of_fuel | None -> Error "reference run out of fuel"
   | Some Machine.Halted ->
     let profile = Profile.collect ~fuel p in
     let honest = lazy (Distill.distill p profile) in
-    let runs = ref 0 in
-    let fails =
-      List.concat_map
-        (fun point ->
-          List.concat_map
-            (fun entry ->
-              incr runs;
-              check_entry ~fuel point entry)
-            (packages ~honest p profile point))
-        grid
+    let references = ref [] in
+    let reference d =
+      match List.assq_opt d !references with
+      | Some seq -> seq
+      | None ->
+        let seq = seq_reference ~fuel d in
+        references := (d, seq) :: !references;
+        seq
     in
+    let runs = ref 0 and fails = ref [] in
+    let rec points = function
+      | [] -> None
+      | point :: rest -> entries point rest (packages ~honest p profile point)
+    and entries point rest = function
+      | [] -> points rest
+      | (subname, pkg) :: more -> (
+        incr runs;
+        let name = point.name ^ subname in
+        match pkg with
+        | Error e ->
+          let f = [ { point = name; reason = "pass-checker: " ^ e } ] in
+          (* no machine run to trace: the pass-checker already failed *)
+          if trace then Some (name, [], f)
+          else begin
+            fails := f :: !fails;
+            entries point rest more
+          end
+        | Ok d when not trace ->
+          fails := check_package ~seq:(reference d) point name d :: !fails;
+          entries point rest more
+        | Ok d -> (
+          let tracer, events = Mssp_trace.Trace.recording () in
+          let traced =
+            { point with config = { point.config with Config.tracer = Some tracer } }
+          in
+          match check_package ~seq:(reference d) traced name d with
+          | [] -> entries point rest more
+          | f -> Some (name, events (), f)))
+    in
+    let trail = points grid in
+    Ok (probe.Machine.instructions, !runs, List.concat (List.rev !fails), trail)
+
+let check ?(grid = default_grid ()) ?(fuel = 5_000_000) ?(formal = true)
+    ?(formal_seed = 1) p =
+  match walk ~trace:false ~grid ~fuel p with
+  | Error why -> Skipped why
+  | Ok (instructions, runs, fails, _) ->
     let fails =
-      if formal && probe.Machine.instructions <= 150 then
+      if formal && instructions <= 150 then
         fails @ formal_failures ~seed:formal_seed p
       else fails
     in
-    if fails = [] then Passed !runs else Failed fails
+    if fails = [] then Passed runs else Failed fails
 
 let failing ?grid ?fuel p =
   match check ?grid ?fuel ~formal:false p with
   | Failed _ -> true
   | Passed _ | Skipped _ -> false
 
-(* Re-run the grid with the event bus on and stop at the first failing
-   package: the event trail that explains a (typically already shrunk)
-   witness. Deterministic, so the traced re-run fails exactly like the
-   untraced one did. *)
+(* Deterministic, so the traced walk fails exactly like the untraced one
+   did: the event trail that explains a (typically already shrunk)
+   witness. *)
 let trace_failure ?(grid = default_grid ()) ?(fuel = 5_000_000) p =
-  let probe = Machine.run_program ~fuel p in
-  match probe.Machine.stopped with
-  | Some (Machine.Faulted _) | Some Machine.Out_of_fuel | None -> None
-  | Some Machine.Halted ->
-    let profile = Profile.collect ~fuel p in
-    let honest = lazy (Distill.distill p profile) in
-    let rec points = function
-      | [] -> None
-      | point :: rest ->
-        let rec pkgs = function
-          | [] -> points rest
-          | (subname, Error e) :: _ ->
-            (* no machine run to trace: the pass-checker already failed *)
-            Some
-              ( point.name ^ subname,
-                [],
-                [
-                  {
-                    point = point.name ^ subname;
-                    reason = "pass-checker: " ^ e;
-                  };
-                ] )
-          | (subname, Ok d) :: more -> (
-            let tracer, events = Mssp_trace.Trace.recording () in
-            let traced =
-              {
-                point with
-                config = { point.config with Config.tracer = Some tracer };
-              }
-            in
-            match check_package ~fuel traced subname d with
-            | [] -> pkgs more
-            | fails -> Some (point.name ^ subname, events (), fails))
-        in
-        pkgs (packages ~honest p profile point)
-    in
-    points grid
+  match walk ~trace:true ~grid ~fuel p with
+  | Ok (_, _, _, trail) -> trail
+  | Error _ -> None

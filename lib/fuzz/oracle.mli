@@ -116,9 +116,11 @@ val check :
   ?formal_seed:int ->
   Mssp_isa.Program.t ->
   verdict
-(** Judge one program. [fuel] (default 5M) bounds the reference run;
-    [formal] (default true) enables {!formal_failures} on programs of at
-    most 150 SEQ instructions. *)
+(** Judge one program: every package of every grid point, in grid
+    order, against a SEQ reference run once per distinct package (the
+    [Honest] points share one). [fuel] (default 5M) bounds the reference
+    run; [formal] (default true) enables {!formal_failures} on programs
+    of at most 150 SEQ instructions. *)
 
 val failing : ?grid:point list -> ?fuel:int -> Mssp_isa.Program.t -> bool
 (** [check] as a shrinker predicate: [true] iff [Failed]. A candidate
@@ -129,10 +131,11 @@ val trace_failure :
   ?fuel:int ->
   Mssp_isa.Program.t ->
   (string * Mssp_trace.Trace.event list * failure list) option
-(** Re-run the grid with the structured event bus on and return the
-    first failing package as [(point-name, event stream, failures)] —
-    the event trail that explains a shrunk witness. [None] if nothing
-    fails (or the reference run no longer halts). The machine is
-    deterministic, so this reproduces the untraced failure exactly. *)
+(** {!check}'s walk with the structured event bus on, stopping at the
+    first failing package: [(point-name, event stream, failures)], the
+    event trail that explains a shrunk witness (no events when the
+    pass-checker failed the package). [None] if nothing fails (or the
+    reference run no longer halts). The machine is deterministic, so
+    this reproduces the untraced failure exactly. *)
 
 val pp_failure : Format.formatter -> failure -> unit

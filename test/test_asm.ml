@@ -211,7 +211,7 @@ let prop_emit_roundtrip =
   QCheck.Test.make ~name:"parse (emit p) behaves like p" ~count:30
     QCheck.(pair small_nat (int_range 3 15))
     (fun (seed, size) ->
-      let p = Mssp_workload.Synthetic.generate ~seed ~size in
+      let p = Mssp_fuzz.Gen.generate ~weights:Mssp_fuzz.Gen.plain ~seed ~size () in
       let p' = Parser.parse_exn (Mssp_asm.Emit.program_to_source p) in
       p'.Program.code = p.Program.code && behaviors_equal p p')
 

@@ -221,7 +221,7 @@ let prop_distill_invariants =
   QCheck.Test.make ~name:"distillation structural invariants" ~count:40
     QCheck.(pair small_nat (int_range 5 20))
     (fun (seed, size) ->
-      let p = Mssp_workload.Synthetic.generate ~seed ~size in
+      let p = Mssp_fuzz.Gen.generate ~weights:Mssp_fuzz.Gen.plain ~seed ~size () in
       let d = distill p in
       let dp = d.Distill.distilled in
       (* every task entry maps to a Fork carrying that entry *)

@@ -11,7 +11,7 @@ module Profile = Mssp_profile.Profile
 module Distill = Mssp_distill.Distill
 module M = Mssp_core.Mssp_machine
 module Config = Mssp_core.Mssp_config
-module Synthetic = Mssp_workload.Synthetic
+module Gen = Mssp_fuzz.Gen
 module Adversary = Mssp_workload.Adversary
 module Fshrink = Mssp_fuzz.Shrink
 
@@ -20,12 +20,11 @@ let check = Alcotest.(check bool)
 (* Program-valued arbitrary: failures print as assembly source and
    shrink structurally (nop-out ranges, truncate, drop data) with the
    fuzz shrinker, instead of just wiggling a (seed, size) pair. *)
-let program_arb ?(gen_program = fun ~seed ~size -> Synthetic.generate ~seed ~size)
-    ~min_size ~max_size () =
+let program_arb ?(weights = Gen.plain) ~min_size ~max_size () =
   let gen st =
     let seed = Random.State.int st 0x3FFFFFFF in
     let size = min_size + Random.State.int st (max_size - min_size + 1) in
-    gen_program ~seed ~size
+    Gen.generate ~weights ~seed ~size ()
   in
   let shrink p yield = List.iter yield (Fshrink.candidates p) in
   QCheck.make ~print:Mssp_asm.Emit.program_to_source ~shrink gen
@@ -71,9 +70,7 @@ let prop_random_programs_honest =
    under the honest distiller *)
 let prop_fuzz_programs_honest =
   QCheck.Test.make ~name:"fuzz-generator program, honest distiller" ~count:25
-    (program_arb
-       ~gen_program:(fun ~seed ~size -> Mssp_fuzz.Gen.generate ~seed ~size ())
-       ~min_size:4 ~max_size:16 ())
+    (program_arb ~weights:Gen.default_weights ~min_size:4 ~max_size:16 ())
     (fun p -> equivalent (honest_distill p))
 
 (* random programs under aggressive distillation options *)
@@ -110,7 +107,7 @@ let prop_random_configs =
   QCheck.Test.make ~name:"random machine configurations" ~count:25
     QCheck.(quad (int_range 1 8) (int_range 1 16) (int_range 5 200) (int_range 20 2000))
     (fun (slaves, window, task_size, budget) ->
-      let p = Synthetic.generate ~seed:77 ~size:20 in
+      let p = Gen.generate ~weights:Gen.plain ~seed:77 ~size:20 () in
       let cfg =
         {
           config with

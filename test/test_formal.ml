@@ -13,7 +13,7 @@ module Safety = Mssp_formal.Safety
 module Mssp_model = Mssp_formal.Mssp_model
 module Refinement = Mssp_formal.Refinement
 module Rewrite = Mssp_formal.Rewrite
-module Synthetic = Mssp_workload.Synthetic
+module Gen = Mssp_fuzz.Gen
 module Dsl = Mssp_asm.Dsl
 module Instr = Mssp_isa.Instr
 open Mssp_asm.Regs
@@ -111,7 +111,7 @@ let prop_lemma2_random_programs =
   QCheck.Test.make ~name:"Lemma 2 on random programs" ~count:30
     QCheck.(pair small_nat (int_bound 20))
     (fun (seed, n) ->
-      let p = Synthetic.generate ~seed ~size:5 in
+      let p = Gen.generate ~weights:Gen.plain ~seed ~size:5 () in
       let s = Seq_model.complete_of_program p in
       let t = Abstract_task.evolve_fully (Abstract_task.make s n) in
       Fragment.equal t.Abstract_task.live_out (Seq_model.seq s n))
@@ -152,7 +152,7 @@ let prop_theorem2_random =
   QCheck.Test.make ~name:"Theorem 2 on random programs" ~count:30
     QCheck.(pair small_nat (int_bound 25))
     (fun (seed, n) ->
-      let p = Synthetic.generate ~seed ~size:6 in
+      let p = Gen.generate ~weights:Gen.plain ~seed ~size:6 () in
       let s = Seq_model.complete_of_program p in
       let li = minimal_live_in s n in
       let t = Abstract_task.make li n in
@@ -410,7 +410,7 @@ let prop_iter2_refines_iter1_random =
   QCheck.Test.make ~name:"iteration 2 stutter-refines iteration 1" ~count:20
     QCheck.(pair small_nat small_nat)
     (fun (pseed, rseed) ->
-      let p = Synthetic.generate ~seed:pseed ~size:5 in
+      let p = Gen.generate ~weights:Gen.plain ~seed:pseed ~size:5 () in
       let s = Seq_model.complete_of_program p in
       let rec chain state = function
         | [] -> []
@@ -428,7 +428,7 @@ let prop_seq_determinism =
     ~count:30
     QCheck.(pair small_nat (int_bound 15))
     (fun (seed, n) ->
-      let p = Synthetic.generate ~seed ~size:5 in
+      let p = Gen.generate ~weights:Gen.plain ~seed ~size:5 () in
       let s2 = Seq_model.complete_of_program p in
       let s1 = minimal_live_in s2 n in
       Seq_model.deterministic s1 s2 ~n)
@@ -447,14 +447,14 @@ let test_absorb_holds () =
     (Absorb.holds ~lengths:[ 1; 7; 2 ] loop_program);
   List.iter
     (fun seed ->
-      let p = Synthetic.generate ~seed ~size:6 in
+      let p = Gen.generate ~weights:Gen.plain ~seed ~size:6 () in
       match Absorb.check p with
       | Ok () -> ()
       | Error e -> Alcotest.failf "seed %d not absorbable: %s" seed e)
     [ 1; 2; 3 ]
 
 let test_absorb_rejects_bad_lengths () =
-  let p = Synthetic.generate ~seed:1 ~size:4 in
+  let p = Gen.generate ~weights:Gen.plain ~seed:1 ~size:4 () in
   List.iter
     (fun lengths ->
       match Absorb.check ~lengths p with

@@ -16,6 +16,7 @@ module Corpus = Mssp_fuzz.Corpus
 module Driver = Mssp_fuzz.Driver
 module Program = Mssp_isa.Program
 module Instr = Mssp_isa.Instr
+module Machine = Mssp_seq.Machine
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -50,14 +51,59 @@ let test_corpus_replays () =
           Alcotest.failf "%s: DIVERGED: %s" path (pp_failures fs)))
     files
 
-let test_gen_deterministic () =
-  let p1 = Gen.generate ~seed:42 ~size:12 () in
-  let p2 = Gen.generate ~seed:42 ~size:12 () in
-  check "same seed, same code" true (p1.Program.code = p2.Program.code);
-  check "same seed, same data" true (p1.Program.data = p2.Program.data);
-  let p3 = Gen.generate ~seed:43 ~size:12 () in
-  check "different seed, different code" true
-    (p3.Program.code <> p1.Program.code)
+(* the three weight profiles every caller draws from *)
+let profiles =
+  [
+    ("default", Gen.default_weights);
+    ("smc-heavy", Gen.smc_heavy);
+    ("plain", Gen.plain);
+  ]
+
+let test_gen_deterministic profiles () =
+  List.iter
+    (fun (name, weights) ->
+      let p1 = Gen.generate ~weights ~seed:42 ~size:12 () in
+      let p2 = Gen.generate ~weights ~seed:42 ~size:12 () in
+      check (name ^ ": same seed, same code") true
+        (p1.Program.code = p2.Program.code);
+      check (name ^ ": same seed, same data") true
+        (p1.Program.data = p2.Program.data);
+      let p3 = Gen.generate ~weights ~seed:43 ~size:12 () in
+      check (name ^ ": different seed, different code") true
+        (p3.Program.code <> p1.Program.code))
+    profiles
+
+let test_gen_terminates () =
+  List.iter
+    (fun (name, weights) ->
+      List.iter
+        (fun seed ->
+          let p = Gen.generate ~weights ~seed ~size:20 () in
+          let stopped = (Machine.run_program ~fuel:1_000_000 p).Machine.stopped in
+          check (Printf.sprintf "%s seed %d halts or faults" name seed) true
+            (stopped <> None && stopped <> Some Machine.Out_of_fuel))
+        [ 0; 1; 2; 3; 4; 5; 42; 1337 ])
+    profiles
+
+(* The default and smc-heavy streams are what replay lines, the
+   committed corpus seeds and perfbench's fuzz set-up regenerate from a
+   seed: pin a digest of a few programs of each, so a change to the
+   generator that moves them is deliberate. *)
+let test_gen_pinned () =
+  let digest weights seeds =
+    Digest.to_hex
+      (Digest.string
+         (String.concat "\n"
+            (List.map
+               (fun seed ->
+                 Mssp_asm.Emit.program_to_source
+                   (Gen.generate ~weights ~seed ~size:(6 + (seed mod 19)) ()))
+               seeds)))
+  in
+  Alcotest.(check string) "default stream" "45f221c97cb67655dd004e68eb5f3da8"
+    (digest Gen.default_weights [ 1; 7; 42; 1337 ]);
+  Alcotest.(check string) "smc-heavy stream" "f71133a04c440190de2c4f1a9df280b1"
+    (digest Gen.smc_heavy [ 3; 9; 100 ])
 
 let test_gen_hits_overflow_addresses () =
   (* with far_mem shapes requested, the program must carry addresses at
@@ -82,10 +128,25 @@ let test_shrink_well_founded () =
     (fun q -> check "candidate strictly smaller" true (Shrink.weight q < w))
     cands
 
-let test_campaign_smoke () =
-  let r = Driver.campaign ~seed:99 ~count:3 () in
+(* every campaign axis runs clean on the sound machine *)
+let test_campaign_smoke axis () =
+  let r = Driver.campaign ~axis ~seed:7 ~count:3 () in
   check_int "no findings on the sound machine" 0 (List.length r.Driver.findings);
   check "grid actually ran" true (r.Driver.runs > 0)
+
+(* [save] counts saved programs, not iterations: with a fuel so small
+   that early programs are skipped, exactly [save] passing programs are
+   still written *)
+let test_campaign_saves () =
+  let dir = Filename.temp_file "mssp_fuzz_save" "" in
+  Sys.remove dir;
+  let r = Driver.campaign ~fuel:200 ~out:dir ~save:3 ~seed:1 ~count:12 ()
+  in
+  let files = Corpus.files dir in
+  check "early programs were skipped" true (r.Driver.skipped > 0);
+  check_int "exactly three seeds saved" 3 (List.length files);
+  List.iter Sys.remove files;
+  Sys.rmdir dir
 
 (* the mutation smoke test: a broken commit unit must be caught, and the
    witness must shrink to a handful of instructions.  Crucially the test
@@ -164,6 +225,33 @@ let test_broken_commit_caught_and_shrunk () =
   Sys.remove path;
   Sys.rmdir dir
 
+(* a finding ships the standard trail: the shrunk repro, its JSONL
+   event trail beside it, and a comment line with the trace's squash
+   attribution and predictor outcomes *)
+let test_traced_finding () =
+  let dir = Filename.temp_file "mssp_fuzz_trace" "" in
+  Sys.remove dir;
+  let grid = [ Oracle.chaos_point ~seed:3 ~p:1.0 ] in
+  let r =
+    Driver.campaign ~grid ~size:10 ~shrink_budget:50 ~out:dir ~trace:true
+      ~seed:1 ~count:3 ()
+  in
+  check "the broken commit unit was caught" true (r.Driver.findings <> []);
+  let read path = In_channel.with_open_text path In_channel.input_all in
+  List.iter
+    (fun (f : Driver.finding) ->
+      match (f.Driver.repro_path, f.Driver.trace_path) with
+      | Some repro, Some trail ->
+        check "repro comment carries the trace's predictor outcomes" true
+          (contains (read repro) "trace [chaos-commit]: "
+          && contains (read repro) "hits /");
+        check "non-empty trail beside the repro" true
+          (Filename.dirname trail = dir && read trail <> "")
+      | _ -> Alcotest.fail "finding without a repro and a trail")
+    r.Driver.findings;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* --- the pass-subset axis ------------------------------------------ *)
 
 (* the distill grid (honest control + empty pipeline + every pass alone
@@ -230,13 +318,6 @@ let test_broken_pass_caught_by_oracle () =
       find 1)
     [ "broken-harden"; "broken-stores"; "broken-forks" ]
 
-(* end-to-end: a small campaign on the pass-subset axis is clean *)
-let test_distill_campaign_smoke () =
-  let r = Driver.campaign ~distill_grid:true ~seed:7 ~count:2 () in
-  check_int "no findings on the sound distiller" 0
-    (List.length r.Driver.findings);
-  check "grid actually ran" true (r.Driver.runs > 0)
-
 let () =
   Alcotest.run "fuzz"
     [
@@ -244,7 +325,16 @@ let () =
         [ Alcotest.test_case "replays clean" `Quick test_corpus_replays ] );
       ( "generator",
         [
-          Alcotest.test_case "deterministic" `Quick test_gen_deterministic;
+          Alcotest.test_case "deterministic" `Quick
+            (test_gen_deterministic
+               [
+                 ("default", Gen.default_weights);
+                 ("smc-heavy", Gen.smc_heavy);
+               ]);
+          Alcotest.test_case "plain deterministic" `Quick
+            (test_gen_deterministic [ ("plain", Gen.plain) ]);
+          Alcotest.test_case "terminates" `Quick test_gen_terminates;
+          Alcotest.test_case "pinned streams" `Quick test_gen_pinned;
           Alcotest.test_case "overflow addresses" `Quick
             test_gen_hits_overflow_addresses;
         ] );
@@ -253,13 +343,26 @@ let () =
           Alcotest.test_case "well-founded" `Quick test_shrink_well_founded;
         ] );
       ( "driver",
-        [ Alcotest.test_case "campaign smoke" `Quick test_campaign_smoke ] );
+        [
+          Alcotest.test_case "campaign smoke" `Quick
+            (test_campaign_smoke Driver.Standard);
+          Alcotest.test_case "campaign smoke faults" `Quick
+            (test_campaign_smoke Driver.Faults);
+          Alcotest.test_case "campaign smoke distill" `Quick
+            (test_campaign_smoke Driver.Distill);
+          Alcotest.test_case "campaign smoke predict" `Quick
+            (test_campaign_smoke Driver.Predict);
+          Alcotest.test_case "save counts saved programs" `Quick
+            test_campaign_saves;
+        ] );
       ( "mutation",
         [
           Alcotest.test_case "broken commit caught and shrunk" `Quick
             test_broken_commit_caught_and_shrunk;
           Alcotest.test_case "broken pass caught by the oracle" `Quick
             test_broken_pass_caught_by_oracle;
+          Alcotest.test_case "traced finding ships its trail" `Quick
+            test_traced_finding;
         ] );
       ( "distill grid",
         [
@@ -267,7 +370,5 @@ let () =
             test_distill_grid_clean;
           Alcotest.test_case "random subset deterministic" `Quick
             test_random_subset_deterministic;
-          Alcotest.test_case "campaign smoke" `Quick
-            test_distill_campaign_smoke;
         ] );
     ]

@@ -270,7 +270,7 @@ let prop_frag_exec_agrees_with_machine =
     ~count:30
     QCheck.(pair small_nat (int_bound 40))
     (fun (seed, n) ->
-      let p = Mssp_workload.Synthetic.generate ~seed ~size:6 in
+      let p = Mssp_fuzz.Gen.generate ~weights:Mssp_fuzz.Gen.plain ~seed ~size:6 () in
       let frag = closed_fragment p (n + 1) in
       match Frag_exec.seq frag n with
       | Error _ -> false (* closed fragments never go incomplete *)
@@ -289,7 +289,7 @@ let prop_cumulative_writes_law =
     ~count:30
     QCheck.(pair small_nat (int_bound 30))
     (fun (seed, n) ->
-      let p = Mssp_workload.Synthetic.generate ~seed ~size:5 in
+      let p = Mssp_fuzz.Gen.generate ~weights:Mssp_fuzz.Gen.plain ~seed ~size:5 () in
       let frag = closed_fragment p (n + 1) in
       match (Frag_exec.seq frag n, Frag_exec.cumulative frag n) with
       | Ok s_n, Ok delta ->

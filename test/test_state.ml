@@ -308,7 +308,7 @@ let prop_paged_matches_hashtbl_reference =
     ~name:"paged Full = hashtable reference under random execution" ~count:50
     QCheck.(pair small_nat (int_range 1 200))
     (fun (seed, fuel) ->
-      let p = Mssp_workload.Synthetic.generate ~seed ~size:8 in
+      let p = Mssp_fuzz.Gen.generate ~weights:Mssp_fuzz.Gen.plain ~seed ~size:8 () in
       let full = Full.create () in
       Full.load full p;
       let r = Ref_state.create () in
@@ -398,7 +398,7 @@ let prop_live_in_checkpoints =
     ~count:50
     QCheck.(triple small_nat (int_range 0 200) small_int)
     (fun (seed, fuel, pc) ->
-      let p = Mssp_workload.Synthetic.generate ~seed ~size:8 in
+      let p = Mssp_fuzz.Gen.generate ~weights:Mssp_fuzz.Gen.plain ~seed ~size:8 () in
       let full = Full.create () in
       Full.load full p;
       let rec go n =

@@ -252,7 +252,7 @@ let prop_task_matches_abstract_evolution =
     (fun (seed, n) ->
       let module Abstract_task = Mssp_formal.Abstract_task in
       let module Seq_model = Mssp_formal.Seq_model in
-      let p = Mssp_workload.Synthetic.generate ~seed ~size:5 in
+      let p = Mssp_fuzz.Gen.generate ~weights:Mssp_fuzz.Gen.plain ~seed ~size:5 () in
       let live_in = Seq_model.complete_of_program p in
       (* run the simulator task for exactly n instructions *)
       let task =

@@ -1,12 +1,12 @@
 (* Tests for the benchmark suite and generators: programs run, halt,
-   produce size-dependent deterministic output; synthetic programs
-   terminate; adversarial packages are well-formed. *)
+   produce size-dependent deterministic output; adversarial packages are
+   well-formed. *)
 
 module Full = Mssp_state.Full
 module Machine = Mssp_seq.Machine
 module Program = Mssp_isa.Program
 module W = Mssp_workload.Workload
-module Synthetic = Mssp_workload.Synthetic
+module Gen = Mssp_fuzz.Gen
 module Adversary = Mssp_workload.Adversary
 
 let check = Alcotest.(check bool)
@@ -87,32 +87,10 @@ let test_io_ticker_writes_io () =
   done;
   check_int "all ticks written" 16 !nonzero
 
-(* --- synthetic generator --- *)
-
-let test_synthetic_terminates () =
-  List.iter
-    (fun seed ->
-      let p = Synthetic.generate ~seed ~size:20 in
-      let m = Machine.run_program ~fuel:1_000_000 p in
-      check
-        (Printf.sprintf "seed %d halts or faults" seed)
-        true
-        (match m.Machine.stopped with
-        | Some Machine.Halted | Some (Machine.Faulted _) -> true
-        | Some Machine.Out_of_fuel | None -> false))
-    [ 0; 1; 2; 3; 4; 5; 42; 1337 ]
-
-let test_synthetic_deterministic () =
-  let p1 = Synthetic.generate ~seed:9 ~size:15 in
-  let p2 = Synthetic.generate ~seed:9 ~size:15 in
-  check "same program" true (p1.Program.code = p2.Program.code);
-  let p3 = Synthetic.generate ~seed:10 ~size:15 in
-  check "different seed differs" true (p1.Program.code <> p3.Program.code)
-
 (* --- adversaries --- *)
 
 let test_adversary_packages () =
-  let p = Synthetic.generate ~seed:3 ~size:10 in
+  let p = Gen.generate ~weights:Gen.plain ~seed:3 ~size:10 () in
   List.iter
     (fun (name, d) ->
       check (name ^ " original kept") true (d.Mssp_distill.Distill.original == p);
@@ -138,9 +116,6 @@ let () =
         ] );
       ( "generators",
         [
-          Alcotest.test_case "synthetic terminates" `Quick test_synthetic_terminates;
-          Alcotest.test_case "synthetic deterministic" `Quick
-            test_synthetic_deterministic;
           Alcotest.test_case "adversary packages" `Quick test_adversary_packages;
         ] );
     ]
