@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-csv bench-json perf-smoke host-profile promote-golden trace-snapshot fuzz fuzz-distill fuzz-predict examples clean loc
+.PHONY: all build test bench bench-csv bench-json perf-smoke host-profile promote-golden trace-snapshot fuzz fuzz-distill examples clean loc
 
 all: build
 
@@ -72,13 +72,6 @@ fuzz:
 # failing subset points dump per-pass diff artifacts to _distill_failures/
 fuzz-distill:
 	dune exec -- mssp_sim fuzz --distill-grid --seed $${SEED:-1} --count $${COUNT:-300} --jobs $${JOBS:-4} --out fuzz/corpus
-
-# the predictor axis: each program judged on every live-in predictor
-# mode (plus the tournament under fault injection) — prediction only
-# guides speculation, so every mode must land bit-identical on SEQ;
-# a failing mode's repro lands in fuzz/corpus/ with its event trail
-fuzz-predict:
-	dune exec -- mssp_sim fuzz --predict-grid --seed $${SEED:-1} --count $${COUNT:-300} --jobs $${JOBS:-4} --out fuzz/corpus --trace
 
 examples:
 	dune exec examples/quickstart.exe

@@ -14,7 +14,6 @@ module Safety = Mssp_formal.Safety
 module Mssp_model = Mssp_formal.Mssp_model
 module Refinement = Mssp_formal.Refinement
 module Frag_exec = Mssp_seq.Frag_exec
-module Predict = Mssp_predict.Predict
 module Adapt = Mssp_core.Mssp_adapt
 
 let suite () = List.map (fun b -> prepare b) W.all
@@ -824,21 +823,19 @@ let e18 () =
   note "giant task and pure overhead; hardening and store removal";
   note "shorten the master's dynamic path; 'none' is slower than SEQ."
 
-(* --- E19: adaptive distillation + live-in prediction ------------------ *)
+(* --- E19: adaptive distillation from squash feedback ------------------ *)
 
-(* One adaptation loop for a kernel: distill statically, run with the
-   tournament predictor on (warmed from the training profile), then
+(* One adaptation loop for a kernel: distill statically, run, then
    re-distill [rounds] times from each run's squash attribution and keep
    the cheapest round. Every round executes a DIFFERENT distilled image,
    so each is verified against a SEQ baseline loading that round's image
    (final states are compared over all of observable memory). *)
-let adapt_bench ?(rounds = 1) ?(predict = Predict.Tournament) name slaves =
+let adapt_bench ?(rounds = 1) name slaves =
   let b = W.find name in
   let train = b.W.program ~size:b.W.train_size in
   let program = b.W.program ~size:b.W.ref_size in
   let profile = Profile.collect train in
-  let config = { (with_slaves slaves) with Config.predict } in
-  let a = Adapt.run ~rounds ~config program profile in
+  let a = Adapt.run ~rounds ~config:(with_slaves slaves) program profile in
   List.iter
     (fun (rd : Adapt.round) ->
       if rd.Adapt.result.M.stop <> M.Halted then
@@ -859,7 +856,7 @@ let adapt_bench ?(rounds = 1) ?(predict = Predict.Tournament) name slaves =
 let e19_kernels = [ "vecsum"; "fir"; "strmatch"; "rle"; "treesum"; "dijkstra" ]
 
 let e19 () =
-  section "E19  Adaptive distillation: squash feedback + live-in prediction";
+  section "E19  Adaptive distillation: squash feedback";
   let rows =
     List.map
       (fun name ->
@@ -871,10 +868,6 @@ let e19 () =
         in
         let _, s4, c4 = cell 4 in
         let a8, s8, c8 = cell 8 in
-        let off8 =
-          Adapt.round_cycles (adapt_bench ~predict:Predict.Off name 8).Adapt.best
-        in
-        let st = a8.Adapt.best.Adapt.result.M.stats in
         [
           name;
           string_of_int s4;
@@ -884,8 +877,6 @@ let e19 () =
           string_of_int c8;
           f2 (float_of_int s8 /. float_of_int c8);
           string_of_int a8.Adapt.best.Adapt.index;
-          Printf.sprintf "%d/%d" st.M.predict_hits st.M.predict_misses;
-          string_of_int off8;
         ])
       e19_kernels
   in
@@ -893,16 +884,13 @@ let e19 () =
     ~header:
       [
         "bench"; "static@4"; "adapt@4"; "x@4"; "static@8"; "adapt@8"; "x@8";
-        "round"; "hit/miss"; "adapt@8 off";
+        "round";
       ]
     rows;
-  note "static = round 0 (one distillation, tournament predictor on);";
+  note "static = round 0 (one distillation);";
   note "adapt = best round after re-distilling from squash attribution";
-  note "(task split/merge + strongly-live elision); adapt@8 off = the same";
-  note "loop at 8 slaves with the predictor off. Equal adapt@8 and";
-  note "adapt@8 off cycles mean the win is the re-distillation's, not";
-  note "the predictor's. Every round is re-verified against SEQ:";
-  note "adaptation only moves cycles."
+  note "(task split/merge + faint-write elision). Every round is";
+  note "re-verified against SEQ: adaptation only moves cycles."
 
 (* --- E1s: reduced-scale E1 for perf smoke runs ----------------------- *)
 
@@ -1012,8 +1000,8 @@ let poolg () =
     ("serial", grid 1) ("4 jobs", grid 4)
 
 (* ADPTG: the adaptation loop keeps paying for itself. Over the
-   prediction-friendly kernels at 8 slaves the geomean of static over
-   adaptive cycles stays >= 1.15x. Deterministic cycles, so always
+   kernels below at 8 slaves the geomean of static over adaptive
+   cycles stays >= 1.15x. Deterministic cycles, so always
    enforced; best-of-rounds makes < 1x impossible, so the bound polices
    the win, not safety. *)
 let adptg_kernels = [ "fir"; "rle"; "treesum"; "dijkstra" ]

@@ -30,7 +30,6 @@ module B = Mssp_baseline.Baseline
 module W = Mssp_workload.Workload
 module Trace = Mssp_trace.Trace
 module Table = Mssp_metrics.Table
-module Predict = Mssp_predict.Predict
 module Adapt = Mssp_core.Mssp_adapt
 
 (* --- shared arguments --- *)
@@ -64,28 +63,10 @@ let no_distill_arg =
   let doc = "Disable all distiller transformations (identity master ablation)." in
   Arg.(value & flag & info [ "no-distill" ] ~doc)
 
-let predict_arg =
-  let mode_conv =
-    Arg.conv
-      ( (fun s ->
-          match Predict.mode_of_string s with
-          | Some m -> Ok m
-          | None -> Error (`Msg (Printf.sprintf "unknown predictor %S" s))),
-        Predict.pp_mode )
-  in
-  let doc =
-    "Live-in value predictor consulted at checkpoint construction: \
-     $(b,off), $(b,last-value), $(b,stride), $(b,context) or \
-     $(b,tournament). Warmed from the training profile. Wrong \
-     predictions only raise the squash rate; $(b,off) is bit-identical \
-     to a build without the predictor."
-  in
-  Arg.(value & opt mode_conv Predict.Off & info [ "predict" ] ~docv:"MODE" ~doc)
-
 let adapt_arg =
   let doc =
     "Re-distill $(docv) times between runs using the previous run's \
-     squash attribution (task split/merge plus strongly-live elision), \
+     squash attribution (task split/merge plus faint-write elision), \
      then report the best round by simulated cycles. 0 disables the \
      loop."
   in
@@ -151,7 +132,7 @@ let distill_cmd =
     let doc =
       "Comma-separated pass names to run instead of the default pipeline \
        (see the registry: harden, drop-stores, repair, dead-writes, \
-       boundaries, split-merge, predict-elide, compact). A \
+       boundaries, split-merge, faint-writes, compact). A \
        list without a layout pass gets the identity layout appended."
     in
     Arg.(value & opt (some string) None & info [ "passes" ] ~docv:"LIST" ~doc)
@@ -231,8 +212,8 @@ let run_cmd =
                runaway workload becomes a structured failure, not a hung \
                job.")
   in
-  let run name size slaves task_size isolated verify no_distill trace predict
-      adapt timeout =
+  let run name size slaves task_size isolated verify no_distill trace adapt
+      timeout =
     let b, size = resolve_bench name size in
     let train = b.W.program ~size:b.W.train_size in
     let program = b.W.program ~size in
@@ -253,10 +234,6 @@ let run_cmd =
       { (config slaves task_size isolated verify) with
         Config.tracer = Option.map fst collector;
         interrupt;
-        predict;
-        predict_warmup =
-          (if predict = Predict.Off then []
-           else Predict.warmup_of_profile profile);
       }
     in
     let r =
@@ -301,8 +278,8 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run a benchmark under MSSP")
     Term.(
       const run $ bench_arg $ size_arg $ slaves_arg $ task_size_arg
-      $ isolated_arg $ verify_arg $ no_distill_arg $ trace_arg $ predict_arg
-      $ adapt_arg $ timeout_arg)
+      $ isolated_arg $ verify_arg $ no_distill_arg $ trace_arg $ adapt_arg
+      $ timeout_arg)
 
 (* --- trace --- *)
 
@@ -613,8 +590,7 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "trace" ]
          ~doc:"Re-run each shrunk witness with the event bus on, write its \
                JSONL event trail beside the repro and fold its squash \
-               attribution and predictor hits/misses into the repro's \
-               comment (needs --out).")
+               attribution into the repro's comment (needs --out).")
   in
   let jobs_arg =
     Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N"
@@ -643,13 +619,6 @@ let fuzz_cmd =
                          checker violations are divergences and failing \
                          subsets dump their per-pass artifacts under \
                          _distill_failures/." );
-               ( Driver.Predict,
-                 info [ "predict-grid" ]
-                   ~doc:"Judge each program on the live-in predictor grid \
-                         (every predictor mode plus the tournament under \
-                         fault injection): prediction only guides \
-                         speculation, so every mode must land bit-identical \
-                         on the SEQ final state." );
              ])
   in
   let weights_arg =

@@ -4,7 +4,7 @@
    Round 0 distills statically and runs. Every later round turns the
    previous run's measured squash rate into a [Distill.feedback] record
    — high rate: split tasks finer; low rate: merge inner-loop markers
-   and enable strongly-live elision (the live-in predictor covers the
+   and elide faint writes (verify/commit absorbs a stale value in the
    residual reads) — re-distills, and re-runs. Every round's final
    state is the sequential one (the machine verifies each commit), so
    rounds are comparable by simulated cycles alone and the loop simply
@@ -13,8 +13,6 @@
 
 module Distill = Mssp_distill.Distill
 module Pass = Mssp_distill.Pass
-module Profile = Mssp_profile.Profile
-module Predict = Mssp_predict.Predict
 
 type round = {
   index : int;  (** 0 = static distillation *)
@@ -40,20 +38,6 @@ let feedback_of ~(config : Mssp_config.t) (r : Mssp_machine.result) =
 
 let run ?(rounds = 1) ?(options = Distill.default_options) ~config program
     profile =
-  (* a predictor without warm-up starts cold on every cell: seed it with
-     the training run's per-address streams unless the caller already
-     supplied some *)
-  let config =
-    if
-      config.Mssp_config.predict = Predict.Off
-      || config.Mssp_config.predict_warmup <> []
-    then config
-    else
-      {
-        config with
-        Mssp_config.predict_warmup = Predict.warmup_of_profile profile;
-      }
-  in
   let exec index feedback =
     let options = { options with Distill.feedback } in
     let d = Distill.distill ~options program profile in

@@ -3,7 +3,7 @@
 
     Round 0 is the static distillation. Every later round converts the
     previous run's squash rate into a {!Mssp_distill.Distill.feedback}
-    record (split when squashing, merge + strongly-live elision when
+    record (split when squashing, merge + faint-write elision when
     not), re-distills the same program against the same training
     profile, and re-runs under the same machine config. Since the
     machine verifies every commit, each round's final architected state
@@ -43,10 +43,7 @@ val run :
   Mssp_profile.Profile.t ->
   t
 (** [run ~config program profile] executes round 0 plus [rounds]
-    (default 1) adapted rounds. When [config.predict] is on and
-    [config.predict_warmup] is empty, the warm-up is filled from the
-    profile's per-address observation streams first, so the predictor
-    does not start cold. *)
+    (default 1) adapted rounds. *)
 
 val round_cycles : round -> int
 val round_squashes : round -> int

@@ -45,10 +45,6 @@ type t = {
   faults : Mssp_faults.Plan.t option;
   predict : Mssp_predict.Predict.mode;
   predict_seed : int;
-  predict_warmup : (int * int list) list;
-      (** per-address observation streams replayed into the predictor
-          before the run ([Predict.warmup_of_profile]); ignored when
-          [predict] is [Off] *)
   tracer : Mssp_trace.Trace.t option;
   interrupt : (unit -> string option) option;
   pool : int option;
@@ -76,7 +72,6 @@ let default =
     faults = None;
     predict = Mssp_predict.Predict.Off;
     predict_seed = 0x5bd1e995;
-    predict_warmup = [];
     tracer = None;
     interrupt = None;
     pool = None;
@@ -98,7 +93,6 @@ let pp fmt c =
      isolated: %b, control-only: %b, refinement check: %b@,\
      dual mode: %b (trigger %d, burst %d)@,\
      fault plan: %s@,\
-     predict: %s (seed %d, warmup %d cells)@,\
      master chunk: %d, max cycles: %d, max squashes: %d@,\
      recovery fuel: %d, tracing: %s@]"
     c.slaves c.max_in_flight c.task_size c.task_budget c.isolated_slaves
@@ -107,8 +101,5 @@ let pp fmt c =
     (match c.faults with
     | None -> "off"
     | Some plan -> Mssp_faults.Plan.to_string plan)
-    (Mssp_predict.Predict.mode_to_string c.predict)
-    c.predict_seed
-    (List.length c.predict_warmup)
     c.master_chunk c.max_cycles c.max_squashes c.recovery_fuel
     (match c.tracer with None -> "off" | Some _ -> "on")

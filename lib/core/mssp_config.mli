@@ -73,22 +73,10 @@ type t = {
           breaks the verify/commit unit on purpose, for the
           differential fuzzer's mutation smoke test only. *)
   predict : Mssp_predict.Predict.mode;
-      (** live-in value predictor consulted at checkpoint construction
-          ({!Mssp_predict.Predict}): [Off] (the default) compiles every
-          consultation site down to one predictable branch — runs are
-          bit-identical to a predictor-free machine. Any other mode
-          refines each checkpoint's live-in fragment with per-cell
-          predictions trained online from verified first-reads; wrong
-          predictions only raise the squash rate, never the result
-          (verification absorbs them like any master misprediction). *)
+      (** has no effect; kept only because the repo benchmark sets or
+          reads it. It goes with [pool]. *)
   predict_seed : int;
-      (** seed for the tournament selector's deterministic tie-breaking
-          — part of the simulated machine, so runs are bit-identical on
-          every host *)
-  predict_warmup : (int * int list) list;
-      (** per-address observation streams replayed into the predictor
-          before the run (see [Predict.warmup_of_profile]); ignored when
-          [predict] is [Off] *)
+      (** has no effect, like [predict], and kept for the same pin. *)
   tracer : Mssp_trace.Trace.t option;
       (** recording sinks for the structured event stream
           ({!Mssp_trace.Trace}): the machine builds every task-lifecycle

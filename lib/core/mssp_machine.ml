@@ -16,7 +16,6 @@ module Hierarchy = Mssp_cache.Cache.Hierarchy
 module Trace = Mssp_trace.Trace
 module Fplan = Mssp_faults.Plan
 module Inject = Mssp_faults.Injector
-module Predict = Mssp_predict.Predict
 
 type stats = {
   cycles : int;
@@ -73,12 +72,6 @@ type checkpoint = {
   cp_id : int;
   cp_entry : int;
   cp_live_in : Live_in.t;
-  cp_master_li : Live_in.t;
-      (** the master's own live-in prediction, before predictor
-          refinement and fault injection — what the master-confidence
-          attribution scores at verify time. The same live-in as
-          [cp_live_in] (shared reference, no cost) when no predictor is
-          refining *)
   mutable cp_end : (int option * int) option;
       (** [None] until the end boundary is known, then the end PC ([None]
           when the master died first) and which arrival at it is the
@@ -113,10 +106,6 @@ type t = {
   inj : Inject.t option;
       (** the fault plan's injector; [None] makes every fault site one
           predictable branch *)
-  predictor : Predict.t option;
-      (** consulted at [spawn] (before fault injection) and trained at
-          verification from the actual values of the head task's
-          first-reads; [None] with [Predict.Off] *)
   mutable stop : stop_reason option;  (** [None] while the machine runs *)
   mutable interrupt_countdown : int;
   (* the counts no event carries *)
@@ -182,14 +171,6 @@ let create ?(wrap_store = Fun.id) (cfg : Mssp_config.t) (d : Distill.t) =
   Full.load ~set_entry:false arch d.distilled;
   let shadow = if cfg.verify_refinement then Some (Full.copy arch) else None in
   let master_cache = Hierarchy.make ~l1:t.l1 ~lat:t.lat () in
-  let predictor =
-    match cfg.predict with
-    | Predict.Off -> None
-    | mode ->
-      let p = Predict.create ~seed:cfg.predict_seed mode in
-      Predict.warm p cfg.predict_warmup;
-      Some p
-  in
   let m_state = Full.copy arch in
   Full.set_pc m_state d.distilled.entry;
   let entries = Hashtbl.create 16 in
@@ -210,7 +191,6 @@ let create ?(wrap_store = Fun.id) (cfg : Mssp_config.t) (d : Distill.t) =
     code_hi = Program.limit d.distilled;
     entries;
     inj = Option.map Inject.make cfg.faults;
-    predictor;
     stop = None;
     interrupt_countdown = interrupt_stride;
     cycles = 0;
@@ -420,19 +400,13 @@ and spawn_or_wait m e li =
     master_run m
   end
 
-and spawn m e master_li =
+and spawn m e li =
   let id = m.next_cp_id in
-  let li =
-    match m.predictor with
-    | None -> master_li
-    | Some p -> Predict.refine p master_li
-  in
   let cp =
     {
       cp_id = id;
       cp_entry = e;
       cp_live_in = maybe_corrupt m id li;
-      cp_master_li = master_li;
       cp_end = None;
       cp_task = None;
       cp_finished = false;
@@ -593,35 +567,10 @@ and verify m cp task =
     | Task.Running -> assert false
   in
   emit m (Trace.Verify { cycle = now m; task = cp.cp_id; live_ins; outcome });
-  (match m.predictor with None -> () | Some p -> attribute m p cp task);
   match outcome with
   | Trace.Pass -> commit m cp task live_ins
   | Trace.Mismatch _ -> start_squash m ~task:cp.cp_id Trace.Bad_prediction
   | Trace.Incomplete r -> start_squash m ~task:cp.cp_id r
-
-(* Value-prediction attribution and online training: every recorded
-   first-read is one per-cell prediction; its actual value is what
-   architected state holds right now (the task's true start point,
-   whether or not this task commits). *)
-and attribute m p cp task =
-  let hits = ref 0 and misses = ref 0 in
-  Task.iter_reads
-    (fun c v ->
-      match c with
-      | Cell.Pc -> ()
-      | Cell.Reg _ | Cell.Mem _ ->
-        let actual = Full.get m.arch c in
-        (* score the incumbent first: how good was the master's own
-           value for this cell (pre-refinement)? *)
-        (match Live_in.find_opt c cp.cp_master_li with
-        | Some supplied -> Predict.observe_master p c ~supplied ~actual
-        | None -> ());
-        Predict.observe p c actual;
-        if v = actual then incr hits else incr misses)
-    task;
-  emit m
-    (Trace.Predict_outcome
-       { cycle = now m; task = cp.cp_id; hits = !hits; misses = !misses })
 
 and commit m cp task n_live_ins =
   (* the memoization hit: superimpose the live-outs *)
@@ -644,11 +593,12 @@ and commit m cp task n_live_ins =
   advance_shadow m executed;
   recycle m task;
   (* the master's layers no live checkpoint predates: a parked or
-     in-flight fork is newer than every sealed layer *)
+     in-flight fork is newer than every sealed layer. A fault-injected
+     live-in keeps its fork's view level ([Live_in.add]) *)
   Dirty.fold m.m_dirty
     ~upto:
       (if Queue.is_empty m.window then max_int
-       else (Queue.peek m.window).cp_master_li.Live_in.level);
+       else (Queue.peek m.window).cp_live_in.Live_in.level);
   match task.Task.status with
   | Task.Complete Task.Program_halted -> halt m Halted
   | Task.Complete Task.Reached_boundary | Task.Running | Task.Failed _ ->
@@ -844,8 +794,8 @@ let close m (outcome : Sim.outcome) =
       faults_injected = m.faults_injected;
       live_ins_checked = f.live_ins_checked;
       live_outs_committed = f.committed_live_outs;
-      predict_hits = f.predict_hits;
-      predict_misses = f.predict_misses;
+      predict_hits = 0;
+      predict_misses = 0;
       slave_busy_cycles = f.slave_busy_cycles;
       task_sizes = m.task_sizes;
       live_in_counts = m.live_in_counts;
@@ -902,11 +852,9 @@ let pp_stats fmt (s : stats) =
      squashes: %d (mismatch %d, failed %d, master-dead %d)@,\
      sequential bursts: %d (%d instructions), faults injected: %d@,\
      live-ins checked: %d, live-outs committed: %d@,\
-     value prediction: %d hits, %d misses@,\
      slave busy cycles: %d@]"
     s.cycles s.master_instructions s.tasks_spawned s.tasks_committed
     s.tasks_discarded s.instructions_committed s.recovery_instructions
     s.squashes s.squash_mismatch s.squash_task_failed s.squash_master_dead
     s.sequential_bursts s.sequential_instructions s.faults_injected
-    s.live_ins_checked s.live_outs_committed
-    s.predict_hits s.predict_misses s.slave_busy_cycles
+    s.live_ins_checked s.live_outs_committed s.slave_busy_cycles

@@ -51,9 +51,9 @@ type stats = {
   live_ins_checked : int;
   live_outs_committed : int;
   predict_hits : int;
-      (** recorded first-reads that matched architected state at
-          verification, over examined head tasks (predictor enabled) *)
-  predict_misses : int;
+      (** always 0: has no effect; kept only because the repo benchmark
+          sets or reads it *)
+  predict_misses : int;  (** always 0, like [predict_hits] *)
   slave_busy_cycles : int;
       (** slave time from each task's start to its finish, cut short at
           the squash that discards it or at the stop *)

@@ -108,7 +108,7 @@ let check_dead_write (_st : Pass.state) pc before after =
 let check_elide (_st : Pass.state) pc before after =
   if not (Instr.equal after Instr.Nop) then
     Some
-      ( "predict-elide must produce a nop",
+      ( "faint-writes must produce a nop",
         Format.asprintf "pc %d: emitted %a" pc Instr.pp after )
   else if not (Pass.is_pure_def before && Instr.writes_reg before <> None) then
     Some
@@ -122,7 +122,7 @@ let site_validator = function
   | "drop-stores" | "broken-stores" -> Some check_drop_store
   | "repair" -> Some check_repair
   | "dead-writes" -> Some check_dead_write
-  | "predict-elide" -> Some check_elide
+  | "faint-writes" -> Some check_elide
   | _ -> None
 
 (* --- per-pass check ------------------------------------------------ *)

@@ -73,7 +73,7 @@ let default_passes () =
     Pass.dead_writes;
     Pass.boundaries;
     Pass.split_merge;
-    Pass.predict_elide;
+    Pass.faint_writes;
     Pass.compact;
   ]
 

@@ -38,7 +38,7 @@
       Markers are cheap: the {e master} paces actual checkpoint creation
       with its task-size counter ([Mssp_config.task_size]), the moral
       equivalent of the paper's loop unrolling for task sizing.
-    + {b Adaptive passes} ([split-merge], [predict-elide]): identities
+    + {b Adaptive passes} ([split-merge], [faint-writes]): identities
       unless [options.feedback] carries a previous run's measurements.
     + {b Compaction} ([compact]): unreachable blocks and [Nop]s are
       dropped and the survivors re-laid-out contiguously at
@@ -54,10 +54,10 @@
 type feedback = Pass.feedback = {
   fb_squash_rate : float;  (** squashes per committed task, previous run *)
   fb_target_size : int;  (** the machine's [task_size] *)
-  fb_elide : bool;  (** enable strongly-live elision ({!Pass.predict_elide}) *)
+  fb_elide : bool;  (** enable faint-write elision ({!Pass.faint_writes}) *)
 }
 (** Measured feedback from a previous run of the same program: the input
-    of the adaptive passes ([split-merge], [predict-elide]).
+    of the adaptive passes ([split-merge], [faint-writes]).
     [options.feedback = None] keeps both passes identities — the
     default pipeline's output is unchanged. *)
 
@@ -116,7 +116,7 @@ val dynamic_ratio : stats -> float
 
 val default_passes : unit -> Pass.t list
 (** The default pipeline: harden, drop-stores, repair, dead-writes,
-    boundaries, split-merge, predict-elide, compact. *)
+    boundaries, split-merge, faint-writes, compact. *)
 
 val names : Pass.t list -> string list
 

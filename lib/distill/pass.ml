@@ -413,7 +413,7 @@ let boundaries =
      inside a hot inner loop buys nothing — the machine skips it
      anyway while pacing tasks — but removing it makes loop-carried
      accumulator chains dead at every REMAINING boundary, which is what
-     lets [predict-elide] strip them from the master. If no revisited
+     lets [faint-writes] strip them from the master. If no revisited
      marker survives the spacing rule, the widest-spaced one is kept:
      a program whose only marker is its single hot loop header must not
      degenerate to serial execution. *)
@@ -479,7 +479,7 @@ let split_merge =
     apply;
   }
 
-(* --- prediction-backed strong dead-write elision ------------------- *)
+(* --- faint-write elision ------------------------------------------- *)
 
 (* The feedback loop's second half, and the pass that actually moves the
    speedup plateau. [dead_writes] uses ordinary may-liveness, which can
@@ -499,14 +499,13 @@ let split_merge =
    unconditionally); (b) registers a SLAVE may first-read at a task
    boundary — seeded from the ORIGINAL program's liveness at every
    retained task entry, because those are the live-ins verification
-   checks against the master's checkpoint. Everything else is
-   prediction material the machine will obtain from architected state
-   or the live-in predictor; a wrong call here costs squashes, never
+   checks against the master's checkpoint. Everything else the slaves
+   read from architected state; a wrong call here costs squashes, never
    correctness — unsound-but-checked like every other pass. Gated on
-   [feedback.fb_elide] (identity otherwise), because without a working
-   predictor/low squash rate the extra mispredictions are pure loss. *)
+   [feedback.fb_elide] (identity otherwise), because at a high squash
+   rate the extra mispredictions are pure loss. *)
 
-let predict_elide =
+let faint_writes =
   let apply st =
     let { options; original = p; code; _ } = st in
     let removed = ref 0 in
@@ -596,17 +595,18 @@ let predict_elide =
     | Some _ | None -> ());
     ( st,
       {
-        pass = "predict-elide";
+        pass = "faint-writes";
         rewrites = !removed;
         detail = [ ("elided", !removed) ];
       } )
   in
   {
-    name = "predict-elide";
+    name = "faint-writes";
     doc =
-      "strong dead-write elision: faint loop-carried chains no boundary \
-       live-in or effectful use observes become nops (needs feedback \
-       with elision on; the live-in predictor covers residual reads)";
+      "strongly-live dead-write elision: faint loop-carried chains no \
+       boundary live-in or effectful use observes become nops (needs \
+       feedback with elision on; verify/commit absorbs a stale residual \
+       read)";
     kind = Rewrite;
     apply;
   }

@@ -8,7 +8,7 @@
     default pipeline is {!Distill.default_passes}. *)
 
 (** Measured feedback from a previous MSSP run of the same program — the
-    input of the adaptive passes ({!split_merge}, {!predict_elide}).
+    input of the adaptive passes ({!split_merge}, {!faint_writes}).
     Produced by the re-distillation loop ([Mssp_core.Mssp_adapt]) from
     the machine's squash attribution. *)
 type feedback = {
@@ -17,8 +17,8 @@ type feedback = {
       (** the machine's [task_size]: markers observed more often than
           this buy nothing and are merge candidates *)
   fb_elide : bool;
-      (** enable {!predict_elide} — only worth it when the squash rate
-          is already low (a live-in predictor covers residual reads) *)
+      (** enable {!faint_writes} — only worth it when the squash rate
+          is already low (each stale residual read costs a squash) *)
 }
 
 val split_threshold : float
@@ -43,7 +43,7 @@ type options = {
       (** keep a task-boundary candidate executed at least this often *)
   feedback : feedback option;
       (** previous-run feedback driving the adaptive passes; [None] (the
-          default) makes {!split_merge} and {!predict_elide} identities *)
+          default) makes {!split_merge} and {!faint_writes} identities *)
 }
 
 val default_options : options
@@ -131,13 +131,14 @@ val split_merge : t
     would otherwise spin into the runaway guard. The identity without
     [options.feedback]. Must run after {!boundaries}. *)
 
-val predict_elide : t
+val faint_writes : t
 (** strongly-live (faint-variable) dead-write elision: removes pure
     register chains — loop-carried ones included — that no effectful
     instruction and no retained boundary's original-program live-in set
     observes. The master stops computing values only verification-exempt
-    reads would consume; the live-in predictor covers residual reads.
-    Gated on [options.feedback.fb_elide]; the identity otherwise. *)
+    reads would consume; a slave that still reads one gets a stale value,
+    which verify/commit absorbs as a squash. Gated on
+    [options.feedback.fb_elide]; the identity otherwise. *)
 
 val compact : t
 (** layout + compaction: honors [options.compact] for nop-dropping.

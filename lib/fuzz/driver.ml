@@ -2,7 +2,7 @@ module Wl_util = Mssp_workload.Wl_util
 module Fplan = Mssp_faults.Plan
 module Summary = Mssp_trace.Trace.Summary
 
-type axis = Standard | Faults | Distill | Predict
+type axis = Standard | Faults | Distill
 
 type finding = {
   program_seed : int;
@@ -21,15 +21,13 @@ type report = {
   findings : finding list;
 }
 
-(* a traced run's squash attribution and predictor outcomes, for repro
-   comments *)
+(* a traced run's squash attribution, for repro comments *)
 let attribution (s : Summary.t) =
   Printf.sprintf
     "%d committed, %d squashed (bad-prediction %d, task-failed %d, \
-     master-dead %d), predict %d hits / %d misses"
+     master-dead %d)"
     s.commits s.squashes (Summary.squash_mismatch s)
     (Summary.squash_task_failed s) (Summary.squash_master_dead s)
-    s.predict_hits s.predict_misses
 
 (* On a distill-grid failure, dump the checked pipeline's diffable
    artifacts (per-pass disassembly diff + pipeline.json) for every
@@ -80,7 +78,7 @@ let run_serial ?grid ?fuel ?weights ~axis ~size ~shrink_budget ~out ~save
     (* Every axis grid is a function of the program seed, so the
        one-line replay (seed -> program + grid) still holds: the fault
        plan of program x plan fuzzing, the distill grid's random pass
-       subset, the predictor grid's tournament seed. *)
+       subset. *)
     let plan0, grid =
       match axis with
       | Standard -> (None, grid)
@@ -88,7 +86,6 @@ let run_serial ?grid ?fuel ?weights ~axis ~size ~shrink_budget ~out ~save
         let plan = Gen.plan ~seed:program_seed in
         (Some plan, Some (Oracle.plan_grid ~plan ()))
       | Distill -> (None, Some (Oracle.distill_grid ~seed:program_seed ()))
-      | Predict -> (None, Some (Oracle.predict_grid ~seed:program_seed ()))
     in
     match Oracle.check ?grid ?fuel ~formal_seed:program_seed p with
     | Oracle.Passed n ->
@@ -278,8 +275,7 @@ let campaign ?grid ?fuel ?weights ?(axis = Standard) ?(size = 0)
                (match axis with
                | Standard -> ""
                | Faults -> " --faults"
-               | Distill -> " --distill-grid"
-               | Predict -> " --predict-grid")
+               | Distill -> " --distill-grid")
                (seed + w) cw);
         {
           programs = acc.programs + r.programs;

@@ -30,9 +30,6 @@ type axis =
           pass-checker on; a failing subset point dumps the shrunk
           witness's per-pass diff + JSON artifacts under
           [_distill_failures/] *)
-  | Predict
-      (** {!Oracle.predict_grid}: every live-in predictor mode must land
-          bit-identical on the SEQ state *)
 
 type finding = {
   program_seed : int;
@@ -84,8 +81,8 @@ val campaign :
     generated programs are replayed as regressions by later runs;
     [trace] (default false) re-runs each shrunk witness with the event
     bus on, writes its JSONL event trail as [<repro>.trace.jsonl] beside
-    the repro and folds the squash attribution and predictor hits and
-    misses into the repro's comment (needs [out]); [log] receives
-    one-line progress messages; [jobs] (default 1) fans the campaign out
-    across that many worker domains as per-worker-seeded shards (corpus
-    seed saves then come from shard 0 only). *)
+    the repro and folds the squash attribution into the repro's comment
+    (needs [out]); [log] receives one-line progress messages; [jobs]
+    (default 1) fans the campaign out across that many worker domains
+    as per-worker-seeded shards (corpus seed saves then come from shard
+    0 only). *)

@@ -150,30 +150,6 @@ let distill_grid ~seed () =
   :: List.map (fun n -> subset n [ n ]) switchable_passes)
   @ [ subset "random" (random_subset ~seed) ]
 
-(* The predictor grid: honest control, every honest predictor mode (off
-   included — it must behave exactly like no predictor at all), and the
-   tournament under live-in fault injection, where master misses actually
-   collapse the incumbent's confidence and overrides fire. Prediction is
-   pure speculation guidance: every point must still land bit-identical
-   on the SEQ state — only the squash rate may move. *)
-let predict_grid ~seed () =
-  let pt name mode cfg =
-    {
-      name = "predict/" ^ name;
-      distiller = Honest;
-      config =
-        { cfg with Config.predict = mode; predict_seed = seed land 0x3FFFFFFF };
-    }
-  in
-  ({ name = "honest"; distiller = Honest; config = base_config }
-  :: List.map
-       (fun m -> pt (Mssp_predict.Predict.mode_to_string m) m base_config)
-       Mssp_predict.Predict.modes)
-  @ [
-      pt "tournament-faults" Mssp_predict.Predict.Tournament
-        { base_config with Config.faults = Some soft_errors };
-    ]
-
 (* A deliberately broken pass, alone in its pipeline: the pass-checker
    must fail the point (mirrors [chaos_point] for the commit unit). *)
 let broken_pass_point name =
@@ -299,16 +275,6 @@ let check_package ~(seq : Machine.t) point name (d : Distill.t) =
     if s.M.tasks_committed > s.M.tasks_spawned then
       fail "more tasks committed (%d) than spawned (%d)" s.M.tasks_committed
         s.M.tasks_spawned;
-    if
-      point.config.Config.predict = Mssp_predict.Predict.Off
-      && s.M.predict_hits + s.M.predict_misses > 0
-    then
-      fail "prediction outcomes recorded with the predictor off (%d hits, %d misses)"
-        s.M.predict_hits s.M.predict_misses;
-    if s.M.predict_hits + s.M.predict_misses > s.M.live_ins_checked then
-      fail "prediction outcomes (%d) exceed live-ins checked (%d)"
-        (s.M.predict_hits + s.M.predict_misses)
-        s.M.live_ins_checked
   end;
   !fails
 

@@ -71,15 +71,6 @@ val distill_grid : seed:int -> unit -> point list
     (valid) order — nine points, all checker-on, all required to land on
     the SEQ state. *)
 
-val predict_grid : seed:int -> unit -> point list
-(** The live-in-predictor grid: honest control, every honest
-    {!Mssp_predict.Predict.mode} ([off] must behave exactly like no
-    predictor at all), and the tournament under live-in fault injection
-    (where master misses collapse the incumbent's confidence and
-    overrides actually fire). [seed] feeds the tournament tie-break.
-    Prediction is pure speculation guidance, so every point must still
-    land bit-identical on the SEQ state — only squash rates may move. *)
-
 val broken_pass_point : string -> point
 (** A grid point running one {e deliberately broken} pass
     ([broken-harden], [broken-stores] or [broken-forks]) alone: the distiller mutation

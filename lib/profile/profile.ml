@@ -1,6 +1,5 @@
 module Instr = Mssp_isa.Instr
 module Full = Mssp_state.Full
-module Cell = Mssp_state.Cell
 module Machine = Mssp_seq.Machine
 
 type branch_stats = { mutable taken : int; mutable not_taken : int }
@@ -10,27 +9,19 @@ type store_stats = {
   mutable min_comm_distance : int;
 }
 
-(* newest value first; [count] is the list's length, so the cap check
-   on every profiled load and store is O(1) *)
-type stream = { mutable values : int list; mutable count : int }
-
 type t = {
   block_counts : (int, int) Hashtbl.t;
   branches : (int, branch_stats) Hashtbl.t;
   stores : (int, store_stats) Hashtbl.t;
-  cells : (int, stream) Hashtbl.t;
   mutable dynamic_instructions : int;
   mutable stop : Machine.stop option;
 }
-
-let cell_stream_cap = 256
 
 let create () =
   {
     block_counts = Hashtbl.create 256;
     branches = Hashtbl.create 64;
     stores = Hashtbl.create 64;
-    cells = Hashtbl.create 256;
     dynamic_instructions = 0;
     stop = None;
   }
@@ -63,20 +54,6 @@ let note_communication t site distance =
   | Some s -> s.min_comm_distance <- min s.min_comm_distance distance
   | None -> ()
 
-(* Per-address observation stream: every value seen flowing through a
-   memory cell (loaded from it or just stored to it), in execution
-   order, capped at [cell_stream_cap] per address. The single-threaded
-   collection run is the only writer, so the order is the program's own
-   — stable no matter how many [--jobs] consume the profile later. *)
-let record_cell t addr value =
-  match Hashtbl.find_opt t.cells addr with
-  | Some s ->
-    if s.count < cell_stream_cap then begin
-      s.values <- value :: s.values;
-      s.count <- s.count + 1
-    end
-  | None -> Hashtbl.add t.cells addr { values = [ value ]; count = 1 }
-
 let collect ?(fuel = 100_000_000) p =
   let t = create () in
   let m = Machine.of_program p in
@@ -106,15 +83,13 @@ let collect ?(fuel = 100_000_000) p =
         (match (instr, pre_addr) with
         | Some (Instr.Br _), _ ->
           record_branch t pc ~taken:(Full.pc m.state <> pc + 1)
-        | Some (Instr.Ld (rd, _, _)), Some addr ->
-          record_cell t addr (Full.get_reg m.state rd);
-          (match Hashtbl.find_opt last_store addr with
+        | Some (Instr.Ld _), Some addr -> (
+          match Hashtbl.find_opt last_store addr with
           | Some (site, when_) ->
             note_communication t site (t.dynamic_instructions - when_)
           | None -> ())
         | Some (Instr.St _), Some addr ->
           record_store t pc;
-          record_cell t addr (Full.get_mem m.state addr);
           Hashtbl.replace last_store addr (pc, t.dynamic_instructions)
         | (Some _ | None), _ -> ());
         go (remaining - 1)
@@ -143,15 +118,6 @@ let store_comm_distance t pc =
   match Hashtbl.find_opt t.stores pc with
   | None -> None
   | Some s -> Some s.min_comm_distance
-
-let cell_observations t addr =
-  match Hashtbl.find_opt t.cells addr with
-  | None -> []
-  | Some s -> List.rev s.values
-
-let observed_cells t =
-  Hashtbl.fold (fun addr _ acc -> addr :: acc) t.cells []
-  |> List.sort Int.compare
 
 let pp_summary fmt t =
   let branches = Hashtbl.length t.branches in

@@ -24,8 +24,8 @@
       view stale.
 
     Views read as fragments through a persistent mirror ({!frozen}),
-    kept only once something has asked for one (a tracer, the value
-    predictor, a fault plan): untraced runs pay nothing for it. *)
+    kept only once something has asked for one (a tracer, a fault
+    plan): untraced runs pay nothing for it. *)
 
 type t
 

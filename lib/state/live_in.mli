@@ -12,7 +12,7 @@
     of cells the master has written.
 
     A small {!Fragment} overlay sits over the view: cells bound by
-    {!add} (fault plans, the value predictor), and the whole memory part
+    {!add} (fault plans), and the whole memory part
     of a live-in with no view ({!of_fragment}, {!of_state}'s isolated
     snapshots, {!freeze}).
 
@@ -82,7 +82,8 @@ val find_mem : int -> t -> default:int -> int
 val add : Cell.t -> int -> t -> t
 (** [add c v li] is [li] with [c] bound to [v]; [li] is unchanged. The PC
     or a register copies the register file; a memory cell is one
-    {!Fragment.add} into the overlay. *)
+    {!Fragment.add} into the overlay. The view, and so its [level], stay
+    [li]'s. *)
 
 val fold : (Cell.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
 (** In {!Cell} order, as {!Fragment.fold} walks {!to_fragment}. *)

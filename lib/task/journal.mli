@@ -25,10 +25,10 @@
     {b Iteration order is a contract.} {!iter}/{!for_all} walk [Pc],
     the registers in index order, then the memory log in first-binding
     order. For a reads journal that log {e is} the first-read stream:
-    verification, squash attribution and predictor training replay the
-    task's first-reads in serial first-read order, no matter the
-    table's capacity or how often the journal was recycled — which is
-    what makes [mem_size] invisible. *)
+    verification and squash attribution replay the task's first-reads
+    in serial first-read order, no matter the table's capacity or how
+    often the journal was recycled — which is what makes [mem_size]
+    invisible. *)
 
 type t
 

@@ -176,7 +176,6 @@ val iter_writes : (Mssp_state.Cell.t -> int -> unit) -> t -> unit
 val iter_reads : (Mssp_state.Cell.t -> int -> unit) -> t -> unit
 (** Iterate the first-read journal (the recorded live-in uses and the
     values the task consumed for them) in journal order — the
-    verification unit's view, reused by the value predictors for
-    hit/miss attribution and online training. *)
+    verification unit's view. *)
 
 val pp : Format.formatter -> t -> unit

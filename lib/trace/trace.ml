@@ -32,7 +32,6 @@ type verify_outcome =
 type event =
   | Fork of { cycle : int; task : int; entry : int }
   | Predict of { cycle : int; task : int; live_in : Live_in.t }
-  | Predict_outcome of { cycle : int; task : int; hits : int; misses : int }
   | Slave_start of { cycle : int; task : int; slave : int }
   | Slave_finish of {
       cycle : int;
@@ -72,7 +71,6 @@ type event =
 let event_cycle = function
   | Fork { cycle; _ }
   | Predict { cycle; _ }
-  | Predict_outcome { cycle; _ }
   | Slave_start { cycle; _ }
   | Slave_finish { cycle; _ }
   | Verify { cycle; _ }
@@ -99,12 +97,6 @@ let pp_event fmt = function
     let n = Live_in.cardinal live_in in
     Format.fprintf fmt "%8d  predict  task %d (%d live-in%s)" cycle task n
       (if n = 1 then "" else "s")
-  | Predict_outcome { cycle; task; hits; misses } ->
-    Format.fprintf fmt "%8d  poutcome task %d (%d hit%s, %d miss%s)" cycle
-      task hits
-      (if hits = 1 then "" else "s")
-      misses
-      (if misses = 1 then "" else "es")
   | Slave_start { cycle; task; slave } ->
     Format.fprintf fmt "%8d  start    task %d on slave %d" cycle task slave
   | Slave_finish { cycle; task; slave; executed; ok } ->
@@ -276,9 +268,6 @@ let event_to_json ev =
                   (fun c v acc -> J.List [ J.Str (Cell.show c); J.Int v ] :: acc)
                   live_in [])) );
       ]
-  | Predict_outcome { cycle; task; hits; misses } ->
-    base "predict_outcome" cycle
-      [ ("task", J.Int task); ("hits", J.Int hits); ("misses", J.Int misses) ]
   | Slave_start { cycle; task; slave } ->
     base "slave_start" cycle [ ("task", J.Int task); ("slave", J.Int slave) ]
   | Slave_finish { cycle; task; slave; executed; ok } ->
@@ -376,11 +365,6 @@ let event_of_json j =
           (Ok Fragment.empty) l
     in
     Ok (Predict { cycle; task; live_in = Live_in.of_fragment live_in })
-  | "predict_outcome" ->
-    let* task = int "task" in
-    let* hits = int "hits" in
-    let* misses = int "misses" in
-    Ok (Predict_outcome { cycle; task; hits; misses })
   | "slave_start" ->
     let* task = int "task" in
     let* slave = int "slave" in
@@ -510,8 +494,6 @@ module Summary = struct
     mutable committed_live_outs : int;
     mutable live_ins_checked : int;
     mutable predicted_bindings : int;
-    mutable predict_hits : int;
-    mutable predict_misses : int;
     mutable squashes : int;
     mutable discarded : int;
     mutable bad_prediction : int;
@@ -537,12 +519,11 @@ module Summary = struct
     { forks = 0; slave_starts = 0; slave_finishes = 0; slave_busy_cycles = 0;
       busy_since = [||]; verifies = 0; commits = 0; committed_instructions = 0;
       committed_live_outs = 0; live_ins_checked = 0; predicted_bindings = 0;
-      predict_hits = 0; predict_misses = 0; squashes = 0; discarded = 0;
-      bad_prediction = 0; fuel_exhausted = 0; task_fault = 0;
-      missing_cell = 0; speculative_io = 0; master_dead = 0; recoveries = 0;
-      recovery_instructions = 0; recovery_loads = 0; recovery_stores = 0;
-      bursts = 0; restarts = 0; master_stops = 0; faults = 0; counters = [];
-      halt = None; last_cycle = 0 }
+      squashes = 0; discarded = 0; bad_prediction = 0; fuel_exhausted = 0;
+      task_fault = 0; missing_cell = 0; speculative_io = 0; master_dead = 0;
+      recoveries = 0; recovery_instructions = 0; recovery_loads = 0;
+      recovery_stores = 0; bursts = 0; restarts = 0; master_stops = 0;
+      faults = 0; counters = []; halt = None; last_cycle = 0 }
 
   (* [busy_since.(s)] is the cycle slave [s] started its running task,
      or -1 while it is idle. A [Slave_finish] closes its slave's
@@ -575,9 +556,6 @@ module Summary = struct
     | Fork _ -> s.forks <- s.forks + 1
     | Predict { live_in; _ } ->
       s.predicted_bindings <- s.predicted_bindings + Live_in.cardinal live_in
-    | Predict_outcome { hits; misses; _ } ->
-      s.predict_hits <- s.predict_hits + hits;
-      s.predict_misses <- s.predict_misses + misses
     | Slave_start { slave; _ } ->
       s.slave_starts <- s.slave_starts + 1;
       open_busy s cycle slave
@@ -642,8 +620,6 @@ module Summary = struct
       [ "live_outs_committed"; i s.committed_live_outs ];
       [ "live_ins_checked"; i s.live_ins_checked ];
       [ "predicted_bindings"; i s.predicted_bindings ];
-      [ "predict_hits"; i s.predict_hits ];
-      [ "predict_misses"; i s.predict_misses ];
       [ "squashes"; i s.squashes ];
       [ "tasks_discarded"; i s.discarded ];
       [ "squash_bad_prediction"; i s.bad_prediction ];
@@ -758,12 +734,6 @@ module Chrome = struct
             (instant ~ts:cycle ~name:(Printf.sprintf "fork task %d" task)
                ~args:[ ("entry", J.Int entry) ] ())
         | Predict _ -> ()
-        | Predict_outcome { cycle; task; hits; misses } ->
-          add_instant
-            (instant ~ts:cycle
-               ~name:(Printf.sprintf "predict task %d" task)
-               ~args:[ ("hits", J.Int hits); ("misses", J.Int misses) ]
-               ())
         | Slave_start { cycle; task; slave } ->
           Hashtbl.replace open_slices task (cycle, slave)
         | Slave_finish { cycle; task; slave; executed; ok } -> (

@@ -59,14 +59,6 @@ type event =
       (** the checkpoint's predicted live-in bindings, post fault
           injection — exactly what the slave will be seeded with. Frozen
           ({!Mssp_state.Live_in.freeze}) when a tracer is attached *)
-  | Predict_outcome of { cycle : int; task : int; hits : int; misses : int }
-      (** value-prediction attribution at verification: how many of the
-          head task's recorded first-reads matched architected state
-          ([hits]) vs mismatched ([misses]), [Pc] excluded. Emitted only
-          when a live-in predictor is enabled
-          ([Mssp_core.Mssp_config.predict]), right after the [Verify]
-          event for the same task — runs with prediction off stay
-          bit-identical. *)
   | Slave_start of { cycle : int; task : int; slave : int }
   | Slave_finish of {
       cycle : int;
@@ -201,8 +193,6 @@ module Summary : sig
     mutable committed_live_outs : int;
     mutable live_ins_checked : int;  (** summed over [Verify] events *)
     mutable predicted_bindings : int;  (** summed over [Predict] events *)
-    mutable predict_hits : int;  (** summed over [Predict_outcome] events *)
-    mutable predict_misses : int;
     mutable squashes : int;
     mutable discarded : int;  (** summed over [Squash.discarded] *)
     mutable bad_prediction : int;

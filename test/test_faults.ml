@@ -5,9 +5,9 @@
    - every absorbable surface at full intensity is absorbed: the run
      halts (no watchdog needed) with final architected state equal to
      SEQ, only stats/cycles move;
-   - a compiled-in-but-disabled subsystem changes nothing: cycles,
-     stats and the full event stream are bit-identical (the semantic
-     twin of the FAULTG perf guard);
+   - a compiled-in-but-disabled subsystem changes nothing, nor do the
+     no-effect predictor pins: cycles, stats and the full event stream
+     are bit-identical (the semantic twin of the FAULTG perf guard);
    - QCheck edges for dual mode: fallback engages exactly at
      [dual_trigger] consecutive squashes, bursts retire at least
      [dual_burst] instructions unless the run ends inside one, and
@@ -160,9 +160,12 @@ let test_surfaces_absorbed () =
 (* --- zero cost when disabled ------------------------------------------ *)
 
 let test_disabled_plan_changes_nothing () =
-  (* a compiled-in plan whose actions can never fire (p = 0): cycles,
-     stats and the complete event stream must be bit-identical to a run
-     with the subsystem off — the semantic half of the FAULTG guard *)
+  (* settings that are compiled in but can never act: a plan whose
+     actions never fire (p = 0), and the no-effect predictor pins, set
+     as the repo benchmark's adapt leg sets them. Cycles, stats and the
+     complete event stream must be bit-identical to a default run — the
+     semantic half of the FAULTG guard, and what keeps the benchmark's
+     adapt_gain meaningful *)
   let d = distill_of small_program in
   let benign =
     Plan.make
@@ -171,15 +174,26 @@ let test_disabled_plan_changes_nothing () =
          Plan.absorbable_surfaces)
   in
   let off, ev_off = traced_run ~config:Config.default d in
-  let on, ev_on =
-    traced_run ~config:{ Config.default with Config.faults = Some benign } d
-  in
-  check "cycles identical" true (off.M.stats.M.cycles = on.M.stats.M.cycles);
-  check "stats identical" true (same_outcome off on);
-  check_int "no faults fired" 0 on.M.stats.M.faults_injected;
-  check "event streams identical" true
-    (List.length ev_off = List.length ev_on
-    && List.for_all2 Trace.event_equal ev_off ev_on)
+  List.iter
+    (fun (name, config) ->
+      let on, ev_on = traced_run ~config d in
+      check (name ^ ": cycles identical") true
+        (off.M.stats.M.cycles = on.M.stats.M.cycles);
+      check (name ^ ": stats identical") true
+        (off.M.stats = on.M.stats && same_outcome off on);
+      check_int (name ^ ": no faults fired") 0 on.M.stats.M.faults_injected;
+      check (name ^ ": event streams identical") true
+        (List.length ev_off = List.length ev_on
+        && List.for_all2 Trace.event_equal ev_off ev_on))
+    [
+      ("disabled plan", { Config.default with Config.faults = Some benign });
+      ( "predictor pins",
+        {
+          Config.default with
+          Config.predict = Mssp_predict.Predict.Tournament;
+          predict_seed = 12345;
+        } );
+    ]
 
 (* --- oracle: program x plan ------------------------------------------- *)
 

@@ -227,7 +227,7 @@ let test_broken_commit_caught_and_shrunk () =
 
 (* a finding ships the standard trail: the shrunk repro, its JSONL
    event trail beside it, and a comment line with the trace's squash
-   attribution and predictor outcomes *)
+   attribution *)
 let test_traced_finding () =
   let dir = Filename.temp_file "mssp_fuzz_trace" "" in
   Sys.remove dir;
@@ -242,9 +242,9 @@ let test_traced_finding () =
     (fun (f : Driver.finding) ->
       match (f.Driver.repro_path, f.Driver.trace_path) with
       | Some repro, Some trail ->
-        check "repro comment carries the trace's predictor outcomes" true
+        check "repro comment carries the trace's squash attribution" true
           (contains (read repro) "trace [chaos-commit]: "
-          && contains (read repro) "hits /");
+          && contains (read repro) "squashed (bad-prediction ");
         check "non-empty trail beside the repro" true
           (Filename.dirname trail = dir && read trail <> "")
       | _ -> Alcotest.fail "finding without a repro and a trail")
@@ -350,8 +350,6 @@ let () =
             (test_campaign_smoke Driver.Faults);
           Alcotest.test_case "campaign smoke distill" `Quick
             (test_campaign_smoke Driver.Distill);
-          Alcotest.test_case "campaign smoke predict" `Quick
-            (test_campaign_smoke Driver.Predict);
           Alcotest.test_case "save counts saved programs" `Quick
             test_campaign_saves;
         ] );

@@ -95,104 +95,6 @@ let test_overwrite_clears_communication () =
   | Some d -> check "site B communicates at distance 1" true (d = 1)
   | None -> Alcotest.fail "site B missing"
 
-(* --- per-cell observation streams (value-predictor warm-up food) ----- *)
-
-let test_cell_streams () =
-  let a = ref 0 and b_addr = ref 0 in
-  let p =
-    build (fun b ->
-        a := Dsl.alloc b 1;
-        b_addr := Dsl.alloc b 1;
-        Dsl.li b t0 5;
-        Dsl.st_addr b t0 !a;
-        Dsl.ld_addr b t1 !a;
-        Dsl.li b t2 7;
-        Dsl.st_addr b t2 !a;
-        Dsl.li b t3 3;
-        Dsl.st_addr b t3 !b_addr;
-        Dsl.halt b)
-  in
-  let prof = Profile.collect p in
-  (* loads AND stores both observe: st 5, ld 5, st 7 *)
-  Alcotest.(check (list int)) "stream in execution order" [ 5; 5; 7 ]
-    (Profile.cell_observations prof !a);
-  Alcotest.(check (list int)) "second cell" [ 3 ]
-    (Profile.cell_observations prof !b_addr);
-  Alcotest.(check (list int)) "untouched address" []
-    (Profile.cell_observations prof 0xdead);
-  let cells = Profile.observed_cells prof in
-  check "both cells observed" true (List.mem !a cells && List.mem !b_addr cells);
-  check "observed_cells ascending" true (List.sort Int.compare cells = cells)
-
-let test_cell_stream_cap () =
-  let cell = ref 0 in
-  let p =
-    build (fun b ->
-        cell := Dsl.alloc b 1;
-        Dsl.li b t0 300;
-        Dsl.label b "loop";
-        Dsl.st_addr b t0 !cell;
-        Dsl.alui b Instr.Sub t0 t0 1;
-        Dsl.br b Instr.Gt t0 zero "loop";
-        Dsl.halt b)
-  in
-  let prof = Profile.collect p in
-  let s = Profile.cell_observations prof !cell in
-  check_int "capped" Profile.cell_stream_cap (List.length s);
-  check_int "keeps the earliest window" 300 (List.hd s);
-  check_int "last kept observation"
-    (300 - Profile.cell_stream_cap + 1)
-    (List.nth s (Profile.cell_stream_cap - 1))
-
-(* a cell stored far past the cap keeps exactly the first
-   [cell_stream_cap] values, oldest first *)
-let test_cell_stream_cap_long () =
-  let cell = ref 0 in
-  let p =
-    build (fun b ->
-        cell := Dsl.alloc b 1;
-        Dsl.li b t0 0;
-        Dsl.li b t1 1000;
-        Dsl.label b "loop";
-        Dsl.st_addr b t0 !cell;
-        Dsl.alui b Instr.Add t0 t0 1;
-        Dsl.br b Instr.Lt t0 t1 "loop";
-        Dsl.halt b)
-  in
-  let prof = Profile.collect p in
-  Alcotest.(check (list int)) "first cap values, oldest first"
-    (List.init Profile.cell_stream_cap Fun.id)
-    (Profile.cell_observations prof !cell)
-
-let test_cell_stream_determinism () =
-  (* the observation order is the single-threaded collection run's own:
-     two collections agree exactly, and observed_cells is sorted — no
-     hashtable iteration order leaks to consumers, so predictor warm-up
-     is identical whatever --jobs parallelism does downstream *)
-  let a = ref 0 in
-  let p =
-    build (fun b ->
-        a := Dsl.alloc b 2;
-        Dsl.li b t0 10;
-        Dsl.label b "loop";
-        Dsl.st_addr b t0 !a;
-        Dsl.ld_addr b t1 !a;
-        Dsl.st_addr b t1 (!a + 1);
-        Dsl.alui b Instr.Sub t0 t0 1;
-        Dsl.br b Instr.Gt t0 zero "loop";
-        Dsl.halt b)
-  in
-  let p1 = Profile.collect p and p2 = Profile.collect p in
-  Alcotest.(check (list int)) "observed_cells stable"
-    (Profile.observed_cells p1) (Profile.observed_cells p2);
-  List.iter
-    (fun addr ->
-      Alcotest.(check (list int))
-        (Printf.sprintf "stream at %#x stable" addr)
-        (Profile.cell_observations p1 addr)
-        (Profile.cell_observations p2 addr))
-    (Profile.observed_cells p1)
-
 let test_profile_stops () =
   let p = build (fun b -> Dsl.label b "spin"; Dsl.jmp b "spin") in
   let prof = Profile.collect ~fuel:100 p in
@@ -209,12 +111,6 @@ let () =
           Alcotest.test_case "store comm distance" `Quick test_store_comm_distance;
           Alcotest.test_case "overwrite clears comm" `Quick
             test_overwrite_clears_communication;
-          Alcotest.test_case "cell streams" `Quick test_cell_streams;
-          Alcotest.test_case "cell stream cap" `Quick test_cell_stream_cap;
-          Alcotest.test_case "cell stored 1,000 times" `Quick
-            test_cell_stream_cap_long;
-          Alcotest.test_case "cell stream determinism" `Quick
-            test_cell_stream_determinism;
           Alcotest.test_case "fuel stop" `Quick test_profile_stops;
         ] );
     ]

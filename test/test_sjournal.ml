@@ -5,15 +5,14 @@
    — in status, retirement count, write buffer, [on_access] sequence,
    and above all the first-read journal in content *and order* (the
    verification unit replays it in serial first-read order; squash
-   attribution and predictor training key on that order). [Task.run]
-   decodes through the program's pre-decoded image, as the machine's
-   slaves do; the spec slave decodes every word afresh. Hand-written
-   shapes cover loops, boundaries, budgets, self-patching code, code
-   rewritten between runs, I/O latching, faults and isolated-view
-   misses; QCheck covers generated programs (default and SMC-heavy
-   weights) on both views; and two machine legs pin code that a commit
-   or a recovery segment rewrites between a slave's tasks against
-   SEQ. *)
+   attribution keys on that order). [Task.run] decodes through the
+   program's pre-decoded image, as the machine's slaves do; the spec
+   slave decodes every word afresh. Hand-written shapes cover loops,
+   boundaries, budgets, self-patching code, code rewritten between
+   runs, I/O latching, faults and isolated-view misses; QCheck covers
+   generated programs (default and SMC-heavy weights) on both views;
+   and two machine legs pin code that a commit or a recovery segment
+   rewrites between a slave's tasks against SEQ. *)
 
 module Full = Mssp_state.Full
 module Cell = Mssp_state.Cell

@@ -1,12 +1,11 @@
 (* The golden-trace harness: the structured event bus is pinned down by
    - nine committed golden traces (vecsum, listwalk, a garbage
      adversarial master, a deliberately broken chaos-commit run, a
-     benign always-absorbed fault plan, a stride-friendly kernel
-     under the tournament live-in predictor, an amnesiac master under
-     dual mode stopped by the squash limit, isolated slaves and a
-     control-only master) that
-     every [dune runtest] replays and structurally diffs
-     ([PROMOTE_GOLDEN=1] / `make promote-golden` rewrites them);
+     benign always-absorbed fault plan, the fir kernel, an amnesiac
+     master under dual mode stopped by the squash limit, isolated
+     slaves and a control-only master) that every [dune runtest]
+     replays and structurally diffs ([PROMOTE_GOLDEN=1] /
+     `make promote-golden` rewrites them);
    - the acceptance criterion of the tracing subsystem: a fold over the
      JSONL stream ALONE reproduces every stats field an event carries,
      on runs stopped by the squash limit too; the fold allocates under
@@ -28,7 +27,6 @@ module Adversary = Mssp_workload.Adversary
 module Trace = Mssp_trace.Trace
 module Tjson = Mssp_trace.Tjson
 module Gen = Mssp_fuzz.Gen
-module Predict = Mssp_predict.Predict
 module Plan = Mssp_faults.Plan
 
 let check = Alcotest.(check bool)
@@ -54,7 +52,7 @@ let distill_bench name ~size ~train =
    randomness. Two well-behaved runs, one adversarial master (master
    death + task-budget attribution), one deliberately broken commit
    unit (commit-then-mismatch churn), one benign fault plan (every
-   fault absorbed; pins the Fault event serialization), one predicted
+   fault absorbed; pins the Fault event serialization), the fir
    kernel, one amnesiac master stopped by the squash limit, and the
    isolated-slave and control-only-master modes. *)
 
@@ -106,24 +104,12 @@ let golden_cases =
         run_traced
           ~config:{ base2 with Config.task_size = 20; faults = Some plan }
           (distill_bench "vecsum" ~size:160 ~train:40) );
-    (* a stride-friendly kernel under the tournament live-in predictor,
-       warmed from the training profile: pins the [Predict_outcome]
-       event serialization (hit/miss attribution right after each
-       Verify) and the determinism of prediction itself *)
-    ( "predicted_stride",
+    (* a strided multiply-accumulate kernel *)
+    ( "fir",
       fun () ->
-        let b = W.find "fir" in
-        let program = b.W.program ~size:120 in
-        let profile = Profile.collect (b.W.program ~size:40) in
         run_traced
-          ~config:
-            {
-              base2 with
-              Config.task_size = 20;
-              predict = Predict.Tournament;
-              predict_warmup = Predict.warmup_of_profile profile;
-            }
-          (Distill.distill program profile) );
+          ~config:{ base2 with Config.task_size = 20 }
+          (distill_bench "fir" ~size:120 ~train:40) );
     (* a master that dies at every restart, under dual mode and a
        squash cap: pins master-dead squashes, sequential bursts
        ([burst: true]) and the [squash_limit] stop *)
@@ -233,8 +219,6 @@ let derived (st : M.stats) (s : Trace.Summary.t) =
     ("sequential_bursts", st.M.sequential_bursts, s.bursts);
     ("live_ins_checked", st.M.live_ins_checked, s.live_ins_checked);
     ("live_outs_committed", st.M.live_outs_committed, s.committed_live_outs);
-    ("predict_hits", st.M.predict_hits, s.predict_hits);
-    ("predict_misses", st.M.predict_misses, s.predict_misses);
     ("slave_busy_cycles", st.M.slave_busy_cycles, s.slave_busy_cycles);
     ("cycles = last_cycle", st.M.cycles, s.last_cycle);
   ]
