@@ -72,11 +72,13 @@ type checkpoint = {
   cp_id : int;
   cp_entry : int;
   cp_live_in : Live_in.t;
-  mutable cp_end : (int option * int) option;
-      (** [None] until the end boundary is known, then the end PC ([None]
-          when the master died first) and which arrival at it is the
-          boundary: the master's count of its own passes over that marker
-          within this task *)
+  mutable cp_end_pc : int option;
+      (** the end PC once the end boundary is known; [None] when the
+          master died first *)
+  mutable cp_end_occurrence : int;
+      (** 0 until the end boundary is known, then which arrival at
+          [cp_end_pc] is the boundary: the master's count of its own
+          passes over that marker within this task *)
   mutable cp_task : Task.t option;
   mutable cp_finished : bool;
 }
@@ -236,30 +238,33 @@ let emit m ev =
   Trace.Summary.add m.summary ev;
   match m.cfg.tracer with None -> () | Some tr -> Trace.emit tr ev
 
-(* Event guard: drop every event once the machine has stopped, stop on
-   the cycle limit, and poll the cooperative cancellation hook. *)
-let guarded m thunk () =
+(* Event admission, run by [Sim.run] before every event, stale ones
+   included: drop every event once the machine has stopped, stop on the
+   cycle limit, and poll the cooperative cancellation hook. [Sim.run]
+   then drops stale (squashed) events: those [Sim.schedule_guarded]
+   stamped with an epoch a squash has since bumped. *)
+let admit m () =
   match m.stop with
-  | Some _ -> ()
+  | Some _ -> false
   | None -> (
-    if now m > m.cfg.max_cycles then halt m Cycle_limit
+    if now m > m.cfg.max_cycles then begin
+      halt m Cycle_limit;
+      false
+    end
     else
       match m.cfg.interrupt with
-      | None -> thunk ()
+      | None -> true
       | Some poll ->
         m.interrupt_countdown <- m.interrupt_countdown - 1;
-        if m.interrupt_countdown > 0 then thunk ()
+        if m.interrupt_countdown > 0 then true
         else begin
           m.interrupt_countdown <- interrupt_stride;
           match poll () with
-          | Some why -> halt m (Interrupted why)
-          | None -> thunk ()
+          | Some why ->
+            halt m (Interrupted why);
+            false
+          | None -> true
         end)
-
-(* ...and drop stale (squashed) events too *)
-let epoch_guarded m thunk =
-  let ep = Sim.epoch m.sim in
-  guarded m (fun () -> if not (Sim.cancelled m.sim ep) then thunk ())
 
 let advance_shadow m k =
   match m.shadow with
@@ -339,8 +344,8 @@ and master_go m budget cost =
         Mem_log.clear m.m_passes;
         m.m_since_cp <- 0;
         let li = checkpoint_live_in m.cfg ~entry:e m.m_state ~dirty:m.m_dirty in
-        Sim.schedule m.sim ~delay:(cost + m.cfg.timing.master_base)
-          (epoch_guarded m (fun () -> handle_fork m e li occurrence))
+        Sim.schedule_guarded m.sim ~delay:(cost + m.cfg.timing.master_base)
+          (fun () -> handle_fork m e li occurrence)
       end
     | Some instr ->
       let c =
@@ -368,11 +373,13 @@ and master_note_pass m e =
 and master_stop m cost =
   m.m_dead <- true;
   emit m (Trace.Master_stop { cycle = now m; pc = Full.pc m.m_state });
-  Sim.schedule m.sim ~delay:cost (epoch_guarded m (fun () -> on_master_dead m))
+  Sim.schedule_guarded m.sim ~delay:cost (fun () -> on_master_dead m)
 
 and on_master_dead m =
   (match m.last_cp with
-  | Some cp when Option.is_none cp.cp_end -> cp.cp_end <- Some (None, 1)
+  | Some cp when cp.cp_end_occurrence = 0 ->
+    cp.cp_end_pc <- None;
+    cp.cp_end_occurrence <- 1
   | Some _ | None -> ());
   try_start_tasks m;
   commit_kick m
@@ -385,8 +392,9 @@ and handle_fork m e li occurrence =
      (otherwise a window of 1 deadlocks: the lone task could never
      learn its end). *)
   (match m.last_cp with
-  | Some cp when Option.is_none cp.cp_end ->
-    cp.cp_end <- Some (Some e, occurrence);
+  | Some cp when cp.cp_end_occurrence = 0 ->
+    cp.cp_end_pc <- Some e;
+    cp.cp_end_occurrence <- occurrence;
     try_start_tasks m
   | Some _ | None -> ());
   spawn_or_wait m e li
@@ -407,7 +415,8 @@ and spawn m e li =
       cp_id = id;
       cp_entry = e;
       cp_live_in = maybe_corrupt m id li;
-      cp_end = None;
+      cp_end_pc = None;
+      cp_end_occurrence = 0;
       cp_task = None;
       cp_finished = false;
     }
@@ -468,46 +477,45 @@ and try_start_tasks m =
      the window. *)
   Queue.iter
     (fun cp ->
-      if Option.is_none cp.cp_task && Option.is_some cp.cp_end then
-        match find_free_slave m 0 with
-        | None -> ()
-        | Some s -> start_task m cp s)
+      if Option.is_none cp.cp_task && cp.cp_end_occurrence > 0 then begin
+        let s = find_free_slave m 0 in
+        if s >= 0 then start_task m cp s
+      end)
     m.window
 
+(* the lowest-numbered free slave, or -1 *)
 and find_free_slave m i =
-  if i = m.cfg.slaves then None
-  else if m.slave_free.(i) then Some i
+  if i = m.cfg.slaves then -1
+  else if m.slave_free.(i) then i
   else find_free_slave m (i + 1)
 
 and start_task m cp s =
   m.slave_free.(s) <- false;
-  let end_pc, end_occurrence = Option.get cp.cp_end in
   let reads, writes = take_journals m in
   let task =
-    Task.with_decode m.decode
-      (Task.make ~id:cp.cp_id ~start_pc:cp.cp_entry ~end_pc ~end_occurrence
-         ~budget:m.cfg.task_budget ~live_in:cp.cp_live_in ~reads ~writes)
+    Task.make ~id:cp.cp_id ~start_pc:cp.cp_entry ~end_pc:cp.cp_end_pc
+      ~end_occurrence:cp.cp_end_occurrence ~budget:m.cfg.task_budget
+      ~live_in:cp.cp_live_in ~decode:m.decode ~reads ~writes
   in
   cp.cp_task <- Some task;
   let cost = run_task_body m s task in
   emit m (Trace.Slave_start { cycle = now m; task = cp.cp_id; slave = s });
   let t = m.cfg.timing in
   let total = t.spawn_latency + (t.slave_base * task.Task.executed) + cost in
-  Sim.schedule m.sim ~delay:total
-    (epoch_guarded m (fun () ->
-         cp.cp_finished <- true;
-         emit m
-           (Trace.Slave_finish
-              {
-                cycle = now m;
-                task = cp.cp_id;
-                slave = s;
-                executed = task.Task.executed;
-                ok = completed task;
-              });
-         m.slave_free.(s) <- true;
-         try_start_tasks m;
-         commit_kick m))
+  Sim.schedule_guarded m.sim ~delay:total (fun () ->
+      cp.cp_finished <- true;
+      emit m
+        (Trace.Slave_finish
+           {
+             cycle = now m;
+             task = cp.cp_id;
+             slave = s;
+             executed = task.Task.executed;
+             ok = completed task;
+           });
+      m.slave_free.(s) <- true;
+      try_start_tasks m;
+      commit_kick m)
 
 and take_journals m =
   match m.spare_journals with
@@ -544,7 +552,7 @@ and commit_kick m =
      actual verify/commit costs happens via the delayed continuation in
      [commit]. Multiple kicks at the same instant are harmless: the head
      is popped before the next event runs. *)
-  Sim.schedule m.sim ~delay:0 (epoch_guarded m (fun () -> commit_head m))
+  Sim.schedule_guarded m.sim ~delay:0 (fun () -> commit_head m)
 
 and commit_head m =
   if not m.commit_busy then
@@ -611,11 +619,10 @@ and commit m cp task n_live_ins =
       + (t.commit_per_live_out * ceil_div n_outs t.commit_parallelism)
     in
     m.commit_busy <- true;
-    Sim.schedule m.sim ~delay:cost
-      (epoch_guarded m (fun () ->
-           m.commit_busy <- false;
-           wake_master m;
-           commit_head m))
+    Sim.schedule_guarded m.sim ~delay:cost (fun () ->
+        m.commit_busy <- false;
+        wake_master m;
+        commit_head m)
 
 (* [Commit_corrupt]: the DELIBERATELY broken verify/commit unit. After a
    verified commit, corrupt one committed memory live-out in architected
@@ -661,21 +668,20 @@ and start_recovery m =
   match outcome with
   | `Stopped ->
     (* the program halted (or faulted) during recovery: done *)
-    Sim.schedule m.sim ~delay:cycles (guarded m (fun () -> halt m Halted))
+    Sim.schedule m.sim ~delay:cycles (fun () -> halt m Halted)
   | `Fuel -> halt m Recovery_fuel
   | `At_entry -> (
     match Distill.distilled_entry_for m.d (Full.pc m.arch) with
     | None ->
       (* no distilled entry here (shouldn't happen: entries are filtered
          to mapped ones) — keep recovering *)
-      Sim.schedule m.sim ~delay:cycles
-        (epoch_guarded m (fun () -> start_recovery m))
+      Sim.schedule_guarded m.sim ~delay:cycles (fun () -> start_recovery m)
     | Some dpc ->
       reseed m dpc;
       emit m (Trace.Restart { cycle = now m; pc = dpc });
-      Sim.schedule m.sim
+      Sim.schedule_guarded m.sim
         ~delay:(cycles + m.cfg.timing.restart_latency)
-        (epoch_guarded m (fun () -> master_run m)))
+        (fun () -> master_run m))
 
 (* Discard all speculative work: the window (its started tasks' journals
    go back to the free list), the slaves, the L1s and the master's
@@ -805,8 +811,8 @@ let close m (outcome : Sim.outcome) =
 
 let run ?(config = Mssp_config.default) ?wrap_store d =
   let m = create ?wrap_store config d in
-  Sim.schedule m.sim ~delay:0 (guarded m (fun () -> master_run m));
-  close m (Sim.run ~limit:config.max_cycles m.sim)
+  Sim.schedule m.sim ~delay:0 (fun () -> master_run m);
+  close m (Sim.run ~limit:config.max_cycles ~admit:(admit m) m.sim)
 
 let fold_check ~dropped (s : Trace.Summary.t) (st : stats) =
   if dropped > 0 then

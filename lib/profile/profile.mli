@@ -8,33 +8,40 @@
     approximateness comes from the training input differing from the
     reference input. *)
 
-type branch_stats = {
-  mutable taken : int;
-  mutable not_taken : int;
-}
-
-type store_stats = {
-  mutable store_executions : int;
-  mutable min_comm_distance : int;
-      (** smallest dynamic-instruction distance at which a value written
-          by this site was loaded back before being overwritten;
-          [max_int] if never read back. Short-distance stores communicate
-          through the master's predictions; long-distance ones flow
-          through architected state, so the distiller can drop them from
-          the master's code. *)
-}
+type sites
+(** The per-PC counters: flat [int] arrays indexed by a PC's offset in
+    the program's code image, so counting an instruction is an array
+    increment. PCs executed outside the image (a jump into data the
+    program wrote, say) get slots past the image's, handed out through a
+    {!Mssp_state.Mem_log} in first-execution order, so the profile is
+    exact for every program. Per slot: executions, a branch's taken and
+    fall-through counts, a store's executions, and a store's smallest
+    store-to-load communication distance: the fewest dynamic
+    instructions between a store and a load that read the value it
+    wrote before any store overwrote it ([max_int] if never read back).
+    Short-distance stores communicate through the master's predictions;
+    long-distance ones flow through architected state, so the distiller
+    can drop them from the master's code. *)
 
 type t = {
-  block_counts : (int, int) Hashtbl.t;  (** pc of executed instruction -> count *)
-  branches : (int, branch_stats) Hashtbl.t;  (** branch pc -> outcomes *)
-  stores : (int, store_stats) Hashtbl.t;  (** store pc -> communication *)
-  mutable dynamic_instructions : int;
-  mutable stop : Mssp_seq.Machine.stop option;
+  dynamic_instructions : int;  (** instructions retired *)
+  stop : Mssp_seq.Machine.stop option;
+      (** why the run ended: [Halted], [Faulted] or [Out_of_fuel];
+          always [Some] *)
+  sites : sites;
 }
 
 val collect : ?fuel:int -> Mssp_isa.Program.t -> t
 (** Run the program to completion (default fuel 100M instructions) and
-    record the profile. *)
+    record the profile.
+
+    The run is {!Mssp_seq.Machine.run}'s direct step: fetch through
+    memory, decode through the program's pre-decoded image,
+    {!Mssp_seq.Exec.exec}; fuel is checked before each instruction.
+    The last store to each address is kept in a
+    {!Mssp_state.Mem_log} from address to store site, with the store's
+    dynamic index in a parallel array, so a step allocates nothing once
+    the tables have grown. *)
 
 val exec_count : t -> int -> int
 (** Times the instruction at a PC executed. *)

@@ -11,13 +11,14 @@
       and the formal models run on it.
     - the {e direct step} on a {!Mssp_state.Full.t} ({!exec}, and
       {!timed_exec} which charges a cache hierarchy and then calls
-      {!exec}): whole SEQ runs, recovery segments, the master and the
-      timed baselines. Checked against the specification by
-      test_sblock (whole runs against a loop of {!Machine.step}), by
-      the fuzz oracle (its SEQ reference runs on the direct step, every
-      MSSP run's refinement shadow single-steps the specification) and,
-      for the cache charges, by test_baseline's closure-charged
-      timed-step differential.
+      {!exec}): whole SEQ runs, recovery segments, the profiler, the
+      master and the timed baselines. Checked against the specification
+      by test_sblock (whole runs against a loop of {!Machine.step}), by
+      test_profile (the profiler against a hash-table profiler over
+      {!Machine.step}), by the fuzz oracle (its SEQ reference runs on
+      the direct step, every MSSP run's refinement shadow single-steps
+      the specification) and, for the cache charges, by test_baseline's
+      closure-charged timed-step differential.
     - the {e slave journal step} ({!Mssp_task.Task.run}), which
       evaluates each instruction straight on a task's journal stack
       (write buffer, live-in, view). Checked against a spec slave — a

@@ -6,12 +6,13 @@
 
     Whole-run entry points ({!run}, {!run_until}) execute through the
     direct step ({!Exec.exec}), fetching through memory and decoding
-    through the machine's decoder. {!step}, {!next}, {!seq} and
-    {!seq_in_place} single-step the specification ({!Exec.step}) —
-    per-instruction observers (the profiler, the verification shadow)
-    see the plain {!Exec.step} loop. A whole run and a loop of {!step}
-    agree on the result and on the instruction/load/store counters
-    (test_sblock). *)
+    through the machine's decoder; so does the profiler
+    ([Mssp_profile.Profile.collect]), which inlines the same loop to
+    observe each instruction. {!step}, {!next}, {!seq} and
+    {!seq_in_place} single-step the specification ({!Exec.step}): the
+    verification shadow and the formal models see the plain
+    {!Exec.step} loop. A whole run and a loop of {!step} agree on the
+    result and on the instruction/load/store counters (test_sblock). *)
 
 type stop = Halted | Faulted of Exec.fault | Out_of_fuel
 

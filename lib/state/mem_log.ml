@@ -52,7 +52,16 @@ let rec probe l a i =
   else if Array.unsafe_get l.addrs (s - 1) = a then s - 1
   else probe l a ((i + 1) land l.mask)
 
-let index l a = if a < l.lo || a > l.hi then -1 else probe l a (home l.shift a)
+(* inlined into every caller with the first probe unrolled: a hit at
+   its home slot or a miss on an empty one pays no call *)
+let[@inline] index l a =
+  if a < l.lo || a > l.hi then -1
+  else
+    let i = home l.shift a in
+    let s = Array.unsafe_get l.slots i in
+    if s = 0 then -1
+    else if Array.unsafe_get l.addrs (s - 1) = a then s - 1
+    else probe l a ((i + 1) land l.mask)
 let get l i = Array.unsafe_get l.vals i
 let set_at l i v = Array.unsafe_set l.vals i v
 let count l = l.n

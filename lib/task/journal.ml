@@ -40,7 +40,7 @@ let set_reg j i v =
   Array.unsafe_set j.regs i v;
   j.reg_mask <- j.reg_mask lor (1 lsl i)
 
-let mem_index j a = Mem_log.index j.mem a
+let[@inline] mem_index j a = Mem_log.index j.mem a
 let mem_at j i = Mem_log.get j.mem i
 let mem_count j = Mem_log.count j.mem
 let mem_addr j i = Mem_log.addr j.mem i

@@ -42,8 +42,8 @@ type t = {
   decode : pc:int -> word:int -> Mssp_isa.Instr.t option;
 }
 
-let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in ~reads
-    ~writes =
+let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in ~decode
+    ~reads ~writes =
   (* The live-in is held by reference: its register file is read in
      place and its memory part is a view of the master's write layers
      (thousands of cells on long runs), looked up in place. The journals are the caller's: the machine
@@ -66,10 +66,8 @@ let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in ~reads
     writes;
     executed = 0;
     status = Running;
-    decode = Exec.default_decode;
+    decode;
   }
-
-let with_decode decode t = { t with decode }
 
 type view = Isolated | Fallback of Full.t
 

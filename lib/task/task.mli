@@ -69,9 +69,9 @@ type t = {
   mutable executed : int;  (** the paper's [k] — instructions so far *)
   mutable status : status;
   decode : pc:int -> word:int -> Mssp_isa.Instr.t option;
-      (** decoder for fetched words (default {!Exec.default_decode});
-          a pre-decoded image decoder here short-circuits per-word
-          decode without changing the access sequence *)
+      (** decoder for fetched words; a pre-decoded image decoder here
+          short-circuits per-word decode without changing the access
+          sequence *)
 }
 
 val make :
@@ -81,12 +81,19 @@ val make :
   end_occurrence:int ->
   budget:int ->
   live_in:Mssp_state.Live_in.t ->
+  decode:(pc:int -> word:int -> Mssp_isa.Instr.t option) ->
   reads:Journal.t ->
   writes:Journal.t ->
   t
 (** A fresh task ([⟨S_in, n, S_in, 0⟩] in the paper's tuple form). The
     [Pc ↦ start_pc] binding is added to [live_in] if absent — the task's
     start position is itself a live-in and is verified like any other.
+
+    [decode] must agree with [Instr.decode]: {!Mssp_seq.Exec.default_decode},
+    or, as the machine passes, an {!Mssp_isa.Program.image_decoder} over
+    the original and distilled images. Every fetch still reads memory
+    through the journal stack, so the access sequence and the recorded
+    live-ins are the same with any agreeing decoder.
 
     [reads] and [writes] become the task's recordings and write buffer;
     they must be empty ({!Journal.create} or {!Journal.clear}ed), else
@@ -100,14 +107,6 @@ val make :
     resolves write buffer, then {!Mssp_state.Live_in.find_mem}, then
     the view — the same values, in the same order, as a
     task whose whole live-in had been flattened into a journal. *)
-
-val with_decode : (pc:int -> word:int -> Mssp_isa.Instr.t option) -> t -> t
-(** A copy of a fresh task using the given decoder. [decode] must agree
-    with [Instr.decode]; the machine passes an
-    {!Mssp_isa.Program.image_decoder} over the original and distilled
-    images. Every fetch still reads memory through the journal stack,
-    so the access sequence and the recorded live-ins are the same with
-    any agreeing decoder. *)
 
 (** How reads outside the write buffer and live-in set are satisfied. *)
 type view =

@@ -148,6 +148,7 @@ let test_printers_total () =
         (Mssp_task.Task.make ~id:0 ~start_pc:p.Mssp_isa.Program.entry
            ~end_pc:None ~end_occurrence:1 ~budget:10
            ~live_in:(Mssp_state.Live_in.of_pc p.Mssp_isa.Program.entry)
+           ~decode:Mssp_seq.Exec.default_decode
            ~reads:(Mssp_task.Journal.create ())
            ~writes:(Mssp_task.Journal.create ()));
     ]

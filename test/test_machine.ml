@@ -363,9 +363,8 @@ let test_task_allocation () =
   in
   let run (arch, decode, entry) =
     let task =
-      Task.with_decode decode
-        (Task.make ~id:0 ~start_pc:entry ~end_pc:None ~end_occurrence:1
-           ~budget:max_int ~live_in:(Live_in.of_pc entry) ~reads ~writes)
+      Task.make ~id:0 ~start_pc:entry ~end_pc:None ~end_occurrence:1
+        ~budget:max_int ~live_in:(Live_in.of_pc entry) ~decode ~reads ~writes
     in
     let w0 = Gc.minor_words () in
     let status = Task.run task (Task.Fallback arch) in
@@ -395,7 +394,8 @@ let test_verify_commit_allocation () =
   let task =
     Task.make ~id:0 ~start_pc:(Full.pc arch) ~end_pc:None ~end_occurrence:1
       ~budget:1 ~live_in:(Live_in.of_pc (Full.pc arch))
-      ~reads:(Journal.create ()) ~writes:(Journal.create ())
+      ~decode:Mssp_seq.Exec.default_decode ~reads:(Journal.create ())
+      ~writes:(Journal.create ())
   in
   let fill j =
     Journal.set_pc j (Full.pc arch);
@@ -431,6 +431,31 @@ let test_verify_commit_allocation () =
     (Printf.sprintf "%.1f words per verify, %.1f per commit (0)" verify commit)
     true
     (verify = 0. && commit = 0.)
+
+(* Every committed task costs the machine a fixed budget of minor words:
+   its fork's live-in and checkpoint, the events that spawn, finish,
+   verify and commit it, and their trace events. The words a larger
+   vecsum adds per task it adds are that budget: about 172, where
+   closure-wrapped, boxed queue entries and a boxed task end read about
+   283. *)
+let test_words_per_task () =
+  let b = W.find "vecsum" in
+  let profile = Profile.collect (b.W.program ~size:b.W.train_size) in
+  let measure size =
+    let d = Distill.distill (b.W.program ~size) profile in
+    ignore (M.run d : M.result);
+    let w0 = Gc.minor_words () in
+    let r = M.run d in
+    check "halted" true (r.M.stop = M.Halted);
+    (Gc.minor_words () -. w0, r.M.stats.M.tasks_committed)
+  in
+  let w1, n1 = measure 400 and w2, n2 = measure 4_000 in
+  let per = (w2 -. w1) /. float_of_int (n2 - n1) in
+  check
+    (Printf.sprintf "%.1f minor words per extra committed task (%d more; < 230)"
+       per (n2 - n1))
+    true
+    (n2 > n1 && per < 230.)
 
 (* The master skips the PC-map probe inside the distilled image, which
    is only sound while no [pc_map] key lies there: every registry
@@ -713,6 +738,7 @@ let () =
           Alcotest.test_case "task allocation" `Quick test_task_allocation;
           Alcotest.test_case "verify and commit allocation" `Quick
             test_verify_commit_allocation;
+          Alcotest.test_case "words per task" `Quick test_words_per_task;
           Alcotest.test_case "pc map outside distilled code" `Quick
             test_pc_map_outside_distilled;
           Alcotest.test_case "live-in in every mode" `Quick test_live_in_modes;

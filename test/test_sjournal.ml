@@ -127,20 +127,19 @@ let journal_list iter t =
 let observe ~spec ?(budget = 5_000) ?end_pc ?(end_occurrence = 1)
     ?(live_in = Fragment.empty) ?start_pc view (p : Program.t) =
   let start_pc = Option.value start_pc ~default:p.Program.entry in
+  let decode =
+    if spec then Mssp_seq.Exec.default_decode
+    else Program.image_decoder [ Program.decode_all p ]
+  in
   let t =
     Task.make ~id:0 ~start_pc ~end_pc ~end_occurrence ~budget
-      ~live_in:(Live_in.of_fragment live_in)
+      ~live_in:(Live_in.of_fragment live_in) ~decode
       ~reads:(Journal.create ()) ~writes:(Journal.create ())
   in
   let acc = ref [] in
   let on_access a = acc := a :: !acc in
-  let t, status =
-    if spec then (t, spec_run ~on_access t view)
-    else
-      let t =
-        Task.with_decode (Program.image_decoder [ Program.decode_all p ]) t
-      in
-      (t, Task.run ~on_access t view)
+  let status =
+    if spec then spec_run ~on_access t view else Task.run ~on_access t view
   in
   ( status,
     t.Task.executed,

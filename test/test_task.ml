@@ -43,7 +43,8 @@ let head = simple_loop.Mssp_isa.Program.entry
 (* [Task.make] over a fresh journal pair *)
 let new_task ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in =
   Task.make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in
-    ~reads:(Journal.create ()) ~writes:(Journal.create ())
+    ~decode:Mssp_seq.Exec.default_decode ~reads:(Journal.create ())
+    ~writes:(Journal.create ())
 
 let make_task ?(occurrence = 1) ?(budget = 1000) ~live_in ~end_pc () =
   new_task ~id:0 ~start_pc:head ~end_pc ~end_occurrence:occurrence ~budget
@@ -457,7 +458,7 @@ let test_make_allocation () =
   let allocated live_in =
     let make () =
       Task.make ~id:0 ~start_pc:head ~end_pc:None ~end_occurrence:1 ~budget:1
-        ~live_in ~reads ~writes
+        ~live_in ~decode:Mssp_seq.Exec.default_decode ~reads ~writes
     in
     ignore (Sys.opaque_identity (make ()));
     (* [Gc.allocated_bytes] sees tables allocated straight on the major
@@ -520,10 +521,10 @@ let words_for_trips ~fresh trips =
   in
   let w0 = words () in
   let task =
-    Task.with_decode decode
-      (new_task ~id:0 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
-         ~end_occurrence:1 ~budget:max_int
-         ~live_in:(Live_in.of_fragment Fragment.empty))
+    Task.make ~id:0 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
+      ~end_occurrence:1 ~budget:max_int
+      ~live_in:(Live_in.of_fragment Fragment.empty) ~decode
+      ~reads:(Journal.create ()) ~writes:(Journal.create ())
   in
   let status = Task.run ~on_access task (fallback arch) in
   let w1 = words () in

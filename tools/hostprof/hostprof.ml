@@ -19,10 +19,11 @@
    "unsupported" and exits 0.
 
    --words samples nothing (any host): it prints, per point, the minor
-   words the machine run allocates per committed instruction, and the
-   share of them allocated inside the master's store hook (the writes
-   into its write layers), measured in a second, identical run whose
-   hook is wrapped in [Gc.minor_words] reads. Both are deterministic. *)
+   words the machine run allocates per committed instruction and per
+   committed task, and the share of them allocated inside the master's
+   store hook (the writes into its write layers), measured in a second,
+   identical run whose hook is wrapped in [Gc.minor_words] reads. All
+   are deterministic. *)
 
 module W = Mssp_workload.Workload
 module Profile = Mssp_profile.Profile
@@ -160,7 +161,8 @@ let run_points points =
 
 (* --- allocation ----------------------------------------------------------- *)
 
-(* minor words of one run, and of its store hook alone (a second run) *)
+(* committed instructions and tasks, and the minor words of one run and
+   of its store hook alone (a second run) *)
 let words_of (_, n, d) =
   let w0 = Gc.minor_words () in
   let r = M.run ~config:(config n) d in
@@ -173,20 +175,30 @@ let words_of (_, n, d) =
       hook.(0) <- hook.(0) +. (Gc.minor_words () -. w)
   in
   ignore (M.run ~config:(config n) ~wrap_store:wrap d : M.result);
-  (float_of_int (M.total_committed r), all, hook.(0))
+  ( float_of_int (M.total_committed r),
+    float_of_int r.M.stats.M.tasks_committed,
+    all,
+    hook.(0) )
 
 let words_report points =
   let header first =
-    Printf.printf "\n| %s | instructions | all words | store hook | hook share |\n" first;
-    print_endline "|---|---:|---:|---:|---:|"
+    Printf.printf
+      "\n| %s | instructions | tasks | all words | words per task | store hook | hook share |\n"
+      first;
+    print_endline "|---|---:|---:|---:|---:|---:|---:|"
   in
-  let row what (i, all, hook) =
-    Printf.printf "| %s | %.0f | %.2f | %.2f | %.1f%% |\n" what i (all /. i) (hook /. i)
+  let row what (i, t, all, hook) =
+    Printf.printf "| %s | %.0f | %.0f | %.2f | %.1f | %.2f | %.1f%% |\n" what i t
+      (all /. i)
+      (if t > 0.0 then all /. t else 0.0)
+      (hook /. i)
       (if all > 0.0 then 100.0 *. hook /. all else 0.0)
   in
-  let add (i, a, h) (i', a', h') = (i +. i', a +. a', h +. h') in
-  let zero = (0.0, 0.0, 0.0) in
-  Printf.printf "hostprof --words: %d points; minor words per committed instruction\n"
+  let add (i, t, a, h) (i', t', a', h') = (i +. i', t +. t', a +. a', h +. h') in
+  let zero = (0.0, 0.0, 0.0, 0.0) in
+  Printf.printf
+    "hostprof --words: %d points; minor words per committed instruction \
+     (all words, store hook) and per committed task\n"
     (List.length points);
   header "point";
   let per_kernel = Hashtbl.create 16 and names = ref [] in
