@@ -65,25 +65,29 @@ let no_distill_arg =
 
 let adapt_arg =
   let doc =
-    "Re-distill $(docv) times between runs using the previous run's \
-     squash attribution (task split/merge plus faint-write elision), \
-     then report the best round by simulated cycles. 0 disables the \
-     loop."
+    "Also distill an adapted candidate (task-boundary merge to the task \
+     size plus faint-write elision), run both and report the faster by \
+     simulated cycles."
   in
-  Arg.(value & opt int 0 & info [ "adapt" ] ~docv:"N" ~doc)
+  Arg.(value & flag & info [ "adapt" ] ~doc)
 
 let resolve_bench name size =
   let b = W.find name in
   let size = Option.value size ~default:b.W.ref_size in
   (b, size)
 
-let prepare name size no_distill =
+(* a benchmark's program, its training profile and the distiller options *)
+let load name size no_distill =
   let b, size = resolve_bench name size in
-  let train = b.W.program ~size:b.W.train_size in
-  let program = b.W.program ~size in
-  let profile = Profile.collect train in
-  let options = if no_distill then Distill.identity_options else Distill.default_options in
-  (b, program, Distill.distill ~options program profile)
+  let profile = Profile.collect (b.W.program ~size:b.W.train_size) in
+  let options =
+    if no_distill then Distill.identity_options else Distill.default_options
+  in
+  (b.W.program ~size, profile, options)
+
+let prepare name size no_distill =
+  let program, profile, options = load name size no_distill in
+  (program, Distill.distill ~options program profile)
 
 let config slaves task_size isolated verify =
   {
@@ -132,7 +136,7 @@ let distill_cmd =
     let doc =
       "Comma-separated pass names to run instead of the default pipeline \
        (see the registry: harden, drop-stores, repair, dead-writes, \
-       boundaries, split-merge, faint-writes, compact). A \
+       boundaries, merge, faint-writes, compact). A \
        list without a layout pass gets the identity layout appended."
     in
     Arg.(value & opt (some string) None & info [ "passes" ] ~docv:"LIST" ~doc)
@@ -146,13 +150,7 @@ let distill_cmd =
       value & opt (some string) None & info [ "dump-passes" ] ~docv:"DIR" ~doc)
   in
   let run name size dump no_distill passes dump_passes =
-    let b, size = resolve_bench name size in
-    let train = b.W.program ~size:b.W.train_size in
-    let program = b.W.program ~size in
-    let profile = Profile.collect train in
-    let options =
-      if no_distill then Distill.identity_options else Distill.default_options
-    in
+    let program, profile, options = load name size no_distill in
     let passes =
       match passes with
       | None -> Distill.default_passes ()
@@ -214,13 +212,7 @@ let run_cmd =
   in
   let run name size slaves task_size isolated verify no_distill trace adapt
       timeout =
-    let b, size = resolve_bench name size in
-    let train = b.W.program ~size:b.W.train_size in
-    let program = b.W.program ~size in
-    let profile = Profile.collect train in
-    let options =
-      if no_distill then Distill.identity_options else Distill.default_options
-    in
+    let program, profile, options = load name size no_distill in
     let collector = Option.map (fun _ -> Trace.recording ()) trace in
     let interrupt =
       Option.map
@@ -237,9 +229,9 @@ let run_cmd =
       }
     in
     let r =
-      if adapt <= 0 then M.run ~config:cfg (Distill.distill ~options program profile)
+      if not adapt then M.run ~config:cfg (Distill.distill ~options program profile)
       else begin
-        let a = Adapt.run ~rounds:adapt ~options ~config:cfg program profile in
+        let a = Adapt.run ~options ~config:cfg program profile in
         Printf.printf "--- adaptation rounds ---\n";
         List.iter (fun rd -> Format.printf "%a@." Adapt.pp_round rd) a.Adapt.rounds;
         Printf.printf "best: round %d\n\n" a.Adapt.best.Adapt.index;
@@ -317,14 +309,19 @@ let trace_cmd =
                $(b,--format jsonl) file or a golden trace) instead of \
                running a benchmark, and render it in the chosen format.")
   in
-  let record name size slaves task_size isolated verify no_distill ring =
-    let _, _, d = prepare name size no_distill in
+  let record ?stream name size slaves task_size isolated verify no_distill
+      ring =
+    let _, d = prepare name size no_distill in
     let tracer, events, dropped =
-      match ring with
-      | None ->
+      match (stream, ring) with
+      | Some sink, _ ->
+        let tr = Trace.create () in
+        Trace.attach tr sink;
+        (tr, (fun () -> []), fun () -> 0)
+      | None, None ->
         let tr, events = Trace.recording () in
         (tr, events, fun () -> 0)
-      | Some n ->
+      | None, Some n ->
         let tr = Trace.create () in
         let buf = Trace.Ring.create n in
         Trace.attach tr (Trace.Ring.sink buf);
@@ -358,10 +355,32 @@ let trace_cmd =
   in
   let run name from size slaves task_size isolated verify no_distill format out
       ring =
+    let oc = lazy (Option.fold ~none:stdout ~some:Out_channel.open_text out) in
+    let bytes = ref 0 and streamed = ref 0 in
+    let put s =
+      bytes := !bytes + String.length s;
+      Out_channel.output_string (Lazy.force oc) s
+    in
+    let put_event ev =
+      put
+        (if format = `Text then Format.asprintf "%a\n" Trace.pp_event ev
+         else Trace.to_jsonl [ ev ])
+    in
+    (* Text and JSONL of a live run without a ring go out as the machine
+       emits each event, so memory stays flat however long the stream. *)
+    let stream =
+      if ring = None && (format = `Text || format = `Jsonl) then
+        Some
+          (fun ev ->
+            incr streamed;
+            put_event ev)
+      else None
+    in
     let evs, verdict =
       match (name, from, ring) with
       | Some name, None, _ ->
-        record name size slaves task_size isolated verify no_distill ring
+        record ?stream name size slaves task_size isolated verify no_distill
+          ring
       | None, Some file, None -> read_stream file
       | None, Some _, Some _ ->
         prerr_endline "trace: --ring records a run; it cannot apply to --from";
@@ -370,25 +389,21 @@ let trace_cmd =
         prerr_endline "trace: give either a BENCH or --from FILE";
         exit 2
     in
-    let rendered =
-      match format with
-      | `Text ->
-        String.concat ""
-          (List.map (Format.asprintf "%a\n" Trace.pp_event) evs)
-      | `Jsonl -> Trace.to_jsonl evs
-      | `Chrome -> Trace.Chrome.to_string evs ^ "\n"
-      | `Summary ->
-        let s = Trace.Summary.of_events evs in
-        Table.render ~header:[ "counter"; "value" ] (Trace.Summary.rows s)
-        ^ "\n" ^ verdict s
-    in
+    (match format with
+    | `Text | `Jsonl -> List.iter put_event evs
+    | `Chrome -> put (Trace.Chrome.to_string evs ^ "\n")
+    | `Summary ->
+      let s = Trace.Summary.of_events evs in
+      put
+        (Table.render ~header:[ "counter"; "value" ] (Trace.Summary.rows s)
+        ^ "\n" ^ verdict s));
     match out with
-    | None -> print_string rendered
+    | None -> ()
     | Some file ->
-      Out_channel.with_open_text file (fun oc ->
-          Out_channel.output_string oc rendered);
-      Printf.printf "wrote %s (%d events, %d bytes)\n" file (List.length evs)
-        (String.length rendered)
+      Out_channel.close (Lazy.force oc);
+      Printf.printf "wrote %s (%d events, %d bytes)\n" file
+        (!streamed + List.length evs)
+        !bytes
   in
   Cmd.v
     (Cmd.info "trace"
@@ -405,7 +420,7 @@ let trace_cmd =
 
 let compare_cmd =
   let run name size slaves task_size no_distill =
-    let _, program, d = prepare name size no_distill in
+    let program, d = prepare name size no_distill in
     let baseline = B.sequential ~also_load:[ d.Distill.distilled ] program in
     let cfg = config slaves task_size false true in
     let r = M.run ~config:cfg d in
@@ -615,10 +630,10 @@ let fuzz_cmd =
                  info [ "distill-grid" ]
                    ~doc:"Judge each program on the distiller pass-subset grid \
                          (every pass alone, the empty pipeline, a seed-derived \
-                         random subset/order) with the pass-checker on; \
-                         checker violations are divergences and failing \
-                         subsets dump their per-pass artifacts under \
-                         _distill_failures/." );
+                         random subset/order, the adapted candidate) with the \
+                         pass-checker on; checker violations are divergences \
+                         and failing points dump their per-pass artifacts \
+                         under _distill_failures/." );
              ])
   in
   let weights_arg =
@@ -690,7 +705,7 @@ let audit_cmd =
   in
   let intensities = [ 0.1; 0.5; 1.0 ] in
   let run name size slaves task_size seed =
-    let _, program, d = prepare name size false in
+    let program, d = prepare name size false in
     let baseline = B.sequential ~also_load:[ d.Distill.distilled ] program in
     let base_cfg = config slaves task_size false true in
     let clean = M.run ~config:base_cfg d in

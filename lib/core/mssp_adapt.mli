@@ -1,39 +1,36 @@
-(** The adaptation loop: distill, run, feed the measured squash
-    attribution back into the distiller, repeat.
+(** The adaptation loop: a two-candidate search over one training
+    profile.
 
-    Round 0 is the static distillation. Every later round converts the
-    previous run's squash rate into a {!Mssp_distill.Distill.feedback}
-    record (split when squashing, merge + faint-write elision when
-    not), re-distills the same program against the same training
-    profile, and re-runs under the same machine config. Since the
-    machine verifies every commit, each round's final architected state
-    is the sequential one regardless of how aggressive the distillation
-    got — rounds compare by simulated cycles alone, and {!t.best} is
-    simply the fastest halted one.
+    Round 0 is the static distillation. Round 1 re-distills the same
+    program against the same profile with a
+    {!Mssp_distill.Distill.feedback} record whose merge target is the
+    config's [task_size]: [merge] drops the markers whose spacing cannot
+    fill a task, and [faint-writes] strips the loop-carried chains no
+    remaining boundary observes. Both run under the same machine config.
+    Since the machine verifies every commit, each round's final
+    architected state is the sequential one however aggressive the
+    distillation got — rounds compare by simulated cycles alone, and
+    {!t.best} is simply the faster halted one.
 
-    Deterministic end to end: the loop consumes only simulated
-    quantities (cycles, squash counts), so the chosen round — and the
-    E19 bench guard built on it — is bit-identical across hosts. *)
+    No round depends on another's run: the squash rates a feedback loop
+    would read stay far below any threshold worth reacting to (at most
+    0.0028 squashes per commit on every kernel at 1/2/4/8 slaves).
+    Deterministic end to end, so the chosen round — and the E19 bench
+    guard built on it — is bit-identical across hosts. *)
 
 type round = {
-  index : int;  (** 0 = static distillation *)
+  index : int;  (** 0 = static distillation, 1 = adapted *)
   feedback : Mssp_distill.Distill.feedback option;
   distilled : Mssp_distill.Distill.t;
   result : Mssp_machine.result;
 }
 
 type t = {
-  rounds : round list;  (** execution order, round 0 first *)
+  rounds : round list;  (** round 0, then round 1 *)
   best : round;
-      (** fewest simulated cycles among halted rounds, earliest round
-          winning ties; round 0 when no adapted round halted *)
+      (** the faster halted round, round 0 winning ties; round 0 when
+          the adapted round did not halt *)
 }
-
-val feedback_of :
-  config:Mssp_config.t -> Mssp_machine.result -> Mssp_distill.Distill.feedback
-(** The feedback a run generates: its squash rate, the config's task
-    size as the merge target, and elision enabled iff the squash rate
-    is at most [Pass.split_threshold]. *)
 
 val run :
   ?rounds:int ->
@@ -42,9 +39,11 @@ val run :
   Mssp_isa.Program.t ->
   Mssp_profile.Profile.t ->
   t
-(** [run ~config program profile] executes round 0 plus [rounds]
-    (default 1) adapted rounds. *)
+(** [run ~config program profile] runs round 0 and round 1. [options]
+    (default {!Mssp_distill.Distill.default_options}) is the base of
+    both distillations; round 1 sets its [feedback]. [?rounds] is a
+    no-effect pin, like [Mssp_config.pool]: a frozen caller passes
+    [~rounds:1], and every value gives the same two rounds. *)
 
 val round_cycles : round -> int
-val round_squashes : round -> int
 val pp_round : Format.formatter -> round -> unit

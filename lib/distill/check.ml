@@ -93,26 +93,15 @@ let check_repair (st : Pass.state) pc before after =
       ( "repair may only restore the original branch",
         Format.asprintf "pc %d: %a -> %a" pc Instr.pp before Instr.pp after )
 
-let check_dead_write (_st : Pass.state) pc before after =
+(* dead-writes and faint-writes: a pure register write becomes a nop *)
+let check_removed_write (_st : Pass.state) pc before after =
   if not (Instr.equal after Instr.Nop) then
     Some
-      ( "dead-write removal must produce a nop",
+      ( "a removed register write must become a nop",
         Format.asprintf "pc %d: emitted %a" pc Instr.pp after )
   else if not (Pass.is_pure_def before && Instr.writes_reg before <> None) then
     Some
-      ( "only pure register writes are dead-write candidates",
-        Format.asprintf "pc %d: %a has effects beyond its register write" pc
-          Instr.pp before )
-  else None
-
-let check_elide (_st : Pass.state) pc before after =
-  if not (Instr.equal after Instr.Nop) then
-    Some
-      ( "faint-writes must produce a nop",
-        Format.asprintf "pc %d: emitted %a" pc Instr.pp after )
-  else if not (Pass.is_pure_def before && Instr.writes_reg before <> None) then
-    Some
-      ( "only pure register writes are elidable",
+      ( "only pure register writes are removable",
         Format.asprintf "pc %d: %a has effects beyond its register write" pc
           Instr.pp before )
   else None
@@ -121,8 +110,7 @@ let site_validator = function
   | "harden" | "broken-harden" -> Some check_harden
   | "drop-stores" | "broken-stores" -> Some check_drop_store
   | "repair" -> Some check_repair
-  | "dead-writes" -> Some check_dead_write
-  | "faint-writes" -> Some check_elide
+  | "dead-writes" | "faint-writes" -> Some check_removed_write
   | _ -> None
 
 (* --- per-pass check ------------------------------------------------ *)

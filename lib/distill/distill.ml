@@ -9,11 +9,7 @@
 module Program = Mssp_isa.Program
 module Profile = Mssp_profile.Profile
 
-type feedback = Pass.feedback = {
-  fb_squash_rate : float;
-  fb_target_size : int;
-  fb_elide : bool;
-}
+type feedback = Pass.feedback = { fb_target_size : int }
 
 type options = Pass.options = {
   branch_bias_threshold : float;
@@ -23,7 +19,6 @@ type options = Pass.options = {
   store_comm_distance : int;
   min_store_count : int;
   compact : bool;
-  min_boundary_count : int;
   feedback : feedback option;
 }
 
@@ -72,7 +67,7 @@ let default_passes () =
     Pass.repair;
     Pass.dead_writes;
     Pass.boundaries;
-    Pass.split_merge;
+    Pass.merge;
     Pass.faint_writes;
     Pass.compact;
   ]

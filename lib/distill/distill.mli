@@ -38,8 +38,11 @@
       Markers are cheap: the {e master} paces actual checkpoint creation
       with its task-size counter ([Mssp_config.task_size]), the moral
       equivalent of the paper's loop unrolling for task sizing.
-    + {b Adaptive passes} ([split-merge], [faint-writes]): identities
-      unless [options.feedback] carries a previous run's measurements.
+    + {b Adaptive passes} ([merge], [faint-writes]): identities unless
+      [options.feedback] is present. With it, [merge] drops the markers
+      whose training-run spacing cannot fill a task and [faint-writes]
+      strips the loop-carried chains no remaining boundary observes —
+      the adapted candidate of [Mssp_core.Mssp_adapt].
     + {b Compaction} ([compact]): unreachable blocks and [Nop]s are
       dropped and the survivors re-laid-out contiguously at
       {!Mssp_isa.Layout.distilled_base}, with all direct control-flow
@@ -52,12 +55,9 @@
     master after a squash. *)
 
 type feedback = Pass.feedback = {
-  fb_squash_rate : float;  (** squashes per committed task, previous run *)
   fb_target_size : int;  (** the machine's [task_size] *)
-  fb_elide : bool;  (** enable faint-write elision ({!Pass.faint_writes}) *)
 }
-(** Measured feedback from a previous run of the same program: the input
-    of the adaptive passes ([split-merge], [faint-writes]).
+(** The input of the adaptive passes ([merge], [faint-writes]).
     [options.feedback = None] keeps both passes identities — the
     default pipeline's output is unchanged. *)
 
@@ -72,16 +72,14 @@ type options = Pass.options = {
           this are dropped from the distilled code *)
   min_store_count : int;  (** never drop stores executed fewer times *)
   compact : bool;  (** drop unreachable code and [Nop]s, re-lay-out *)
-  min_boundary_count : int;
-      (** candidate boundaries executed fewer times are ignored *)
   feedback : feedback option;
-      (** previous-run feedback driving the adaptive passes; [None] (the
-          default) makes them identities *)
+      (** drives the adaptive passes; [None] (the default) makes them
+          identities *)
 }
 
 val default_options : options
 (** bias 0.98 (min 8), dead-write and non-communicating-store removal on
-    (comm distance 1000, min 8), compaction on, boundary min 4. *)
+    (comm distance 1000, min 8), compaction on, no feedback. *)
 
 val identity_options : options
 (** Disable every code transformation: the distilled program is the
@@ -116,7 +114,7 @@ val dynamic_ratio : stats -> float
 
 val default_passes : unit -> Pass.t list
 (** The default pipeline: harden, drop-stores, repair, dead-writes,
-    boundaries, split-merge, faint-writes, compact. *)
+    boundaries, merge, faint-writes, compact. *)
 
 val names : Pass.t list -> string list
 

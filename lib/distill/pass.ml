@@ -5,13 +5,7 @@ module Cfg = Mssp_cfg.Cfg
 module Regset = Mssp_cfg.Regset
 module Profile = Mssp_profile.Profile
 
-type feedback = {
-  fb_squash_rate : float;
-  fb_target_size : int;
-  fb_elide : bool;
-}
-
-let split_threshold = 0.05
+type feedback = { fb_target_size : int }
 
 type options = {
   branch_bias_threshold : float;
@@ -21,7 +15,6 @@ type options = {
   store_comm_distance : int;
   min_store_count : int;
   compact : bool;
-  min_boundary_count : int;
   feedback : feedback option;
 }
 
@@ -34,7 +27,6 @@ let default_options =
     store_comm_distance = 1000;
     min_store_count = 8;
     compact = true;
-    min_boundary_count = 4;
     feedback = None;
   }
 
@@ -47,7 +39,6 @@ let identity_options =
     store_comm_distance = default_options.store_comm_distance;
     min_store_count = default_options.min_store_count;
     compact = false;
-    min_boundary_count = default_options.min_boundary_count;
     feedback = None;
   }
 
@@ -290,6 +281,32 @@ let is_pure_def = function
   | Instr.Jalr _ | Instr.Out _ | Instr.Fork _ | Instr.Halt | Instr.Nop ->
     false
 
+(* may-liveness backward transfer over one instruction *)
+let transfer live instr =
+  Regset.union (Regset.diff live (Cfg.defs instr)) (Cfg.uses instr)
+
+(* Nop every pure definition in a reachable block whose target is not
+   live after it, walking each block backward from [live_out] with
+   [step]; the number of sites nopped. *)
+let sweep ~base code (g : Cfg.t) ~live_out ~step =
+  let reach = Cfg.reachable g in
+  let removed = ref 0 in
+  Array.iter
+    (fun (b : Cfg.block) ->
+      if reach.(b.id) then begin
+        let live = ref (live_out b) in
+        for off = b.start + b.len - 1 - base downto b.start - base do
+          (match (Instr.writes_reg code.(off), is_pure_def code.(off)) with
+          | Some rd, true when not (Regset.mem rd !live) ->
+            code.(off) <- Instr.Nop;
+            incr removed
+          | _ -> ());
+          live := step !live code.(off)
+        done
+      end)
+    g.blocks;
+  !removed
+
 let dead_writes =
   let apply st =
     let { options; original = p; code; _ } = st in
@@ -298,33 +315,16 @@ let dead_writes =
       let changed = ref true in
       let rounds = ref 0 in
       while !changed && !rounds < 4 do
-        changed := false;
         incr rounds;
-        let current = Program.make ~base:p.base ~entry:p.entry code in
-        let g = Cfg.build current in
+        let g = Cfg.build (Program.make ~base:p.base ~entry:p.entry code) in
         let live = Cfg.liveness g in
-        let reach = Cfg.reachable g in
-        Array.iter
-          (fun (b : Cfg.block) ->
-            if reach.(b.id) then begin
-              let live_now = ref live.live_out.(b.id) in
-              for i = b.len - 1 downto 0 do
-                let off = b.start + i - p.base in
-                let instr = code.(off) in
-                (match (Instr.writes_reg instr, is_pure_def instr) with
-                | Some rd, true when not (Regset.mem rd !live_now) ->
-                  code.(off) <- Instr.Nop;
-                  incr removed;
-                  changed := true
-                | _, _ -> ());
-                let instr = code.(off) in
-                live_now :=
-                  Regset.union
-                    (Regset.diff !live_now (Cfg.defs instr))
-                    (Cfg.uses instr)
-              done
-            end)
-          g.blocks
+        let n =
+          sweep ~base:p.base code g
+            ~live_out:(fun b -> live.live_out.(b.id))
+            ~step:transfer
+        in
+        removed := !removed + n;
+        changed := n > 0
       done
     end;
     ( st,
@@ -367,13 +367,13 @@ let boundary_candidates (p : Program.t) =
   |> List.filter (fun pc -> Program.in_code p pc && pc <> p.entry)
   |> List.sort_uniq Int.compare
 
+let min_boundary_count = 4
+
 let boundaries =
   let apply st =
-    let { options; profile; original = p; _ } = st in
+    let { profile; original = p; _ } = st in
     let candidates = boundary_candidates p in
-    let hot pc =
-      max 1 (Profile.exec_count profile pc) >= options.min_boundary_count
-    in
+    let hot pc = max 1 (Profile.exec_count profile pc) >= min_boundary_count in
     let selected = p.entry :: List.filter hot candidates in
     let selected = List.sort_uniq Int.compare selected in
     ( { st with task_entries = Some selected },
@@ -396,48 +396,29 @@ let boundaries =
     apply;
   }
 
-(* --- adaptive split/merge of task boundaries ----------------------- *)
+(* --- merging task boundaries ---------------------------------------- *)
 
-(* The squash-attribution feedback loop's first half. With no feedback
-   the pass is the identity, so the default pipeline is unchanged. With
-   feedback from a previous run:
+(* The adapted candidate's first half. With no feedback the pass is the
+   identity, so the default pipeline is unchanged. With feedback, the
+   bottleneck is taken to be the master itself: drop high-frequency
+   fork sites (observed inter-arrival below the machine's task size).
+   Keeping a marker inside a hot inner loop buys nothing — the machine
+   skips it anyway while pacing tasks — but removing it makes
+   loop-carried accumulator chains dead at every REMAINING boundary,
+   which is what lets [faint-writes] strip them from the master. *)
 
-   - High squash rate (> [split_threshold] squashes per commit): tasks
-     are going stale — re-admit EVERY boundary candidate (the
-     [boundaries] rule at [min_boundary_count = 1]) so the machine can
-     cut finer tasks and bound the damage of each mispredicted region.
-
-   - Low squash rate: the master's predictions hold, so the bottleneck
-     is the master itself. Drop high-frequency fork sites (observed
-     inter-arrival below the machine's task size): keeping a marker
-     inside a hot inner loop buys nothing — the machine skips it
-     anyway while pacing tasks — but removing it makes loop-carried
-     accumulator chains dead at every REMAINING boundary, which is what
-     lets [faint-writes] strip them from the master. If no revisited
-     marker survives the spacing rule, the widest-spaced one is kept:
-     a program whose only marker is its single hot loop header must not
-     degenerate to serial execution. *)
-
-let split_merge =
+let merge =
   let apply st =
     let { options; profile; original = p; _ } = st in
     let entries =
       match st.task_entries with Some l -> l | None -> [ p.entry ]
     in
-    let merged = ref 0 and split = ref 0 in
+    let merged = ref 0 in
     let selected =
       match options.feedback with
       | None -> entries
-      | Some fb when fb.fb_squash_rate > split_threshold ->
-        (* split: the full candidate set, count threshold 1 *)
-        let selected =
-          List.sort_uniq Int.compare
-            ((p.entry :: entries) @ boundary_candidates p)
-        in
-        split := List.length selected - List.length entries;
-        selected
       | Some fb ->
-        (* merge: keep markers whose observed spacing can fill a task *)
+        (* keep markers whose observed spacing can fill a task *)
         let dyn = max 1 profile.Profile.dynamic_instructions in
         let spacing e = dyn / max 1 (Profile.exec_count profile e) in
         let others = List.filter (fun e -> e <> p.entry) entries in
@@ -460,29 +441,24 @@ let split_merge =
     in
     ( { st with task_entries = Some selected },
       {
-        pass = "split-merge";
+        pass = "merge";
         rewrites = 0;
-        detail =
-          [
-            ("merged", !merged);
-            ("split", !split);
-            ("entries", List.length selected);
-          ];
+        detail = [ ("merged", !merged); ("entries", List.length selected) ];
       } )
   in
   {
-    name = "split-merge";
+    name = "merge";
     doc =
-      "adaptive task sizing: resize the boundary set using a previous \
-       run's squash rate (identity without feedback)";
+      "task-boundary merging: drop markers whose training-run spacing \
+       cannot fill a task (identity without feedback)";
     kind = Analysis;
     apply;
   }
 
 (* --- faint-write elision ------------------------------------------- *)
 
-(* The feedback loop's second half, and the pass that actually moves the
-   speedup plateau. [dead_writes] uses ordinary may-liveness, which can
+(* The adapted candidate's second half, and the pass that actually
+   moves the speedup plateau. [dead_writes] uses ordinary may-liveness, which can
    never remove a loop-carried chain: [Add t1 t1 t3] keeps [t1] alive
    through the back edge, so a reduction's accumulator survives in the
    master forever — and the master's dynamic length stays ~the original's
@@ -501,98 +477,68 @@ let split_merge =
    retained task entry, because those are the live-ins verification
    checks against the master's checkpoint. Everything else the slaves
    read from architected state; a wrong call here costs squashes, never
-   correctness — unsound-but-checked like every other pass. Gated on
-   [feedback.fb_elide] (identity otherwise), because at a high squash
-   rate the extra mispredictions are pure loss. *)
+   correctness — unsound-but-checked like every other pass. Runs only
+   with feedback (identity otherwise): the default pipeline keeps every
+   loop-carried chain, and the adaptation loop ([Mssp_adapt]) keeps
+   whichever candidate runs faster. *)
 
 let faint_writes =
   let apply st =
     let { options; original = p; code; _ } = st in
     let removed = ref 0 in
     (match options.feedback with
-    | Some fb when fb.fb_elide ->
+    | Some _ ->
       let entries =
         match st.task_entries with Some l -> l | None -> [ p.entry ]
       in
-      (* per-entry seed: original-program live-in at the boundary *)
       let g_orig = Cfg.build p in
       let orig_live = Cfg.liveness g_orig in
-      let entry_seed_tbl = Hashtbl.create 16 in
-      List.iter
-        (fun e ->
-          let seed =
-            match Cfg.block_of_pc g_orig e with
-            | Some b when b.Cfg.start = e -> orig_live.Cfg.live_in.(b.Cfg.id)
-            | Some _ | None -> Regset.full
-          in
-          Hashtbl.replace entry_seed_tbl e seed)
-        entries;
-      let current = Program.make ~base:p.base ~entry:p.entry code in
-      let g = Cfg.build current in
-      let reach = Cfg.reachable g in
-      let nb = Array.length g.Cfg.blocks in
-      let live_in = Array.make nb Regset.empty in
-      let entry_seed (b : Cfg.block) =
-        match Hashtbl.find_opt entry_seed_tbl b.Cfg.start with
-        | Some s -> s
-        | None -> Regset.empty
+      let g = Cfg.build (Program.make ~base:p.base ~entry:p.entry code) in
+      (* per-block seed: the original program's live-in at a retained
+         boundary, empty elsewhere *)
+      let seed =
+        Array.map
+          (fun (b : Cfg.block) ->
+            if not (List.mem b.start entries) then Regset.empty
+            else
+              match Cfg.block_of_pc g_orig b.start with
+              | Some o when o.start = b.start -> orig_live.live_in.(o.id)
+              | Some _ | None -> Regset.full)
+          g.blocks
       in
+      let live_in = Array.make (Array.length g.blocks) Regset.empty in
       let block_live_out (b : Cfg.block) =
-        if b.Cfg.has_indirect then Regset.full
+        if b.has_indirect then Regset.full
         else
           List.fold_left
-            (fun acc s ->
-              Regset.union acc
-                (Regset.union live_in.(s) (entry_seed g.Cfg.blocks.(s))))
-            Regset.empty b.Cfg.succs
+            (fun acc s -> Regset.union acc (Regset.union live_in.(s) seed.(s)))
+            Regset.empty b.succs
       in
       (* strongly-live backward transfer: a pure def's uses count only
          when its target register is live *)
       let step live instr =
         match (Instr.writes_reg instr, is_pure_def instr) with
-        | Some rd, true ->
-          if Regset.mem rd live then
-            Regset.union (Regset.diff live (Cfg.defs instr)) (Cfg.uses instr)
-          else live
-        | _ ->
-          Regset.union (Regset.diff live (Cfg.defs instr)) (Cfg.uses instr)
-      in
-      let transfer (b : Cfg.block) =
-        let live = ref (block_live_out b) in
-        for i = b.Cfg.len - 1 downto 0 do
-          live := step !live code.(b.Cfg.start + i - p.base)
-        done;
-        !live
+        | Some rd, true when not (Regset.mem rd live) -> live
+        | _ -> transfer live instr
       in
       let stable = ref false in
       while not !stable do
         stable := true;
-        for id = nb - 1 downto 0 do
-          let ni = transfer g.Cfg.blocks.(id) in
-          if not (Regset.equal ni live_in.(id)) then begin
-            live_in.(id) <- ni;
+        for id = Array.length g.blocks - 1 downto 0 do
+          let b = g.blocks.(id) in
+          let live = ref (block_live_out b) in
+          for i = b.len - 1 downto 0 do
+            live := step !live code.(b.start + i - p.base)
+          done;
+          if not (Regset.equal !live live_in.(id)) then begin
+            live_in.(id) <- !live;
             stable := false
           end
         done
       done;
       (* sweep: nop every pure def whose target is faint *)
-      Array.iter
-        (fun (b : Cfg.block) ->
-          if reach.(b.Cfg.id) then begin
-            let live = ref (block_live_out b) in
-            for i = b.Cfg.len - 1 downto 0 do
-              let off = b.Cfg.start + i - p.base in
-              let instr = code.(off) in
-              (match (Instr.writes_reg instr, is_pure_def instr) with
-              | Some rd, true when not (Regset.mem rd !live) ->
-                code.(off) <- Instr.Nop;
-                incr removed
-              | _ -> ());
-              live := step !live code.(off)
-            done
-          end)
-        g.Cfg.blocks
-    | Some _ | None -> ());
+      removed := sweep ~base:p.base code g ~live_out:block_live_out ~step
+    | None -> ());
     ( st,
       {
         pass = "faint-writes";
@@ -605,8 +551,7 @@ let faint_writes =
     doc =
       "strongly-live dead-write elision: faint loop-carried chains no \
        boundary live-in or effectful use observes become nops (needs \
-       feedback with elision on; verify/commit absorbs a stale residual \
-       read)";
+       feedback; verify/commit absorbs a stale residual read)";
     kind = Rewrite;
     apply;
   }

@@ -7,23 +7,13 @@
     pass consumes it and produces the distilled program image. The
     default pipeline is {!Distill.default_passes}. *)
 
-(** Measured feedback from a previous MSSP run of the same program — the
-    input of the adaptive passes ({!split_merge}, {!faint_writes}).
-    Produced by the re-distillation loop ([Mssp_core.Mssp_adapt]) from
-    the machine's squash attribution. *)
+(** The input of the adaptive passes ({!merge}, {!faint_writes}): the
+    adapted candidate of the adaptation loop ([Mssp_core.Mssp_adapt]). *)
 type feedback = {
-  fb_squash_rate : float;  (** squashes per committed task, previous run *)
   fb_target_size : int;
       (** the machine's [task_size]: markers observed more often than
-          this buy nothing and are merge candidates *)
-  fb_elide : bool;
-      (** enable {!faint_writes} — only worth it when the squash rate
-          is already low (each stale residual read costs a squash) *)
+          this buy nothing and are merged away *)
 }
-
-val split_threshold : float
-(** Squash-rate boundary between the split and merge reactions of
-    {!split_merge} (0.05 squashes per commit). *)
 
 (** Tuning knobs shared by every pass. Defaults follow the paper's
     framing: aggressive on clearly-biased branches, conservative
@@ -39,11 +29,9 @@ type options = {
           dynamic instructions on the training run *)
   min_store_count : int;  (** ... and it executed at least this often *)
   compact : bool;  (** drop nops and unreachable blocks during layout *)
-  min_boundary_count : int;
-      (** keep a task-boundary candidate executed at least this often *)
   feedback : feedback option;
-      (** previous-run feedback driving the adaptive passes; [None] (the
-          default) makes {!split_merge} and {!faint_writes} identities *)
+      (** drives the adaptive passes; [None] (the default) makes {!merge}
+          and {!faint_writes} identities *)
 }
 
 val default_options : options
@@ -119,17 +107,20 @@ val repair : t
 
 val dead_writes : t  (** dead register-write elimination (iterated liveness) *)
 
-val boundaries : t  (** task-boundary selection on the original CFG *)
+val boundaries : t
+(** task-boundary selection on the original CFG: the entry plus every
+    loop header and call target executed at least 4 times on the
+    training input *)
 
-val split_merge : t
-(** adaptive task sizing over the selected boundary set: high previous
-    squash rate re-admits every candidate (finer tasks), low squash rate
-    drops markers whose observed spacing cannot fill a task (so inner
-    accumulator chains become dead at the remaining boundaries). The
-    highest-pc marker always survives a merge — the master's tail after
-    its final fork is work no slave absorbs, and a hardened tail loop
-    would otherwise spin into the runaway guard. The identity without
-    [options.feedback]. Must run after {!boundaries}. *)
+val merge : t
+(** task-boundary merging over the selected boundary set: drops markers
+    whose observed spacing cannot fill a task of
+    [options.feedback.fb_target_size] instructions, so inner accumulator
+    chains become dead at the remaining boundaries. The highest-pc marker
+    always survives — the master's tail after its final fork is work no
+    slave absorbs, and a hardened tail loop would otherwise spin into the
+    runaway guard. The identity without [options.feedback]. Must run
+    after {!boundaries}. *)
 
 val faint_writes : t
 (** strongly-live (faint-variable) dead-write elision: removes pure
@@ -137,8 +128,8 @@ val faint_writes : t
     instruction and no retained boundary's original-program live-in set
     observes. The master stops computing values only verification-exempt
     reads would consume; a slave that still reads one gets a stale value,
-    which verify/commit absorbs as a squash. Gated on
-    [options.feedback.fb_elide]; the identity otherwise. *)
+    which verify/commit absorbs as a squash. Runs only when
+    [options.feedback] is present; the identity otherwise. *)
 
 val compact : t
 (** layout + compaction: honors [options.compact] for nop-dropping.

@@ -31,8 +31,8 @@ let attribution (s : Summary.t) =
 
 (* On a distill-grid failure, dump the checked pipeline's diffable
    artifacts (per-pass disassembly diff + pipeline.json) for every
-   failing pass-subset point of the shrunk witness — the distiller
-   counterpart of _trace_failures/, and what CI uploads. *)
+   failing pass-subset or adapted point of the shrunk witness — the
+   distiller counterpart of _trace_failures/, and what CI uploads. *)
 let dump_distill_artifacts ?fuel ~log shrunk grid failures =
   let dir = "_distill_failures" in
   let failed (pt : Oracle.point) =
@@ -45,22 +45,20 @@ let dump_distill_artifacts ?fuel ~log shrunk grid failures =
   in
   List.iter
     (fun (pt : Oracle.point) ->
-      match pt.Oracle.distiller with
-      | Oracle.Subset names when failed pt -> (
-        match Mssp_distill.Distill.resolve names with
-        | Error _ -> ()
-        | Ok passes ->
-          let d =
-            Mssp_distill.Distill.distill ~check:true ~passes shrunk profile
-          in
-          let sub =
-            Filename.concat dir
-              (String.map (fun c -> if c = '/' then '-' else c) pt.Oracle.name)
-          in
-          let files = Mssp_distill.Distill.dump ~dir:sub d in
-          log
-            (Printf.sprintf "  wrote %d pass artifact(s) under %s"
-               (List.length files) sub))
+      match Oracle.checked_pipeline pt with
+      | Some (Ok (passes, options)) when failed pt ->
+        let d =
+          Mssp_distill.Distill.distill ~check:true ~options ~passes shrunk
+            profile
+        in
+        let sub =
+          Filename.concat dir
+            (String.map (fun c -> if c = '/' then '-' else c) pt.Oracle.name)
+        in
+        let files = Mssp_distill.Distill.dump ~dir:sub d in
+        log
+          (Printf.sprintf "  wrote %d pass artifact(s) under %s"
+             (List.length files) sub)
       | _ -> ())
     grid
 

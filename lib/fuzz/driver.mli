@@ -26,10 +26,10 @@ type axis =
           ({!Gen.plan}), judges the program on {!Oracle.plan_grid} and
           shrinks failing witnesses over both coordinates *)
   | Distill
-      (** {!Oracle.distill_grid}, the pass-subset axis with the
-          pass-checker on; a failing subset point dumps the shrunk
-          witness's per-pass diff + JSON artifacts under
-          [_distill_failures/] *)
+      (** {!Oracle.distill_grid}, the pass-subset axis and the adapted
+          candidate with the pass-checker on; a failing checked point
+          dumps the shrunk witness's per-pass diff + JSON artifacts
+          under [_distill_failures/] *)
 
 type finding = {
   program_seed : int;

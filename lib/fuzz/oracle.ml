@@ -26,6 +26,9 @@ type distiller =
       (** run the distiller pass pipeline restricted to exactly these
           passes (in this order) with the pass-checker on: checker
           violations are oracle failures *)
+  | Adapted
+      (** the default passes with feedback for the point's task size
+          (the adaptation loop's round 1), pass-checker on *)
 
 type point = { name : string; distiller : distiller; config : Config.t }
 
@@ -139,8 +142,9 @@ let random_subset ~seed =
   valid_order (List.map snd (List.sort compare keyed))
 
 (* The distill grid: honest control, the empty pipeline, every pass
-   alone, and a seed-derived random subset/order — all with the
-   pass-checker on, all still required to land on the SEQ state. *)
+   alone, a seed-derived random subset/order and the adapted candidate
+   — all with the pass-checker on, all still required to land on the
+   SEQ state. *)
 let distill_grid ~seed () =
   let subset name names =
     { name = "passes/" ^ name; distiller = Subset names; config = base_config }
@@ -148,7 +152,27 @@ let distill_grid ~seed () =
   ({ name = "honest"; distiller = Honest; config = base_config }
   :: subset "none" []
   :: List.map (fun n -> subset n [ n ]) switchable_passes)
-  @ [ subset "random" (random_subset ~seed) ]
+  @ [
+      subset "random" (random_subset ~seed);
+      { name = "adapted"; distiller = Adapted; config = base_config };
+    ]
+
+(* The pipeline and options of a point that runs the checked pass
+   pipeline; [None] for the other distillers. *)
+let checked_pipeline point =
+  match point.distiller with
+  | Subset names ->
+    Some
+      (Result.map
+         (fun ps -> (ps, Distill.default_options))
+         (Distill.resolve names))
+  | Adapted ->
+    let feedback =
+      Some { Distill.fb_target_size = point.config.Config.task_size }
+    in
+    Some
+      (Ok (Distill.default_passes (), { Distill.default_options with feedback }))
+  | Honest | Aggressive | Identity | Adversaries | Amnesiac -> None
 
 (* A deliberately broken pass, alone in its pipeline: the pass-checker
    must fail the point (mirrors [chaos_point] for the commit unit). *)
@@ -190,11 +214,11 @@ let plan_grid ~plan () =
     };
   ]
 
-(* Packages are results: a [Subset] point runs the checked pass pipeline
-   and surfaces pass-checker violations as oracle failures (the package
-   never reaches the machine in that case). [honest] is the program's one
-   default package, shared by every point that needs it: the machine and
-   [Adversary.amnesiac] only read a package. *)
+(* Packages are results: a [Subset] or [Adapted] point runs the checked
+   pass pipeline and surfaces pass-checker violations as oracle failures
+   (the package never reaches the machine in that case). [honest] is the
+   program's one default package, shared by every point that needs it:
+   the machine and [Adversary.amnesiac] only read a package. *)
 let packages ~honest p profile point :
     (string * (Distill.t, string) Result.t) list =
   match point.distiller with
@@ -205,11 +229,12 @@ let packages ~honest p profile point :
     [ ("", Ok (Distill.distill ~options:Distill.identity_options p profile)) ]
   | Adversaries -> List.map (fun (n, d) -> ("/" ^ n, Ok d)) (Adversary.all p)
   | Amnesiac -> [ ("/amnesiac", Ok (Adversary.amnesiac (Lazy.force honest))) ]
-  | Subset names -> (
-    match Distill.resolve names with
-    | Error e -> [ ("", Error e) ]
-    | Ok passes ->
-      let d = Distill.distill ~passes ~check:true p profile in
+  | Subset _ | Adapted -> (
+    match checked_pipeline point with
+    | None -> []
+    | Some (Error e) -> [ ("", Error e) ]
+    | Some (Ok (passes, options)) ->
+      let d = Distill.distill ~options ~passes ~check:true p profile in
       if Distill.ok d then [ ("", Ok d) ]
       else [ ("", Error (Mssp_distill.Check.show d.Distill.violations)) ])
 

@@ -44,6 +44,11 @@ type distiller =
           run with the pass-checker on: a checker violation is an oracle
           failure with reason ["pass-checker: ..."] and the package never
           reaches the machine *)
+  | Adapted
+      (** the default passes with feedback whose merge target is the
+          point's [task_size] — the adaptation loop's round 1
+          ({!Mssp_core.Mssp_adapt}) — run with the pass-checker on like
+          a [Subset] *)
 
 type point = {
   name : string;
@@ -67,9 +72,17 @@ val random_subset : seed:int -> string list
 
 val distill_grid : seed:int -> unit -> point list
 (** The pass-subset grid: honest control, the empty pipeline, every
-    switchable pass alone, and a seed-derived random subset in a random
-    (valid) order — nine points, all checker-on, all required to land on
-    the SEQ state. *)
+    switchable pass alone, a seed-derived random subset in a random
+    (valid) order and the [adapted] candidate (merge + faint-writes) —
+    ten points, all checker-on, all required to land on the SEQ state. *)
+
+val checked_pipeline :
+  point ->
+  (Mssp_distill.Pass.t list * Mssp_distill.Distill.options, string) result
+  option
+(** The passes and options a [Subset] or [Adapted] point runs under the
+    pass-checker ([Error] names an unknown pass); [None] for the other
+    distillers. *)
 
 val broken_pass_point : string -> point
 (** A grid point running one {e deliberately broken} pass

@@ -612,6 +612,180 @@ let prop_pass_subsets =
           (String.concat "; " names)
           (pp_failures fs))
 
+(* --- the adaptive passes: delta laws --------------------------------- *)
+
+module Adapt = Mssp_core.Mssp_adapt
+
+let feedback target =
+  {
+    Distill.default_options with
+    Distill.feedback = Some { Distill.fb_target_size = target };
+  }
+
+(* the pass state after [passes], in order *)
+let state_after ?options passes p profile =
+  List.fold_left
+    (fun st (ps : Pass.t) -> fst (ps.Pass.apply st))
+    (Pass.init ?options p profile) passes
+
+let entries ?options passes p profile =
+  Option.get (state_after ?options passes p profile).Pass.task_entries
+
+(* faint-writes after the rest of the default prefix: the rewritten
+   sites (before, after) and the pass's count *)
+let faint_sites ?options p profile =
+  let st =
+    state_after ?options
+      Pass.[ harden; drop_stores; repair; dead_writes; boundaries; merge ]
+      p profile
+  in
+  let before = Array.copy st.Pass.code in
+  let st, stat = Pass.faint_writes.Pass.apply st in
+  let sites = ref [] in
+  Array.iteri
+    (fun i b ->
+      let a = st.Pass.code.(i) in
+      if not (Instr.equal b a) then sites := (b, a) :: !sites)
+    before;
+  (!sites, stat.Pass.rewrites)
+
+(* The laws on one program, as the names of the broken ones: without
+   feedback, merge and faint-writes leave the default package as it is
+   without them; with feedback, merge keeps a subset of the static
+   boundaries with the entry and the highest-pc marker among the
+   others, and faint-writes turns only pure register writes (never a
+   store, branch, jump, Out or Fork) into Nops. *)
+let adaptive_law_violations ~target p profile =
+  let laws = ref [] in
+  let law name ok = if not ok then laws := name :: !laws in
+  let full = Distill.distill p profile in
+  let adaptive (ps : Pass.t) =
+    List.mem ps.Pass.name [ "merge"; "faint-writes" ]
+  in
+  let passes = List.filter (Fun.negate adaptive) (Distill.default_passes ()) in
+  let without = Distill.distill ~passes p profile in
+  law "no feedback: same package"
+    (full.Distill.task_entries = without.Distill.task_entries
+    && Array.for_all2 Instr.equal full.Distill.distilled.Program.code
+         without.Distill.distilled.Program.code);
+  let options = feedback target in
+  let static = entries ~options [ Pass.boundaries ] p profile in
+  let merged = entries ~options [ Pass.boundaries; Pass.merge ] p profile in
+  law "merge keeps a subset"
+    (List.for_all (fun e -> List.mem e static) merged);
+  law "merge keeps the entry" (List.mem p.Program.entry merged);
+  (match List.rev (List.filter (( <> ) p.Program.entry) static) with
+  | last :: _ ->
+    law "merge keeps the highest-pc marker" (List.mem last merged)
+  | [] -> ());
+  let sites, rewrites = faint_sites ~options p profile in
+  law "faint-writes counts its rewrites" (rewrites = List.length sites);
+  law "faint-writes removes only pure register writes"
+    (List.for_all
+       (fun (b, a) ->
+         Instr.equal a Instr.Nop
+         &&
+         match b with
+         | Instr.Alu _ | Instr.Alui _ | Instr.Li _ | Instr.Ld _ -> true
+         | _ -> false)
+       sites);
+  List.rev !laws
+
+let test_adaptive_laws_kernels () =
+  let task_size = Config.default.Config.task_size in
+  List.iter
+    (fun (name, p, profile) ->
+      match adaptive_law_violations ~target:task_size p profile with
+      | [] -> ()
+      | bad -> Alcotest.failf "%s: %s" name (String.concat "; " bad))
+    (Lazy.force corpus);
+  (* not vacuous: on fir, merge drops markers and faint-writes elides *)
+  let _, p, profile =
+    List.find (fun (n, _, _) -> n = "fir") (Lazy.force corpus)
+  in
+  let options = feedback task_size in
+  check "fir: merge drops markers" true
+    (List.length (entries ~options [ Pass.boundaries; Pass.merge ] p profile)
+    < List.length (entries ~options [ Pass.boundaries ] p profile));
+  check "fir: faint-writes elides" true
+    (snd (faint_sites ~options p profile) > 0)
+
+let prop_adaptive_laws =
+  QCheck.Test.make ~name:"adaptive pass laws on generated programs" ~count:40
+    QCheck.(triple small_nat (int_range 4 16) (int_range 1 400))
+    (fun (seed, size, target) ->
+      let p = Mssp_fuzz.Gen.generate ~seed ~size () in
+      let profile = Profile.collect ~fuel:500_000 p in
+      match adaptive_law_violations ~target p profile with
+      | [] -> true
+      | bad ->
+        QCheck.Test.fail_reportf "target %d: %s" target
+          (String.concat "; " bad))
+
+(* --- the adaptation loop: two candidates, the faster halted one kept *)
+
+let adapt ?(config = Config.default) name =
+  let b = W.find name in
+  Adapt.run ~config:(Config.with_slaves 8 config)
+    (b.W.program ~size:b.W.ref_size)
+    (Profile.collect (b.W.program ~size:b.W.train_size))
+
+(* (index, cycles, halted) per round, and the best round's index *)
+let summary (a : Adapt.t) =
+  ( List.map
+      (fun (r : Adapt.round) ->
+        ( r.Adapt.index,
+          Adapt.round_cycles r,
+          r.Adapt.result.M.stop = M.Halted ))
+      a.Adapt.rounds,
+    a.Adapt.best.Adapt.index )
+
+let test_adapt () =
+  let expect what rounds best a =
+    Alcotest.(check (pair (list (triple int int bool)) int))
+      what (rounds, best) (summary a)
+  in
+  expect "fir@8 picks round 1"
+    [ (0, 857_860, true); (1, 285_848, true) ]
+    1 (adapt "fir");
+  expect "vecsum@8 keeps round 0"
+    [ (0, 153_280, true); (1, 373_273, true) ]
+    0 (adapt "vecsum");
+  (* only a halted round wins: interrupted at its first check, vecsum's
+     static round stops short of the adapted one's 373,273 cycles and
+     still loses; under a cycle limit below both of fir's rounds, round
+     0 stands *)
+  let first = ref true in
+  let interrupt () = if !first then (first := false; Some "test") else None in
+  let cut = { Config.default with Config.interrupt = Some interrupt } in
+  check "interrupted round 0 loses to a halted round 1" true
+    (match summary (adapt ~config:cut "vecsum") with
+    | [ (0, _, false); (1, 373_273, true) ], 1 -> true
+    | _ -> false);
+  let low = { Config.default with Config.max_cycles = 200_000 } in
+  check "no round halts: round 0 stands" true
+    (match summary (adapt ~config:low "fir") with
+    | [ (0, _, false); (1, _, false) ], 0 -> true
+    | _ -> false);
+  (* round 1's feedback is the task size; two calls are bit-identical *)
+  let a1 = adapt "fir" and a2 = adapt "fir" in
+  check "round 1 merges to the task size" true
+    ((List.nth a1.Adapt.rounds 1).Adapt.feedback
+    = Some { Distill.fb_target_size = Config.default.Config.task_size });
+  List.iter2
+    (fun (r1 : Adapt.round) (r2 : Adapt.round) ->
+      check "same feedback, image, stop and stats" true
+        (r1.Adapt.feedback = r2.Adapt.feedback
+        && Array.for_all2 Instr.equal
+             r1.Adapt.distilled.Distill.distilled.Program.code
+             r2.Adapt.distilled.Distill.distilled.Program.code
+        && r1.Adapt.result.M.stop = r2.Adapt.result.M.stop
+        && r1.Adapt.result.M.stats = r2.Adapt.result.M.stats);
+      check "same final state" true
+        (Full.diff_observable r1.Adapt.result.M.arch r2.Adapt.result.M.arch
+        = []))
+    a1.Adapt.rounds a2.Adapt.rounds
+
 (* --- mutation smoke tests ------------------------------------------ *)
 
 (* material for every broken pass: a hardenable cold check, a
@@ -864,6 +1038,17 @@ let () =
             test_single_pass_machine_equivalence;
         ] );
       ("pipeline", [ Mssp_testkit.to_alcotest prop_pass_subsets ]);
+      ( "adaptive passes",
+        [
+          Alcotest.test_case "delta laws on the kernels" `Quick
+            test_adaptive_laws_kernels;
+          Mssp_testkit.to_alcotest prop_adaptive_laws;
+        ] );
+      ( "adaptation",
+        [
+          Alcotest.test_case "two candidates, faster halted kept" `Quick
+            test_adapt;
+        ] );
       ( "mutation",
         [
           Alcotest.test_case "broken passes caught" `Quick test_mutants_caught;
