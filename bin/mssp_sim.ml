@@ -366,15 +366,21 @@ let trace_cmd =
         (if format = `Text then Format.asprintf "%a\n" Trace.pp_event ev
          else Trace.to_jsonl [ ev ])
     in
-    (* Text and JSONL of a live run without a ring go out as the machine
-       emits each event, so memory stays flat however long the stream. *)
+    (* A live run without a ring goes out (text, JSONL) or is folded
+       (summary) as the machine emits each event, so memory stays flat
+       however long the stream; a streamed run leaves no event list. *)
+    let summary = Trace.Summary.create () in
     let stream =
-      if ring = None && (format = `Text || format = `Jsonl) then
+      let sink emit =
         Some
           (fun ev ->
             incr streamed;
-            put_event ev)
-      else None
+            emit ev)
+      in
+      match (ring, format) with
+      | None, (`Text | `Jsonl) -> sink put_event
+      | None, `Summary -> sink (Trace.Summary.add summary)
+      | None, `Chrome | Some _, _ -> None
     in
     let evs, verdict =
       match (name, from, ring) with
@@ -393,10 +399,11 @@ let trace_cmd =
     | `Text | `Jsonl -> List.iter put_event evs
     | `Chrome -> put (Trace.Chrome.to_string evs ^ "\n")
     | `Summary ->
-      let s = Trace.Summary.of_events evs in
+      List.iter (Trace.Summary.add summary) evs;
       put
-        (Table.render ~header:[ "counter"; "value" ] (Trace.Summary.rows s)
-        ^ "\n" ^ verdict s));
+        (Table.render ~header:[ "counter"; "value" ]
+           (Trace.Summary.rows summary)
+        ^ "\n" ^ verdict summary));
     match out with
     | None -> ()
     | Some file ->

@@ -289,55 +289,45 @@ let step_diff (s : step) =
   in
   String.concat "\n" (header @ violations @ body) ^ "\n"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let step_json (s : step) =
-  let detail =
-    s.stat.Pass.detail
-    |> List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v)
-    |> String.concat ", "
+let pipeline_json d =
+  let open Mssp_trace.Tjson in
+  let step (s : step) =
+    Obj
+      [
+        ("index", Int s.index);
+        ("pass", Str s.pass.Pass.name);
+        ( "kind",
+          Str
+            (match s.pass.Pass.kind with
+            | Pass.Rewrite -> "rewrite"
+            | Pass.Analysis -> "analysis"
+            | Pass.Layout -> "layout") );
+        ("rewrites", Int s.stat.Pass.rewrites);
+        ("detail", Obj (List.map (fun (k, v) -> (k, Int v)) s.stat.Pass.detail));
+        ( "violations",
+          List
+            (List.map
+               (fun v -> Str (Format.asprintf "%a" Check.pp_violation v))
+               s.violations) );
+      ]
   in
-  let violations =
-    s.violations
-    |> List.map (fun v ->
-           Printf.sprintf "\"%s\""
-             (json_escape (Format.asprintf "%a" Check.pp_violation v)))
-    |> String.concat ", "
-  in
-  Printf.sprintf
-    "    { \"index\": %d, \"pass\": \"%s\", \"kind\": \"%s\", \"rewrites\": \
-     %d, \"detail\": { %s }, \"violations\": [ %s ] }"
-    s.index
-    (json_escape s.pass.Pass.name)
-    (match s.pass.Pass.kind with
-    | Pass.Rewrite -> "rewrite"
-    | Pass.Analysis -> "analysis"
-    | Pass.Layout -> "layout")
-    s.stat.Pass.rewrites detail violations
-
-let to_json d =
   let s = d.stats in
-  Printf.sprintf
-    "{\n  \"passes\": [\n%s\n  ],\n  \"summary\": { \"original_static\": %d, \
-     \"distilled_static\": %d, \"forks\": %d, \"blocks_dropped\": %d, \
-     \"estimated_dynamic_original\": %d, \"estimated_dynamic_distilled\": %d \
-     },\n  \"violations\": %d\n}\n"
-    (String.concat ",\n" (List.map step_json d.steps))
-    s.original_static s.distilled_static s.forks_inserted s.blocks_dropped
-    s.estimated_dynamic_original s.estimated_dynamic_distilled
-    (List.length d.violations)
+  pretty
+    (Obj
+       [
+         ("passes", List (List.map step d.steps));
+         ( "summary",
+           Obj
+             [
+               ("original_static", Int s.original_static);
+               ("distilled_static", Int s.distilled_static);
+               ("forks", Int s.forks_inserted);
+               ("blocks_dropped", Int s.blocks_dropped);
+               ("estimated_dynamic_original", Int s.estimated_dynamic_original);
+               ("estimated_dynamic_distilled", Int s.estimated_dynamic_distilled);
+             ] );
+         ("violations", Int (List.length d.violations));
+       ])
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -363,5 +353,5 @@ let dump ~dir d =
           (step_diff s))
       d.steps
   in
-  let json = write "pipeline.json" (to_json d) in
+  let json = write "pipeline.json" (pipeline_json d) in
   diffs @ [ json ]

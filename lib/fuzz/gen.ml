@@ -44,11 +44,13 @@ let plain =
     far_mem = 0; straddle = 0; shared_acc = 0; early_halt = 0; runaway = 0;
     smc = 0 }
 
-(* Mirror Full.t's geometry without depending on mssp_state: 4096 pages
-   of 4096 words. Address [paged_span - 1] is the last paged word; the
-   next word lives in the overflow table. *)
-let page_words = 4096
-let paged_span = 4096 * page_words
+(* Mirror Full.t's geometry without depending on mssp_state: its paged
+   span is 2^24 words. Address [paged_span - 1] is the last paged word;
+   the next word lives in the overflow table. Full's pages are smaller
+   than [boundary_words] and divide it, so every multiple of it is still
+   a page boundary. *)
+let boundary_words = 4096
+let paged_span = 1 lsl 24
 
 (* Registers the random parts mutate freely; s3..s7 back the structured
    shapes (shared accumulator, counters, far/straddle pointers). *)
@@ -114,7 +116,9 @@ let generate ?(weights = default_weights) ~seed ~size () =
      region: checkpoint copies then alias the two pages COW-style, and
      the first store on either side privatizes only its page. *)
   let emit_straddle () =
-    let boundary = Layout.data_base + (page_words * (1 + (rng () mod 3))) in
+    let boundary =
+      Layout.data_base + (boundary_words * (1 + (rng () mod 3)))
+    in
     Dsl.li b s6 (boundary - 2);
     for k = 0 to 3 do
       if rng () mod 2 = 0 then Dsl.st b (pick scratch_regs) s6 k

@@ -1,38 +1,78 @@
 module Reg = Mssp_isa.Reg
 module Layout = Mssp_isa.Layout
 
-(* Memory is a paged image: a fixed table of [table_pages] slots, each
-   holding a page of [page_words] unboxed ints. Loads and stores are two
-   array indexations — no hashing, no boxing. Pages are shared
-   copy-on-write between states: [copy] duplicates only the page table
-   and bumps per-page refcounts; the first store through either state
-   privatizes just the page it touches. Addresses outside the paged
-   range (negative, or beyond [table_pages * page_words]) fall back to a
-   per-word hashtable so memory stays total over all of [int].
+(* Memory is a paged image behind a two-level table. The state's top
+   level holds [top_slots] directory blocks; each directory holds
+   [dir_slots] pages of [page_words] unboxed ints, so the paged span is
+   [top_slots * dir_slots * page_words] = 2^24 words, covering Layout up
+   to io_limit. A load is three array indexations from the state — no
+   hashing, no boxing. Addresses outside the span (negative, or beyond
+   it) fall back to a per-word hashtable so memory stays total over all
+   of [int].
 
-   Each page also carries a written-word bitmap so [snapshot] and [pp]
-   can still enumerate exactly the cells that were explicitly stored
-   (including stores of 0) — the same "materialized" set the previous
-   hashtable representation tracked. *)
+   Directories and pages are shared copy-on-write: [copy] duplicates
+   only the top level and bumps the refcount of each directory it
+   shares; the first store through a shared directory privatizes that
+   directory (bumping its pages' refcounts), and the first store into a
+   shared page privatizes just that page. A page's refcount counts the
+   directories that hold it, a directory's the top levels. States that
+   are dropped never decrement, so a refcount can overstate sharing and
+   cost a spare copy, never a lost write.
 
-let page_bits = 12
+   A page is one [int array] block: [page_words] data words, then a
+   written-word bitmap of [mask_words] words (32 bits each), then its
+   refcount at [rc_slot]. Privatizing a page is one [Array.copy] and, as
+   the block is larger than the minor heap's limit, allocates no minor
+   words. The bitmap lets [snapshot] and [pp] enumerate exactly the
+   cells that were explicitly stored (including stores of 0). A
+   directory is a [page array] of [dir_slots] pages followed by one
+   1-word block holding its refcount, so a load goes top level →
+   directory → page with no record in between.
+
+   The shared empty page and empty directory, which every slot starts
+   at, carry a refcount of [max_int]: any store through them takes the
+   privatize path, so they are never written. The scans skip empty and
+   physically shared blocks, so they cost O(top level + pages live or
+   differing). *)
+
+let page_bits = 10
 let page_words = 1 lsl page_bits
 let page_idx_mask = page_words - 1
-let table_pages = 4096 (* paged span: 16M words, covers Layout up to io_limit *)
 let mask_words = page_words / 32
+let rc_slot = page_words + mask_words
+let dir_bits = 7
+let dir_slots = 1 lsl dir_bits
+let dir_idx_mask = dir_slots - 1
+let top_shift = page_bits + dir_bits
+let top_slots = 128
 
-type page = { data : int array; mask : int array; mutable rc : int }
+(* [live_pages] counts 4096-word regions, the page size of the flat
+   table this one replaced, so the trace counter built on it keeps its
+   value *)
+let region_pages = 4096 / page_words
 
-(* The shared all-zeros page every table slot starts at. Its huge
-   refcount makes any store take the privatize path, so it is never
-   mutated; reads through it see memory's default 0. *)
-let empty_page =
-  { data = Array.make page_words 0; mask = Array.make mask_words 0; rc = max_int }
+type page = int array
+type dir = page array
+
+let empty_page : page =
+  let pg = Array.make (rc_slot + 1) 0 in
+  pg.(rc_slot) <- max_int;
+  pg
+
+let empty_dir : dir =
+  let d = Array.make (dir_slots + 1) empty_page in
+  d.(dir_slots) <- [| max_int |];
+  d
+
+let[@inline] dir_rc (d : dir) = Array.unsafe_get (Array.unsafe_get d dir_slots) 0
+
+let[@inline] set_dir_rc (d : dir) v =
+  Array.unsafe_set (Array.unsafe_get d dir_slots) 0 v
 
 type t = {
   mutable pc : int;
   regs : int array;
-  mutable pages : page array;
+  top : dir array;
   overflow : (int, int) Hashtbl.t;
 }
 
@@ -40,17 +80,17 @@ let create () =
   {
     pc = 0;
     regs = Array.make Reg.count 0;
-    pages = Array.make table_pages empty_page;
+    top = Array.make top_slots empty_dir;
     overflow = Hashtbl.create 16;
   }
 
 let copy s =
-  let pages = Array.copy s.pages in
-  for i = 0 to table_pages - 1 do
-    let pg = Array.unsafe_get pages i in
-    if pg != empty_page then pg.rc <- pg.rc + 1
+  let top = Array.copy s.top in
+  for t = 0 to top_slots - 1 do
+    let d = Array.unsafe_get top t in
+    if d != empty_dir then set_dir_rc d (dir_rc d + 1)
   done;
-  { pc = s.pc; regs = Array.copy s.regs; pages; overflow = Hashtbl.copy s.overflow }
+  { pc = s.pc; regs = Array.copy s.regs; top; overflow = Hashtbl.copy s.overflow }
 
 let[@inline] pc s = s.pc
 let[@inline] set_pc s v = s.pc <- v
@@ -66,30 +106,57 @@ let[@inline] set_reg s r v =
 
 let copy_regs s = Array.copy s.regs
 
-let get_mem s a =
-  (* [lsr] sends negative addresses far past [table_pages], so one
+let overflow_get s a =
+  match Hashtbl.find_opt s.overflow a with Some v -> v | None -> 0
+
+let[@inline] get_mem s a =
+  (* [lsr] sends negative addresses far past [top_slots], so one
      unsigned bound check routes them to the overflow table *)
-  let p = a lsr page_bits in
-  if p < table_pages then
-    Array.unsafe_get (Array.unsafe_get s.pages p).data (a land page_idx_mask)
-  else match Hashtbl.find_opt s.overflow a with Some v -> v | None -> 0
+  let t = a lsr top_shift in
+  if t < top_slots then
+    let d = Array.unsafe_get s.top t in
+    Array.unsafe_get
+      (Array.unsafe_get d ((a lsr page_bits) land dir_idx_mask))
+      (a land page_idx_mask)
+  else overflow_get s a
+
+(* Replace a shared directory with a private clone before writing
+   through it: its pages gain a holder. *)
+let privatize_dir s t d =
+  let fresh = Array.copy d in
+  Array.unsafe_set fresh dir_slots [| 1 |];
+  for j = 0 to dir_slots - 1 do
+    let pg = Array.unsafe_get fresh j in
+    if pg != empty_page then
+      Array.unsafe_set pg rc_slot (Array.unsafe_get pg rc_slot + 1)
+  done;
+  if d != empty_dir then set_dir_rc d (dir_rc d - 1);
+  Array.unsafe_set s.top t fresh;
+  fresh
 
 (* Replace a shared page with a private clone before writing into it. *)
-let privatize s p pg =
-  let fresh = { data = Array.copy pg.data; mask = Array.copy pg.mask; rc = 1 } in
-  if pg != empty_page then pg.rc <- pg.rc - 1;
-  s.pages.(p) <- fresh;
+let privatize_page d j pg =
+  let fresh = Array.copy pg in
+  Array.unsafe_set fresh rc_slot 1;
+  if pg != empty_page then
+    Array.unsafe_set pg rc_slot (Array.unsafe_get pg rc_slot - 1);
+  Array.unsafe_set d j fresh;
   fresh
 
 let set_mem s a v =
-  let p = a lsr page_bits in
-  if p < table_pages then begin
-    let pg = Array.unsafe_get s.pages p in
-    let pg = if pg.rc > 1 then privatize s p pg else pg in
+  let t = a lsr top_shift in
+  if t < top_slots then begin
+    let d = Array.unsafe_get s.top t in
+    let d = if dir_rc d > 1 then privatize_dir s t d else d in
+    let j = (a lsr page_bits) land dir_idx_mask in
+    let pg = Array.unsafe_get d j in
+    let pg =
+      if Array.unsafe_get pg rc_slot > 1 then privatize_page d j pg else pg
+    in
     let i = a land page_idx_mask in
-    Array.unsafe_set pg.data i v;
-    let m = i lsr 5 in
-    Array.unsafe_set pg.mask m (Array.unsafe_get pg.mask m lor (1 lsl (i land 31)))
+    Array.unsafe_set pg i v;
+    let m = page_words + (i lsr 5) in
+    Array.unsafe_set pg m (Array.unsafe_get pg m lor (1 lsl (i land 31)))
   end
   else Hashtbl.replace s.overflow a v
 
@@ -113,18 +180,24 @@ let load ?(set_entry = true) s (p : Mssp_isa.Program.t) =
   set_reg s Reg.gp Layout.data_base;
   if set_entry then s.pc <- p.entry
 
-(* Visit every explicitly written memory word (address, current value). *)
+(* Visit every explicitly written memory word (address, current value),
+   paged words in address order, then the overflow table. *)
 let iter_materialized f s =
-  for p = 0 to table_pages - 1 do
-    let pg = Array.unsafe_get s.pages p in
-    if pg != empty_page then
-      for m = 0 to mask_words - 1 do
-        let bits = Array.unsafe_get pg.mask m in
-        if bits <> 0 then
-          for b = 0 to 31 do
-            if bits land (1 lsl b) <> 0 then
-              let i = (m lsl 5) lor b in
-              f ((p lsl page_bits) lor i) (Array.unsafe_get pg.data i)
+  for t = 0 to top_slots - 1 do
+    let d = Array.unsafe_get s.top t in
+    if d != empty_dir then
+      for j = 0 to dir_slots - 1 do
+        let pg = Array.unsafe_get d j in
+        if pg != empty_page then
+          let base = (t lsl top_shift) lor (j lsl page_bits) in
+          for m = 0 to mask_words - 1 do
+            let bits = Array.unsafe_get pg (page_words + m) in
+            if bits <> 0 then
+              for b = 0 to 31 do
+                if bits land (1 lsl b) <> 0 then
+                  let i = (m lsl 5) lor b in
+                  f (base lor i) (Array.unsafe_get pg i)
+              done
           done
       done
   done;
@@ -137,8 +210,17 @@ let materialized_cells s =
 
 let live_pages s =
   let n = ref 0 in
-  for p = 0 to table_pages - 1 do
-    if Array.unsafe_get s.pages p != empty_page then incr n
+  for t = 0 to top_slots - 1 do
+    let d = Array.unsafe_get s.top t in
+    if d != empty_dir then
+      for r = 0 to (dir_slots / region_pages) - 1 do
+        let live = ref false in
+        for k = 0 to region_pages - 1 do
+          if Array.unsafe_get d ((r * region_pages) + k) != empty_page then
+            live := true
+        done;
+        if !live then incr n
+      done
   done;
   !n
 
@@ -158,6 +240,19 @@ let snapshot s =
     (Fragment.add Cell.Pc s.pc (snapshot_mem s))
     Reg.all
 
+(* Call [f base pg1 pg2] on every pair of pages at the same place in the
+   paged span that are not physically shared, skipping shared
+   directories: only such pages can hold differing words. *)
+let iter_unshared_pages f s1 s2 =
+  for t = 0 to top_slots - 1 do
+    let d1 = Array.unsafe_get s1.top t and d2 = Array.unsafe_get s2.top t in
+    if d1 != d2 then
+      for j = 0 to dir_slots - 1 do
+        let pg1 = Array.unsafe_get d1 j and pg2 = Array.unsafe_get d2 j in
+        if pg1 != pg2 then f ((t lsl top_shift) lor (j lsl page_bits)) pg1 pg2
+      done
+  done
+
 let diff_observable s1 s2 =
   let diffs = ref [] in
   let check c =
@@ -166,24 +261,21 @@ let diff_observable s1 s2 =
   in
   check Cell.Pc;
   List.iter (fun r -> Option.iter check (Cell.reg r)) Reg.all;
-  (* paged span: scan pairwise; physically shared pages cannot differ,
-     and a differing word is necessarily materialized in one side (only
-     stores make data nonzero), so plain word comparison finds exactly
-     the observable differences *)
-  for p = 0 to table_pages - 1 do
-    let pg1 = Array.unsafe_get s1.pages p and pg2 = Array.unsafe_get s2.pages p in
-    if pg1 != pg2 then
+  (* a differing word is necessarily materialized in one side (only
+     stores make data nonzero), so plain word comparison under either
+     mask finds exactly the observable differences *)
+  iter_unshared_pages
+    (fun base pg1 pg2 ->
       for m = 0 to mask_words - 1 do
-        if Array.unsafe_get pg1.mask m lor Array.unsafe_get pg2.mask m <> 0 then
+        let k = page_words + m in
+        if Array.unsafe_get pg1 k lor Array.unsafe_get pg2 k <> 0 then
           for b = 0 to 31 do
             let i = (m lsl 5) lor b in
-            let v1 = Array.unsafe_get pg1.data i
-            and v2 = Array.unsafe_get pg2.data i in
-            if v1 <> v2 then
-              diffs := (Cell.mem ((p lsl page_bits) lor i), v1, v2) :: !diffs
+            let v1 = Array.unsafe_get pg1 i and v2 = Array.unsafe_get pg2 i in
+            if v1 <> v2 then diffs := (Cell.mem (base lor i), v1, v2) :: !diffs
           done
-      done
-  done;
+      done)
+    s1 s2;
   let seen = Hashtbl.create 16 in
   let check_overflow a _ =
     if not (Hashtbl.mem seen a) then begin
@@ -197,31 +289,26 @@ let diff_observable s1 s2 =
 
 let equal_observable s1 s2 =
   let pages_equal () =
-    let ok = ref true in
-    let p = ref 0 in
-    while !ok && !p < table_pages do
-      let pg1 = Array.unsafe_get s1.pages !p
-      and pg2 = Array.unsafe_get s2.pages !p in
-      if pg1 != pg2 then begin
-        let m = ref 0 in
-        while !ok && !m < mask_words do
-          (* words outside both masks are 0 on both sides *)
-          if Array.unsafe_get pg1.mask !m lor Array.unsafe_get pg2.mask !m <> 0
-          then begin
-            let base = !m lsl 5 in
-            for b = 0 to 31 do
-              if
-                Array.unsafe_get pg1.data (base lor b)
-                <> Array.unsafe_get pg2.data (base lor b)
-              then ok := false
-            done
-          end;
-          incr m
-        done
-      end;
-      incr p
-    done;
-    !ok
+    match
+      iter_unshared_pages
+        (fun _ pg1 pg2 ->
+          for m = 0 to mask_words - 1 do
+            let k = page_words + m in
+            (* words outside both masks are 0 on both sides *)
+            if Array.unsafe_get pg1 k lor Array.unsafe_get pg2 k <> 0 then begin
+              let base = m lsl 5 in
+              for b = 0 to 31 do
+                if
+                  Array.unsafe_get pg1 (base lor b)
+                  <> Array.unsafe_get pg2 (base lor b)
+                then raise_notrace Exit
+              done
+            end
+          done)
+        s1 s2
+    with
+    | () -> true
+    | exception Exit -> false
   in
   let overflow_sub o other =
     Hashtbl.fold (fun a v ok -> ok && get_mem other a = v) o true

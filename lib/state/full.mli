@@ -5,14 +5,23 @@
     state maintained in the shared L2"), the master's speculative state
     and the baseline machines all use this representation.
 
-    Memory is a paged image: loads and stores are O(1) array accesses
-    into fixed-size pages of unboxed ints, and {!copy} shares pages
-    copy-on-write — the first store through either state privatizes only
-    the page it touches. Addresses outside the paged span (negative or
-    huge) spill to a per-word table, keeping memory total over all of
-    [int]. Pages remember exactly which words were explicitly written
-    (including writes of 0), so {!snapshot} and {!pp} enumerate the same
-    "materialized" set the representation has always exposed.
+    Memory is a paged image behind a two-level table: a state's top
+    level of 128 directory blocks, each of 128 pages of 1,024 unboxed
+    ints, spans 2^24 words (Layout up to [io_limit]). A load is three
+    array indexations, a store the same plus two refcount reads.
+    Directories and pages are shared copy-on-write: {!create} and
+    {!copy} cost O(top level), about 200 words, whatever the footprint,
+    and the first store through either state privatizes only the
+    directory block and the page it touches (about 1,200 words).
+    Addresses outside the paged span (negative or huge) spill to a
+    per-word table, keeping memory total over all of [int]. Pages
+    remember exactly which words were explicitly written (including
+    writes of 0), so {!snapshot} and {!pp} enumerate the same
+    "materialized" set the representation has always exposed. The scans
+    ({!equal_observable}, {!diff_observable}, {!live_pages},
+    {!snapshot}) skip empty and physically shared blocks: they cost
+    O(top level + pages live or differing), so comparing a state with a
+    fresh copy of itself is O(top level).
 
     The verify/commit unit checks a task's live-ins against a full state
     and superimposes its live-outs onto it through [Mssp_task.Task]
@@ -26,8 +35,8 @@ val create : unit -> t
 
 val copy : t -> t
 (** Observationally deep copy: the two states never see each other's
-    writes. O(pages), not O(memory): pages are shared copy-on-write and
-    privatized lazily on first store. *)
+    writes. O(top level), not O(memory): directory blocks and pages are
+    shared copy-on-write and privatized lazily on first store. *)
 
 val get : t -> Cell.t -> int
 val set : t -> Cell.t -> int -> unit
@@ -74,7 +83,10 @@ val diff_observable : t -> t -> (Cell.t * int * int) list
     diagnostics. *)
 
 val live_pages : t -> int
-(** Pages materialized in the paged span (footprint/trace counter). *)
+(** Aligned 4,096-word regions of the paged span that hold a written
+    word (footprint/trace counter). The unit is the page size of the
+    earlier flat table, so the [mem.arch_live_pages] counter reads the
+    same as it always has. *)
 
 val overflow_words : t -> int
 (** Words held in the out-of-span overflow table (trace counter). *)

@@ -219,9 +219,11 @@ let test_written_zero_materializes () =
   check "untouched cell not in snapshot" true
     (Fragment.find_opt (Cell.mem 41) snap = None)
 
-(* geometry of the paged image: 4096 pages of 4096 words *)
-let page_words = 4096
-let paged_span = 4096 * page_words
+(* geometry of the paged image: 128 directory blocks of 128 pages of
+   1024 words *)
+let page_words = 1024
+let dir_words = 128 * page_words
+let paged_span = 128 * dir_words
 
 let test_page_boundary_cow () =
   (* adjacent addresses on opposite sides of a page boundary: after a
@@ -244,6 +246,67 @@ let test_page_boundary_cow () =
   in
   check "exactly the two boundary cells differ" true
     (diff = [ (Cell.mem (b - 1), 1, 5); (Cell.mem b, 6, 2) ])
+
+let test_directory_boundary_cow () =
+  (* adjacent addresses in different directory blocks: after a copy, a
+     store on one side privatizes only its own block and page; the block
+     on the other side stays shared, also with a copy of the copy *)
+  let b = dir_words in
+  let s = Full.create () in
+  Full.set_mem s (b - 1) 1;
+  Full.set_mem s b 2;
+  let c = Full.copy s in
+  let cc = Full.copy c in
+  Full.set_mem c (b - 1) 5;
+  check_int "copy's side of the boundary" 5 (Full.get_mem c (b - 1));
+  check_int "copy still shares the next block" 2 (Full.get_mem c b);
+  check_int "original's block intact" 1 (Full.get_mem s (b - 1));
+  check_int "copy of the copy intact" 1 (Full.get_mem cc (b - 1));
+  Full.set_mem s b 6;
+  Full.set_mem cc b 7;
+  check_int "original privatized the other block" 6 (Full.get_mem s b);
+  check_int "copy unaffected" 2 (Full.get_mem c b);
+  check_int "copy of the copy sees its own store" 7 (Full.get_mem cc b);
+  check "original vs copy" true
+    (Full.diff_observable s c = [ (Cell.mem (b - 1), 1, 5); (Cell.mem b, 6, 2) ]);
+  check "copy vs its copy" true
+    (Full.diff_observable c cc = [ (Cell.mem (b - 1), 5, 1); (Cell.mem b, 2, 7) ]);
+  List.iter
+    (fun st -> check_int "two 4096-word regions live" 2 (Full.live_pages st))
+    [ s; c; cc ];
+  (* converging the values restores equality across the boundary *)
+  Full.set_mem c (b - 1) 1;
+  Full.set_mem c b 7;
+  check "converged" true (Full.equal_observable c cc);
+  check "still apart" false (Full.equal_observable s cc)
+
+let test_full_allocation () =
+  (* words allocated, minor plus major: the full majors flush pages
+     allocated straight on the major heap into the counters *)
+  let words f =
+    let total () =
+      Gc.full_major ();
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    let w0 = total () in
+    f ();
+    total () -. w0
+  in
+  (* a footprint of 48 pages over six directory blocks *)
+  let s = Full.create () in
+  for k = 0 to 47 do
+    Full.set_mem s ((k mod 6 * dir_words) + (k * page_words) + 3) k
+  done;
+  let bounded name bound f =
+    let w = words f in
+    check (Printf.sprintf "%s: %.0f words (bound %d)" name w bound) true
+      (w <= float_of_int bound)
+  in
+  bounded "create" 300 (fun () -> ignore (Sys.opaque_identity (Full.create ())));
+  bounded "copy" 300 (fun () -> ignore (Sys.opaque_identity (Full.copy s)));
+  let c = Full.copy s in
+  bounded "first store into a shared page" 1500 (fun () -> Full.set_mem c 4 1)
 
 let test_span_edge_straddle () =
   (* a straddle across the END of the paged span: the last paged word
@@ -301,59 +364,139 @@ module Ref_state = struct
     s.pc <- p.entry;
     s.regs.(Reg.to_int Reg.sp) <- Mssp_isa.Layout.stack_base;
     s.regs.(Reg.to_int Reg.gp) <- Mssp_isa.Layout.data_base
+
+  let copy s = { pc = s.pc; regs = Array.copy s.regs; mem = Hashtbl.copy s.mem }
+
+  let snapshot s =
+    let f =
+      Hashtbl.fold (fun a v f -> Fragment.add (Cell.mem a) v f) s.mem
+        (Fragment.singleton Cell.Pc s.pc)
+    in
+    List.fold_left
+      (fun f r ->
+        match Cell.reg r with Some c -> Fragment.add c (get s c) f | None -> f)
+      f Reg.all
+
+  (* cells on which the two states differ, in cell order *)
+  let diff s1 s2 =
+    let cells =
+      Cell.Pc
+      :: List.filter_map Cell.reg Reg.all
+      @ List.map Cell.mem
+          (List.of_seq (Hashtbl.to_seq_keys s1.mem)
+          @ List.of_seq (Hashtbl.to_seq_keys s2.mem))
+    in
+    List.filter_map
+      (fun c ->
+        let v1 = get s1 c and v2 = get s2 c in
+        if v1 <> v2 then Some (c, v1, v2) else None)
+      (List.sort_uniq Cell.compare cells)
+
+  (* aligned 4096-word regions of the paged span holding a written word *)
+  let live_pages s =
+    Hashtbl.fold
+      (fun a _ l -> if a >= 0 && a < paged_span then (a / 4096) :: l else l)
+      s.mem []
+    |> List.sort_uniq compare |> List.length
 end
 
+(* addresses on both sides of page, directory-block and span edges *)
+let probe_addrs =
+  [| 0; page_words - 1; page_words; dir_words - 1; dir_words; dir_words + 5;
+     (3 * dir_words) + 7; (127 * dir_words) - 1; paged_span - 1; paged_span;
+     -3; Mssp_isa.Layout.data_base; Mssp_isa.Layout.data_base + 1 |]
+
+(* The property runs a random program on a state, then a random mix of
+   copies (of any state so far, copies of copies included) and stores
+   on the probe addresses, then runs the program on the last copy. Every
+   state must match its reference, and every pair of states (most share
+   directory blocks) must compare, diff, count live regions and
+   snapshot as their references do. *)
 let prop_paged_matches_hashtbl_reference =
   QCheck.Test.make
     ~name:"paged Full = hashtable reference under random execution" ~count:50
-    QCheck.(pair small_nat (int_range 1 200))
-    (fun (seed, fuel) ->
+    QCheck.(
+      triple small_nat (int_range 1 200)
+        (small_list
+           (quad (int_bound 3) (int_bound 7)
+              (int_bound (Array.length probe_addrs - 1))
+              (int_bound 3))))
+    (fun (seed, fuel, ops) ->
       let p = Mssp_fuzz.Gen.generate ~weights:Mssp_fuzz.Gen.plain ~seed ~size:8 () in
       let full = Full.create () in
       Full.load full p;
       let r = Ref_state.create () in
       Ref_state.load r p;
-      let step_full () =
-        Mssp_seq.Exec.step
-          ~read:(fun c -> Some (Full.get full c))
-          ~write:(fun c v -> Full.set full c v)
-      in
-      let step_ref () =
-        Mssp_seq.Exec.step
-          ~read:(fun c -> Some (Ref_state.get r c))
-          ~write:(fun c v -> Ref_state.set r c v)
-      in
-      let rec go n =
-        if n = 0 then true
-        else
-          let of_ = step_full () and or_ = step_ref () in
-          if of_ <> or_ then false
+      let run (full, r) =
+        let step_full () =
+          Mssp_seq.Exec.step
+            ~read:(fun c -> Some (Full.get full c))
+            ~write:(fun c v -> Full.set full c v)
+        in
+        let step_ref () =
+          Mssp_seq.Exec.step
+            ~read:(fun c -> Some (Ref_state.get r c))
+            ~write:(fun c v -> Ref_state.set r c v)
+        in
+        let rec go n =
+          if n = 0 then true
           else
-            match of_ with
-            | Mssp_seq.Exec.Stepped -> go (n - 1)
-            | _ -> true
+            let of_ = step_full () and or_ = step_ref () in
+            if of_ <> or_ then false
+            else
+              match of_ with
+              | Mssp_seq.Exec.Stepped -> go (n - 1)
+              | _ -> true
+        in
+        go fuel
       in
-      let same_trace = go fuel in
-      (* final states observably identical: pc, every register, every
-         address either side ever materialized *)
-      let regs_ok =
-        List.for_all
-          (fun i ->
-            let reg = Reg.of_int i in
-            Full.get_reg full reg = r.Ref_state.regs.(i))
-          (List.init Reg.count Fun.id)
+      let first_run = run (full, r) in
+      let states = ref [| (full, r) |] in
+      List.iter
+        (fun (kind, k, a, v) ->
+          let n = Array.length !states in
+          let f, rf = !states.(k mod n) in
+          if kind = 0 then
+            states := Array.append !states [| (Full.copy f, Ref_state.copy rf) |]
+          else begin
+            Full.set_mem f probe_addrs.(a) v;
+            Ref_state.set rf (Cell.mem probe_addrs.(a)) v
+          end)
+        ops;
+      let states = !states in
+      let last_run = run states.(Array.length states - 1) in
+      (* each state observably identical to its reference: pc, every
+         register, every address either side ever materialized *)
+      let matches (full, r) =
+        let regs_ok =
+          List.for_all
+            (fun i ->
+              let reg = Reg.of_int i in
+              Full.get_reg full reg = r.Ref_state.regs.(i))
+            (List.init Reg.count Fun.id)
+        in
+        let mem_ok =
+          Hashtbl.fold
+            (fun a v ok -> ok && Full.get_mem full a = v)
+            r.Ref_state.mem true
+          && Fragment.to_list (Full.snapshot full)
+             |> List.for_all (fun (c, v) ->
+                    match c with
+                    | Cell.Mem _ -> Ref_state.get r c = v
+                    | _ -> true)
+        in
+        Full.pc full = r.Ref_state.pc && regs_ok && mem_ok
+        && Fragment.equal (Full.snapshot full) (Ref_state.snapshot r)
+        && Full.live_pages full = Ref_state.live_pages r
       in
-      let mem_ok =
-        Hashtbl.fold
-          (fun a v ok -> ok && Full.get_mem full a = v)
-          r.Ref_state.mem true
-        && Fragment.to_list (Full.snapshot full)
-           |> List.for_all (fun (c, v) ->
-                  match c with
-                  | Cell.Mem _ -> Ref_state.get r c = v
-                  | _ -> true)
+      let pair_ok (f1, r1) (f2, r2) =
+        let diff = Ref_state.diff r1 r2 in
+        Full.diff_observable f1 f2 = diff
+        && Full.equal_observable f1 f2 = (diff = [])
       in
-      same_trace && Full.pc full = r.Ref_state.pc && regs_ok && mem_ok)
+      first_run && last_run
+      && Array.for_all matches states
+      && Array.for_all (fun a -> Array.for_all (pair_ok a) states) states)
 
 (* --- Live_in --- *)
 
@@ -587,6 +730,9 @@ let () =
           Alcotest.test_case "written zero materializes" `Quick
             test_written_zero_materializes;
           Alcotest.test_case "page-boundary COW" `Quick test_page_boundary_cow;
+          Alcotest.test_case "directory-boundary COW" `Quick
+            test_directory_boundary_cow;
+          Alcotest.test_case "allocation" `Quick test_full_allocation;
           Alcotest.test_case "span-edge straddle" `Quick
             test_span_edge_straddle;
           Mssp_testkit.to_alcotest prop_paged_matches_hashtbl_reference;

@@ -11,12 +11,20 @@
      dune exec tools/hostprof/hostprof.exe -- --bench qsort  # one kernel
      dune exec tools/hostprof/hostprof.exe -- --repeat 3     # more samples
      dune exec tools/hostprof/hostprof.exe -- --words        # allocation
+     dune exec tools/hostprof/hostprof.exe -- --fuzz         # fuzz checks
 
    Profiling and distillation happen before sampling starts, so the
    tables hold the machine runs only: the 52 E1 points (13 registry
    kernels at ref size, 1/2/4/8 slaves, default config) or one kernel's
    four. On a host other than x86-64 or aarch64 Linux it prints
    "unsupported" and exits 0.
+
+   --fuzz samples whole [Oracle.check] calls instead (default grid,
+   formal layer on): the first 160 programs of `mssp_sim fuzz --seed 1`
+   whose SEQ run is shorter than 1,000 instructions, generated before
+   sampling starts. Distillation, the reference runs and the grid's
+   machine runs are all in the tables: the per-run fixed costs of short
+   programs.
 
    --words samples nothing (any host): it prints, per point, the minor
    words the machine run allocates per committed instruction and per
@@ -30,6 +38,8 @@ module Profile = Mssp_profile.Profile
 module Distill = Mssp_distill.Distill
 module M = Mssp_core.Mssp_machine
 module Config = Mssp_core.Mssp_config
+module Gen = Mssp_fuzz.Gen
+module Oracle = Mssp_fuzz.Oracle
 
 external supported : unit -> bool = "hostprof_supported"
 external start : int -> int -> unit = "hostprof_start"
@@ -159,6 +169,37 @@ let run_points points =
       cycles + r.M.stats.M.cycles)
     0 points
 
+(* --- fuzz checks ----------------------------------------------------------- *)
+
+let fuzz_count = 160
+let fuzz_short = 1000
+
+(* The first [fuzz_count] programs of `mssp_sim fuzz --seed 1` (its
+   program seeds and sizes, default weights) whose SEQ run stops within
+   [fuzz_short] instructions, with their program seeds. *)
+let fuzz_programs () =
+  let rng = Mssp_workload.Wl_util.lcg (1 lxor 0x6C078965) in
+  let rec go i n acc =
+    if n = fuzz_count then List.rev acc
+    else
+      let seed = (rng () lxor i) land 0x3FFFFFFF in
+      let p = Gen.generate ~seed ~size:(6 + (seed mod 19)) () in
+      let m = Mssp_seq.Machine.run_program ~fuel:fuzz_short p in
+      if m.Mssp_seq.Machine.instructions < fuzz_short then go (i + 1) (n + 1) ((seed, p) :: acc)
+      else go (i + 1) n acc
+  in
+  go 0 0 []
+
+(* machine runs compared *)
+let check_programs programs =
+  List.fold_left
+    (fun runs (seed, p) ->
+      match Oracle.check ~formal_seed:seed p with
+      | Oracle.Passed n -> runs + n
+      | Oracle.Skipped _ -> runs
+      | Oracle.Failed _ -> failwith (Printf.sprintf "hostprof: fuzz program seed %d failed its check" seed))
+    0 programs
+
 (* --- allocation ----------------------------------------------------------- *)
 
 (* committed instructions and tasks, and the minor words of one run and
@@ -238,23 +279,66 @@ let tally f names =
 
 let usage () =
   prerr_endline
-    "usage: hostprof.exe [--bench NAME] [--repeat R] [--words]\n\
-    \  default: the E1 grid (every registry kernel at 1/2/4/8 slaves), once";
+    "usage: hostprof.exe [--bench NAME | --fuzz] [--repeat R] [--words]\n\
+    \  default: the E1 grid (every registry kernel at 1/2/4/8 slaves), once;\n\
+    \  --fuzz: Oracle.check over 160 short `mssp_sim fuzz --seed 1` programs";
   exit 2
 
+(* Sample [repeat] calls of [run] and print the two tables under
+   [header], which gets the summed results of [run]. *)
+let sample ~repeat run header =
+  let syms = text_symbols () in
+  let t0 = Unix.times () in
+  start interval_us capacity;
+  let acc = ref 0 in
+  for _ = 1 to repeat do
+    acc := !acc + run ()
+  done;
+  stop ();
+  let t1 = Unix.times () in
+  let pcs = samples () in
+  let names =
+    Array.map
+      (fun pc ->
+        if pc < 0 then "(outside the executable: libc, vdso, kernel)"
+        else Option.value ~default:"(no symbol)" (symbol_at syms pc))
+      pcs
+  in
+  let total = Array.length names in
+  print_endline (header !acc);
+  Printf.printf "%d samples every %d us (%d dropped), %.2f s CPU\n" total interval_us (dropped ())
+    (t1.Unix.tms_utime +. t1.Unix.tms_stime -. t0.Unix.tms_utime -. t0.Unix.tms_stime);
+  if total > 0 then begin
+    table (Printf.sprintf "Top %d functions (self samples)" top) "function"
+      (List.filteri (fun i _ -> i < top) (tally display names)) total;
+    table "Per module (self samples)" "module" (tally group_of names) total
+  end
+
 let () =
-  let bench = ref None and repeat = ref 1 and words = ref false in
+  let bench = ref None and repeat = ref 1 and words = ref false and fuzz = ref false in
   let int_arg s = match int_of_string_opt s with Some n when n > 0 -> n | _ -> usage () in
   let rec parse = function
     | [] -> ()
     | "--bench" :: b :: rest -> bench := Some b; parse rest
     | "--repeat" :: n :: rest -> repeat := int_arg n; parse rest
     | "--words" :: rest -> words := true; parse rest
+    | "--fuzz" :: rest -> fuzz := true; parse rest
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
+  if !fuzz && (!words || !bench <> None) then usage ();
   if (not !words) && not (supported ()) then begin
     print_endline "hostprof: unsupported (needs x86-64 or aarch64 Linux)";
+    exit 0
+  end;
+  if !fuzz then begin
+    let programs = fuzz_programs () in
+    sample ~repeat:!repeat
+      (fun () -> check_programs programs)
+      (Printf.sprintf
+         "hostprof --fuzz: Oracle.check (default grid, formal on) over %d programs of \
+          `mssp_sim fuzz --seed 1` with SEQ runs under %d instructions, x %d; %d machine runs compared"
+         (List.length programs) fuzz_short !repeat);
     exit 0
   end;
   let benches =
@@ -273,29 +357,6 @@ let () =
       (match !bench with None -> Printf.sprintf "E1 grid (%d kernels)" (List.length benches) | Some b -> b)
       (List.length points) !repeat
   in
-  let syms = text_symbols () in
-  let t0 = Unix.times () in
-  start interval_us capacity;
-  let cycles = ref 0 in
-  for _ = 1 to !repeat do
-    cycles := !cycles + run_points points
-  done;
-  stop ();
-  let t1 = Unix.times () in
-  let pcs = samples () in
-  let names =
-    Array.map
-      (fun pc ->
-        if pc < 0 then "(outside the executable: libc, vdso, kernel)"
-        else Option.value ~default:"(no symbol)" (symbol_at syms pc))
-      pcs
-  in
-  let total = Array.length names in
-  Printf.printf "hostprof: %s; %d simulated cycles\n" what !cycles;
-  Printf.printf "%d samples every %d us (%d dropped), %.2f s CPU\n" total interval_us (dropped ())
-    (t1.Unix.tms_utime +. t1.Unix.tms_stime -. t0.Unix.tms_utime -. t0.Unix.tms_stime);
-  if total > 0 then begin
-    table (Printf.sprintf "Top %d functions (self samples)" top) "function"
-      (List.filteri (fun i _ -> i < top) (tally display names)) total;
-    table "Per module (self samples)" "module" (tally group_of names) total
-  end
+  sample ~repeat:!repeat
+    (fun () -> run_points points)
+    (Printf.sprintf "hostprof: %s; %d simulated cycles" what)
