@@ -367,9 +367,11 @@ let trace_cmd =
          else Trace.to_jsonl [ ev ])
     in
     (* A live run without a ring goes out (text, JSONL) or is folded
-       (summary) as the machine emits each event, so memory stays flat
-       however long the stream; a streamed run leaves no event list. *)
+       (summary, chrome) as the machine emits each event, so memory
+       follows the output, not the stream; a streamed run leaves no
+       event list. *)
     let summary = Trace.Summary.create () in
+    let chrome = Trace.Chrome.create () in
     let stream =
       let sink emit =
         Some
@@ -380,7 +382,8 @@ let trace_cmd =
       match (ring, format) with
       | None, (`Text | `Jsonl) -> sink put_event
       | None, `Summary -> sink (Trace.Summary.add summary)
-      | None, `Chrome | Some _, _ -> None
+      | None, `Chrome -> sink (Trace.Chrome.add chrome)
+      | Some _, _ -> None
     in
     let evs, verdict =
       match (name, from, ring) with
@@ -397,7 +400,9 @@ let trace_cmd =
     in
     (match format with
     | `Text | `Jsonl -> List.iter put_event evs
-    | `Chrome -> put (Trace.Chrome.to_string evs ^ "\n")
+    | `Chrome ->
+      List.iter (Trace.Chrome.add chrome) evs;
+      put (Mssp_trace.Tjson.to_string (Trace.Chrome.to_json chrome) ^ "\n")
     | `Summary ->
       List.iter (Trace.Summary.add summary) evs;
       put

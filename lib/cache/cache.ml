@@ -9,31 +9,90 @@ let config ?(sets = 64) ?(ways = 4) ?(line_words = 8) () =
 
 type stats = { mutable accesses : int; mutable misses : int }
 
+(* The sets live in chunks of [1 lsl chunk_shift] consecutive sets, each
+   chunk one [int array] of at most [max_chunk_words] words (one set
+   when a set alone is larger): set [s]'s way [w] is the pair at
+   [2 * (((s land chunk_set_mask) * ways) + w)], its tag (-1 = invalid,
+   so a line whose tag is -1 hits an invalid way) then its last-use tick
+   (0 = never; larger = more recent). A chunk is [empty] until one of
+   its sets is first touched.
+
+   The memo holds the last two distinct lines with the slot of their
+   tick words, [(chunk lsl slot_shift) lor offset]; a slot of -1 means
+   no line. *)
 type t = {
-  cfg : config;
+  line_mask : int; (* line_words - 1 *)
   line_shift : int; (* log2 line_words *)
+  set_mask : int; (* sets - 1 *)
   set_shift : int; (* log2 sets *)
-  tags : int array; (* [set * ways + way]; -1 = invalid *)
-  lru : int array; (* larger = more recently used *)
+  set_words : int; (* 2 * ways *)
+  chunk_shift : int; (* log2 sets per chunk *)
+  chunk_set_mask : int; (* sets per chunk - 1 *)
+  chunk_words : int;
+  slot_shift : int;
+  slot_mask : int;
+  chunks : int array array;
+  two_lines : bool; (* ways >= 2: the older memo line cannot be evicted *)
+  mutable line0 : int; (* newest *)
+  mutable slot0 : int;
+  mutable line1 : int; (* the distinct line touched before [line0] *)
+  mutable slot1 : int;
   mutable tick : int;
   stats : stats;
 }
 
+let max_chunk_words = 256 (* a minor-heap block *)
+let empty : int array = [||]
+
+(* ceiling log2 *)
 let log2 n =
   let rec go k = if 1 lsl k >= n then k else go (k + 1) in
   go 0
 
 let make cfg =
-  let n = cfg.sets * cfg.ways in
+  let set_words = 2 * cfg.ways in
+  let rec fit k =
+    if 2 lsl k <= cfg.sets && (2 lsl k) * set_words <= max_chunk_words then fit (k + 1)
+    else k
+  in
+  let chunk_shift = fit 0 in
+  let chunk_words = set_words lsl chunk_shift in
+  let slot_shift = log2 chunk_words in
   {
-    cfg;
+    line_mask = cfg.line_words - 1;
     line_shift = log2 cfg.line_words;
+    set_mask = cfg.sets - 1;
     set_shift = log2 cfg.sets;
-    tags = Array.make n (-1);
-    lru = Array.make n 0;
+    set_words;
+    chunk_shift;
+    chunk_set_mask = (1 lsl chunk_shift) - 1;
+    chunk_words;
+    slot_shift;
+    slot_mask = (1 lsl slot_shift) - 1;
+    chunks = Array.make (cfg.sets lsr chunk_shift) empty;
+    two_lines = cfg.ways >= 2;
+    line0 = 0;
+    slot0 = -1;
+    line1 = 0;
+    slot1 = -1;
     tick = 0;
     stats = { accesses = 0; misses = 0 };
   }
+
+let clear_chunk ch =
+  let n = Array.length ch in
+  let i = ref 0 in
+  while !i < n do
+    ch.(!i) <- -1;
+    ch.(!i + 1) <- 0;
+    i := !i + 2
+  done
+
+let build c ci =
+  let ch = Array.make c.chunk_words 0 in
+  clear_chunk ch;
+  c.chunks.(ci) <- ch;
+  ch
 
 let sign_shift = Sys.int_size - 1
 
@@ -42,41 +101,77 @@ let sign_shift = Sys.int_size - 1
    [asr] alone rounds toward minus infinity *)
 let[@inline] div_pow2 a mask k = (a + ((a asr sign_shift) land mask)) asr k
 
-let access c addr =
-  let cfg = c.cfg in
-  let line = div_pow2 addr (cfg.line_words - 1) c.line_shift in
-  let set = line land (cfg.sets - 1) in
-  let tag = div_pow2 line (cfg.sets - 1) c.set_shift in
-  let tags = c.tags and lru = c.lru in
-  c.tick <- c.tick + 1;
-  c.stats.accesses <- c.stats.accesses + 1;
-  (* way search as a plain loop: no closure, no option *)
-  let ways = cfg.ways in
-  let base = set * ways in
-  let last = base + ways in
+(* The set search for a line the memo does not hold: a way search as a
+   plain loop, and on a miss the LRU fill. The line becomes the newest
+   memo line, the old newest one the older (ways >= 2 only). *)
+let search c line tick =
+  let set = line land c.set_mask in
+  let tag = div_pow2 line c.set_mask c.set_shift in
+  let ci = set lsr c.chunk_shift in
+  let chunk =
+    let ch = c.chunks.(ci) in
+    if ch == empty then build c ci else ch
+  in
+  let base = (set land c.chunk_set_mask) * c.set_words in
+  let last = base + c.set_words in
   let w = ref base in
-  while !w < last && tags.(!w) <> tag do
-    incr w
+  while !w < last && chunk.(!w) <> tag do
+    w := !w + 2
   done;
-  if !w < last then begin
-    lru.(!w) <- c.tick;
-    true
-  end
-  else begin
+  let hit = !w < last in
+  if not hit then begin
     c.stats.misses <- c.stats.misses + 1;
     (* LRU victim: smallest tick (invalid ways have tick 0, chosen first) *)
-    let victim = ref base in
-    for w = base + 1 to last - 1 do
-      if lru.(w) < lru.(!victim) then victim := w
+    w := base;
+    let v = ref (base + 2) in
+    while !v < last do
+      if chunk.(!v + 1) < chunk.(!w + 1) then w := !v;
+      v := !v + 2
     done;
-    tags.(!victim) <- tag;
-    lru.(!victim) <- c.tick;
-    false
+    chunk.(!w) <- tag
+  end;
+  chunk.(!w + 1) <- tick;
+  if c.two_lines then begin
+    c.line1 <- c.line0;
+    c.slot1 <- c.slot0
+  end;
+  c.line0 <- line;
+  c.slot0 <- (ci lsl c.slot_shift) lor (!w + 1);
+  hit
+
+(* A memo slot was made by [search] from a built chunk, so both indices
+   are in bounds. *)
+let[@inline] touch c slot tick =
+  Array.unsafe_set
+    (Array.unsafe_get c.chunks (slot lsr c.slot_shift))
+    (slot land c.slot_mask)
+    tick
+
+let[@inline] access c addr =
+  let line = div_pow2 addr c.line_mask c.line_shift in
+  let tick = c.tick + 1 in
+  c.tick <- tick;
+  let stats = c.stats in
+  stats.accesses <- stats.accesses + 1;
+  if line = c.line0 && c.slot0 >= 0 then begin
+    touch c c.slot0 tick;
+    true
   end
+  else if line = c.line1 && c.slot1 >= 0 then begin
+    let slot = c.slot1 in
+    touch c slot tick;
+    c.line1 <- c.line0;
+    c.slot1 <- c.slot0;
+    c.line0 <- line;
+    c.slot0 <- slot;
+    true
+  end
+  else search c line tick
 
 let invalidate_all c =
-  Array.fill c.tags 0 (Array.length c.tags) (-1);
-  Array.fill c.lru 0 (Array.length c.lru) 0
+  Array.iter clear_chunk c.chunks;
+  c.slot0 <- -1;
+  c.slot1 <- -1
 
 let stats c = c.stats
 let miss_rate c =
@@ -105,7 +200,7 @@ module Hierarchy = struct
   let make_shared ?(l1 = config ()) ~lat ~l2 () =
     { l1 = make_cache l1; l2 = l2.l2; lat }
 
-  let access h addr =
+  let[@inline] access h addr =
     if access h.l1 addr then h.lat.l1_hit
     else if access h.l2 addr then h.lat.l2_hit
     else h.lat.memory

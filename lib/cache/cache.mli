@@ -3,7 +3,31 @@
     Purely a timing/locality model: it tracks which lines are resident,
     not their contents (data always comes from the functional simulation).
     Used by the per-core timing models — each master/slave core owns a
-    private L1 backed by the shared L2 ({!Hierarchy}). *)
+    private L1 backed by the shared L2 ({!Hierarchy}).
+
+    {b Storage by footprint.} The sets are grouped into chunks of
+    consecutive sets, each chunk one [int array] of at most 256 words
+    (a minor-heap block; a single set of more than 128 ways makes a
+    larger one) holding each way's tag next to its last-use tick. A
+    chunk is built the first time one of its sets is touched, so
+    {!make} costs O(chunks) words — the default 1,024-set, 8-way L2 is
+    64 chunk slots, not two 8,192-slot arrays — and {!invalidate_all}
+    costs O(chunks) plus a refill of the chunks built so far.
+
+    {b The hit memo.} Each cache remembers the last two distinct lines
+    it was asked for and where their ticks live. An access to either
+    skips the set/tag arithmetic and the way search; it still ticks,
+    counts and refreshes the line's LRU tick, so no hit, miss, LRU
+    order or counter differs from the plain search. The memo is exact
+    for [ways >= 2]: the older memo line was touched just before the
+    newest one, so it holds the newest tick left in its set and a fill
+    for the newest line cannot pick it as the LRU victim; a memo hit
+    fills nothing. One L2 shared by several hierarchies is one cache
+    object, so every core's accesses pass through the same memo. With
+    [ways = 1] the fill for a new line may evict the previous one, so
+    only the newest line is kept. {!invalidate_all} clears the memo.
+    A memo entry's validity is carried by its slot, never by a sentinel
+    line: with one-word lines every [int] is a line. *)
 
 type config = {
   sets : int;  (** number of sets; power of two *)

@@ -680,17 +680,129 @@ module Chrome = struct
         ("args", J.Obj args);
       ]
 
-  let of_events events =
-    let last_cycle =
-      List.fold_left (fun m ev -> max m (event_cycle ev)) 0 events
+  (* What the export keeps of a stream: the rendered slices, instants
+     and counters, the slaves seen, the open slices and the last cycle.
+     A [Predict]'s live-in is never kept. *)
+  type t = {
+    mutable last_cycle : int;
+    slaves : (int, unit) Hashtbl.t;
+    open_slices : (int, int * int) Hashtbl.t;
+        (** task -> start cycle, slave; unfinished slices (in flight at
+            a squash) end at the next squash, or at the end of the run *)
+    mutable slices : J.t list;  (** newest first *)
+    mutable instants : J.t list;
+    mutable counters : J.t list;
+  }
+
+  let create () =
+    {
+      last_cycle = 0;
+      slaves = Hashtbl.create 8;
+      open_slices = Hashtbl.create 16;
+      slices = [];
+      instants = [];
+      counters = [];
+    }
+
+  let slice ~task ~start_cycle ~slave ~end_cycle extra =
+    J.Obj
+      [
+        ("name", J.Str (Printf.sprintf "task %d" task));
+        ("cat", J.Str "task");
+        ("ph", J.Str "X");
+        ("ts", J.Int start_cycle);
+        ("dur", J.Int (max 0 (end_cycle - start_cycle)));
+        ("pid", J.Int 0);
+        ("tid", J.Int (slave + 1));
+        ("args", J.Obj (("task", J.Int task) :: extra));
+      ]
+
+  let add t ev =
+    t.last_cycle <- max t.last_cycle (event_cycle ev);
+    let close_slice ~task ~start_cycle ~slave ~end_cycle extra =
+      t.slices <- slice ~task ~start_cycle ~slave ~end_cycle extra :: t.slices
     in
-    let slaves = Hashtbl.create 8 in
-    List.iter
-      (function
-        | Slave_start { slave; _ } | Slave_finish { slave; _ } ->
-          Hashtbl.replace slaves slave ()
-        | _ -> ())
-      events;
+    let add_instant ev = t.instants <- ev :: t.instants in
+    match ev with
+    | Fork { cycle; task; entry } ->
+      add_instant
+        (instant ~ts:cycle ~name:(Printf.sprintf "fork task %d" task)
+           ~args:[ ("entry", J.Int entry) ] ())
+    | Predict _ -> ()
+    | Slave_start { cycle; task; slave } ->
+      Hashtbl.replace t.slaves slave ();
+      Hashtbl.replace t.open_slices task (cycle, slave)
+    | Slave_finish { cycle; task; slave; executed; ok } -> (
+      Hashtbl.replace t.slaves slave ();
+      match Hashtbl.find_opt t.open_slices task with
+      | Some (start_cycle, _) ->
+        Hashtbl.remove t.open_slices task;
+        close_slice ~task ~start_cycle ~slave ~end_cycle:cycle
+          [ ("executed", J.Int executed); ("ok", J.Bool ok) ]
+      | None -> ())
+    | Verify { cycle; task; outcome; _ } ->
+      add_instant
+        (instant ~ts:cycle ~name:(Printf.sprintf "verify task %d" task)
+           ~args:
+             [
+               ( "outcome",
+                 J.Str
+                   (match outcome with
+                   | Pass -> "pass"
+                   | Mismatch _ -> "mismatch"
+                   | Incomplete _ -> "incomplete") );
+             ]
+           ())
+    | Commit { cycle; task; instructions; _ } ->
+      add_instant
+        (instant ~ts:cycle ~name:(Printf.sprintf "commit task %d" task)
+           ~args:[ ("instructions", J.Int instructions) ] ())
+    | Squash { cycle; reason; discarded; _ } ->
+      (* close every in-flight slice: squashed mid-execution *)
+      Hashtbl.iter
+        (fun task (start_cycle, slave) ->
+          close_slice ~task ~start_cycle ~slave ~end_cycle:cycle
+            [ ("squashed", J.Bool true) ])
+        t.open_slices;
+      Hashtbl.reset t.open_slices;
+      add_instant
+        (instant ~ts:cycle
+           ~name:(Format.asprintf "squash (%a)" pp_squash_reason reason)
+           ~args:[ ("discarded", J.Int discarded) ] ())
+    | Recovery { cycle; instructions; burst; _ } ->
+      add_instant
+        (instant ~ts:cycle ~name:"recovery"
+           ~args:
+             [ ("instructions", J.Int instructions); ("burst", J.Bool burst) ]
+           ())
+    | Restart { cycle; pc } ->
+      add_instant
+        (instant ~ts:cycle ~name:"master restart" ~args:[ ("pc", J.Int pc) ] ())
+    | Master_stop { cycle; pc } ->
+      add_instant
+        (instant ~ts:cycle ~name:"master dead" ~args:[ ("pc", J.Int pc) ] ())
+    | Fault { cycle; surface; task } ->
+      add_instant
+        (instant ~ts:cycle ~name:(Printf.sprintf "fault (%s)" surface)
+           ~args:
+             (match task with Some id -> [ ("task", J.Int id) ] | None -> [])
+           ())
+    | Counter { cycle; name; value } ->
+      t.counters <-
+        J.Obj
+          [
+            ("name", J.Str name);
+            ("ph", J.Str "C");
+            ("ts", J.Int cycle);
+            ("pid", J.Int 0);
+            ("args", J.Obj [ ("value", J.Int value) ]);
+          ]
+        :: t.counters
+    | Halt { cycle; stop } ->
+      add_instant
+        (instant ~ts:cycle ~name:(Printf.sprintf "halt (%s)" stop) ())
+
+  let to_json t =
     let metas =
       J.Obj
         [
@@ -700,135 +812,34 @@ module Chrome = struct
           ("args", J.Obj [ ("name", J.Str "mssp") ]);
         ]
       :: meta 0 0 "master / commit unit"
-      :: (Hashtbl.fold (fun s () acc -> s :: acc) slaves []
+      :: (Hashtbl.fold (fun s () acc -> s :: acc) t.slaves []
          |> List.sort compare
          |> List.map (fun s -> meta 0 (s + 1) (Printf.sprintf "slave %d" s)))
     in
-    (* pair slave start/finish by task id; unfinished slices (in flight
-       at a squash) end at the next squash, or at the end of the run *)
-    let open_slices : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
-    let slices = ref [] in
-    let close_slice ~task ~start_cycle ~slave ~end_cycle extra =
-      slices :=
-        J.Obj
-          [
-            ("name", J.Str (Printf.sprintf "task %d" task));
-            ("cat", J.Str "task");
-            ("ph", J.Str "X");
-            ("ts", J.Int start_cycle);
-            ("dur", J.Int (max 0 (end_cycle - start_cycle)));
-            ("pid", J.Int 0);
-            ("tid", J.Int (slave + 1));
-            ("args", J.Obj (("task", J.Int task) :: extra));
-          ]
-        :: !slices
-    in
-    let instants = ref [] in
-    let add_instant ev = instants := ev :: !instants in
-    let counters = ref [] in
-    List.iter
-      (fun ev ->
-        match ev with
-        | Fork { cycle; task; entry } ->
-          add_instant
-            (instant ~ts:cycle ~name:(Printf.sprintf "fork task %d" task)
-               ~args:[ ("entry", J.Int entry) ] ())
-        | Predict _ -> ()
-        | Slave_start { cycle; task; slave } ->
-          Hashtbl.replace open_slices task (cycle, slave)
-        | Slave_finish { cycle; task; slave; executed; ok } -> (
-          match Hashtbl.find_opt open_slices task with
-          | Some (start_cycle, _) ->
-            Hashtbl.remove open_slices task;
-            close_slice ~task ~start_cycle ~slave ~end_cycle:cycle
-              [ ("executed", J.Int executed); ("ok", J.Bool ok) ]
-          | None -> ())
-        | Verify { cycle; task; outcome; _ } ->
-          add_instant
-            (instant ~ts:cycle ~name:(Printf.sprintf "verify task %d" task)
-               ~args:
-                 [
-                   ( "outcome",
-                     J.Str
-                       (match outcome with
-                       | Pass -> "pass"
-                       | Mismatch _ -> "mismatch"
-                       | Incomplete _ -> "incomplete") );
-                 ]
-               ())
-        | Commit { cycle; task; instructions; _ } ->
-          add_instant
-            (instant ~ts:cycle ~name:(Printf.sprintf "commit task %d" task)
-               ~args:[ ("instructions", J.Int instructions) ] ())
-        | Squash { cycle; reason; discarded; _ } ->
-          (* close every in-flight slice: squashed mid-execution *)
-          Hashtbl.iter
-            (fun task (start_cycle, slave) ->
-              close_slice ~task ~start_cycle ~slave ~end_cycle:cycle
-                [ ("squashed", J.Bool true) ])
-            open_slices;
-          Hashtbl.reset open_slices;
-          add_instant
-            (instant ~ts:cycle
-               ~name:
-                 (Format.asprintf "squash (%a)" pp_squash_reason reason)
-               ~args:[ ("discarded", J.Int discarded) ] ())
-        | Recovery { cycle; instructions; burst; _ } ->
-          add_instant
-            (instant ~ts:cycle ~name:"recovery"
-               ~args:
-                 [
-                   ("instructions", J.Int instructions);
-                   ("burst", J.Bool burst);
-                 ]
-               ())
-        | Restart { cycle; pc } ->
-          add_instant
-            (instant ~ts:cycle ~name:"master restart"
-               ~args:[ ("pc", J.Int pc) ] ())
-        | Master_stop { cycle; pc } ->
-          add_instant
-            (instant ~ts:cycle ~name:"master dead"
-               ~args:[ ("pc", J.Int pc) ] ())
-        | Fault { cycle; surface; task } ->
-          add_instant
-            (instant ~ts:cycle ~name:(Printf.sprintf "fault (%s)" surface)
-               ~args:
-                 (match task with
-                 | Some id -> [ ("task", J.Int id) ]
-                 | None -> [])
-               ())
-        | Counter { cycle; name; value } ->
-          counters :=
-            J.Obj
-              [
-                ("name", J.Str name);
-                ("ph", J.Str "C");
-                ("ts", J.Int cycle);
-                ("pid", J.Int 0);
-                ("args", J.Obj [ ("value", J.Int value) ]);
-              ]
-            :: !counters
-        | Halt { cycle; stop } ->
-          add_instant
-            (instant ~ts:cycle ~name:(Printf.sprintf "halt (%s)" stop) ()))
-      events;
     (* a slice still open at the end of the stream (truncated trace) *)
-    Hashtbl.iter
-      (fun task (start_cycle, slave) ->
-        close_slice ~task ~start_cycle ~slave ~end_cycle:last_cycle
-          [ ("truncated", J.Bool true) ])
-      open_slices;
+    let slices =
+      Hashtbl.fold
+        (fun task (start_cycle, slave) acc ->
+          slice ~task ~start_cycle ~slave ~end_cycle:t.last_cycle
+            [ ("truncated", J.Bool true) ]
+          :: acc)
+        t.open_slices t.slices
+    in
     J.Obj
       [
         ( "traceEvents",
           J.List
-            (metas @ List.rev !slices @ List.rev !instants
-           @ List.rev !counters) );
+            (metas @ List.rev slices @ List.rev t.instants
+           @ List.rev t.counters) );
         ("displayTimeUnit", J.Str "ms");
         ( "otherData",
           J.Obj [ ("generator", J.Str "mssp_sim trace --format chrome") ] );
       ]
+
+  let of_events events =
+    let t = create () in
+    List.iter (add t) events;
+    to_json t
 
   let to_string events = J.to_string (of_events events)
 end

@@ -246,6 +246,21 @@ module Chrome : sig
       master/commit track; counters become "C" samples. Cycles are
       reported as microseconds (1 cycle = 1us). *)
 
+  type t
+  (** An export being built: what it renders of the events added so
+      far. It keeps no event, so no [Predict] live-in. *)
+
+  val create : unit -> t
+
+  val add : t -> event -> unit
+  (** Fold one event in, in stream order. *)
+
+  val to_json : t -> Tjson.t
+  (** The export of the events added so far; a slice still open ends at
+      the last cycle seen, marked truncated. *)
+
   val of_events : event list -> Tjson.t
+  (** [to_json] of a fresh export with every event added. *)
+
   val to_string : event list -> string
 end

@@ -176,25 +176,224 @@ let gen_config =
     (oneofl [ 1; 2; 3; 4; 8 ])
     (oneofl [ 1; 2; 4; 8; 16 ])
 
+let extremes = [ min_int; min_int + 1; max_int; -1; 0 ]
+
+(* runs of one line, alternation between two or three lines of one set
+   or of different sets, and invalidations between them: the accesses
+   the hit memo serves. Line [l] is reached through an address that
+   truncates to it (negative lines count down from [l * line_words]). *)
+let gen_reuse_ops (cfg : Cache.config) =
+  let open QCheck.Gen in
+  let addr l off =
+    let a = l * cfg.line_words in
+    if l < 0 then a - off else a + off
+  in
+  let access l = map (fun off -> Access (addr l off)) (int_bound (cfg.line_words - 1)) in
+  let tag = frequency [ (8, int_range (-4) 4); (1, oneofl [ min_int / cfg.sets; max_int / cfg.sets ]) ] in
+  let set = int_bound (cfg.sets - 1) in
+  (* extreme lines too: a fresh or invalidated memo must not hold them *)
+  let line =
+    frequency
+      [
+        (6, map2 (fun t s -> (t * cfg.sets) + s) tag set);
+        (1, oneofl extremes);
+      ]
+  in
+  let alternate lines =
+    int_range 2 24 >>= fun n ->
+    bool >>= fun cyclic ->
+    let k = List.length lines in
+    flatten_l
+      (List.init n (fun i ->
+           (if cyclic then return (i mod k) else int_bound (k - 1)) >>= fun j ->
+           access (List.nth lines j)))
+  in
+  let segment =
+    frequency
+      [
+        (3, map2 (fun l n -> (l, n)) line (int_range 1 10) >>= fun (l, n) ->
+            flatten_l (List.init n (fun _ -> access l)));
+        (* two or three lines of one set, distinct tags *)
+        ( 3,
+          int_range 2 3 >>= fun k ->
+          set >>= fun s ->
+          int_range (-4) (4 - k) >>= fun t0 ->
+          alternate (List.init k (fun i -> ((t0 + i) * cfg.sets) + s)) );
+        (* two or three lines of any sets *)
+        (3, int_range 2 3 >>= fun k -> list_repeat k line >>= alternate);
+        (1, return [ Invalidate ]);
+        (1, map (fun a -> [ Invalidate; Access a ]) (oneofl extremes));
+        (1, map (fun a -> [ Access a ]) gen_addr);
+      ]
+  in
+  map List.concat (list_size (int_range 1 30) segment)
+
+let print_case ((cfg : Cache.config), ops) =
+  Printf.sprintf "sets=%d ways=%d line_words=%d [%s]" cfg.sets cfg.ways
+    cfg.line_words
+    (String.concat "; " (List.map show_op ops))
+
+let matches_division_model (cfg, ops) =
+  let c = Cache.make cfg and d = Div_model.make cfg in
+  List.for_all
+    (function
+      | Access a -> Cache.access c a = Div_model.access d a
+      | Invalidate ->
+          Cache.invalidate_all c;
+          Div_model.invalidate_all d;
+          true)
+    ops
+  && Cache.stats c = d.stats
+
+(* random and reuse-heavy streams over the configuration grid *)
+let gen_case gen_config =
+  let open QCheck.Gen in
+  gen_config >>= fun cfg ->
+  map (fun ops -> (cfg, ops)) (oneof [ gen_ops; gen_reuse_ops cfg ])
+
 let prop_matches_division_model =
-  QCheck.Test.make ~name:"shift model matches the division model" ~count:300
-    (QCheck.make
-       ~print:(fun ((cfg : Cache.config), ops) ->
-         Printf.sprintf "sets=%d ways=%d line_words=%d [%s]" cfg.sets cfg.ways
-           cfg.line_words
-           (String.concat "; " (List.map show_op ops)))
-       QCheck.Gen.(pair gen_config gen_ops))
-    (fun (cfg, ops) ->
-      let c = Cache.make cfg and d = Div_model.make cfg in
+  QCheck.Test.make ~name:"shift model matches the division model" ~count:1000
+    (QCheck.make ~print:print_case (gen_case gen_config))
+    matches_division_model
+
+(* ways = 1: the memo keeps one line, since a fill may evict the other *)
+let prop_direct_mapped_matches_division_model =
+  QCheck.Test.make ~name:"direct-mapped model matches the division model"
+    ~count:300
+    (QCheck.make ~print:print_case
+       (gen_case
+          QCheck.Gen.(
+            map2
+              (fun sets line_words -> Cache.config ~sets ~ways:1 ~line_words ())
+              (oneofl [ 1; 2; 4; 64; 1024 ])
+              (oneofl [ 1; 2; 8 ]))))
+    matches_division_model
+
+(* A fresh or invalidated memo holds no line, whatever the line: with
+   one-word lines every int is one, so no sentinel line can mark the
+   memo empty. *)
+let test_empty_memo () =
+  List.iter
+    (fun (sets, ways) ->
+      let cfg = Cache.config ~sets ~ways ~line_words:1 () in
+      List.iter
+        (fun a ->
+          let ops = [ Access a; Access a; Access (a + 1); Invalidate; Access a; Access a ] in
+          check
+            (Printf.sprintf "sets=%d ways=%d address %d" sets ways a)
+            true
+            (matches_division_model (cfg, ops)))
+        extremes)
+    [ (1, 1); (2, 1); (1, 2); (2, 2); (64, 4); (1024, 8) ]
+
+(* Two hierarchies on one L2, accessed interleaved, against two division
+   L1s over one division L2: the shared L2's memo sees both cores'
+   accesses. *)
+type core_op = Core of int * int | Squash of int
+
+let prop_shared_l2_matches_division_model =
+  let lat = Cache.Hierarchy.latencies ~l1_hit:1 ~l2_hit:10 ~memory:100 () in
+  let gen =
+    let open QCheck.Gen in
+    gen_config >>= fun l1 ->
+    gen_config >>= fun l2 ->
+    (* lines drawn at the coarser line size reuse in both levels *)
+    let cfg = if l1.line_words >= l2.line_words then l1 else l2 in
+    oneof [ gen_ops; gen_reuse_ops cfg ] >>= fun ops ->
+    flatten_l
+      (List.map
+         (fun op ->
+           map
+             (fun core -> match op with Access a -> Core (core, a) | Invalidate -> Squash core)
+             (int_bound 1))
+         ops)
+    >>= fun ops -> return (l1, l2, ops)
+  in
+  let print ((l1 : Cache.config), (l2 : Cache.config), ops) =
+    Printf.sprintf "l1 sets=%d ways=%d line_words=%d, l2 sets=%d ways=%d line_words=%d [%s]"
+      l1.sets l1.ways l1.line_words l2.sets l2.ways l2.line_words
+      (String.concat "; "
+         (List.map
+            (function
+              | Core (k, a) -> Printf.sprintf "%d:%d" k a
+              | Squash k -> Printf.sprintf "%d:invalidate" k)
+            ops))
+  in
+  QCheck.Test.make ~name:"shared L2 matches the division model" ~count:300
+    (QCheck.make ~print gen)
+    (fun (l1, l2, ops) ->
+      let owner = Cache.Hierarchy.make ~l1 ~l2 ~lat () in
+      let hs = [| owner; Cache.Hierarchy.make_shared ~l1 ~lat ~l2:owner () |] in
+      let d2 = Div_model.make l2 in
+      let d1 = [| Div_model.make l1; Div_model.make l1 |] in
+      let div_access k a =
+        if Div_model.access d1.(k) a then lat.l1_hit
+        else if Div_model.access d2 a then lat.l2_hit
+        else lat.memory
+      in
       List.for_all
         (function
-          | Access a -> Cache.access c a = Div_model.access d a
-          | Invalidate ->
-              Cache.invalidate_all c;
-              Div_model.invalidate_all d;
+          | Core (k, a) -> Cache.Hierarchy.access hs.(k) a = div_access k a
+          | Squash k ->
+              Cache.Hierarchy.invalidate_l1 hs.(k);
+              Div_model.invalidate_all d1.(k);
               true)
         ops
-      && Cache.stats c = d.stats)
+      && Cache.Hierarchy.l1_stats hs.(0) = d1.(0).stats
+      && Cache.Hierarchy.l1_stats hs.(1) = d1.(1).stats
+      && Cache.Hierarchy.l2_stats hs.(0) = d2.stats
+      && Cache.Hierarchy.l2_stats hs.(1) = d2.stats)
+
+(* words allocated, minor plus major, after a full major, less what
+   the measurement itself allocates *)
+let words =
+  let measure f =
+    let total () =
+      Gc.full_major ();
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    let w0 = total () in
+    f ();
+    total () -. w0
+  in
+  let overhead = measure ignore in
+  fun f -> measure f -. overhead
+
+let bounded name bound f =
+  let w = words f in
+  check (Printf.sprintf "%s: %.0f words (bound %d)" name w bound) true
+    (w <= float_of_int bound)
+
+(* Storage follows the footprint: a hierarchy costs its chunk tables,
+   not its sets (two 8,192-slot arrays for the default L2 before), and
+   a line first touched builds at most its own chunk of at most 256
+   words. *)
+let test_allocation () =
+  bounded "Hierarchy.make" 1_000 (fun () ->
+      ignore (Sys.opaque_identity (Cache.Hierarchy.make ())));
+  let l2 = Cache.config ~sets:1024 ~ways:8 () in
+  let chunk = 257 (* at most 256 words and a header *) in
+  List.iter
+    (fun (name, stride) ->
+      List.iter
+        (fun k ->
+          let c = Cache.make l2 in
+          bounded
+            (Printf.sprintf "%d lines %s" k name)
+            (k * chunk)
+            (fun () ->
+              for i = 0 to k - 1 do
+                ignore (Cache.access c (i * stride) : bool)
+              done))
+        [ 1; 2; 16; 64 ])
+    [ ("in consecutive sets", 8); ("a chunk apart", 16 * 8); ("a set apart", 1024 * 8) ];
+  let c = Cache.make l2 in
+  for i = 0 to 255 do
+    ignore (Cache.access c (i * 8) : bool)
+  done;
+  bounded "invalidate_all" 0 (fun () -> Cache.invalidate_all c);
+  check "invalidated" false (Cache.access c 0)
 
 let () =
   Alcotest.run "cache"
@@ -208,10 +407,14 @@ let () =
           Alcotest.test_case "stats/invalidate" `Quick test_stats_and_invalidate;
           Mssp_testkit.to_alcotest prop_fitting_working_set;
           Mssp_testkit.to_alcotest prop_matches_division_model;
+          Mssp_testkit.to_alcotest prop_direct_mapped_matches_division_model;
+          Alcotest.test_case "empty memo" `Quick test_empty_memo;
+          Alcotest.test_case "allocation" `Quick test_allocation;
         ] );
       ( "hierarchy",
         [
           Alcotest.test_case "latencies" `Quick test_hierarchy_latencies;
           Alcotest.test_case "shared L2" `Quick test_shared_l2;
+          Mssp_testkit.to_alcotest prop_shared_l2_matches_division_model;
         ] );
     ]

@@ -457,6 +457,32 @@ let test_words_per_task () =
     true
     (n2 > n1 && per < 230.)
 
+(* A short program's machine run costs a fixed budget of words, minor
+   plus major: the machine record, its states, the cache hierarchies
+   and the run's events. The caches are sized by what the run touches:
+   this run reads about 15,800 words, and 32,700 when the caches were
+   flat arrays (the default L2's two 8,192-slot arrays alone were
+   16,384). *)
+let test_run_allocation () =
+  let words f =
+    let total () =
+      Gc.full_major ();
+      let minor, promoted, major = Gc.counters () in
+      minor +. major -. promoted
+    in
+    let w0 = total () in
+    f ();
+    total () -. w0
+  in
+  let d = distill_of (Mssp_fuzz.Gen.generate ~seed:1 ~size:8 ()) in
+  let run () =
+    let r = M.run ~config:Config.default d in
+    check "halted" true (r.M.stop = M.Halted)
+  in
+  run ();
+  let w = words run in
+  check (Printf.sprintf "%.0f words per machine run (< 20,000)" w) true (w < 20_000.)
+
 (* The master skips the PC-map probe inside the distilled image, which
    is only sound while no [pc_map] key lies there: every registry
    kernel's package, every adversary package and generated programs. *)
@@ -739,6 +765,7 @@ let () =
           Alcotest.test_case "verify and commit allocation" `Quick
             test_verify_commit_allocation;
           Alcotest.test_case "words per task" `Quick test_words_per_task;
+          Alcotest.test_case "run allocation" `Quick test_run_allocation;
           Alcotest.test_case "pc map outside distilled code" `Quick
             test_pc_map_outside_distilled;
           Alcotest.test_case "live-in in every mode" `Quick test_live_in_modes;

@@ -30,8 +30,11 @@
    words the machine run allocates per committed instruction and per
    committed task, and the share of them allocated inside the master's
    store hook (the writes into its write layers), measured in a second,
-   identical run whose hook is wrapped in [Gc.minor_words] reads. All
-   are deterministic. *)
+   identical run whose hook is wrapped in [Gc.minor_words] reads. Without
+   --bench it then prints two fuzz-check numbers: the fixed words
+   (minor plus major) of one machine run of the shortest --fuzz program
+   at the oracle grid's honest point, and the spinner adversary's master
+   instructions per check. All are deterministic. *)
 
 module W = Mssp_workload.Workload
 module Profile = Mssp_profile.Profile
@@ -40,6 +43,7 @@ module M = Mssp_core.Mssp_machine
 module Config = Mssp_core.Mssp_config
 module Gen = Mssp_fuzz.Gen
 module Oracle = Mssp_fuzz.Oracle
+module Adversary = Mssp_workload.Adversary
 
 external supported : unit -> bool = "hostprof_supported"
 external start : int -> int -> unit = "hostprof_start"
@@ -258,6 +262,54 @@ let words_report points =
   List.iter (fun name -> row name (Hashtbl.find per_kernel name)) (List.rev !names);
   row "**all points**" total
 
+(* The two fuzz-check numbers of --words. The fixed words of one machine
+   run, minor plus major counted after a full major (so the blocks that
+   go straight to the major heap show): the shortest --fuzz program's
+   honest package at the grid's [honest] point, after one warm-up run.
+   And the master instructions of the [spinner] adversary's run, the
+   [adversaries] point's loop that forks nothing until the run-away
+   guard stops it, per check, over all the --fuzz programs. *)
+let fuzz_words_report () =
+  let programs = fuzz_programs () in
+  let grid = Oracle.default_grid () in
+  let point name = (List.find (fun (pt : Oracle.point) -> pt.Oracle.name = name) grid).Oracle.config in
+  let seq_length (_, p) = (Mssp_seq.Machine.run_program ~fuel:fuzz_short p).Mssp_seq.Machine.instructions in
+  let shortest =
+    List.fold_left
+      (fun best c -> if seq_length c < seq_length best then c else best)
+      (List.hd programs) programs
+  in
+  let seed, p = shortest in
+  let d = Distill.distill p (Profile.collect p) in
+  let config = point "honest" in
+  let run () = ignore (Sys.opaque_identity (M.run ~config d)) in
+  let total () =
+    Gc.full_major ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  run ();
+  let w0 = total () in
+  run ();
+  let fixed = total () -. w0 in
+  let adversaries = point "adversaries" in
+  let spins =
+    List.map
+      (fun (_, p) ->
+        let r = M.run ~config:adversaries (List.assoc "spinner" (Adversary.all p)) in
+        r.M.stats.M.master_instructions)
+      programs
+  in
+  let n = List.length spins in
+  Printf.printf
+    "\nhostprof --words, fuzz checks (%d programs of `mssp_sim fuzz --seed 1`):\n\n\
+     | measure | value |\n|---|---:|\n\
+     | fixed words of one machine run (seed %d, %d SEQ instructions, honest point) | %.0f |\n\
+     | spinner master instructions per check (mean; min to max) | %.0f; %d to %d |\n"
+    n seed (seq_length shortest) fixed
+    (float_of_int (List.fold_left ( + ) 0 spins) /. float_of_int n)
+    (List.fold_left min max_int spins) (List.fold_left max 0 spins)
+
 (* --- report -------------------------------------------------------------- *)
 
 let table title header rows total =
@@ -350,6 +402,7 @@ let () =
   let points = prepare benches in
   if !words then begin
     words_report points;
+    if !bench = None then fuzz_words_report ();
     exit 0
   end;
   let what =
