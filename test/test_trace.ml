@@ -1,6 +1,7 @@
 (* The golden-trace harness: the structured event bus is pinned down by
-   - nine committed golden traces (vecsum, listwalk, a garbage
-     adversarial master, a deliberately broken chaos-commit run, a
+   - ten committed golden traces (vecsum, listwalk, a garbage
+     adversarial master, a spinning master stopped by the run-away
+     guard, a deliberately broken chaos-commit run, a
      benign always-absorbed fault plan, the fir kernel, an amnesiac
      master under dual mode stopped by the squash limit, isolated
      slaves and a control-only master) that every [dune runtest]
@@ -45,13 +46,14 @@ let distill_bench name ~size ~train =
   let profile = Profile.collect (b.W.program ~size:train) in
   Distill.distill program profile
 
-(* --- the nine golden workloads ---------------------------------------
+(* --- the ten golden workloads ---------------------------------------
 
    Deterministic by construction: fixed benchmarks, fixed sizes, fixed
    configurations, and an event-driven simulator with no hidden
-   randomness. Two well-behaved runs, one adversarial master (master
-   death + task-budget attribution), one deliberately broken commit
-   unit (commit-then-mismatch churn), one benign fault plan (every
+   randomness. Two well-behaved runs, two adversarial masters (master
+   death + task-budget attribution; a self-jump stopped by the run-away
+   guard), one deliberately broken commit unit (commit-then-mismatch
+   churn), one benign fault plan (every
    fault absorbed; pins the Fault event serialization), the fir
    kernel, one amnesiac master stopped by the squash limit, and the
    isolated-slave and control-only-master modes. *)
@@ -76,6 +78,14 @@ let golden_cases =
         run_traced
           ~config:{ base2 with Config.task_budget = 200 }
           (Adversary.garbage (b.W.program ~size:100)) );
+    (* a master that jumps to itself and never forks: every restart runs
+       a whole chunk and stops on the run-away guard *)
+    ( "spinner",
+      fun () ->
+        let b = W.find "vecsum" in
+        run_traced
+          ~config:{ base2 with Config.master_chunk = 50_000 }
+          (Adversary.spinner (b.W.program ~size:100)) );
     (* qsort, not vecsum: its partitioning stores are read by later
        tasks, so a corrupted committed live-out actually propagates into
        live-in mismatches instead of rotting unread *)
@@ -191,7 +201,7 @@ let test_golden (name, run) () =
         failures_dir
   end
 
-(* all nine golden runs at once, fanned across 4 helper domains *)
+(* all ten golden runs at once, fanned across 4 helper domains *)
 let golden_on_pool =
   lazy
     (List.combine (List.map fst golden_cases)
@@ -646,7 +656,7 @@ let () =
           (fun (name, _ as case) ->
             Alcotest.test_case name `Quick (test_golden case))
           golden_cases );
-      (* the same committed traces must fall out when the nine runs
+      (* the same committed traces must fall out when the ten runs
          execute concurrently on 4 helper domains of the inter-run pool:
          whole runs share no simulator state. Promotion is skipped here
          (the serial suite owns the files) *)
