@@ -12,10 +12,11 @@ type stats = { mutable accesses : int; mutable misses : int }
 (* The sets live in chunks of [1 lsl chunk_shift] consecutive sets, each
    chunk one [int array] of at most [max_chunk_words] words (one set
    when a set alone is larger): set [s]'s way [w] is the pair at
-   [2 * (((s land chunk_set_mask) * ways) + w)], its tag (-1 = invalid,
-   so a line whose tag is -1 hits an invalid way) then its last-use tick
-   (0 = never; larger = more recent). A chunk is [empty] until one of
-   its sets is first touched.
+   [2 * (((s land chunk_set_mask) * ways) + w)], its tag then its
+   last-use tick (larger = more recent). A tick of 0 marks an invalid
+   way, whatever its tag: a used way's tick is at least 1, while with
+   one set of one-word lines every [int] is a tag, so no tag value could
+   serve. A chunk is [empty] until one of its sets is first touched.
 
    The memo holds the last two distinct lines with the slot of their
    tick words, [(chunk lsl slot_shift) lor offset]; a slot of -1 means
@@ -79,18 +80,10 @@ let make cfg =
     stats = { accesses = 0; misses = 0 };
   }
 
-let clear_chunk ch =
-  let n = Array.length ch in
-  let i = ref 0 in
-  while !i < n do
-    ch.(!i) <- -1;
-    ch.(!i + 1) <- 0;
-    i := !i + 2
-  done
+let clear_chunk ch = Array.fill ch 0 (Array.length ch) 0
 
 let build c ci =
   let ch = Array.make c.chunk_words 0 in
-  clear_chunk ch;
   c.chunks.(ci) <- ch;
   ch
 
@@ -115,7 +108,7 @@ let search c line tick =
   let base = (set land c.chunk_set_mask) * c.set_words in
   let last = base + c.set_words in
   let w = ref base in
-  while !w < last && chunk.(!w) <> tag do
+  while !w < last && (chunk.(!w) <> tag || chunk.(!w + 1) = 0) do
     w := !w + 2
   done;
   let hit = !w < last in
@@ -168,6 +161,13 @@ let[@inline] access c addr =
   end
   else search c line tick
 
+let repeat_hits c n =
+  if c.slot0 < 0 || n < 0 then invalid_arg "Cache.repeat_hits";
+  let tick = c.tick + n in
+  c.tick <- tick;
+  c.stats.accesses <- c.stats.accesses + n;
+  touch c c.slot0 tick
+
 let invalidate_all c =
   Array.iter clear_chunk c.chunks;
   c.slot0 <- -1;
@@ -204,6 +204,10 @@ module Hierarchy = struct
     if access h.l1 addr then h.lat.l1_hit
     else if access h.l2 addr then h.lat.l2_hit
     else h.lat.memory
+
+  let repeat_hits h n =
+    repeat_hits h.l1 n;
+    n * h.lat.l1_hit
 
   let invalidate_l1 h = invalidate_all h.l1
   let l1_stats h = stats h.l1

@@ -27,7 +27,10 @@
     [ways = 1] the fill for a new line may evict the previous one, so
     only the newest line is kept. {!invalidate_all} clears the memo.
     A memo entry's validity is carried by its slot, never by a sentinel
-    line: with one-word lines every [int] is a line. *)
+    line: with one-word lines every [int] is a line. For the same
+    reason a way's validity is carried by its last-use tick (0 until
+    first filled and after {!invalidate_all}), never by a sentinel
+    tag. *)
 
 type config = {
   sets : int;  (** number of sets; power of two *)
@@ -46,6 +49,16 @@ val make : config -> t
 val access : t -> int -> bool
 (** [access c addr] touches the line containing [addr]; [true] on hit.
     On a miss the line is filled (LRU victim evicted). *)
+
+val repeat_hits : t -> int -> unit
+(** [repeat_hits c n] is [n] more accesses to the line [c] was last
+    asked for, in closed form: the tick and the access count advance by
+    [n] and the line's last-use tick becomes the new tick. This is
+    exactly what [n] calls of {!access} on that line do. The line is the
+    memo's newest, so each of them is a memo hit that fills nothing and
+    leaves both memo lines where they are, for any associativity
+    ([ways = 1] included). Raises [Invalid_argument] if [n < 0] or if
+    [c] has no access since it was made or last invalidated. *)
 
 val invalidate_all : t -> unit
 (** Drop every resident line — squash recovery discards speculative
@@ -74,6 +87,14 @@ module Hierarchy : sig
 
   val access : t -> int -> int
   (** Cycles to satisfy an access at this level of the hierarchy. *)
+
+  val repeat_hits : t -> int -> int
+  (** [repeat_hits h n] is [n] more accesses to the address [h] was last
+      asked for: the last access left its line in the L1, so each is an
+      L1 hit and the L2 sees none of them. It is {!Cache.repeat_hits} on
+      the L1 and returns their cycles, [n × l1_hit]. A master that jumps
+      to itself fetches one address and nothing else, so its idle loop
+      is one call. Raises as {!Cache.repeat_hits} does. *)
 
   val invalidate_l1 : t -> unit
   (** Squash: drop the private L1; the shared L2 holds architected data

@@ -312,7 +312,15 @@ let rec master_run m =
    compares) skips the probe. The word is fetched and decoded once:
    markers and death cost nothing, and every other instruction runs
    through the closure-free timed step, which charges the fetch and the
-   data accesses. *)
+   data accesses.
+
+   A jump to itself ([jmp 0], the idle master) is run once and its
+   other [budget - 1] trips are accounted in closed form, then the
+   run-away guard stops the master as the step-by-step loop would: the
+   jump changes no state, each further trip decodes the same word at
+   the same PC (re-mapped the same way, if at all) and fetches the
+   line its first trip left as the L1's newest, and nothing else runs
+   inside this synchronous loop. *)
 and master_go m budget cost =
   if budget = 0 then
     (* run-away master: no checkpoint for a whole chunk *)
@@ -347,6 +355,18 @@ and master_go m budget cost =
         Sim.schedule_guarded m.sim ~delay:(cost + m.cfg.timing.master_base)
           (fun () -> handle_fork m e li occurrence)
       end
+    | Some (Instr.Jmp 0 as instr)
+      when (pc >= m.code_lo && pc < m.code_hi)
+           || not (Hashtbl.mem m.d.pc_map pc) ->
+      let c =
+        Exec.timed_exec m.master_cache ~on_store:m.m_store m.m_state ~pc instr
+      in
+      let n = budget - 1 in
+      let idle = Hierarchy.repeat_hits m.master_cache n in
+      m.master_instructions <- m.master_instructions + budget;
+      m.m_since_cp <- m.m_since_cp + budget;
+      master_stop m
+        (cost + (budget * m.cfg.timing.master_base) + c + idle)
     | Some instr ->
       let c =
         Exec.timed_exec m.master_cache ~on_store:m.m_store m.m_state ~pc instr

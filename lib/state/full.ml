@@ -3,7 +3,7 @@ module Layout = Mssp_isa.Layout
 
 (* Memory is a paged image behind a two-level table. The state's top
    level holds [top_slots] directory blocks; each directory holds
-   [dir_slots] pages of [page_words] unboxed ints, so the paged span is
+   [dir_slots] pages of [page_words] words, so the paged span is
    [top_slots * dir_slots * page_words] = 2^24 words, covering Layout up
    to io_limit. A load is three array indexations from the state — no
    hashing, no boxing. Addresses outside the span (negative, or beyond
@@ -19,14 +19,17 @@ module Layout = Mssp_isa.Layout
    are dropped never decrement, so a refcount can overstate sharing and
    cost a spare copy, never a lost write.
 
-   A page is one [int array] block: [page_words] data words, then a
-   written-word bitmap of [mask_words] words (32 bits each), then its
-   refcount at [rc_slot]. Privatizing a page is one [Array.copy] and, as
-   the block is larger than the minor heap's limit, allocates no minor
-   words. The bitmap lets [snapshot] and [pp] enumerate exactly the
-   cells that were explicitly stored (including stores of 0). A
-   directory is a [page array] of [dir_slots] pages followed by one
-   1-word block holding its refcount, so a load goes top level →
+   A page is one [Bytes.t] of 64-bit slots, read and written through
+   the unboxed 64-bit bytes primitives, so an [int] goes in and comes
+   back exactly: [page_words] data slots, then a written-word bitmap of
+   [mask_words] slots (32 bits each), then its refcount at [rc_slot].
+   The GC neither initializes nor scans a bytes block, so privatizing a
+   page is one [Bytes.copy], a single memcpy straight into the major
+   heap (the block is larger than the minor heap's limit) with no
+   per-word barrier. The bitmap lets [snapshot] and [pp] enumerate
+   exactly the cells that were explicitly stored (including stores of
+   0). A directory is a [page array] of [dir_slots] pages followed by
+   one 1-slot page holding its refcount, so a load goes top level →
    directory → page with no record in between.
 
    The shared empty page and empty directory, which every slot starts
@@ -51,23 +54,30 @@ let top_slots = 128
    value *)
 let region_pages = 4096 / page_words
 
-type page = int array
+type page = Bytes.t
 type dir = page array
 
-let empty_page : page =
-  let pg = Array.make (rc_slot + 1) 0 in
-  pg.(rc_slot) <- max_int;
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* slot [i] of a page; every index used is below [rc_slot + 1] *)
+let[@inline] slot (pg : page) i = Int64.to_int (get64 pg (i lsl 3))
+let[@inline] set_slot (pg : page) i v = set64 pg (i lsl 3) (Int64.of_int v)
+
+let make_page slots rc =
+  let pg = Bytes.make (slots lsl 3) '\000' in
+  set_slot pg (slots - 1) rc;
   pg
+
+let empty_page : page = make_page (rc_slot + 1) max_int
 
 let empty_dir : dir =
   let d = Array.make (dir_slots + 1) empty_page in
-  d.(dir_slots) <- [| max_int |];
+  d.(dir_slots) <- make_page 1 max_int;
   d
 
-let[@inline] dir_rc (d : dir) = Array.unsafe_get (Array.unsafe_get d dir_slots) 0
-
-let[@inline] set_dir_rc (d : dir) v =
-  Array.unsafe_set (Array.unsafe_get d dir_slots) 0 v
+let[@inline] dir_rc (d : dir) = slot (Array.unsafe_get d dir_slots) 0
+let[@inline] set_dir_rc (d : dir) v = set_slot (Array.unsafe_get d dir_slots) 0 v
 
 type t = {
   mutable pc : int;
@@ -115,7 +125,7 @@ let[@inline] get_mem s a =
   let t = a lsr top_shift in
   if t < top_slots then
     let d = Array.unsafe_get s.top t in
-    Array.unsafe_get
+    slot
       (Array.unsafe_get d ((a lsr page_bits) land dir_idx_mask))
       (a land page_idx_mask)
   else overflow_get s a
@@ -124,11 +134,10 @@ let[@inline] get_mem s a =
    through it: its pages gain a holder. *)
 let privatize_dir s t d =
   let fresh = Array.copy d in
-  Array.unsafe_set fresh dir_slots [| 1 |];
+  Array.unsafe_set fresh dir_slots (make_page 1 1);
   for j = 0 to dir_slots - 1 do
     let pg = Array.unsafe_get fresh j in
-    if pg != empty_page then
-      Array.unsafe_set pg rc_slot (Array.unsafe_get pg rc_slot + 1)
+    if pg != empty_page then set_slot pg rc_slot (slot pg rc_slot + 1)
   done;
   if d != empty_dir then set_dir_rc d (dir_rc d - 1);
   Array.unsafe_set s.top t fresh;
@@ -136,10 +145,9 @@ let privatize_dir s t d =
 
 (* Replace a shared page with a private clone before writing into it. *)
 let privatize_page d j pg =
-  let fresh = Array.copy pg in
-  Array.unsafe_set fresh rc_slot 1;
-  if pg != empty_page then
-    Array.unsafe_set pg rc_slot (Array.unsafe_get pg rc_slot - 1);
+  let fresh = Bytes.copy pg in
+  set_slot fresh rc_slot 1;
+  if pg != empty_page then set_slot pg rc_slot (slot pg rc_slot - 1);
   Array.unsafe_set d j fresh;
   fresh
 
@@ -150,13 +158,11 @@ let set_mem s a v =
     let d = if dir_rc d > 1 then privatize_dir s t d else d in
     let j = (a lsr page_bits) land dir_idx_mask in
     let pg = Array.unsafe_get d j in
-    let pg =
-      if Array.unsafe_get pg rc_slot > 1 then privatize_page d j pg else pg
-    in
+    let pg = if slot pg rc_slot > 1 then privatize_page d j pg else pg in
     let i = a land page_idx_mask in
-    Array.unsafe_set pg i v;
+    set_slot pg i v;
     let m = page_words + (i lsr 5) in
-    Array.unsafe_set pg m (Array.unsafe_get pg m lor (1 lsl (i land 31)))
+    set_slot pg m (slot pg m lor (1 lsl (i land 31)))
   end
   else Hashtbl.replace s.overflow a v
 
@@ -191,12 +197,12 @@ let iter_materialized f s =
         if pg != empty_page then
           let base = (t lsl top_shift) lor (j lsl page_bits) in
           for m = 0 to mask_words - 1 do
-            let bits = Array.unsafe_get pg (page_words + m) in
+            let bits = slot pg (page_words + m) in
             if bits <> 0 then
               for b = 0 to 31 do
                 if bits land (1 lsl b) <> 0 then
                   let i = (m lsl 5) lor b in
-                  f (base lor i) (Array.unsafe_get pg i)
+                  f (base lor i) (slot pg i)
               done
           done
       done
@@ -268,10 +274,10 @@ let diff_observable s1 s2 =
     (fun base pg1 pg2 ->
       for m = 0 to mask_words - 1 do
         let k = page_words + m in
-        if Array.unsafe_get pg1 k lor Array.unsafe_get pg2 k <> 0 then
+        if slot pg1 k lor slot pg2 k <> 0 then
           for b = 0 to 31 do
             let i = (m lsl 5) lor b in
-            let v1 = Array.unsafe_get pg1 i and v2 = Array.unsafe_get pg2 i in
+            let v1 = slot pg1 i and v2 = slot pg2 i in
             if v1 <> v2 then diffs := (Cell.mem (base lor i), v1, v2) :: !diffs
           done
       done)
@@ -295,13 +301,11 @@ let equal_observable s1 s2 =
           for m = 0 to mask_words - 1 do
             let k = page_words + m in
             (* words outside both masks are 0 on both sides *)
-            if Array.unsafe_get pg1 k lor Array.unsafe_get pg2 k <> 0 then begin
+            if slot pg1 k lor slot pg2 k <> 0 then begin
               let base = m lsl 5 in
               for b = 0 to 31 do
-                if
-                  Array.unsafe_get pg1 (base lor b)
-                  <> Array.unsafe_get pg2 (base lor b)
-                then raise_notrace Exit
+                if slot pg1 (base lor b) <> slot pg2 (base lor b) then
+                  raise_notrace Exit
               done
             end
           done)

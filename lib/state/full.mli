@@ -6,13 +6,16 @@
     and the baseline machines all use this representation.
 
     Memory is a paged image behind a two-level table: a state's top
-    level of 128 directory blocks, each of 128 pages of 1,024 unboxed
-    ints, spans 2^24 words (Layout up to [io_limit]). A load is three
-    array indexations, a store the same plus two refcount reads.
+    level of 128 directory blocks, each of 128 pages of 1,024 words,
+    spans 2^24 words (Layout up to [io_limit]). A page is one bytes
+    block of 64-bit slots (its words, its written-word mask and its
+    refcount), which the GC neither initializes nor scans. A load is
+    three indexations, a store the same plus two refcount reads.
     Directories and pages are shared copy-on-write: {!create} and
     {!copy} cost O(top level), about 200 words, whatever the footprint,
     and the first store through either state privatizes only the
-    directory block and the page it touches (about 1,200 words).
+    directory block and the page it touches (about 1,200 words); a
+    page's privatization is one memcpy.
     Addresses outside the paged span (negative or huge) spill to a
     per-word table, keeping memory total over all of [int]. Pages
     remember exactly which words were explicitly written (including

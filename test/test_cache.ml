@@ -59,7 +59,14 @@ let test_hierarchy_latencies () =
   check_int "cold: memory" 100 (Cache.Hierarchy.access h 0);
   check_int "warm: l1" 1 (Cache.Hierarchy.access h 0);
   Cache.Hierarchy.invalidate_l1 h;
-  check_int "after l1 invalidate: l2" 10 (Cache.Hierarchy.access h 0)
+  check_int "after l1 invalidate: l2" 10 (Cache.Hierarchy.access h 0);
+  check_int "repeats: l1 hits" 7 (Cache.Hierarchy.repeat_hits h 7);
+  check_int "l1 accesses" 10 (Cache.Hierarchy.l1_stats h).Cache.accesses;
+  check_int "l2 accesses" 2 (Cache.Hierarchy.l2_stats h).Cache.accesses;
+  Alcotest.check_raises "no access since invalidate"
+    (Invalid_argument "Cache.repeat_hits") (fun () ->
+      Cache.Hierarchy.invalidate_l1 h;
+      ignore (Cache.Hierarchy.repeat_hits h 1 : int))
 
 let test_shared_l2 () =
   let lat = Cache.Hierarchy.latencies ~l1_hit:1 ~l2_hit:10 ~memory:100 () in
@@ -88,11 +95,14 @@ let prop_fitting_working_set =
       !ok)
 
 (* The division-based model as it stood before [Cache.access] computed
-   its quotients by shift: per-set arrays, [/] for the line and the tag.
-   The shipped model must agree with it access by access. *)
+   its quotients by shift: per-set arrays, [/] for the line and the tag,
+   and a valid flag per way, since every [int] can be a tag (one set of
+   one-word lines). The shipped model must agree with it access by
+   access. *)
 module Div_model = struct
   type t = {
     cfg : Cache.config;
+    valid : bool array array;
     tags : int array array;
     lru : int array array;
     mutable tick : int;
@@ -102,7 +112,8 @@ module Div_model = struct
   let make (cfg : Cache.config) =
     {
       cfg;
-      tags = Array.init cfg.sets (fun _ -> Array.make cfg.ways (-1));
+      valid = Array.init cfg.sets (fun _ -> Array.make cfg.ways false);
+      tags = Array.init cfg.sets (fun _ -> Array.make cfg.ways 0);
       lru = Array.init cfg.sets (fun _ -> Array.make cfg.ways 0);
       tick = 0;
       stats = { Cache.accesses = 0; misses = 0 };
@@ -112,12 +123,12 @@ module Div_model = struct
     let line = addr / c.cfg.line_words in
     let set = line land (c.cfg.sets - 1) in
     let tag = line / c.cfg.sets in
-    let tags = c.tags.(set) and lru = c.lru.(set) in
+    let valid = c.valid.(set) and tags = c.tags.(set) and lru = c.lru.(set) in
     c.tick <- c.tick + 1;
     c.stats.accesses <- c.stats.accesses + 1;
     let ways = c.cfg.ways in
     let w = ref 0 in
-    while !w < ways && tags.(!w) <> tag do
+    while !w < ways && not (valid.(!w) && tags.(!w) = tag) do
       incr w
     done;
     if !w < ways then begin
@@ -130,13 +141,14 @@ module Div_model = struct
       for w = 1 to c.cfg.ways - 1 do
         if lru.(w) < lru.(!victim) then victim := w
       done;
+      valid.(!victim) <- true;
       tags.(!victim) <- tag;
       lru.(!victim) <- c.tick;
       false
     end
 
   let invalidate_all c =
-    Array.iter (fun tags -> Array.fill tags 0 (Array.length tags) (-1)) c.tags;
+    Array.iter (fun valid -> Array.fill valid 0 (Array.length valid) false) c.valid;
     Array.iter (fun lru -> Array.fill lru 0 (Array.length lru) 0) c.lru
 end
 
@@ -286,6 +298,66 @@ let test_empty_memo () =
         extremes)
     [ (1, 1); (2, 1); (1, 2); (2, 2); (64, 4); (1024, 8) ]
 
+(* A way no line has filled holds no tag, whatever the tag asked for:
+   on the default L1, -512 and -520 are lines -64 and -65, both of
+   tag -1. *)
+let test_fresh_negative_tags () =
+  let c = Cache.make (Cache.config ()) in
+  check "-512 misses" false (Cache.access c (-512));
+  check "-520 misses" false (Cache.access c (-520));
+  check_int "misses" 2 (Cache.stats c).Cache.misses;
+  Cache.invalidate_all c;
+  check "-512 misses after invalidate" false (Cache.access c (-512))
+
+(* [repeat_hits c n] after an access is [n] plain accesses to its
+   address: a prefix stream sets up the memo and the sets, then one
+   cache takes the repeats in closed form and the other one by one, and
+   both run the same stream after them. *)
+let prop_repeat_hits =
+  let gen =
+    let open QCheck.Gen in
+    map3
+      (fun ways line_words sets -> Cache.config ~sets ~ways ~line_words ())
+      (oneofl [ 1; 2; 4; 8 ])
+      (oneofl [ 1; 2; 8 ])
+      (oneofl [ 1; 2; 64 ])
+    >>= fun cfg ->
+    let ops = oneof [ gen_ops; gen_reuse_ops cfg ] in
+    map3
+      (fun (before, a) n after -> (cfg, before, a, n, after))
+      (pair ops gen_addr) (int_bound 50) ops
+  in
+  let print ((cfg : Cache.config), before, a, n, after) =
+    Printf.sprintf "%s, access %d, %d repeats, then %s"
+      (print_case (cfg, before))
+      a n
+      (String.concat "; " (List.map show_op after))
+  in
+  QCheck.Test.make ~name:"repeat hits equal plain accesses" ~count:500
+    (QCheck.make ~print gen)
+    (fun (cfg, before, a, n, after) ->
+      let run c repeat =
+        let outcome = function
+          | Access a -> Cache.access c a
+          | Invalidate ->
+              Cache.invalidate_all c;
+              true
+        in
+        let pre = List.map outcome before in
+        let first = Cache.access c a in
+        repeat c;
+        let post = List.map outcome after in
+        (pre, first, post, Cache.stats c)
+      in
+      let closed = run (Cache.make cfg) (fun c -> Cache.repeat_hits c n) in
+      let plain =
+        run (Cache.make cfg) (fun c ->
+            for _ = 1 to n do
+              assert (Cache.access c a)
+            done)
+      in
+      closed = plain)
+
 (* Two hierarchies on one L2, accessed interleaved, against two division
    L1s over one division L2: the shared L2's memo sees both cores'
    accesses. *)
@@ -409,6 +481,8 @@ let () =
           Mssp_testkit.to_alcotest prop_matches_division_model;
           Mssp_testkit.to_alcotest prop_direct_mapped_matches_division_model;
           Alcotest.test_case "empty memo" `Quick test_empty_memo;
+          Alcotest.test_case "fresh ways hold no tag" `Quick test_fresh_negative_tags;
+          Mssp_testkit.to_alcotest prop_repeat_hits;
           Alcotest.test_case "allocation" `Quick test_allocation;
         ] );
       ( "hierarchy",

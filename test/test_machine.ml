@@ -180,11 +180,70 @@ let test_squash_limit_stops () =
     (Machine.seq_in_place prefix (M.total_committed r) : Machine.stop option);
   check "arch is a SEQ prefix" true (Full.equal_observable prefix r.M.arch)
 
-let test_master_loop_allocation () =
-  (* a spinner master never forks, so every restart runs a whole chunk:
-     the words a longer chunk adds, per master instruction it adds, are
-     what the master loop allocates per instruction *)
+(* The spinner's self-jump is run once per restart and the rest of its
+   chunk is accounted in closed form. Against the step-by-step rules:
+   a chunk of c instructions counts c master instructions and c master
+   fetches per restart, and each one past the first costs the master's
+   base cycle and an L1 hit. *)
+let test_idle_master_closed_form () =
+  let module Trace = Mssp_trace.Trace in
   let d = Adversary.spinner ((W.find "vecsum").W.program ~size:100) in
+  let run chunk =
+    let tracer, events = Trace.recording () in
+    let config =
+      { Config.default with Config.master_chunk = chunk; tracer = Some tracer }
+    in
+    let r = M.run ~config d in
+    let evs = events () in
+    let stops =
+      List.length
+        (List.filter (function Trace.Master_stop _ -> true | _ -> false) evs)
+    in
+    let fetches =
+      List.find_map
+        (function
+          | Trace.Counter { name = "cache.master_l1_accesses"; value; _ } ->
+            Some value
+          | _ -> None)
+        evs
+    in
+    check (Printf.sprintf "chunk %d halted" chunk) true (r.M.stop = M.Halted);
+    check_int (Printf.sprintf "chunk %d: one restart" chunk) 1 stops;
+    check_int
+      (Printf.sprintf "chunk %d: master instructions" chunk)
+      chunk r.M.stats.M.master_instructions;
+    check
+      (Printf.sprintf "chunk %d: one fetch per instruction" chunk)
+      true
+      (fetches = Some chunk);
+    r.M.stats.M.cycles
+  in
+  let t = Config.default.Config.timing in
+  let per_trip = t.Config.master_base + t.Config.lat.Mssp_cache.Cache.Hierarchy.l1_hit in
+  let c1 = run 1 in
+  List.iter
+    (fun chunk ->
+      check_int
+        (Printf.sprintf "chunk %d: cycles" chunk)
+        (c1 + ((chunk - 1) * per_trip))
+        (run chunk))
+    [ 2; 3; 1_000 ]
+
+(* A master that loops over two instructions and never forks, so every
+   restart runs a whole chunk through the stepping loop. The spinner
+   adversary's self-jump would not do: its trips after the first are
+   accounted in closed form, with no step to measure. *)
+let nop_spinner (p : Mssp_isa.Program.t) =
+  let b = Dsl.create ~base:Layout.distilled_base () in
+  Dsl.label b "spin";
+  Dsl.nop b;
+  Dsl.jmp b "spin";
+  Adversary.package p (Dsl.build b ())
+
+let test_master_loop_allocation () =
+  (* the words a longer chunk adds, per master instruction it adds, are
+     what the master loop allocates per instruction *)
+  let d = nop_spinner ((W.find "vecsum").W.program ~size:100) in
   let measure chunk =
     let config = { Config.default with Config.master_chunk = chunk } in
     let w0 = Gc.minor_words () in
@@ -756,6 +815,8 @@ let () =
           Alcotest.test_case "io recovery" `Quick test_io_forces_recovery;
           Alcotest.test_case "cycle limit" `Quick test_cycle_limit_stops;
           Alcotest.test_case "squash limit" `Quick test_squash_limit_stops;
+          Alcotest.test_case "idle master in closed form" `Quick
+            test_idle_master_closed_form;
           Alcotest.test_case "master loop allocation" `Quick
             test_master_loop_allocation;
           Alcotest.test_case "master store allocation" `Quick

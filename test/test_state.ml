@@ -406,6 +406,12 @@ let probe_addrs =
      (3 * dir_words) + 7; (127 * dir_words) - 1; paged_span - 1; paged_span;
      -3; Mssp_isa.Layout.data_base; Mssp_isa.Layout.data_base + 1 |]
 
+(* small values, and the extremes a page's 64-bit slots must carry
+   back exactly *)
+let stored_values =
+  QCheck.frequency
+    [ (3, QCheck.int_bound 3); (1, QCheck.oneofl [ min_int; max_int; -1; 1 lsl 61 ]) ]
+
 (* The property runs a random program on a state, then a random mix of
    copies (of any state so far, copies of copies included) and stores
    on the probe addresses, then runs the program on the last copy. Every
@@ -420,7 +426,7 @@ let prop_paged_matches_hashtbl_reference =
         (small_list
            (quad (int_bound 3) (int_bound 7)
               (int_bound (Array.length probe_addrs - 1))
-              (int_bound 3))))
+              stored_values)))
     (fun (seed, fuel, ops) ->
       let p = Mssp_fuzz.Gen.generate ~weights:Mssp_fuzz.Gen.plain ~seed ~size:8 () in
       let full = Full.create () in

@@ -57,7 +57,9 @@ let top = 20
 
 (* --- symbols ------------------------------------------------------------ *)
 
-(* text symbols of this executable, ascending, from `nm -n` *)
+(* text symbols of this executable, ascending, from `nm -n`; weak ones
+   too, since the runtime defines [caml_initialize] and [caml_modify]
+   weak: without them their samples go to the symbol below *)
 let text_symbols () =
   let ic = Unix.open_process_args_in "nm" [| "nm"; "-n"; Sys.executable_name |] in
   let rec go acc =
@@ -65,7 +67,7 @@ let text_symbols () =
     | exception End_of_file -> List.rev acc
     | line -> (
       match String.split_on_char ' ' line with
-      | [ addr; kind; name ] when kind = "T" || kind = "t" -> (
+      | [ addr; ("T" | "t" | "W" | "w"); name ] -> (
         match int_of_string_opt ("0x" ^ addr) with
         | Some a -> go ((a, name) :: acc)
         | None -> go acc)
@@ -131,7 +133,9 @@ let split_ocaml name =
 
 let gc_words =
   [ "major"; "minor"; "oldify"; "mark"; "sweep"; "darken"; "pool"; "alloc";
-    "compact"; "ephe"; "final"; "young"; "gc"; "memprof" ]
+    "compact"; "ephe"; "final"; "young"; "gc"; "memprof";
+    (* the write barriers, caml_initialize and caml_modify *)
+    "initialize"; "modify" ]
 
 (* the module a symbol's samples count towards *)
 let group_of name =
