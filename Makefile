@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-csv bench-json perf-smoke host-profile promote-golden trace-snapshot fuzz fuzz-distill examples clean loc
+.PHONY: all build test bench bench-csv bench-json host-profile promote-golden trace-snapshot fuzz fuzz-distill examples clean loc
 
 all: build
 
@@ -19,16 +19,9 @@ bench:
 bench-csv:
 	dune exec bench/main.exe -- --csv results
 
-# the bench guards, one row each in EXPERIMENTS.md's guard table
-GUARDS = TRACEG FAULTG POOLG ADPTG
-
-# machine-readable baseline: headline experiment and guards
+# machine-readable baseline: the headline experiment and the ADPTG guard
 bench-json:
-	dune exec bench/main.exe -- E1 $(GUARDS) --json BENCH_mssp.json
-
-# quick perf regression check: quarter-scale E1 plus the guards
-perf-smoke:
-	timeout 300 dune exec bench/main.exe -- E1s $(GUARDS) --json _perf_smoke.json
+	dune exec bench/main.exe -- E1 ADPTG --json BENCH_mssp.json
 
 # where the simulator's host time goes: PC samples (every 250 us) over
 # the E1 grid's 52 machine runs, as markdown tables of the top functions

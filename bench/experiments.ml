@@ -34,21 +34,16 @@ let rec chunk k = function
 
 (* --- E1: MSSP speedup over the sequential baseline ------------------- *)
 
-let e1_slave_counts = [ 1; 2; 4; 8 ]
-
-(* the full E1 grid — every benchmark at every slave count — as
-   (prepared, config) points for [checked_runs]; POOLG times this same
-   grid at two host job counts *)
-let e1_points prepared =
-  List.concat_map
-    (fun p -> List.map (fun n -> (p, with_slaves n)) e1_slave_counts)
-    prepared
-
 let e1 () =
   section "E1  Speedup over sequential baseline (MICRO'02 headline figure)";
   let prepared = suite () in
-  let slave_counts = e1_slave_counts in
-  let runs = chunk (List.length slave_counts) (checked_runs (e1_points prepared)) in
+  let slave_counts = [ 1; 2; 4; 8 ] in
+  let points =
+    List.concat_map
+      (fun p -> List.map (fun n -> (p, with_slaves n)) slave_counts)
+      prepared
+  in
+  let runs = chunk (List.length slave_counts) (checked_runs points) in
   let results =
     List.map2
       (fun p rs -> (p, List.map (fun r -> speedup p r) rs))
@@ -885,118 +880,12 @@ let e19 () =
   note "elision. Every round is re-verified against SEQ: adaptation only";
   note "moves cycles."
 
-(* --- E1s: reduced-scale E1 for perf smoke runs ----------------------- *)
+(* --- ADPTG: the one guard row (bench/guard.ml) ------------------------
 
-(* E1 at a quarter of the reference inputs and a single slave count:
-   the same prepare -> checked_run -> speedup pipeline (so a perf
-   regression anywhere in the simulator core shows up in its wall
-   clock), small enough for `make perf-smoke`. Not run by default. *)
-let e1s () =
-  section "E1s  Reduced-scale speedup smoke (fast variant of E1)";
-  let prepared = List.map (fun b -> prepare ~scale:0.25 b) W.all in
-  let runs =
-    checked_runs (List.map (fun p -> (p, with_slaves 8)) prepared)
-  in
-  let results = List.map2 (fun p r -> (p, speedup p r)) prepared runs in
-  print_table
-    ~header:[ "benchmark"; "8 slaves" ]
-    (List.map (fun (p, s) -> [ p.bench.W.name; f2 s ]) results);
-  note "quarter-size inputs; geomean at 8 slaves: %s"
-    (f2 (Stats.geomean (List.map snd results)))
-
-(* --- Guards: one A/B check each (bench/guard.ml) ----------------------
-
-   Every guard is a row of EXPERIMENTS.md's guard table: a baseline leg
-   a, a candidate leg b, a bound on their wall-clock ratio and the gate
-   that decides whether the bound is enforced on this host. Simulated
-   cycles must be bit-identical across a and b on every host. *)
-
-module V = Mssp_metrics.Guard
-
-(* a wall-clock bound is only decidable where the clock can resolve it:
-   at least 2 cores, and a baseline that agrees with itself to within
-   [noise] *)
-let quiet noise = V.Quiet { cores = 2; noise }
-
-(* one MSSP run as a guard leg; verified against SEQ, outside the clock *)
-let leg ?(label = "") ?(check = ignore) p config () =
-  let r = run ~config p in
-  fun () ->
-    assert_correct p r;
-    check r;
-    [
-      ( Printf.sprintf "%s@%d%s" p.bench.W.name config.Config.slaves label,
-        r.M.stats.M.cycles );
-    ]
-
-(* TRACEG: a bounded ring sink costs at most 2%. Both legs build every
-   event and fold it into the machine's stats, so the ratio prices the
-   sink delivery alone. 3x the reference input keeps a run near 100 ms,
-   well above timer noise. *)
-let traceg () =
-  section "TRACEG  Tracing-overhead guard: no sink vs ring sink";
-  let module Trace = Mssp_trace.Trace in
-  let p = prepare ~scale:3.0 (W.find "vecsum") in
-  let cfg = with_slaves 4 in
-  let ring () =
-    let tr = Trace.create () in
-    Trace.attach tr (Trace.Ring.sink (Trace.Ring.create 4096));
-    leg p { cfg with Config.tracer = Some tr } ()
-  in
-  Guard.run ~reps:9 ~bound:(V.At_most 1.02) ~gate:(quiet 0.02) "TRACEG"
-    ("no sink", leg p cfg) ("ring sink", ring)
-
-(* FAULTG: the same contract for the fault injector. The benign plan has
-   one action per absorbable value surface, every probability zero, so
-   the injector is consulted on every spawn but never fires. *)
-let faultg () =
-  section "FAULTG  Fault-subsystem guard: no plan vs benign armed plan";
-  let module Plan = Mssp_faults.Plan in
-  let p = prepare ~scale:3.0 (W.find "vecsum") in
-  let cfg = with_slaves 4 in
-  let benign =
-    Plan.make
-      (List.map
-         (fun s -> Plan.action s ~seed:1 ~p:0.0)
-         Plan.absorbable_surfaces)
-  in
-  let check r =
-    if r.M.stats.M.faults_injected <> 0 then
-      failwith "FAULTG: a p = 0 action fired"
-  in
-  Guard.run ~reps:9 ~bound:(V.At_most 1.02) ~gate:(quiet 0.02) "FAULTG"
-    ("no plan", leg p cfg)
-    ("benign plan", leg ~check p { cfg with Config.faults = Some benign })
-
-(* POOLG: fanning the quarter-scale E1 grid across 4 worker domains
-   costs at most 0.6x the serial wall clock. Only a host with 4 cores
-   can show that; smaller hosts report the ratio. The serial SEQ checks
-   are part of the grid's wall clock, as they are in E1. *)
-let poolg () =
-  section "POOLG  Host-pool guard: E1 grid, serial vs 4 worker domains";
-  let points = e1_points (List.map (fun b -> prepare ~scale:0.25 b) W.all) in
-  let grid jobs () =
-    let rs =
-      Mssp_exec.Pool.map_runs ~jobs (fun (p, config) -> run ~config p) points
-    in
-    let cycles =
-      List.map2
-        (fun (p, config) r ->
-          assert_correct p r;
-          ( Printf.sprintf "%s@%d" p.bench.W.name config.Config.slaves,
-            r.M.stats.M.cycles ))
-        points rs
-    in
-    fun () -> cycles
-  in
-  Guard.run ~reps:2 ~bound:(V.At_most 0.60) ~gate:(V.Min_cores 4) "POOLG"
-    ("serial", grid 1) ("4 jobs", grid 4)
-
-(* ADPTG: the adapted candidate keeps paying for itself. Over the
-   kernels below at 8 slaves the geomean of static over adaptive
-   cycles stays >= 1.15x. Deterministic cycles, so always
-   enforced; best-of-two makes < 1x impossible, so the bound polices
-   the win, not safety. *)
+   The adapted candidate keeps paying for itself. Over the kernels below
+   at 8 slaves the geomean of static over adaptive cycles stays >= 1.15x.
+   Deterministic cycles, so always enforced; best-of-two makes < 1x
+   impossible, so the bound polices the win, not safety. *)
 let adptg_kernels = [ "fir"; "rle"; "treesum"; "dijkstra" ]
 
 let adptg () =
@@ -1017,7 +906,7 @@ let adptg () =
     Stats.geomean
       (List.map (fun (_, s, c) -> float_of_int s /. float_of_int c) kernels)
   in
-  Guard.deterministic ~bound:(V.At_least 1.15) ~ratio:geomean "ADPTG"
+  Guard.deterministic ~at_least:1.15 ~ratio:geomean "ADPTG"
     ("static", "adaptive")
     (List.concat_map
        (fun (name, s, c) -> [ (name ^ " static", s); (name ^ " adaptive", c) ])
@@ -1033,8 +922,4 @@ let all : (string * (unit -> unit)) list =
 
 (* opt-in experiments: run only when named on the command line, never
    part of the default everything sweep *)
-let extras : (string * (unit -> unit)) list =
-  [
-    ("E1s", e1s); ("TRACEG", traceg); ("FAULTG", faultg); ("POOLG", poolg);
-    ("ADPTG", adptg);
-  ]
+let extras : (string * (unit -> unit)) list = [ ("ADPTG", adptg) ]

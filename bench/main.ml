@@ -6,32 +6,47 @@
    With arguments: run only the named experiments, e.g.
      dune exec bench/main.exe -- E3 E5
      dune exec bench/main.exe -- --csv results/   # also write CSVs
-     dune exec bench/main.exe -- E1 TRACEG --json BENCH_mssp.json
+     dune exec bench/main.exe -- E1 ADPTG --json BENCH_mssp.json
+   An unknown name exits 2 with the list of known ones.
 
    --json FILE writes a machine-readable report: the host (cores, OCaml
    version), per-experiment wall-clock, every verified machine run
    (benchmark, slaves, cycles, speedup) and one row per guard
-   (bench/guard.ml).
+   (bench/guard.ml). It goes to FILE.tmp first and is renamed over FILE,
+   so an interrupted bench leaves FILE as it was.
 
-   The exit code is 1 when any experiment check failed or any enforced
-   guard bound broke; the report is written first either way.
+   The exit code is 1 when any experiment check failed or a guard bound
+   broke; the report is written first either way.
 
    --jobs N fans each experiment's independent simulation points across
    N worker domains. Every reported number — cycles, speedups, samples,
    tables — is identical at any job count; only host wall clock
    changes. *)
 
+(* the report's staging file, FILE.tmp, renamed over FILE once written *)
+let open_tmp file =
+  open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_text ] 0o644
+    (file ^ ".tmp")
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let json_file = ref None in
   let rec strip_flags acc = function
     | "--csv" :: dir :: rest ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+       with Sys_error e ->
+         Printf.eprintf "bench: cannot create %s (%s)\n" dir e;
+         exit 2);
       Harness.csv_dir := Some dir;
       strip_flags acc rest
     | "--json" :: file :: rest ->
-      (* fail on an unwritable path now, not after the experiments ran *)
-      (try close_out (open_out file)
+      (* fail on an unwritable path now, not after the experiments ran,
+         and leave FILE itself untouched *)
+      (try
+         if Sys.file_exists file && Sys.is_directory file then
+           raise (Sys_error "is a directory");
+         close_out (open_tmp file);
+         Sys.remove (file ^ ".tmp")
        with Sys_error e ->
          Printf.eprintf "bench: cannot write %s (%s)\n" file e;
          exit 2);
@@ -51,6 +66,13 @@ let () =
     | [] -> List.rev acc
   in
   let args = strip_flags [] args in
+  let known = List.map fst (Experiments.all @ Experiments.extras) in
+  (match List.filter (fun a -> not (List.mem a known)) args with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "bench: unknown experiment %s (known: %s)\n"
+      (String.concat ", " unknown) (String.concat " " known);
+    exit 2);
   let want name = args = [] || List.mem name args in
   Printf.printf
     "MSSP evaluation harness — every experiment re-verifies final-state\n\
@@ -69,7 +91,7 @@ let () =
   in
   List.iter (fun (name, f) -> if want name then run_experiment (name, f))
     Experiments.all;
-  (* extras (e.g. the E1s smoke) run only when named explicitly *)
+  (* extras (the ADPTG guard) run only when named explicitly *)
   List.iter
     (fun (name, f) -> if List.mem name args then run_experiment (name, f))
     Experiments.extras;
@@ -111,7 +133,7 @@ let () =
           ("ocaml", Str Sys.ocaml_version);
         ]
     in
-    let oc = open_out file in
+    let oc = open_tmp file in
     output_string oc
       (pretty
          (Obj
@@ -121,6 +143,7 @@ let () =
               ("guards", List (List.map Guard.to_json guards));
             ]));
     close_out oc;
+    Sys.rename (file ^ ".tmp") file;
     Printf.printf "\n  [json report written to %s]\n" file);
   match List.rev !failures @ List.filter_map Guard.failure guards with
   | [] -> ()

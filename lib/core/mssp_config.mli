@@ -68,8 +68,8 @@ type t = {
           schedule of typed value faults against the speculative domain
           (live-in corruption, memory bit-flips). [None] (the default)
           compiles every injection site down to one predictable branch —
-          zero cost, bit-identical behavior (guarded by FAULTG in
-          perf-smoke). A [Commit_corrupt] action
+          zero cost, bit-identical behavior (test_faults checks
+          cycles, events and words). A [Commit_corrupt] action
           breaks the verify/commit unit on purpose, for the
           differential fuzzer's mutation smoke test only. *)
   predict : Mssp_predict.Predict.mode;

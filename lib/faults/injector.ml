@@ -40,14 +40,15 @@ let in_window (a : Plan.action) cycle =
   | None -> true
   | Some (lo, hi) -> cycle >= lo && cycle < hi
 
-let fire t surface ~cycle =
-  match t.(surface_index surface) with
-  | [] -> None
-  | armed_list ->
-    (* step every armed action so one action's presence never reshapes
-       another's stream; first in-window hit wins *)
-    List.fold_left
-      (fun hit armed ->
-        let fired = step armed && in_window armed.act cycle in
-        match hit with Some _ -> hit | None -> if fired then Some armed.act else None)
-      None armed_list
+(* step every armed action so one action's presence never reshapes
+   another's stream; first in-window hit wins. [cycle] is an argument of
+   the loop, not captured by a closure, so an armed plan that never
+   fires allocates nothing per opportunity *)
+let rec fire_from cycle hit = function
+  | [] -> hit
+  | armed :: rest ->
+    let fired = step armed && in_window armed.act cycle in
+    let hit = match hit with None when fired -> Some armed.act | _ -> hit in
+    fire_from cycle hit rest
+
+let fire t surface ~cycle = fire_from cycle None t.(surface_index surface)

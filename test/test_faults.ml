@@ -7,7 +7,8 @@
      SEQ, only stats/cycles move;
    - a compiled-in-but-disabled subsystem changes nothing, nor do the
      no-effect predictor pins: cycles, stats and the full event stream
-     are bit-identical (the semantic twin of the FAULTG perf guard);
+     are bit-identical, and a plan that never fires costs a fixed
+     number of words however long the run;
    - QCheck edges for dual mode: fallback engages exactly at
      [dual_trigger] consecutive squashes, bursts retire at least
      [dual_burst] instructions unless the run ends inside one, and
@@ -25,6 +26,7 @@ module Gen = Mssp_fuzz.Gen
 module Oracle = Mssp_fuzz.Oracle
 module Dsl = Mssp_asm.Dsl
 module Instr = Mssp_isa.Instr
+module W = Mssp_workload.Workload
 open Mssp_asm.Regs
 
 let check = Alcotest.(check bool)
@@ -163,9 +165,8 @@ let test_disabled_plan_changes_nothing () =
   (* settings that are compiled in but can never act: a plan whose
      actions never fire (p = 0), and the no-effect predictor pins, set
      as the repo benchmark's adapt leg sets them. Cycles, stats and the
-     complete event stream must be bit-identical to a default run — the
-     semantic half of the FAULTG guard, and what keeps the benchmark's
-     adapt_gain meaningful *)
+     complete event stream must be bit-identical to a default run — what
+     keeps the benchmark's adapt_gain meaningful *)
   let d = distill_of small_program in
   let benign =
     Plan.make
@@ -194,6 +195,42 @@ let test_disabled_plan_changes_nothing () =
           predict_seed = 12345;
         } );
     ]
+
+(* The same plan's host cost: building its injector is a fixed number
+   of words, and a consultation that does not fire allocates nothing, so
+   the plan's extra minor words over no plan are the same for a run
+   three times as long. vecsum at 4 slaves, ref size and three times it
+   (854 and 2,543 spawns): an injector that allocates per consultation
+   adds words with every spawn. *)
+let test_disabled_plan_words () =
+  let benign =
+    Plan.make
+      (List.map
+         (fun s -> Plan.action s ~seed:1 ~p:0.0)
+         Plan.absorbable_surfaces)
+  in
+  let cfg = Config.with_slaves 4 Config.default in
+  let b = W.find "vecsum" in
+  let extra size =
+    let d = distill_of (b.W.program ~size) in
+    let words config =
+      let w0 = Gc.minor_words () in
+      let r = M.run ~config d in
+      (Gc.minor_words () -. w0, r)
+    in
+    ignore (words cfg : float * M.result);
+    let off, r_off = words cfg in
+    let on, r_on = words { cfg with Config.faults = Some benign } in
+    check "armed p = 0 plan: stats identical, nothing fired" true
+      (r_off.M.stats = r_on.M.stats && r_on.M.stats.M.faults_injected = 0);
+    (on -. off, r_on.M.stats.M.tasks_spawned)
+  in
+  let e1, n1 = extra b.W.ref_size and e3, n3 = extra (3 * b.W.ref_size) in
+  check
+    (Printf.sprintf "%.0f extra words over %d spawns, %.0f over %d (equal)" e1
+       n1 e3 n3)
+    true
+    (e1 = e3 && n3 > n1)
 
 (* --- oracle: program x plan ------------------------------------------- *)
 
@@ -345,6 +382,8 @@ let () =
             test_quiet_plan_bit_identical;
           Alcotest.test_case "disabled plan changes nothing" `Quick
             test_disabled_plan_changes_nothing;
+          Alcotest.test_case "disabled plan words do not grow with the run"
+            `Quick test_disabled_plan_words;
         ] );
       ( "surfaces",
         [

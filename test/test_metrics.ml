@@ -79,64 +79,6 @@ let test_series_render () =
 let test_fmt_float () =
   check "two decimals" true (Table.fmt_float 1.23456 = "1.23")
 
-(* guard verdicts on synthetic timings: no clock involved *)
-module Guard = Mssp_metrics.Guard
-
-let verdict =
-  Alcotest.testable
-    (fun ppf v ->
-      Format.pp_print_string ppf
-        (match v with
-        | Guard.Pass -> "pass"
-        | Guard.Fail -> "fail"
-        | Guard.Reported -> "reported"))
-    ( = )
-
-let quiet = Guard.Quiet { cores = 2; noise = 0.02 }
-let overhead = Guard.At_most 1.02
-
-(* a = baseline seconds, b = candidate seconds *)
-let judge ?(bound = overhead) ?(gate = quiet) ?(cores = 2) ?(noise = 0.01) a
-    b =
-  Guard.verdict bound gate ~cores ~noise (Guard.ratio bound ~a ~b)
-
-let test_guard_enforced () =
-  Alcotest.check verdict "1% overhead passes" Guard.Pass (judge 1.00 1.01);
-  Alcotest.check verdict "5% overhead fails" Guard.Fail (judge 1.00 1.05)
-
-let test_guard_gates () =
-  Alcotest.check verdict "noisy baseline only reports" Guard.Reported
-    (judge ~noise:0.05 1.00 1.05);
-  Alcotest.check verdict "1 core under Quiet only reports" Guard.Reported
-    (judge ~cores:1 1.00 1.05);
-  let pool = Guard.At_most 0.60 and four = Guard.Min_cores 4 in
-  Alcotest.check verdict "1 core under Min_cores only reports" Guard.Reported
-    (judge ~bound:pool ~gate:four ~cores:1 1.00 0.90);
-  Alcotest.check verdict "Min_cores ignores noise" Guard.Fail
-    (judge ~bound:pool ~gate:four ~cores:4 ~noise:0.5 1.00 0.90);
-  Alcotest.check verdict "Always is enforced when noisy" Guard.Fail
-    (judge ~gate:Guard.Always ~cores:1 ~noise:0.5 1.00 1.10)
-
-let test_guard_directions () =
-  (* overhead: b/a <= x *)
-  check "b/a ratio" true (close (Guard.ratio overhead ~a:2.0 ~b:1.0) 0.5);
-  Alcotest.check verdict "at the bound passes" Guard.Pass
-    (judge ~gate:Guard.Always 1.0 1.02);
-  (* speedup: a/b >= x *)
-  let speedup = Guard.At_least 2.0 in
-  check "a/b ratio" true (close (Guard.ratio speedup ~a:2.0 ~b:1.0) 2.0);
-  Alcotest.check verdict "3x clears a 2x floor" Guard.Pass
-    (judge ~bound:speedup 3.0 1.0);
-  Alcotest.check verdict "1.5x misses a 2x floor" Guard.Fail
-    (judge ~bound:speedup 1.5 1.0);
-  Alcotest.check verdict "a slower candidate misses a 2x floor" Guard.Fail
-    (judge ~bound:speedup 1.0 1.5)
-
-let test_guard_noise () =
-  check "symmetric, relative to the faster" true
-    (close (Guard.noise 1.0 1.1) 0.1 && close (Guard.noise 1.1 1.0) 0.1);
-  check "self-agreement is 0" true (close (Guard.noise 0.3 0.3) 0.0)
-
 let () =
   Alcotest.run "metrics"
     [
@@ -155,12 +97,5 @@ let () =
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "series" `Quick test_series_render;
           Alcotest.test_case "fmt_float" `Quick test_fmt_float;
-        ] );
-      ( "guard",
-        [
-          Alcotest.test_case "enforced pass and fail" `Quick test_guard_enforced;
-          Alcotest.test_case "gates" `Quick test_guard_gates;
-          Alcotest.test_case "bound directions" `Quick test_guard_directions;
-          Alcotest.test_case "noise" `Quick test_guard_noise;
         ] );
     ]

@@ -318,6 +318,42 @@ let test_fold_allocation () =
     (Printf.sprintf "%.3f words per event over %d events < 1" per_event events)
     true (per_event < 1.0)
 
+(* The cost of a bounded ring sink, the tracing a long run can afford:
+   the machine builds and folds every event on every run, so attaching
+   a ring moves no cycle, stat or stop, and adds only the ring's slot
+   box and the frozen live-in a sink may keep. On vecsum at three times
+   its reference input on 4 slaves (about 15,000 events) that is about
+   7.7 words per event; the bound leaves 30% headroom. A sink that
+   renders each event to JSONL allocates hundreds of words per event. *)
+let test_ring_sink_words () =
+  let b = W.find "vecsum" in
+  let d =
+    distill_bench "vecsum" ~size:(3 * b.W.ref_size) ~train:b.W.train_size
+  in
+  let cfg = Config.with_slaves 4 Config.default in
+  let words config =
+    let w0 = Gc.minor_words () in
+    let r = M.run ~config d in
+    (Gc.minor_words () -. w0, r)
+  in
+  ignore (words cfg : float * M.result);
+  let off, r_off = words cfg in
+  let tracer = Trace.create () and buf = Trace.Ring.create 4096 in
+  Trace.attach tracer (Trace.Ring.sink buf);
+  let on, r_on = words { cfg with Config.tracer = Some tracer } in
+  check "ring sink: cycles identical" true
+    (r_on.M.stats.M.cycles = r_off.M.stats.M.cycles);
+  check "ring sink: stats identical" true (r_on.M.stats = r_off.M.stats);
+  check "ring sink: stop identical" true (r_on.M.stop = r_off.M.stop);
+  let events =
+    Trace.Ring.dropped buf + List.length (Trace.Ring.contents buf)
+  in
+  let per_event = (on -. off) /. float_of_int events in
+  check
+    (Printf.sprintf "%.2f extra words per event over %d events (< 10)"
+       per_event events)
+    true (per_event < 10.0)
+
 (* A squash frees every slave at once, so a squashed task is busy only
    up to the squash. Under a live-in corruption plan (vecsum on 1 slave,
    qsort on 8, both at ref size) the machine's busy cycles equal the
@@ -684,6 +720,8 @@ let () =
         [
           Alcotest.test_case "under one word per event" `Quick
             test_fold_allocation;
+          Alcotest.test_case "a ring sink: same run, few words per event"
+            `Quick test_ring_sink_words;
           Alcotest.test_case "busy cycles end at the squash" `Quick
             test_slave_busy_cut_at_squash;
         ] );
