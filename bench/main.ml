@@ -33,9 +33,16 @@ let () =
   let json_file = ref None in
   let rec strip_flags acc = function
     | "--csv" :: dir :: rest ->
-      (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+      (* as for --json: a path that cannot take the tables fails now *)
+      (try
+         if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+         else if not (Sys.is_directory dir) then
+           raise (Sys_error "not a directory");
+         let probe = Filename.concat dir ".bench-probe" in
+         close_out (open_out probe);
+         Sys.remove probe
        with Sys_error e ->
-         Printf.eprintf "bench: cannot create %s (%s)\n" dir e;
+         Printf.eprintf "bench: cannot write CSVs into %s (%s)\n" dir e;
          exit 2);
       Harness.csv_dir := Some dir;
       strip_flags acc rest

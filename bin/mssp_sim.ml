@@ -42,18 +42,28 @@ let size_arg =
   let doc = "Input size (default: the benchmark's reference size)." in
   Arg.(value & opt (some int) None & info [ "size" ] ~docv:"N" ~doc)
 
+(* an int of at least 1: 0 or a negative ends in a usage error *)
+let positive =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok _ ->
+      Error
+        (`Msg
+          (Printf.sprintf "invalid value '%s', expected an integer of at \
+                           least 1" s))
+    | Error _ as e -> e
+  in
+  Arg.conv ~docv:"N" (parse, Arg.conv_printer Arg.int)
+
 let slaves_arg =
-  let doc = "Number of slave processors." in
-  Arg.(value & opt int 4 & info [ "slaves" ] ~docv:"N" ~doc)
+  let doc = "Number of slave processors (at least 1)." in
+  Arg.(value & opt positive 4 & info [ "slaves" ] ~docv:"N" ~doc)
 
 let task_size_arg =
   let doc = "Master instructions between checkpoints (task sizing)." in
   Arg.(value & opt int Config.default.Config.task_size
        & info [ "task-size" ] ~docv:"N" ~doc)
-
-let isolated_arg =
-  let doc = "Isolated slaves: no architected-state fallback (abstract-model mode)." in
-  Arg.(value & flag & info [ "isolated" ] ~doc)
 
 let verify_arg =
   let doc = "Maintain the shadow SEQ machine and check jumping refinement at every commit." in
@@ -89,11 +99,10 @@ let prepare name size no_distill =
   let program, profile, options = load name size no_distill in
   (program, Distill.distill ~options program profile)
 
-let config slaves task_size isolated verify =
+let config slaves task_size verify =
   {
     (Config.with_slaves slaves Config.default) with
     Config.task_size;
-    isolated_slaves = isolated;
     verify_refinement = verify;
   }
 
@@ -210,8 +219,7 @@ let run_cmd =
                runaway workload becomes a structured failure, not a hung \
                job.")
   in
-  let run name size slaves task_size isolated verify no_distill trace adapt
-      timeout =
+  let run name size slaves task_size verify no_distill trace adapt timeout =
     let program, profile, options = load name size no_distill in
     let collector = Option.map (fun _ -> Trace.recording ()) trace in
     let interrupt =
@@ -223,7 +231,7 @@ let run_cmd =
         timeout
     in
     let cfg =
-      { (config slaves task_size isolated verify) with
+      { (config slaves task_size verify) with
         Config.tracer = Option.map fst collector;
         interrupt;
       }
@@ -270,8 +278,7 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Run a benchmark under MSSP")
     Term.(
       const run $ bench_arg $ size_arg $ slaves_arg $ task_size_arg
-      $ isolated_arg $ verify_arg $ no_distill_arg $ trace_arg $ adapt_arg
-      $ timeout_arg)
+      $ verify_arg $ no_distill_arg $ trace_arg $ adapt_arg $ timeout_arg)
 
 (* --- trace --- *)
 
@@ -309,8 +316,7 @@ let trace_cmd =
                $(b,--format jsonl) file or a golden trace) instead of \
                running a benchmark, and render it in the chosen format.")
   in
-  let record ?stream name size slaves task_size isolated verify no_distill
-      ring =
+  let record ?stream name size slaves task_size verify no_distill ring =
     let _, d = prepare name size no_distill in
     let tracer, events, dropped =
       match (stream, ring) with
@@ -330,8 +336,7 @@ let trace_cmd =
           fun () -> Trace.Ring.dropped buf )
     in
     let cfg =
-      { (config slaves task_size isolated verify) with
-        Config.tracer = Some tracer }
+      { (config slaves task_size verify) with Config.tracer = Some tracer }
     in
     let r = M.run ~config:cfg d in
     let evs = events () in
@@ -353,8 +358,7 @@ let trace_cmd =
       prerr_endline e;
       exit 2
   in
-  let run name from size slaves task_size isolated verify no_distill format out
-      ring =
+  let run name from size slaves task_size verify no_distill format out ring =
     let oc = lazy (Option.fold ~none:stdout ~some:Out_channel.open_text out) in
     let bytes = ref 0 and streamed = ref 0 in
     let put s =
@@ -388,8 +392,7 @@ let trace_cmd =
     let evs, verdict =
       match (name, from, ring) with
       | Some name, None, _ ->
-        record ?stream name size slaves task_size isolated verify no_distill
-          ring
+        record ?stream name size slaves task_size verify no_distill ring
       | None, Some file, None -> read_stream file
       | None, Some _, Some _ ->
         prerr_endline "trace: --ring records a run; it cannot apply to --from";
@@ -425,7 +428,7 @@ let trace_cmd =
           attribution summary), or re-render an exported stream")
     Term.(
       const run $ bench_opt_arg $ from_arg $ size_arg $ slaves_arg
-      $ task_size_arg $ isolated_arg $ verify_arg $ no_distill_arg
+      $ task_size_arg $ verify_arg $ no_distill_arg
       $ format_arg $ out_arg $ ring_arg)
 
 (* --- compare --- *)
@@ -434,7 +437,7 @@ let compare_cmd =
   let run name size slaves task_size no_distill =
     let program, d = prepare name size no_distill in
     let baseline = B.sequential ~also_load:[ d.Distill.distilled ] program in
-    let cfg = config slaves task_size false true in
+    let cfg = config slaves task_size true in
     let r = M.run ~config:cfg d in
     let equal = Full.equal_observable baseline.B.state r.M.arch in
     Printf.printf "sequential cycles: %d\n" baseline.B.cycles;
@@ -719,7 +722,7 @@ let audit_cmd =
   let run name size slaves task_size seed =
     let program, d = prepare name size false in
     let baseline = B.sequential ~also_load:[ d.Distill.distilled ] program in
-    let base_cfg = config slaves task_size false true in
+    let base_cfg = config slaves task_size true in
     let clean = M.run ~config:base_cfg d in
     let divergences = ref 0 in
     let cells = ref 0 in

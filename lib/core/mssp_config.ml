@@ -36,7 +36,6 @@ type t = {
   max_in_flight : int;
   task_size : int;
   task_budget : int;
-  isolated_slaves : bool;
   control_only_master : bool;
   verify_refinement : bool;
   dual_mode : bool;
@@ -63,7 +62,6 @@ let default =
     max_in_flight = 8;
     task_size = 50;
     task_budget = 5_000;
-    isolated_slaves = false;
     control_only_master = false;
     verify_refinement = false;
     dual_mode = false;
@@ -90,12 +88,12 @@ let pp fmt c =
   Format.fprintf fmt
     "@[<v>slaves: %d, window: %d@,\
      task size: %d, budget: %d@,\
-     isolated: %b, control-only: %b, refinement check: %b@,\
+     control-only: %b, refinement check: %b@,\
      dual mode: %b (trigger %d, burst %d)@,\
      fault plan: %s@,\
      master chunk: %d, max cycles: %d, max squashes: %d@,\
      recovery fuel: %d, tracing: %s@]"
-    c.slaves c.max_in_flight c.task_size c.task_budget c.isolated_slaves
+    c.slaves c.max_in_flight c.task_size c.task_budget
     c.control_only_master c.verify_refinement c.dual_mode c.dual_trigger
     c.dual_burst
     (match c.faults with

@@ -39,9 +39,6 @@ type t = {
           for the paper's unrolling-based sizing. Original-program task
           length ≈ [task_size × distillation ratio]. *)
   task_budget : int;  (** per-task instruction bound *)
-  isolated_slaves : bool;
-      (** slaves see only master-supplied data (abstract-model mode)
-          rather than falling back to architected state *)
   control_only_master : bool;
       (** checkpoints carry only the start PC, no value predictions:
           slaves read everything from architected state. This models

@@ -146,7 +146,6 @@ type t = {
   mutable next_cp_id : int;
   slave_caches : Hierarchy.t array;
   slave_free : bool array;
-  view : Task.view;
   mutable spare_journals : (Journal.t * Journal.t) list;
       (** cleared reads/writes pairs, handed back by commit and discard:
           at most one pair per window slot is ever allocated, and a
@@ -206,7 +205,7 @@ let create ?(wrap_store = Fun.id) (cfg : Mssp_config.t) (d : Distill.t) =
     m_dirty;
     m_store =
       wrap_store
-        (if cfg.control_only_master || cfg.isolated_slaves then Exec.no_store
+        (if cfg.control_only_master then Exec.no_store
          else fun a v -> Dirty.store m_dirty a v);
     m_dead = false;
     m_pending = None;
@@ -219,8 +218,6 @@ let create ?(wrap_store = Fun.id) (cfg : Mssp_config.t) (d : Distill.t) =
       Array.init cfg.slaves (fun _ ->
           Hierarchy.make_shared ~l1:t.l1 ~lat:t.lat ~l2:master_cache ());
     slave_free = Array.make cfg.slaves true;
-    view =
-      (if cfg.isolated_slaves then Task.Isolated else Task.Fallback arch);
     spare_journals = [];
     commit_busy = false;
     fruitless_squashes = 0;
@@ -282,18 +279,14 @@ let fault_event m a surface task =
 let failure_reason = function
   | Task.Budget_exhausted -> Trace.Fuel_exhausted
   | Task.Fault f -> Trace.Task_fault (Format.asprintf "%a" Exec.pp_fault f)
-  | Task.Missing_cell c -> Trace.Missing_cell (Cell.show c)
   | Task.Io_speculative c -> Trace.Speculative_io (Cell.show c)
 
 (* The live-in a master in state [s], having written [dirty] since its
    last seed, ships at a fork to [entry]: the PC alone for a
-   control-only master, else the PC, its registers and memory — its
-   whole written memory for isolated slaves, which cannot read
-   architected state, else a view of [dirty], sealed here. *)
+   control-only master, else the PC, its registers and a view of
+   [dirty], sealed here. *)
 let checkpoint_live_in (cfg : Mssp_config.t) ~entry s ~dirty =
   if cfg.control_only_master then Live_in.of_pc entry
-  else if cfg.isolated_slaves then
-    Live_in.of_state ~pc:entry s ~mem:(Full.snapshot_mem s)
   else Live_in.checkpoint ~pc:entry s dirty
 
 (* The event handlers of the four parts call and schedule one another,
@@ -557,7 +550,7 @@ and run_task_body m s task =
   let cache = m.slave_caches.(s) in
   let cost = ref 0 in
   let on_access a = cost := !cost + Hierarchy.access cache a in
-  ignore (Task.run ~on_access task m.view : Task.status);
+  ignore (Task.run ~on_access task m.arch : Task.status);
   !cost
 
 and completed task =

@@ -125,10 +125,8 @@ val checkpoint_live_in :
 (** [checkpoint_live_in cfg ~entry s ~dirty] is the live-in a master in
     state [s] ships at a fork to [entry], having written [dirty] since
     its last seed: the PC alone with [cfg.control_only_master]; else the
-    PC and every register, over [s]'s whole written memory with
-    [cfg.isolated_slaves] and otherwise over a view of [dirty], whose
-    open layer it seals. Outside isolated mode its cost does not depend
-    on how many cells [dirty] holds. *)
+    PC and every register over a view of [dirty], whose open layer it
+    seals. Its cost does not depend on how many cells [dirty] holds. *)
 
 val fold_check : dropped:int -> Mssp_trace.Trace.Summary.t -> stats -> string
 (** The verdict line under a recorded stream's summary. When the

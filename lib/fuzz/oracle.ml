@@ -85,11 +85,6 @@ let default_grid () =
       config = { base_config with Config.faults = Some soft_errors };
     };
     {
-      name = "honest-isolated";
-      distiller = Honest;
-      config = { base_config with Config.isolated_slaves = true };
-    };
-    {
       name = "honest-control-only";
       distiller = Honest;
       config = { base_config with Config.control_only_master = true };

@@ -6,8 +6,8 @@
       image (original + distilled), the ground truth;
     + the {e MSSP machine} across a grid of configurations and
       distillers — honest, aggressive, identity, the four adversarial
-      masters, the amnesiac master under dual mode, fault injection,
-      isolated and control-only modes — every run with the shadow
+      masters, the amnesiac master under dual mode, fault injection and
+      control-only mode — every run with the shadow
       refinement checker on where it applies;
     + the {e formal models}: Lemma 2 (task evolution = [seq]), Theorem 2
       (safety on the complete state) and jumping refinement of a sampled
@@ -57,7 +57,7 @@ type point = {
 }
 
 val default_grid : unit -> point list
-(** The standard ten-point grid described above. *)
+(** The standard nine-point grid described above. *)
 
 val switchable_passes : string list
 (** The six named distiller passes the subset axis draws from. *)

@@ -21,15 +21,15 @@
       closure-charged timed-step differential.
     - the {e slave journal step} ({!Mssp_task.Task.run}), which
       evaluates each instruction straight on a task's journal stack
-      (write buffer, live-in, view). Checked against a spec slave — a
+      (write buffer, live-in, architected state). Checked against a spec slave — a
       single-step loop of {!step} over the same resolution — by the
       reference differential in test_sjournal: status, retirement
       count, write buffer, memory touches and the ordered first-read
       stream, on hand-written shapes and on generated programs.
 
     Reads return [int option]: [None] means the cell is unavailable in the
-    backing store — possible only for partial stores (a task's live-in
-    fragment in isolated mode). Execution is then abandoned with
+    backing store — possible only for partial stores (the fragments of
+    the formal models, {!Frag_exec}). Execution is then abandoned with
     {!outcome.Missing}, the executable counterpart of the paper's
     {e completeness} precondition (Definition 9: [δ] is defined only on
     complete states). *)

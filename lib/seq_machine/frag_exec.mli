@@ -3,7 +3,7 @@
     This is the executable form of the paper's §6 machinery: [next] and
     [seq] restricted to partial states, [δ]/[Δ] (cumulative writes), and
     the {e completeness} predicates. The formal models (Lemma 3,
-    Theorem 2) and the isolated slave mode are built on it.
+    Theorem 2) are built on it.
 
     A fragment is {e complete} for one step when it holds the PC, the cell
     the PC points at, and every cell the decoded instruction reads

@@ -47,9 +47,6 @@ let reg_file ~pc s =
   regs.(0) <- pc;
   regs
 
-let of_state ~pc s ~mem =
-  of_overlay (reg_file ~pc s) all_slots mem ~mem_cells:(Fragment.cardinal mem)
-
 let checkpoint ~pc s dirty =
   let level = Dirty.seal dirty in
   let cells = Dirty.cells dirty in

@@ -13,8 +13,7 @@
 
     A small {!Fragment} overlay sits over the view: cells bound by
     {!add} (fault plans), and the whole memory part
-    of a live-in with no view ({!of_fragment}, {!of_state}'s isolated
-    snapshots, {!freeze}).
+    of a live-in with no view ({!of_fragment}, {!freeze}).
 
     A view is valid while its checkpoint is live; the machine folds
     layers only under older checkpoints, so every live view stays
@@ -50,11 +49,6 @@ val checkpoint : pc:int -> Full.t -> Dirty.t -> t
     [pc], every register to its value in [s], and the memory cells of
     the sealed view: what a master in state [s], having written [d],
     ships at a fork. O(registers). *)
-
-val of_state : pc:int -> Full.t -> mem:Fragment.t -> t
-(** [of_state ~pc s ~mem] binds the PC to [pc], every register to its
-    value in [s], and the memory cells of [mem], which must bind memory
-    cells only (an isolated slave's snapshot of written memory). *)
 
 val of_pc : int -> t
 (** Binds the PC only: the checkpoint of a master that predicts no

@@ -9,7 +9,6 @@ module Exec = Mssp_seq.Exec
 type fail_reason =
   | Budget_exhausted
   | Fault of Exec.fault
-  | Missing_cell of Cell.t
   | Io_speculative of Cell.t
 
 type completion = Reached_boundary | Program_halted
@@ -22,8 +21,6 @@ let pp_status fmt = function
   | Complete Program_halted -> Format.pp_print_string fmt "complete (halt)"
   | Failed Budget_exhausted -> Format.pp_print_string fmt "failed (budget)"
   | Failed (Fault f) -> Format.fprintf fmt "failed (%a)" Exec.pp_fault f
-  | Failed (Missing_cell c) ->
-    Format.fprintf fmt "failed (missing %a)" Cell.pp c
   | Failed (Io_speculative c) ->
     Format.fprintf fmt "failed (speculative I/O on %a)" Cell.pp c
 
@@ -69,8 +66,6 @@ let make ~id ~start_pc ~end_pc ~end_occurrence ~budget ~live_in ~decode
     decode;
   }
 
-type view = Isolated | Fallback of Full.t
-
 let no_access (_ : int) = ()
 
 (* --- the slave step ------------------------------------------------------
@@ -78,28 +73,19 @@ let no_access (_ : int) = ()
    One instruction of a task body, evaluated straight on the journal
    stack with the semantics of [Exec.step]: the same reads in the same
    order (PC, then the fetch [Mem pc], then operands), each resolving
-   write buffer, then live-in, then view, and recording its first-read;
-   the same writes, in retirement order, into the write buffer. Int
-   addresses, monomorphic journal accessors and no option results, so a
-   step allocates nothing once its cells are recorded.
+   write buffer, then live-in, then architected state, and recording
+   its first-read; the same writes, in retirement order, into the write
+   buffer. Int addresses, monomorphic journal accessors and no option
+   results, so a step allocates nothing once its cells are recorded.
 
-   Two rules of the read callback [Exec.step] would be given survive as
-   such:
-   - only the [Isolated] view can lack a value (a register or the PC
-     bound nowhere), and that read raises [Unavailable] out of the whole
-     run, which [run] turns into [Missing_cell] — the fallback path pays
-     no handler per instruction. All of an instruction's reads precede
-     its writes, so the abandoned instruction has written nothing.
-   - the first touch of the I/O region in an instruction fails the task
-     once the instruction has completed into the write buffer, without
-     retiring it. The fetch is the first touch; [exec] returns the
-     address of a data touch ([no_io] when there is none). *)
-
-exception Unavailable of Cell.t
+   The first touch of the I/O region in an instruction fails the task
+   once the instruction has completed into the write buffer, without
+   retiring it. The fetch is the first touch; [exec] returns the address
+   of a data touch ([no_io] when there is none). *)
 
 let no_io = -1
 
-let read_reg t view r =
+let read_reg t arch r =
   if Reg.equal r Reg.zero then 0
   else begin
     let k = Reg.to_int r in
@@ -109,10 +95,7 @@ let read_reg t view r =
       let v =
         if li.Live_in.bound land (1 lsl k) <> 0 then
           Array.unsafe_get li.Live_in.regs k
-        else
-          match view with
-          | Fallback arch -> Full.get_reg arch r
-          | Isolated -> raise_notrace (Unavailable (Cell.Reg r))
+        else Full.get_reg arch r
       in
       if not (Journal.has_reg t.reads k) then Journal.set_reg t.reads k v;
       v
@@ -122,29 +105,24 @@ let read_reg t view r =
 let write_reg t r v =
   if not (Reg.equal r Reg.zero) then Journal.set_reg t.writes (Reg.to_int r) v
 
-let read_pc t view =
+let read_pc t arch =
   if Journal.has_pc t.writes then Journal.pc_value t.writes
   else begin
     let li = t.live_in in
     let v =
       if li.Live_in.bound land 1 <> 0 then Array.unsafe_get li.Live_in.regs 0
-      else
-        match view with
-        | Fallback arch -> Full.pc arch
-        | Isolated -> raise_notrace (Unavailable Cell.Pc)
+      else Full.pc arch
     in
     if not (Journal.has_pc t.reads) then Journal.set_pc t.reads v;
     v
   end
 
 (* A memory read, fetch included. A cell already recorded reads back its
-   recorded value: the live-in and the view are fixed for the run, so
-   that is the value a fresh lookup would find. Memory is total: an
-   isolated task reads an unbound cell as 0, and that reading is itself
-   a live-in to verify. The live-in lookup takes the value to return on
-   a miss, so a hit boxes no option; most misses cost one probe of the
-   master's write base. *)
-let read_mem t view on_access a =
+   recorded value: the live-in and architected state are fixed for the
+   run, so that is the value a fresh lookup would find. The live-in
+   lookup takes the value to return on a miss, so a hit boxes no option;
+   most misses cost one probe of the master's write base. *)
+let read_mem t arch on_access a =
   on_access a;
   let i = Journal.mem_index t.writes a in
   if i >= 0 then Journal.mem_at t.writes i
@@ -152,10 +130,7 @@ let read_mem t view on_access a =
     let i = Journal.mem_index t.reads a in
     if i >= 0 then Journal.mem_at t.reads i
     else begin
-      let default =
-        match view with Fallback arch -> Full.get_mem arch a | Isolated -> 0
-      in
-      let v = Live_in.find_mem a t.live_in ~default in
+      let v = Live_in.find_mem a t.live_in ~default:(Full.get_mem arch a) in
       Journal.set_mem t.reads a v;
       v
     end
@@ -169,19 +144,19 @@ let io_touch a = if Layout.is_io a then a else no_io
 
 (* execute [instr], fetched at [pc]; the data touch's address if it is
    in the I/O region, else [no_io] *)
-let exec t view on_access ~pc instr =
+let exec t arch on_access ~pc instr =
   match instr with
   | Instr.Halt -> invalid_arg "Task.exec: Halt"
   | Instr.Nop | Instr.Fork _ ->
     Journal.set_pc t.writes (pc + 1);
     no_io
   | Instr.Alu (op, rd, rs1, rs2) ->
-    let v = Instr.eval_alu op (read_reg t view rs1) (read_reg t view rs2) in
+    let v = Instr.eval_alu op (read_reg t arch rs1) (read_reg t arch rs2) in
     write_reg t rd v;
     Journal.set_pc t.writes (pc + 1);
     no_io
   | Instr.Alui (op, rd, rs1, imm) ->
-    let v = Instr.eval_alu op (read_reg t view rs1) imm in
+    let v = Instr.eval_alu op (read_reg t arch rs1) imm in
     write_reg t rd v;
     Journal.set_pc t.writes (pc + 1);
     no_io
@@ -190,19 +165,19 @@ let exec t view on_access ~pc instr =
     Journal.set_pc t.writes (pc + 1);
     no_io
   | Instr.Ld (rd, rs1, off) ->
-    let a = read_reg t view rs1 + off in
-    let v = read_mem t view on_access a in
+    let a = read_reg t arch rs1 + off in
+    let v = read_mem t arch on_access a in
     write_reg t rd v;
     Journal.set_pc t.writes (pc + 1);
     io_touch a
   | Instr.St (rs2, rs1, off) ->
-    let a = read_reg t view rs1 + off in
-    let v = read_reg t view rs2 in
+    let a = read_reg t arch rs1 + off in
+    let v = read_reg t arch rs2 in
     write_mem t on_access a v;
     Journal.set_pc t.writes (pc + 1);
     io_touch a
   | Instr.Br (c, rs1, rs2, off) ->
-    let taken = Instr.eval_cmp c (read_reg t view rs1) (read_reg t view rs2) in
+    let taken = Instr.eval_cmp c (read_reg t arch rs1) (read_reg t arch rs2) in
     Journal.set_pc t.writes (if taken then pc + off else pc + 1);
     no_io
   | Instr.Jmp off ->
@@ -213,18 +188,18 @@ let exec t view on_access ~pc instr =
     Journal.set_pc t.writes (pc + off);
     no_io
   | Instr.Jr rs ->
-    Journal.set_pc t.writes (read_reg t view rs);
+    Journal.set_pc t.writes (read_reg t arch rs);
     no_io
   | Instr.Jalr (rd, rs) ->
-    let target = read_reg t view rs in
+    let target = read_reg t arch rs in
     write_reg t rd (pc + 1);
     Journal.set_pc t.writes target;
     no_io
   | Instr.Out rs ->
     (* the count cell lies below the I/O region: only the slot can be
        the instruction's I/O touch *)
-    let v = read_reg t view rs in
-    let count = read_mem t view on_access Layout.out_count_addr in
+    let v = read_reg t arch rs in
+    let count = read_mem t arch on_access Layout.out_count_addr in
     let slot = Layout.out_base + count in
     write_mem t on_access slot v;
     write_mem t on_access Layout.out_count_addr (count + 1);
@@ -235,18 +210,18 @@ let finish t status =
   t.status <- status;
   status
 
-let rec go t view on_access =
+let rec go t arch on_access =
   if t.executed >= t.budget then finish t (Failed Budget_exhausted)
   else begin
-    let pc = read_pc t view in
-    let word = read_mem t view on_access pc in
+    let pc = read_pc t arch in
+    let word = read_mem t arch on_access pc in
     match t.decode ~pc ~word with
     | (None | Some Instr.Halt) when Layout.is_io pc ->
       finish t (Failed (Io_speculative (Cell.mem pc)))
     | None -> finish t (Failed (Fault (Exec.Undecodable { pc; word })))
     | Some Instr.Halt -> finish t (Complete Program_halted)
     | Some instr ->
-      let data_io = exec t view on_access ~pc instr in
+      let data_io = exec t arch on_access ~pc instr in
       let io = if Layout.is_io pc then pc else data_io in
       if io <> no_io then finish t (Failed (Io_speculative (Cell.mem io)))
       else begin
@@ -256,28 +231,15 @@ let rec go t view on_access =
           t.end_seen <- t.end_seen + 1;
           if t.end_seen >= t.end_occurrence then
             finish t (Complete Reached_boundary)
-          else go t view on_access
-        | Some _ | None -> go t view on_access
+          else go t arch on_access
+        | Some _ | None -> go t arch on_access
       end
   end
 
-let run ?(on_access = no_access) t view =
+let run ?(on_access = no_access) t arch =
   match t.status with
   | Complete _ | Failed _ -> t.status
-  | Running -> (
-    try go t view on_access
-    with Unavailable c ->
-      (* the read missed before the instruction wrote anything, so the
-         PC still names it; a fetch from the I/O region latched first *)
-      let missing =
-        match c with
-        | Cell.Pc -> Missing_cell c
-        | Cell.Reg _ | Cell.Mem _ ->
-          let pc = read_pc t view in
-          if Layout.is_io pc then Io_speculative (Cell.mem pc)
-          else Missing_cell c
-      in
-      finish t (Failed missing))
+  | Running -> go t arch on_access
 
 let live_in_size t = Journal.cardinal t.reads
 let live_out_size t = Journal.cardinal t.writes

@@ -4,8 +4,7 @@
     reaches [end_pc] (the next task's start), the program halts, or its
     instruction budget runs out. It never touches architected state:
     reads are satisfied from its own write buffer, then the master's
-    live-in prediction, then (in fallback mode) a read-only view of
-    architected state. Every value obtained from outside its own writes
+    live-in prediction, then architected state, which it only reads. Every value obtained from outside its own writes
     is {e recorded}; the verification unit later replays those recordings
     against architected state — the memoization check that makes
     commits safe (paper Definition 6 via Theorem 2: recorded live-ins
@@ -31,8 +30,6 @@ type fail_reason =
   | Budget_exhausted  (** never reached [end_pc]: master mispredicted
                           the boundary, or the task diverged *)
   | Fault of Mssp_seq.Exec.fault
-  | Missing_cell of Mssp_state.Cell.t
-      (** isolated mode only: the master's live-in set was incomplete *)
   | Io_speculative of Mssp_state.Cell.t
       (** the task tried to touch the non-idempotent memory-mapped I/O
           region (paper §7): speculation is forbidden there, so the task
@@ -103,30 +100,22 @@ val make :
 
     Cost is O(1), independent of how many cells [live_in] binds: the
     task holds it by reference. A register read resolves write buffer,
-    then the live-in's register file, then the view; a memory read
-    resolves write buffer, then {!Mssp_state.Live_in.find_mem}, then
-    the view — the same values, in the same order, as a
+    then the live-in's register file, then architected state; a memory
+    read resolves write buffer, then {!Mssp_state.Live_in.find_mem},
+    then architected state — the same values, in the same order, as a
     task whose whole live-in had been flattened into a journal. *)
 
-(** How reads outside the write buffer and live-in set are satisfied. *)
-type view =
-  | Isolated
-      (** absent memory cells read as 0 (memory is total); the abstract
-          model of the companion paper, where slaves see only master
-          data *)
-  | Fallback of Mssp_state.Full.t
-      (** read through to architected state (the MICRO'02 machine); the
-          obtained value is recorded and verified at commit. The task
-          only reads it. *)
-
-val run : ?on_access:(int -> unit) -> t -> view -> status
-(** Step until the task leaves [Running] (no-op unless [Running]).
+val run : ?on_access:(int -> unit) -> t -> Mssp_state.Full.t -> status
+(** [run t arch] steps until the task leaves [Running] (no-op unless
+    [Running]). A read that neither the write buffer nor the live-in
+    binds reads through to the architected state [arch] (the MICRO'02
+    machine); the obtained value is recorded and verified at commit.
 
     Each step evaluates one instruction with the semantics of
     {!Mssp_seq.Exec.step} straight on the journal stack: it reads the PC,
     fetches [Mem pc], decodes through [t.decode] and reads its operands
     in [Exec.step]'s order, each read resolving write buffer, then
-    live-in, then view, and recording the value on its first read; its
+    live-in, then [arch], and recording the value on its first read; its
     writes land in the write buffer. The step allocates nothing once its
     cells are recorded. Equal, in status, [executed], write buffer,
     [on_access] sequence and first-read stream (content {e and} order),
@@ -137,8 +126,8 @@ val run : ?on_access:(int -> unit) -> t -> view -> status
     fetch, loads, stores; [Out] touches its count, slot and count — the
     hook the timing model's caches observe.
 
-    The architected state behind a [Fallback] view must not change
-    while [run] executes. *)
+    The task only reads [arch], which must not change while [run]
+    executes. *)
 
 val live_in_size : t -> int
 (** Number of recorded live-in bindings (drives verification cost). *)

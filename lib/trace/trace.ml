@@ -12,7 +12,6 @@ type squash_reason =
   | Bad_prediction
   | Fuel_exhausted
   | Task_fault of string
-  | Missing_cell of string
   | Speculative_io of string
   | Master_dead
 
@@ -20,7 +19,6 @@ let pp_squash_reason fmt = function
   | Bad_prediction -> Format.pp_print_string fmt "bad-prediction"
   | Fuel_exhausted -> Format.pp_print_string fmt "fuel-exhausted"
   | Task_fault d -> Format.fprintf fmt "task-fault(%s)" d
-  | Missing_cell c -> Format.fprintf fmt "missing-cell(%s)" c
   | Speculative_io c -> Format.fprintf fmt "speculative-io(%s)" c
   | Master_dead -> Format.pp_print_string fmt "master-dead"
 
@@ -194,8 +192,6 @@ let reason_to_json = function
   | Fuel_exhausted -> J.Obj [ ("kind", J.Str "fuel_exhausted") ]
   | Task_fault d ->
     J.Obj [ ("kind", J.Str "task_fault"); ("detail", J.Str d) ]
-  | Missing_cell c ->
-    J.Obj [ ("kind", J.Str "missing_cell"); ("detail", J.Str c) ]
   | Speculative_io c ->
     J.Obj [ ("kind", J.Str "speculative_io"); ("detail", J.Str c) ]
   | Master_dead -> J.Obj [ ("kind", J.Str "master_dead") ]
@@ -210,7 +206,6 @@ let reason_of_json j =
   | Some "bad_prediction" -> Ok Bad_prediction
   | Some "fuel_exhausted" -> Ok Fuel_exhausted
   | Some "task_fault" -> Result.map (fun d -> Task_fault d) (detail ())
-  | Some "missing_cell" -> Result.map (fun d -> Missing_cell d) (detail ())
   | Some "speculative_io" ->
     Result.map (fun d -> Speculative_io d) (detail ())
   | Some "master_dead" -> Ok Master_dead
@@ -499,7 +494,6 @@ module Summary = struct
     mutable bad_prediction : int;
     mutable fuel_exhausted : int;
     mutable task_fault : int;
-    mutable missing_cell : int;
     mutable speculative_io : int;
     mutable master_dead : int;
     mutable recoveries : int;
@@ -520,7 +514,7 @@ module Summary = struct
       busy_since = [||]; verifies = 0; commits = 0; committed_instructions = 0;
       committed_live_outs = 0; live_ins_checked = 0; predicted_bindings = 0;
       squashes = 0; discarded = 0; bad_prediction = 0; fuel_exhausted = 0;
-      task_fault = 0; missing_cell = 0; speculative_io = 0; master_dead = 0;
+      task_fault = 0; speculative_io = 0; master_dead = 0;
       recoveries = 0; recovery_instructions = 0; recovery_loads = 0;
       recovery_stores = 0; bursts = 0; restarts = 0; master_stops = 0;
       faults = 0; counters = []; halt = None; last_cycle = 0 }
@@ -577,7 +571,6 @@ module Summary = struct
       | Bad_prediction -> s.bad_prediction <- s.bad_prediction + 1
       | Fuel_exhausted -> s.fuel_exhausted <- s.fuel_exhausted + 1
       | Task_fault _ -> s.task_fault <- s.task_fault + 1
-      | Missing_cell _ -> s.missing_cell <- s.missing_cell + 1
       | Speculative_io _ -> s.speculative_io <- s.speculative_io + 1
       | Master_dead -> s.master_dead <- s.master_dead + 1)
     | Recovery { instructions; loads; stores; burst; _ } ->
@@ -603,7 +596,7 @@ module Summary = struct
   let squash_mismatch s = s.bad_prediction
 
   let squash_task_failed s =
-    s.fuel_exhausted + s.task_fault + s.missing_cell + s.speculative_io
+    s.fuel_exhausted + s.task_fault + s.speculative_io
 
   let squash_master_dead s = s.master_dead
 
@@ -625,7 +618,6 @@ module Summary = struct
       [ "squash_bad_prediction"; i s.bad_prediction ];
       [ "squash_fuel_exhausted"; i s.fuel_exhausted ];
       [ "squash_task_fault"; i s.task_fault ];
-      [ "squash_missing_cell"; i s.missing_cell ];
       [ "squash_speculative_io"; i s.speculative_io ];
       [ "squash_master_dead"; i s.master_dead ];
       [ "recovery_segments"; i s.recoveries ];

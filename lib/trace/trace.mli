@@ -34,8 +34,6 @@ type squash_reason =
           state at verify time — the master predicted wrong values *)
   | Fuel_exhausted  (** the task ran out of its instruction budget *)
   | Task_fault of string  (** the task faulted (rendered fault) *)
-  | Missing_cell of string
-      (** isolated slave touched a cell the checkpoint did not carry *)
   | Speculative_io of string  (** task attempted I/O speculatively *)
   | Master_dead
       (** the distilled program halted/faulted/ran away with the window
@@ -198,9 +196,8 @@ module Summary : sig
     mutable bad_prediction : int;
     mutable fuel_exhausted : int;
     mutable task_fault : int;
-    mutable missing_cell : int;
     mutable speculative_io : int;
-    mutable master_dead : int;  (** the six-way squash-reason breakdown *)
+    mutable master_dead : int;  (** the five-way squash-reason breakdown *)
     mutable recoveries : int;
     mutable recovery_instructions : int;
     mutable recovery_loads : int;

@@ -119,14 +119,6 @@ let prop_random_configs =
       in
       equivalent ~config:cfg (honest_distill p))
 
-(* isolated-slave (abstract-model) machine mode *)
-let prop_isolated_mode =
-  QCheck.Test.make ~name:"isolated slaves" ~count:15
-    (program_arb ~min_size:5 ~max_size:15 ())
-    (fun p ->
-      let cfg = { config with Config.isolated_slaves = true } in
-      equivalent ~config:cfg (honest_distill p))
-
 (* the full benchmark suite at reference size, honest distiller — the
    headline equivalence *)
 let test_benchmark_suite_ref_size () =
@@ -147,7 +139,6 @@ let () =
           Mssp_testkit.to_alcotest prop_random_programs_adversarial;
           Mssp_testkit.to_alcotest prop_garbage_masters;
           Mssp_testkit.to_alcotest prop_random_configs;
-          Mssp_testkit.to_alcotest prop_isolated_mode;
         ] );
       ( "suite",
         [

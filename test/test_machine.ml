@@ -1,6 +1,6 @@
 (* Tests for the MSSP machine: end-to-end correctness against SEQ,
    refinement shadow, squash/recovery, window limits, I/O handling,
-   isolated mode, stats coherence, safety limits, the cooperative
+   stats coherence, safety limits, the cooperative
    interrupt hook. *)
 
 module Full = Mssp_state.Full
@@ -102,12 +102,6 @@ let test_window_of_one () =
   let cfg = { checking_config with Config.max_in_flight = 1 } in
   let _, r = run_and_compare ~config:cfg (distill_of small_program) in
   check "still parallelized through tasks" true (r.M.stats.M.tasks_committed > 1)
-
-let test_isolated_mode () =
-  let cfg = { checking_config with Config.isolated_slaves = true } in
-  let seq, r = run_and_compare ~config:cfg (distill_of small_program) in
-  ignore seq;
-  check "committed something" true (r.M.stats.M.tasks_committed > 0)
 
 let test_adversaries_cannot_break_correctness () =
   List.iter
@@ -292,8 +286,7 @@ let test_master_store_allocation () =
 
 (* The reference for the live-in a fork ships, in every mode, as a
    fragment built one binding at a time: the PC alone for a control-only
-   master; else the PC and every register over the dirty set, or over
-   all written memory for isolated slaves. *)
+   master; else the PC and every register over the dirty set. *)
 let fragment_live_in (cfg : Config.t) ~entry s ~dirty =
   let regs f =
     List.fold_left
@@ -304,8 +297,6 @@ let fragment_live_in (cfg : Config.t) ~entry s ~dirty =
       f Mssp_isa.Reg.all
   in
   if cfg.Config.control_only_master then Fragment.singleton Cell.Pc entry
-  else if cfg.Config.isolated_slaves then
-    Fragment.add Cell.Pc entry (Full.snapshot s)
   else regs (Fragment.add Cell.Pc entry dirty)
 
 (* a master state two hundred instructions into vecsum, and a dirty set
@@ -350,7 +341,6 @@ let test_live_in_modes () =
       ("plain", Config.default);
       ( "control-only",
         { Config.default with Config.control_only_master = true } );
-      ("isolated", { Config.default with Config.isolated_slaves = true });
     ]
 
 (* Building a fork's live-in copies a 32-slot register file and seals
@@ -426,7 +416,7 @@ let test_task_allocation () =
         ~budget:max_int ~live_in:(Live_in.of_pc entry) ~decode ~reads ~writes
     in
     let w0 = Gc.minor_words () in
-    let status = Task.run task (Task.Fallback arch) in
+    let status = Task.run task arch in
     let w = Gc.minor_words () -. w0 in
     check "halts" true (status = Task.Complete Task.Program_halted);
     Journal.clear reads;
@@ -804,7 +794,6 @@ let () =
           Alcotest.test_case "window limit" `Quick test_window_limit;
           Alcotest.test_case "single slave" `Quick test_single_slave;
           Alcotest.test_case "window of one" `Quick test_window_of_one;
-          Alcotest.test_case "isolated mode" `Quick test_isolated_mode;
           Alcotest.test_case "adversaries" `Quick
             test_adversaries_cannot_break_correctness;
           Alcotest.test_case "liar progress" `Quick test_liar_squashes;

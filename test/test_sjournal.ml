@@ -1,7 +1,8 @@
 (* The slave journal step against the specification, differentially: a
    task body run with [Task.run] must match a spec slave — a single-step
    loop of [Exec.step] whose read and write callbacks resolve write
-   buffer, then live-in, then view, exactly as [Task]'s contract states
+   buffer, then live-in, then architected state, exactly as [Task]'s
+   contract states
    — in status, retirement count, write buffer, [on_access] sequence,
    and above all the first-read journal in content *and order* (the
    verification unit replays it in serial first-read order; squash
@@ -9,9 +10,9 @@
    program's pre-decoded image, as the machine's slaves do; the spec
    slave decodes every word afresh. Hand-written shapes cover loops,
    boundaries, budgets, self-patching code, code rewritten between
-   runs, I/O latching, faults and isolated-view misses; QCheck covers
-   generated programs (default and SMC-heavy weights) on both views;
-   and two machine legs pin code that a commit or a recovery segment
+   runs, I/O latching and faults; QCheck covers generated programs
+   (default and SMC-heavy weights) with and without a live-in; and two
+   machine legs pin code that a commit or a recovery segment
    rewrites between a slave's tasks against SEQ. *)
 
 module Full = Mssp_state.Full
@@ -40,12 +41,13 @@ let check_int = Alcotest.(check int)
 (* --- the spec slave ------------------------------------------------------
 
    [Exec.step] over callbacks into the task's journals: reads resolve
-   write buffer -> live-in -> view and record their first value, writes
+   write buffer -> live-in -> architected state and record their first
+   value, writes
    land in the write buffer, every memory touch is reported, and the
    first I/O touch of an instruction is latched and fails the task once
    the instruction has completed into the write buffer. *)
 
-let spec_run ~on_access (t : Task.t) view =
+let spec_run ~on_access (t : Task.t) arch =
   let io = ref None in
   let touch a =
     if Layout.is_io a && !io = None then io := Some (Cell.mem a);
@@ -61,20 +63,11 @@ let spec_run ~on_access (t : Task.t) view =
     match Journal.find t.Task.writes c with
     | Some _ as r -> r
     | None ->
-      let r =
-        match live_in c with
-        | Some _ as r -> r
-        | None -> (
-          match (view, c) with
-          | Task.Fallback arch, _ -> Some (Full.get arch c)
-          | Task.Isolated, Cell.Mem _ -> Some 0
-          | Task.Isolated, (Cell.Pc | Cell.Reg _) -> None)
+      let v =
+        match live_in c with Some v -> v | None -> Full.get arch c
       in
-      (match r with
-      | Some v when not (Journal.mem t.Task.reads c) ->
-        Journal.set t.Task.reads c v
-      | Some _ | None -> ());
-      r
+      if not (Journal.mem t.Task.reads c) then Journal.set t.Task.reads c v;
+      Some v
   in
   let read c =
     (match c with Cell.Mem a -> touch a | Cell.Pc | Cell.Reg _ -> ());
@@ -102,7 +95,8 @@ let spec_run ~on_access (t : Task.t) view =
         | _ -> go ())
       | None, Exec.Halted -> Task.Complete Task.Program_halted
       | None, Exec.Fault f -> Task.Failed (Task.Fault f)
-      | None, Exec.Missing c -> Task.Failed (Task.Missing_cell c)
+      | None, Exec.Missing c ->
+        Alcotest.failf "spec slave: %s read nothing" (Cell.show c)
     end
   in
   let status = go () in
@@ -125,7 +119,7 @@ let journal_list iter t =
    status, retirements, first-reads and writes in journal order, and
    the memory touches in order *)
 let observe ~spec ?(budget = 5_000) ?end_pc ?(end_occurrence = 1)
-    ?(live_in = Fragment.empty) ?start_pc view (p : Program.t) =
+    ?(live_in = Fragment.empty) ?start_pc arch (p : Program.t) =
   let start_pc = Option.value start_pc ~default:p.Program.entry in
   let decode =
     if spec then Mssp_seq.Exec.default_decode
@@ -139,7 +133,7 @@ let observe ~spec ?(budget = 5_000) ?end_pc ?(end_occurrence = 1)
   let acc = ref [] in
   let on_access a = acc := a :: !acc in
   let status =
-    if spec then spec_run ~on_access t view else Task.run ~on_access t view
+    if spec then spec_run ~on_access t arch else Task.run ~on_access t arch
   in
   ( status,
     t.Task.executed,
@@ -147,18 +141,16 @@ let observe ~spec ?(budget = 5_000) ?end_pc ?(end_occurrence = 1)
     journal_list Task.iter_writes t,
     List.rev !acc )
 
-let same_task ?budget ?end_pc ?end_occurrence ?live_in ?start_pc ?view p =
-  let view =
-    match view with Some v -> v | None -> Task.Fallback (load_arch p)
-  in
-  observe ~spec:false ?budget ?end_pc ?end_occurrence ?live_in ?start_pc view p
-  = observe ~spec:true ?budget ?end_pc ?end_occurrence ?live_in ?start_pc view
+let same_task ?budget ?end_pc ?end_occurrence ?live_in ?start_pc ?arch p =
+  let arch = match arch with Some a -> a | None -> load_arch p in
+  observe ~spec:false ?budget ?end_pc ?end_occurrence ?live_in ?start_pc arch p
+  = observe ~spec:true ?budget ?end_pc ?end_occurrence ?live_in ?start_pc arch
       p
 
-let assert_same_task ?budget ?end_pc ?end_occurrence ?live_in ?start_pc ?view
+let assert_same_task ?budget ?end_pc ?end_occurrence ?live_in ?start_pc ?arch
     p =
   check "slave step = spec slave" true
-    (same_task ?budget ?end_pc ?end_occurrence ?live_in ?start_pc ?view p)
+    (same_task ?budget ?end_pc ?end_occurrence ?live_in ?start_pc ?arch p)
 
 (* --- hand-written shapes ---------------------------------------------- *)
 
@@ -259,7 +251,7 @@ let test_smc_self_patch () =
   (* and both patched words really ran: t2 = 100 + 7 in the write
      buffer *)
   let _, _, _, writes, _ =
-    observe ~spec:false (Task.Fallback (load_arch p)) p
+    observe ~spec:false (load_arch p) p
   in
   check "patched words executed" true (List.mem (Cell.Reg t2, 107) writes)
 
@@ -280,13 +272,13 @@ let test_code_rewritten_between_runs () =
     List.assoc (Cell.Reg t2) writes
   in
   check_int "first run: t2 = 2" 2
-    (t2_of (observe ~spec:false (Task.Fallback arch) p));
+    (t2_of (observe ~spec:false arch p));
   Full.set_mem arch
     (List.assoc "patch" p.Program.symbols)
     (Instr.encode (Instr.Alui (Instr.Add, t2, t2, 8)));
   check_int "second run: t2 = 8" 8
-    (t2_of (observe ~spec:false (Task.Fallback arch) p));
-  assert_same_task ~view:(Task.Fallback arch) p
+    (t2_of (observe ~spec:false arch p));
+  assert_same_task ~arch p
 
 (* speculative I/O: the latch semantics (instruction completes into the
    write buffer, then the task fails without retiring it) must be
@@ -322,7 +314,7 @@ let test_io_latch () =
       shape b;
       let p = Dsl.build b () in
       check (Printf.sprintf "io shape %d" i) true (same_task p);
-      match observe ~spec:false (Task.Fallback (load_arch p)) p with
+      match observe ~spec:false (load_arch p) p with
       | Task.Failed (Task.Io_speculative _), _, _, _, _ -> ()
       | _ -> Alcotest.fail "expected an I/O refusal")
     shapes
@@ -338,68 +330,25 @@ let test_fault_parity () =
   let p = Dsl.build b () in
   let arch = load_arch p in
   Full.set_mem arch (p.Program.entry + 2) (-0x7EADBEEF);
-  assert_same_task ~view:(Task.Fallback arch) p;
-  match observe ~spec:false (Task.Fallback arch) p with
+  assert_same_task ~arch p;
+  match observe ~spec:false arch p with
   | Task.Failed (Task.Fault (Exec.Undecodable { pc; _ })), _, _, _, _ ->
     check_int "fault pc" (p.Program.entry + 2) pc
   | _ -> Alcotest.fail "expected Undecodable fault"
 
-(* An isolated task sees only its live-in: the program's memory image
-   (code included, as the machine's isolated live-in snapshots it) and
-   the given register bindings. *)
-let isolated_live_in p regs =
+(* A live-in over the program's memory image (code included) and the
+   given register bindings: registers it binds shadow architected
+   state, and memory it binds agrees with it. *)
+let image_live_in p regs =
   List.fold_left
     (fun f (c, v) -> Fragment.add c v f)
     (Fragment.filter (fun c _ -> Cell.is_mem c) (Full.snapshot (load_arch p)))
     regs
 
-(* isolated view: a register bound nowhere is [Missing]; with both
-   operands unbound the same one must be reported, and a fetch from the
-   I/O region latches before the miss *)
-let test_isolated_missing () =
-  let add =
-    let b = Dsl.create () in
-    Dsl.alu b Instr.Add t2 t0 t1;
-    Dsl.alui b Instr.Add t2 t2 1;
-    Dsl.halt b;
-    Dsl.build b ()
-  in
-  let reg r v = (Cell.Reg r, v) in
-  List.iter
-    (fun (what, regs) ->
-      check what true
-        (same_task ~live_in:(isolated_live_in add regs) ~view:Task.Isolated
-           add))
-    [
-      ("both operands bound", [ reg t0 1; reg t1 2 ]);
-      ("rs2 unbound", [ reg t0 1 ]);
-      ("rs1 unbound", [ reg t1 2 ]);
-      ("both unbound", []);
-    ];
-  (match
-     observe ~spec:false ~live_in:(isolated_live_in add [ reg t0 1 ])
-       Task.Isolated add
-   with
-  | Task.Failed (Task.Missing_cell c), 0, _, writes, _ ->
-    check "t1 missing" true (Cell.equal c (Cell.Reg t1));
-    check "nothing written" true (writes = [])
-  | _ -> Alcotest.fail "expected a missing t1");
-  let word = Instr.encode (Instr.Alu (Instr.Add, t2, t0, t1)) in
-  let live_in = Fragment.of_list [ (Cell.mem Layout.io_base, word) ] in
-  check "I/O fetch, then a miss" true
-    (same_task ~live_in ~start_pc:Layout.io_base ~view:Task.Isolated add);
-  match
-    observe ~spec:false ~live_in ~start_pc:Layout.io_base Task.Isolated add
-  with
-  | Task.Failed (Task.Io_speculative c), _, _, _, _ ->
-    check "the fetch is the I/O touch" true
-      (Cell.equal c (Cell.mem Layout.io_base))
-  | _ -> Alcotest.fail "expected an I/O refusal"
-
 (* --- property tests: generated programs, SMC boosted --------------------- *)
 
-(* a generated program, and for the isolated view its memory image and
-   a random subset of the registers *)
+(* a generated program, and a live-in over its memory image and a
+   random subset of the registers *)
 let case_arb ?(weights = Gen.default_weights) ~min_size ~max_size () =
   let gen st =
     let seed = Random.State.int st 0x3FFFFFFF in
@@ -413,28 +362,27 @@ let case_arb ?(weights = Gen.default_weights) ~min_size ~max_size () =
         Reg.all
     in
     let p = Gen.generate ~weights ~seed ~size () in
-    (p, isolated_live_in p regs)
+    (p, image_live_in p regs)
   in
   QCheck.make
     ~print:(fun (p, li) ->
-      Mssp_asm.Emit.program_to_source p ^ "\nisolated live-in "
+      Mssp_asm.Emit.program_to_source p ^ "\nlive-in "
       ^ Fragment.show li)
     gen
 
-let both_views (p, live_in) =
-  same_task ~budget:2_000 p
-  && same_task ~budget:2_000 ~live_in ~view:Task.Isolated p
+let with_and_without_live_in (p, live_in) =
+  same_task ~budget:2_000 p && same_task ~budget:2_000 ~live_in p
 
 let prop_fuzz_task =
   QCheck.Test.make ~name:"fuzz task body: slave step = spec slave" ~count:60
     (case_arb ~min_size:4 ~max_size:20 ())
-    both_views
+    with_and_without_live_in
 
 let prop_smc_task =
   QCheck.Test.make ~name:"SMC-heavy task body: slave step = spec slave"
     ~count:40
     (case_arb ~weights:Gen.smc_heavy ~min_size:4 ~max_size:16 ())
-    both_views
+    with_and_without_live_in
 
 (* --- full machine: code rewritten between a slave's tasks ---------------- *)
 
@@ -509,8 +457,6 @@ let () =
             test_code_rewritten_between_runs;
           Alcotest.test_case "speculative I/O latch" `Quick test_io_latch;
           Alcotest.test_case "fault parity" `Quick test_fault_parity;
-          Alcotest.test_case "isolated-view misses" `Quick
-            test_isolated_missing;
         ] );
       ( "properties",
         [

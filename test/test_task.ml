@@ -1,4 +1,4 @@
-(* Tests for speculative tasks: view resolution order, live-in recording,
+(* Tests for speculative tasks: read resolution order, live-in recording,
    boundary/occurrence completion, budgets, failures, I/O refusal, and
    the live-in lookup contract (memory live-ins read from the fragment
    by reference behave exactly like a flattened copy). *)
@@ -28,8 +28,6 @@ let arch_of p =
   Full.load s p;
   s
 
-let fallback arch = Task.Fallback arch
-
 let simple_loop =
   build (fun b ->
       Dsl.label b "head";
@@ -57,7 +55,7 @@ let test_runs_to_halt () =
   let arch = arch_of simple_loop in
   let live_in = Fragment.of_list [ (t0_cell, 3); (t1_cell, 0) ] in
   let task = make_task ~live_in ~end_pc:None () in
-  check "halts" true (Task.run task (fallback arch) = Task.Complete Task.Program_halted);
+  check "halts" true (Task.run task arch = Task.Complete Task.Program_halted);
   check_int "executed 3 iterations" 9 task.Task.executed;
   check "t1 live-out" true (Journal.find task.Task.writes t1_cell = Some 3);
   (* final pc points at halt *)
@@ -68,7 +66,7 @@ let test_boundary_first_occurrence () =
   let live_in = Fragment.of_list [ (t0_cell, 5); (t1_cell, 0) ] in
   let task = make_task ~live_in ~end_pc:(Some head) () in
   check "boundary" true
-    (Task.run task (fallback arch) = Task.Complete Task.Reached_boundary);
+    (Task.run task arch = Task.Complete Task.Reached_boundary);
   check_int "one iteration" 3 task.Task.executed;
   check "t1 = 1" true (Journal.find task.Task.writes t1_cell = Some 1)
 
@@ -77,7 +75,7 @@ let test_boundary_kth_occurrence () =
   let live_in = Fragment.of_list [ (t0_cell, 5); (t1_cell, 0) ] in
   let task = make_task ~occurrence:3 ~live_in ~end_pc:(Some head) () in
   check "boundary" true
-    (Task.run task (fallback arch) = Task.Complete Task.Reached_boundary);
+    (Task.run task arch = Task.Complete Task.Reached_boundary);
   check_int "three iterations" 9 task.Task.executed;
   check "t1 = 3" true (Journal.find task.Task.writes t1_cell = Some 3)
 
@@ -88,7 +86,7 @@ let test_budget_exhaustion () =
      and a small budget *)
   let live_in = Fragment.of_list [ (t0_cell, 1000); (t1_cell, 0) ] in
   let task = make_task ~budget:10 ~occurrence:100 ~live_in ~end_pc:(Some head) () in
-  check "budget" true (Task.run task (fallback arch) = Task.Failed Task.Budget_exhausted);
+  check "budget" true (Task.run task arch = Task.Failed Task.Budget_exhausted);
   check_int "stopped at budget" 10 task.Task.executed
 
 let test_read_resolution_order () =
@@ -96,7 +94,7 @@ let test_read_resolution_order () =
   Full.set_reg arch t0 77 (* architected value, should be shadowed *);
   let live_in = Fragment.of_list [ (t0_cell, 2); (t1_cell, 0) ] in
   let task = make_task ~live_in ~end_pc:None () in
-  ignore (Task.run task (fallback arch) : Task.status);
+  ignore (Task.run task arch : Task.status);
   (* live-in shadows architected: 2 iterations, not 77 *)
   check "live-in wins" true (Journal.find task.Task.writes t1_cell = Some 2);
   (* own writes shadow live-in: recorded read of t0 is the live-in value,
@@ -110,32 +108,13 @@ let test_records_fallback_reads () =
   (* t1 missing from live-in: read through to architected state *)
   let live_in = Fragment.of_list [ (t0_cell, 1) ] in
   let task = make_task ~live_in ~end_pc:None () in
-  ignore (Task.run task (fallback arch) : Task.status);
+  ignore (Task.run task arch : Task.status);
   check "fallback read recorded" true
     (Journal.find task.Task.reads t1_cell = Some 5);
   check "result uses fallback value" true
     (Journal.find task.Task.writes t1_cell = Some 6);
   (* pc is recorded as a live-in too *)
   check "pc recorded" true (Journal.find task.Task.reads Cell.Pc = Some head)
-
-let test_isolated_missing_memory_reads_zero () =
-  (* isolated mode: unwritten memory reads as 0 and the 0 is recorded *)
-  let p =
-    build (fun b ->
-        Dsl.ld b t1 zero 12345;
-        Dsl.halt b)
-  in
-  let full = Full.create () in
-  Full.load full p;
-  let live_in = Fragment.add Cell.Pc p.Mssp_isa.Program.entry (Full.snapshot full) in
-  let task =
-    new_task ~id:1 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
-      ~end_occurrence:1 ~budget:10 ~live_in:(Live_in.of_fragment live_in)
-  in
-  check "halts" true (Task.run task Task.Isolated = Task.Complete Task.Program_halted);
-  check "zero read recorded" true
-    (Journal.find task.Task.reads (Cell.mem 12345) = Some 0);
-  check "t1 = 0" true (Journal.find task.Task.writes (Cell.Reg t1) = Some 0)
 
 let test_io_refusal () =
   let p =
@@ -151,7 +130,7 @@ let test_io_refusal () =
     new_task ~id:2 ~start_pc:p.Mssp_isa.Program.entry ~end_pc:None
       ~end_occurrence:1 ~budget:10 ~live_in:(Live_in.of_fragment live_in)
   in
-  (match Task.run task (fallback arch) with
+  (match Task.run task arch with
   | Task.Failed (Task.Io_speculative c) ->
     check "right cell" true (Cell.equal c (Cell.mem Layout.io_base))
   | other -> Alcotest.failf "expected I/O refusal, got %s"
@@ -167,7 +146,7 @@ let test_fault_reported () =
     new_task ~id:3 ~start_pc:0 ~end_pc:None ~end_occurrence:1 ~budget:10
       ~live_in:(Live_in.of_fragment live_in)
   in
-  match Task.run task (fallback arch) with
+  match Task.run task arch with
   | Task.Failed (Task.Fault _) -> ()
   | other ->
     Alcotest.failf "expected fault, got %s"
@@ -179,7 +158,7 @@ let test_on_access_hook () =
   let task = make_task ~live_in ~end_pc:None () in
   let touched = ref [] in
   let on_access a = touched := a :: !touched in
-  ignore (Task.run ~on_access task (fallback arch) : Task.status);
+  ignore (Task.run ~on_access task arch : Task.status);
   (* every instruction fetch is a memory access *)
   check "fetches observed" true (List.mem head !touched)
 
@@ -190,7 +169,7 @@ let test_live_in_size_counts_reads_only () =
       [ (t0_cell, 1); (t1_cell, 0); (Cell.Reg t5, 99) (* never read *) ]
   in
   let task = make_task ~live_in ~end_pc:None () in
-  ignore (Task.run task (fallback arch) : Task.status);
+  ignore (Task.run task arch : Task.status);
   check "unread live-in not recorded" false (Journal.mem task.Task.reads (Cell.Reg t5));
   check "live_in_size = recorded" true
     (Task.live_in_size task = Journal.cardinal task.Task.reads)
@@ -247,7 +226,7 @@ let prop_journal_set_find_matches_fragment =
 
 let prop_task_matches_abstract_evolution =
   QCheck.Test.make
-    ~name:"simulator task = abstract task evolution (isolated, full live-in)"
+    ~name:"simulator task = abstract task evolution (full live-in, empty state)"
     ~count:25
     QCheck.(pair small_nat (int_range 1 25))
     (fun (seed, n) ->
@@ -262,7 +241,10 @@ let prop_task_matches_abstract_evolution =
           ~end_pc:None ~end_occurrence:1 ~budget:n
           ~live_in:(Live_in.of_fragment live_in)
       in
-      let status = Task.run task Task.Isolated in
+      (* the live-in binds every cell the program holds; the rest of
+         memory reads 0 from a state that holds nothing, as it does in
+         the abstract model's total memory *)
+      let status = Task.run task (Full.create ()) in
       let sim_result = Fragment.superimpose live_in (Task.writes_fragment task) in
       (* the abstract task evolves the same live-in by the same count *)
       let abstract =
@@ -279,10 +261,11 @@ let prop_task_matches_abstract_evolution =
 (* The oracle: a task executor over a live-in flattened whole into a
    journal with [Journal.of_fragment], the representation tasks used
    before memory live-ins were looked up in the fragment itself. Reads
-   resolve write buffer, then the flattened live-in, then the view,
+   resolve write buffer, then the flattened live-in, then architected
+   state,
    recording first-reads; memory touches feed the access list and the
    first I/O touch fails the instruction, as [Task]'s contract says. *)
-let oracle_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc view =
+let oracle_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc arch =
   let live_in =
     if Fragment.mem Cell.Pc live_in then live_in
     else Fragment.add Cell.Pc start_pc live_in
@@ -302,18 +285,11 @@ let oracle_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc view =
     match Journal.find writes c with
     | Some _ as r -> r
     | None ->
-      let r =
-        match Journal.find li c with
-        | Some _ as r -> r
-        | None -> (
-          match view with
-          | Task.Fallback arch -> Some (Full.get arch c)
-          | Task.Isolated -> if Cell.is_mem c then Some 0 else None)
+      let v =
+        match Journal.find li c with Some v -> v | None -> Full.get arch c
       in
-      (match r with
-      | Some v when not (Journal.mem reads c) -> Journal.set reads c v
-      | Some _ | None -> ());
-      r
+      if not (Journal.mem reads c) then Journal.set reads c v;
+      Some v
   in
   let write c v =
     touch c;
@@ -337,7 +313,8 @@ let oracle_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc view =
         | _ -> go ())
       | None, Mssp_seq.Exec.Halted -> Task.Complete Task.Program_halted
       | None, Mssp_seq.Exec.Fault f -> Task.Failed (Task.Fault f)
-      | None, Mssp_seq.Exec.Missing c -> Task.Failed (Task.Missing_cell c)
+      | None, Mssp_seq.Exec.Missing c ->
+        Alcotest.failf "oracle: %s read nothing" (Cell.show c)
     end
   in
   let status = go () in
@@ -348,12 +325,12 @@ let journal_list j =
   Journal.iter (fun c v -> l := (c, v) :: !l) j;
   List.rev !l
 
-let task_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc view =
+let task_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc arch =
   let t = new_task ~id:0 ~start_pc ~end_pc ~end_occurrence ~budget 
     ~live_in:(Live_in.of_fragment live_in) in
   let accesses = ref [] in
   let status =
-    Task.run ~on_access:(fun a -> accesses := a :: !accesses) t view
+    Task.run ~on_access:(fun a -> accesses := a :: !accesses) t arch
   in
   ( status,
     t.Task.executed,
@@ -421,23 +398,17 @@ let live_in_case =
 
 let prop_live_in_by_reference =
   QCheck.Test.make
-    ~name:"live-ins by reference = flattened (single step, both views)"
+    ~name:"live-ins by reference = flattened (single step)"
     ~count:150 live_in_case
     (fun (p, live_in, end_pc, end_occurrence) ->
       let arch = arch_of p in
       let start_pc = p.Mssp_isa.Program.entry in
       let budget = 500 in
-      let oracle view =
-        let status, executed, reads, writes, accesses =
-          oracle_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc view
-        in
-        (status, executed, journal_list reads, journal_list writes, accesses)
+      let status, executed, reads, writes, accesses =
+        oracle_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc arch
       in
-      let run view =
-        task_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc view
-      in
-      let fb = fallback arch in
-      run fb = oracle fb && run Task.Isolated = oracle Task.Isolated)
+      task_run ~budget ~end_pc ~end_occurrence ~live_in ~start_pc arch
+      = (status, executed, journal_list reads, journal_list writes, accesses))
 
 (* [Task.make] never copies the live-in: its allocation is the same for
    one memory binding and for four thousand *)
@@ -526,7 +497,7 @@ let words_for_trips ~fresh trips =
       ~live_in:(Live_in.of_fragment Fragment.empty) ~decode
       ~reads:(Journal.create ()) ~writes:(Journal.create ())
   in
-  let status = Task.run ~on_access task (fallback arch) in
+  let status = Task.run ~on_access task arch in
   let w1 = words () in
   check "halts" true (status = Task.Complete Task.Program_halted);
   (w1 -. w0, task.Task.executed)
@@ -682,8 +653,6 @@ let () =
         [
           Alcotest.test_case "resolution order" `Quick test_read_resolution_order;
           Alcotest.test_case "fallback recording" `Quick test_records_fallback_reads;
-          Alcotest.test_case "isolated zero reads" `Quick
-            test_isolated_missing_memory_reads_zero;
           Alcotest.test_case "I/O refusal" `Quick test_io_refusal;
           Alcotest.test_case "fault" `Quick test_fault_reported;
           Alcotest.test_case "on_access hook" `Quick test_on_access_hook;

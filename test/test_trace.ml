@@ -1,10 +1,10 @@
 (* The golden-trace harness: the structured event bus is pinned down by
-   - ten committed golden traces (vecsum, listwalk, a garbage
+   - nine committed golden traces (vecsum, listwalk, a garbage
      adversarial master, a spinning master stopped by the run-away
      guard, a deliberately broken chaos-commit run, a
      benign always-absorbed fault plan, the fir kernel, an amnesiac
-     master under dual mode stopped by the squash limit, isolated
-     slaves and a control-only master) that every [dune runtest]
+     master under dual mode stopped by the squash limit and a
+     control-only master) that every [dune runtest]
      replays and structurally diffs ([PROMOTE_GOLDEN=1] /
      `make promote-golden` rewrites them);
    - the acceptance criterion of the tracing subsystem: a fold over the
@@ -56,7 +56,7 @@ let distill_bench name ~size ~train =
    churn), one benign fault plan (every
    fault absorbed; pins the Fault event serialization), the fir
    kernel, one amnesiac master stopped by the squash limit, and the
-   isolated-slave and control-only-master modes. *)
+   control-only-master mode. *)
 
 let base2 = Config.with_slaves 2 Config.default
 
@@ -134,13 +134,6 @@ let golden_cases =
               max_squashes = 20;
             }
           (Adversary.amnesiac (distill_bench "vecsum" ~size:160 ~train:40)) );
-    (* vecsum with no architected-state fallback for slave reads *)
-    ( "isolated",
-      fun () ->
-        run_traced
-          ~config:
-            { base2 with Config.task_size = 20; isolated_slaves = true }
-          (distill_bench "vecsum" ~size:160 ~train:40) );
     (* listwalk with a master that predicts no values: pins the
        mismatch-squash path at every pointer-chasing boundary *)
     ( "control_only",
