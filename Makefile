@@ -46,13 +46,13 @@ promote-golden:
 SIM = ./_build/default/bin/mssp_sim.exe
 trace-snapshot:
 	@dune build bin/mssp_sim.exe
+	@if [ -n "$(OUT)" ]; then mkdir -p $(OUT); fi
 	@for b in $$($(SIM) list | cut -d' ' -f1); do \
 	  for n in 1 2 4 8; do \
 	    if [ -z "$(OUT)" ]; then \
 	      { $(SIM) trace $$b --slaves $$n --format jsonl || echo FAILED; } \
 	        | sha256sum | sed "s/ -\$$/ $$b-s$$n.jsonl/"; \
 	    else \
-	      mkdir -p $(OUT) && \
 	      $(SIM) trace $$b --slaves $$n --format jsonl -o $(OUT)/$$b-s$$n.jsonl || exit 1; \
 	    fi; \
 	  done; \
