@@ -438,11 +438,11 @@ and spawn m e li =
   emit m (Trace.Fork { cycle = now m; task = id; entry = e });
   (* the prediction as the slave will see it: post fault injection. The
      run's own fold reads only its size; a tracer's sinks may keep it
-     past the checkpoint, so they get its fragment form *)
+     past the checkpoint, so they get its fork interval's writes *)
   let live_in =
     match m.cfg.tracer with
     | None -> cp.cp_live_in
-    | Some _ -> Live_in.freeze cp.cp_live_in
+    | Some _ -> Live_in.shipped cp.cp_live_in
   in
   emit m (Trace.Predict { cycle = now m; task = id; live_in });
   Queue.add cp m.window;
@@ -613,9 +613,9 @@ and commit m cp task n_live_ins =
   m.live_in_counts <- n_live_ins :: m.live_in_counts;
   advance_shadow m executed;
   recycle m task;
-  (* the master's layers no live checkpoint predates: a parked or
-     in-flight fork is newer than every sealed layer. A fault-injected
-     live-in keeps its fork's view level ([Live_in.add]) *)
+  (* the master's layers no live checkpoint predates; a parked or
+     in-flight fork's own layer is the newest sealed, which never folds.
+     A fault-injected live-in keeps its fork's level ([Live_in.add]) *)
   Dirty.fold m.m_dirty
     ~upto:
       (if Queue.is_empty m.window then max_int

@@ -20,9 +20,6 @@ type t = {
   mutable level : int;
   mutable first : int;  (* the oldest layer not folded into [base] *)
   mutable floor : int;  (* views below this level are stale *)
-  mutable mirrored : bool;
-  mutable mirror : Fragment.t;  (* when [mirrored]: the memory of view *)
-  mutable mirror_level : int;  (* [mirror_level], as a fragment *)
 }
 
 (* never written: a placeholder slot, compared physically *)
@@ -39,9 +36,6 @@ let create () =
     level = 0;
     first = 0;
     floor = 0;
-    mirrored = false;
-    mirror = Fragment.empty;
-    mirror_level = -1;
   }
 
 let none = create ()
@@ -97,37 +91,26 @@ let binds d ~level ~cells a =
   let p = Mem_log.index d.base a in
   p >= 0 && p < cells
 
-(* move the mirror up to [level], one layer at a time; the layers above
-   [mirror_level] are unfolded, as [fold] advances the mirror first *)
-let advance d level =
-  for l = d.mirror_level + 1 to level do
-    let layer = slot d l in
-    for k = 0 to Mem_log.count layer - 1 do
-      d.mirror <- Fragment.add (Cell.mem (Mem_log.addr layer k)) (Mem_log.get layer k) d.mirror
-    done
-  done;
-  if level > d.mirror_level then d.mirror_level <- level
+(* the [n] memory cells [addr k], bound to [value k], as a fragment *)
+let fragment n addr value =
+  let f = ref Fragment.empty in
+  for k = 0 to n - 1 do f := Fragment.add (Cell.mem (addr k)) (value k) !f done;
+  !f
 
 let frozen d ~level ~cells =
   check d level;
-  if d.mirrored && d.mirror_level <= level then advance d level
-  else begin
-    let f = ref Fragment.empty in
-    for p = 0 to cells - 1 do
-      let a = Mem_log.addr d.base p in
-      f := Fragment.add (Cell.mem a) (newest d level a p) !f
-    done;
-    d.mirrored <- true;
-    d.mirror <- !f;
-    d.mirror_level <- level
-  end;
-  d.mirror
+  let addr = Mem_log.addr d.base in
+  fragment cells addr (fun p -> newest d level (addr p) p)
+
+let layer d ~level =
+  if level < d.first || level >= d.level then invalid_arg "Dirty: no such layer";
+  let l = slot d level in
+  fragment (Mem_log.count l) (Mem_log.addr l) (Mem_log.get l)
 
 let fold d ~upto =
-  let upto = min upto (d.level - 1) in
+  let upto = min upto (d.level - 2) in
   while d.first <= upto do
     let l = d.first in
-    if d.mirrored then advance d l;
     let layer = slot d l in
     for k = 0 to Mem_log.count layer - 1 do
       Mem_log.set d.base (Mem_log.addr layer k) (Mem_log.get layer k)
@@ -143,6 +126,4 @@ let reset d =
   done;
   Mem_log.clear d.base;
   d.first <- d.level;
-  d.floor <- d.level;
-  d.mirror <- Fragment.empty;
-  d.mirror_level <- d.level - 1
+  d.floor <- d.level

@@ -16,16 +16,16 @@
       latest write before that fork, for every cell it had written
       ({!find}, allocation-free). Its cell count is the base's count at
       its seal, so counting is O(1) and exact.
-    - {b Folding.} {!fold} merges the oldest sealed layers into the base
-      once no live checkpoint is older than the fork that sealed them,
-      and clears them for reuse. Every live view stays exact; a view
-      older than a folded layer is stale, and reading it raises.
+    - {b Folding.} {!fold} merges the oldest sealed layers but the
+      newest into the base once no live checkpoint is older than the
+      fork that sealed them, and clears them for reuse. Every live view
+      stays exact; a view older than a folded layer is stale, and
+      reading it raises.
     - {b Reset.} {!reset} (a reseed) clears everything and makes every
       view stale.
 
-    Views read as fragments through a persistent mirror ({!frozen}),
-    kept only once something has asked for one (a tracer, a fault
-    plan): untraced runs pay nothing for it. *)
+    A traced fork ships its own layer ({!layer}): superimposed oldest
+    first, the layers sealed since the reset rebuild each view. *)
 
 type t
 
@@ -56,14 +56,16 @@ val binds : t -> level:int -> cells:int -> int -> bool
 (** Whether that view binds [a]. *)
 
 val frozen : t -> level:int -> cells:int -> Fragment.t
-(** The view's memory as a persistent fragment. Requests at rising
-    levels (one per spawn) advance a mirror by the layers in between; the
-    first, or an older level, rebuilds it from scratch. *)
+(** The view's memory as a fragment, rebuilt: O(cells). *)
+
+val layer : t -> level:int -> Fragment.t
+(** The writes of the fork interval sealed at [level], last values.
+    @raise Invalid_argument once the layer is folded or reset. *)
 
 val fold : t -> upto:int -> unit
 (** Fold every sealed layer at or below level [upto] into the base and
     recycle it: [upto] is the level of the oldest live checkpoint
-    ([max_int] when none is live). *)
+    ([max_int] when none is live). The newest sealed layer stays. *)
 
 val reset : t -> unit
 (** Forget every write: the master was reseeded. O(bindings). *)

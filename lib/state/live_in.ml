@@ -67,7 +67,7 @@ let of_pc pc =
   regs.(0) <- pc;
   of_overlay regs 1 Fragment.empty ~mem_cells:0
 
-let of_fragment f =
+let of_fragment ?cardinal f =
   let regs = Array.make slots 0 and bound = ref 0 in
   let mem =
     Fragment.filter
@@ -81,7 +81,8 @@ let of_fragment f =
           false)
       f
   in
-  of_overlay regs !bound mem ~mem_cells:(Fragment.cardinal mem)
+  let unlisted = match cardinal with Some n -> n - Fragment.cardinal f | None -> 0 in
+  of_overlay regs !bound mem ~mem_cells:(Fragment.cardinal mem + unlisted)
 
 let is_bound li i = li.bound land (1 lsl i) <> 0
 
@@ -141,9 +142,12 @@ let mem_fragment li =
       (Dirty.frozen li.dirty ~level:li.level ~cells:li.cells)
       li.over
 
-let freeze li =
+let shipped li =
   if li.dirty == Dirty.none then li
-  else of_overlay li.regs li.bound (mem_fragment li) ~mem_cells:li.mem_cells
+  else
+    of_overlay li.regs li.bound
+      (Fragment.superimpose (Dirty.layer li.dirty ~level:li.level) li.over)
+      ~mem_cells:li.mem_cells
 
 let fold f li acc =
   let acc = ref acc in

@@ -12,13 +12,13 @@
     of cells the master has written.
 
     A small {!Fragment} overlay sits over the view: cells bound by
-    {!add} (fault plans), and the whole memory part
-    of a live-in with no view ({!of_fragment}, {!freeze}).
+    {!add} (fault plans), and the whole memory part of a live-in with no
+    view ({!of_fragment}, {!shipped}).
 
     A view is valid while its checkpoint is live; the machine folds
     layers only under older checkpoints, so every live view stays
-    exact. Anything that keeps a live-in past its checkpoint (a trace
-    sink) keeps {!freeze}'s fragment form.
+    exact. A trace sink may keep a live-in past its checkpoint, so it
+    gets the {!shipped} form.
 
     As a partial state a live-in is the fragment {!to_fragment}: the same
     cells with the same values. {!fold} and the trace serializers walk
@@ -54,14 +54,16 @@ val of_pc : int -> t
 (** Binds the PC only: the checkpoint of a master that predicts no
     values. *)
 
-val of_fragment : Fragment.t -> t
+val of_fragment : ?cardinal:int -> Fragment.t -> t
 val to_fragment : t -> Fragment.t
-(** The two are inverse: [to_fragment (of_fragment f)] equals [f]. *)
+(** The two are inverse: [to_fragment (of_fragment f)] equals [f].
+    [~cardinal] (a decoded {!shipped}'s) counts bindings [f] omits. *)
 
-val freeze : t -> t
-(** The same bindings with no view: the memory part as one persistent
-    fragment, valid after the checkpoint dies. What the machine emits to
-    a tracer. *)
+val shipped : t -> t
+(** What a traced fork ships, valid after its checkpoint dies: the
+    register file, its fork interval's writes ({!Dirty.layer}) under the
+    overlay, and the whole view's {!cardinal}. Call it before the next
+    seal. *)
 
 val cardinal : t -> int
 (** Bindings, PC included, in O(1). *)

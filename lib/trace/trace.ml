@@ -1,5 +1,5 @@
 (* The structured event bus. See trace.mli for the design contract; the
-   short version: events are plain data (except Predict, which keeps the
+   short version: events are plain data (an untraced Predict keeps the
    checkpoint's live-in by reference so the hot emission site stays
    O(1)), sinks are closures, and every aggregate view is a
    fold. Cells render to strings only here, in the serializers. *)
@@ -256,6 +256,7 @@ let event_to_json ev =
     base "predict" cycle
       [
         ("task", J.Int task);
+        ("bindings", J.Int (Live_in.cardinal live_in));
         ( "live_in",
           J.List
             (List.rev
@@ -342,6 +343,7 @@ let event_of_json j =
     Ok (Fork { cycle; task; entry })
   | "predict" ->
     let* task = int "task" in
+    let* cardinal = int "bindings" in
     let* live_in =
       match Option.bind (J.member "live_in" j) J.to_list with
       | None -> Error "predict: missing live_in"
@@ -359,7 +361,8 @@ let event_of_json j =
             | _ -> Error "predict: bad binding shape")
           (Ok Fragment.empty) l
     in
-    Ok (Predict { cycle; task; live_in = Live_in.of_fragment live_in })
+    if cardinal < Fragment.cardinal live_in then Error "predict: bindings below live_in"
+    else Ok (Predict { cycle; task; live_in = Live_in.of_fragment ~cardinal live_in })
   | "slave_start" ->
     let* task = int "task" in
     let* slave = int "slave" in

@@ -15,16 +15,16 @@
     through the on-disk format the golden tests pin down, and {!Chrome}
     exports an [about://tracing] / Perfetto-loadable timeline.
 
-    This library sits below the machine core. Events are plain data,
-    with one deliberate exception: {!event.Predict} carries the
-    checkpoint's live-in {!Mssp_state.Live_in.t}. Without a tracer the
-    machine passes the checkpoint's own live-in, already allocated, and
-    its fold counts the bindings in O(1); with one it passes
-    {!Mssp_state.Live_in.freeze}'s form, which stays valid after the
-    checkpoint dies. Rendering cells to strings happens only in the sinks
-    and serializers, in cell order (the PC, the registers by index,
-    memory by ascending address). Use {!event_equal}, not [( = )], to
-    compare events. *)
+    This library sits below the machine core. Events are plain data;
+    {!event.Predict} carries a {!Mssp_state.Live_in.t}. Without a tracer
+    the machine passes the checkpoint's own live-in, already allocated,
+    and its fold counts the bindings in O(1); with one it passes what
+    the fork ships ({!Mssp_state.Live_in.shipped}): the register file,
+    the writes of its own fork interval and the whole view's binding
+    count, valid after the checkpoint dies. Rendering cells to strings
+    happens only in the sinks and serializers, in cell order (the PC,
+    the registers by index, memory by ascending address). Use
+    {!event_equal}, not [( = )], to compare events. *)
 
 (* --- vocabulary ------------------------------------------------------ *)
 
@@ -54,9 +54,9 @@ type event =
   | Fork of { cycle : int; task : int; entry : int }
       (** master reached a fork marker and cut a checkpoint *)
   | Predict of { cycle : int; task : int; live_in : Mssp_state.Live_in.t }
-      (** the checkpoint's predicted live-in bindings, post fault
-          injection — exactly what the slave will be seeded with. Frozen
-          ({!Mssp_state.Live_in.freeze}) when a tracer is attached *)
+      (** the checkpoint's predicted live-in, post fault injection —
+          what the slave is seeded with. {!Mssp_state.Live_in.shipped}
+          when a tracer is attached; JSONL adds its [bindings] count *)
   | Slave_start of { cycle : int; task : int; slave : int }
   | Slave_finish of {
       cycle : int;

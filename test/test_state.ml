@@ -554,9 +554,14 @@ let prop_live_in_checkpoints =
    addresses included), seals (a fork: a new live view), retirements
    (the oldest view commits and the layers under the next one fold),
    resets (a reseed kills every view), overlay [add]s on a live view and
-   fragment reads (which build and advance the mirror). After every step
-   each live view's [find_mem], [find_opt] and [cardinal], and on a
-   fragment read its [to_fragment] and [freeze], equal the snapshot. *)
+   fragment reads. After every step each live view's [find_mem],
+   [find_opt] and [cardinal], and on a fragment read its [to_fragment],
+   equal the snapshot. Each seal reads its own [Dirty.layer] at once, as
+   a traced fork does: it equals the writes since the previous seal, and
+   the layers read since the reset, superimposed up to a view's own and
+   under its overlay, equal the view's snapshot. A view's [shipped] form
+   is its layer under its overlay with the whole [cardinal], readable at
+   least while its layer is the newest sealed. *)
 
 type dirty_op =
   | Store of int * int
@@ -597,8 +602,15 @@ let arbitrary_dirty_ops =
 
 let mem_part f = Fragment.filter (fun c _ -> Cell.is_mem c) f
 
-(* [li] binds the registers of a fresh state, the PC and [snap] *)
-let view_agrees ~frags (li, snap) =
+(* a live view: the live-in, its snapshot (overlay included), its own
+   fork interval's writes and its overlay *)
+type view = { li : Live_in.t; snap : Fragment.t; own : Fragment.t; over : Fragment.t }
+
+(* [v.li] binds the registers of a fresh state, the PC and [v.snap];
+   [layers] are the (level, layer) pairs read at each seal since the
+   reset, oldest first *)
+let view_agrees ~frags ~layers ~newest v =
+  let li = v.li and snap = v.snap in
   let finds =
     List.for_all
       (fun a ->
@@ -608,28 +620,51 @@ let view_agrees ~frags (li, snap) =
         && Live_in.find_opt c li = Fragment.find_opt c snap)
       dirty_addrs
   in
-  let frag li = Fragment.equal (mem_part (Live_in.to_fragment li)) snap in
+  let rebuilt =
+    List.fold_left
+      (fun acc (l, layer) ->
+        if l <= li.Live_in.level then Fragment.superimpose acc layer else acc)
+      Fragment.empty layers
+  in
+  let shipped =
+    match Live_in.shipped li with
+    | exception Invalid_argument _ -> not newest
+    | s ->
+      Fragment.equal (mem_part (Live_in.to_fragment s))
+        (Fragment.superimpose v.own v.over)
+      && Live_in.cardinal s = Live_in.cardinal li
+  in
   finds
   && Live_in.cardinal li = Reg.count + Fragment.cardinal snap
+  && Fragment.equal (Fragment.superimpose rebuilt v.over) snap
+  && shipped
   && ((not frags)
-     || frag li
-        && frag (Live_in.freeze li)
-        && Live_in.equal (Live_in.freeze li) li)
+     || Fragment.equal (mem_part (Live_in.to_fragment li)) snap)
 
 let prop_dirty_model =
   QCheck.Test.make ~name:"dirty layers = a fragment snapshot per seal"
     ~count:500 arbitrary_dirty_ops (fun ops ->
       let full = Full.create () in
       let d = Dirty.create () in
-      (* the model: writes since the reset; the live views, oldest first *)
-      let writes = ref Fragment.empty and views = ref [] in
+      (* the model: writes since the reset and since the last seal; the
+         layers read since the reset; the live views, oldest first *)
+      let writes = ref Fragment.empty and interval = ref Fragment.empty in
+      let layers = ref [] and views = ref [] and ok = ref true in
       let step op =
         match op with
         | Store (a, v) ->
           Dirty.store d a v;
-          writes := Fragment.add (Cell.mem a) v !writes
+          writes := Fragment.add (Cell.mem a) v !writes;
+          interval := Fragment.add (Cell.mem a) v !interval
         | Seal ->
-          views := !views @ [ (Live_in.checkpoint ~pc:0 full d, !writes) ]
+          let li = Live_in.checkpoint ~pc:0 full d in
+          let layer = Dirty.layer d ~level:li.Live_in.level in
+          ok := !ok && Fragment.equal layer !interval;
+          layers := !layers @ [ (li.Live_in.level, layer) ];
+          views :=
+            !views
+            @ [ { li; snap = !writes; own = !interval; over = Fragment.empty } ];
+          interval := Fragment.empty
         | Retire -> (
           match !views with
           | [] -> ()
@@ -638,41 +673,58 @@ let prop_dirty_model =
             Dirty.fold d
               ~upto:
                 (match rest with
-                | (li, _) :: _ -> li.Live_in.level
+                | v :: _ -> v.li.Live_in.level
                 | [] -> max_int))
         | Reset ->
           Dirty.reset d;
           writes := Fragment.empty;
+          interval := Fragment.empty;
+          layers := [];
           views := []
-        | Add (k, a, v) -> (
+        | Add (k, a, x) -> (
           match !views with
           | [] -> ()
           | l ->
             let k = k mod List.length l in
+            let c = Cell.mem a in
             views :=
               List.mapi
-                (fun i ((li, snap) as view) ->
-                  if i <> k then view
+                (fun i v ->
+                  if i <> k then v
                   else
-                    ( Live_in.add (Cell.mem a) v li,
-                      Fragment.add (Cell.mem a) v snap ))
+                    {
+                      v with
+                      li = Live_in.add c x v.li;
+                      snap = Fragment.add c x v.snap;
+                      over = Fragment.add c x v.over;
+                    })
                 l)
         | Frags -> ()
       in
       List.for_all
         (fun op ->
           step op;
-          List.for_all (view_agrees ~frags:(op = Frags)) !views)
+          let n = List.length !views in
+          !ok
+          && List.for_all Fun.id
+               (List.mapi
+                  (fun i v ->
+                    view_agrees ~frags:(op = Frags) ~layers:!layers
+                      ~newest:(i = n - 1) v)
+                  !views))
         ops)
 
 (* a view older than a folded layer is stale: reading it raises rather
-   than return a newer write *)
+   than return a newer write. The newest sealed layer never folds, so
+   the young view's layer folds only once a third checkpoint is cut *)
 let test_dirty_stale_view () =
   let full = Full.create () and d = Dirty.create () in
   Dirty.store d 5 1;
   let old = Live_in.checkpoint ~pc:0 full d in
   Dirty.store d 5 2;
   let young = Live_in.checkpoint ~pc:0 full d in
+  Dirty.store d 5 3;
+  ignore (Live_in.checkpoint ~pc:0 full d : Live_in.t);
   check "old view" true (Live_in.find_mem 5 old ~default:0 = 1);
   Dirty.fold d ~upto:young.Live_in.level;
   check "young view after the fold" true

@@ -262,6 +262,34 @@ let test_reread_golden_summary () =
         = Trace.Summary.rows (Trace.Summary.of_events events)))
     golden_cases
 
+(* A predict line carries its live-in's whole binding count beside the
+   bindings it lists, which are only the registers and the fork
+   interval's writes. A line without the count (the older format, which
+   listed every binding) is refused with an error that names the field,
+   rather than counted by its list; a count below the list is refused
+   too. *)
+let test_predict_count_field () =
+  let line count =
+    Printf.sprintf
+      "{\"ev\":\"predict\",\"cycle\":1,\"task\":0,%s\"live_in\":[[\"pc\",4096],[\"[0x100]\",7]]}"
+      count
+  in
+  (match Trace.of_jsonl (line "") with
+  | Ok _ -> Alcotest.fail "a predict line without its count decoded"
+  | Error e ->
+    Alcotest.(check string) "the error names the field"
+      "line 1: missing int field \"bindings\"" e);
+  (match Trace.of_jsonl (line "\"bindings\":1,") with
+  | Ok _ -> Alcotest.fail "a count below the listed bindings decoded"
+  | Error _ -> ());
+  match Trace.of_jsonl (line "\"bindings\":5,") with
+  | Ok [ (Trace.Predict { live_in; _ } as ev) ] ->
+    check_int "the count is the field's" 5 (Mssp_state.Live_in.cardinal live_in);
+    check "the line re-encodes as read" true
+      (Tjson.to_string (Trace.event_to_json ev) = line "\"bindings\":5,")
+  | Ok _ -> Alcotest.fail "one line, one predict"
+  | Error e -> Alcotest.fail e
+
 (* A ring that dropped events holds a suffix of the stream, whose fold
    cannot add up to the run: the verdict line says the stream is
    truncated instead of reporting a mismatch on a healthy run. A ring
@@ -314,38 +342,46 @@ let test_fold_allocation () =
 (* The cost of a bounded ring sink, the tracing a long run can afford:
    the machine builds and folds every event on every run, so attaching
    a ring moves no cycle, stat or stop, and adds only the ring's slot
-   box and the frozen live-in a sink may keep. On vecsum at three times
-   its reference input on 4 slaves (about 15,000 events) that is about
-   7.7 words per event; the bound leaves 30% headroom. A sink that
-   renders each event to JSONL allocates hundreds of words per event. *)
+   box and the shipped live-in a sink may keep: the registers and the
+   fork interval's writes. On vecsum at three times its reference input
+   on 4 slaves (about 15,000 events) that is about 7.7 words per event;
+   on qsort at its reference input on 8 slaves, a store-heavy kernel
+   with about 14,000 events, about 35.5; a sink handed each fork's
+   whole view reads about 72 there. Each bound leaves at most 30%
+   headroom. A sink that renders each event to JSONL allocates hundreds
+   of words per event. *)
 let test_ring_sink_words () =
-  let b = W.find "vecsum" in
-  let d =
-    distill_bench "vecsum" ~size:(3 * b.W.ref_size) ~train:b.W.train_size
-  in
-  let cfg = Config.with_slaves 4 Config.default in
-  let words config =
-    let w0 = Gc.minor_words () in
-    let r = M.run ~config d in
-    (Gc.minor_words () -. w0, r)
-  in
-  ignore (words cfg : float * M.result);
-  let off, r_off = words cfg in
-  let tracer = Trace.create () and buf = Trace.Ring.create 4096 in
-  Trace.attach tracer (Trace.Ring.sink buf);
-  let on, r_on = words { cfg with Config.tracer = Some tracer } in
-  check "ring sink: cycles identical" true
-    (r_on.M.stats.M.cycles = r_off.M.stats.M.cycles);
-  check "ring sink: stats identical" true (r_on.M.stats = r_off.M.stats);
-  check "ring sink: stop identical" true (r_on.M.stop = r_off.M.stop);
-  let events =
-    Trace.Ring.dropped buf + List.length (Trace.Ring.contents buf)
-  in
-  let per_event = (on -. off) /. float_of_int events in
-  check
-    (Printf.sprintf "%.2f extra words per event over %d events (< 10)"
-       per_event events)
-    true (per_event < 10.0)
+  List.iter
+    (fun (bench, scale, slaves, bound) ->
+      let b = W.find bench in
+      let d =
+        distill_bench bench ~size:(scale * b.W.ref_size) ~train:b.W.train_size
+      in
+      let cfg = Config.with_slaves slaves Config.default in
+      let words config =
+        let w0 = Gc.minor_words () in
+        let r = M.run ~config d in
+        (Gc.minor_words () -. w0, r)
+      in
+      ignore (words cfg : float * M.result);
+      let off, r_off = words cfg in
+      let tracer = Trace.create () and buf = Trace.Ring.create 4096 in
+      Trace.attach tracer (Trace.Ring.sink buf);
+      let on, r_on = words { cfg with Config.tracer = Some tracer } in
+      let tag = Printf.sprintf "%s@%d: ring sink: " bench slaves in
+      check (tag ^ "cycles identical") true
+        (r_on.M.stats.M.cycles = r_off.M.stats.M.cycles);
+      check (tag ^ "stats identical") true (r_on.M.stats = r_off.M.stats);
+      check (tag ^ "stop identical") true (r_on.M.stop = r_off.M.stop);
+      let events =
+        Trace.Ring.dropped buf + List.length (Trace.Ring.contents buf)
+      in
+      let per_event = (on -. off) /. float_of_int events in
+      check
+        (Printf.sprintf "%s%.2f extra words per event over %d events (< %g)"
+           tag per_event events bound)
+        true (per_event < bound))
+    [ ("vecsum", 3, 4, 10.0); ("qsort", 1, 8, 46.0) ]
 
 (* A squash frees every slave at once, so a squashed task is busy only
    up to the squash. Under a live-in corruption plan (vecsum on 1 slave,
@@ -704,6 +740,8 @@ let () =
             test_reread_golden_summary;
           Alcotest.test_case "ring verdict: truncated or compared" `Quick
             test_ring_verdict;
+          Alcotest.test_case "predict lines carry their count" `Quick
+            test_predict_count_field;
         ] );
       ( "squash-limit discarded",
         [
